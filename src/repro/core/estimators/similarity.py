@@ -38,9 +38,9 @@ three similar records:
 >>> len(template), len(matches)
 (7, 3)
 
-With too little similar history the ladder degrades gracefully — here the
-second pass accepts a single same-executable record rather than averaging
-over unrelated jobs:
+With too little similar history the ladder degrades gracefully — here no
+rung reaches ``min_samples``, so the single same-executable record is
+accepted rather than averaging over unrelated jobs:
 
 >>> target["executable"] = "simulate"; target["owner"] = "bob"
 >>> template, matches = most_specific_match(history, target, min_samples=3)
@@ -87,25 +87,26 @@ def most_specific_match(
 
     Walks *ladder* from most to least specific and returns the first
     ``(template, matches)`` with at least *min_samples* successful records.
-    When no rung reaches the threshold, a second pass accepts any rung with
-    at least one match — a couple of records of the *same application* are
-    far better evidence than dozens of unrelated jobs — before finally
-    degrading to the full successful history (global mean).
+    When no rung reaches the threshold, the most specific rung with at
+    least one match is accepted — a couple of records of the *same
+    application* are far better evidence than dozens of unrelated jobs —
+    before finally degrading to the full successful history (global mean).
     """
     if min_samples < 1:
         raise ValueError(f"min_samples must be >= 1, got {min_samples}")
+    # One walk: the first non-empty rung is remembered on the way down and
+    # is the answer when no rung reaches the threshold.
+    first_nonempty: Optional[Tuple[Template, List[TaskRecord]]] = None
     for template in ladder:
         if not template:
             continue  # the empty template is only ever the last resort
         matches = history.matching(template, target)
         if len(matches) >= min_samples:
             return template, matches
-    for template in ladder:
-        if not template:
-            continue
-        matches = history.matching(template, target)
-        if matches:
-            return template, matches
+        if matches and first_nonempty is None:
+            first_nonempty = (template, matches)
+    if first_nonempty is not None:
+        return first_nonempty
     return (), history.successful()
 
 

@@ -27,6 +27,7 @@ time-stepping error in any figure.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -121,6 +122,8 @@ class CondorPool:
         self.sim = sim
         self.name = name
         self.nodes = list(nodes)
+        # The node list is fixed at construction, so the slot total is too.
+        self._total_slots = sum(n.cpu_count for n in self.nodes)
         self._next_condor_id = 1
         self._ads: Dict[str, CondorJobAd] = {}          # task_id -> ad
         self._by_condor_id: Dict[int, CondorJobAd] = {}
@@ -177,8 +180,7 @@ class CondorPool:
         self._by_condor_id[ad.condor_id] = ad
         task.state = JobState.QUEUED
         ad.state = JobState.QUEUED
-        self._idle.append(ad)
-        self._idle.sort(key=CondorJobAd.sort_key)
+        insort(self._idle, ad, key=CondorJobAd.sort_key)
         self._notify_state(ad)
         self._try_dispatch()
         return ad.condor_id
@@ -376,7 +378,7 @@ class CondorPool:
     @property
     def total_slots(self) -> int:
         """Total CPU slots across all nodes."""
-        return sum(n.cpu_count for n in self.nodes)
+        return self._total_slots
 
     @property
     def busy_slots(self) -> int:
@@ -557,7 +559,9 @@ class CondorPool:
         dispatch pass runs.  RUNNING ads re-occupy their recorded slots
         and re-arm their analytic finish events from the remaining work;
         PAUSED ads keep their slots with the finish event disarmed, as
-        a live suspend leaves them.
+        a live suspend leaves them.  The idle queue must arrive in
+        dispatch order (as :meth:`snapshot_state` writes it); anything
+        else raises :class:`CondorError` rather than being re-sorted.
         """
         by_name = {node.name: node for node in self.nodes}
         self._next_condor_id = int(state["next_condor_id"])  # type: ignore[arg-type]
@@ -583,7 +587,16 @@ class CondorPool:
             if ad.state is JobState.RUNNING:
                 ad.last_sync = self.sim.now
                 self._arm_finish(ad)
-        self._idle = [self._ads[task_id] for task_id in state["idle"]]  # type: ignore[union-attr]
+        idle = [self._ads[task_id] for task_id in state["idle"]]  # type: ignore[union-attr]
+        # submit() places new ads by bisection, so a queue restored out of
+        # dispatch order would silently mis-place every later arrival.
+        for ahead, ad in zip(idle, idle[1:]):
+            if ahead.sort_key() >= ad.sort_key():
+                raise CondorError(
+                    f"pool {self.name}: restored idle queue is out of dispatch "
+                    f"order at task {ad.task_id}"
+                )
+        self._idle = idle
 
     def enable_flocking(self, *pools: "CondorPool") -> None:
         """Allow idle jobs to flock to the given pools when this one is full."""

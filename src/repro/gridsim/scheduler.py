@@ -131,6 +131,9 @@ class SphinxScheduler:
         #: site.  Sphinx balanced; so do we.
         self.commitment_aware = True
         self._commitments: Dict[str, str] = {}
+        #: site -> how many entries of ``_commitments`` name it, so ranking
+        #: reads a count; written only by :meth:`_commit`/:meth:`_uncommit`.
+        self._committed_count: Dict[str, int] = {}
         self._services: Dict[str, ExecutionService] = {}
         self._jobs: Dict[str, _JobEntry] = {}
         self._task_index: Dict[str, str] = {}  # task_id -> job_id
@@ -159,7 +162,7 @@ class SphinxScheduler:
 
         def on_state_change(ad) -> None:
             if ad.state.is_terminal:
-                self._commitments.pop(ad.task_id, None)
+                self._uncommit(ad.task_id)
             elif ad.state is JobState.QUEUED:
                 self._note_arrival(ad.task_id, name)
 
@@ -175,6 +178,29 @@ class SphinxScheduler:
             return self._services[site_name]
         except KeyError:
             raise SchedulingError(f"unknown site {site_name!r}") from None
+
+    # ------------------------------------------------------------------
+    # commitment tracking
+    # ------------------------------------------------------------------
+    def _commit(self, task_id: str, site_name: str) -> None:
+        """Count *task_id* against *site_name* (and no longer anywhere else).
+
+        A re-commit assigns in place: the map's insertion order is what a
+        checkpoint serialises, so it must not depend on rebinds.
+        """
+        previous = self._commitments.get(task_id)
+        if previous == site_name:
+            return
+        if previous is not None:
+            self._committed_count[previous] -= 1
+        self._commitments[task_id] = site_name
+        self._committed_count[site_name] = self._committed_count.get(site_name, 0) + 1
+
+    def _uncommit(self, task_id: str) -> None:
+        """Stop counting *task_id* against any site (no-op if uncounted)."""
+        site_name = self._commitments.pop(task_id, None)
+        if site_name is not None:
+            self._committed_count[site_name] -= 1
 
     # ------------------------------------------------------------------
     # site selection (§6.1 a–e)
@@ -212,7 +238,7 @@ class SphinxScheduler:
             else:
                 load = service.current_load()
             if self.commitment_aware:
-                committed = sum(1 for s in self._commitments.values() if s == name)
+                committed = self._committed_count.get(name, 0)
                 load += committed / max(1, service.pool.total_slots)
             stage_in = 0.0
             if self.replica_catalog is not None and task.spec.input_files:
@@ -260,7 +286,7 @@ class SphinxScheduler:
             binding_list.append(TaskBinding(task_id=t.task_id, site_name=site))
             # Count the binding immediately so the next task in this same
             # plan sees the site as busier (intra-plan load balancing).
-            self._commitments[t.task_id] = site
+            self._commit(t.task_id, site)
         bindings = tuple(binding_list)
         plan = ConcreteJobPlan(job_id=job.job_id, bindings=bindings, created_at=self.sim.now)
         entry = _JobEntry(job=job, plan=plan)
@@ -285,7 +311,7 @@ class SphinxScheduler:
     def _submit_to(self, entry: _JobEntry, task: Task, site_name: str, initial_work: float = 0.0) -> None:
         delay = self._stage_in_delay(task, site_name)
         entry.submitted.add(task.task_id)
-        self._commitments[task.task_id] = site_name
+        self._commit(task.task_id, site_name)
         if delay <= 0.0:
             self._deliver(task, site_name, initial_work)
             return
@@ -343,7 +369,7 @@ class SphinxScheduler:
         if entry.plan.site_for(task_id) == site_name:
             return
         entry.plan = entry.plan.rebind(task_id, site_name)
-        self._commitments[task_id] = site_name
+        self._commit(task_id, site_name)
         self._emit_plan(entry)
 
     def _on_task_complete(self, ad: CondorJobAd) -> None:
@@ -530,9 +556,11 @@ class SphinxScheduler:
             self._jobs[job.job_id] = entry
             for t in job.tasks:
                 self._task_index[t.task_id] = job.job_id
-        self._commitments = {
-            task_id: site for task_id, site in state["commitments"]  # type: ignore[union-attr]
-        }
+        # The per-site counts are derived state: rebuilt, never persisted.
+        self._commitments = {}
+        self._committed_count = {}
+        for task_id, site in state["commitments"]:  # type: ignore[union-attr]
+            self._commit(task_id, site)
         self.staging = {}
         self._staging_work = {}
         for task_id, site, finish_time, initial_work in state["staging"]:  # type: ignore[union-attr]

@@ -82,6 +82,81 @@ class TestMostSpecificMatch:
         assert matches == []
 
 
+class CountingHistory(HistoryRepository):
+    """Counts the similarity queries a ladder walk issues."""
+
+    def __init__(self, records=()):
+        super().__init__(records)
+        self.queries = 0
+
+    def matching(self, attributes, target, naive=False):
+        self.queries += 1
+        return super().matching(attributes, target, naive=naive)
+
+
+def two_pass_match(history, target, min_samples, ladder=DEFAULT_LADDER):
+    """The ladder as first written: one walk per acceptance threshold."""
+    for template in ladder:
+        if template:
+            matches = history.matching(template, target)
+            if len(matches) >= min_samples:
+                return template, matches
+    for template in ladder:
+        if template:
+            matches = history.matching(template, target)
+            if matches:
+                return template, matches
+    return (), history.successful()
+
+
+class TestSinglePassLadder:
+    MIN_SAMPLES = 3
+    RUNGS = len(DEFAULT_LADDER) - 1  # the empty template is never queried
+
+    # Each case: records agreeing with target() on the whole ladder ("full"),
+    # on everything but the queue ("mid": rungs of <= 3 attributes) and on
+    # the executable alone ("exe").
+    CASES = {
+        "no history": dict(full=0, mid=0, exe=0),
+        "one exact": dict(full=1, mid=0, exe=0),
+        "one at the bottom rung": dict(full=0, mid=0, exe=1),
+        "threshold - 1 exact": dict(full=2, mid=0, exe=0),
+        "threshold exact": dict(full=3, mid=0, exe=0),
+        "thin top, threshold - 1 overall": dict(full=1, mid=1, exe=0),
+        "thin top, threshold in the middle": dict(full=1, mid=2, exe=0),
+        "thin everywhere, threshold at the bottom": dict(full=1, mid=1, exe=1),
+        "threshold only at the bottom": dict(full=0, mid=0, exe=3),
+    }
+
+    def history(self, full, mid, exe):
+        return (
+            [rec(runtime=100.0 + i) for i in range(full)]
+            + [rec(queue="other", runtime=200.0 + i) for i in range(mid)]
+            + [rec(owner="someone", runtime=300.0 + i) for i in range(exe)]
+            + [rec(executable="unrelated", owner="x", runtime=9000.0) for _ in range(4)]
+        )
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_answer_as_two_pass_reference(self, case):
+        records = self.history(**self.CASES[case])
+        single, double = CountingHistory(records), CountingHistory(records)
+        got = most_specific_match(single, target(), min_samples=self.MIN_SAMPLES)
+        want = two_pass_match(double, target(), self.MIN_SAMPLES)
+        assert got == want
+        assert single.queries <= self.RUNGS
+        assert single.queries <= double.queries
+
+    @pytest.mark.parametrize("at_bottom_rung", [0, MIN_SAMPLES - 1])
+    def test_half_the_queries_when_no_rung_reaches_the_threshold(self, at_bottom_rung):
+        # Nothing matches, or too little and only at the executable rung:
+        # the reference walks the whole ladder twice, the single pass once.
+        records = self.history(full=0, mid=0, exe=at_bottom_rung)
+        single, double = CountingHistory(records), CountingHistory(records)
+        most_specific_match(single, target(), min_samples=self.MIN_SAMPLES)
+        two_pass_match(double, target(), self.MIN_SAMPLES)
+        assert (single.queries, double.queries) == (self.RUNGS, 2 * self.RUNGS)
+
+
 class TestGreedySearch:
     def make_history(self):
         """Two owners with very different runtimes; queue is pure noise."""

@@ -418,3 +418,42 @@ class TestPausedTaskControl:
         assert c.has_task(job.task_id)
         sim.run_until(20.0)
         assert job.state is JobState.COMPLETED
+
+
+class TestRestore:
+    def queued_pool(self, sim, priorities=(0, 5, 0, 9, 5)):
+        pool = make_pool(sim)
+        pool.submit(make_task(work=1000.0, priority=10))  # holds the only slot
+        tasks = [make_task(priority=p) for p in priorities]
+        for t in tasks:
+            pool.submit(t)
+        return pool, {t.task_id: t for t in tasks + [pool.running_snapshot()[0].task]}
+
+    def test_round_trip_keeps_dispatch_order_and_places_later_submits(self, sim):
+        pool, tasks = self.queued_pool(sim)
+        restored = make_pool(Simulator())
+        restored.restore_state(pool.snapshot_state(), tasks.__getitem__)
+        assert [ad.task_id for ad in restored.queue_snapshot()] == [
+            ad.task_id for ad in pool.queue_snapshot()
+        ]
+        late = make_task(priority=7)
+        restored.submit(late)
+        queue = restored.queue_snapshot()
+        assert queue == sorted(queue, key=lambda ad: ad.sort_key())
+        assert restored.queue_position(late.task_id) == 1  # behind the 9, ahead of the 5s
+
+    def test_out_of_order_idle_queue_rejected(self, sim):
+        pool, tasks = self.queued_pool(sim)
+        state = pool.snapshot_state()
+        state["idle"][1], state["idle"][2] = state["idle"][2], state["idle"][1]
+        offender = state["idle"][2]
+        with pytest.raises(CondorError) as err:
+            make_pool(Simulator()).restore_state(state, tasks.__getitem__)
+        assert "pool pool" in str(err.value) and offender in str(err.value)
+
+    def test_duplicated_idle_entry_rejected(self, sim):
+        pool, tasks = self.queued_pool(sim)
+        state = pool.snapshot_state()
+        state["idle"].insert(1, state["idle"][0])
+        with pytest.raises(CondorError, match=state["idle"][0]):
+            make_pool(Simulator()).restore_state(state, tasks.__getitem__)
