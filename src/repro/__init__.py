@@ -83,30 +83,6 @@ from repro.workloads import (
 
 __version__ = "1.1.0"
 
-#: Deprecated aliases kept for pre-redesign callers (warn on access).
-_DEPRECATED_NAMES = {
-    "InProcessTransport": "LoopbackTransport",
-    "XmlRpcTransport": "SocketTransport",
-}
-
-
-def __getattr__(name):
-    try:
-        replacement = _DEPRECATED_NAMES[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import warnings
-
-    warnings.warn(
-        f"{__name__}.{name} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return globals()[replacement]
-
-
 __all__ = [
     "AdaptiveSteeringAgent",
     "AsyncSocketServerHandle",

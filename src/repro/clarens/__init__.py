@@ -32,14 +32,7 @@ This subpackage reproduces that framework in Python:
 - :mod:`repro.clarens.discovery` — the peer-to-peer lookup network used for
   dynamic service discovery (§3, [5]);
 - :mod:`repro.clarens.serialization` — wire-safe marshalling helpers.
-
-The pre-redesign transport names (``InProcessTransport``,
-``XmlRpcTransport``) are still importable from here but raise a
-``DeprecationWarning``; use ``LoopbackTransport`` / ``SocketTransport``.
 """
-
-import warnings as _warnings
-from typing import Any as _Any
 
 from repro.clarens.api import (  # noqa: F401  (re-exported surface)
     ANONYMOUS,
@@ -87,28 +80,6 @@ from repro.clarens.api import (  # noqa: F401  (re-exported surface)
     resolve_transport,
     to_wire,
 )
-
-#: Deprecated aliases kept for pre-redesign callers (warn on access).
-_DEPRECATED_NAMES = {
-    "InProcessTransport": "LoopbackTransport",
-    "XmlRpcTransport": "SocketTransport",
-}
-
-
-def __getattr__(name: str) -> _Any:
-    try:
-        replacement = _DEPRECATED_NAMES[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    _warnings.warn(
-        f"{__name__}.{name} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return globals()[replacement]
-
 
 __all__ = [
     "ANONYMOUS",

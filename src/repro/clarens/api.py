@@ -19,10 +19,6 @@ The surface groups into:
   (:func:`get_codec`, :func:`codec_names`, :func:`negotiate`);
 - **framework plumbing** — registry, auth, ACL, middleware, telemetry,
   discovery, serialization helpers and the fault hierarchy.
-
-The pre-redesign names ``InProcessTransport`` and ``XmlRpcTransport``
-remain importable from :mod:`repro.clarens` (not from here) and warn with
-``DeprecationWarning``.
 """
 
 from __future__ import annotations

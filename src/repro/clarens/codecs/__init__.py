@@ -18,8 +18,8 @@ Two codecs ship:
 
 Both carry exactly the wire value set of
 :func:`~repro.clarens.serialization.to_wire`, so responses are
-wire-identical across codecs — the loadtest's identity phase replays the
-same schedule through each and asserts it.
+wire-identical across codecs (pinned by
+``tests/property/test_properties_codecs.py``).
 
 Every codec implements the :class:`Codec` interface over *wire values*
 (post-``to_wire`` structures): requests as ``(method, wire_token,

@@ -27,10 +27,6 @@ idempotent and safe to call from any thread — including while another
 thread has calls in flight, which then fail with
 :class:`~repro.clarens.errors.TransportClosedError` rather than hanging
 or corrupting the stream.
-
-The 2005-era names ``InProcessTransport`` and ``XmlRpcTransport`` remain
-importable as deprecated aliases of :class:`LoopbackTransport` and
-:class:`SocketTransport`.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ import abc
 import functools
 import socket
 import threading
-import warnings
 import xmlrpc.client
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -501,30 +496,6 @@ class AsyncSocketTransport(Transport):
         except OSError:
             pass
         self._sock.close()
-
-
-# ----------------------------------------------------------------------
-# deprecated 2005-era names
-# ----------------------------------------------------------------------
-_DEPRECATED_NAMES = {
-    "InProcessTransport": "LoopbackTransport",
-    "XmlRpcTransport": "SocketTransport",
-}
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        replacement = _DEPRECATED_NAMES[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    warnings.warn(
-        f"{__name__}.{name} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return globals()[replacement]
 
 
 __all__ = [

@@ -8,7 +8,6 @@ Installed as ``gae-repro`` (or run as ``python -m repro.cli``)::
     gae-repro trace TASK_ID [--export gae_trace_export.jsonl]
     gae-repro trace --n 200 [--seed 1995] [--out trace.csv]
     gae-repro stats [--calls 5]
-    gae-repro bench [--quick] [--out BENCH_estimators.json]
     gae-repro demo [--trace-export gae_trace_export.jsonl]
     gae-repro checkpoint [--out gae_checkpoint.sqlite] [--at 205]
     gae-repro restore gae_checkpoint.sqlite [--inspect]
@@ -275,43 +274,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     ))
     print(f"total calls: {stats['calls']}  faults: {stats['faults']}")
     print(f"trace {trace}: {len(recent)} calls in the recent-calls ring")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run (or validate) the estimator hot-path benchmark harness."""
-    from repro.analysis.bench import run_bench, validate_report_file
-
-    if args.validate:
-        validate_report_file(args.validate)
-        print(f"{args.validate}: schema ok")
-        return 0
-    run_bench(
-        quick=args.quick,
-        seed=args.seed,
-        out=None if args.out == "-" else args.out,
-        history_scales=args.history_scales,
-        queue_scales=args.queue_scales,
-    )
-    return 0
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    """Run (or validate) the closed-loop RPC read-path load harness."""
-    from repro.analysis.load import run_loadtest, validate_loadtest_file
-
-    if args.validate:
-        validate_loadtest_file(args.validate)
-        print(f"{args.validate}: schema ok")
-        return 0
-    run_loadtest(
-        quick=args.quick,
-        seed=args.seed,
-        out=None if args.out == "-" else args.out,
-        n_tasks=args.n_tasks,
-        workers=args.workers,
-        calls_per_worker=args.calls_per_worker,
-    )
     return 0
 
 
@@ -791,38 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     pst.add_argument("--calls", type=int, default=5,
                      help="monitoring queries to issue before reading stats")
     pst.set_defaults(func=_cmd_stats)
-
-    pb = sub.add_parser(
-        "bench",
-        help="estimator hot-path benchmarks (indexed vs naive), written as JSON",
-    )
-    pb.add_argument("--quick", action="store_true", help="small CI-sized run")
-    pb.add_argument("--seed", type=int, default=1995)
-    pb.add_argument("--out", type=str, default="BENCH_estimators.json",
-                    help="report path ('-' to skip writing)")
-    pb.add_argument("--history-scales", type=int, nargs="+", default=None)
-    pb.add_argument("--queue-scales", type=int, nargs="+", default=None)
-    pb.add_argument("--validate", type=str, default=None, metavar="PATH",
-                    help="validate an existing report's schema instead of running")
-    pb.set_defaults(func=_cmd_bench)
-
-    pl = sub.add_parser(
-        "loadtest",
-        help="closed-loop RPC read-path load harness (cached vs uncached)",
-    )
-    pl.add_argument("--quick", action="store_true", help="small CI-sized run")
-    pl.add_argument("--seed", type=int, default=1995)
-    pl.add_argument("--out", type=str, default="LOAD_readpath.json",
-                    help="report path ('-' to skip writing)")
-    pl.add_argument("--tasks", type=int, default=None, dest="n_tasks",
-                    help="jobs held live on the rig (default 10000, quick 2000)")
-    pl.add_argument("--workers", type=int, default=None,
-                    help="closed-loop worker threads (default 8, quick 4)")
-    pl.add_argument("--calls-per-worker", type=int, default=None,
-                    help="schedule length per worker (default 1500, quick 250)")
-    pl.add_argument("--validate", type=str, default=None, metavar="PATH",
-                    help="validate an existing report's schema instead of running")
-    pl.set_defaults(func=_cmd_loadtest)
 
     pd = sub.add_parser(
         "demo", help="end-to-end GAE demo: flock, pause, move, trace export"

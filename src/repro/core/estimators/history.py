@@ -15,10 +15,9 @@ has ever been queried, records are bucketed by their value tuple on those
 attributes.  Buckets are maintained incrementally as :meth:`add` appends
 records (so a live :class:`HistoryRecorder` keeps them warm), which turns
 the per-estimate work from a full history scan into a single dict lookup.
-The original scan survives behind ``matching(..., naive=True)`` (and
-``HistoryRepository(indexed=False)``) for the ablation benchmarks; both
-paths return the *same records in the same order*, so every estimate built
-on top is bit-identical between them.
+A bucket holds its records in insertion order, so a query returns exactly
+what a linear scan over :meth:`HistoryRepository.successful` would (pinned
+by ``tests/property/test_properties_index_accounting.py``).
 """
 
 from __future__ import annotations
@@ -106,20 +105,13 @@ _NUMERIC_FIELDS = {
 class HistoryRepository:
     """An append-only store of :class:`TaskRecord` with attribute queries.
 
-    Parameters
-    ----------
-    records:
-        Initial records (appended in order).
-    indexed:
-        When true (the default), :meth:`matching` is served from hash
-        buckets keyed on the queried attribute tuple.  ``indexed=False``
-        forces the original linear scan everywhere — the naive baseline
-        the ablation benchmarks time against.
+    *records* are the initial records (appended in order).
+    :meth:`matching` is served from hash buckets keyed on the queried
+    attribute tuple.
     """
 
-    def __init__(self, records: Iterable[TaskRecord] = (), indexed: bool = True) -> None:
+    def __init__(self, records: Iterable[TaskRecord] = ()) -> None:
         self._records: List[TaskRecord] = list(records)
-        self.indexed = bool(indexed)
         # Successful records, insertion order — the estimator training set.
         self._successful: List[TaskRecord] = [
             r for r in self._records if r.status == "successful"
@@ -183,27 +175,23 @@ class HistoryRepository:
         return buckets
 
     def matching(
-        self, attributes: Sequence[str], target: Dict[str, object], naive: bool = False
+        self, attributes: Sequence[str], target: Dict[str, object]
     ) -> List[TaskRecord]:
         """Successful records equal to *target* on every named attribute.
 
-        The indexed path and the ``naive=True`` scan return the same
-        records in the same (insertion) order, so downstream statistics
-        are bit-identical between them.
+        Returned in insertion order, so downstream statistics do not
+        depend on how the history was built up.
         """
-        if not naive and self.indexed:
-            attrs = tuple(attributes)
-            try:
-                key = tuple(target.get(a) for a in attrs)
-                return list(self._index_for(attrs).get(key, ()))
-            except TypeError:
-                # Unhashable target value — fall back to the scan.
-                pass
-        out = []
-        for r in self._successful:
-            if all(r.attribute(a) == target.get(a) for a in attributes):
-                out.append(r)
-        return out
+        attrs = tuple(attributes)
+        try:
+            key = tuple(target.get(a) for a in attrs)
+            return list(self._index_for(attrs).get(key, ()))
+        except TypeError:
+            # Unhashable target value — no bucket key exists, so scan.
+            return [
+                r for r in self._successful
+                if all(r.attribute(a) == target.get(a) for a in attrs)
+            ]
 
     def index_stats(self) -> Dict[str, object]:
         """Shape of the live indexes (for benchmarks and debugging)."""
@@ -262,13 +250,13 @@ class HistoryRepository:
         )
 
     @classmethod
-    def load_from(cls, store: "StateStore", indexed: bool = True) -> "HistoryRepository":
+    def load_from(cls, store: "StateStore") -> "HistoryRepository":
         """Rebuild a repository from the ``estimator.history`` namespace."""
         records = [
             TaskRecord(**row)  # type: ignore[arg-type]
             for _, row in store.items(ESTIMATOR_HISTORY)
         ]
-        return cls(records, indexed=indexed)
+        return cls(records)
 
 
 class HistoryRecorder:

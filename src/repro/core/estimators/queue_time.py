@@ -26,9 +26,9 @@ flock-forward events and to :meth:`RuntimeEstimateDB.record` notifications,
 and maintains the queued tasks' estimated-remaining runtimes grouped into
 per-priority bands.  Band totals are exact (:func:`math.fsum` over the
 band's contributions, recomputed lazily only when the band changed), which
-makes the incremental answer **bit-identical** to the ``naive=True`` full
-scan — `fsum` is correctly rounded, so the grouping order cannot leak into
-the result.  Cost per call drops from O(queue) to O(bands + running).
+makes the incremental answer **bit-identical** to the §6.2 sum written out
+over the queue — `fsum` is correctly rounded, so the grouping order cannot
+leak into the result.  Cost per call drops from O(queue) to O(bands + running).
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ class QueueAccounting:
     estimated-remaining runtime ``max(0, estimate - elapsed)`` — the exact
     quantity the §6.2 scan computes.  A queued task's elapsed runtime is
     frozen (accrual only advances while running), so the contribution
-    computed at event time equals the one the naive scan would compute at
-    query time.
+    computed at event time equals the one a scan of the queue would compute
+    at query time.
 
     Event sources:
 
@@ -257,7 +257,7 @@ class QueueAccounting:
 
         Raises :class:`QueueEstimationError` when a relevant band holds a
         task without a stored estimate and no fallback was configured —
-        the same strictness as the naive scan.
+        the same strictness as the scan an un-attached service takes.
         """
         out: List[float] = []
         for band in self._bands:
@@ -358,7 +358,6 @@ class QueueTimeEstimator:
         service: ExecutionService,
         priority: int = 0,
         per_slot: bool = False,
-        naive: bool = False,
     ) -> float:
         """Queue wait a *hypothetical* new task of *priority* would see.
 
@@ -368,13 +367,13 @@ class QueueTimeEstimator:
 
         When the service has incremental accounting (:meth:`attach`), the
         queued part comes from the per-priority-band running sums —
-        O(bands) instead of O(queue).  ``naive=True`` forces the full
-        §6.2 scan (the ablation baseline).  Both paths combine the same
-        contributions with the same correctly-rounded :func:`math.fsum`,
-        so their results are bit-identical.
+        O(bands) instead of O(queue); an un-attached service is scanned.
+        Both combine the same contributions with the same
+        correctly-rounded :func:`math.fsum`, so attaching never changes
+        the answer.
         """
         running_parts = [self._remaining(ad) for ad in service.running_info()]
-        acct = None if naive else self._accounting(service)
+        acct = self._accounting(service)
         if acct is not None:
             band_totals = acct.band_totals(priority)
         else:

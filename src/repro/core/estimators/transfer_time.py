@@ -126,26 +126,20 @@ class TransferTimeEstimator:
             return self.probe.measure(src, dst).measured_mbps
         return self.probe.smoothed_mbps(src, dst, window=self.smoothing_window)
 
-    def measure_bandwidth(self, src: str, dst: str, fresh: bool = False) -> float:
-        """The (possibly smoothed, possibly memoized) bandwidth in Mbit/s.
-
-        ``fresh=True`` bypasses the TTL cache and forces a probe (which
-        also refreshes the cache entry) — the naive baseline the ablation
-        benchmark times against.
-        """
+    def measure_bandwidth(self, src: str, dst: str) -> float:
+        """The (possibly smoothed, possibly memoized) bandwidth in Mbit/s."""
         if self.cache_ttl_s is None:
             return self._probe_bandwidth(src, dst)
         key = (src, dst)
         now = self._now()
-        if not fresh:
-            cached = self._bandwidth_cache.get(key)
-            if cached is not None:
-                bandwidth, measured_at = cached
-                if now - measured_at < self.cache_ttl_s:
-                    self.cache_stats.hits += 1
-                    self._bandwidth_cache.move_to_end(key)
-                    return bandwidth
-                self.cache_stats.expirations += 1
+        cached = self._bandwidth_cache.get(key)
+        if cached is not None:
+            bandwidth, measured_at = cached
+            if now - measured_at < self.cache_ttl_s:
+                self.cache_stats.hits += 1
+                self._bandwidth_cache.move_to_end(key)
+                return bandwidth
+            self.cache_stats.expirations += 1
         self.cache_stats.misses += 1
         bandwidth = self._probe_bandwidth(src, dst)
         self._bandwidth_cache[key] = (bandwidth, now)
@@ -200,9 +194,7 @@ class TransferTimeEstimator:
             del self._bandwidth_cache[key]
         return len(doomed)
 
-    def estimate(
-        self, src: str, dst: str, size_mb: float, fresh: bool = False
-    ) -> TransferEstimate:
+    def estimate(self, src: str, dst: str, size_mb: float) -> TransferEstimate:
         """Predict the transfer time of *size_mb* megabytes src → dst."""
         if size_mb < 0:
             raise ValueError(f"size must be non-negative, got {size_mb}")
@@ -211,7 +203,7 @@ class TransferTimeEstimator:
                 src=src, dst=dst, size_mb=size_mb, bandwidth_mbps=float("inf"),
                 transfer_time_s=0.0,
             )
-        bw = self.measure_bandwidth(src, dst, fresh=fresh)
+        bw = self.measure_bandwidth(src, dst)
         seconds = 0.0 if bw == float("inf") else (size_mb * 8.0) / bw
         return TransferEstimate(
             src=src, dst=dst, size_mb=size_mb, bandwidth_mbps=bw, transfer_time_s=seconds

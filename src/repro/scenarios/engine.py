@@ -4,8 +4,7 @@
 observability, schedules the workload's submissions and the chaos windows
 on the simulation clock, runs to the horizon, and scores every SLO from
 the journal.  :func:`run_campaign` does that for a list of scenarios and
-assembles the schema-validated trajectory artifact (the scenario-layer
-sibling of ``BENCH_estimators.json`` / ``LOAD_readpath.json``).
+assembles the schema-validated trajectory artifact.
 
 Determinism contract: everything in the artifact is derived from
 simulation time, seeded RNG streams, and static spec fields — no wall

@@ -1,6 +1,4 @@
-"""Tests for the redesigned public API surface and its deprecation shims."""
-
-import warnings
+"""Tests for the redesigned public API surface."""
 
 import pytest
 
@@ -54,38 +52,11 @@ class TestApiSurface:
         assert "InProcessTransport" not in repro.__all__
         assert "XmlRpcTransport" not in repro.__all__
 
-
-class TestDeprecationShims:
-    def test_clarens_old_names_warn(self):
-        with pytest.warns(DeprecationWarning, match="LoopbackTransport"):
-            assert repro.clarens.InProcessTransport is LoopbackTransport
-        with pytest.warns(DeprecationWarning, match="SocketTransport"):
-            assert repro.clarens.XmlRpcTransport is SocketTransport
-
-    def test_transport_module_old_names_warn(self):
-        with pytest.warns(DeprecationWarning):
-            assert transport_mod.InProcessTransport is LoopbackTransport
-        with pytest.warns(DeprecationWarning):
-            assert transport_mod.XmlRpcTransport is SocketTransport
-
-    def test_top_level_old_names_warn(self):
-        with pytest.warns(DeprecationWarning):
-            assert repro.InProcessTransport is LoopbackTransport
-        with pytest.warns(DeprecationWarning):
-            assert repro.XmlRpcTransport is SocketTransport
-
-    def test_new_names_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            repro.clarens.LoopbackTransport
-            repro.clarens.SocketTransport
-            transport_mod.AsyncSocketTransport
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            repro.clarens.NoSuchThing
-        with pytest.raises(AttributeError):
-            transport_mod.NoSuchThing
+    def test_pre_redesign_names_raise_attribute_error(self):
+        for module in (repro, repro.clarens, transport_mod):
+            for name in ("InProcessTransport", "XmlRpcTransport"):
+                with pytest.raises(AttributeError):
+                    getattr(module, name)
 
 
 class TestResolveTransport:

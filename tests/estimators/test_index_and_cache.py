@@ -2,8 +2,8 @@
 
 Covers the multi-attribute history index, the incremental queue
 accounting (including the event sources the property tests cannot reach
-cheaply, like flocking), the TTL bandwidth cache, and the benchmark
-harness's schema validator.
+cheaply, like flocking) and the TTL bandwidth cache.  The linear-scan
+references they are compared against live beside the property suite.
 """
 
 import pytest
@@ -20,6 +20,10 @@ from repro.gridsim.execution import ExecutionService
 from repro.gridsim.job import Task, TaskSpec
 from repro.gridsim.network import IperfProbe, Link, Network
 from repro.gridsim.site import Site
+from tests.property.test_properties_index_accounting import (
+    scanned_matching,
+    scanned_queue_estimate,
+)
 
 
 def record(owner="alice", executable="reco", runtime_s=100.0, status="successful"):
@@ -44,8 +48,8 @@ class TestHistoryIndex:
             + [record(owner="bob", runtime_s=99.0)]
         )
         template = ("owner", "executable")
-        assert history.matching(template, target()) == history.matching(
-            template, target(), naive=True
+        assert history.matching(template, target()) == scanned_matching(
+            history, template, target()
         )
         assert [r.runtime_s for r in history.matching(template, target())] == [
             10.0, 20.0, 30.0,
@@ -66,11 +70,6 @@ class TestHistoryIndex:
         history = HistoryRepository([record()])
         weird = dict(target(), owner=["not", "hashable"])
         assert history.matching(("owner",), weird) == []
-
-    def test_unindexed_repository_still_answers(self):
-        history = HistoryRepository([record()], indexed=False)
-        assert len(history.matching(("owner",), target())) == 1
-        assert history.index_stats()["templates"] == {}
 
     def test_index_stats_reports_buckets(self):
         history = HistoryRepository([record(), record(owner="bob")])
@@ -101,11 +100,11 @@ class TestQueueAccounting:
         with pytest.raises(QueueEstimationError):
             estimator.estimate_for_new(service, priority=0)
         with pytest.raises(QueueEstimationError):
-            estimator.estimate_for_new(service, priority=0, naive=True)
-        # the moment the estimate lands, both paths answer again — equally
+            scanned_queue_estimate(estimator, service, priority=0)
+        # the moment the estimate lands, both answer again — equally
         db.record(queued.task_id, 800.0)
-        assert estimator.estimate_for_new(service) == estimator.estimate_for_new(
-            service, naive=True
+        assert estimator.estimate_for_new(service) == scanned_queue_estimate(
+            estimator, service
         )
 
     def test_attach_is_idempotent(self):
@@ -127,7 +126,7 @@ class TestQueueAccounting:
             db.record(task.task_id, 1000.0)
             full.submit_task(task)  # second flocks straight to the idle pool
         service_estimates["incremental"] = estimator.estimate_for_new(full)
-        service_estimates["naive"] = estimator.estimate_for_new(full, naive=True)
+        service_estimates["naive"] = scanned_queue_estimate(estimator, full)
         assert idle.has_task(second.task_id)
         assert not full.has_task(second.task_id)
         assert service_estimates["incremental"] == service_estimates["naive"]
@@ -142,7 +141,7 @@ class TestQueueAccounting:
         sim.run_until(200.0)
         after = estimator.estimate_for_new(service)
         assert after == pytest.approx(before - 200.0)
-        assert after == estimator.estimate_for_new(service, naive=True)
+        assert after == scanned_queue_estimate(estimator, service)
 
 
 def _star_network():
@@ -166,14 +165,18 @@ class TestTransferCache:
 
     def test_fresh_bypasses_and_refreshes(self):
         ticks = iter(range(1000))
+        probe = _star_network()
         est = TransferTimeEstimator(
-            _star_network(), cache_ttl_s=100.0, clock=lambda: float(next(ticks))
+            probe, cache_ttl_s=100.0, clock=lambda: float(next(ticks))
         )
+        fresh = TransferTimeEstimator(probe)  # no TTL: probes on every estimate
         est.estimate("a", "b", 10.0)
-        est.estimate("a", "b", 10.0, fresh=True)  # counted as a miss
-        est.estimate("a", "b", 10.0)              # served by the refresh
+        assert est.estimate("a", "b", 10.0) == fresh.estimate("a", "b", 10.0)
+        est.invalidate()
+        est.estimate("a", "b", 10.0)              # re-probe, counted as a miss
+        assert est.estimate("a", "b", 10.0) == fresh.estimate("a", "b", 10.0)
         assert est.cache_stats.misses == 2
-        assert est.cache_stats.hits == 1
+        assert est.cache_stats.hits == 2
 
     def test_invalidate_by_site_and_wholesale(self):
         ticks = iter(range(1000))
@@ -197,151 +200,3 @@ class TestTransferCache:
     def test_bad_ttl_rejected(self):
         with pytest.raises(ValueError):
             TransferTimeEstimator(_star_network(), cache_ttl_s=0.0)
-
-
-class TestBenchHarness:
-    def test_sections_report_identity_at_tiny_scale(self):
-        from repro.analysis.bench import (
-            bench_queue_time,
-            bench_runtime_estimator,
-            bench_transfer_time,
-        )
-
-        runtime = bench_runtime_estimator(200, queries=5, repeats=1, seed=3)
-        assert runtime["identical"]
-        queue = bench_queue_time(30, queries=5, repeats=1, seed=3)
-        assert queue["identical"]
-        transfer = bench_transfer_time(calls=10, repeats=1, seed=3)
-        assert transfer["identical"]
-
-    def test_validator_accepts_real_reports_and_rejects_mutants(self):
-        from repro.analysis.bench import (
-            BenchSchemaError,
-            bench_queue_time,
-            bench_runtime_estimator,
-            bench_transfer_time,
-            validate_report,
-        )
-
-        report = {
-            "schema_version": 4, "generated_by": "test", "quick": True,
-            "seed": 3, "python": "3",
-            "sections": {
-                "runtime_estimator": {
-                    "scales": [bench_runtime_estimator(100, queries=3, repeats=1, seed=3)]
-                },
-                "queue_time": {
-                    "scales": [bench_queue_time(10, queries=3, repeats=1, seed=3)]
-                },
-                "transfer_time": bench_transfer_time(calls=5, repeats=1, seed=3),
-                "steering": {
-                    "sites": 3, "queued_per_site": 1, "decisions": 1,
-                    "mean_ms": 1.0, "p50_ms": 1.0, "p95_ms": 1.0,
-                },
-                "monitoring": {
-                    "queries": 1, "queued_per_site": 1,
-                    "mean_ms": 1.0, "p50_ms": 1.0, "p95_ms": 1.0,
-                },
-                "observability": {
-                    "n_tasks": 10, "commands": 2, "rounds": 1,
-                    "baseline_s": 1.0, "traced_s": 1.0, "instrumented_s": 1.0,
-                    "baseline_per_command_ms": 500.0,
-                    "traced_per_command_ms": 500.0,
-                    "instrumented_per_command_ms": 500.0,
-                    "overhead_pct": 0.0, "telemetry_overhead_pct": 0.0,
-                    "identical": True,
-                    "spans": 1, "events": 1, "windows": 1,
-                },
-                "event_core": {
-                    "n_tasks": 10, "commands": 2, "rounds": 1,
-                    "direct_s": 1.0, "evented_s": 1.0,
-                    "direct_per_command_ms": 500.0,
-                    "evented_per_command_ms": 500.0,
-                    "overhead_pct": 0.0, "identical": True,
-                    "rebuild_identical": True, "consumers": 4,
-                    "journal_events": 10,
-                    "full_checkpoint_bytes": 100,
-                    "incremental_checkpoint_bytes": 50,
-                    "incremental_vs_full_pct": 50.0,
-                    "full_checkpoint_write_s": 0.1,
-                    "incremental_checkpoint_write_s": 0.05,
-                },
-                "persistence": {
-                    "records": 10, "loop_s": 1.0, "batched_s": 0.5,
-                    "loop_per_record_ms": 100.0, "batched_per_record_ms": 50.0,
-                    "loop_throughput_per_s": 10.0,
-                    "batched_throughput_per_s": 20.0,
-                    "speedup": 2.0, "identical": True,
-                    "backends_identical": True,
-                },
-                "rpc_read_path": {
-                    "n_tasks": 10, "workers": 2, "calls_per_worker": 5,
-                    "total_calls": 10, "mutations": 1, "rounds": 1,
-                    "identical": True, "uncached_wall_s": 1.0,
-                    "cached_wall_s": 0.25, "uncached_calls_per_s": 10.0,
-                    "cached_calls_per_s": 40.0, "speedup": 4.0,
-                    "cache": {
-                        "hits": 4, "misses": 5, "invalidations": 1,
-                        "coalesced": 2, "entries": 5, "evictions": 0,
-                        "hit_rate": 0.4,
-                    },
-                    "mix": {"jobmon.job_status": 10},
-                },
-                "transport": {
-                    "n_tasks": 10, "workers": 2, "calls_per_worker": 5,
-                    "total_calls": 10, "pipeline_window": 8,
-                    "identical": True,
-                    "identity": {"xmlrpc_http": True, "async+json": True,
-                                 "async+xmlrpc": True},
-                    "threaded_xmlrpc_calls_per_s": 100.0,
-                    "codecs": {
-                        "json": {"serial_calls_per_s": 500.0,
-                                 "pipelined_calls_per_s": 900.0},
-                        "xmlrpc": {"serial_calls_per_s": 120.0,
-                                   "pipelined_calls_per_s": 150.0},
-                    },
-                    "async_calls_per_s": 900.0,
-                    "recorded_baseline_calls_per_s": 10.0,
-                    "speedup_vs_recorded": 90.0,
-                    "speedup_vs_live_threaded": 9.0,
-                },
-            },
-        }
-        validate_report(report)  # must not raise
-        with pytest.raises(BenchSchemaError):
-            validate_report({**report, "schema_version": 99})
-        broken = {**report, "sections": {**report["sections"]}}
-        del broken["sections"]["monitoring"]
-        with pytest.raises(BenchSchemaError):
-            validate_report(broken)
-        broken = {**report, "sections": {**report["sections"], "steering": {
-            **report["sections"]["steering"], "mean_ms": "fast"}}}
-        with pytest.raises(BenchSchemaError):
-            validate_report(broken)
-        broken = {**report, "sections": {**report["sections"], "observability": {
-            **report["sections"]["observability"], "overhead_pct": "low"}}}
-        with pytest.raises(BenchSchemaError):
-            validate_report(broken)
-        broken = {**report, "sections": {**report["sections"], "rpc_read_path": {
-            **report["sections"]["rpc_read_path"], "cache": {
-                **report["sections"]["rpc_read_path"]["cache"], "hits": 1.5}}}}
-        with pytest.raises(BenchSchemaError):
-            validate_report(broken)
-        broken = {**report, "sections": {**report["sections"], "persistence": {
-            **report["sections"]["persistence"], "identical": "yes"}}}
-        with pytest.raises(BenchSchemaError):
-            validate_report(broken)
-        broken = {**report, "sections": {**report["sections"]}}
-        del broken["sections"]["transport"]
-        with pytest.raises(BenchSchemaError):
-            validate_report(broken)
-        broken = {**report, "sections": {**report["sections"], "transport": {
-            **report["sections"]["transport"], "codecs": {
-                "json": report["sections"]["transport"]["codecs"]["json"]}}}}
-        with pytest.raises(BenchSchemaError):
-            validate_report(broken)
-        broken = {**report, "sections": {**report["sections"], "transport": {
-            **report["sections"]["transport"],
-            "speedup_vs_recorded": "fast"}}}
-        with pytest.raises(BenchSchemaError):
-            validate_report(broken)

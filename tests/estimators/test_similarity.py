@@ -89,9 +89,9 @@ class CountingHistory(HistoryRepository):
         super().__init__(records)
         self.queries = 0
 
-    def matching(self, attributes, target, naive=False):
+    def matching(self, attributes, target):
         self.queries += 1
-        return super().matching(attributes, target, naive=naive)
+        return super().matching(attributes, target)
 
 
 def two_pass_match(history, target, min_samples, ladder=DEFAULT_LADDER):

@@ -10,11 +10,12 @@ import pytest
 from repro.core.steering.optimizer import SteeringPolicy
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder, Job
+from repro.gridsim.job import Task, TaskSpec, reset_id_counters
 from repro.observability.journal import EventType
 from repro.workloads.generators import make_prime_count_task
 
 
-def two_site_gae(seed=11, flock=False, site_a_nodes=2):
+def two_site_gae(seed=11, flock=False, site_a_nodes=2, **build_kwargs):
     builder = (
         GridBuilder(seed=seed)
         .site("siteA", nodes=site_a_nodes, background_load=0.0)
@@ -24,7 +25,9 @@ def two_site_gae(seed=11, flock=False, site_a_nodes=2):
     )
     if flock:
         builder = builder.flock("siteA", "siteB")
-    gae = build_gae(builder.build(), policy=SteeringPolicy(auto_move=False))
+    gae = build_gae(
+        builder.build(), policy=SteeringPolicy(auto_move=False), **build_kwargs
+    )
     gae.add_user("u", "pw")
     return gae
 
@@ -195,3 +198,69 @@ class TestJournalAndMetricsWiring:
         gae.grid.execution_services["siteA"].recover()
         assert m.value(site="siteA") == 1.0
         gae.stop()
+
+
+def steered_gae(live_jobs, **build_kwargs):
+    """A started two-site GAE holding *live_jobs* single-task jobs, plus the
+    three steering verbs (as callables returning their results) aimed at a
+    queued, a running and a movable task."""
+    reset_id_counters()
+    gae = two_site_gae(**build_kwargs)
+    grid = gae.grid
+    gae.start()
+    tasks = [
+        Task(spec=TaskSpec(owner="u", priority=i % 5), work_seconds=5_000.0 + i)
+        for i in range(live_jobs)
+    ]
+    for task in tasks:
+        gae.scheduler.submit_job(Job(tasks=[task], owner="u"))
+    grid.run_until(100.0)  # dispatch settles; the bulk of the queue idles
+    steering = gae.client("u", "pw").service("steering")
+    running = grid.sites["siteA"].pool.running_snapshot()[0].task_id
+    queued, moved = tasks[-1].task_id, tasks[-2].task_id
+    elsewhere = "siteA" if grid.sites["siteB"].pool.has_task(moved) else "siteB"
+    verbs = {
+        "set_priority": lambda: [steering.set_priority(queued, 7)],
+        "pause+resume": lambda: [steering.pause(running), steering.resume(running)],
+        "move": lambda: [steering.move(moved, elsewhere)],
+    }
+    return gae, verbs
+
+
+class TestInstrumentationBudget:
+    """What a steering verb appends to the journal and the span store is a
+    fixed count, whatever the number of live jobs — the instrumentation
+    budget as a count rather than a timing ceiling."""
+
+    #: verb -> (journal events, spans) appended by one call.
+    BUDGET = {
+        "set_priority": (1, 2),    # priority-changed
+        "pause+resume": (2, 6),    # paused, resumed
+        "move": (4, 4),            # monitoring-updated, moved, dispatched, estimate-recorded
+    }
+
+    @pytest.mark.parametrize("live_jobs", [200, 2_000])
+    def test_events_and_spans_per_steering_verb(self, live_jobs):
+        gae, verbs = steered_gae(live_jobs, observability=True)
+        obs = gae.observability
+        spent = {}
+        for name, verb in verbs.items():
+            events, spans = len(obs.journal), len(obs.tracer)
+            assert all(result["ok"] for result in verb()), name
+            spent[name] = (len(obs.journal) - events, len(obs.tracer) - spans)
+        gae.stop()
+        assert spent == self.BUDGET
+
+    def test_verbs_answer_the_same_bare_traced_and_fully_instrumented(self):
+        """Direct writes (no journal), journal-first, and journal + telemetry."""
+        answers = []
+        for build_kwargs in (
+            {"observability": False},
+            {"observability": True, "telemetry": False},
+            {"observability": True, "telemetry": True},
+        ):
+            gae, verbs = steered_gae(50, **build_kwargs)
+            answers.append({name: verb() for name, verb in verbs.items()})
+            gae.stop()
+        assert answers[0] == answers[1] == answers[2]
+        assert all(r["ok"] for results in answers[0].values() for r in results)

@@ -9,7 +9,12 @@ Two families of invariants back the PR-2 estimator optimisations:
   estimates **bit-identical** to the naive §6.2 queue scan under arbitrary
   interleavings of submit / start / complete / kill / re-prioritise
   events and estimate recordings.
+
+The naive baselines live here, not in the production classes:
+:func:`scanned_matching` and :func:`scanned_queue_estimate`.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +26,39 @@ from repro.gridsim.clock import Simulator
 from repro.gridsim.execution import ExecutionService
 from repro.gridsim.job import JobState, Task, TaskSpec, reset_id_counters
 from repro.gridsim.site import Site
+
+# ----------------------------------------------------------------------
+# the references
+# ----------------------------------------------------------------------
+def scanned_matching(history, template, target):
+    """The §6.1 similarity query as a linear scan of the training set."""
+    return [
+        r for r in history.successful()
+        if all(r.attribute(a) == target.get(a) for a in template)
+    ]
+
+
+def scanned_queue_estimate(estimator, service, priority=0):
+    """The §6.2 sum written out over the pool's queue and the estimate DB.
+
+    Everything running, plus every queued task at or above *priority*;
+    remainders are summed per priority band, then overall, with
+    :func:`math.fsum` (the grouping the incremental accounting keeps).
+    """
+    db, fallback = estimator.estimate_db, estimator.fallback_runtime_s
+
+    def remaining(ad):
+        from_db = db.has(ad.task_id) or fallback is None  # no fallback: lookup raises
+        estimated = db.lookup(ad.task_id) if from_db else fallback
+        return max(0.0, estimated - ad.elapsed_runtime())
+
+    bands = {}
+    for ad in service.queue_info():
+        if ad.priority >= priority:
+            bands.setdefault(ad.priority, []).append(remaining(ad))
+    running = [remaining(ad) for ad in service.running_info()]
+    return math.fsum(running + [math.fsum(parts) for parts in bands.values()])
+
 
 # ----------------------------------------------------------------------
 # history index == linear scan
@@ -60,8 +98,8 @@ class TestHistoryIndexProperties:
         for template in DEFAULT_LADDER:
             if not template:
                 continue
-            assert history.matching(template, target) == history.matching(
-                template, target, naive=True
+            assert history.matching(template, target) == scanned_matching(
+                history, template, target
             )
 
     @given(
@@ -80,8 +118,8 @@ class TestHistoryIndexProperties:
         for row in late:
             history.add(_record(*row))
             for template in (("executable",), ("executable", "owner"), ("owner",)):
-                assert history.matching(template, target) == history.matching(
-                    template, target, naive=True
+                assert history.matching(template, target) == scanned_matching(
+                    history, template, target
                 )
 
     @given(st.lists(record_rows, max_size=40))
@@ -154,9 +192,7 @@ class TestQueueAccountingProperties:
         def check():
             for priority in range(5):
                 incremental = estimator.estimate_for_new(service, priority=priority)
-                naive = estimator.estimate_for_new(
-                    service, priority=priority, naive=True
-                )
+                naive = scanned_queue_estimate(estimator, service, priority)
                 assert incremental == naive  # bit-identical, not approx
 
         for event in events:

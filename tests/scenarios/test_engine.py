@@ -13,6 +13,7 @@ from repro.scenarios.engine import (
     write_scenarios_report,
 )
 from repro.scenarios.registry import (
+    default_scenario_dir,
     load_scenario,
     render_cookbook,
     scenario_names,
@@ -146,6 +147,22 @@ class TestCli:
         report = json.loads(out.read_text())
         assert report["quick"] is True
         assert report["scenarios"][0]["name"] == "tiny"
+
+    def test_committed_artifact_is_what_the_code_emits(self, tmp_path):
+        """``SCENARIOS.json`` at the repo root equals a re-run, not just its schema."""
+        out = tmp_path / "SCENARIOS.json"
+        assert main(["scenario", "run", "--out", str(out)]) == 0
+        fresh = json.loads(out.read_text())
+        committed = json.loads(
+            (default_scenario_dir().parent / "SCENARIOS.json").read_text()
+        )
+        for report in (fresh, committed):
+            del report["python"]
+        fresh_entries, committed_entries = fresh.pop("scenarios"), committed.pop("scenarios")
+        assert fresh == committed
+        assert [e["name"] for e in fresh_entries] == [e["name"] for e in committed_entries]
+        for new, old in zip(fresh_entries, committed_entries):
+            assert new == old, new["name"]  # per entry, so a failure names the scenario
 
     def test_run_unknown_scenario_is_usage_error(self, capsys):
         code = main(["scenario", "run", "no-such-scenario", "--out", "-"])

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Check that docs/ARCHITECTURE.md matches the source tree.
 
-Eight checks, all run by CI's docs job:
+Nine checks, all run by CI's docs job:
 
 1. every package under src/ (directory with ``__init__.py``) appears by
    dotted name in docs/ARCHITECTURE.md;
@@ -28,7 +28,10 @@ Eight checks, all run by CI's docs job:
 8. the "Journal consumers" table lists exactly the registered consumer
    names of ``repro.observability.eventbus.CONSUMER_NAMES`` — every
    replayable consumer in the event-sourced core must be documented,
-   and no stale names.
+   and no stale names;
+9. every ``gae-repro <command>`` named in README.md, EXPERIMENTS.md or
+   docs/*.md is a sub-command of ``repro.cli.build_parser()`` — a
+   removed command cannot linger in prose.
 
 Run from anywhere::
 
@@ -251,6 +254,27 @@ def check_scenario_cookbook() -> list[str]:
     return []
 
 
+def check_cli_commands() -> list[str]:
+    import argparse
+
+    from repro.cli import build_parser
+
+    commands: set[str] = set()
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            commands.update(action.choices)
+    problems = []
+    pages = [REPO_ROOT / "README.md", REPO_ROOT / "EXPERIMENTS.md"]
+    for page in pages + sorted((REPO_ROOT / "docs").glob("*.md")):
+        named = set(re.findall(r"gae-repro ([a-z][a-z0-9-]*)", page.read_text(encoding="utf-8")))
+        for name in sorted(named - commands):
+            problems.append(
+                f"{page.relative_to(REPO_ROOT)} names `gae-repro {name}`, "
+                "which is not a gae-repro sub-command"
+            )
+    return problems
+
+
 def main() -> int:
     if not ARCHITECTURE_MD.exists():
         print(f"error: {ARCHITECTURE_MD} does not exist", file=sys.stderr)
@@ -325,6 +349,12 @@ def main() -> int:
         for problem in cookbook_problems:
             print(f"  - {problem}", file=sys.stderr)
         return 1
+    command_problems = check_cli_commands()
+    if command_problems:
+        print("the docs name commands the CLI does not have:", file=sys.stderr)
+        for problem in command_problems:
+            print(f"  - {problem}", file=sys.stderr)
+        return 1
     print(f"docs/ARCHITECTURE.md covers all {len(packages)} packages")
     print("docs/ARCHITECTURE.md event taxonomy matches EventType")
     print("docs/ARCHITECTURE.md state-store namespaces match the registry")
@@ -333,6 +363,7 @@ def main() -> int:
     print("docs/ARCHITECTURE.md health-rule taxonomy matches RULE_KINDS")
     print("docs/ARCHITECTURE.md journal-consumers table matches CONSUMER_NAMES")
     print("docs/SCENARIOS.md generated tables match the scenario registry")
+    print("every `gae-repro <command>` in README/docs is a CLI sub-command")
     return 0
 
 
