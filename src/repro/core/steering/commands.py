@@ -13,12 +13,18 @@ is checkpointable.
 from __future__ import annotations
 
 import contextlib
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, ContextManager, Dict, List, Optional
+from typing import Callable, ContextManager, Deque, Dict, List, Optional
 
 from repro.core.steering.subscriber import Subscriber
 from repro.gridsim.execution import ExecutionService, ExecutionServiceDown
 from repro.gridsim.scheduler import SphinxScheduler
+
+
+#: How many results :attr:`CommandProcessor.log` keeps — a ring like the
+#: tracer's span store (8 192), so an always-on host's audit trail is bounded.
+COMMAND_LOG_CAPACITY = 8192
 
 
 def _null_span(command: str, task_id: str) -> ContextManager[None]:
@@ -51,8 +57,9 @@ class CommandProcessor:
         self.subscriber = subscriber
         self.scheduler = scheduler
         self._services = services
-        #: Every executed command, for audit and tests.
-        self.log: List[CommandResult] = []
+        #: The newest :data:`COMMAND_LOG_CAPACITY` executed commands,
+        #: oldest first, for audit and tests.
+        self.log: Deque[CommandResult] = deque(maxlen=COMMAND_LOG_CAPACITY)
         #: Called with every :class:`CommandResult` as it is logged.
         self.listeners: List[Callable[[CommandResult], None]] = []
         #: ``(command, task_id) -> context manager`` wrapped around every

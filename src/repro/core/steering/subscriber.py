@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Set
 from repro.gridsim.job import ConcreteJobPlan, Job, Task, plan_from_wire, plan_to_wire
 
 
-@dataclass
+@dataclass(slots=True)
 class Subscription:
     """One job under steering-service management."""
 

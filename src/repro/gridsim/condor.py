@@ -41,7 +41,7 @@ class CondorError(RuntimeError):
     """Raised for invalid job-control operations (unknown id, bad state)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class CondorJobAd:
     """The pool's bookkeeping record for one task (a Condor "ClassAd").
 

@@ -96,7 +96,7 @@ def restore_id_counters(task_next: int, job_next: int) -> None:
     _job_counter.next_value = int(job_next)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskSpec:
     """The externally visible description of a task.
 
@@ -148,7 +148,7 @@ class TaskSpec:
         return replace(self, priority=priority)
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """A schedulable unit of work.
 
@@ -186,7 +186,7 @@ class DependencyError(ValueError):
     """Raised for malformed task DAGs (cycles, unknown task ids)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """A DAG of tasks submitted as one unit.
 
@@ -218,7 +218,7 @@ class Job:
             task.job_id = self.job_id
 
     def _assert_acyclic(self) -> None:
-        # Kahn's algorithm; cheaper than importing networkx for a validity check.
+        # Kahn's algorithm.
         indegree = {t.task_id: 0 for t in self.tasks}
         children: Dict[str, List[str]] = {t.task_id: [] for t in self.tasks}
         for tid, parents in self.dependencies.items():
@@ -251,7 +251,8 @@ class Job:
 
     def ready_tasks(self, completed: Iterable[str]) -> List[Task]:
         """Tasks whose parents all appear in *completed* and are PENDING."""
-        done = set(completed)
+        # The scheduler's set spans every job it knows; never copy a set.
+        done = completed if isinstance(completed, (set, frozenset)) else set(completed)
         return [
             t
             for t in self.tasks
@@ -299,7 +300,7 @@ class Job:
         return JobState.PENDING
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskBinding:
     """One row of a concrete job plan: task → execution site."""
 
@@ -307,7 +308,7 @@ class TaskBinding:
     site_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcreteJobPlan:
     """A job plan "precisely describing the nodes where the job will be
     executed" (§4.2.1), produced by the scheduler and consumed by the

@@ -8,7 +8,7 @@ module substitutes a link-graph model:
 
 - sites are vertices; :class:`Link` edges carry capacity (Mbit/s), latency
   (s) and a background-utilisation fraction;
-- routing is shortest-path by latency over the link graph (networkx);
+- routing is shortest-path by latency over the link graph (Dijkstra);
 - an :class:`IperfProbe` measures the bottleneck link's *available*
   bandwidth along the route, with multiplicative measurement noise, exactly
   the quantity a real iperf run would report;
@@ -19,10 +19,10 @@ module substitutes a link-graph model:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 
@@ -68,38 +68,82 @@ class Network:
     """A graph of sites connected by :class:`Link` objects."""
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        #: site -> {neighbour -> link}.  Both dict levels keep registration
+        #: order, which is what makes routing ties and :meth:`links`
+        #: deterministic.
+        self._adjacent: Dict[str, Dict[str, Link]] = {}
 
     def add_site(self, name: str) -> None:
         """Register a site vertex (idempotent)."""
-        self._graph.add_node(name)
+        self._adjacent.setdefault(name, {})
 
     def add_link(self, link: Link) -> None:
         """Attach a link; endpoints are added implicitly."""
-        self._graph.add_edge(link.a, link.b, link=link, weight=link.latency_s)
+        self.add_site(link.a)
+        self.add_site(link.b)
+        self._adjacent[link.a][link.b] = link
+        self._adjacent[link.b][link.a] = link
 
     def sites(self) -> List[str]:
         """All registered site names."""
-        return sorted(self._graph.nodes)
+        return sorted(self._adjacent)
+
+    def links(self) -> List[Link]:
+        """Every link once, sorted by endpoint pair.
+
+        A pair names the earlier-registered site first.  The order is
+        load-bearing: :class:`NetworkWeather` draws one random sample per
+        link in this order, so it defines every seeded weather trace.
+        """
+        by_pair: Dict[Tuple[str, str], Link] = {}
+        for site, neighbours in self._adjacent.items():
+            for neighbour, link in neighbours.items():
+                if (neighbour, site) not in by_pair:
+                    by_pair[(site, neighbour)] = link
+        return [by_pair[pair] for pair in sorted(by_pair)]
 
     def link_between(self, a: str, b: str) -> Link:
         """The direct link between *a* and *b* (NetworkError if absent)."""
-        if not self._graph.has_edge(a, b):
-            raise NetworkError(f"no direct link between {a!r} and {b!r}")
-        return self._graph.edges[a, b]["link"]
+        try:
+            return self._adjacent[a][b]
+        except KeyError:
+            raise NetworkError(f"no direct link between {a!r} and {b!r}") from None
 
     def route(self, src: str, dst: str) -> List[Link]:
         """Lowest-latency route between two sites as a list of links."""
         if src == dst:
             return []
         for endpoint in (src, dst):
-            if endpoint not in self._graph:
+            if endpoint not in self._adjacent:
                 raise NetworkError(f"unknown site {endpoint!r}")
-        try:
-            path = nx.shortest_path(self._graph, src, dst, weight="weight")
-        except nx.NetworkXNoPath as exc:
-            raise NetworkError(f"no route between {src!r} and {dst!r}") from exc
-        return [self._graph.edges[u, v]["link"] for u, v in zip(path, path[1:])]
+        # Dijkstra by latency.  The push counter breaks equal-latency ties
+        # in favour of the route discovered first, never by comparing names.
+        best = {src: 0.0}
+        via: Dict[str, Tuple[str, Link]] = {}
+        frontier = [(0.0, 0, src)]
+        pushes = 1
+        while frontier:
+            latency, _, site = heapq.heappop(frontier)
+            if site == dst:
+                break
+            if latency > best[site]:
+                continue  # a shorter way to this site was pushed later
+            for neighbour, link in self._adjacent[site].items():
+                candidate = latency + link.latency_s
+                if candidate < best.get(neighbour, float("inf")):
+                    best[neighbour] = candidate
+                    via[neighbour] = (site, link)
+                    heapq.heappush(frontier, (candidate, pushes, neighbour))
+                    pushes += 1
+        if dst not in via:
+            raise NetworkError(f"no route between {src!r} and {dst!r}")
+        route: List[Link] = []
+        site = dst
+        while site != src:
+            site, link = via[site]
+            route.append(link)
+        route.reverse()
+        return route
 
     # ------------------------------------------------------------------
     # ground truth used by the simulator
@@ -236,13 +280,9 @@ class NetworkWeather:
         self.max_utilization = max_utilization
         self._handle = None
 
-    def _links(self) -> List[Link]:
-        graph = self.network._graph
-        return [graph.edges[e]["link"] for e in sorted(graph.edges)]
-
     def step(self) -> None:
         """Advance every link's utilization one random-walk step."""
-        for link in self._links():
+        for link in self.network.links():
             drift = 0.3 * (self.mean_utilization - link.utilization)
             noise = float(self.rng.normal(0.0, self.volatility))
             link.utilization = float(

@@ -25,7 +25,7 @@ the job", §4.2.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.gridsim.clock import Simulator
@@ -71,12 +71,10 @@ def default_ranking(estimated_runtime: float, load: float, stage_in_time: float)
     return estimated_runtime * (1.0 + load) + stage_in_time
 
 
-@dataclass
+@dataclass(slots=True)
 class _JobEntry:
     job: Job
     plan: ConcreteJobPlan
-    completed: Set[str] = field(default_factory=set)
-    submitted: Set[str] = field(default_factory=set)
 
 
 class SphinxScheduler:
@@ -137,6 +135,12 @@ class SphinxScheduler:
         self._services: Dict[str, ExecutionService] = {}
         self._jobs: Dict[str, _JobEntry] = {}
         self._task_index: Dict[str, str] = {}  # task_id -> job_id
+        #: Ids of every task handed to a site at least once, and of every
+        #: task a pool reported complete.  One set each for the whole
+        #: scheduler (task ids are unique across jobs): a set per job
+        #: costs 216 B before it holds anything.
+        self._submitted: Set[str] = set()
+        self._completed: Set[str] = set()
         self.plan_listeners: List[Callable[[ConcreteJobPlan, Job], None]] = []
         self.completion_listeners: List[Callable[[Task, str], None]] = []
         # Called as (task, site_name) right after every pool submission —
@@ -302,15 +306,15 @@ class SphinxScheduler:
             listener(entry.plan, entry.job)
 
     def _submit_ready(self, entry: _JobEntry) -> None:
-        for task in entry.job.ready_tasks(entry.completed):
-            if task.task_id in entry.submitted:
+        for task in entry.job.ready_tasks(self._completed):
+            if task.task_id in self._submitted:
                 continue
             site_name = entry.plan.site_for(task.task_id)
-            self._submit_to(entry, task, site_name)
+            self._submit_to(task, site_name)
 
-    def _submit_to(self, entry: _JobEntry, task: Task, site_name: str, initial_work: float = 0.0) -> None:
+    def _submit_to(self, task: Task, site_name: str, initial_work: float = 0.0) -> None:
         delay = self._stage_in_delay(task, site_name)
-        entry.submitted.add(task.task_id)
+        self._submitted.add(task.task_id)
         self._commit(task.task_id, site_name)
         if delay <= 0.0:
             self._deliver(task, site_name, initial_work)
@@ -377,7 +381,7 @@ class SphinxScheduler:
         if job_id is None:
             return  # a task submitted around the scheduler
         entry = self._jobs[job_id]
-        entry.completed.add(ad.task_id)
+        self._completed.add(ad.task_id)
         for listener in list(self.completion_listeners):
             listener(ad.task, entry.plan.site_for(ad.task_id))
         self._submit_ready(entry)
@@ -421,14 +425,14 @@ class SphinxScheduler:
                 self._staging_work.pop(task.task_id, None)
                 if task.state.is_terminal:
                     return  # killed while the checkpoint image was in flight
-                entry.submitted.add(task.task_id)
+                self._submitted.add(task.task_id)
                 self._deliver(task, new_site, carry_work)
 
             self.sim.schedule(
                 image_delay, deliver, label=f"ckpt-image:{task.task_id}->{new_site}"
             )
         else:
-            self._submit_to(entry, task, new_site, initial_work=carry_work)
+            self._submit_to(task, new_site, initial_work=carry_work)
         self._emit_plan(entry)
         return new_site
 
@@ -465,7 +469,7 @@ class SphinxScheduler:
             new_site = self.select_site(task)
         entry.plan = entry.plan.rebind(task_id, new_site)
         task.state = JobState.PENDING
-        self._submit_to(entry, task, new_site, initial_work=0.0)
+        self._submit_to(task, new_site, initial_work=0.0)
         self._emit_plan(entry)
         return new_site
 
@@ -514,13 +518,17 @@ class SphinxScheduler:
         objects; pool snapshots reference them by id and are resolved
         against the restored entries via :meth:`task`.
         """
+
+        def of_job(task_ids: Set[str], job: Job) -> List[str]:
+            return sorted(task_ids.intersection(t.task_id for t in job.tasks))
+
         return {
             "jobs": [
                 {
                     "job": job_to_wire(entry.job),
                     "plan": plan_to_wire(entry.plan),
-                    "completed": sorted(entry.completed),
-                    "submitted": sorted(entry.submitted),
+                    "completed": of_job(self._completed, entry.job),
+                    "submitted": of_job(self._submitted, entry.job),
                 }
                 for entry in self._jobs.values()
             ],
@@ -544,16 +552,14 @@ class SphinxScheduler:
         """
         self._jobs = {}
         self._task_index = {}
+        self._submitted = set()
+        self._completed = set()
         for wire in state["jobs"]:  # type: ignore[union-attr]
             job = job_from_wire(wire["job"])
             plan = plan_from_wire(wire["plan"])
-            entry = _JobEntry(
-                job=job,
-                plan=plan,
-                completed=set(wire["completed"]),
-                submitted=set(wire["submitted"]),
-            )
-            self._jobs[job.job_id] = entry
+            self._jobs[job.job_id] = _JobEntry(job=job, plan=plan)
+            self._completed.update(wire["completed"])
+            self._submitted.update(wire["submitted"])
             for t in job.tasks:
                 self._task_index[t.task_id] = job.job_id
         # The per-site counts are derived state: rebuilt, never persisted.
@@ -564,25 +570,24 @@ class SphinxScheduler:
         self.staging = {}
         self._staging_work = {}
         for task_id, site, finish_time, initial_work in state["staging"]:  # type: ignore[union-attr]
-            entry = self._entry_for_task(task_id)
-            task = entry.job.task(task_id)
+            task = self.task(task_id)
             self.staging[task_id] = (site, finish_time)
             self._staging_work[task_id] = initial_work
             self.sim.schedule(
                 max(0.0, finish_time - self.sim.now),
-                self._restored_delivery(entry, task, site, initial_work),
+                self._restored_delivery(task, site, initial_work),
                 label=f"stage-in:{task_id}->{site}",
             )
 
     def _restored_delivery(
-        self, entry: _JobEntry, task: Task, site_name: str, initial_work: float
+        self, task: Task, site_name: str, initial_work: float
     ) -> Callable[[], None]:
         def deliver() -> None:
             self.staging.pop(task.task_id, None)
             self._staging_work.pop(task.task_id, None)
             if task.state.is_terminal:
                 return
-            entry.submitted.add(task.task_id)
+            self._submitted.add(task.task_id)
             self._deliver(task, site_name, initial_work)
 
         return deliver

@@ -33,7 +33,7 @@ per dispatched call under the call's wire trace id.
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.clarens.middleware import CallContext
 from repro.clarens.telemetry import new_trace_id
@@ -89,6 +89,7 @@ class _TaskTrace:
         "queued_at",
         "flock_span",
         "published_states",
+        "finished",
     )
 
     def __init__(self, trace_id: str, job_id: str, root: Span, priority: int) -> None:
@@ -102,19 +103,25 @@ class _TaskTrace:
         self.site: Optional[str] = None
         self.queued_at: Optional[float] = None
         self.flock_span: Optional[Span] = None
-        self.published_states: Set[str] = set()
+        #: Task states already published to MonALISA (at most one entry
+        #: per :class:`JobState`, so a tuple serves as the set).
+        self.published_states: Tuple[str, ...] = ()
+        #: Whether this task still counts towards its job's ``unfinished``.
+        self.finished = False
 
 
 class _JobTrace:
-    __slots__ = ("trace_id", "span", "pending", "task_ids")
+    __slots__ = ("trace_id", "span", "task_ids", "unfinished")
 
-    def __init__(self, trace_id: str, span: Span, pending: Set[str]) -> None:
+    def __init__(self, trace_id: str, span: Span, task_ids: Tuple[str, ...]) -> None:
         self.trace_id = trace_id
         self.span = span
-        self.pending = pending
-        # ``pending`` shrinks as tasks finish; keep the full membership so
-        # closing the job span stays O(tasks in this job), not O(all tasks).
-        self.task_ids = frozenset(pending)
+        # The full membership, so closing the job span stays O(tasks in
+        # this job), not O(all tasks).
+        self.task_ids = task_ids
+        #: How many of ``task_ids`` have a :class:`_TaskTrace` that is not
+        #: yet ``finished``; which ones is read off the task records.
+        self.unfinished = len(task_ids)
 
 
 class GAEInstrumentation:
@@ -301,7 +308,7 @@ class GAEInstrumentation:
             attributes={"job_id": job.job_id, "tasks": len(job.tasks)},
             activate=False,
         )
-        jt = _JobTrace(trace_id, job_span, {t.task_id for t in job.tasks})
+        jt = _JobTrace(trace_id, job_span, tuple(t.task_id for t in job.tasks))
         self._jobs[job.job_id] = jt
         self._jobs_planned_b.inc()
         for task in job.tasks:
@@ -445,8 +452,10 @@ class GAEInstrumentation:
         jt = self._jobs.get(tt.job_id)
         if jt is None:
             return
-        jt.pending.discard(task_id)
-        if not jt.pending:
+        if not tt.finished:
+            tt.finished = True
+            jt.unfinished -= 1
+        if not jt.unfinished:
             status = "ok" if tt.root.status == "ok" else "error"
             all_ok = all(
                 self._tasks[tid].root.status == "ok"
@@ -556,7 +565,7 @@ class GAEInstrumentation:
             return
         if event.state in tt.published_states:
             return  # one span per new state keeps the store bounded
-        tt.published_states.add(event.state)
+        tt.published_states += (event.state,)
         self.tracer.instant(
             "monalisa:publish",
             trace_id=tt.trace_id,
@@ -684,7 +693,9 @@ class GAEInstrumentation:
             jobs.append([job_id, {
                 "trace_id": jt.trace_id,
                 "span": jt.span.span_id,
-                "pending": sorted(jt.pending),
+                "pending": sorted(
+                    tid for tid in jt.task_ids if not self._tasks[tid].finished
+                ),
                 "task_ids": sorted(jt.task_ids),
             }])
         return {"tasks": tasks, "jobs": jobs}
@@ -713,13 +724,16 @@ class GAEInstrumentation:
             tt.site = w["site"]
             tt.queued_at = w["queued_at"]
             tt.flock_span = resolve(w["flock_span"], "flock", w["trace_id"])
-            tt.published_states = set(w["published_states"])
+            tt.published_states = tuple(w["published_states"])
             self._tasks[task_id] = tt
         self._jobs = {}
         for job_id, w in state["jobs"]:
             span = resolve(w["span"], f"job:{job_id}", w["trace_id"])
-            jt = _JobTrace(w["trace_id"], span, set(w["task_ids"]))
-            jt.pending = set(w["pending"])
+            jt = _JobTrace(w["trace_id"], span, tuple(w["task_ids"]))
+            pending = set(w["pending"])
+            for tid in jt.task_ids:
+                self._tasks[tid].finished = tid not in pending
+            jt.unfinished = len(pending)
             self._jobs[job_id] = jt
 
     def load_from(self, store, tracking: Optional[Dict[str, Any]] = None) -> None:

@@ -60,11 +60,11 @@ class ChaosController:
 def _crossing_links(network: Network, cut: Sequence[str]) -> List[Tuple[str, str]]:
     """Endpoint pairs of every link with exactly one end inside *cut*."""
     inside = set(cut)
-    pairs = []
-    for a, b in sorted(network._graph.edges):
-        if (a in inside) != (b in inside):
-            pairs.append((a, b))
-    return pairs
+    return [
+        (link.a, link.b)
+        for link in network.links()
+        if (link.a in inside) != (link.b in inside)
+    ]
 
 
 def wire_chaos(gae, chaos: Sequence[ChaosAction], horizon_s: float, seed: int) -> ChaosController:

@@ -174,6 +174,8 @@ class _GAEStatusHandler(BaseHTTPRequestHandler):
         record = self.gae.monitoring.manager.get_info(task_id)
         if record is None:
             return None
+        # vars() needs an instance __dict__, so the monitoring record must
+        # stay un-slotted (unlike the slots=True per-job grid records).
         rows = [[_esc(k), _esc(v)] for k, v in sorted(vars(record).items())]
         extra = ""
         if task_id in self.gae.steering.backup_recovery.execution_states:

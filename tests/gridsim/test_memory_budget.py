@@ -1,0 +1,152 @@
+"""What one live job may cost the serving process, asserted as counts.
+
+``peak_rss_mb`` of the end-to-end benchmark is the timed-run version of
+these claims; here they are bytes of traced heap and operation counts, so
+they repeat exactly and cannot flake.  ``docs/ARCHITECTURE.md`` "Memory
+budget" says where the bytes sit.
+"""
+
+import gc
+import subprocess
+import sys
+import tracemalloc
+
+import pytest
+
+from repro.gae import SteeringPolicy, build_gae
+from repro.gridsim import GridBuilder
+from repro.gridsim.job import Job, JobState, Task, TaskSpec
+
+QUIET = SteeringPolicy(auto_move=False, poll_interval_s=3_600.0)
+
+
+def two_site_gae(observability):
+    grid = (
+        GridBuilder(seed=3)
+        .site("siteA", nodes=2, cpus_per_node=2)
+        .site("siteB", nodes=2, cpus_per_node=2)
+        .link("siteA", "siteB", capacity_mbps=622.0, latency_s=0.05)
+        .probe_noise(0.0)
+        .build()
+    )
+    gae = build_gae(grid, observability=observability, policy=QUIET)
+    gae.start()
+    return gae
+
+
+def rig(jobs, observability):
+    gae = two_site_gae(observability)
+    for i in range(jobs):
+        task = Task(spec=TaskSpec(owner="u", priority=i % 5), work_seconds=100.0 + i % 7)
+        gae.scheduler.submit_job(Job(tasks=[task], owner="u"))
+    return gae
+
+
+def traced_heap(jobs, observability):
+    """Bytes still allocated by a rig of *jobs* live single-task jobs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gae = rig(jobs, observability)
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0]
+        assert len(gae.scheduler.jobs()) == jobs  # and the rig is alive while measured
+        return size
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "observability, budget",
+    [(False, 1_850), (True, 4_650)],
+    ids=["bare", "journal"],
+)
+def test_heap_per_live_job_stays_inside_the_budget(observability, budget):
+    # Parent of the PR that set the budget: 2 379 B bare, 5 807 B journalled.
+    rig(50, observability)  # one-off allocations (caches, lazy imports) land here
+    small, large = traced_heap(1_000, observability), traced_heap(4_000, observability)
+    per_job = (large - small) / 3_000
+    assert per_job <= budget, per_job
+
+
+class _CountingSet(set):
+    """A set whose point operations are counted (each is O(1))."""
+
+    operations = 0
+
+    def add(self, item):
+        type(self).operations += 1
+        super().add(item)
+
+    def __contains__(self, item):
+        type(self).operations += 1
+        return super().__contains__(item)
+
+
+def test_a_2000_task_job_admits_and_completes_in_linear_set_work():
+    """No per-job record may make admission or completion linear in the
+    job's own size: the work on them is counted for one bag of 2 000."""
+    tasks = 2_000
+    gae = two_site_gae(observability=True)
+    scheduler, obs = gae.scheduler, gae.observability
+    _CountingSet.operations = 0
+    scheduler._submitted = _CountingSet()
+    scheduler._completed = _CountingSet()
+    job = Job(
+        tasks=[Task(spec=TaskSpec(owner="u"), work_seconds=10.0) for _ in range(tasks)],
+        owner="u",
+    )
+    scheduler.submit_job(job)
+    admitted = _CountingSet.operations
+    assert len(scheduler._submitted) == tasks
+    assert admitted <= 4 * tasks, admitted
+
+    gae.grid.run_until(tasks * 10.0 / 8 + 600.0)
+    assert job.state is JobState.COMPLETED
+    assert scheduler._completed == {t.task_id for t in job.tasks}
+    # One add per completion; the ready-scan after it tests no task that
+    # is past PENDING, so a bag adds nothing more.
+    assert _CountingSet.operations - admitted <= 2 * tasks
+    # The trace records: one shared id tuple, a countdown, a flag per task,
+    # and a published-state tuple that cannot outgrow the state enum.
+    trace = obs._jobs[job.job_id]
+    assert len(trace.task_ids) == tasks and trace.unfinished == 0
+    assert trace.span.end is not None
+    records = [obs._tasks[tid] for tid in trace.task_ids]
+    assert all(r.finished for r in records)
+    assert max(len(r.published_states) for r in records) <= len(JobState)
+
+
+SERVE_ONE_JOB = """
+import sys
+from repro import AsyncSocketServerHandle, ClarensClient, GridBuilder, build_gae
+from repro.gridsim.job import Job, Task, TaskSpec
+
+grid = (
+    GridBuilder(seed=1).site("a", nodes=1).site("b", nodes=1)
+    .link("a", "b", capacity_mbps=100.0).file("in.dat", size_mb=10.0, at="a").build()
+)
+gae = build_gae(grid, observability=True)
+gae.add_user("u", "p")
+gae.start()
+with AsyncSocketServerHandle(gae.host) as handle:
+    client = ClarensClient(handle.url, codec="json")
+    client.login("u", "p")
+    spec = TaskSpec(owner="u", input_files=("in.dat",))
+    gae.scheduler.submit_job(Job(tasks=[Task(spec=spec, work_seconds=50.0)], owner="u"))
+    grid.run_until(200.0)
+    assert client.call("system.ping")
+    client.close()
+print(sorted(m for m in ("networkx", "scipy") if m in sys.modules))
+"""
+
+
+def test_serving_process_imports_neither_networkx_nor_scipy():
+    """Routing a stage-in, serving a socket and journalling a job need
+    numpy and the standard library only (networkx alone was 12.6 MB)."""
+    out = subprocess.run(
+        [sys.executable, "-c", SERVE_ONE_JOB],
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -62,6 +62,28 @@ class TestRouting:
             net.link_between("a", "b")
 
 
+class TestLinks:
+    def test_each_link_once_sorted_by_endpoint_pair(self):
+        """Pairs name the earlier-registered site first, then sort: with
+        "z" registered before "a", z-a sorts as ("z", "a"), after a-m."""
+        net = Network()
+        net.add_site("z")
+        za = Link("a", "z", capacity_mbps=1.0)
+        am = Link("a", "m", capacity_mbps=2.0)
+        zm = Link("m", "z", capacity_mbps=3.0)
+        for link in (zm, za, am):
+            net.add_link(link)
+        assert net.links() == [am, za, zm]
+
+    def test_relinking_a_pair_replaces_the_link(self):
+        net = make_triangle()
+        faster = Link("b", "a", capacity_mbps=1000.0)
+        net.add_link(faster)
+        assert len(net.links()) == 3
+        assert net.link_between("a", "b") is faster
+        assert net.route("a", "b") == [faster]
+
+
 class TestBandwidthAndTransfer:
     def test_bottleneck_bandwidth(self):
         net = make_triangle()
@@ -162,9 +184,8 @@ class TestNetworkWeather:
         weather.start()
         for t in range(100, 5000, 100):
             sim.run_until(float(t))
-            for edge in net._graph.edges:
-                u = net._graph.edges[edge]["link"].utilization
-                assert 0.0 <= u <= 0.95
+            for link in net.links():
+                assert 0.0 <= link.utilization <= 0.95
         weather.stop()
 
     def test_deterministic_per_seed(self):
@@ -173,8 +194,7 @@ class TestNetworkWeather:
             weather.start()
             sim.run_until(1000.0)
             weather.stop()
-            return [net._graph.edges[e]["link"].utilization
-                    for e in sorted(net._graph.edges)]
+            return [link.utilization for link in net.links()]
 
         assert run(5) == run(5)
         assert run(5) != run(6)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.steering.commands import CommandProcessor
+from repro.core.steering.commands import COMMAND_LOG_CAPACITY, CommandProcessor
 from repro.core.steering.subscriber import Subscriber
 from repro.gridsim.clock import Simulator
 from repro.gridsim.execution import ExecutionService
@@ -118,4 +118,16 @@ class TestFailureHandling:
         proc.kill("ghost")
         assert [(r.command, r.ok) for r in proc.log] == [
             ("pause", True), ("resume", True), ("kill", False),
+        ]
+
+    def test_log_is_a_ring_of_the_newest_results(self, env):
+        """An always-on host must not keep one result per verb for ever."""
+        sim, scheduler, _, proc = env
+        t = submit(scheduler)
+        verbs = 3 * COMMAND_LOG_CAPACITY
+        for i in range(verbs):
+            proc.set_priority(t.task_id, i)
+        assert len(proc.log) == COMMAND_LOG_CAPACITY
+        assert [r.detail for r in proc.log] == [
+            f"priority={i}" for i in range(verbs - COMMAND_LOG_CAPACITY, verbs)
         ]

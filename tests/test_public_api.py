@@ -1,6 +1,8 @@
 """Public-API contract tests: everything advertised must be importable."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,13 @@ class TestPublicApi:
 
     def test_version_string(self):
         assert repro.__version__.count(".") == 2
+
+    def test_version_matches_the_package_metadata(self):
+        # Parsed by hand: tomllib needs Python 3.11 and the floor is 3.10.
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
+        assert declared is not None
+        assert declared.group(1) == repro.__version__
 
     @pytest.mark.parametrize(
         "module",
