@@ -55,7 +55,7 @@ from repro.core import (
     TaskRecord,
     TransferTimeEstimator,
 )
-from repro.config import ScenarioConfig, gae_from_scenario, grid_from_config
+from repro.config import grid_from_config
 from repro.core.steering import AdaptiveSteeringAgent
 from repro.gae import GAE, build_gae
 from repro.gridsim.faults import FaultInjector, OutageScheduler
@@ -91,7 +91,6 @@ __all__ = [
     "GAE",
     "GAEWebUI",
     "OutageScheduler",
-    "ScenarioConfig",
     "ScenarioSpec",
     "ClarensClient",
     "ClarensHost",
@@ -125,7 +124,6 @@ __all__ = [
     "XmlRpcServerHandle",
     "build_gae",
     "count_primes",
-    "gae_from_scenario",
     "grid_from_config",
     "load_scenario",
     "make_prime_count_task",

@@ -28,146 +28,44 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.figures import FigureData
-from repro.analysis.metrics import summarize_errors
 from repro.analysis.report import markdown_table
 
 
-def _cmd_figure5(args: argparse.Namespace) -> int:
-    from repro.core.estimators.runtime import RuntimeEstimator
-
-    if args.swf:
-        # The real SDSC Paragon trace (Parallel Workloads Archive, SWF).
-        from repro.workloads.swf import read_swf, swf_history_and_tests
-
-        jobs = read_swf(args.swf, limit=args.history + 40 * args.tests)
-        history, swf_tests = swf_history_and_tests(
-            jobs, n_history=args.history, n_tests=args.tests
-        )
-        actuals = [t.run_time for t in swf_tests]
-        specs = [t.to_task().spec for t in swf_tests]
-    else:
-        from repro.workloads.downey import DowneyWorkloadGenerator
-
-        gen = DowneyWorkloadGenerator(seed=args.seed)
-        history, tests = gen.history_and_tests(args.history, args.tests)
-        actuals = [t.runtime_s for t in tests]
-        specs = [t.to_task_spec() for t in tests]
-    estimator = RuntimeEstimator(history)
-    estimates = [estimator.estimate(spec).value for spec in specs]
-    summary = summarize_errors(actuals, estimates)
-
-    cases = list(range(1, len(actuals) + 1))
-    figure = (
-        FigureData(
-            title="Figure 5: Actual & Estimated Runtimes",
-            x_label="Jobs", y_label="Job Runtime (seconds)",
-        )
-        .add("Actual Runtime", cases, actuals)
-        .add("Estimated Runtime", cases, estimates)
-    )
-    print(figure.render())
-    print(markdown_table(
-        ["quantity", "paper", "measured"],
-        [
-            ["mean |% error|", 13.53, round(summary.mean_abs_pct, 2)],
-            ["mean signed % error", "n/a", round(summary.mean_signed_pct, 2)],
-            ["cases within ±25%", "n/a", f"{summary.within_25_pct * 100:.0f}%"],
-        ],
-    ))
+def _print_experiment(result) -> int:
+    print(result.figure.render())
+    print(markdown_table(["quantity", "paper", "measured"], result.comparison))
     return 0
+
+
+def _cmd_figure5(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import run_figure5
+
+    return _print_experiment(
+        run_figure5(
+            seed=args.seed, n_history=args.history, n_tests=args.tests, swf=args.swf
+        )
+    )
 
 
 def _cmd_figure7(args: argparse.Namespace) -> int:
-    from repro.core.estimators.history import HistoryRepository
-    from repro.core.steering.optimizer import SteeringPolicy
-    from repro.gae import build_gae
-    from repro.gridsim import GridBuilder, Job
-    from repro.workloads.generators import (
-        PRIME_JOB_FREE_CPU_SECONDS,
-        make_prime_count_task,
-        prime_job_history_records,
-    )
+    from repro.analysis.experiments import run_figure7
 
-    grid = (
-        GridBuilder(seed=args.seed)
-        .site("siteA", background_load=args.load)
-        .site("siteB", background_load=0.0)
-        .link("siteA", "siteB", capacity_mbps=100.0, latency_s=0.05)
-        .probe_noise(0.0)
-        .build()
-    )
-    history = HistoryRepository(prime_job_history_records(n=10, sigma=0.01))
-    policy = SteeringPolicy(
-        poll_interval_s=args.poll, min_elapsed_wall_s=max(args.poll * 2, 40.0),
-        slow_rate_threshold=0.8, min_improvement_factor=1.2,
-    )
-    gae = build_gae(grid, policy=policy, history=history)
-
-    task = make_prime_count_task(owner="cli", checkpointable=args.checkpoint)
-    shadow = make_prime_count_task(owner="cli")
-    original = gae.scheduler.select_site
-    gae.scheduler.select_site = lambda t, exclude=(): "siteA"
-    gae.scheduler.submit_job(Job(tasks=[task], owner="cli"))
-    gae.scheduler.select_site = original
-    gae.grid.execution_services["siteA"].submit_task(shadow)
-    gae.start()
-
-    es = gae.grid.execution_services
-    curve_a, curve_b = [], []
-    t = 0.0
-    while t <= 900.0:
-        gae.grid.run_until(t)
-        curve_a.append((t, es["siteA"].pool.status(shadow.task_id).progress * 100))
-        site = "siteB" if es["siteB"].pool.has_task(task.task_id) else "siteA"
-        curve_b.append((t, es[site].pool.status(task.task_id).progress * 100))
-        t += 20.0
-    gae.grid.run_until(4000.0)
-    gae.stop()
-
-    steered_pool = "siteB" if es["siteB"].pool.has_task(task.task_id) else "siteA"
-    steered_end = es[steered_pool].pool.ad(task.task_id).end_time
-    shadow_end = es["siteA"].pool.ad(shadow.task_id).end_time
-    figure = (
-        FigureData(
-            title="Figure 7: Job Completion at different sites",
-            x_label="Elapsed time (s)", y_label="Job progress (%)",
+    return _print_experiment(
+        run_figure7(
+            seed=args.seed,
+            site_a_load=args.load,
+            poll_interval_s=args.poll,
+            checkpointable=args.checkpoint,
         )
-        .add("job at site A (not steered)", *zip(*curve_a))
-        .add("steered job", *zip(*curve_b))
     )
-    print(figure.render())
-    print(markdown_table(
-        ["quantity", "paper", "measured"],
-        [
-            ["free-CPU estimate (s)", 283, PRIME_JOB_FREE_CPU_SECONDS],
-            ["steered completion (s)", "~369", round(steered_end, 1)],
-            ["stay-at-A completion (s)", "off chart", round(shadow_end, 1)],
-        ],
-    ))
-    return 0
 
 
 def _cmd_figure6(args: argparse.Namespace) -> int:
-    from repro.analysis.latency import build_served_monitoring, measure_mean_latency_ms
-    from repro.clarens.server import XmlRpcServerHandle
+    from repro.analysis.experiments import run_figure6
 
-    gae, task_ids = build_served_monitoring()
-    rows = []
-    xs, ys = [], []
-    with XmlRpcServerHandle(gae.host) as handle:
-        for n in args.clients:
-            ms = measure_mean_latency_ms(handle.url, task_ids, n, calls_per_client=args.calls)
-            rows.append([n, round(ms, 2)])
-            xs.append(n)
-            ys.append(ms)
-    figure = FigureData(
-        title="Figure 6: Response times for queries to Job Monitoring Service",
-        x_label="Number of parallel clients", y_label="Response time (ms)",
-    ).add("Average Response Time", xs, ys)
-    print(figure.render())
-    print(markdown_table(["parallel clients", "mean latency (ms)"], rows))
-    return 0
+    return _print_experiment(
+        run_figure6(client_counts=args.clients, calls_per_client=args.calls)
+    )
 
 
 def _trace_from_export(task_id: str, path: str) -> int:
@@ -403,7 +301,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
 
     try:
         gae = restore_gae(args.path)
-    except (CheckpointError, FileNotFoundError) as exc:
+    except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     jobs = gae.scheduler.jobs()
@@ -437,12 +335,11 @@ def _cmd_journal_tail(args: argparse.Namespace) -> int:
     """
     if args.checkpoint:
         from repro.observability.journal import EventJournal
-        from repro.store.sqlite import SqliteStore
+        from repro.store.sqlite import read_store_file
 
         journal = EventJournal(clock=lambda: 0.0)
         try:
-            with SqliteStore(args.checkpoint) as store:
-                journal.load_from(store)
+            journal.load_from(read_store_file(args.checkpoint))
         except Exception as exc:  # unreadable file or missing namespace
             print(f"error: cannot read journal from {args.checkpoint!r}: {exc}",
                   file=sys.stderr)

@@ -1,42 +1,33 @@
-"""Declarative scenario configuration.
+"""Declarative grid configuration.
 
-Experiments are easier to share as data than as scripts.  This module
-defines plain-dataclass configs for a grid, a steering policy, a workload
-and a whole scenario, with dict/JSON round-tripping, plus builders that
-turn a config into a live :class:`~repro.gridsim.grid.Grid` or
-:class:`~repro.gae.GAE`.  The ``gae-repro scenario`` CLI command runs a
-scenario file end to end.
+Plain-dataclass declarations of a grid — sites, links, pre-placed files,
+flocking — with strict dict parsing (unknown keys are rejected) and
+:func:`grid_from_config`, which turns a declaration into a live
+:class:`~repro.gridsim.grid.Grid`.  This is the ``grid`` section of a
+scenario file; the rest of the scenario dialect (workload shapes, chaos,
+SLOs) lives in :mod:`repro.scenarios.spec`.
 
-Example scenario (JSON)::
+Example (JSON)::
 
     {
-      "seed": 2005,
-      "grid": {
-        "sites": [
-          {"name": "siteA", "nodes": 1, "background_load": 1.5},
-          {"name": "siteB", "nodes": 1}
-        ],
-        "links": [{"a": "siteA", "b": "siteB", "capacity_mbps": 100.0}]
-      },
-      "policy": {"poll_interval_s": 20.0, "slow_rate_threshold": 0.8},
-      "workload": {"kind": "prime", "count": 1, "pin_site": "siteA"},
-      "horizon_s": 2000.0
+      "sites": [
+        {"name": "siteA", "nodes": 1, "background_load": 1.5},
+        {"name": "siteB", "nodes": 1}
+      ],
+      "links": [{"a": "siteA", "b": "siteB", "capacity_mbps": 100.0}]
     }
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
-from typing import Dict, List, Union
+from dataclasses import dataclass, field, fields
+from typing import Dict, List
 
-from repro.core.steering.optimizer import SteeringPolicy
 from repro.gridsim.grid import Grid, GridBuilder
 
 
 class ConfigError(ValueError):
-    """Raised for malformed scenario configurations."""
+    """Raised for malformed grid configurations."""
 
 
 def _build(cls, data: Dict, context: str):
@@ -105,83 +96,6 @@ class GridConfig:
         )
 
 
-@dataclass(frozen=True)
-class WorkloadConfig:
-    """What to run on the grid.
-
-    ``kind`` is "prime" (N copies of the paper's 283 s job) or "downey"
-    (N jobs drawn from the synthetic Paragon trace).  ``pin_site`` forces
-    initial placement (how the Figure 7 setup puts work on the loaded
-    site); empty lets the scheduler choose.
-    """
-
-    kind: str = "prime"
-    count: int = 1
-    owner: str = "scenario-user"
-    pin_site: str = ""
-    checkpointable: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("prime", "downey"):
-            raise ConfigError(f"unknown workload kind {self.kind!r}")
-        if self.count < 1:
-            raise ConfigError("workload count must be >= 1")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A full runnable scenario."""
-
-    grid: GridConfig
-    seed: int = 2005
-    policy: Dict[str, object] = field(default_factory=dict)
-    workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    horizon_s: float = 3600.0
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ScenarioConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"scenario: unknown keys {sorted(unknown)}")
-        if "grid" not in data:
-            raise ConfigError("scenario: missing 'grid' section")
-        return cls(
-            grid=GridConfig.from_dict(data["grid"]),
-            seed=int(data.get("seed", 2005)),
-            policy=dict(data.get("policy", {})),
-            workload=_build(WorkloadConfig, data.get("workload", {}), "workload"),
-            horizon_s=float(data.get("horizon_s", 3600.0)),
-        )
-
-    @classmethod
-    def from_json(cls, text_or_path: Union[str, Path]) -> "ScenarioConfig":
-        """Parse a scenario from JSON text or a JSON file path."""
-        raw = str(text_or_path)
-        try:
-            is_file = "\n" not in raw and len(raw) < 1024 and Path(raw).exists()
-        except OSError:
-            is_file = False
-        if is_file:
-            raw = Path(raw).read_text()
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid scenario JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-    def to_dict(self) -> Dict:
-        """The dict representation (JSON-serialisable)."""
-        return asdict(self)
-
-    def steering_policy(self) -> SteeringPolicy:
-        """The SteeringPolicy with this scenario's overrides applied."""
-        try:
-            return SteeringPolicy(**self.policy)  # type: ignore[arg-type]
-        except TypeError as exc:
-            raise ConfigError(f"bad policy options: {exc}") from exc
-
-
 def grid_from_config(config: GridConfig, seed: int = 2005) -> Grid:
     """Build a live grid from its declaration."""
     if not config.sites:
@@ -210,42 +124,3 @@ def grid_from_config(config: GridConfig, seed: int = 2005) -> Grid:
             raise ConfigError(f"flocking entries are [src, dst] pairs, got {pair!r}")
         builder.flock(pair[0], pair[1])
     return builder.build()
-
-
-def gae_from_scenario(scenario: ScenarioConfig):
-    """Build the fully wired GAE for a scenario (workload not submitted)."""
-    from repro.gae import build_gae
-
-    grid = grid_from_config(scenario.grid, seed=scenario.seed)
-    return build_gae(grid, policy=scenario.steering_policy())
-
-
-def submit_scenario_workload(gae, scenario: ScenarioConfig) -> List[str]:
-    """Create and submit the scenario's workload; returns task ids."""
-    from repro.gridsim.job import Job
-    from repro.workloads.downey import DowneyWorkloadGenerator
-    from repro.workloads.generators import make_prime_count_task
-
-    wl = scenario.workload
-    tasks = []
-    if wl.kind == "prime":
-        tasks = [
-            make_prime_count_task(owner=wl.owner, checkpointable=wl.checkpointable)
-            for _ in range(wl.count)
-        ]
-    else:  # downey
-        gen = DowneyWorkloadGenerator(seed=scenario.seed)
-        records = [r for r in gen.generate(4 * wl.count) if r.status == "successful"]
-        tasks = [r.to_task() for r in records[: wl.count]]
-        if len(tasks) < wl.count:
-            raise ConfigError("not enough successful trace jobs for the workload")
-
-    original = gae.scheduler.select_site
-    if wl.pin_site:
-        gae.scheduler.select_site = lambda t, exclude=(): wl.pin_site
-    try:
-        for task in tasks:
-            gae.scheduler.submit_job(Job(tasks=[task], owner=wl.owner))
-    finally:
-        gae.scheduler.select_site = original
-    return [t.task_id for t in tasks]

@@ -125,16 +125,6 @@ class GAE:
             self.observability.stop_telemetry()
         self.monitoring.stop_periodic_snapshots()
 
-    def checkpoint(self, path: str) -> "object":
-        """Write a full-system checkpoint to *path* (a SQLite file).
-
-        Convenience for :class:`repro.store.checkpoint.Checkpointer`;
-        returns its :class:`~repro.store.checkpoint.CheckpointInfo`.
-        """
-        from repro.store.checkpoint import Checkpointer
-
-        return Checkpointer(self).checkpoint(path)
-
 
 def default_acl() -> AccessControlList:
     """The GAE's shipped access policy.
@@ -185,8 +175,8 @@ def build_gae(
         The :class:`~repro.store.base.StateStore` threaded through every
         persistent layer (an in-memory store when omitted).  The
         monitoring DB's relational tables live on this store's SQL
-        connection, and :meth:`GAE.checkpoint` snapshots the whole
-        system through the same namespace registry.
+        connection, and a :class:`~repro.store.checkpoint.Checkpointer`
+        snapshots the whole system through the same namespace registry.
     transfer_cache_ttl_s:
         Memoize iperf bandwidth probes for this many simulated seconds
         (matches the default network-weather period, so cached bandwidths

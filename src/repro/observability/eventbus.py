@@ -475,6 +475,7 @@ class AccountingConsumer(JournalConsumer):
     def _discard(state: Dict[str, Any], task_id: str) -> None:
         site = state["site_of"].pop(task_id, None)
         band = state["band_of"].pop(task_id, None)
+        state["elapsed"].pop(task_id, None)
         if site is None or band is None:
             return
         bands = state["books"].get(site, {})

@@ -651,9 +651,10 @@ class GAEInstrumentation:
     # ------------------------------------------------------------------
     # persistence (checkpoint/restore)
     # ------------------------------------------------------------------
-    def save_to(self, store) -> None:
-        """Persist journal, spans, metric values, and telemetry windows."""
-        self.journal.save_to(store)
+    def save_to(self, store, *, journal_since: int = -1) -> None:
+        """Persist journal (rows past *journal_since*), spans, metric
+        values, and telemetry windows."""
+        self.journal.save_to(store, since=journal_since)
         self.tracer.save_to(store)
         self.metrics.save_to(store)
         if self.telemetry is not None:
@@ -742,9 +743,6 @@ class GAEInstrumentation:
         spans_by_id = self.tracer.load_from(store)
         self.metrics.load_from(store)
         if self.telemetry is not None:
-            # Pre-telemetry checkpoints lack the namespace; registering it
-            # (idempotent) makes the read well-defined and empty.
-            store.register_namespace(namespace_record(OBSERVABILITY_TELEMETRY))
             rows = dict(store.items(OBSERVABILITY_TELEMETRY))
             if "pipeline" in rows:
                 self.telemetry.import_state(rows["pipeline"])

@@ -134,7 +134,7 @@ class EventJournal:
         """``seq`` of the most recently recorded event, ``-1`` when empty.
 
         Unlike ``self._events[-1].seq`` this survives eviction-free and
-        is what incremental checkpoints use as the high-water mark.
+        is what checkpoints record as the high-water mark.
         """
         return self._head_seq
 
@@ -201,7 +201,7 @@ class EventJournal:
         """Every retained event with ``seq`` strictly greater than ``seq``.
 
         The tail a consumer replays to catch its cursor up to the head,
-        and the delta an incremental checkpoint persists.
+        and the rows a checkpoint cut against a base persists.
         """
         return [e for e in self._snapshot() if e.seq > seq]
 
@@ -220,13 +220,18 @@ class EventJournal:
 
     # -- persistence (state-store backend) ------------------------------
 
-    def save_to(self, store: StateStore) -> int:
-        """Write every retained event into ``observability.journal``."""
+    def save_to(self, store: StateStore, *, since: int = -1) -> int:
+        """Write the retained events past *since* into ``observability.journal``.
+
+        The default writes the whole retained window; a checkpoint that
+        continues a base passes the base's ``head_seq`` and stores only
+        the tail.
+        """
         store.register_namespace(namespace_record(OBSERVABILITY_JOURNAL))
         store.clear(OBSERVABILITY_JOURNAL)
         return store.put_many(
             OBSERVABILITY_JOURNAL,
-            ((f"{e.seq:012d}", e.to_wire()) for e in self._snapshot()),
+            ((f"{e.seq:012d}", e.to_wire()) for e in self.events_since(since)),
         )
 
     def load_from(self, store: StateStore) -> int:

@@ -6,8 +6,9 @@ Public surface:
   :class:`SqliteStore` backends (same JSON value codec → bit-identical
   reads across backends);
 - the canonical namespace registry (:data:`NAMESPACES`, ``register_all``);
-- GAE-wide checkpoint/restore (:class:`Checkpointer`, :func:`restore_gae`)
-  in :mod:`repro.store.checkpoint`.
+- GAE-wide checkpoint/restore in :mod:`repro.store.checkpoint`: one file
+  format written by :class:`Checkpointer` (self-contained, or a
+  continuation of a base) and one reader, :func:`restore_gae`.
 """
 
 from repro.store.base import (

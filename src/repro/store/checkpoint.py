@@ -1,21 +1,29 @@
-"""GAE-wide checkpoint/restore, full and incremental.
+"""GAE-wide checkpoint/restore: one file format, one path each way.
 
-A full checkpoint is one SQLite file (a
-:class:`~repro.store.sqlite.SqliteStore`) holding every canonical
-namespace: the five migrated service stores (estimator history, runtime
-estimates, monitoring DB, MonALISA, event journal), the observability
-layer, and the live gridsim/steering/accounting state captured at a
-*barrier event* — a scheduled simulation instant, so the snapshot is
-taken between events while the system is quiescent.
+A checkpoint is one SQLite file (written through a
+:class:`~repro.store.sqlite.SqliteStore`) taken at a *barrier event* — a
+scheduled simulation instant, so the snapshot runs between events while
+the system is quiescent.  Every file holds
 
-With the event-sourced core, the four journal consumers (estimators,
-monitoring, MonALISA, queue accounting) are pure folds over the journal.
-That makes a cheaper *incremental* checkpoint possible: skip the
-consumer namespaces entirely and record only the journal (whose retained
-window covers the tail since the last full checkpoint), the runtime
-state, and the per-consumer ``(namespace, cursor)`` high-water marks.
-:func:`restore_incremental` rebuilds consumer state as *base snapshot +
-quiet replay of the journal tail*, bit-identical to a full restore.
+- ``checkpoint.meta``: format, barrier time, grid spec, id counters,
+  policy, build parameters, users, the journal ``head_seq`` at the
+  barrier and ``base_seq`` (below);
+- the *runtime state*: scheduler, pools, catalog, RNG streams, periodic
+  phases, steering, accounting, spans, metric values, telemetry;
+- *journal rows* (``observability.journal``);
+- optionally the *consumer namespaces* (:data:`CONSUMER_NAMESPACES`) —
+  the materialised state of the four journal consumers, which are pure
+  folds over the journal.
+
+A **self-contained** file (``base_seq`` is ``None``) holds the consumer
+namespaces as of its own ``head_seq`` and every retained journal row.  A
+**continuation** (``Checkpointer.checkpoint(path, base=...)``) is cut
+against a self-contained base: it omits the consumer namespaces, records
+the base's head as ``base_seq`` and stores only the journal rows with
+``seq > base_seq``.  Restoring is the same either way — consumer state
+is loaded from whichever file holds it and the journal events past the
+seq that state is valid at are folded quietly on top; for a
+self-contained file that tail is empty.
 
 :func:`restore_gae` rebuilds the grid from its declarative spec, rewires
 a fresh GAE through :func:`repro.gae.build_gae`, and rehydrates every
@@ -24,6 +32,9 @@ The restored system's estimator answers, monitoring answers, MonALISA
 series, Backup & Recovery failed-set, and ``system.observability``
 report are identical to the pre-snapshot system at the checkpoint
 instant, and running it to completion finishes every in-flight job.
+Restoring only reads: the checkpoint files are loaded into memory
+through :func:`~repro.store.sqlite.read_store_file` and never opened for
+writing.
 
 Restore ordering matters and is documented inline; the broad strokes:
 
@@ -32,8 +43,8 @@ Restore ordering matters and is documented inline; the broad strokes:
 2. the grid substrate from its spec, clock started at the checkpoint time,
 3. ``build_gae`` with the saved build parameters, policy, and history,
 4. store-backed layers (estimates, monitoring rows, MonALISA, journal),
-   then — on the incremental path — the quiet journal-tail replay that
-   brings consumer state from the base snapshot to the barrier,
+   then the quiet journal-tail replay that brings consumer state to the
+   barrier,
 5. scheduler entries, then pools (ads resolve task ids against the
    restored jobs), then incremental queue accounting reseeded from the
    restored queues,
@@ -43,20 +54,27 @@ Restore ordering matters and is documented inline; the broad strokes:
 
 from __future__ import annotations
 
+import sqlite3
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from repro.store.base import StateStore, StoreError, UnknownNamespaceError
+from repro.store.base import StateStore, StoreError
+from repro.store.memory import MemoryStore
 from repro.store.registry import (
     ACCOUNTING_STATE,
     CHECKPOINT_GRIDSIM,
     CHECKPOINT_META,
+    ESTIMATOR_HISTORY,
+    ESTIMATOR_RUNTIME,
     EVENTCORE_CURSORS,
+    MONALISA_EVENTS,
+    MONALISA_TIMESERIES,
     MONITORING_JOBS,
+    OBSERVABILITY_JOURNAL,
     STEERING_STATE,
     register_all,
 )
-from repro.store.sqlite import SqliteStore
+from repro.store.sqlite import SqliteStore, read_store_file
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gae import GAE
@@ -64,7 +82,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Bump when the overall checkpoint layout (not an individual namespace)
 #: changes incompatibly.
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
+
+#: The materialised state of the journal consumers: present in a
+#: self-contained checkpoint, absent from a continuation.
+CONSUMER_NAMESPACES = (
+    ESTIMATOR_HISTORY,
+    ESTIMATOR_RUNTIME,
+    MONITORING_JOBS,
+    MONALISA_TIMESERIES,
+    MONALISA_EVENTS,
+)
 
 
 class CheckpointError(StoreError):
@@ -79,11 +107,11 @@ class CheckpointInfo:
     time: float
     jobs: int
     tasks: int
-    #: ``True`` for a journal-tail delta written by
-    #: :meth:`Checkpointer.checkpoint_incremental`.
-    incremental: bool = False
     #: Journal head sequence at the barrier (``None`` without observability).
     head_seq: Optional[int] = None
+    #: ``head_seq`` of the base this file continues; ``None`` for a
+    #: self-contained checkpoint.
+    base_seq: Optional[int] = None
 
 
 class Checkpointer:
@@ -94,158 +122,123 @@ class Checkpointer:
         #: The most recent :meth:`checkpoint` result; lets callers of
         #: :meth:`checkpoint_at` read the outcome after the event fires.
         self.last_info: Optional[CheckpointInfo] = None
-        #: Journal head seq of the last *full* checkpoint — the default
-        #: base for :meth:`checkpoint_incremental`.
-        self.last_full_head_seq: Optional[int] = None
+        # path -> head_seq of every self-contained file written so far:
+        # the bases a continuation may name.
+        self._bases: Dict[str, Optional[int]] = {}
 
-    # ------------------------------------------------------------------
-    # full checkpoints
-    # ------------------------------------------------------------------
-    def checkpoint(self, path: str) -> CheckpointInfo:
-        """Write a full checkpoint to the SQLite file at *path*."""
+    def checkpoint(self, path: str, *, base: Optional[str] = None) -> CheckpointInfo:
+        """Write a checkpoint to the SQLite file at *path*.
+
+        With *base* — the path of a self-contained checkpoint this
+        instance wrote earlier — the file is a continuation of it (see
+        the module docstring); restore it with
+        ``restore_gae(path, base=base)``.
+
+        Raises :class:`CheckpointError` when *base* names no such
+        checkpoint, and for the conditions :meth:`write_state` checks.
+        """
+        path = str(path)
+        base_seq = None
+        if base is not None:
+            base_seq = self._bases.get(str(base))
+            if base_seq is None:
+                raise CheckpointError(
+                    f"no base for {path!r}: {str(base)!r} is not a "
+                    "self-contained checkpoint written by this Checkpointer "
+                    "with observability on"
+                )
         with SqliteStore(path) as store:
-            self.write_state(store)
-        self.last_full_head_seq = self._head_seq()
-        self.last_info = self._info(path, incremental=False)
+            self.write_state(store, base_seq=base_seq)
+        head_seq = self._head_seq()
+        if base is None:
+            self._bases[path] = head_seq
+        jobs = self.gae.scheduler.jobs()
+        self.last_info = CheckpointInfo(
+            path=path,
+            time=self.gae.sim.now,
+            jobs=len(jobs),
+            tasks=sum(len(j.tasks) for j in jobs),
+            head_seq=head_seq,
+            base_seq=base_seq,
+        )
         return self.last_info
 
-    def checkpoint_at(self, time: float, path: str) -> "EventHandle":
-        """Schedule a checkpoint as a barrier event at simulated *time*.
+    def checkpoint_at(
+        self, time: float, path: str, *, base: Optional[str] = None
+    ) -> "EventHandle":
+        """Schedule :meth:`checkpoint` as a barrier event at simulated *time*.
 
         The snapshot runs between other events at that instant, so it
         observes a quiescent system — exactly what a kill-and-restore
         test interrupts.
         """
         return self.gae.sim.at(
-            time, lambda: self.checkpoint(path), label=f"gae.checkpoint:{path}"
-        )
-
-    def write_state(self, store: StateStore) -> None:
-        """Write every layer's state into *store* (any backend)."""
-        gae = self.gae
-        register_all(store)
-        self._write_meta(store)
-
-        # The five migrated service stores (the journal-consumer base).
-        gae.history.save_to(store)
-        gae.estimators.estimate_db.save_to(store)
-        store.put(MONITORING_JOBS, "state", gae.monitoring.db_manager.export_state())
-        gae.monalisa.save_to(store)
-
-        self._write_runtime(store)
-
-    # ------------------------------------------------------------------
-    # incremental checkpoints
-    # ------------------------------------------------------------------
-    def checkpoint_incremental(
-        self, path: str, *, base_seq: Optional[int] = None
-    ) -> CheckpointInfo:
-        """Write a journal-tail delta against the last full checkpoint.
-
-        The delta skips the four consumer namespaces entirely — their
-        state at the barrier is ``base snapshot + fold of journal events
-        with seq > base_seq``, which :func:`restore_incremental` replays
-        quietly.  *base_seq* defaults to the journal head recorded by the
-        last :meth:`checkpoint` on this instance.
-
-        Raises :class:`CheckpointError` when observability is off, when
-        no base is known, or when the journal's retained window no longer
-        reaches ``base_seq`` (the tail cannot be replayed).
-        """
-        gae = self.gae
-        if gae.observability is None:
-            raise CheckpointError("incremental checkpoints require observability")
-        if base_seq is None:
-            base_seq = self.last_full_head_seq
-        if base_seq is None:
-            raise CheckpointError(
-                "no base checkpoint: write a full checkpoint() first "
-                "or pass base_seq explicitly"
-            )
-        retained = gae.observability.journal.events()
-        if retained and retained[0].seq > base_seq + 1:
-            raise CheckpointError(
-                f"journal retention starts at seq {retained[0].seq}, "
-                f"after base {base_seq}: tail is not replayable "
-                "(raise journal max_events or checkpoint more often)"
-            )
-        with SqliteStore(path) as store:
-            self.write_incremental_state(store, base_seq)
-        self.last_info = self._info(path, incremental=True)
-        return self.last_info
-
-    def checkpoint_incremental_at(self, time: float, path: str) -> "EventHandle":
-        """Schedule :meth:`checkpoint_incremental` as a barrier event."""
-        return self.gae.sim.at(
             time,
-            lambda: self.checkpoint_incremental(path),
-            label=f"gae.checkpoint.incremental:{path}",
+            lambda: self.checkpoint(path, base=base),
+            label=f"gae.checkpoint:{path}",
         )
 
-    def write_incremental_state(self, store: StateStore, base_seq: int) -> None:
-        """Write the delta layers (everything but the consumer stores)."""
-        register_all(store)
-        self._write_meta(
-            store,
-            incremental={"base_seq": base_seq, "head_seq": self._head_seq()},
-        )
-        self._write_runtime(store)
-
-    # ------------------------------------------------------------------
-    # shared pieces
-    # ------------------------------------------------------------------
     def _head_seq(self) -> Optional[int]:
         obs = self.gae.observability
         return obs.journal.head_seq if obs is not None else None
 
-    def _info(self, path: str, *, incremental: bool) -> CheckpointInfo:
-        jobs = self.gae.scheduler.jobs()
-        return CheckpointInfo(
-            path=str(path),
-            time=self.gae.sim.now,
-            jobs=len(jobs),
-            tasks=sum(len(j.tasks) for j in jobs),
-            incremental=incremental,
-            head_seq=self._head_seq(),
-        )
+    def write_state(self, store: StateStore, *, base_seq: Optional[int] = None) -> None:
+        """Write every layer's state into *store* (any backend).
 
-    def _write_meta(
-        self, store: StateStore, incremental: Optional[Dict[str, Any]] = None
-    ) -> None:
+        With *base_seq* — the journal head of a self-contained base — the
+        consumer namespaces are left out and only journal rows past
+        *base_seq* are written.  That needs observability (the journal is
+        what rebuilds consumer state) and a retained window that still
+        reaches the base; :class:`CheckpointError` otherwise.
+        """
         from repro.gridsim.job import snapshot_id_counters
 
         gae = self.gae
-        tracking = (
-            gae.observability.export_tracking()
-            if gae.observability is not None
-            else None
-        )
+        grid = gae.grid
+        obs = gae.observability
+        if base_seq is not None:
+            if obs is None:
+                raise CheckpointError(
+                    "continuing a base checkpoint requires observability"
+                )
+            retained = obs.journal.events()
+            if retained and retained[0].seq > base_seq + 1:
+                raise CheckpointError(
+                    f"journal retention starts at seq {retained[0].seq}, "
+                    f"after base {base_seq}: tail is not replayable "
+                    "(checkpoint against a more recent base)"
+                )
+        register_all(store)
         store.put(
             CHECKPOINT_META,
             "meta",
             {
                 "format": CHECKPOINT_FORMAT,
                 "time": gae.sim.now,
-                "grid_spec": gae.grid.spec,
+                "grid_spec": grid.spec,
                 "id_counters": list(snapshot_id_counters()),
                 "policy": asdict(gae.steering.policy),
                 "build_params": dict(gae.build_params),
-                "observability_tracking": tracking,
+                "observability_tracking": (
+                    obs.export_tracking() if obs is not None else None
+                ),
                 "users": gae.host.users.export_state(),
-                "incremental": incremental,
+                "head_seq": self._head_seq(),
+                "base_seq": base_seq,
             },
         )
 
-    def _write_runtime(self, store: StateStore) -> None:
-        """Observability, gridsim substrate, steering, and accounting."""
-        gae = self.gae
-        grid = gae.grid
-
-        if gae.observability is not None:
-            gae.observability.save_to(store)
-            core = getattr(gae.observability, "eventcore", None)
-            if core is not None:
-                store.put(EVENTCORE_CURSORS, "state", core.snapshot())
+        # Consumer state, unless the base holds it; then the journal (the
+        # rows past the base) with the rest of the observability layer.
+        if base_seq is None:
+            gae.history.save_to(store)
+            gae.estimators.estimate_db.save_to(store)
+            store.put(MONITORING_JOBS, "state", gae.monitoring.db_manager.export_state())
+            gae.monalisa.save_to(store)
+        if obs is not None:
+            obs.save_to(store, journal_since=-1 if base_seq is None else base_seq)
+            if obs.eventcore is not None:
+                store.put(EVENTCORE_CURSORS, "state", obs.eventcore.snapshot())
 
         # The gridsim substrate.  Pool snapshots sync running accruals to
         # the barrier instant themselves.
@@ -298,102 +291,85 @@ class Checkpointer:
         store.put(ACCOUNTING_STATE, "quotas", gae.accounting.quotas.export_state())
 
 
-def restore_gae(path: str, store: Optional[StateStore] = None) -> "GAE":
-    """Rehydrate a runnable :class:`~repro.gae.GAE` from a full checkpoint.
-
-    *store* becomes the restored system's live state store (a fresh
-    in-memory store when omitted, so the checkpoint file itself is never
-    mutated and can be restored from repeatedly).  The returned GAE's
-    periodic activities are armed; ``gae.sim.run()`` resumes the workload.
-    """
-    source = SqliteStore(path)
-    try:
-        meta = _read_meta(source, path)
-        if meta.get("incremental") is not None:
-            raise CheckpointError(
-                f"{path!r} is an incremental checkpoint: restore it with "
-                "restore_incremental(base_path, delta_path)"
-            )
-        return _restore(meta, source, source, store=store)
-    finally:
-        source.close()
-
-
-def restore_incremental(
-    base_path: str, delta_path: str, store: Optional[StateStore] = None
+def restore_gae(
+    path: str, *, base: Optional[str] = None, store: Optional[StateStore] = None
 ) -> "GAE":
-    """Rehydrate a GAE from a full checkpoint plus a journal-tail delta.
+    """Rehydrate a runnable :class:`~repro.gae.GAE` from a checkpoint.
 
-    Consumer state (estimates, history, monitoring rows, MonALISA) comes
-    from *base_path*; everything else — clock, scheduler, pools, journal,
-    steering, accounting — comes from *delta_path*.  The journal tail
-    (events with ``seq > base_seq``) is replayed quietly through the
-    event core, which brings every consumer to the exact barrier state a
-    full checkpoint would have stored.
+    A continuation needs *base*, the self-contained checkpoint it was cut
+    against: consumer state and the older journal rows come from there,
+    everything else from *path*.  *store* becomes the restored system's
+    live state store (a fresh in-memory store when omitted).  Neither
+    file is written to, so either can be restored from repeatedly.  The
+    returned GAE's periodic activities are armed; ``gae.sim.run()``
+    resumes the workload.
+
+    Raises :class:`CheckpointError` for a file that is missing, not a
+    readable checkpoint or of another format, a continuation given no
+    base (or a self-contained file given one), and a base that is itself
+    a continuation or whose head is not the one *path* was cut against.
     """
-    base = SqliteStore(base_path)
-    delta = SqliteStore(delta_path)
-    try:
-        meta = _read_meta(delta, delta_path)
-        inc = meta.get("incremental")
-        if inc is None:
-            raise CheckpointError(
-                f"{delta_path!r} is a full checkpoint, not a delta: "
-                "use restore_gae"
-            )
-        base_meta = _read_meta(base, base_path)
-        if base_meta.get("incremental") is not None:
-            raise CheckpointError(
-                f"{base_path!r} is itself incremental: deltas must be "
-                "restored against a full checkpoint"
-            )
-        base_state = base.get(EVENTCORE_CURSORS, "state", default=None)
-        if base_state is not None:
-            base_head = base_state.get("journal_head_seq")
-            if base_head is not None and base_head != inc["base_seq"]:
-                raise CheckpointError(
-                    f"delta was cut against journal head {inc['base_seq']} "
-                    f"but {base_path!r} stops at {base_head}"
-                )
-        return _restore(
-            meta, delta, base, store=store, replay_from=inc["base_seq"]
+    path = str(path)
+    source, meta = _read(path)
+    base_seq = meta["base_seq"]
+    if base_seq is None and base is not None:
+        raise CheckpointError(
+            f"{path!r} is self-contained: it has no base, but {str(base)!r} was given"
         )
-    finally:
-        base.close()
-        delta.close()
+    if base_seq is not None:
+        if base is None:
+            raise CheckpointError(
+                f"{path!r} continues a base checkpoint (journal head "
+                f"{base_seq}): pass that file as base="
+            )
+        base = str(base)
+        merged, base_meta = _read(base)
+        if base_meta["base_seq"] is not None:
+            raise CheckpointError(
+                f"{base!r} is itself a continuation: {path!r} must be "
+                "restored against a self-contained checkpoint"
+            )
+        if base_meta["head_seq"] != base_seq:
+            raise CheckpointError(
+                f"{path!r} was cut against journal head {base_seq} "
+                f"but {base!r} stops at {base_meta['head_seq']}"
+            )
+        # Base + continuation = the self-contained file the barrier would
+        # have written: the base's consumer state and journal rows, the
+        # continuation's rows after them, everything else the continuation's.
+        for ns in source.namespaces():
+            if ns.name in CONSUMER_NAMESPACES:
+                continue
+            if ns.name != OBSERVABILITY_JOURNAL:
+                merged.clear(ns.name)
+            merged.put_many(ns.name, source.items(ns.name))
+        source = merged
+    return _restore(meta, source, store)
 
 
-def _read_meta(source: StateStore, path: str) -> Dict[str, Any]:
+def _read(path: str) -> Tuple[MemoryStore, Dict[str, Any]]:
+    """The checkpoint file at *path*, in memory, and its validated meta."""
     try:
+        source = read_store_file(path)
         meta = source.get(CHECKPOINT_META, "meta", default=None)
-    except UnknownNamespaceError:
-        meta = None
+    except (sqlite3.DatabaseError, StoreError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path!r} is not a readable checkpoint file: {exc}"
+        ) from exc
     if meta is None:
         raise CheckpointError(f"{path!r} holds no checkpoint metadata")
     if meta["format"] != CHECKPOINT_FORMAT:
         raise CheckpointError(
-            f"checkpoint format {meta['format']} unsupported "
+            f"{path!r}: checkpoint format {meta['format']} unsupported "
             f"(this build reads format {CHECKPOINT_FORMAT})"
         )
-    return meta
+    return source, meta
 
 
 def _restore(
-    meta: Dict[str, Any],
-    source: StateStore,
-    consumer_source: StateStore,
-    store: Optional[StateStore] = None,
-    replay_from: Optional[int] = None,
+    meta: Dict[str, Any], source: StateStore, store: Optional[StateStore]
 ) -> "GAE":
-    """Shared restore path.
-
-    *source* provides the runtime state (clock, scheduler, pools,
-    journal, steering, accounting); *consumer_source* provides the four
-    consumer stores.  For a full restore they are the same file and
-    *replay_from* is ``None``; for an incremental restore the consumers
-    load from the base file and the journal tail past *replay_from* is
-    folded on top.
-    """
+    """Rebuild a GAE from *source*, which holds every namespace."""
     from repro.core.estimators.history import HistoryRepository
     from repro.core.steering.optimizer import SteeringPolicy
     from repro.gae import build_gae
@@ -408,7 +384,7 @@ def _restore(
     grid.rngs.restore_states(source.get(CHECKPOINT_GRIDSIM, "rng"))
 
     # 3. The same wiring the original had.
-    history = HistoryRepository.load_from(consumer_source)
+    history = HistoryRepository.load_from(source)
     gae = build_gae(
         grid,
         policy=SteeringPolicy(**meta["policy"]),
@@ -417,31 +393,22 @@ def _restore(
         **meta["build_params"],
     )
 
-    # 4. Store-backed layers: direct loads, no listener traffic.  On the
-    # incremental path the journal tail is folded quietly on top, BEFORE
-    # queue accounting reseeds (step 5) so the reseed sees post-tail
-    # estimates exactly as the live run did.
-    gae.estimators.estimate_db.load_from(consumer_source)
-    gae.monitoring.db_manager.import_state(consumer_source.get(MONITORING_JOBS, "state"))
-    gae.monalisa.load_from(consumer_source)
+    # 4. Store-backed layers: direct loads, no listener traffic.  The
+    # journal tail is folded quietly on top, BEFORE queue accounting
+    # reseeds (step 5) so the reseed sees post-tail estimates exactly as
+    # the live run did.
+    gae.estimators.estimate_db.load_from(source)
+    gae.monitoring.db_manager.import_state(source.get(MONITORING_JOBS, "state"))
+    gae.monalisa.load_from(source)
     core = None
     if gae.observability is not None:
         gae.observability.load_from(source, tracking=meta["observability_tracking"])
-        core = getattr(gae.observability, "eventcore", None)
-        if replay_from is not None:
-            if core is None:
-                raise CheckpointError(
-                    "incremental restore needs the event core, but this "
-                    "build has no consumers registered"
-                )
-            tail = [
-                e
-                for e in gae.observability.journal.events()
-                if e.seq > replay_from
-            ]
-            core.replay_tail(tail)
-    elif replay_from is not None:
-        raise CheckpointError("incremental restore requires observability")
+        core = gae.observability.eventcore
+        if core is not None:
+            # Consumer state is valid at the base's head, or — in a
+            # self-contained file — at the file's own: an empty tail.
+            consumers_at = meta["head_seq"] if meta["base_seq"] is None else meta["base_seq"]
+            core.replay_tail(gae.observability.journal.events_since(consumers_at))
 
     # 5. Scheduler before pools: pool ads resolve task ids against the
     # restored job entries.  Queue accounting reseeds from the restored
@@ -471,13 +438,12 @@ def _restore(
     )
     gae.accounting.quotas.import_state(source.get(ACCOUNTING_STATE, "quotas"))
     gae.host.users.import_state(meta["users"])
-    phases = source.get(CHECKPOINT_GRIDSIM, "publishers", default=None)
-    if phases is not None:
-        gae.load_publisher.resume_at = phases.get("site_load")
-        gae.service_metrics_publisher.resume_at = phases.get("service_metrics")
-        gae.steering.resume_at = phases.get("steering_loop")
-        gae.steering.backup_recovery.resume_at = phases.get("backup_recovery")
-        gae.monitoring.resume_at = phases.get("monitor_snapshots")
+    phases = source.get(CHECKPOINT_GRIDSIM, "publishers")
+    gae.load_publisher.resume_at = phases["site_load"]
+    gae.service_metrics_publisher.resume_at = phases["service_metrics"]
+    gae.steering.resume_at = phases["steering_loop"]
+    gae.steering.backup_recovery.resume_at = phases["backup_recovery"]
+    gae.monitoring.resume_at = phases["monitor_snapshots"]
 
     # Consumers now hold barrier state; re-anchor their baselines so
     # verify()/rebuild() fold only post-restore events.

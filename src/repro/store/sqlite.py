@@ -14,8 +14,10 @@ WAL journaling (readers don't block the writer) and batched upserts
 
 from __future__ import annotations
 
+import contextlib
 import sqlite3
 import threading
+from pathlib import Path
 from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.store.base import (
@@ -26,8 +28,9 @@ from repro.store.base import (
     decode_value,
     encode_value,
 )
+from repro.store.memory import MemoryStore
 
-__all__ = ["SqliteStore"]
+__all__ = ["SqliteStore", "read_store_file"]
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS gae_store_ns (
@@ -196,3 +199,26 @@ class SqliteStore(StateStore):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SqliteStore(path={self.path!r}, namespaces={len(self._namespaces)})"
+
+
+def read_store_file(path: str) -> MemoryStore:
+    """Load every namespace of the store file at *path* into memory.
+
+    The file is opened read-only and immutable, so reading never creates
+    it, never writes its schema and never leaves ``-wal``/``-shm`` side
+    files next to it — what a restore needs, where :class:`SqliteStore`
+    (which opens for writing) would do all three.  A missing, truncated
+    or non-SQLite file raises :class:`sqlite3.DatabaseError`.
+    """
+    store = MemoryStore()
+    uri = Path(path).resolve().as_uri() + "?mode=ro&immutable=1"
+    with contextlib.closing(sqlite3.connect(uri, uri=True)) as conn:
+        for name, version, description in conn.execute(
+            "SELECT name, version, description FROM gae_store_ns ORDER BY rowid"
+        ):
+            store.register_namespace(Namespace(name, version, description))
+        for namespace, key, raw in conn.execute(
+            "SELECT namespace, key, value FROM gae_store ORDER BY seq"
+        ):
+            store.put(namespace, key, decode_value(raw))
+    return store

@@ -98,11 +98,13 @@ class TestIncrementalCheckpointGuards:
         gae, _ = demo_at(100.0)
         with tempfile.TemporaryDirectory() as tmp:
             with pytest.raises(CheckpointError):
-                Checkpointer(gae).checkpoint_incremental(
-                    os.path.join(tmp, "delta.sqlite")
+                Checkpointer(gae).checkpoint(
+                    os.path.join(tmp, "delta.sqlite"),
+                    base=os.path.join(tmp, "base.sqlite"),
                 )
 
     def test_restore_gae_rejects_incremental_file(self):
+        """A continuation restored without its base is refused."""
         gae, _ = demo_at(100.0)
         with tempfile.TemporaryDirectory() as tmp:
             base = os.path.join(tmp, "base.sqlite")
@@ -110,7 +112,7 @@ class TestIncrementalCheckpointGuards:
             ckpt = Checkpointer(gae)
             ckpt.checkpoint(base)
             gae.sim.run_until(150.0)
-            ckpt.checkpoint_incremental(delta)
+            ckpt.checkpoint(delta, base=base)
             reset_id_counters()
             with pytest.raises(CheckpointError):
                 restore_gae(delta)

@@ -6,19 +6,30 @@ schedules, a GAE restored from its checkpoint answers ``job_status``,
 the original did *at the barrier instant* (captured by a callback
 scheduled immediately after the checkpoint event, so same-time periodic
 events armed later do not contaminate the reference answers).
+
+The restored journal is the live ring row for row — also when the ring
+has evicted and the file is a continuation of a base — and every file
+:func:`restore_gae` or the writer refuses is refused with a
+:class:`CheckpointError` naming that file.
 """
 
 import os
 import tempfile
+from unittest import mock
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clarens.errors import ClarensFault
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder
 from repro.gridsim.job import TaskSpec, bag_of_tasks, reset_id_counters
-from repro.store.checkpoint import Checkpointer, restore_gae
+from repro.observability import instrument
+from repro.observability.journal import EventJournal
+from repro.store import SqliteStore
+from repro.store.checkpoint import CheckpointError, Checkpointer, restore_gae
+from repro.store.registry import CHECKPOINT_META, register_all
 
 # Odd multiples of 5 s that are not multiples of any periodic activity
 # (20/30/60 s): the barrier never coincides with a periodic event, and
@@ -135,3 +146,103 @@ class TestCheckpointProperties:
             reset_id_counters()
             second = restore_gae(path)
             assert answers(second, second.scheduler.jobs()[0]) == first_answers
+
+
+def journal_capacity(ring):
+    """Every GAE built inside the block — live or restored — gets a
+    journal ring of *ring* events (``build_gae`` fixes it at 100 000)."""
+    return mock.patch.object(
+        instrument, "EventJournal", lambda clock, capacity: EventJournal(clock, ring)
+    )
+
+
+def journal_rows(gae):
+    return [e.to_wire() for e in gae.observability.journal.events()]
+
+
+DEMO_WORKS = [120.0, 240.0, 360.0, 480.0, 150.0, 90.0]
+
+
+class TestRestoredJournalProperties:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        works=work_lists,
+        capacity=st.sampled_from([8, 24, 40, 64, 100_000]),
+        t_delta=st.sampled_from([185.0, 205.0, 265.0]),
+    )
+    # By t=145 s this workload has journalled 78 events and adds 26 by
+    # t=205 s: a ring of 40 has evicted yet still holds the tail; a ring
+    # of 8 has lost it, so the continuation must be refused.
+    @example(seed=11, works=DEMO_WORKS, capacity=40, t_delta=205.0)
+    @example(seed=11, works=DEMO_WORKS, capacity=8, t_delta=205.0)
+    @settings(max_examples=8, deadline=None)
+    def test_restored_journal_is_the_live_ring_row_for_row(
+        self, seed, works, capacity, t_delta
+    ):
+        with tempfile.TemporaryDirectory() as tmp, journal_capacity(capacity):
+            base = os.path.join(tmp, "base.sqlite")
+            delta = os.path.join(tmp, "delta.sqlite")
+            gae, _ = build_workload(seed, works, fault=None)
+            ckpt = Checkpointer(gae)
+
+            gae.sim.run_until(145.0)
+            ckpt.checkpoint(base)
+            live_at_base = journal_rows(gae)
+            gae.sim.run_until(t_delta)
+            live_at_delta = journal_rows(gae)
+            assert len(live_at_delta) <= capacity
+
+            tail_len = gae.observability.journal.head_seq - ckpt.last_info.head_seq
+            refused = tail_len > capacity  # the ring no longer reaches the base
+            if refused:
+                with pytest.raises(CheckpointError, match="retention"):
+                    ckpt.checkpoint(delta, base=base)
+            else:
+                ckpt.checkpoint(delta, base=base)
+
+            reset_id_counters()
+            assert journal_rows(restore_gae(base)) == live_at_base
+            if not refused:
+                reset_id_counters()
+                assert journal_rows(restore_gae(delta, base=base)) == live_at_delta
+
+
+class TestRefusalProperties:
+    @given(seed=st.integers(min_value=0, max_value=10_000), works=work_lists)
+    @settings(max_examples=4, deadline=None)
+    def test_every_refusal_is_typed_and_names_the_file(self, seed, works):
+        with tempfile.TemporaryDirectory() as tmp:
+            base = os.path.join(tmp, "base.sqlite")
+            later = os.path.join(tmp, "later.sqlite")
+            delta = os.path.join(tmp, "delta.sqlite")
+            gae, _ = build_workload(seed, works, fault=None)
+            ckpt = Checkpointer(gae)
+            gae.sim.run_until(125.0)
+            ckpt.checkpoint(base)
+            gae.sim.run_until(185.0)
+            ckpt.checkpoint(later)
+            ckpt.checkpoint(delta, base=base)
+
+            # Writing: the base must be a self-contained file this
+            # Checkpointer wrote — not a continuation, not a stranger.
+            for bad_base in (delta, os.path.join(tmp, "never-written.sqlite")):
+                with pytest.raises(CheckpointError, match=os.path.basename(bad_base)):
+                    ckpt.checkpoint(os.path.join(tmp, "x.sqlite"), base=bad_base)
+            assert not os.path.exists(os.path.join(tmp, "x.sqlite"))
+
+            # Reading.
+            with pytest.raises(CheckpointError, match="delta.sqlite.*base="):
+                restore_gae(delta)  # continuation without its base
+            with pytest.raises(CheckpointError, match="delta.sqlite.*continuation"):
+                restore_gae(delta, base=delta)  # base is itself a continuation
+            with pytest.raises(CheckpointError, match="later.sqlite.*stops at"):
+                restore_gae(delta, base=later)  # not the head it was cut against
+            with pytest.raises(CheckpointError, match="base.sqlite.*self-contained"):
+                restore_gae(base, base=later)  # self-contained: no base applies
+
+            old = os.path.join(tmp, "format1.sqlite")
+            with SqliteStore(old) as store:
+                register_all(store)
+                store.put(CHECKPOINT_META, "meta", {"format": 1, "incremental": None})
+            with pytest.raises(CheckpointError, match="format1.sqlite.*format 1"):
+                restore_gae(old)

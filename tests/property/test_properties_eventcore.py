@@ -6,11 +6,16 @@ random fault schedules and random checkpoint barriers:
 1. every registered consumer's state is a pure fold over the journal —
    ``rebuild(baseline + tail)`` is bit-identical to the live store at
    any instant the simulation can pause on;
-2. an incremental restore (base snapshot + quiet journal-tail replay)
-   answers exactly like a full restore of the same barrier, and both
-   match the live answers captured at that barrier.
+2. restoring a continuation against its base (base snapshot + quiet
+   journal-tail replay) answers exactly like restoring a self-contained
+   checkpoint of the same barrier, and both match the live answers
+   captured at that barrier — they are one restore path and produce one
+   system: equal re-checkpointed state, equal run-to-completion results;
+3. a continuation file holds exactly the journal tail past its base and
+   no consumer namespace.
 """
 
+import json
 import os
 import tempfile
 
@@ -19,7 +24,10 @@ from hypothesis import strategies as st
 
 from repro.gridsim.job import reset_id_counters
 from repro.observability.eventbus import CONSUMER_NAMES
-from repro.store.checkpoint import Checkpointer, restore_gae, restore_incremental
+from repro.store import MemoryStore
+from repro.store.checkpoint import CONSUMER_NAMESPACES, Checkpointer, restore_gae
+from repro.store.registry import CHECKPOINT_META, OBSERVABILITY_JOURNAL
+from repro.store.sqlite import read_store_file
 
 from tests.property.test_properties_checkpoint import (
     answers,
@@ -29,8 +37,8 @@ from tests.property.test_properties_checkpoint import (
     work_lists,
 )
 
-# Base barriers strictly before every delta barrier, so incremental
-# checkpoints always have a full snapshot to build on.
+# Base barriers strictly before every delta barrier, so a continuation
+# always has a self-contained checkpoint to build on.
 base_times = st.sampled_from([105.0, 125.0, 145.0])
 delta_times = st.sampled_from([185.0, 205.0, 265.0])
 
@@ -56,6 +64,25 @@ class TestEventCoreProperties:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         works=work_lists,
+        fault=fault_schedules(),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_shadow_queue_books_forget_finished_tasks(self, seed, works, fault):
+        """Once every task is terminal the accounting shadow holds no
+        per-task entry (``estimates`` mirrors the estimate DB and stays)."""
+        gae, job = build_workload(seed, works, fault)
+        while not all(t.state.is_terminal for t in job.tasks):
+            assert gae.sim.now < 20_000.0, "workload never finished"
+            gae.sim.run_until(gae.sim.now + 200.0)
+        accounting = gae.observability.eventcore.consumers["accounting"]
+        for per_task in ("elapsed", "site_of", "band_of"):
+            assert accounting._state[per_task] == {}, per_task
+        report = accounting.verify(gae.observability.journal)
+        assert report["covered"] and report["identical"], report
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        works=work_lists,
         t_base=base_times,
         t_delta=delta_times,
         fault=fault_schedules(),
@@ -73,7 +100,7 @@ class TestEventCoreProperties:
             gae, job = build_workload(seed, works, fault)
             incremental_ckpt = Checkpointer(gae)
             incremental_ckpt.checkpoint_at(t_base, base)
-            incremental_ckpt.checkpoint_incremental_at(t_delta, delta)
+            incremental_ckpt.checkpoint_at(t_delta, delta, base=base)
             Checkpointer(gae).checkpoint_at(t_delta, full)
 
             captured = {}
@@ -81,7 +108,7 @@ class TestEventCoreProperties:
             gae.sim.run_until(t_delta)
 
             reset_id_counters()
-            restored = restore_incremental(base, delta)
+            restored = restore_gae(delta, base=base)
             restored_answers = answers(restored, restored.scheduler.jobs()[0])
             assert restored_answers == captured
             # The replayed tail must leave the consumers rebuildable too.
@@ -91,3 +118,78 @@ class TestEventCoreProperties:
             reset_id_counters()
             control = restore_gae(full)
             assert answers(control, control.scheduler.jobs()[0]) == captured
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        works=work_lists,
+        t_base=base_times,
+        t_delta=delta_times,
+        fault=fault_schedules(),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_continuation_and_self_contained_restore_to_one_system(
+        self, seed, works, t_base, t_delta, fault
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            base = os.path.join(tmp, "base.sqlite")
+            delta = os.path.join(tmp, "delta.sqlite")
+            full = os.path.join(tmp, "full.sqlite")
+
+            gae, _ = build_workload(seed, works, fault)
+            ckpt = Checkpointer(gae)
+            ckpt.checkpoint_at(t_base, base)
+            ckpt.checkpoint_at(t_delta, delta, base=base)
+            Checkpointer(gae).checkpoint_at(t_delta, full)
+            gae.sim.run_until(t_delta)
+
+            # The files: a continuation is exactly the tail past its base
+            # and no consumer state; a self-contained file has no tail.
+            delta_store, full_store = read_store_file(delta), read_store_file(full)
+            delta_meta = delta_store.get(CHECKPOINT_META, "meta")
+            full_meta = full_store.get(CHECKPOINT_META, "meta")
+            base_head = read_store_file(base).get(CHECKPOINT_META, "meta")["head_seq"]
+            assert delta_meta["base_seq"] == base_head
+            assert delta_meta["head_seq"] == full_meta["head_seq"]
+            assert [
+                row["seq"] for row in delta_store.values(OBSERVABILITY_JOURNAL)
+            ] == list(range(base_head + 1, delta_meta["head_seq"] + 1))
+            for ns in CONSUMER_NAMESPACES:
+                assert delta_store.count(ns) == 0, ns
+            assert full_meta["base_seq"] is None
+            assert (
+                full_store.values(OBSERVABILITY_JOURNAL)[-1]["seq"]
+                == full_meta["head_seq"]
+            )
+
+            # The systems: same state, same answers, same future.
+            reset_id_counters()
+            from_full = observe(restore_gae(full))
+            reset_id_counters()
+            from_delta = observe(restore_gae(delta, base=base))
+            assert from_delta == from_full
+
+
+def observe(gae):
+    """Everything two restores of one barrier must agree on: the state a
+    re-checkpoint would write, the consumer/observability RPC answers,
+    and the results of running to completion."""
+    state = MemoryStore()
+    Checkpointer(gae).write_state(state)
+    client = gae.client("alice", "pw")
+    at_barrier = {
+        "state": json.dumps({ns.name: state.items(ns.name) for ns in state.namespaces()}),
+        "observability": client.call("system.observability"),
+        "consumers": client.call("system.consumers"),
+    }
+    gae.sim.run_until(gae.sim.now + 3_000.0)
+    gae.stop()
+    gae.sim.run()
+    tasks = [t for job in gae.scheduler.jobs() for t in job.tasks]
+    return {
+        **at_barrier,
+        "final_states": {t.task_id: t.state.value for t in tasks},
+        "final_status": {
+            t.task_id: client.call("jobmon.job_status", t.task_id) for t in tasks
+        },
+        "final_observability": client.call("system.observability"),
+    }

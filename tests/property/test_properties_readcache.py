@@ -23,6 +23,7 @@ from repro.gae import build_gae
 from repro.gridsim import GridBuilder, Job, Task, TaskSpec
 from repro.gridsim.faults import FaultInjector
 from repro.gridsim.job import reset_id_counters
+from repro.gridsim.scheduler import SchedulingError
 
 SITES = ("siteA", "siteB")
 
@@ -103,10 +104,15 @@ class _Rig:
                 work_seconds=float(op[1]),
                 task_id=f"ptask-{n:04d}",
             )
+            try:
+                self.gae.scheduler.submit_job(
+                    Job(tasks=[task], owner="prop", job_id=f"pjob-{n:04d}")
+                )
+            except SchedulingError as exc:
+                # Every site is down at this instant: nothing was planned,
+                # nothing mutated, and both rigs refuse identically.
+                return ("fault", "unschedulable", str(exc))
             self.task_ids.append(task.task_id)
-            self.gae.scheduler.submit_job(
-                Job(tasks=[task], owner="prop", job_id=f"pjob-{n:04d}")
-            )
             return ("submitted", task.task_id)
         if kind == "advance":
             self.gae.grid.run_until(self.gae.sim.now + float(op[1]))
@@ -178,7 +184,7 @@ def test_cached_reads_bit_identical_under_random_interleavings(seed, ops):
                 assert epochs_after != epochs_before, (
                     f"step {step}: {op} mutated state without an epoch bump"
                 )
-            if op[0] == "submit":
+            if op[0] == "submit" and outcome_cached[0] == "submitted":
                 assert epochs_after["scheduler"] > epochs_before["scheduler"]
             if op[0] == "advance":
                 assert epochs_after["clock"] > epochs_before["clock"]

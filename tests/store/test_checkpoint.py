@@ -9,7 +9,9 @@ the original, so the original's answers are captured by a callback
 scheduled immediately after the checkpoint.
 """
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -52,6 +54,11 @@ def run_to_completion(gae, horizon=20000.0):
     gae.stop()
     gae.sim.run()
     return {t.task_id: t.state.value for j in gae.scheduler.jobs() for t in j.tasks}
+
+
+def file_digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 class TestFiveStoreRoundTrip:
@@ -156,12 +163,16 @@ class TestBarrierIdentity:
         gae, _ = build_workload()
         Checkpointer(gae).checkpoint_at(T_CHECKPOINT, path)
         gae.sim.run_until(T_CHECKPOINT)
+        before = file_digest(path)
 
         reset_id_counters()
         first = run_to_completion(restore_gae(path))
         reset_id_counters()
         second = run_to_completion(restore_gae(path))
         assert first == second
+        # Not one byte written, and no -wal/-shm side files left behind.
+        assert file_digest(path) == before
+        assert os.listdir(tmp_path) == ["ckpt.sqlite"]
 
 
 class TestKillAndRestore:
@@ -228,6 +239,45 @@ class TestCheckpointErrors:
         SqliteStore(path).close()
         with pytest.raises(CheckpointError):
             restore_gae(path)
+
+    def test_restore_of_missing_file_raises_and_creates_nothing(self, tmp_path):
+        path = str(tmp_path / "nope.sqlite")
+        with pytest.raises(CheckpointError, match="nope.sqlite"):
+            restore_gae(path)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("keep", ["half", "100 bytes", "garbage"])
+    def test_restore_of_damaged_file_raises_typed(self, tmp_path, keep):
+        good = str(tmp_path / "good.sqlite")
+        gae, _ = build_workload()
+        gae.sim.run_until(T_CHECKPOINT)
+        Checkpointer(gae).checkpoint(good)
+        with open(good, "rb") as fh:
+            data = fh.read()
+        damaged = {
+            "half": data[: len(data) // 2],
+            "100 bytes": data[:100],
+            "garbage": b"this is not an SQLite database\n" * 64,
+        }[keep]
+        path = str(tmp_path / "damaged.sqlite")
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        with pytest.raises(CheckpointError, match="damaged.sqlite"):
+            restore_gae(path)
+        assert file_digest(path) == hashlib.sha256(damaged).hexdigest()
+        assert sorted(os.listdir(tmp_path)) == ["damaged.sqlite", "good.sqlite"]
+
+    def test_cli_restore_of_unreadable_file_exits_1_without_litter(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "junk.sqlite").write_bytes(b"junk" * 300)
+        for name in ("nope.sqlite", "junk.sqlite"):
+            assert main(["restore", name]) == 1
+            assert f"error: '{name}'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["junk.sqlite"]
 
     def test_restore_of_future_format_raises(self, tmp_path):
         path = str(tmp_path / "future.sqlite")

@@ -1,4 +1,4 @@
-"""Unit tests for declarative scenario configuration."""
+"""Unit tests for declarative grid/scenario configuration."""
 
 import json
 
@@ -6,92 +6,71 @@ import pytest
 
 from repro.config import (
     ConfigError,
-    FileConfig,
     GridConfig,
-    LinkConfig,
-    ScenarioConfig,
     SiteConfig,
-    WorkloadConfig,
-    gae_from_scenario,
     grid_from_config,
-    submit_scenario_workload,
 )
-from repro.gridsim.job import JobState
+from repro.scenarios import ScenarioError, ScenarioSpec
 
-SCENARIO = {
-    "seed": 2005,
-    "grid": {
-        "sites": [
-            {"name": "siteA", "nodes": 1, "background_load": 1.5},
-            {"name": "siteB", "nodes": 1},
-        ],
-        "links": [{"a": "siteA", "b": "siteB", "capacity_mbps": 100.0}],
-        "files": [{"name": "d.db", "size_mb": 10.0, "at": "siteB"}],
-        "flocking": [["siteA", "siteB"]],
-    },
-    "policy": {"poll_interval_s": 20.0, "min_elapsed_wall_s": 40.0,
-               "slow_rate_threshold": 0.8, "min_improvement_factor": 1.2},
-    "workload": {"kind": "prime", "count": 1, "pin_site": "siteA"},
+GRID = {
+    "sites": [
+        {"name": "siteA", "nodes": 1, "background_load": 1.5},
+        {"name": "siteB", "nodes": 1},
+    ],
+    "links": [{"a": "siteA", "b": "siteB", "capacity_mbps": 100.0}],
+    "files": [{"name": "d.db", "size_mb": 10.0, "at": "siteB"}],
+    "flocking": [["siteA", "siteB"]],
+}
+POLICY = {"poll_interval_s": 20.0, "min_elapsed_wall_s": 40.0,
+          "slow_rate_threshold": 0.8, "min_improvement_factor": 1.2}
+SPEC = {
+    "name": "s",
+    "description": "the Figure 7 grid, run through the scenario engine",
+    "grid": GRID,
+    "policy": POLICY,
     "horizon_s": 2000.0,
+    "workload": {"shape": "prime", "tasks": 1},
+    "slos": [{"metric": "completion_ratio", "op": ">=", "threshold": 1.0}],
 }
 
 
 class TestParsing:
     def test_round_trip_through_dict(self):
-        scenario = ScenarioConfig.from_dict(SCENARIO)
-        assert scenario.seed == 2005
-        assert [s.name for s in scenario.grid.sites] == ["siteA", "siteB"]
-        assert scenario.grid.links[0].capacity_mbps == 100.0
-        assert scenario.workload.pin_site == "siteA"
-        assert scenario.horizon_s == 2000.0
-
-    def test_from_json_text(self):
-        scenario = ScenarioConfig.from_json(json.dumps(SCENARIO))
-        assert scenario.grid.files[0].at == "siteB"
-
-    def test_from_json_file(self, tmp_path):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(SCENARIO))
-        scenario = ScenarioConfig.from_json(path)
-        assert scenario.seed == 2005
+        grid = GridConfig.from_dict(GRID)
+        assert [s.name for s in grid.sites] == ["siteA", "siteB"]
+        assert grid.sites[0].background_load == 1.5
+        assert grid.links[0].capacity_mbps == 100.0
+        assert grid.files[0].at == "siteB"
+        assert grid.flocking == [["siteA", "siteB"]]
 
     def test_unknown_keys_rejected(self):
-        bad = dict(SCENARIO, typo_key=1)
         with pytest.raises(ConfigError):
-            ScenarioConfig.from_dict(bad)
+            GridConfig.from_dict(dict(GRID, typo_key=1))
 
     def test_unknown_site_keys_rejected(self):
-        bad = json.loads(json.dumps(SCENARIO))
-        bad["grid"]["sites"][0]["cpus"] = 4
+        bad = json.loads(json.dumps(GRID))
+        bad["sites"][0]["cpus"] = 4
         with pytest.raises(ConfigError):
-            ScenarioConfig.from_dict(bad)
+            GridConfig.from_dict(bad)
 
     def test_missing_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig.from_dict({"seed": 1})
+        spec = {k: v for k, v in SPEC.items() if k != "grid"}
+        with pytest.raises(ScenarioError, match="grid"):
+            ScenarioSpec.from_dict(spec)
 
     def test_invalid_json_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig.from_json("{nope")
-
-    def test_bad_workload_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            WorkloadConfig(kind="crypto-mining")
+        with pytest.raises(ScenarioError):
+            ScenarioSpec.from_json("{nope")
 
     def test_bad_policy_key_rejected(self):
-        scenario = ScenarioConfig.from_dict(dict(SCENARIO, policy={"warp": 9}))
-        with pytest.raises(ConfigError):
-            scenario.steering_policy()
-
-    def test_to_dict_serialisable(self):
-        scenario = ScenarioConfig.from_dict(SCENARIO)
-        json.dumps(scenario.to_dict())  # must not raise
+        spec = ScenarioSpec.from_dict(dict(SPEC, policy={"warp": 9}))
+        with pytest.raises(ScenarioError, match="policy"):
+            spec.steering_policy()
 
 
 class TestBuilding:
     def test_grid_from_config(self):
-        scenario = ScenarioConfig.from_dict(SCENARIO)
-        grid = grid_from_config(scenario.grid, seed=scenario.seed)
+        grid = grid_from_config(GridConfig.from_dict(GRID), seed=2005)
         assert sorted(grid.sites) == ["siteA", "siteB"]
         assert grid.site("siteA").nodes[0].load_at(0.0) == 1.5
         assert grid.catalog.replicas("d.db") == {"siteB"}
@@ -106,48 +85,13 @@ class TestBuilding:
         with pytest.raises(ConfigError):
             grid_from_config(cfg)
 
-    def test_full_scenario_runs_figure7_shape(self):
-        scenario = ScenarioConfig.from_dict(SCENARIO)
-        gae = gae_from_scenario(scenario)
-        gae.add_user(scenario.workload.owner, "pw")
-        # Seed history so the optimizer has estimates.
-        from repro.workloads.generators import prime_job_history_records
-
-        gae.history.extend(prime_job_history_records(n=8, sigma=0.01))
-        [task_id] = submit_scenario_workload(gae, scenario)
-        gae.start()
-        gae.grid.run_until(scenario.horizon_s)
-        gae.stop()
-        task = gae.steering.subscriber.task(task_id)
-        assert task.state is JobState.COMPLETED
-        # Pinned to the loaded site, then steered off it.
-        assert gae.grid.execution_services["siteB"].pool.has_task(task_id)
-
-    def test_downey_workload_submission(self):
-        scenario = ScenarioConfig.from_dict(
-            dict(SCENARIO, workload={"kind": "downey", "count": 3})
-        )
-        gae = gae_from_scenario(scenario)
-        gae.add_user(scenario.workload.owner, "pw")
-        task_ids = submit_scenario_workload(gae, scenario)
-        assert len(task_ids) == 3
-
 
 class TestCliScenario:
     def test_scenario_run_command(self, tmp_path, capsys):
         from repro.cli import main
 
-        spec = {
-            "name": "s",
-            "description": "the legacy config grid, run through the scenario engine",
-            "grid": SCENARIO["grid"],
-            "policy": SCENARIO["policy"],
-            "horizon_s": 2000.0,
-            "workload": {"shape": "prime", "tasks": 1},
-            "slos": [{"metric": "completion_ratio", "op": ">=", "threshold": 1.0}],
-        }
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(SPEC))
         assert main(["scenario", "run", str(path), "--out", "-"]) == 0
         out = capsys.readouterr().out
         assert "completion_ratio" in out

@@ -48,6 +48,15 @@ class TestPublicApi:
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{module}.__all__ advertises missing {name!r}"
 
+    def test_pre_pr7_scenario_dialect_is_gone(self):
+        import repro.config
+
+        for module in (repro, repro.config):
+            for name in ("ScenarioConfig", "WorkloadConfig",
+                         "gae_from_scenario", "submit_scenario_workload"):
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
+                assert name not in getattr(module, "__all__", ())
+
     def test_every_public_module_has_docstring(self):
         import pkgutil
 

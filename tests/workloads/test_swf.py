@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.estimators.runtime import RuntimeEstimator
 from repro.workloads.swf import (
     SwfParseError,
     read_swf,
@@ -139,14 +138,15 @@ class TestFigure5OnSwf:
         with pytest.raises(SwfParseError):
             swf_history_and_tests(jobs, n_history=100, n_tests=20)
 
-    def test_estimator_works_on_swf_trace(self):
-        """The full Figure 5 pipeline over an SWF source."""
-        from repro.analysis.metrics import summarize_errors
+    def test_estimator_works_on_swf_trace(self, tmp_path):
+        """The full Figure 5 pipeline (what ``gae-repro figure5 --swf``
+        runs) over an SWF source."""
+        from repro.analysis.experiments import run_figure5
 
-        jobs = read_swf(synthetic_swf(200, seed=4))
-        history, tests = swf_history_and_tests(jobs, n_history=120, n_tests=20)
-        estimator = RuntimeEstimator(history)
-        actuals = [t.run_time for t in tests]
-        estimates = [estimator.estimate(t.to_task().spec).value for t in tests]
-        summary = summarize_errors(actuals, estimates)
-        assert summary.mean_abs_pct < 40.0  # clustered runtimes are learnable
+        path = tmp_path / "trace.swf"
+        path.write_text(synthetic_swf(200, seed=4))
+        result = run_figure5(n_history=120, n_tests=20, swf=path)
+        assert [len(s.x) for s in result.figure.series] == [20, 20]
+        rows = {row[0]: row[2] for row in result.comparison}
+        assert rows["mean |% error|"] < 40.0  # clustered runtimes are learnable
+        assert "trace.swf" in result.notes

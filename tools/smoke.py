@@ -1,0 +1,296 @@
+#!/usr/bin/env python
+"""The repo's smoke gates, one script: what CI's ``smoke`` job runs.
+
+::
+
+    python tools/smoke.py restore    # hard kill, then restore both orphaned files
+    python tools/smoke.py scenario   # quick chaos campaign + artifact schema
+    python tools/smoke.py health     # health rules fire and resolve; telemetry export
+    python tools/smoke.py bench      # the end-to-end benchmark's own checks + a quick run
+    python tools/smoke.py all        # every one above (< 60 s; run it before committing)
+
+``restore`` is the kill-and-recover gate of the checkpoint layer, in three
+phases, the middle one a *genuine* process death:
+
+1. **reference** — the demo workload (``repro.cli.checkpoint_demo_workload``)
+   with a deterministic siteB outage runs uninterrupted to completion;
+   every task's final state, its ``jobmon.job_status`` answer and the final
+   ``system.observability`` report are recorded.  It writes the same
+   checkpoints at the same barriers as the victim (barrier bookkeeping is
+   symmetric), plus a self-contained one at the second barrier to size the
+   continuation against;
+2. **victim** — a child process runs the same workload, writes a
+   self-contained checkpoint at t=155 s and a continuation of it at
+   t=205 s, then dies via ``os._exit`` — no cleanup, no atexit, nothing
+   survives but the two files;
+3. **restore** — the parent rehydrates *both orphaned files*,
+   ``restore_gae(base)`` and ``restore_gae(delta, base=base)``, runs each
+   to completion, and every recorded answer must equal the reference's.
+
+It then round-trips ``gae-repro checkpoint`` → ``gae-repro restore`` and
+runs ``gae-repro journal replay`` (every consumer rebuilds ``identical``).
+
+Needs ``numpy`` (``bench`` also ``pytest``).  Exit status 0 on success, 1
+on any failed check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC_ROOT = REPO_ROOT / "src"
+sys.path.insert(0, str(SRC_ROOT))
+
+OUTAGE_START = 60.0
+OUTAGE_DURATION = 50.0  # siteB down for [60, 110): fully before the base barrier
+T_BASE = 155.0  # self-contained checkpoint (not a multiple of any periodic 20/30/60 s)
+T_DELTA = 205.0  # continuation barrier
+T_HORIZON = 20000.0  # absolute, so every run closes identical telemetry windows
+CRASH_EXIT_CODE = 86  # distinctive, so a clean exit can't masquerade as a crash
+
+
+class SmokeFailure(Exception):
+    """A smoke check did not hold."""
+
+
+def check(condition: bool, message: str) -> None:
+    if not condition:
+        raise SmokeFailure(message)
+
+
+def run_python(*argv: str, cwd: Path, capture: bool = False, expect: int = 0) -> str:
+    """Run ``python argv...`` with ``src/`` importable; check its exit status."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_ROOT) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=cwd, env=env, timeout=600, text=True,
+        stdout=subprocess.PIPE if capture else None,
+    )
+    check(proc.returncode == expect,
+          f"`python {' '.join(argv)}` exited {proc.returncode}, expected {expect}")
+    return proc.stdout if capture else ""
+
+
+def run_cli(*args: str, cwd: Path, capture: bool = False) -> str:
+    return run_python("-m", "repro.cli", *args, cwd=cwd, capture=capture)
+
+
+# ----------------------------------------------------------------------
+# restore
+# ----------------------------------------------------------------------
+def outage_workload():
+    """The demo workload plus a deterministic siteB outage window."""
+    from repro.cli import checkpoint_demo_workload
+    from repro.gridsim.faults import OutageScheduler
+
+    gae, job = checkpoint_demo_workload()
+    outages = OutageScheduler(gae.sim)
+    outages.add_outage(
+        gae.grid.execution_services["siteB"], OUTAGE_START, OUTAGE_DURATION
+    )
+    outages.start()
+    return gae, job
+
+
+def arm_checkpoints(gae, base: str, delta: str):
+    """Base at T_BASE, its continuation at T_DELTA, on the barrier clock."""
+    from repro.store.checkpoint import Checkpointer
+
+    ckpt = Checkpointer(gae)
+    ckpt.checkpoint_at(T_BASE, base)
+    ckpt.checkpoint_at(T_DELTA, delta, base=base)
+    return ckpt
+
+
+def run_victim(base: str, delta: str) -> None:
+    """Checkpoint the outage workload mid-flight, then die without cleanup."""
+    gae, _ = outage_workload()
+    ckpt = arm_checkpoints(gae, base, delta)
+    gae.sim.run_until(T_DELTA)
+    info = ckpt.last_info
+    if info is None or info.base_seq is None:
+        os._exit(2)  # the continuation never fired: distinguishable failure
+    sys.stdout.flush()
+    os._exit(CRASH_EXIT_CODE)  # the "kill": skips atexit, GC, everything
+
+
+def final_answers(gae) -> dict:
+    """Run to completion; the answers every phase must agree on."""
+    gae.sim.run_until(T_HORIZON)
+    gae.stop()
+    gae.sim.run()
+    states = {
+        task.task_id: task.state.value
+        for job in gae.scheduler.jobs()
+        for task in job.tasks
+    }
+    with gae.client("demo", "demo") as client:
+        status = {t: client.call("jobmon.job_status", t) for t in sorted(states)}
+        observability = client.call("system.observability")
+    return {"states": states, "status": status, "observability": observability}
+
+
+def check_same_answers(label: str, reference: dict, candidate: dict) -> None:
+    for key in ("states", "status", "observability"):
+        if reference[key] == candidate[key]:
+            continue
+        lines = [f"{label} diverged from the uninterrupted run in {key!r}"]
+        if key != "observability":
+            for item in sorted(set(reference[key]) | set(candidate[key])):
+                a, b = reference[key].get(item), candidate[key].get(item)
+                if a != b:
+                    lines.append(f"  {item}: reference={a!r} {label}={b!r}")
+        raise SmokeFailure("\n".join(lines))
+
+
+def payload(path: str) -> dict:
+    """Rows and encoded-JSON bytes per namespace of a checkpoint file."""
+    from repro.store.base import encode_value
+    from repro.store.sqlite import read_store_file
+
+    store = read_store_file(path)
+    return {
+        ns.name: (
+            store.count(ns.name),
+            sum(len(encode_value(v)) for v in store.values(ns.name)),
+        )
+        for ns in store.namespaces()
+    }
+
+
+def smoke_restore(tmp: Path) -> None:
+    from repro.gridsim.job import reset_id_counters
+    from repro.store.checkpoint import Checkpointer, restore_gae
+    from repro.store.registry import OBSERVABILITY_JOURNAL
+
+    # Phase 1: the uninterrupted reference run.
+    ref_full = str(tmp / "ref_full.sqlite")
+    gae, _ = outage_workload()
+    arm_checkpoints(gae, str(tmp / "ref_base.sqlite"), str(tmp / "ref_delta.sqlite"))
+    Checkpointer(gae).checkpoint_at(T_DELTA, ref_full)
+    reference = final_answers(gae)
+    check(set(reference["states"].values()) == {"completed"},
+          f"reference run did not complete: {reference['states']}")
+    print(f"reference run: {len(reference['states'])} tasks completed "
+          "through the siteB outage")
+
+    # Phase 2: the victim checkpoints (base, then continuation), then dies hard.
+    base, delta = str(tmp / "base.sqlite"), str(tmp / "delta.sqlite")
+    run_python(__file__, "victim", base, delta, cwd=tmp, expect=CRASH_EXIT_CODE)
+    for path in (base, delta):
+        check(os.path.exists(path), f"victim died without leaving {path}")
+    print(f"victim crashed as intended (exit {CRASH_EXIT_CODE}); "
+          "base and continuation survived")
+
+    # A continuation is base + tail (tier-1 pins the layout; this prints it).
+    sizes, full_sizes = payload(delta), payload(ref_full)
+    delta_bytes = sum(b for _, b in sizes.values())
+    full_bytes = sum(b for _, b in full_sizes.values())
+    print(f"continuation: {sizes[OBSERVABILITY_JOURNAL][0]} journal rows "
+          f"(self-contained at the same barrier: "
+          f"{full_sizes[OBSERVABILITY_JOURNAL][0]}), payload {delta_bytes} B = "
+          f"{100.0 * delta_bytes / full_bytes:.0f}% of {full_bytes} B")
+
+    # Phase 3: restore both orphans and finish the workload from each.
+    reset_id_counters()
+    from_base = final_answers(restore_gae(base))
+    reset_id_counters()
+    from_delta = final_answers(restore_gae(delta, base=base))
+    check_same_answers("restore(base)", reference, from_base)
+    check_same_answers("restore(continuation, base)", reference, from_delta)
+    print(f"restored from t={T_BASE:.0f}s base and from t={T_DELTA:.0f}s "
+          "continuation: answers bit-identical to the uninterrupted run")
+
+    # The CLI's own round trip, and the consumers' rebuild identity.
+    run_cli("checkpoint", "--out", "gae_ckpt.sqlite", cwd=tmp)
+    run_cli("restore", "gae_ckpt.sqlite", cwd=tmp)
+    replay = run_cli("journal", "replay", cwd=tmp, capture=True)
+    print(replay, end="")
+    check(replay.count("identical") >= 4, "journal replay: a consumer diverged")
+
+
+# ----------------------------------------------------------------------
+# scenario / health / bench
+# ----------------------------------------------------------------------
+def smoke_scenario(tmp: Path) -> None:
+    run_cli("scenario", "run", "benign-baseline", "site-outage-recovery",
+            "--quick", "--out", "SCENARIOS.json", cwd=tmp)
+    run_cli("scenario", "validate", cwd=tmp)
+    run_cli("scenario", "validate", "--report", "SCENARIOS.json", cwd=tmp)
+
+
+def smoke_health(tmp: Path) -> None:
+    from repro.observability.export import validate_export_file
+
+    snapshot = json.loads(run_cli(
+        "health", "--scenario", "site-outage-recovery", "--quick",
+        "--export", "telemetry.jsonl", "--json", cwd=tmp, capture=True,
+    ))
+    rows = validate_export_file(
+        tmp / "telemetry.jsonl",
+        REPO_ROOT / "docs" / "schemas" / "telemetry_export.schema.json",
+    )
+    print(f"telemetry.jsonl: {rows} rows ok")
+    transitions = snapshot["health"]["transitions"]
+    fired = {t["rule"] for t in transitions if t["to"] == "firing"}
+    resolved = {t["rule"] for t in transitions if t["to"] == "resolved"}
+    check(bool(fired), "no health rule fired during the outage")
+    check(fired <= resolved, f"still firing at horizon: {sorted(fired - resolved)}")
+    print("health transitions:",
+          [(t["rule"], t["to"], t["time_s"]) for t in transitions])
+
+
+def smoke_bench(tmp: Path) -> None:
+    run_python("-m", "pytest", "benchmarks/e2e", "-q", "-p", "no:cacheprovider",
+               cwd=REPO_ROOT)
+    out = run_python("benchmarks/e2e/run.py", "--workload", "wire_pipelined",
+                     "--seed", "1", "--quick", cwd=REPO_ROOT, capture=True)
+    print(out, end="")
+    verdict = json.loads(out.strip().splitlines()[-1])
+    check(verdict["correct"] is True, f"benchmark outputs incorrect: {verdict}")
+    check(verdict["failed"] == 0, f"benchmark calls failed: {verdict}")
+    print(f"e2e quick: {verdict['attempted']} attempted, 0 failed, outputs correct")
+
+
+SMOKES = {
+    "restore": smoke_restore,
+    "scenario": smoke_scenario,
+    "health": smoke_health,
+    "bench": smoke_bench,
+}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("smoke", choices=[*SMOKES, "all", "victim"])
+    parser.add_argument("paths", nargs="*", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+
+    if args.smoke == "victim":  # the restore smoke's child process
+        run_victim(*args.paths)
+        return 1  # unreachable: run_victim always _exits
+
+    for name in SMOKES if args.smoke == "all" else [args.smoke]:
+        started = time.monotonic()
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                SMOKES[name](Path(tmp))
+        except SmokeFailure as exc:
+            print(f"FAIL: {name} smoke: {exc}", file=sys.stderr)
+            return 1
+        print(f"{name} smoke: OK ({time.monotonic() - started:.1f} s)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
