@@ -22,10 +22,10 @@ This subpackage reproduces that framework in Python:
 - :mod:`repro.clarens.codecs` — negotiable wire codecs (XML-RPC bodies
   and a compact JSON encoding) for the framed transport;
 - :mod:`repro.clarens.middleware` — the call pipeline every dispatch flows
-  through (tracing → metrics → auth → ACL → user middlewares → invoke);
-- :mod:`repro.clarens.telemetry` — thread-safe call statistics with
-  per-method latency percentiles, plus the bounded trace ring behind
-  ``system.recent_calls``;
+  through (recorder → auth → ACL → read cache → user middlewares → invoke);
+- :mod:`repro.clarens.telemetry` — the ``system.stats`` and worker-pool
+  views over the host's metrics registry (``host.metrics``), plus the
+  bounded trace ring behind ``system.recent_calls``;
 - :mod:`repro.clarens.client` — proxy objects over pluggable transports;
 - :mod:`repro.clarens.transport` — loopback, XML-RPC and async framed
   transports;

@@ -12,7 +12,7 @@ per-connection semaphore instead of one OS thread per concurrent call.
 
 The host stays synchronous: a bounded **worker pool** bridges async I/O
 into the thread-safe :class:`~repro.clarens.server.ClarensHost`, so the
-whole middleware pipeline (tracing → metrics → auth → ACL → read cache)
+whole middleware pipeline (recorder → auth → ACL → read cache)
 is reused unchanged and answers are wire-identical to every other
 transport.  The bridge drains requests in batches — decode, dispatch and
 encode all happen on the worker thread, and each batch wakes the event
@@ -75,7 +75,7 @@ class _Connection:
         codec: Codec,
         loop: asyncio.AbstractEventLoop,
         max_inflight: int,
-        stats: Optional[WorkerPoolStats] = None,
+        stats: WorkerPoolStats,
     ) -> None:
         self.writer = writer
         self.codec = codec
@@ -102,10 +102,7 @@ class _Connection:
         if not self.closed and not self.writer.is_closing():
             t0 = time.perf_counter()
             self.writer.write(data)
-            if self.stats is not None:
-                self.stats.record_stage(
-                    "reply_flush", time.perf_counter() - t0
-                )
+            self.stats.record_stage("reply_flush", time.perf_counter() - t0)
 
 
 class _WorkerBridge:
@@ -121,7 +118,7 @@ class _WorkerBridge:
         host: ClarensHost,
         workers: int,
         batch: int,
-        stats: Optional[WorkerPoolStats] = None,
+        stats: WorkerPoolStats,
     ) -> None:
         self._host = host
         self._batch = max(1, batch)
@@ -137,8 +134,7 @@ class _WorkerBridge:
             thread.start()
 
     def submit(self, conn: _Connection, request_id: int, payload: bytes) -> None:
-        if self._stats is not None:
-            self._stats.on_submit()
+        self._stats.on_submit()
         self._queue.put((conn, request_id, payload, time.perf_counter()))
 
     def stop(self) -> None:
@@ -164,17 +160,13 @@ class _WorkerBridge:
                     break
                 batch.append(extra)
             stats = self._stats
-            if stats is not None:
-                stats.on_batch(len(batch))
             replies: Dict[_Connection, List[bytes]] = {}
             for conn, request_id, payload, enqueued in batch:
-                if stats is not None:
-                    stats.on_start(time.perf_counter() - enqueued)
+                stats.on_start(time.perf_counter() - enqueued)
                 replies.setdefault(conn, []).append(
                     self._execute(conn.codec, conn.transport_label, request_id, payload)
                 )
-                if stats is not None:
-                    stats.on_complete()
+            stats.on_batch(len(batch))
             for conn, frames in replies.items():
                 conn.post_replies(b"".join(frames), len(frames))
 
@@ -213,12 +205,11 @@ class _WorkerBridge:
             outcome = "fault"
         except Exception as exc:  # encode failure etc.: never drop a reply
             body = codec.encode_fault(500, f"{type(exc).__name__}: {exc}")
-        if stats is not None:
-            stats.record_stage("decode", decode_s)
-            if dispatch_s:
-                stats.record_stage("dispatch", dispatch_s, ok=outcome == "ok")
-            if encode_s:
-                stats.record_stage("encode", encode_s)
+        stats.record_stage("decode", decode_s)
+        if dispatch_s:
+            stats.record_stage("dispatch", dispatch_s, ok=outcome == "ok")
+        if encode_s:
+            stats.record_stage("encode", encode_s)
         self._annotate(method, label, collect, decode_s, dispatch_s, encode_s, outcome)
         return encode_frame(REPLY, request_id, body)
 
@@ -300,10 +291,10 @@ class AsyncSocketServerHandle:
             get_codec(name)  # fail fast on unknown names
         self._max_inflight = max_inflight
         self._dispatch_batch = dispatch_batch
-        #: Queue-depth and stage-latency telemetry for this server's
-        #: worker pool; registered on the host as ``async:<port>`` at
-        #: :meth:`start` so ``system.stats`` / ``/metrics`` surface it.
-        self.pool_stats = WorkerPoolStats()
+        #: The view of this server's worker-pool series in ``host.metrics``
+        #: (queue depth, stage latency), labelled ``pool="async:<port>"``;
+        #: on the host as ``host.worker_pools[label]`` while serving.
+        self.pool_stats: Optional[WorkerPoolStats] = None
         self._started = False
         self._address: Optional[Tuple[str, int]] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -322,9 +313,6 @@ class AsyncSocketServerHandle:
         if self._started:
             return self
         ready = threading.Event()
-        self._bridge = _WorkerBridge(
-            self.host, self._workers, self._dispatch_batch, self.pool_stats
-        )
         self._thread = threading.Thread(
             target=self._serve,
             args=(ready,),
@@ -334,14 +322,11 @@ class AsyncSocketServerHandle:
         self._thread.start()
         ready.wait()
         if self._startup_error is not None:
-            self._bridge.stop()
             self._thread.join(timeout=5.0)
             raise TransportError(
                 f"async server failed to start: {self._startup_error}"
             ) from self._startup_error
         self._started = True
-        if self._address is not None:
-            self.host.worker_pools[f"async:{self._address[1]}"] = self.pool_stats
         return self
 
     def shutdown(self) -> None:
@@ -359,6 +344,9 @@ class AsyncSocketServerHandle:
         if self._bridge is not None:
             self._bridge.stop()
             self._bridge = None
+            # A stopped pool leaves the host: its label and its series.
+            del self.host.worker_pools[self.pool_stats.pool]
+            self.host.metrics.discard(pool=self.pool_stats.pool)
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -408,6 +396,14 @@ class AsyncSocketServerHandle:
             return
         sockname = server.sockets[0].getsockname()
         self._address = (sockname[0], sockname[1])
+        # The pool is labelled by the bound port, and must exist before
+        # the loop serves its first connection (the next ``await``).
+        label = f"async:{sockname[1]}"
+        self.pool_stats = WorkerPoolStats(self.host.metrics, label)
+        self.host.worker_pools[label] = self.pool_stats
+        self._bridge = _WorkerBridge(
+            self.host, self._workers, self._dispatch_batch, self.pool_stats
+        )
         ready.set()
         await self._stop_event.wait()
         server.close()
@@ -460,12 +456,12 @@ class AsyncSocketServerHandle:
                 encode_welcome(codec_name, self.host.name),
             )
         )
+        bridge = self._bridge  # made, with pool_stats, before the first connection
         conn = _Connection(
             writer, get_codec(codec_name), asyncio.get_event_loop(),
             self._max_inflight, self.pool_stats,
         )
         self._conns.add(conn)
-        bridge = self._bridge
         # -- framed call loop -------------------------------------------
         try:
             while not conn.closed:
@@ -502,8 +498,7 @@ class AsyncSocketServerHandle:
                 # Pipelining backpressure: stop reading this connection
                 # while ``max_inflight`` calls are unanswered.
                 await conn.inflight.acquire()
-                if bridge is not None:
-                    bridge.submit(conn, request_id, payload)
+                bridge.submit(conn, request_id, payload)
         finally:
             conn.closed = True
             self._conns.discard(conn)

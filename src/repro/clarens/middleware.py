@@ -8,8 +8,7 @@ the context, short-circuit by raising (or returning without calling
 
 The built-in chain, outermost first::
 
-    TracingMiddleware     # stamps timings, records a TraceRecord
-    MetricsMiddleware     # feeds CallStats (counts + latency reservoirs)
+    RecorderMiddleware    # times the call once: TraceRecord + host.metrics
     AuthenticationMiddleware   # token -> Principal (skipped when pre-set)
     AclMiddleware         # anonymous/ACL enforcement
     ReadCacheMiddleware   # epoch-keyed read cache (repro.clarens.readcache)
@@ -35,6 +34,10 @@ from repro.clarens.telemetry import CallStats, TraceLog, TraceRecord
 
 #: A middleware: receives the call context and the next handler in the chain.
 Middleware = Callable[["CallContext", Callable[["CallContext"], Any]], Any]
+
+#: The ``method`` label of a call whose path resolves to no registered
+#: method: callers choose the path, so it must not become a label value.
+UNKNOWN_METHOD = "<unknown>"
 
 
 class CallContext:
@@ -164,38 +167,27 @@ class AclMiddleware:
         return call_next(ctx)
 
 
-class MetricsMiddleware:
-    """Feeds :class:`CallStats`: counts, fault counts, and latency."""
+class RecorderMiddleware:
+    """Times each call once and records it: trace ring and call metrics.
 
-    def __init__(self, stats: CallStats) -> None:
-        self.stats = stats
-
-    def __call__(self, ctx: CallContext, call_next: Callable[[CallContext], Any]) -> Any:
-        t0 = time.perf_counter()
-        ok = False
-        try:
-            result = call_next(ctx)
-            ok = True
-            return result
-        finally:
-            self.stats.record(
-                ctx.method_path,
-                ok,
-                time.perf_counter() - t0,
-                served_from=ctx.served_from,
-                transport=ctx.transport,
-            )
-
-
-class TracingMiddleware:
-    """Stamps call timing/outcome and records finished calls in a ring.
-
-    Outermost by default, so its duration covers the whole pipeline and
-    its record reflects the final outcome after every other middleware.
+    Outermost, so its one timing pair covers the whole pipeline and its
+    record reflects the final outcome after every other middleware: it
+    stamps ``ctx.duration_ms`` / ``ctx.outcome``, appends the
+    :class:`TraceRecord` and counts the call in :class:`CallStats`.
     """
 
-    def __init__(self, log: TraceLog) -> None:
+    def __init__(self, stats: CallStats, log: TraceLog, registry: Any) -> None:
+        self.stats = stats
         self.log = log
+        self._registry = registry
+
+    def _method_label(self, ctx: CallContext) -> str:
+        if ctx.entry is None:  # failed before the ACL stage resolved it
+            try:
+                self._registry.resolve(ctx.method_path)
+            except ClarensFault:
+                return UNKNOWN_METHOD
+        return ctx.method_path
 
     def __call__(self, ctx: CallContext, call_next: Callable[[CallContext], Any]) -> Any:
         t0 = time.perf_counter()
@@ -228,14 +220,21 @@ class TracingMiddleware:
                 error=ctx.fault_message,
                 served_from=ctx.served_from,
             ))
+            self.stats.record(
+                self._method_label(ctx),
+                ctx.outcome,
+                ctx.duration_ms,
+                served_from=ctx.served_from,
+                transport=ctx.transport,
+            )
 
 
 __all__ = [
     "AclMiddleware",
     "AuthenticationMiddleware",
     "CallContext",
-    "MetricsMiddleware",
     "Middleware",
-    "TracingMiddleware",
+    "RecorderMiddleware",
+    "UNKNOWN_METHOD",
     "build_pipeline",
 ]

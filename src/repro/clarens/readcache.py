@@ -39,6 +39,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.observability.metrics import MetricsRegistry
+
 __all__ = [
     "CANONICAL_EPOCHS",
     "EpochRegistry",
@@ -215,25 +217,9 @@ def _freeze(value: Any) -> Any:
     return _UNCACHEABLE
 
 
-class _MethodCounters:
-    """Per-method hit/miss/invalidation/coalesced counts (+ bound metrics)."""
-
-    __slots__ = ("hits", "misses", "invalidations", "coalesced", "bound")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.coalesced = 0
-        self.bound: Dict[str, Any] = {}
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "coalesced": self.coalesced,
-        }
+#: What a lookup (or multicall deduplication) did, as the ``system.cache``
+#: ``per_method`` keys and the ``gae_rpc_cache_<kind>_total`` counters.
+_KINDS = ("hits", "misses", "invalidations", "coalesced")
 
 
 class ReadCache:
@@ -242,7 +228,8 @@ class ReadCache:
     Entries live under ``(method, canonical-args)`` and remember the epoch
     vector they were computed at; a lookup whose current vector differs is
     an **invalidation** (the entry is dropped and recomputed), so stale
-    results never accumulate.  Capacity is bounded by LRU eviction.
+    results never accumulate.  Capacity is bounded by LRU eviction.  The
+    counts live in *metrics* (the host's registry) and nowhere else.
     """
 
     _MISS = object()
@@ -250,6 +237,7 @@ class ReadCache:
     def __init__(
         self,
         epochs: EpochRegistry,
+        metrics: MetricsRegistry,
         capacity: int = 4096,
         enabled: bool = True,
     ) -> None:
@@ -258,62 +246,38 @@ class ReadCache:
         self.epochs = epochs
         self.capacity = capacity
         self.enabled = enabled
-        self.evictions = 0
         self._entries: "OrderedDict[Tuple[str, Any], Tuple[Tuple[int, ...], Any]]" = (
             OrderedDict()
         )
-        self._counters: Dict[str, _MethodCounters] = {}
         self._lock = threading.Lock()
-        self._registry = None  # MetricsRegistry once bound
-
-    # ------------------------------------------------------------------
-    # metrics
-    # ------------------------------------------------------------------
-    def bind_metrics(self, registry: Any) -> None:
-        """Mirror per-method counters into a ``MetricsRegistry``.
-
-        Creates ``gae_rpc_cache_{hits,misses,invalidations,coalesced}_total``
-        counters labelled by method, plus ``gae_rpc_cache_evictions_total``.
-        """
-        with self._lock:
-            self._registry = registry
-            self._eviction_counter = registry.counter(
-                "gae_rpc_cache_evictions_total", "read-cache LRU evictions"
-            ).bind()
-            for method, counters in self._counters.items():
-                self._bind_method(method, counters)
-
-    def _bind_method(self, method: str, counters: _MethodCounters) -> None:
-        # Called under self._lock with a registry present.
-        for kind in ("hits", "misses", "invalidations", "coalesced"):
-            counter = self._registry.counter(
+        self._counts = {
+            kind: metrics.counter(
                 f"gae_rpc_cache_{kind}_total", f"read-cache {kind} by method"
             )
-            counters.bound[kind] = counter.bind(method=method)
-            existing = getattr(counters, kind)
-            if existing:
-                counters.bound[kind].inc(existing)
-
-    def _counters_for(self, method: str) -> _MethodCounters:
-        # Called under self._lock.
-        counters = self._counters.get(method)
-        if counters is None:
-            counters = self._counters[method] = _MethodCounters()
-            if self._registry is not None:
-                self._bind_method(method, counters)
-        return counters
+            for kind in _KINDS
+        }
+        #: method -> {kind: that series, bound}: label keys are built once.
+        self._bound: Dict[str, Dict[str, Any]] = {}
+        self._evictions = metrics.counter(
+            "gae_rpc_cache_evictions_total", "read-cache LRU evictions"
+        )
 
     def _count(self, method: str, kind: str) -> None:
-        with self._lock:
-            counters = self._counters_for(method)
-            setattr(counters, kind, getattr(counters, kind) + 1)
-            bound = counters.bound.get(kind)
-        if bound is not None:
-            bound.inc()
+        bound = self._bound.get(method)
+        if bound is None:
+            bound = self._bound[method] = {
+                k: counter.bind(method=method) for k, counter in self._counts.items()
+            }
+        bound[kind].inc()
 
     def note_coalesced(self, method: str) -> None:
         """Record that a multicall sub-call was answered by deduplication."""
         self._count(method, "coalesced")
+
+    @property
+    def evictions(self) -> int:
+        """Entries dropped by the LRU bound so far."""
+        return int(self._evictions.total())
 
     # ------------------------------------------------------------------
     # the cache proper
@@ -326,28 +290,18 @@ class ReadCache:
         by the recompute's :meth:`store`).
         """
         key = (method, args_key)
+        kind = "misses"
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                stored_vector, value = entry
-                if stored_vector == vector:
+                if entry[0] == vector:
                     self._entries.move_to_end(key)
-                    counters = self._counters_for(method)
-                    counters.hits += 1
-                    bound = counters.bound.get("hits")
-                    if bound is not None:
-                        bound.inc()
-                    return value
-                del self._entries[key]
-                kind = "invalidations"
-            else:
-                kind = "misses"
-            counters = self._counters_for(method)
-            setattr(counters, kind, getattr(counters, kind) + 1)
-            bound = counters.bound.get(kind)
-        if bound is not None:
-            bound.inc()
-        return ReadCache._MISS
+                    kind = "hits"
+                else:
+                    del self._entries[key]
+                    kind = "invalidations"
+        self._count(method, kind)
+        return entry[1] if kind == "hits" else ReadCache._MISS
 
     def store(self, method: str, args_key: Any, vector: Tuple[int, ...], value: Any) -> None:
         """Remember a freshly computed wire value under its epoch vector."""
@@ -359,11 +313,8 @@ class ReadCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 evicted += 1
-            if evicted:
-                self.evictions += evicted
-                bound = getattr(self, "_eviction_counter", None)
-        if evicted and self._registry is not None and bound is not None:
-            bound.inc(evicted)
+        if evicted:
+            self._evictions.inc(evicted)
 
     def cached(
         self,
@@ -403,15 +354,16 @@ class ReadCache:
 
     def snapshot(self) -> Dict[str, Any]:
         """Wire-safe introspection struct (the ``system.cache`` payload)."""
-        with self._lock:
-            per_method = {m: c.as_dict() for m, c in self._counters.items()}
-            size = len(self._entries)
-            evictions = self.evictions
+        per_method: Dict[str, Dict[str, int]] = {}
+        for kind, counter in self._counts.items():
+            for labels, value in counter.series():
+                counts = per_method.setdefault(labels["method"], dict.fromkeys(_KINDS, 0))
+                counts[kind] = int(value)
         return {
             "enabled": self.enabled,
             "capacity": self.capacity,
-            "entries": size,
-            "evictions": evictions,
+            "entries": len(self),
+            "evictions": self.evictions,
             "per_method": per_method,
             "epochs": self.epochs.snapshot(),
         }

@@ -6,12 +6,14 @@ it flows through an explicit **middleware pipeline**
 (:mod:`repro.clarens.middleware`) operating on one
 :class:`~repro.clarens.middleware.CallContext`:
 
-    tracing → metrics → authentication → ACL → read cache → [user middlewares] → invoke
+    recorder → authentication → ACL → read cache → [user middlewares] → invoke
 
 so every hosted service inherits per-method latency metrics
 (``system.stats``), a queryable trace ring (``system.recent_calls``) and
 trace-id propagation for free.  ``host.add_middleware()`` extends the
-chain.
+chain.  Every count and latency the RPC layer keeps lives once, in the
+host's own ``MetricsRegistry`` (``host.metrics``); ``system.stats``,
+``system.cache`` and the webui ``/metrics`` page are views over it.
 
 :class:`XmlRpcServerHandle` mounts a host on a real threaded HTTP XML-RPC
 server (stdlib ``xmlrpc.server``), the stand-in for the Windows-XP JClarens
@@ -37,9 +39,8 @@ from repro.clarens.middleware import (
     AclMiddleware,
     AuthenticationMiddleware,
     CallContext,
-    MetricsMiddleware,
     Middleware,
-    TracingMiddleware,
+    RecorderMiddleware,
     build_pipeline,
 )
 from repro.clarens.readcache import (
@@ -54,10 +55,10 @@ from repro.clarens.serialization import (
     decode_trace_token,
     to_wire,
 )
-from repro.clarens.telemetry import CallStats, TraceLog, new_trace_id
+from repro.clarens.telemetry import CallStats, TraceLog, WorkerPoolStats, new_trace_id
+from repro.observability.metrics import MetricsRegistry
 
 __all__ = [
-    "CallStats",  # lives in telemetry now; re-exported for compatibility
     "ClarensHost",
     "XmlRpcServerHandle",
 ]
@@ -111,7 +112,7 @@ class _SystemService:
 
         Returns ``calls``, ``faults``, ``per_method`` counts and
         ``latency_ms`` — per-method ``{count, faults, mean_ms, p50_ms,
-        p95_ms, p99_ms, max_ms}`` summaries from the metrics middleware.
+        p95_ms, p99_ms, max_ms}`` summaries of the executed calls.
         Hosts fronted by the async server also report ``worker_pools``:
         per-pool queue depth and decode/dispatch/encode/reply-flush
         stage latency summaries.
@@ -247,7 +248,7 @@ class _SystemService:
             first_index = seen.get(key) if key is not None else None
             if first_index is not None and out[first_index].ok:
                 cache.note_coalesced(method)
-                host.stats.record(method, True, served_from="coalesced")
+                host.stats.record(method, served_from="coalesced")
                 out.append(MulticallResult(
                     ok=True, result=out[first_index].result,
                     trace_id=ctx.trace_id,
@@ -301,23 +302,30 @@ class ClarensHost:
         self.time_source = time_source
         self.auth = AuthService(self.users, time_source, session_lifetime_s)
         self.acl = acl if acl is not None else AccessControlList(default_allow=False)
-        self.stats = CallStats()
+        #: The RPC layer's own instruments: wall-clock, process-local and
+        #: never checkpointed (the GAE's sim-domain registry is a second
+        #: instance, ``GAEInstrumentation.metrics``).  ``stats``,
+        #: ``read_cache`` and ``worker_pools`` are views over it.
+        self.metrics = MetricsRegistry()
+        self.stats = CallStats(self.metrics)
         self.traces = TraceLog(capacity=trace_capacity)
         #: Epoch counters every mutating subsystem bumps (``wire_epochs``).
         self.epochs = EpochRegistry()
         #: The epoch-keyed result cache behind ``ReadCacheMiddleware``,
         #: multicall coalescing, and the webui's memoized hot pages.
         self.read_cache = ReadCache(
-            self.epochs, capacity=read_cache_capacity, enabled=read_cache_enabled
+            self.epochs,
+            self.metrics,
+            capacity=read_cache_capacity,
+            enabled=read_cache_enabled,
         )
         #: The GAE's :class:`~repro.observability.instrument.GAEInstrumentation`
         #: when wired (``build_gae`` sets it); ``system.observability`` reads it.
         self.observability = None
-        #: Async front-end worker pools by label
-        #: (:class:`~repro.clarens.telemetry.WorkerPoolStats`); the aio
-        #: server registers at start, ``system.stats`` merges the
-        #: snapshots under ``worker_pools``.
-        self.worker_pools: Dict[str, Any] = {}
+        #: The serving async front ends' worker pools by label; the aio
+        #: server registers at start and unregisters at shutdown,
+        #: ``system.stats`` merges the snapshots under ``worker_pools``.
+        self.worker_pools: Dict[str, WorkerPoolStats] = {}
         self._user_middlewares: List[Middleware] = []
         self._pipeline = self._build_pipeline()
         self.registry.register(
@@ -329,8 +337,7 @@ class ClarensHost:
     # ------------------------------------------------------------------
     def _build_pipeline(self) -> Callable[[CallContext], Any]:
         chain: List[Middleware] = [
-            TracingMiddleware(self.traces),
-            MetricsMiddleware(self.stats),
+            RecorderMiddleware(self.stats, self.traces, self.registry),
             AuthenticationMiddleware(self.auth),
             AclMiddleware(self.registry, self.acl),
             ReadCacheMiddleware(self.read_cache),
@@ -341,7 +348,7 @@ class ClarensHost:
     def add_middleware(self, middleware: Middleware) -> Middleware:
         """Append *middleware* to the pipeline (innermost position).
 
-        User middlewares run after the built-in tracing/metrics/auth/ACL
+        User middlewares run after the built-in recorder/auth/ACL/cache
         chain — the context reaches them with the principal resolved and
         the method entry cached — and before the terminal invoker.
         Returns *middleware* so the call can be used as a decorator.

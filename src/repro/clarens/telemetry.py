@@ -1,335 +1,150 @@
-"""Telemetry for the Clarens call pipeline: stats, latency, trace records.
+"""What the call pipeline remembers: metric views and the trace ring.
 
-The paper's §7 performance study measures Clarens call latency from the
-outside only; this module gives the host its own instruments so every
-service inherits them for free:
-
-- :class:`CallStats` — thread-safe aggregate counters *and* per-method
-  latency reservoirs (p50/p95/p99), safe to update from the threaded
-  XML-RPC server's concurrent request threads;
-- :class:`TraceRecord` / :class:`TraceLog` — a bounded in-memory ring
-  buffer of finished calls, queryable via ``system.recent_calls``;
-- :func:`new_trace_id` — cheap process-unique trace ids that propagate
-  across transports and ``system.multicall`` sub-calls.
-
-Everything here is transport-neutral; the middlewares in
-:mod:`repro.clarens.middleware` feed these sinks.
+Every count and latency of the RPC layer lives once, in ``ClarensHost.metrics``
+(wall-clock, process-local, never checkpointed).  :class:`CallStats` and
+:class:`WorkerPoolStats` write and read its ``gae_rpc_*`` / ``gae_aio_worker_*``
+instruments and hold no numbers of their own, so ``system.stats`` and
+``/metrics`` cannot disagree.  :class:`TraceRecord` / :class:`TraceLog` are the
+bounded ring behind ``system.recent_calls``.
 """
 
 from __future__ import annotations
 
-import itertools
-import secrets as _secrets
 import threading
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, List, Optional
 
-# ----------------------------------------------------------------------
-# trace ids
-# ----------------------------------------------------------------------
-# A random per-process prefix plus a counter: unique enough to correlate
-# calls across hosts, and ~10x cheaper than uuid4 on the hot path.
-_TRACE_PREFIX = _secrets.token_hex(4)
-_TRACE_COUNTER = itertools.count(1)
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.tracing import new_trace_id  # noqa: F401  (shared with job traces)
 
 
-def new_trace_id() -> str:
-    """A process-unique trace id (``<random-prefix>-<counter>``)."""
-    return f"{_TRACE_PREFIX}-{next(_TRACE_COUNTER):x}"
-
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """The *q*-th percentile (0..100) of *samples* by nearest-rank.
-
-    Raises ValueError on an empty sample set.
-    """
-    if not samples:
-        raise ValueError("percentile of an empty sample set")
-    ordered = sorted(samples)
-    if q <= 0:
-        return ordered[0]
-    if q >= 100:
-        return ordered[-1]
-    rank = max(1, -(-len(ordered) * q // 100))  # ceil without math import
-    return ordered[int(rank) - 1]
-
-
-class LatencyReservoir:
-    """Fixed-capacity sample store: fills, then overwrites cyclically.
-
-    The sliding-window-of-recent-values behaviour behind ``CallStats``,
-    factored out so the unified metrics registry
-    (:mod:`repro.observability.metrics`) can reuse it for histograms.
-    Not thread-safe on its own — owners hold their own lock.
-    """
-
-    __slots__ = ("cap", "samples", "_next")
-
-    def __init__(self, cap: int = 512) -> None:
-        if cap < 1:
-            raise ValueError("reservoir capacity must be positive")
-        self.cap = cap
-        self.samples: List[float] = []
-        self._next = 0
-
-    def add(self, value: float) -> None:
-        if len(self.samples) < self.cap:
-            self.samples.append(value)
-        else:  # overwrite cyclically: a sliding window of recent values
-            self.samples[self._next] = value
-            self._next = (self._next + 1) % self.cap
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile of the current window."""
-        return percentile(self.samples, q)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-class _MethodRecord:
-    """Per-method counters plus a fixed-size latency reservoir."""
-
-    __slots__ = ("count", "faults", "total_s", "max_s", "reservoir")
-
-    def __init__(self, cap: int = 512) -> None:
-        self.count = 0
-        self.faults = 0
-        self.total_s = 0.0
-        self.max_s = 0.0
-        self.reservoir = LatencyReservoir(cap)
-
-    @property
-    def samples(self) -> List[float]:
-        return self.reservoir.samples
-
-    def add(self, ok: bool, duration_s: Optional[float]) -> None:
-        self.count += 1
-        if not ok:
-            self.faults += 1
-        if duration_s is None:
-            return
-        self.total_s += duration_s
-        if duration_s > self.max_s:
-            self.max_s = duration_s
-        self.reservoir.add(duration_s)
-
-    def summary_ms(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"count": self.count, "faults": self.faults}
-        if self.samples:
-            samples = sorted(self.samples)
-            out.update(
-                mean_ms=self.total_s / self.count * 1000.0,
-                p50_ms=percentile(samples, 50) * 1000.0,
-                p95_ms=percentile(samples, 95) * 1000.0,
-                p99_ms=percentile(samples, 99) * 1000.0,
-                max_ms=self.max_s * 1000.0,
-            )
-        return out
+def _timing_ms(summary: Dict[str, float]) -> Dict[str, float]:
+    """A histogram summary as the ``mean_ms``/``p50_ms``/... keys of the views."""
+    if not summary:
+        return {}
+    mean = summary["sum"] / summary["count"]
+    return {"mean_ms": mean, **{f"{q}_ms": summary[q] for q in ("p50", "p95", "p99", "max")}}
 
 
 class CallStats:
-    """Thread-safe aggregate call statistics with per-method latency.
+    """``system.stats`` as a view over the host registry: every finished call
+    is counted by ``method``/``transport``/``served_from``/``outcome``; only
+    executed ones are timed (cached answers would drag p50 toward zero)."""
 
-    The public counter attributes (``calls``, ``faults``, ``per_method``)
-    keep their historical meaning; :meth:`record` now also accepts the
-    call duration, and :meth:`snapshot` adds the percentile summaries the
-    redesigned ``system.stats`` returns.  All mutation happens under one
-    lock because the threaded XML-RPC server records from concurrent
-    request threads.
-    """
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self._calls = metrics.counter("gae_rpc_calls_total", "calls the host dispatched")
+        self._latency = metrics.histogram("gae_rpc_latency_ms", "executed-call wall time (ms)")
+        self._bound: Dict[tuple, tuple] = {}  # labelset -> its bound (counter, timer)
 
-    def __init__(self, max_samples_per_method: int = 512) -> None:
-        self.calls = 0
-        self.faults = 0
-        self.per_method: Dict[str, int] = {}
-        self._methods: Dict[str, _MethodRecord] = {}
-        #: method -> {served_from -> count} for non-executed responses
-        #: ("cache" hits, "coalesced" multicall dedups).
-        self._served: Dict[str, Dict[str, int]] = {}
-        #: transport label -> call count ("inproc", "xmlrpc",
-        #: "async+json", ...); calls recorded without a label are omitted.
-        self._per_transport: Dict[str, int] = {}
-        self._cap = max_samples_per_method
-        self._lock = threading.Lock()
-
-    def record(
-        self,
-        method_path: str,
-        ok: bool,
-        duration_s: Optional[float] = None,
-        served_from: str = "execute",
-        transport: str = "",
-    ) -> None:
-        """Record one finished call (thread-safe).
-
-        ``served_from`` distinguishes full executions (``"execute"``) from
-        responses answered by the read cache (``"cache"``) or by multicall
-        deduplication (``"coalesced"``).  Only executed calls enter the
-        latency reservoirs — sub-microsecond cached responses would
-        otherwise silently drag p50/p95/p99 toward zero.  ``transport``,
-        when non-empty, feeds the per-transport breakdown in
-        :meth:`snapshot` (the async server reports one label per
-        negotiated codec, e.g. ``"async+json"``).
-        """
-        with self._lock:
-            self.calls += 1
-            if not ok:
-                self.faults += 1
-            self.per_method[method_path] = self.per_method.get(method_path, 0) + 1
-            if transport:
-                self._per_transport[transport] = (
-                    self._per_transport.get(transport, 0) + 1
-                )
-            if served_from != "execute":
-                sources = self._served.setdefault(method_path, {})
-                sources[served_from] = sources.get(served_from, 0) + 1
-                return
-            rec = self._methods.get(method_path)
-            if rec is None:
-                rec = self._methods[method_path] = _MethodRecord(self._cap)
-            rec.add(ok, duration_s)
-
-    def latency_summary(self, method_path: str) -> Dict[str, Any]:
-        """Latency summary for one method (empty dict when never called)."""
-        with self._lock:
-            rec = self._methods.get(method_path)
-            return rec.summary_ms() if rec is not None else {}
-
-    def mean_latency_s(self, method_path: str) -> Optional[float]:
-        """Mean duration (s) of one method, or None when never timed."""
-        with self._lock:
-            rec = self._methods.get(method_path)
-            if rec is None or rec.count == 0 or not rec.samples:
-                return None
-            return rec.total_s / rec.count
-
-    def methods(self) -> List[str]:
-        """Every method path ever recorded, sorted."""
-        with self._lock:
-            return sorted(self._methods)
+    def record(self, method: str, outcome: str = "ok", duration_ms: Optional[float] = None,
+               served_from: str = "execute", transport: str = "") -> None:
+        """Record one finished call (``transport=""``: not broken down by one)."""
+        key = (method, transport, served_from, outcome)
+        bound = self._bound.get(key)
+        if bound is None:
+            labels = dict(zip(("method", "transport", "served_from", "outcome"), key))
+            bound = self._calls.bind(**labels), self._latency.bind(method=method)
+            self._bound[key] = bound
+        bound[0].inc()
+        if served_from == "execute" and duration_ms is not None:
+            bound[1].observe(duration_ms)
 
     def snapshot(self) -> Dict[str, Any]:
-        """A wire-safe snapshot: counters plus per-method percentiles."""
-        with self._lock:
-            per_method = dict(self.per_method)
-            latency = {name: rec.summary_ms() for name, rec in self._methods.items()}
-            served = {name: dict(srcs) for name, srcs in self._served.items()}
-            per_transport = dict(self._per_transport)
-            calls, faults = self.calls, self.faults
+        """The wire-safe ``system.stats`` struct, summed from the series."""
+        # Timings first: record() counts before it times, so every method
+        # timed here is also in the counter series read after it.
+        timed = {labels["method"]: s for labels, s in self._latency.series()}
+        faults = 0
+        per_method: Dict[str, int] = {}
+        per_transport: Dict[str, int] = {}
+        latency: Dict[str, Dict[str, Any]] = {}  # method -> executed-call summary
+        served: Dict[str, Dict[str, int]] = {}  # method -> {"cache"|"coalesced": n}
+        for labels, value in self._calls.series():
+            n, method, source = int(value), labels["method"], labels["served_from"]
+            failed = 0 if labels["outcome"] == "ok" else n
+            faults += failed
+            per_method[method] = per_method.get(method, 0) + n
+            if labels["transport"]:
+                per_transport[labels["transport"]] = per_transport.get(labels["transport"], 0) + n
+            if source == "execute":
+                executed = latency.setdefault(method, {"count": 0, "faults": 0})
+                executed["count"] += n
+                executed["faults"] += failed
+            else:
+                by_source = served.setdefault(method, {})
+                by_source[source] = by_source.get(source, 0) + n
+        for method, executed in latency.items():
+            executed.update(_timing_ms(timed.get(method, {})))
         return {
-            "calls": calls,
-            "faults": faults,
-            "per_method": per_method,
-            "per_transport": per_transport,
-            "latency_ms": latency,
-            "served": served,
+            "calls": sum(per_method.values()), "faults": faults, "per_method": per_method,
+            "per_transport": per_transport, "latency_ms": latency, "served": served,
         }
 
 
-#: Stages of the async server's worker bridge, in call order.  Every
-#: stage but ``reply_flush`` is timed on the worker thread; the flush is
-#: timed on the event loop (one sample per reply batch).
+#: Stages of the async server's worker bridge, in call order: all timed on
+#: the worker thread but ``reply_flush`` (event loop, one sample per batch).
 WORKER_STAGES = ("queue_wait", "decode", "dispatch", "encode", "reply_flush")
+_POOL_SCALARS = (  # per pool: snapshot key, instrument kind, name suffix, help
+    ("submitted", "counter", "submitted_total", "requests queued"),
+    ("completed", "counter", "completed_total", "requests answered"),
+    ("queue_depth", "gauge", "queue_depth", "requests waiting for a worker"),
+    ("max_queue_depth", "gauge", "queue_depth_max", "deepest the queue has been"),
+    ("batches", "counter", "batches_total", "queue drains"),
+    ("max_batch", "gauge", "batch_max", "most requests one drain took"),
+)
 
 
 class WorkerPoolStats:
-    """Thread-safe stage timings and queue depth for an aio worker pool.
+    """One serving aio worker pool's queue depth and stage timings: a view
+    whose every number is a ``gae_aio_worker_*`` series labelled ``pool``."""
 
-    One instance per :class:`~repro.clarens.aio.AsyncSocketServerHandle`;
-    registered on the host (``host.worker_pools``) so ``system.stats``
-    and the Prometheus endpoint surface queue pressure and per-stage
-    latency (decode → dispatch → encode on the worker thread, plus the
-    loop-side reply flush) without touching the hot path more than a
-    few timestamps per call.
-    """
+    def __init__(self, metrics: MetricsRegistry, pool: str) -> None:
+        self.pool = pool  # the label: async:<port>
 
-    def __init__(self, reservoir_cap: int = 512) -> None:
-        self._lock = threading.Lock()
-        self._stages: Dict[str, _MethodRecord] = {
-            stage: _MethodRecord(reservoir_cap) for stage in WORKER_STAGES
+        def bound(kind: str, name: str, help: str, **labels: str) -> Any:
+            return getattr(metrics, kind)(f"gae_aio_worker_{name}", help).bind(pool=pool, **labels)
+
+        self._scalars = {key: bound(*series) for key, *series in _POOL_SCALARS}
+        self._stages = {  # stage -> (timer, fault counter)
+            stage: (bound("histogram", "stage_ms", "stage wall time (ms)", stage=stage),
+                    bound("counter", "stage_faults_total", "faulted stage runs", stage=stage))
+            for stage in WORKER_STAGES
         }
-        self.submitted = 0
-        self.completed = 0
-        self.batches = 0
-        self.max_batch = 0
-        self.queue_depth = 0
-        self.max_queue_depth = 0
 
-    # -- recording (all thread-safe) -----------------------------------
     def on_submit(self) -> None:
         """A request entered the worker queue (loop side)."""
-        with self._lock:
-            self.submitted += 1
-            self.queue_depth += 1
-            if self.queue_depth > self.max_queue_depth:
-                self.max_queue_depth = self.queue_depth
+        self._scalars["submitted"].inc()
+        self._scalars["max_queue_depth"].set_max(self._scalars["queue_depth"].inc())
 
     def on_start(self, queue_wait_s: float) -> None:
         """A worker picked the request up after *queue_wait_s* seconds."""
-        with self._lock:
-            self.queue_depth -= 1
-            self._stages["queue_wait"].add(True, queue_wait_s)
-
-    def on_batch(self, size: int) -> None:
-        with self._lock:
-            self.batches += 1
-            if size > self.max_batch:
-                self.max_batch = size
+        self._scalars["queue_depth"].dec()
+        self._stages["queue_wait"][0].observe(queue_wait_s * 1000.0)
 
     def record_stage(self, stage: str, duration_s: float, ok: bool = True) -> None:
-        """Time one pipeline stage (``decode``/``dispatch``/``encode``/
-        ``reply_flush``)."""
-        with self._lock:
-            self._stages[stage].add(ok, duration_s)
+        """Time one of ``decode``/``dispatch``/``encode``/``reply_flush``."""
+        timer, faults = self._stages[stage]
+        timer.observe(duration_s * 1000.0)
+        if not ok:
+            faults.inc()
 
-    def on_complete(self) -> None:
-        with self._lock:
-            self.completed += 1
+    def on_batch(self, size: int) -> None:
+        """A worker answered the *size* requests of one queue drain."""
+        self._scalars["batches"].inc()
+        self._scalars["max_batch"].set_max(size)
+        self._scalars["completed"].inc(size)
 
-    # -- reading -------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """Wire-safe snapshot merged into ``system.stats``."""
-        with self._lock:
-            return {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "queue_depth": self.queue_depth,
-                "max_queue_depth": self.max_queue_depth,
-                "batches": self.batches,
-                "max_batch": self.max_batch,
-                "stages": {
-                    stage: rec.summary_ms()
-                    for stage, rec in self._stages.items()
-                    if rec.count
-                },
-            }
-
-    def prometheus_lines(self, pool: str) -> List[str]:
-        """Text-exposition lines for the webui ``/metrics`` endpoint."""
-        snap = self.snapshot()
-        label = f'{{pool="{pool}"}}'
-        lines = [
-            f"gae_aio_worker_submitted_total{label} {snap['submitted']}",
-            f"gae_aio_worker_completed_total{label} {snap['completed']}",
-            f"gae_aio_worker_batches_total{label} {snap['batches']}",
-            f"gae_aio_worker_queue_depth{label} {snap['queue_depth']}",
-            f"gae_aio_worker_queue_depth_max{label} {snap['max_queue_depth']}",
-        ]
-        for stage, summary in snap["stages"].items():
-            base = f'pool="{pool}",stage="{stage}"'
-            lines.append(
-                f"gae_aio_worker_stage_count{{{base}}} {summary['count']}"
-            )
-            for q in ("p50", "p95", "p99"):
-                key = f"{q}_ms"
-                if key in summary:
-                    lines.append(
-                        f'gae_aio_worker_stage_ms{{{base},quantile="{q}"}} '
-                        f"{summary[key]}"
-                    )
-        return lines
+        snap: Dict[str, Any] = {key: int(s.value()) for key, s in self._scalars.items()}
+        snap["stages"] = stages = {}
+        for stage, (timer, faults) in self._stages.items():
+            summary = timer.summary()
+            if summary:
+                stages[stage] = {"count": int(summary["count"]), "faults": int(faults.value())}
+                stages[stage].update(_timing_ms(summary))
+        return snap
 
 
 @dataclass(frozen=True)
@@ -348,18 +163,7 @@ class TraceRecord:
     served_from: str = "execute"  # "execute" | "cache" | "coalesced"
 
     def to_wire(self) -> Dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "method": self.method,
-            "transport": self.transport,
-            "principal": self.principal,
-            "started": self.started,
-            "duration_ms": self.duration_ms,
-            "outcome": self.outcome,
-            "code": self.code,
-            "error": self.error,
-            "served_from": self.served_from,
-        }
+        return asdict(self)
 
 
 class TraceLog:

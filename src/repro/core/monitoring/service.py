@@ -106,16 +106,13 @@ class JobMonitoringService:
         """
         if self._snapshot_handle is not None:
             raise RuntimeError("periodic snapshots already started")
-        first_delay = None
-        if self.resume_at is not None:
-            first_delay = max(self.resume_at - self.sim.now, 0.0)
-            self.resume_at = None
         self._snapshot_handle = self.sim.every(
             period_s,
             self.snapshot_running,
             label="jobmon.snapshots",
-            first_delay=first_delay,
+            first_at=self.resume_at,
         )
+        self.resume_at = None
 
     @property
     def next_fire_time(self) -> Optional[float]:

@@ -269,16 +269,13 @@ class BackupRecovery:
         """Begin the periodic ping sweep under the simulation clock."""
         if self._handle is not None:
             raise RuntimeError("backup & recovery already started")
-        first_delay = None
-        if self.resume_at is not None:
-            first_delay = max(self.resume_at - self.sim.now, 0.0)
-            self.resume_at = None
         self._handle = self.sim.every(
             self.ping_interval_s,
             self.check_services,
             label="steering.backup_recovery",
-            first_delay=first_delay,
+            first_at=self.resume_at,
         )
+        self.resume_at = None
         return self
 
     @property

@@ -144,16 +144,13 @@ class SteeringService:
         """Arm the steering loop and the Backup & Recovery sweep."""
         if self._loop_handle is not None:
             raise RuntimeError("steering service already started")
-        first_delay = None
-        if self.resume_at is not None:
-            first_delay = max(self.resume_at - self.sim.now, 0.0)
-            self.resume_at = None
         self._loop_handle = self.sim.every(
             self.policy.poll_interval_s,
             self.steer_once,
             label="steering.loop",
-            first_delay=first_delay,
+            first_at=self.resume_at,
         )
+        self.resume_at = None
         self.backup_recovery.start()
         return self
 

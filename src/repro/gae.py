@@ -307,7 +307,6 @@ def build_gae(
         )
         host.observability = instrumentation
         host.add_middleware(instrumentation.middleware())
-        host.read_cache.bind_metrics(instrumentation.metrics)
 
         # Event-sourced core: the journal becomes the authoritative write
         # path.  Consumers fold journalled state changes into their

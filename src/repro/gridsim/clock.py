@@ -144,15 +144,21 @@ class Simulator:
         action: Callable[[], None],
         label: str = "",
         first_delay: Optional[float] = None,
+        first_at: Optional[float] = None,
     ) -> PeriodicHandle:
         """Run *action* every *interval* seconds until cancelled.
 
         The first firing happens after ``first_delay`` (defaults to
-        ``interval``) seconds.  The action runs *before* the next firing is
-        armed, so an action that cancels the handle stops the cycle cleanly.
+        ``interval``) seconds, or at the absolute time ``first_at`` (at
+        once if that has passed) — how a restored owner re-joins the
+        cadence its checkpoint recorded.  The action runs *before* the
+        next firing is armed, so an action that cancels the handle stops
+        the cycle cleanly.
         """
         if interval <= 0:
             raise SimulationError(f"periodic interval must be positive, got {interval!r}")
+        if first_at is not None:
+            first_delay = max(first_at - self.now, 0.0)
         handle = PeriodicHandle()
 
         def fire() -> None:

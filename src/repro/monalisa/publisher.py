@@ -5,8 +5,8 @@ under the simulator clock — the stand-in for MonALISA's farm agents.
 :class:`JobStatePublisher` adapts Condor pool state-change callbacks into
 repository job-state events (used directly in tests; in the full GAE wiring
 the Job Monitoring Service's DBManager plays this role, as in the paper).
-:class:`ServiceMetricsPublisher` samples a Clarens host's call-pipeline
-telemetry (``CallStats``) and publishes per-method latency series, so the
+:class:`ServiceMetricsPublisher` samples a Clarens host's call statistics
+(``host.stats``) and publishes per-method latency series, so the
 monitoring repository — and therefore ``monalisa.service_health`` — can
 report the health of the GAE services themselves, not just the sites.
 """
@@ -66,24 +66,16 @@ class SiteLoadPublisher:
         if self._handle is not None:
             return self
         self._stopped = False
-        first_delay = self._consume_resume_phase()
-        if first_delay is None:
+        if self.resume_at is None:
             self.publish_now()
         self._handle = self.sim.every(
             self.period_s,
             self.publish_now,
             label="monalisa.site_load",
-            first_delay=first_delay,
+            first_at=self.resume_at,
         )
-        return self
-
-    def _consume_resume_phase(self) -> Optional[float]:
-        """Return the ``first_delay`` that re-joins the original cadence."""
-        if self.resume_at is None:
-            return None
-        delay = self.resume_at - self.sim.now
         self.resume_at = None
-        return max(delay, 0.0)
+        return self
 
     @property
     def next_fire_time(self) -> Optional[float]:
@@ -116,10 +108,10 @@ class ServiceMetricsPublisher:
     - ``rpc.calls`` / ``rpc.faults`` — host-wide totals;
     - ``rpc.<service.method>.calls`` — per-method call count;
     - ``rpc.<service.method>.{mean,p50,p95,p99,max}_ms`` — latency summary
-      from the metrics middleware's reservoir.
+      of the executed calls.
 
     *host* is duck-typed: anything with ``name`` and a ``stats.snapshot()``
-    returning the redesigned ``system.stats`` shape works.
+    returning the ``system.stats`` shape works.
     """
 
     def __init__(
@@ -170,24 +162,16 @@ class ServiceMetricsPublisher:
         if self._handle is not None:
             return self
         self._stopped = False
-        first_delay = self._consume_resume_phase()
-        if first_delay is None:
+        if self.resume_at is None:
             self.publish_now()
         self._handle = self.sim.every(
             self.period_s,
             self.publish_now,
             label="monalisa.service_metrics",
-            first_delay=first_delay,
+            first_at=self.resume_at,
         )
-        return self
-
-    def _consume_resume_phase(self) -> Optional[float]:
-        """Return the ``first_delay`` that re-joins the original cadence."""
-        if self.resume_at is None:
-            return None
-        delay = self.resume_at - self.sim.now
         self.resume_at = None
-        return max(delay, 0.0)
+        return self
 
     @property
     def next_fire_time(self) -> Optional[float]:

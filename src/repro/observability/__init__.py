@@ -11,9 +11,9 @@ correlated trace:
   thread-safe, bounded, simulation-clock-aware ``Tracer``;
 - :mod:`repro.observability.journal` — an append-only ``EventJournal``
   of typed lifecycle events with per-task timeline reconstruction;
-- :mod:`repro.observability.metrics` — a unified ``MetricsRegistry`` of
-  counters/gauges/histograms (reusing the Clarens latency-reservoir
-  code) with Prometheus-style text exposition;
+- :mod:`repro.observability.metrics` — the ``MetricsRegistry`` of
+  counters/gauges/histograms with Prometheus-style text exposition (the
+  GAE's instance here; the Clarens host keeps its own, ``host.metrics``);
 - :mod:`repro.observability.instrument` — ``GAEInstrumentation``, the
   wiring that subscribes all of the above to a built GAE, plus the
   ``ObservabilityMiddleware`` that joins Clarens call trace ids with

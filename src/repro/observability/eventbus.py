@@ -21,8 +21,7 @@ Wiring (see :func:`repro.gae.build_gae`):
   ``seq`` it has seen), and can **rebuild** its state from a baseline plus
   the journal tail — :meth:`JournalConsumer.verify` checks the rebuilt
   fingerprint is bit-identical to the live one.
-- Incremental checkpoints (:mod:`repro.store.checkpoint`) persist the
-  per-consumer cursors (``eventcore.cursors`` namespace) and restore a
+- Incremental checkpoints (:mod:`repro.store.checkpoint`) restore a
   consumer as *base snapshot + quiet replay of the journal tail*.
 
 The consumer table in ``docs/ARCHITECTURE.md`` is drift-gated against

@@ -33,17 +33,18 @@ per dispatched call under the call's wire trace id.
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.clarens.middleware import CallContext
-from repro.clarens.telemetry import new_trace_id
 from repro.gridsim.job import JobState
 from repro.observability.health import HealthEngine
 from repro.observability.journal import EventJournal, EventType
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.telemetry import TelemetryPipeline
-from repro.observability.tracing import Span, Tracer
+from repro.observability.tracing import Span, Tracer, new_trace_id
 from repro.store.registry import OBSERVABILITY_TELEMETRY, namespace_record
+
+if TYPE_CHECKING:  # annotation only: repro.clarens imports this package
+    from repro.clarens.middleware import CallContext
 
 __all__ = ["GAEInstrumentation", "ObservabilityMiddleware"]
 
@@ -52,7 +53,7 @@ class ObservabilityMiddleware:
     """Clarens middleware: one ``rpc:<method>`` span per dispatched call.
 
     The span lives under the *call's* trace id (client-propagated or
-    minted by the PR-1 tracing middleware); multicall sub-calls nest
+    minted by ``ClarensHost.dispatch``); multicall sub-calls nest
     because the parent RPC span is still active on the thread.
     """
 

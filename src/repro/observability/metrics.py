@@ -1,27 +1,78 @@
-"""Unified metrics registry: counters, gauges, histograms.
+"""The metrics registry: counters, gauges, histograms.
 
-One :class:`MetricsRegistry` per GAE collects named instruments from
-steering, monitoring, estimators, condor and accounting, so a single
-``system.observability`` call (or the webui ``/metrics`` endpoint) can
-expose them all.  Histograms reuse the sliding-window
-:class:`~repro.clarens.telemetry.LatencyReservoir` behind ``CallStats``
-rather than growing a second percentile implementation.
+One implementation, two instances per GAE (docs/ARCHITECTURE.md "Metrics
+naming"): ``GAEInstrumentation.metrics`` collects simulation-domain
+instruments from steering, monitoring, estimators, condor and accounting
+and is checkpointed state; ``ClarensHost.metrics`` holds the RPC layer's
+wall-clock counts and latencies and never is.  ``system.observability``
+exposes the first, ``system.stats`` / ``system.cache`` are views over the
+second, and the webui ``/metrics`` endpoint renders both.
 
-Naming convention (documented in docs/ARCHITECTURE.md): metric names are
-``gae_<area>_<what>[_total]`` — snake_case, ``gae_`` prefix, ``_total``
-suffix for monotonic counters — and labels are lowercase identifiers
-(``site``, ``command``, ``state``...).  Values are simulation-domain
-unless the name says otherwise.
+Naming convention: metric names are ``gae_<area>_<what>[_total]`` —
+snake_case, ``gae_`` prefix, ``_total`` suffix for monotonic counters —
+and labels are lowercase identifiers (``site``, ``command``,
+``state``...).  Values are simulation-domain unless the name says
+otherwise.
+
+This module imports nothing from the rest of ``repro`` at import time,
+so every layer (``repro.clarens`` included) may hold a registry.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.clarens.telemetry import LatencyReservoir, percentile
+__all__ = [
+    "Counter",
+    "Gauge",
+    "Histogram",
+    "LatencyReservoir",
+    "MetricsRegistry",
+    "percentile",
+]
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """The *q*-th percentile (0..100) of *samples* by nearest-rank.
+
+    Raises ValueError on an empty sample set.
+    """
+    if not samples:
+        raise ValueError("percentile of an empty sample set")
+    ordered = sorted(samples)
+    if q <= 0:
+        return ordered[0]
+    if q >= 100:
+        return ordered[-1]
+    rank = max(1, -(-len(ordered) * q // 100))  # ceil without math import
+    return ordered[int(rank) - 1]
+
+
+class LatencyReservoir:
+    """Fixed-capacity sample store: fills, then overwrites cyclically.
+
+    The sliding window of recent values behind every histogram's
+    percentiles.  Not thread-safe on its own — the owning histogram
+    holds the lock.
+    """
+
+    __slots__ = ("cap", "samples", "_next")
+
+    def __init__(self, cap: int = 512) -> None:
+        if cap < 1:
+            raise ValueError("reservoir capacity must be positive")
+        self.cap = cap
+        self.samples: List[float] = []
+        self._next = 0
+
+    def add(self, value: float) -> None:
+        if len(self.samples) < self.cap:
+            self.samples.append(value)
+        else:  # overwrite cyclically: a sliding window of recent values
+            self.samples[self._next] = value
+            self._next = (self._next + 1) % self.cap
+
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -51,7 +102,19 @@ class _Instrument:
     def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
+        self._series: Dict[LabelKey, Any] = {}
         self._lock = threading.Lock()
+
+    def bind(self, **labels: Any) -> "_Bound":
+        """A handle with the labelset resolved once, for per-event call sites."""
+        return _Bound(self, _label_key(labels))
+
+    def discard(self, **labels: Any) -> None:
+        """Drop every series whose labelset includes *labels*."""
+        unwanted = set(_label_key(labels))
+        with self._lock:
+            for key in [k for k in self._series if unwanted.issubset(k)]:
+                del self._series[key]
 
     def snapshot(self) -> Dict[str, Any]:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -60,139 +123,91 @@ class _Instrument:
         raise NotImplementedError
 
 
-class _BoundCounter:
-    """A counter pre-bound to one labelset — the allocation-free hot path."""
+class _Bound:
+    """One labelset of an instrument, its key resolved once — the hot path.
 
-    __slots__ = ("_counter", "_key")
+    Every per-series operation is implemented here and nowhere else (the
+    instruments' ``**labels`` forms are ``bind(**labels)`` then the same
+    call): ``inc``/``dec``/``set_max``/``value`` for a counter or gauge,
+    ``observe``/``summary`` for a histogram.
+    """
 
-    def __init__(self, counter: "Counter", key: LabelKey) -> None:
-        self._counter = counter
+    __slots__ = ("_instrument", "_key")
+
+    def __init__(self, instrument: _Instrument, key: LabelKey) -> None:
+        self._instrument = instrument
         self._key = key
 
-    def inc(self, amount: float = 1.0) -> None:
-        counter, key = self._counter, self._key
-        with counter._lock:
-            counter._values[key] = counter._values.get(key, 0.0) + amount
+    def inc(self, amount: float = 1.0) -> float:
+        """Add *amount*; returns the new value (read under the same lock)."""
+        instrument, key = self._instrument, self._key
+        with instrument._lock:
+            value = instrument._series[key] = instrument._series.get(key, 0.0) + amount
+        return value
+
+    def dec(self, amount: float = 1.0) -> float:
+        return self.inc(-amount)
+
+    def set_max(self, value: float) -> None:
+        """Raise the value to *value* if that is larger (a high-water mark)."""
+        instrument, key = self._instrument, self._key
+        with instrument._lock:
+            if value > instrument._series.get(key, 0.0):
+                instrument._series[key] = float(value)
+
+    def value(self) -> float:
+        instrument = self._instrument
+        with instrument._lock:
+            return instrument._series.get(self._key, 0.0)
+
+    def observe(self, value: float) -> None:
+        instrument, key = self._instrument, self._key
+        with instrument._lock:
+            series = instrument._series.get(key)
+            if series is None:
+                series = instrument._series[key] = _HistogramSeries(instrument._cap)
+            series.observe(value)
+
+    def summary(self) -> Dict[str, float]:
+        instrument = self._instrument
+        with instrument._lock:
+            series = instrument._series.get(self._key)
+            return series.summary() if series is not None else {}
 
 
-class Counter(_Instrument):
-    """Monotonically increasing counter, optionally labelled."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._values: Dict[LabelKey, float] = {}
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def bind(self, **labels: Any) -> _BoundCounter:
-        """A handle with the labelset resolved once, for per-event call sites."""
-        return _BoundCounter(self, _label_key(labels))
-
-    def export_state(self) -> Dict[str, Any]:
-        with self._lock:
-            values = dict(self._values)
-        return {
-            "kind": self.kind,
-            "help": self.help,
-            "values": [[[list(pair) for pair in k], v] for k, v in values.items()],
-        }
-
-    def import_state(self, state: Dict[str, Any]) -> None:
-        with self._lock:
-            self._values = {
-                tuple((k, v) for k, v in pairs): float(value)
-                for pairs, value in state["values"]
-            }
-
-    def value(self, **labels: Any) -> float:
-        with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
-
-    def total(self) -> float:
-        with self._lock:
-            return sum(self._values.values())
-
-    def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            values = dict(self._values)
-        return {
-            "kind": self.kind,
-            "help": self.help,
-            "values": {_label_str(k) or "": v for k, v in sorted(values.items())},
-        }
-
-    def prometheus_lines(self) -> List[str]:
-        lines = [f"# HELP {self.name} {self.help}", f"# TYPE {self.name} counter"]
-        with self._lock:
-            values = dict(self._values)
-        for key, value in sorted(values.items()):
-            lines.append(f"{self.name}{_label_str(key)} {value:g}")
-        return lines
-
-
-class Gauge(_Instrument):
-    """Point-in-time value; set explicitly or backed by a callable."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "", fn: Optional[Callable[[], float]] = None) -> None:
-        super().__init__(name, help)
-        self._values: Dict[LabelKey, float] = {}
-        self._fn = fn
-
-    def set(self, value: float, **labels: Any) -> None:
-        with self._lock:
-            self._values[_label_key(labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        self.inc(-amount, **labels)
-
-    def value(self, **labels: Any) -> float:
-        if self._fn is not None and not labels:
-            return float(self._fn())
-        with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
-
-    def export_state(self) -> Dict[str, Any]:
-        # Only explicitly-set values travel; fn-backed values recompute
-        # from whatever live object the gauge observes after a restore.
-        with self._lock:
-            values = dict(self._values)
-        return {
-            "kind": self.kind,
-            "help": self.help,
-            "values": [[[list(pair) for pair in k], v] for k, v in values.items()],
-        }
-
-    def import_state(self, state: Dict[str, Any]) -> None:
-        with self._lock:
-            self._values = {
-                tuple((k, v) for k, v in pairs): float(value)
-                for pairs, value in state["values"]
-            }
+class _Numeric(_Instrument):
+    """One float per labelset: what :class:`Counter` and :class:`Gauge` share."""
 
     def _current(self) -> Dict[LabelKey, float]:
         with self._lock:
-            values = dict(self._values)
-        if self._fn is not None:
-            values[()] = float(self._fn())
-        return values
+            return dict(self._series)
+
+    def value(self, **labels: Any) -> float:
+        return self.bind(**labels).value()
 
     def total(self) -> float:
-        """Sum over every labelset (including the fn-backed value)."""
+        """Sum over every labelset."""
         return sum(self._current().values())
+
+    def series(self) -> List[Tuple[Dict[str, str], float]]:
+        """``(labels, value)`` per labelset, for views that sum by label."""
+        return [(dict(key), value) for key, value in self._current().items()]
+
+    def export_state(self) -> Dict[str, Any]:
+        with self._lock:
+            values = dict(self._series)
+        return {
+            "kind": self.kind,
+            "help": self.help,
+            "values": [[[list(pair) for pair in k], v] for k, v in values.items()],
+        }
+
+    def import_state(self, state: Dict[str, Any]) -> None:
+        with self._lock:
+            self._series = {
+                tuple((k, v) for k, v in pairs): float(value)
+                for pairs, value in state["values"]
+            }
 
     def snapshot(self) -> Dict[str, Any]:
         return {
@@ -202,10 +217,54 @@ class Gauge(_Instrument):
         }
 
     def prometheus_lines(self) -> List[str]:
-        lines = [f"# HELP {self.name} {self.help}", f"# TYPE {self.name} gauge"]
+        lines = [f"# HELP {self.name} {self.help}", f"# TYPE {self.name} {self.kind}"]
         for key, value in sorted(self._current().items()):
             lines.append(f"{self.name}{_label_str(key)} {value:g}")
         return lines
+
+
+class Counter(_Numeric):
+    """Monotonically increasing counter, optionally labelled."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: Any) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up")
+        self.bind(**labels).inc(amount)
+
+
+class Gauge(_Numeric):
+    """Point-in-time value; set explicitly or backed by a callable."""
+
+    kind = "gauge"
+
+    def __init__(self, name: str, help: str = "", fn: Optional[Callable[[], float]] = None) -> None:
+        super().__init__(name, help)
+        self._fn = fn
+
+    def set(self, value: float, **labels: Any) -> None:
+        with self._lock:
+            self._series[_label_key(labels)] = float(value)
+
+    def inc(self, amount: float = 1.0, **labels: Any) -> None:
+        self.bind(**labels).inc(amount)
+
+    def dec(self, amount: float = 1.0, **labels: Any) -> None:
+        self.bind(**labels).dec(amount)
+
+    def value(self, **labels: Any) -> float:
+        if self._fn is not None and not labels:
+            return float(self._fn())
+        return super().value(**labels)
+
+    def _current(self) -> Dict[LabelKey, float]:
+        # Only explicitly-set values are state (``export_state``); an
+        # fn-backed value recomputes from whatever the gauge observes.
+        values = super()._current()
+        if self._fn is not None:
+            values[()] = float(self._fn())
+        return values
 
 
 class _HistogramSeries:
@@ -254,24 +313,6 @@ class _HistogramSeries:
         return series
 
 
-class _BoundHistogram:
-    """A histogram pre-bound to one labelset — the allocation-free hot path."""
-
-    __slots__ = ("_histogram", "_key")
-
-    def __init__(self, histogram: "Histogram", key: LabelKey) -> None:
-        self._histogram = histogram
-        self._key = key
-
-    def observe(self, value: float) -> None:
-        histogram, key = self._histogram, self._key
-        with histogram._lock:
-            series = histogram._series.get(key)
-            if series is None:
-                series = histogram._series[key] = _HistogramSeries(histogram._cap)
-            series.observe(value)
-
-
 class Histogram(_Instrument):
     """Distribution summary over a sliding reservoir of observations."""
 
@@ -279,20 +320,10 @@ class Histogram(_Instrument):
 
     def __init__(self, name: str, help: str = "", reservoir_cap: int = 512) -> None:
         super().__init__(name, help)
-        self._series: Dict[LabelKey, _HistogramSeries] = {}
         self._cap = reservoir_cap
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = _HistogramSeries(self._cap)
-            series.observe(value)
-
-    def bind(self, **labels: Any) -> "_BoundHistogram":
-        """A handle with the labelset resolved once, for per-event call sites."""
-        return _BoundHistogram(self, _label_key(labels))
+        self.bind(**labels).observe(value)
 
     def export_state(self) -> Dict[str, Any]:
         with self._lock:
@@ -313,9 +344,12 @@ class Histogram(_Instrument):
             }
 
     def summary(self, **labels: Any) -> Dict[str, float]:
+        return self.bind(**labels).summary()
+
+    def series(self) -> List[Tuple[Dict[str, str], Dict[str, float]]]:
+        """``(labels, summary)`` per labelset, for views that group by label."""
         with self._lock:
-            series = self._series.get(_label_key(labels))
-            return series.summary() if series is not None else {}
+            return [(dict(key), s.summary()) for key, s in self._series.items()]
 
     def total_count(self) -> float:
         """Observation count summed over every labelset."""
@@ -422,6 +456,17 @@ class MetricsRegistry:
         for inst in instruments:
             lines.extend(inst.prometheus_lines())
         return lines
+
+    def discard(self, **labels: Any) -> None:
+        """Drop, from every instrument, each series carrying *labels*.
+
+        How a component that stops for good (a shut-down worker pool)
+        takes its labelled series out of the exposition.
+        """
+        with self._lock:
+            instruments = list(self._instruments.values())
+        for inst in instruments:
+            inst.discard(**labels)
 
     # -- persistence (state-store backend) ------------------------------
 

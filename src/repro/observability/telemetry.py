@@ -50,10 +50,15 @@ from typing import (
     Union,
 )
 
-from repro.clarens.telemetry import percentile
 from repro.monalisa.timeseries import TimeSeries
 from repro.observability.journal import EventJournal, JournalEvent
-from repro.observability.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.observability.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    percentile,
+)
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",

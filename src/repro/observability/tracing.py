@@ -1,7 +1,7 @@
-"""Spans and a simulation-clock-aware tracer.
+"""Trace ids, spans and a simulation-clock-aware tracer.
 
-Extends the ``new_trace_id`` scheme from :mod:`repro.clarens.telemetry`
-with real spans: a :class:`Span` carries (trace_id, span_id, parent_id,
+:func:`new_trace_id` mints the ids every Clarens call and every job
+trace is correlated by; a :class:`Span` carries (trace_id, span_id, parent_id,
 sim-time start/end, attributes, status), and a thread-safe
 :class:`Tracer` keeps a bounded in-memory store of them plus a
 per-thread stack of *active* spans so nested instrumentation points can
@@ -17,19 +17,32 @@ RPC opens its spans under the *call's* trace id before anyone knows
 which job it concerns; once the steering command processor resolves the
 task, it re-homes the open span stack onto the job's trace so the RPC,
 the steering verb, and the resulting pool events share one trace.
+
+At import time this module needs only the standard library, so
+``repro.clarens`` can take its trace ids from here without an import cycle.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import secrets
 import threading
 from collections import deque
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.clarens.telemetry import new_trace_id
+__all__ = ["Span", "SpanContext", "Tracer", "new_trace_id", "render_span_tree"]
 
-__all__ = ["Span", "SpanContext", "Tracer", "render_span_tree"]
+# A random per-process prefix plus a counter: unique enough to correlate
+# calls across hosts, and ~10x cheaper than uuid4 on the hot path.
+_TRACE_PREFIX = secrets.token_hex(4)
+_TRACE_COUNTER = itertools.count(1)
+
+
+def new_trace_id() -> str:
+    """A process-unique trace id (``<random-prefix>-<counter>``)."""
+    return f"{_TRACE_PREFIX}-{next(_TRACE_COUNTER):x}"
+
 
 _SPAN_PREFIX = f"{random.getrandbits(24):06x}"
 _SPAN_COUNTER = itertools.count(1)

@@ -46,8 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.clarens.telemetry import percentile
 from repro.observability.journal import EventType, JournalEvent
+from repro.observability.metrics import percentile
 
 __all__ = ["SLO_METRICS", "SloSpec", "score_slos"]
 

@@ -66,7 +66,6 @@ from repro.store.registry import (
     CHECKPOINT_META,
     ESTIMATOR_HISTORY,
     ESTIMATOR_RUNTIME,
-    EVENTCORE_CURSORS,
     MONALISA_EVENTS,
     MONALISA_TIMESERIES,
     MONITORING_JOBS,
@@ -237,8 +236,6 @@ class Checkpointer:
             gae.monalisa.save_to(store)
         if obs is not None:
             obs.save_to(store, journal_since=-1 if base_seq is None else base_seq)
-            if obs.eventcore is not None:
-                store.put(EVENTCORE_CURSORS, "state", obs.eventcore.snapshot())
 
         # The gridsim substrate.  Pool snapshots sync running accruals to
         # the barrier instant themselves.

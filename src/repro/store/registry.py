@@ -25,7 +25,6 @@ __all__ = [
     "CHECKPOINT_META",
     "ESTIMATOR_HISTORY",
     "ESTIMATOR_RUNTIME",
-    "EVENTCORE_CURSORS",
     "MONALISA_EVENTS",
     "MONALISA_TIMESERIES",
     "MONITORING_JOBS",
@@ -46,7 +45,6 @@ MONITORING_JOBS = "monitoring.jobs"
 MONALISA_TIMESERIES = "monalisa.timeseries"
 MONALISA_EVENTS = "monalisa.events"
 OBSERVABILITY_JOURNAL = "observability.journal"
-EVENTCORE_CURSORS = "eventcore.cursors"
 OBSERVABILITY_TRACING = "observability.tracing"
 OBSERVABILITY_METRICS = "observability.metrics"
 OBSERVABILITY_TELEMETRY = "observability.telemetry"
@@ -62,7 +60,6 @@ NAMESPACES: Tuple[Namespace, ...] = (
     Namespace(MONALISA_TIMESERIES, 1, "MonALISA per-farm metric time series"),
     Namespace(MONALISA_EVENTS, 1, "MonALISA job-state event log"),
     Namespace(OBSERVABILITY_JOURNAL, 1, "lifecycle event journal rows"),
-    Namespace(EVENTCORE_CURSORS, 1, "per-consumer journal cursors and checkpoint high-water marks"),
     Namespace(OBSERVABILITY_TRACING, 1, "tracer span store"),
     Namespace(OBSERVABILITY_METRICS, 1, "metrics registry instrument values"),
     Namespace(OBSERVABILITY_TELEMETRY, 1, "windowed telemetry series and health-rule state"),

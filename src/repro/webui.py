@@ -18,9 +18,9 @@ downloads:
 - ``/weather``          — the MonALISA grid-weather snapshot (JSON)
 - ``/store``            — the GAE's state-store namespaces and key counts
   (JSON; the persistence layer behind checkpoint/restore)
-- ``/metrics``          — the Clarens host's call-pipeline telemetry plus
-  every metric in the unified observability registry, in Prometheus-style
-  text exposition
+- ``/metrics``          — the Clarens host's metrics registry, the GAE's
+  observability registry and the site loads, in Prometheus-style text
+  exposition
 
 Unknown task ids get a structured JSON 404 body (machine-readable, like
 the Clarens fault shape) rather than bare text.  Read-only by design:
@@ -331,62 +331,20 @@ class _GAEStatusHandler(BaseHTTPRequestHandler):
         self._send_json({"task_id": task_id, "events": timeline})
 
     def _metrics(self) -> str:
-        """Prometheus-style text exposition of the host's call telemetry."""
-        snapshot = self.gae.host.stats.snapshot()
-        lines = [
-            "# HELP gae_rpc_calls_total Calls dispatched by the Clarens host.",
-            "# TYPE gae_rpc_calls_total counter",
-            f"gae_rpc_calls_total {snapshot['calls']}",
-            "# HELP gae_rpc_faults_total Calls that ended in a fault.",
-            "# TYPE gae_rpc_faults_total counter",
-            f"gae_rpc_faults_total {snapshot['faults']}",
-            "# HELP gae_rpc_method_calls_total Per-method call counts.",
-            "# TYPE gae_rpc_method_calls_total counter",
-        ]
-        for method in sorted(snapshot["per_method"]):
-            lines.append(
-                f'gae_rpc_method_calls_total{{method="{method}"}} '
-                f"{snapshot['per_method'][method]}"
-            )
-        lines += [
-            "# HELP gae_rpc_transport_calls_total Calls by arriving transport.",
-            "# TYPE gae_rpc_transport_calls_total counter",
-        ]
-        for transport in sorted(snapshot.get("per_transport", {})):
-            lines.append(
-                f'gae_rpc_transport_calls_total{{transport="{transport}"}} '
-                f"{snapshot['per_transport'][transport]}"
-            )
-        lines += [
-            "# HELP gae_rpc_latency_ms Per-method call latency quantiles.",
-            "# TYPE gae_rpc_latency_ms summary",
-        ]
-        for method in sorted(snapshot["latency_ms"]):
-            summary = snapshot["latency_ms"][method]
-            for quantile, key in (("0.5", "p50_ms"), ("0.95", "p95_ms"),
-                                  ("0.99", "p99_ms")):
-                if key in summary:
-                    lines.append(
-                        f'gae_rpc_latency_ms{{method="{method}",'
-                        f'quantile="{quantile}"}} {summary[key]:.6f}'
-                    )
+        """Prometheus-style text exposition of both metrics registries.
+
+        The host's (RPC calls, read cache, aio worker pools), the GAE's
+        when observability is wired, and the latest published site loads.
+        """
+        lines = self.gae.host.metrics.prometheus_lines()
+        if self.gae.observability is not None:
+            lines.extend(self.gae.observability.metrics.prometheus_lines())
         lines += [
             "# HELP gae_site_load Latest published load per site.",
             "# TYPE gae_site_load gauge",
         ]
         for farm, load in sorted(self._weather().items()):
             lines.append(f'gae_site_load{{site="{farm}"}} {load:.6f}')
-        if self.gae.host.worker_pools:
-            lines += [
-                "# HELP gae_aio_worker Async front-end worker-pool telemetry.",
-                "# TYPE gae_aio_worker untyped",
-            ]
-            for label in sorted(self.gae.host.worker_pools):
-                lines.extend(
-                    self.gae.host.worker_pools[label].prometheus_lines(label)
-                )
-        if self.gae.observability is not None:
-            lines.extend(self.gae.observability.metrics.prometheus_lines())
         return "\n".join(lines) + "\n"
 
     # ------------------------------------------------------------------

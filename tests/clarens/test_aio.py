@@ -116,6 +116,35 @@ class TestLifecycle:
         handle.shutdown()
         handle.shutdown()
 
+    def test_stopped_pool_leaves_the_host(self, host):
+        """Regression: shutdown never unregistered the worker pool, so
+        ``system.stats`` and ``/metrics`` listed dead pools forever."""
+        handle = AsyncSocketServerHandle(host)
+        labels = []
+        for _ in range(2):  # start -> stop -> start on one host
+            handle.start()
+            labels.append(f"async:{handle.address[1]}")
+            with AsyncSocketTransport(handle.address) as t:
+                t.call("system.ping", [])
+                stats = t.call("system.stats", [])
+            assert list(stats["worker_pools"]) == labels[-1:]
+            assert stats["worker_pools"][labels[-1]]["submitted"] == 2
+            exposition = "\n".join(host.metrics.prometheus_lines())
+            assert f'pool="{labels[-1]}"' in exposition
+            handle.shutdown()
+            handle.shutdown()
+            assert host.worker_pools == {}
+            assert "worker_pools" not in host.dispatch("system.stats", [])
+            exposition = "\n".join(host.metrics.prometheus_lines())
+            assert not [label for label in labels if f'pool="{label}"' in exposition]
+
+    def test_failed_start_registers_no_pool(self, host, server):
+        clash = AsyncSocketServerHandle(host, port=server.address[1])
+        with pytest.raises(TransportError):
+            clash.start()
+        clash.shutdown()
+        assert list(host.worker_pools) == [f"async:{server.address[1]}"]
+
     def test_transport_close_idempotent(self, server):
         t = AsyncSocketTransport(server.address)
         t.close()

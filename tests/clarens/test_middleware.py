@@ -4,13 +4,12 @@ import pytest
 
 from repro.clarens.errors import AuthorizationError, RemoteFault
 from repro.clarens.middleware import (
+    UNKNOWN_METHOD,
     CallContext,
-    MetricsMiddleware,
-    TracingMiddleware,
+    RecorderMiddleware,
     build_pipeline,
 )
 from repro.clarens.server import ClarensHost
-from repro.clarens.telemetry import CallStats, TraceLog
 
 
 class TestCallContext:
@@ -62,52 +61,75 @@ class TestBuildPipeline:
         assert not invoked
 
 
+def _recorded(terminal):
+    """A bare host's recorder around *terminal*, and that host."""
+    host = ClarensHost("h")
+    recorder = RecorderMiddleware(host.stats, host.traces, host.registry)
+    return build_pipeline([recorder], terminal), host
+
+
+def _boom(fault):
+    def terminal(ctx):
+        raise fault
+
+    return terminal
+
+
 class TestMetricsMiddleware:
+    """The recorder's metrics half (``MetricsMiddleware`` before the merge)."""
+
     def test_records_latency_and_outcome(self):
-        stats = CallStats()
-        handler = build_pipeline([MetricsMiddleware(stats)], lambda ctx: "ok")
-        handler(CallContext("a.b", []))
-        summary = stats.latency_summary("a.b")
+        handler, host = _recorded(lambda ctx: "ok")
+        handler(CallContext("system.ping", []))
+        summary = host.stats.snapshot()["latency_ms"]["system.ping"]
         assert summary["count"] == 1
         assert summary["faults"] == 0
         assert summary["mean_ms"] >= 0.0
 
     def test_counts_faults(self):
-        stats = CallStats()
-
-        def boom(ctx):
-            raise RemoteFault("no")
-
-        handler = build_pipeline([MetricsMiddleware(stats)], boom)
+        handler, host = _recorded(_boom(RemoteFault("no")))
         with pytest.raises(RemoteFault):
-            handler(CallContext("a.b", []))
-        assert stats.faults == 1
-        assert stats.latency_summary("a.b")["faults"] == 1
+            handler(CallContext("system.ping", []))
+        snap = host.stats.snapshot()
+        assert snap["faults"] == 1
+        assert snap["latency_ms"]["system.ping"]["faults"] == 1
+
+    def test_one_timing_feeds_context_trace_and_histogram(self):
+        handler, host = _recorded(lambda ctx: "ok")
+        ctx = CallContext("system.ping", [])
+        handler(ctx)
+        (record,) = host.traces.snapshot()
+        summary = host.metrics.get("gae_rpc_latency_ms").summary(method="system.ping")
+        assert ctx.duration_ms == record.duration_ms == summary["sum"]
+
+    def test_unresolvable_path_is_counted_under_one_label(self):
+        handler, host = _recorded(_boom(RemoteFault("no")))
+        for i in range(3):
+            with pytest.raises(RemoteFault):
+                handler(CallContext(f"nope.m{i}", []))
+        assert host.stats.snapshot()["per_method"] == {UNKNOWN_METHOD: 3}
+        assert [r.method for r in host.traces.snapshot()] == ["nope.m0", "nope.m1", "nope.m2"]
 
 
 class TestTracingMiddleware:
+    """The recorder's trace-ring half (``TracingMiddleware`` before the merge)."""
+
     def test_stamps_duration_and_records(self):
-        log = TraceLog()
-        handler = build_pipeline([TracingMiddleware(log)], lambda ctx: "ok")
-        ctx = CallContext("a.b", [], trace_id="t-1", started=12.5)
+        handler, host = _recorded(lambda ctx: "ok")
+        ctx = CallContext("system.ping", [], trace_id="t-1", started=12.5)
         handler(ctx)
         assert ctx.outcome == "ok"
         assert ctx.duration_ms >= 0.0
-        (record,) = log.snapshot()
+        (record,) = host.traces.snapshot()
         assert record.trace_id == "t-1"
         assert record.started == 12.5
         assert record.outcome == "ok"
 
     def test_fault_recorded_with_code(self):
-        log = TraceLog()
-
-        def boom(ctx):
-            raise AuthorizationError("denied")
-
-        handler = build_pipeline([TracingMiddleware(log)], boom)
+        handler, host = _recorded(_boom(AuthorizationError("denied")))
         with pytest.raises(AuthorizationError):
-            handler(CallContext("a.b", [], trace_id="t-2"))
-        (record,) = log.snapshot()
+            handler(CallContext("system.ping", [], trace_id="t-2"))
+        (record,) = host.traces.snapshot()
         assert record.outcome == "fault"
         assert record.code == 403
         assert "denied" in record.error

@@ -80,7 +80,7 @@ class TestCanonicalArgs:
 class TestReadCache:
     def test_hit_miss_invalidation_lifecycle(self):
         epochs = EpochRegistry()
-        cache = ReadCache(epochs)
+        cache = ReadCache(epochs, MetricsRegistry())
         vec = epochs.vector(("scheduler",))
         assert cache.lookup("m", (), vec) is ReadCache._MISS
         cache.store("m", (), vec, "answer")
@@ -95,7 +95,7 @@ class TestReadCache:
 
     def test_lru_eviction_is_counted(self):
         epochs = EpochRegistry()
-        cache = ReadCache(epochs, capacity=2)
+        cache = ReadCache(epochs, MetricsRegistry(), capacity=2)
         vec = ()
         cache.store("m", "a", vec, 1)
         cache.store("m", "b", vec, 2)
@@ -109,7 +109,7 @@ class TestReadCache:
 
     def test_cached_helper_recomputes_only_after_bump(self):
         epochs = EpochRegistry()
-        cache = ReadCache(epochs)
+        cache = ReadCache(epochs, MetricsRegistry())
         calls = []
         compute = lambda: calls.append(1) or len(calls)  # noqa: E731
         assert cache.cached("webui.jobs", (), ("scheduler",), compute) == 1
@@ -118,7 +118,7 @@ class TestReadCache:
         assert cache.cached("webui.jobs", (), ("scheduler",), compute) == 2
 
     def test_disabled_cache_always_computes(self):
-        cache = ReadCache(EpochRegistry(), enabled=False)
+        cache = ReadCache(EpochRegistry(), MetricsRegistry(), enabled=False)
         calls = []
         compute = lambda: calls.append(1) or len(calls)  # noqa: E731
         assert cache.cached("m", (), ("x",), compute) == 1
@@ -126,27 +126,31 @@ class TestReadCache:
         assert len(cache) == 0
 
     def test_clear_drops_entries(self):
-        cache = ReadCache(EpochRegistry())
+        cache = ReadCache(EpochRegistry(), MetricsRegistry())
         cache.store("m", "a", (), 1)
         assert cache.clear() == 1
         assert cache.lookup("m", "a", ()) is ReadCache._MISS
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            ReadCache(EpochRegistry(), capacity=0)
+            ReadCache(EpochRegistry(), MetricsRegistry(), capacity=0)
 
-    def test_bind_metrics_backfills_existing_counts(self):
-        epochs = EpochRegistry()
-        cache = ReadCache(epochs)
-        cache.lookup("m", (), ())          # miss before binding
+    def test_counts_live_in_the_registry_only(self):
         registry = MetricsRegistry()
-        cache.bind_metrics(registry)
+        cache = ReadCache(EpochRegistry(), registry, capacity=1)
+        cache.lookup("m", (), ())          # miss
         cache.store("m", (), (), "v")
-        cache.lookup("m", (), ())          # hit after binding
-        counters = registry.counter("gae_rpc_cache_misses_total")
-        assert counters.value(method="m") == 1.0
-        hits = registry.counter("gae_rpc_cache_hits_total")
-        assert hits.value(method="m") == 1.0
+        cache.lookup("m", (), ())          # hit
+        cache.store("m", "other", (), "w")  # evicts the first entry
+        cache.note_coalesced("m")
+        for kind in ("hits", "misses", "coalesced"):
+            assert registry.get(f"gae_rpc_cache_{kind}_total").value(method="m") == 1.0
+        assert registry.get("gae_rpc_cache_evictions_total").total() == 1.0
+        snap = cache.snapshot()
+        assert snap["evictions"] == 1 and isinstance(snap["evictions"], int)
+        assert snap["per_method"] == {
+            "m": {"hits": 1, "misses": 1, "invalidations": 0, "coalesced": 1},
+        }
 
 
 class _CountingReads:

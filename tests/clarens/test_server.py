@@ -120,13 +120,13 @@ class TestStats:
         token = login(host)
         host.dispatch("calc.add", [1, 1], token)
         host.dispatch("calc.add", [2, 2], token)
-        assert host.stats.per_method["calc.add"] == 2
+        assert host.stats.snapshot()["per_method"]["calc.add"] == 2
 
     def test_fault_counting(self, host):
         token = login(host)
         with pytest.raises(RemoteFault):
             host.dispatch("calc.fail", [], token)
-        assert host.stats.faults == 1
+        assert host.stats.snapshot()["faults"] == 1
 
     def test_session_expiry_uses_injected_clock(self):
         clock = {"now": 0.0}
@@ -188,7 +188,7 @@ class TestRecentCalls:
 
 class TestConcurrentDispatch:
     def test_16_threads_no_lost_stat_updates(self, host):
-        """Regression: CallStats.record used to race under the threaded
+        """Regression: recording a call used to race under the threaded
         XML-RPC server (plain-dict read-modify-write with no lock)."""
         import threading
 
@@ -210,10 +210,44 @@ class TestConcurrentDispatch:
         for t in threads:
             t.join()
         assert not errors
-        assert host.stats.per_method["calc.add"] == n_threads * calls_per_thread
-        latency = host.stats.latency_summary("calc.add")
+        snapshot = host.stats.snapshot()
+        assert snapshot["per_method"]["calc.add"] == n_threads * calls_per_thread
+        latency = snapshot["latency_ms"]["calc.add"]
         assert latency["count"] == n_threads * calls_per_thread
         assert latency["faults"] == 0
+
+
+class TestUnknownMethodLabel:
+    def test_bogus_paths_add_one_method_label(self, host):
+        """Regression: per-method state was keyed by the path as sent, so an
+        unauthenticated client grew server memory one reservoir per path."""
+        from repro.clarens.aio import AsyncSocketServerHandle
+        from repro.clarens.middleware import UNKNOWN_METHOD
+        from repro.clarens.transport import AsyncSocketTransport
+
+        def labels(name):
+            return {
+                labels["method"]
+                for labels, _ in host.metrics.get(name).series()
+            }
+
+        host.dispatch("system.ping", [])
+        for i in range(1000):
+            with pytest.raises(ServiceNotFound):
+                host.dispatch(f"nope.m{i}", [])
+        with AsyncSocketServerHandle(host) as handle:
+            with AsyncSocketTransport(handle.address, codec="json") as sock:
+                sock.call("system.ping", [])
+                for i in range(1000):  # rejected before the path is resolved
+                    with pytest.raises(AuthenticationError):
+                        sock.call(f"system.m{i}", [], token="not-a-session")
+        for name in ("gae_rpc_calls_total", "gae_rpc_latency_ms"):
+            assert labels(name) == {"system.ping", UNKNOWN_METHOD}
+        stats = host.dispatch("system.stats", [])
+        assert stats["per_method"] == {"system.ping": 2, UNKNOWN_METHOD: 2000}
+        assert set(stats["latency_ms"]) == {"system.ping", UNKNOWN_METHOD}
+        # The bounded ring still shows the path as the caller sent it.
+        assert host.traces.snapshot()[-2].method == "system.m999"
 
 
 class TestMiddlewareHook:

@@ -136,6 +136,20 @@ class TestPeriodic:
         handle.cancel()
         assert fired == [1.0, 11.0, 21.0]
 
+    def test_first_at_is_absolute_and_clamped_to_now(self, sim):
+        sim.run_until(4.0)
+        fired = []
+        handles = [
+            sim.every(10.0, lambda: fired.append(("ahead", sim.now)), first_at=7.0),
+            sim.every(10.0, lambda: fired.append(("passed", sim.now)), first_at=1.0),
+        ]
+        sim.run_until(20.0)
+        for handle in handles:
+            handle.cancel()
+        assert fired == [
+            ("passed", 4.0), ("ahead", 7.0), ("passed", 14.0), ("ahead", 17.0),
+        ]
+
     def test_cancel_stops_future_firings(self, sim):
         fired = []
         handle = sim.every(5.0, lambda: fired.append(sim.now))

@@ -47,6 +47,15 @@ class TestGauge:
         g.set(0.0, site="b")
         assert 'gae_up{site="b"} 0' in g.prometheus_lines()
 
+    def test_bound_handle_is_the_same_series(self):
+        g = Gauge("gae_depth")
+        depth, high = g.bind(pool="p"), Gauge("gae_depth_max").bind(pool="p")
+        for _ in range(3):
+            high.set_max(depth.inc())
+        assert depth.dec() == 2.0
+        high.set_max(1.0)  # a high-water mark never falls
+        assert (g.value(pool="p"), depth.value(), high.value()) == (2.0, 2.0, 3.0)
+
 
 class TestHistogram:
     def test_summary_counts_and_percentiles(self):
@@ -110,3 +119,16 @@ class TestRegistry:
 
     def test_get_unknown_is_none(self):
         assert MetricsRegistry().get("nope") is None
+
+    def test_discard_drops_every_series_carrying_the_labels(self):
+        m = MetricsRegistry()
+        for pool in ("a", "b"):
+            m.counter("gae_c_total").inc(pool=pool)
+            m.gauge("gae_g").set(1.0, pool=pool, stage="x")
+            m.histogram("gae_h").observe(1.0, pool=pool)
+        m.counter("gae_other_total").inc(site="a")
+        m.discard(pool="a")
+        text = "\n".join(m.prometheus_lines())
+        assert 'pool="a"' not in text and 'pool="b"' in text
+        assert m.counter("gae_other_total").value(site="a") == 1.0
+        assert m.names() == ["gae_c_total", "gae_g", "gae_h", "gae_other_total"]

@@ -156,7 +156,10 @@ class TestMetricsPage:
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
         assert "gae_rpc_calls_total" in body
-        assert 'gae_rpc_method_calls_total{method="system.login"}' in body
+        assert (
+            'gae_rpc_calls_total{method="system.login",outcome="ok",'
+            'served_from="execute",transport="inproc"} 1'
+        ) in body
         assert 'gae_site_load{site="siteA"}' in body
 
     def test_metrics_include_latency_quantiles(self, served):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Check that docs/ARCHITECTURE.md matches the source tree.
 
-Nine checks, all run by CI's docs job:
+Ten checks, all run by CI's docs job:
 
 1. every package under src/ (directory with ``__init__.py``) appears by
    dotted name in docs/ARCHITECTURE.md;
@@ -31,7 +31,11 @@ Nine checks, all run by CI's docs job:
    and no stale names;
 9. every ``gae-repro <command>`` named in README.md, EXPERIMENTS.md or
    docs/*.md is a sub-command of ``repro.cli.build_parser()`` — a
-   removed command cannot linger in prose.
+   removed command cannot linger in prose;
+10. the "Host instruments" table lists exactly the instrument names a
+   fresh ``ClarensHost`` plus one started ``AsyncSocketServerHandle``
+   register in ``host.metrics`` — every series ``/metrics`` can show
+   for the RPC layer is documented, and no stale names.
 
 Run from anywhere::
 
@@ -235,6 +239,33 @@ def check_journal_consumers(text: str) -> list[str]:
     return problems
 
 
+def documented_host_instruments(text: str) -> set[str]:
+    """Backticked tokens in the first cells of the "Host instruments" table."""
+    match = re.search(r"### Host instruments\n(.*?)(?:\n#|\Z)", text, re.DOTALL)
+    if match is None:
+        return set()
+    tokens: set[str] = set()
+    for line in match.group(1).splitlines():
+        if line.startswith("|"):
+            tokens.update(re.findall(r"`(gae_[a-z_]+)`", line.split("|")[1]))
+    return tokens
+
+
+def check_host_instruments(text: str) -> list[str]:
+    from repro.clarens import AsyncSocketServerHandle, ClarensHost
+
+    host = ClarensHost("docs")
+    with AsyncSocketServerHandle(host):
+        actual = set(host.metrics.names())
+    documented = documented_host_instruments(text)
+    problems = []
+    for name in sorted(actual - documented):
+        problems.append(f"instrument {name!r} is not in the host-instruments table")
+    for name in sorted(documented - actual):
+        problems.append(f"documented instrument {name!r} is not registered in host.metrics")
+    return problems
+
+
 def check_scenario_cookbook() -> list[str]:
     from repro.scenarios.registry import render_cookbook
     from repro.scenarios.spec import ScenarioError
@@ -355,6 +386,12 @@ def main() -> int:
         for problem in command_problems:
             print(f"  - {problem}", file=sys.stderr)
         return 1
+    instrument_problems = check_host_instruments(text)
+    if instrument_problems:
+        print("docs/ARCHITECTURE.md host-instruments table is out of date:", file=sys.stderr)
+        for problem in instrument_problems:
+            print(f"  - {problem}", file=sys.stderr)
+        return 1
     print(f"docs/ARCHITECTURE.md covers all {len(packages)} packages")
     print("docs/ARCHITECTURE.md event taxonomy matches EventType")
     print("docs/ARCHITECTURE.md state-store namespaces match the registry")
@@ -364,6 +401,7 @@ def main() -> int:
     print("docs/ARCHITECTURE.md journal-consumers table matches CONSUMER_NAMES")
     print("docs/SCENARIOS.md generated tables match the scenario registry")
     print("every `gae-repro <command>` in README/docs is a CLI sub-command")
+    print("docs/ARCHITECTURE.md host-instruments table matches host.metrics")
     return 0
 
 

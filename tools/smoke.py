@@ -7,6 +7,8 @@
     python tools/smoke.py scenario   # quick chaos campaign + artifact schema
     python tools/smoke.py health     # health rules fire and resolve; telemetry export
     python tools/smoke.py bench      # the end-to-end benchmark's own checks + a quick run
+    python tools/smoke.py rpc        # system.stats, system.cache and /metrics tell one story
+    python tools/smoke.py trace      # demo --trace-export validates against its schema
     python tools/smoke.py all        # every one above (< 60 s; run it before committing)
 
 ``restore`` is the kill-and-recover gate of the checkpoint layer, in three
@@ -39,10 +41,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
+import urllib.request
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -218,7 +222,101 @@ def smoke_restore(tmp: Path) -> None:
 
 
 # ----------------------------------------------------------------------
-# scenario / health / bench
+# rpc
+# ----------------------------------------------------------------------
+_SERIES = re.compile(r'^(\w+)(?:\{(.*)\})? (\S+)$')
+
+
+def scrape(url: str) -> tuple:
+    """``/metrics`` as text and as ``[(name, {label: value}, number)]``."""
+    with urllib.request.urlopen(url, timeout=10) as response:
+        text = response.read().decode("utf-8")
+    series = []
+    for line in text.splitlines():
+        match = None if line.startswith("#") else _SERIES.match(line)
+        if match:
+            name, labels, value = match.groups()
+            series.append((name, dict(re.findall(r'(\w+)="([^"]*)"', labels or "")),
+                           float(value)))
+    return text, series
+
+
+def smoke_rpc(tmp: Path) -> None:
+    from repro.clarens import AsyncSocketServerHandle, ClarensClient, ClarensFault
+    from repro.cli import checkpoint_demo_workload
+    from repro.webui import GAEWebUI
+
+    gae, job = checkpoint_demo_workload()
+    gae.sim.run_until(100.0)
+    task, other = job.tasks[0].task_id, job.tasks[1].task_id
+    handle = AsyncSocketServerHandle(gae.host).start()
+    label = f"async:{handle.address[1]}"
+    with GAEWebUI(gae) as ui:
+        with ClarensClient(handle.url, codec="json") as client:
+            client.login("demo", "demo")
+            client.call("jobmon.job_status", task)
+            client.call("jobmon.job_status", task)  # the cached repeat
+            client.batch([("jobmon.job_status", other)] * 3)  # two coalesce
+            for bad in (("jobmon.job_status", "no-such-task"), ("nope.nothing",)):
+                try:
+                    client.call(*bad)
+                except ClarensFault:
+                    pass
+                else:
+                    raise SmokeFailure(f"{bad[0]} did not fault")
+            stats = client.call("system.stats")
+            cache = client.call("system.cache")
+            text, series = scrape(ui.url + "metrics")
+
+        def total(name: str, **labels: str) -> int:
+            return int(sum(
+                value for n, have, value in series
+                if n == name and all(have.get(k) == v for k, v in labels.items())
+            ))
+
+        # What the driver above did, as all three surfaces must tell it.
+        # (/metrics was scraped two calls later: system.stats, system.cache.)
+        status = "jobmon.job_status"
+        check(stats["per_method"][status] == 6, f"per_method: {stats['per_method']}")
+        check(stats["per_method"]["<unknown>"] == 1 and "nope.nothing" not in text,
+              "the bogus method path became a label")
+        check(stats["faults"] == 2 == total("gae_rpc_calls_total", outcome="fault"),
+              f"faults: stats {stats['faults']}")
+        check(total("gae_rpc_calls_total") == stats["calls"] + 2,
+              f"calls: /metrics {total('gae_rpc_calls_total')}, stats {stats['calls']}")
+        for method, n in stats["per_method"].items():
+            check(total("gae_rpc_calls_total", method=method) == n,
+                  f"{method}: /metrics disagrees with system.stats ({n})")
+        for method, summary in stats["latency_ms"].items():
+            check(total("gae_rpc_latency_ms_count", method=method) == summary["count"],
+                  f"{method}: latency count disagrees")
+        served, counters = stats["served"][status], cache["per_method"][status]
+        check(served == {"cache": 1, "coalesced": 2}, f"served: {served}")
+        for kind, source in (("hits", "cache"), ("coalesced", "coalesced")):
+            check(counters[kind] == served[source]
+                  == total(f"gae_rpc_cache_{kind}_total", method=status)
+                  == total("gae_rpc_calls_total", method=status, served_from=source),
+                  f"{kind}: system.cache, system.stats and /metrics disagree")
+        pool = stats["worker_pools"][label]
+        check(pool["completed"] + 2
+              == total("gae_aio_worker_completed_total", pool=label)
+              # one frame per call but the multicall's one executed sub-call
+              == total("gae_rpc_calls_total", transport="async+json") - 1,
+              f"pool {label}: completed {pool['completed']} disagrees with /metrics")
+        print(f"system.stats, system.cache and /metrics agree: {stats['calls']} calls, "
+              f"{stats['faults']} faults, pool {label} completed {pool['completed']}")
+
+        handle.shutdown()
+        text, _ = scrape(ui.url + "metrics")
+        check("worker_pools" not in gae.host.dispatch("system.stats", []),
+              "the stopped pool is still in system.stats")
+        check(label not in text, "the stopped pool is still in /metrics")
+        print(f"pool {label} left system.stats and /metrics at shutdown")
+    gae.stop()
+
+
+# ----------------------------------------------------------------------
+# scenario / health / bench / trace
 # ----------------------------------------------------------------------
 def smoke_scenario(tmp: Path) -> None:
     run_cli("scenario", "run", "benign-baseline", "site-outage-recovery",
@@ -260,11 +358,24 @@ def smoke_bench(tmp: Path) -> None:
     print(f"e2e quick: {verdict['attempted']} attempted, 0 failed, outputs correct")
 
 
+def smoke_trace(tmp: Path) -> None:
+    from repro.observability.export import validate_export_file
+
+    run_cli("demo", "--trace-export", "demo_trace.jsonl", cwd=tmp)
+    rows = validate_export_file(
+        tmp / "demo_trace.jsonl",
+        REPO_ROOT / "docs" / "schemas" / "trace_export.schema.json",
+    )
+    print(f"demo_trace.jsonl: {rows} rows ok")
+
+
 SMOKES = {
     "restore": smoke_restore,
     "scenario": smoke_scenario,
     "health": smoke_health,
     "bench": smoke_bench,
+    "rpc": smoke_rpc,
+    "trace": smoke_trace,
 }
 
 
