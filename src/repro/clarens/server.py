@@ -142,12 +142,11 @@ class _SystemService:
     def consumers(self) -> Dict[str, Any]:
         """Per-consumer cursors/lag of the event-sourced write path.
 
-        Returns ``{"enabled": False}`` on hosts without the event core;
+        Returns ``{"enabled": False}`` on a host no GAE was built on;
         otherwise the journal head seq plus, per registered consumer,
-        its cursor, lag, folded event kinds, namespaces, and baseline.
+        its cursor, lag, folded event kinds and namespaces.
         """
-        instrumentation = self._host.observability
-        core = getattr(instrumentation, "eventcore", None)
+        core = self._host.events
         if core is None:
             return {"enabled": False}
         return core.snapshot()
@@ -322,6 +321,9 @@ class ClarensHost:
         #: The GAE's :class:`~repro.observability.instrument.GAEInstrumentation`
         #: when wired (``build_gae`` sets it); ``system.observability`` reads it.
         self.observability = None
+        #: The GAE's :class:`~repro.events.core.EventCore` (``build_gae``
+        #: sets it on every build); ``system.consumers`` reads it.
+        self.events = None
         #: The serving async front ends' worker pools by label; the aio
         #: server registers at start and unregisters at shutdown,
         #: ``system.stats`` merges the snapshots under ``worker_pools``.

@@ -334,7 +334,7 @@ def _cmd_journal_tail(args: argparse.Namespace) -> int:
     live journal.
     """
     if args.checkpoint:
-        from repro.observability.journal import EventJournal
+        from repro.events.journal import EventJournal
         from repro.store.sqlite import read_store_file
 
         journal = EventJournal(clock=lambda: 0.0)
@@ -347,7 +347,7 @@ def _cmd_journal_tail(args: argparse.Namespace) -> int:
         source = args.checkpoint
     else:
         gae, _job = _journal_workload(args)
-        journal = gae.observability.journal
+        journal = gae.events.journal
         source = f"demo workload at t={gae.sim.now:.0f}s"
 
     events = journal.events()
@@ -359,7 +359,7 @@ def _cmd_journal_tail(args: argparse.Namespace) -> int:
             print(f"error: no events for task {args.task_id!r}{hint}",
                   file=sys.stderr)
             return 1
-    from repro.observability.journal import JOURNAL_SCHEMA_VERSION
+    from repro.events.journal import JOURNAL_SCHEMA_VERSION
 
     tail = events[-args.n:]
     print(f"{len(tail)} of {len(events)} event(s) from {source} "
@@ -388,14 +388,14 @@ def _cmd_journal_replay(args: argparse.Namespace) -> int:
     divergence — the event-sourced core's invariant is broken.
     """
     gae, _job = _journal_workload(args)
-    core = gae.observability.eventcore
+    core = gae.events
     names = args.consumers or list(core.consumers)
     unknown = [n for n in names if n not in core.consumers]
     if unknown:
         print(f"error: unknown consumer(s) {', '.join(unknown)} "
               f"(registered: {', '.join(core.consumers)})", file=sys.stderr)
         return 2
-    journal = gae.observability.journal
+    journal = core.journal
     reports = [core.consumers[name].verify(journal) for name in names]
     print(f"journal head seq {journal.head_seq}, "
           f"{len(journal.events())} retained event(s)")

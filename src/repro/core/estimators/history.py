@@ -7,7 +7,8 @@ fields the SDSC Paragon accounting trace records — plus its actual runtime.
 
 "A decentralized approach is used for history maintenance": each site keeps
 its own :class:`HistoryRepository`; :class:`HistoryRecorder` subscribes to
-a site pool's completion callbacks and appends records automatically.
+a site pool's completion callbacks and journals each finished task; the
+``estimators`` consumer (:mod:`repro.events.core`) appends the record.
 
 The repository answers the similarity queries of §6.1 through a
 **multi-attribute hash index**: for every template (attribute tuple) that
@@ -25,7 +26,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.gridsim.condor import CondorJobAd
 from repro.gridsim.job import TaskSpec
@@ -264,33 +265,25 @@ class HistoryRecorder:
 
     Attach to any number of sites; every successfully completed task (and,
     when ``record_failures`` is set, every failed one) becomes a
-    :class:`TaskRecord` whose runtime is the task's accrued CPU work.
+    :class:`TaskRecord` whose runtime is the task's accrued CPU work,
+    handed to ``sink(record, task_id)`` (``EventCore.emit_history``).
     """
 
-    def __init__(self, repository: HistoryRepository, record_failures: bool = False) -> None:
-        self.repository = repository
+    def __init__(
+        self, sink: Callable[[TaskRecord, str], None], record_failures: bool = False
+    ) -> None:
+        self.sink = sink
         self.record_failures = record_failures
-        #: Event-sourced write seam: when set (to
-        #: ``EventCore.emit_history``) records are journalled first and
-        #: the repository is fed by the estimators consumer; when None
-        #: the recorder writes the repository directly as before.
-        self.sink = None
-
-    def _deliver(self, record: TaskRecord, task_id: str) -> None:
-        if self.sink is not None:
-            self.sink(record, task_id)
-        else:
-            self.repository.add(record)
 
     def attach(self, site: Site) -> None:
         """Subscribe to a site pool's completion/failure callbacks."""
 
         def on_complete(ad: CondorJobAd) -> None:
-            self._deliver(self._record(ad, site.name, "successful"), ad.task_id)
+            self.sink(self._record(ad, site.name, "successful"), ad.task_id)
 
         def on_failed(ad: CondorJobAd) -> None:
             if self.record_failures:
-                self._deliver(self._record(ad, site.name, "failed"), ad.task_id)
+                self.sink(self._record(ad, site.name, "failed"), ad.task_id)
 
         site.pool.on_complete.append(on_complete)
         site.pool.on_failed.append(on_failed)

@@ -5,7 +5,8 @@ methods, plus the plumbing the rest of the GAE needs:
 
 - :meth:`attach_to_scheduler` subscribes to scheduler submissions so every
   task's runtime estimate is recorded *at submission time* into the
-  separate database the Queue Time Estimator reads (§6.2);
+  separate database the Queue Time Estimator reads (§6.2), through the
+  event journal like every store write (:mod:`repro.events.core`);
 - :meth:`install_site_estimator` installs the runtime estimator at an
   execution site, enabling the §6.1 scheduling protocol (sites answer the
   scheduler's estimate queries locally);
@@ -23,12 +24,15 @@ A minimal session — three similar completed tasks, then a wire-format
 runtime estimate for a new task that matches them:
 
 >>> from repro.core.estimators.history import HistoryRepository, TaskRecord
+>>> from repro.events import EventCore, EventJournal
+>>> events = EventCore(EventJournal(clock=lambda: 0.0, capacity=0))
 >>> def rec(runtime_s):
 ...     return TaskRecord(owner="alice", account="cms", partition="compute",
 ...                       queue="standard", nodes=1, task_type="batch",
 ...                       executable="reco", requested_cpu_hours=1.0,
 ...                       runtime_s=runtime_s)
->>> service = EstimatorService(HistoryRepository([rec(100.0), rec(110.0), rec(120.0)]))
+>>> history = HistoryRepository([rec(100.0), rec(110.0), rec(120.0)])
+>>> service = EstimatorService(history, events.emit_estimate)
 >>> est = service.estimate_runtime({
 ...     "_type": "TaskSpec", "owner": "alice", "account": "cms",
 ...     "partition": "compute", "queue": "standard", "nodes": 1,
@@ -72,6 +76,7 @@ class EstimatorService:
     def __init__(
         self,
         history: HistoryRepository,
+        estimate_sink: Callable[[str, float], None],
         probe: Optional[IperfProbe] = None,
         catalog: Optional[ReplicaCatalog] = None,
         min_samples: int = 3,
@@ -80,10 +85,13 @@ class EstimatorService:
         transfer_cache_ttl_s: Optional[float] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        """``transfer_cache_ttl_s`` memoizes bandwidth probes for that many
-        seconds of *clock* time (pass the simulation clock when estimating
-        under simulated time); ``None`` probes on every estimate."""
+        """``estimate_sink`` (``EventCore.emit_estimate``) is where
+        :meth:`record_estimate` writes.  ``transfer_cache_ttl_s`` memoizes
+        bandwidth probes for that many seconds of *clock* time (pass the
+        simulation clock when estimating under simulated time); ``None``
+        probes on every estimate."""
         self.history = history
+        self.estimate_sink = estimate_sink
         self.runtime = RuntimeEstimator(history, min_samples=min_samples, method=method)
         self.estimate_db = RuntimeEstimateDB()
         self.queue_time = QueueTimeEstimator(
@@ -98,11 +106,6 @@ class EstimatorService:
         )
         self.catalog = catalog
         self._services: Dict[str, ExecutionService] = {}
-        #: Event-sourced write seam: when set (to
-        #: ``EventCore.emit_estimate``) at-submission estimates are
-        #: journalled first (``estimate-recorded``) and the estimators
-        #: consumer writes the estimate DB; ``None`` writes directly.
-        self.estimate_sink: Optional[Callable[[str, float], None]] = None
 
     # ------------------------------------------------------------------
     # wiring
@@ -146,15 +149,9 @@ class EstimatorService:
         scheduler.submission_listeners.append(on_submission)
 
     def record_estimate(self, task_id: str, value: float) -> None:
-        """Store an at-submission estimate through the write path.
-
-        Journal-first when the :attr:`estimate_sink` seam is installed
-        (the estimators consumer then writes the DB), direct otherwise.
-        """
-        if self.estimate_sink is not None:
-            self.estimate_sink(task_id, value)
-        else:
-            self.estimate_db.record(task_id, value)
+        """Journal an at-submission estimate (``estimate-recorded``);
+        the estimators consumer writes the estimate DB."""
+        self.estimate_sink(task_id, value)
 
     # ------------------------------------------------------------------
     # Clarens-exposed estimator methods

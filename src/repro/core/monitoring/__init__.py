@@ -16,7 +16,8 @@ Components, one module each, mirroring Figure 3:
   execution services, pushes terminal updates to the DBManager, and serves
   live queries;
 - :mod:`db_manager` — the DBManager (§5.4), an SQLite-backed repository
-  that also publishes every update to MonALISA;
+  whose every update is journalled (the ``monalisa`` journal consumer
+  derives §5.4's publish to MonALISA from the same event);
 - :mod:`manager` — the JMManager and JMExecutable (§5.3): DB-first /
   collector-fallback query flow, and the request forwarder the Steering
   Service talks to;

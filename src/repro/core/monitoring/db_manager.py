@@ -7,6 +7,10 @@ publishes the job monitoring information to MonALISA."
 Backed by SQLite (stdlib), in-memory by default, file-backed on request —
 a real queryable repository, as in the deployed system, not a dict.
 
+Both halves happen in the journal consumers (:mod:`repro.events.core`):
+:meth:`DBManager.update` emits ``monitoring-updated``, ``monitoring`` folds
+it into the tables and ``monalisa`` then performs the §5.4 publish.
+
 Since the state-store refactor the relational tables can also live
 *inside* a :class:`~repro.store.base.StateStore` (pass ``store=``): the
 schema stays SQL-queryable and every read is bit-identical to the
@@ -19,10 +23,9 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.monitoring.records import MonitoringRecord
-from repro.monalisa.repository import JobStateEvent, MonALISARepository
 from repro.store.base import StateStore
 from repro.store.registry import MONITORING_JOBS, namespace_record
 
@@ -107,17 +110,17 @@ _HISTORY_SQL = (
 class DBManager:
     """SQLite-backed store of the latest monitoring record per task.
 
-    Usable as a context manager; :meth:`close` is idempotent and safe
-    against a concurrent :meth:`update`.  When ``store`` is given, the
-    tables live on the store's SQL connection (and the connection's
-    lifetime belongs to the store, so ``close()`` becomes a no-op for
-    the shared connection).
+    Writes through ``emit`` (``EventCore.emit_monitoring``).  Usable as a
+    context manager; :meth:`close` is idempotent and safe against a
+    concurrent fold.  When ``store`` is given, the tables live on the
+    store's SQL connection (and the connection's lifetime belongs to the
+    store, so ``close()`` becomes a no-op for the shared connection).
     """
 
     def __init__(
         self,
+        emit: Callable[[MonitoringRecord], None],
         path: str = ":memory:",
-        monalisa: Optional[MonALISARepository] = None,
         store: Optional[StateStore] = None,
     ) -> None:
         # The threaded XML-RPC front end serves monitoring queries from
@@ -135,25 +138,18 @@ class DBManager:
         self._closed = False
         with self._lock:
             self._conn.executescript(_SCHEMA)
-        self.monalisa = monalisa
+        self.emit = emit
         #: Called with each record after it is upserted — the read-cache
         #: "monitoring" epoch (and any other watcher) hangs here.
         self.update_listeners: list = []
-        #: Event-sourced write seam: when set (to
-        #: ``EventCore.emit_monitoring``) every :meth:`update` journals a
-        #: ``monitoring-updated`` event instead of writing directly; the
-        #: monitoring consumer then calls :meth:`apply_record` and the
-        #: monalisa consumer performs the derived job-state publish.
-        #: ``None`` keeps the original direct path (stand-alone managers,
-        #: old tests, ``observability=False`` builds).
-        self.emit = None
 
     def close(self) -> None:
         """Idempotently close the underlying database connection.
 
-        Taken under the same lock as :meth:`update`, so a concurrent
-        writer can never race the closing connection.  A store-owned
-        connection is left open (the store manages its lifetime).
+        Taken under the same lock as :meth:`apply_record`, so a
+        concurrent writer can never race the closing connection.  A
+        store-owned connection is left open (the store manages its
+        lifetime).
         """
         with self._lock:
             if self._closed:
@@ -170,21 +166,8 @@ class DBManager:
 
     # ------------------------------------------------------------------
     def update(self, record: MonitoringRecord) -> None:
-        """Upsert a task's latest record; publish the update to MonALISA.
-
-        With the :attr:`emit` seam installed the record is journalled
-        first (``monitoring-updated``) and the SQL write + MonALISA
-        publish happen in the journal consumers, in the same relative
-        order as the direct path.
-        """
-        if self.emit is not None:
-            self.emit(record)
-            return
-        self.apply_record(record, notify=False)
-        if self.monalisa is not None:
-            self.monalisa.publish_job_state(self._job_state_event(record))
-        for listener in self.update_listeners:
-            listener(record)
+        """Journal a task's latest record (``monitoring-updated``)."""
+        self.emit(record)
 
     def apply_record(self, record: MonitoringRecord, notify: bool = True) -> None:
         """The SQL half of an update: upsert + append-only history row.
@@ -202,47 +185,6 @@ class DBManager:
         if notify:
             for listener in self.update_listeners:
                 listener(record)
-
-    def update_many(self, records: Iterable[MonitoringRecord]) -> int:
-        """Batched upsert: one ``executemany`` pair in one transaction.
-
-        The periodic monitoring snapshot writes every running task at
-        once; batching amortises the per-statement and per-commit cost
-        (see the ``persistence`` benchmark section).  MonALISA publishes
-        happen after the transaction, in record order, exactly as a loop
-        of :meth:`update` calls would have done.  On the event-sourced
-        path each record is journalled individually (the log is the
-        authority; consumers keep record order).
-        """
-        records = list(records)
-        if not records:
-            return 0
-        if self.emit is not None:
-            for record in records:
-                self.emit(record)
-            return len(records)
-        with self._lock:
-            self._conn.executemany(_UPSERT_SQL, [_record_values(r) for r in records])
-            self._conn.executemany(_HISTORY_SQL, [_history_values(r) for r in records])
-            self._conn.commit()
-        if self.monalisa is not None:
-            for record in records:
-                self.monalisa.publish_job_state(self._job_state_event(record))
-        for listener in self.update_listeners:
-            for record in records:
-                listener(record)
-        return len(records)
-
-    @staticmethod
-    def _job_state_event(record: MonitoringRecord) -> JobStateEvent:
-        return JobStateEvent(
-            time=record.snapshot_time,
-            task_id=record.task_id,
-            job_id=record.job_id,
-            site=record.site,
-            state=record.status,
-            progress=record.progress,
-        )
 
     # ------------------------------------------------------------------
     def _row_to_record(self, row: tuple) -> MonitoringRecord:

@@ -18,7 +18,6 @@ from repro.core.monitoring.manager import JMExecutable, JMManager
 from repro.core.monitoring.records import MonitoringRecord
 from repro.gridsim.clock import Simulator
 from repro.gridsim.execution import ExecutionService
-from repro.monalisa.repository import MonALISARepository
 from repro.store.base import StateStore
 
 
@@ -65,13 +64,13 @@ class JobMonitoringService:
     def __init__(
         self,
         sim: Simulator,
-        monalisa: Optional[MonALISARepository] = None,
+        emit: Callable[[MonitoringRecord], None],
         estimate_lookup: Optional[Callable[[str], float]] = None,
         db_path: str = ":memory:",
         store: Optional["StateStore"] = None,
     ) -> None:
         self.sim = sim
-        self.db_manager = DBManager(path=db_path, monalisa=monalisa, store=store)
+        self.db_manager = DBManager(emit, path=db_path, store=store)
         self.collector = JobInformationCollector(
             sim, self.db_manager, estimate_lookup=estimate_lookup
         )
@@ -90,13 +89,11 @@ class JobMonitoringService:
     # continuous monitoring (§5: "continuously monitors the jobs")
     # ------------------------------------------------------------------
     def snapshot_running(self) -> int:
-        """Store a snapshot of every running task; returns how many.
-
-        One batched transaction (:meth:`DBManager.update_many`) instead
-        of a commit per record — the periodic snapshot is the monitoring
-        DB's write hot path.
-        """
-        return self.db_manager.update_many(self.collector.collect_running())
+        """Store a snapshot of every running task; returns how many."""
+        records = self.collector.collect_running()
+        for record in records:
+            self.db_manager.update(record)
+        return len(records)
 
     def start_periodic_snapshots(self, period_s: float = 30.0) -> None:
         """Snapshot running tasks every *period_s* simulated seconds.

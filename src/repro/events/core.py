@@ -1,27 +1,28 @@
 """The event-sourced core: the journal as the authoritative write path.
 
-Until PR 9 the :class:`~repro.observability.journal.EventJournal` merely
+Until PR 9 the :class:`~repro.events.journal.EventJournal` merely
 *observed* the system — accounting, the monitoring DB, MonALISA, and the
 estimator history each mutated their own state directly.  This module
-inverts that: every lifecycle state change is journalled **first** and the
-downstream stores become replayable *consumers* whose state is a pure fold
+inverts that: every state change is journalled **first** and the
+downstream stores are replayable *consumers* whose state is a pure fold
 over the sequenced log.
 
-Wiring (see :func:`repro.gae.build_gae`):
+Wiring (see :func:`repro.gae.build_gae`, which builds one core for every
+GAE, instrumented or not):
 
 - :class:`EventCore` owns the consumer registry and appends one dispatch
-  listener to the journal; its ``emit_*`` methods are installed on the
-  producers' seams (``EstimatorService.estimate_sink``,
-  ``HistoryRecorder.sink``, ``DBManager.emit``,
-  ``MonALISARepository.emit``).  A producer whose seam is ``None`` keeps
-  its original direct write path, so stand-alone objects and old tests
-  are untouched.
+  listener to the journal; its ``emit_*`` methods are what the producers
+  are constructed with (``EstimatorService``, ``HistoryRecorder``,
+  ``DBManager``, ``MonALISARepository``) — a producer has no other way
+  to write.  :meth:`EventCore.register_stores` registers the consumer
+  behind each store, for ``build_gae`` and for a stand-alone producer
+  alike.
 - Each :class:`JournalConsumer` folds the event kinds it cares about into
   its backing store, tracks a monotone ``cursor`` (the highest journal
   ``seq`` it has seen), and can **rebuild** its state from a baseline plus
   the journal tail — :meth:`JournalConsumer.verify` checks the rebuilt
   fingerprint is bit-identical to the live one.
-- Incremental checkpoints (:mod:`repro.store.checkpoint`) restore a
+- A checkpoint continuation (:mod:`repro.store.checkpoint`) restores a
   consumer as *base snapshot + quiet replay of the journal tail*.
 
 The consumer table in ``docs/ARCHITECTURE.md`` is drift-gated against
@@ -31,13 +32,13 @@ The consumer table in ``docs/ARCHITECTURE.md`` is drift-gated against
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.estimators.history import HistoryRepository, TaskRecord
 from repro.core.estimators.queue_time import RuntimeEstimateDB
 from repro.core.monitoring.records import MonitoringRecord
 from repro.monalisa.repository import JobStateEvent, MonALISARepository
-from repro.observability.journal import (
+from repro.events.journal import (
     JOURNAL_SCHEMA_VERSION,
     EventJournal,
     EventType,
@@ -70,7 +71,9 @@ DERIVED_EVENT_TYPES: FrozenSet[EventType] = frozenset(
 
 #: Registration order of the shipped consumers (monitoring before
 #: monalisa: the SQL upsert lands before the derived MonALISA publish,
-#: matching the pre-event-sourced ``DBManager.update`` ordering).
+#: matching the pre-event-sourced ``DBManager.update`` ordering).  The
+#: first three back a store and are on every build; ``accounting`` folds
+#: lifecycle events, which only an instrumented build journals.
 CONSUMER_NAMES: Tuple[str, ...] = (
     "estimators",
     "monitoring",
@@ -157,16 +160,10 @@ class JournalConsumer:
     def _fold_fingerprint(self, events: List[JournalEvent]) -> Any:
         raise NotImplementedError
 
-    def covered_by(self, journal: EventJournal) -> bool:
-        """Whether the retained log still reaches back to the baseline."""
-        retained = journal.events()
-        if not retained:
-            return True
-        return retained[0].seq <= self.baseline_seq + 1
-
     def verify(self, journal: EventJournal) -> Dict[str, Any]:
-        """Rebuild from the journal and compare with the live state."""
-        covered = self.covered_by(journal)
+        """Rebuild from the journal and compare with the live state
+        (``covered``: the retained log still reaches back to the baseline)."""
+        covered = journal.covers(self.baseline_seq)
         rebuilt = self.rebuild(journal)
         live = self.live_fingerprint()
         return {
@@ -196,6 +193,10 @@ def _monitoring_record(event: JournalEvent) -> MonitoringRecord:
         site=event.site,
         **event.attributes,
     )
+
+
+def _never_emits(record: MonitoringRecord) -> None:
+    raise RuntimeError("a scratch DBManager only folds; it is not a producer")
 
 
 class EstimatorConsumer(JournalConsumer):
@@ -290,7 +291,7 @@ class MonitoringConsumer(JournalConsumer):
         # and row order are produced by the same SQL the live path runs.
         from repro.core.monitoring.db_manager import DBManager
 
-        with DBManager(":memory:") as scratch:
+        with DBManager(_never_emits) as scratch:
             scratch.import_state(self._base_state)
             for event in events:
                 scratch.apply_record(_monitoring_record(event), notify=False)
@@ -637,23 +638,24 @@ class AccountingConsumer(JournalConsumer):
         return self._fingerprint_of(state)
 
 
-class EventCore:
-    """Registry + dispatcher: the journal's consumer fan-out.
+def _untraced(task_id: str) -> Tuple[Optional[str], Optional[str]]:
+    return (None, None)
 
-    ``install()`` appends exactly one listener to the journal; events are
+
+class EventCore:
+    """Producer seams + consumer registry + dispatcher over one journal.
+
+    Exactly one listener is appended to the journal; events are
     dispatched to consumers in registration order (deterministic — the
     ordering guarantees in each consumer's docstring depend on it).
     """
 
-    def __init__(
-        self,
-        journal: EventJournal,
-        trace_context: Optional[Callable[[str], Tuple[Optional[str], Optional[str]]]] = None,
-    ) -> None:
+    def __init__(self, journal: EventJournal) -> None:
         self.journal = journal
         self.consumers: Dict[str, JournalConsumer] = {}
-        self._trace_context = trace_context
-        self._installed = False
+        #: ``task_id -> (trace_id, span_id)`` stamped on a task's derived
+        #: events; the instrumentation points it at its lifecycle traces.
+        self.trace_context = _untraced
 
     def register(self, consumer: JournalConsumer) -> JournalConsumer:
         if consumer.name in self.consumers:
@@ -661,11 +663,24 @@ class EventCore:
         self.consumers[consumer.name] = consumer
         return consumer
 
-    def install(self) -> "EventCore":
-        """Attach the dispatch listener (idempotent)."""
-        if not self._installed:
+    def register_stores(
+        self,
+        *,
+        estimators: Optional[Tuple[RuntimeEstimateDB, HistoryRepository]] = None,
+        db_manager=None,
+        monalisa: Optional[MonALISARepository] = None,
+    ) -> "EventCore":
+        """Register the consumer behind each store given, in
+        :data:`CONSUMER_NAMES` order, and start dispatching to them:
+        all three for ``build_gae``, its own for a stand-alone producer."""
+        if estimators is not None:
+            self.register(EstimatorConsumer(*estimators))
+        if db_manager is not None:
+            self.register(MonitoringConsumer(db_manager))
+        if monalisa is not None:
+            self.register(MonALISAConsumer(monalisa))
+        if self._dispatch not in self.journal.listeners:
             self.journal.listeners.append(self._dispatch)
-            self._installed = True
         return self
 
     def _dispatch(self, event: JournalEvent) -> None:
@@ -675,26 +690,21 @@ class EventCore:
             consumer.note(event)
 
     # -- producer seams (journal-first write path) ----------------------
-    def _context(self, task_id: str) -> Tuple[Optional[str], Optional[str]]:
-        if self._trace_context is None:
-            return (None, None)
-        return self._trace_context(task_id)
-
     def emit_estimate(self, task_id: str, value: float) -> None:
-        """``EstimatorService.estimate_sink`` target."""
-        trace_id, span_id = self._context(task_id)
+        """What ``EstimatorService.record_estimate`` calls."""
+        trace_id, span_id = self.trace_context(task_id)
         self.journal.record(
             EventType.ESTIMATE_RECORDED, task_id,
             trace_id=trace_id, span_id=span_id, value=float(value),
         )
 
     def emit_history(self, record: TaskRecord, task_id: str) -> None:
-        """``HistoryRecorder.sink`` target.
+        """What ``HistoryRecorder`` calls for each finished task.
 
         The record's ``site`` rides on the event envelope (not the
         attributes) — consumers rebuild the full record from both.
         """
-        trace_id, span_id = self._context(task_id)
+        trace_id, span_id = self.trace_context(task_id)
         attrs = _record_row(record)
         attrs.pop("site")
         self.journal.record(
@@ -703,12 +713,12 @@ class EventCore:
         )
 
     def emit_monitoring(self, record: MonitoringRecord) -> None:
-        """``DBManager.emit`` target.
+        """What ``DBManager.update`` calls.
 
         ``task_id``/``job_id``/``site`` live on the event envelope; the
         remaining record fields are the attributes.
         """
-        trace_id, span_id = self._context(record.task_id)
+        trace_id, span_id = self.trace_context(record.task_id)
         attrs = dataclasses.asdict(record)
         attrs.pop("task_id")
         attrs.pop("job_id")
@@ -720,7 +730,7 @@ class EventCore:
         )
 
     def emit_metric(self, farm: str, metric: str, time: float, value: float) -> None:
-        """``MonALISARepository.emit`` target."""
+        """What ``MonALISARepository.publish`` calls."""
         self.journal.record(
             EventType.METRIC_PUBLISHED, f"{farm}/{metric}", site=farm,
             farm=farm, metric=metric, sample_time=float(time), value=float(value),

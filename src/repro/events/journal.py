@@ -35,7 +35,7 @@ __all__ = [
 #: Version of the journal row schema.  Version 2 adds the event-sourced
 #: write path: ``estimate-recorded``, ``monitoring-updated``,
 #: ``metric-published`` and ``history-recorded`` rows that downstream
-#: consumers fold into their state (see :mod:`repro.observability.eventbus`).
+#: consumers fold into their state (see :mod:`repro.events.core`).
 JOURNAL_SCHEMA_VERSION = 2
 
 
@@ -70,7 +70,7 @@ class EventType(str, enum.Enum):
     HEALTH_FIRING = "health-firing"
     HEALTH_RESOLVED = "health-resolved"
     # Journal-schema v2: state-change events consumed by the event-sourced
-    # write path (repro.observability.eventbus).  Each carries the full
+    # write path (repro.events.core).  Each carries the full
     # payload a consumer needs to fold the change into its store.
     ESTIMATE_RECORDED = "estimate-recorded"
     MONITORING_UPDATED = "monitoring-updated"
@@ -114,14 +114,15 @@ class JournalEvent:
 class EventJournal:
     """Thread-safe, bounded, append-only event store.
 
-    ``capacity`` bounds memory like the tracer's span store; ``seq`` is a
+    ``capacity`` bounds memory like the tracer's span store (``0``:
+    sequence and dispatch every event, retain none); ``seq`` is a
     monotonically increasing tie-breaker so events recorded at the same
     simulation instant keep their causal recording order.
     """
 
     def __init__(self, clock: Callable[[], float], capacity: int = 100_000) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        if capacity < 0:
+            raise ValueError("capacity must not be negative")
         self._clock = clock
         self._events: deque = deque(maxlen=capacity)
         self._seq = itertools.count()
@@ -133,10 +134,20 @@ class EventJournal:
     def head_seq(self) -> int:
         """``seq`` of the most recently recorded event, ``-1`` when empty.
 
-        Unlike ``self._events[-1].seq`` this survives eviction-free and
-        is what checkpoints record as the high-water mark.
+        Unlike ``self._events[-1].seq`` this does not depend on what is
+        retained and is what checkpoints record as the high-water mark.
         """
         return self._head_seq
+
+    def covers(self, seq: int) -> bool:
+        """Whether every event recorded after *seq* is still retained —
+        i.e. :meth:`events_since` can bring a fold valid at *seq* to the head."""
+        if self._head_seq <= seq:
+            return True
+        try:
+            return self._events[0].seq <= seq + 1
+        except IndexError:  # nothing retained
+            return False
 
     def record(
         self,
@@ -234,13 +245,14 @@ class EventJournal:
             ((f"{e.seq:012d}", e.to_wire()) for e in self.events_since(since)),
         )
 
-    def load_from(self, store: StateStore) -> int:
+    def load_from(self, store: StateStore, *, head_seq: int = -1) -> int:
         """Replace contents from ``observability.journal``.
 
         Events are appended directly (listeners do **not** fire — a
         restore replays state, not events) and the sequence counter is
-        re-seeded past the highest restored ``seq`` so new events keep
-        the monotonic order.  A stream whose ``seq`` values are not
+        re-seeded past the highest restored ``seq`` (or *head_seq*, the
+        saving journal's head, when it had retained nothing) so new events
+        keep the monotonic order.  A stream whose ``seq`` values are not
         strictly increasing is rejected with :class:`OutOfOrderError`
         before any row is applied — a corrupt or hand-spliced store must
         not silently produce a journal consumers cannot fold.
@@ -255,7 +267,7 @@ class EventJournal:
                 )
             last_seq = row["seq"]
         self._events.clear()
-        max_seq = -1
+        max_seq = head_seq
         for row in rows:
             attributes = row["attributes"] or _NO_ATTRIBUTES
             event = JournalEvent(

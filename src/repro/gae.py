@@ -3,6 +3,8 @@
 :func:`build_gae` assembles the complete system of the paper's Figure 1
 over a simulated grid:
 
+- one :class:`~repro.events.core.EventCore` over one event journal, the
+  write path of every store below, on every build (``GAE.events``),
 - the :class:`~repro.gridsim.grid.Grid` substrate (sites, network, replica
   catalog, Sphinx-like scheduler),
 - the MonALISA repository with periodic site-load publication,
@@ -42,13 +44,8 @@ from repro.gridsim.grid import Grid
 from repro.monalisa.publisher import ServiceMetricsPublisher, SiteLoadPublisher
 from repro.monalisa.repository import MonALISARepository
 from repro.monalisa.service import MonALISAQueryService
-from repro.observability.eventbus import (
-    AccountingConsumer,
-    EstimatorConsumer,
-    EventCore,
-    MonALISAConsumer,
-    MonitoringConsumer,
-)
+from repro.events.core import AccountingConsumer, EventCore
+from repro.events.journal import EventJournal
 from repro.observability.instrument import GAEInstrumentation
 from repro.store.base import StateStore
 from repro.store.memory import MemoryStore
@@ -68,8 +65,10 @@ class GAE:
     steering: SteeringService
     load_publisher: SiteLoadPublisher
     service_metrics_publisher: ServiceMetricsPublisher
-    #: End-to-end tracing/journal/metrics; None when built with
-    #: ``observability=False``.
+    #: The write path: the journal, what producers emit into, the consumers.
+    events: EventCore
+    #: End-to-end tracing/lifecycle events/metrics over ``events.journal``;
+    #: None when built with ``observability=False``.
     observability: Optional[GAEInstrumentation] = None
     #: Period (simulated s) for continuous job snapshots; None disables.
     monitor_snapshot_period_s: Optional[float] = None
@@ -185,9 +184,12 @@ def build_gae(
     observability:
         When true (the default) the end-to-end tracing/journal/metrics
         layer is attached: per-job traces through scheduler, pools,
-        steering and MonALISA, a lifecycle event journal, the unified
-        metrics registry, the ``system.observability`` Clarens method,
-        and an ``rpc:*`` span per dispatched call.
+        steering and MonALISA, lifecycle events in the journal, the
+        unified metrics registry, the ``system.observability`` Clarens
+        method, and an ``rpc:*`` span per dispatched call — and the
+        journal retains its rows, which only this layer reads back.
+        ``False`` means no tracer, no lifecycle events and nothing
+        retained; state is written through the journal either way.
     telemetry:
         When true (and observability is on) the streaming telemetry
         pipeline samples every metric and journal rate onto sim-aligned
@@ -211,11 +213,16 @@ def build_gae(
     """
     sim = grid.sim
     store = store if store is not None else MemoryStore()
-    monalisa = MonALISARepository()
+    # First, the write path every producer below is constructed with;
+    # rows are retained only when the instrumentation is there to read them.
+    events = EventCore(
+        EventJournal(lambda: sim.now, capacity=100_000 if observability else 0)
+    )
+    monalisa = MonALISARepository(events.emit_metric)
     history = history if history is not None else HistoryRepository()
 
     estimators = EstimatorService(
-        history, probe=grid.probe, catalog=grid.catalog,
+        history, events.emit_estimate, probe=grid.probe, catalog=grid.catalog,
         transfer_cache_ttl_s=transfer_cache_ttl_s, clock=lambda: sim.now,
     )
     for name in sorted(grid.execution_services):
@@ -227,7 +234,7 @@ def build_gae(
 
     monitoring = JobMonitoringService(
         sim,
-        monalisa=monalisa,
+        events.emit_monitoring,
         estimate_lookup=lambda task_id: estimators.estimate_db.lookup(task_id),
         store=store,
     )
@@ -249,9 +256,8 @@ def build_gae(
     for name in sorted(grid.sites):
         steering.attach_site(grid.sites[name])
 
-    recorder: Optional[HistoryRecorder] = None
     if record_history:
-        recorder = HistoryRecorder(history)
+        recorder = HistoryRecorder(events.emit_history)
         for name in sorted(grid.sites):
             recorder.attach(grid.sites[name])
 
@@ -266,6 +272,7 @@ def build_gae(
         acl=default_acl(),
         read_cache_enabled=read_cache,
     )
+    host.events = events
     if read_cache:
         wire_epochs(
             host.epochs,
@@ -294,6 +301,7 @@ def build_gae(
     if observability:
         instrumentation = GAEInstrumentation(
             sim,
+            events,
             telemetry=telemetry,
             telemetry_window_s=telemetry_window_s,
             health_rules=health_rules,
@@ -308,33 +316,23 @@ def build_gae(
         host.observability = instrumentation
         host.add_middleware(instrumentation.middleware())
 
-        # Event-sourced core: the journal becomes the authoritative write
-        # path.  Consumers fold journalled state changes into their
-        # stores; the emit seams below route every producer through the
-        # journal first.  Registration order is load-bearing: monitoring
-        # (SQL upsert) before monalisa (derived job-state publish).
-        core = EventCore(
-            instrumentation.journal,
-            trace_context=instrumentation.trace_context_of,
-        )
-        core.register(EstimatorConsumer(estimators.estimate_db, history))
-        core.register(MonitoringConsumer(monitoring.db_manager))
-        core.register(MonALISAConsumer(monalisa))
-        core.register(
+    # Consumers fold journalled state changes into their stores; the
+    # core's dispatch listener goes on the journal after the
+    # instrumentation's own.
+    events.register_stores(
+        estimators=(estimators.estimate_db, history),
+        db_manager=monitoring.db_manager,
+        monalisa=monalisa,
+    )
+    if instrumentation is not None:
+        # A shadow fold of lifecycle events only the instrumentation journals.
+        events.register(
             AccountingConsumer(dict(grid.execution_services), estimators.estimate_db)
         )
-        core.install()
-        core.bind_metrics(instrumentation.metrics)
-        # Anchor every fold at the pre-seeded state (e.g. an imported
-        # task history) so rebuild-from-journal stays well-defined.
-        core.rebaseline_all()
-        instrumentation.eventcore = core
-
-        estimators.estimate_sink = core.emit_estimate
-        if recorder is not None:
-            recorder.sink = core.emit_history
-        monitoring.db_manager.emit = core.emit_monitoring
-        monalisa.emit = core.emit_metric
+        events.bind_metrics(instrumentation.metrics)
+    # Anchor every fold at the pre-seeded state (e.g. an imported task
+    # history) so rebuild-from-journal stays well-defined.
+    events.rebaseline_all()
 
     return GAE(
         grid=grid,
@@ -347,6 +345,7 @@ def build_gae(
         steering=steering,
         load_publisher=load_publisher,
         service_metrics_publisher=service_metrics_publisher,
+        events=events,
         observability=instrumentation,
         monitor_snapshot_period_s=monitor_snapshot_period_s,
         store=store,

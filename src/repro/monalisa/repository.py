@@ -11,6 +11,10 @@ MonALISA):
 
 Subscribers receive every update for the keys they watch; the repository
 itself is transport-neutral and can be registered on a Clarens host.
+
+Both arrive through the event journal: the ``monalisa`` consumer of
+:mod:`repro.events.core` appends each ``metric-published`` sample and
+derives each job-state event from a ``monitoring-updated`` one.
 """
 
 from __future__ import annotations
@@ -78,28 +82,23 @@ class JobStateEvent:
 
 
 class MonALISARepository:
-    """Grid-wide monitoring store with publish/subscribe."""
+    """Grid-wide monitoring store with publish/subscribe; :meth:`publish`
+    writes through ``emit`` (``EventCore.emit_metric``)."""
 
-    def __init__(self) -> None:
+    def __init__(self, emit: Callable[[str, str, float, float], None]) -> None:
+        self.emit = emit
         self._series: Dict[Tuple[str, str], TimeSeries] = {}
         self._metric_subscribers: List[Callable[[MetricUpdate], None]] = []
         self._job_events: List[JobStateEvent] = []
         self._job_subscribers: List[Callable[[JobStateEvent], None]] = []
-        #: Event-sourced write seam: when set (to
-        #: ``EventCore.emit_metric``) :meth:`publish` journals a
-        #: ``metric-published`` event and the monalisa consumer applies
-        #: the sample; ``None`` keeps the original direct append.
-        self.emit: Optional[Callable[[str, str, float, float], None]] = None
 
     # ------------------------------------------------------------------
     # numeric metrics
     # ------------------------------------------------------------------
     def publish(self, farm: str, metric: str, time: float, value: float) -> None:
-        """Record one sample and fan it out to metric subscribers."""
-        if self.emit is not None:
-            self.emit(farm, metric, time, value)
-            return
-        self._apply_publish(farm, metric, time, value)
+        """Journal one sample (``metric-published``); the consumer
+        records it and fans it out to metric subscribers."""
+        self.emit(farm, metric, time, value)
 
     def _apply_publish(
         self, farm: str, metric: str, time: float, value: float, notify: bool = True

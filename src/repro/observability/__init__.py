@@ -1,4 +1,4 @@
-"""End-to-end observability for the GAE: spans, event journal, metrics.
+"""End-to-end observability for the GAE: spans, lifecycle events, metrics.
 
 The paper's Job Monitoring Service (§5) exists so users can ask "what is
 my job doing right now, and why?".  PR 1 instrumented the Clarens RPC
@@ -9,15 +9,15 @@ correlated trace:
 
 - :mod:`repro.observability.tracing` — ``Span``/``SpanContext`` and a
   thread-safe, bounded, simulation-clock-aware ``Tracer``;
-- :mod:`repro.observability.journal` — an append-only ``EventJournal``
-  of typed lifecycle events with per-task timeline reconstruction;
 - :mod:`repro.observability.metrics` — the ``MetricsRegistry`` of
   counters/gauges/histograms with Prometheus-style text exposition (the
   GAE's instance here; the Clarens host keeps its own, ``host.metrics``);
 - :mod:`repro.observability.instrument` — ``GAEInstrumentation``, the
-  wiring that subscribes all of the above to a built GAE, plus the
-  ``ObservabilityMiddleware`` that joins Clarens call trace ids with
-  job traces;
+  wiring that subscribes all of the above to a built GAE and journals
+  the typed lifecycle events into the GAE's :mod:`repro.events` journal
+  (the write path, which exists with or without this package), plus
+  the ``ObservabilityMiddleware`` that joins Clarens call trace ids
+  with job traces;
 - :mod:`repro.observability.export` — JSONL export of spans + journal
   events, validated against ``docs/schemas/trace_export.schema.json``.
 """
@@ -29,19 +29,15 @@ from repro.observability.export import (
     validate_export_file,
 )
 from repro.observability.instrument import GAEInstrumentation, ObservabilityMiddleware
-from repro.observability.journal import EventJournal, EventType, JournalEvent
 from repro.observability.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.observability.tracing import Span, SpanContext, Tracer, render_span_tree
 
 __all__ = [
     "Counter",
-    "EventJournal",
-    "EventType",
     "ExportValidationError",
     "GAEInstrumentation",
     "Gauge",
     "Histogram",
-    "JournalEvent",
     "MetricsRegistry",
     "ObservabilityMiddleware",
     "Span",

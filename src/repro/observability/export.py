@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.observability.journal import (
+from repro.events.journal import (
     JOURNAL_SCHEMA_VERSION,
     EventJournal,
     OutOfOrderError,
@@ -85,7 +85,7 @@ def load_export(path: Union[str, Path]) -> Dict[str, List[Dict[str, Any]]]:
     Event rows must arrive in strictly increasing ``seq`` order — the
     journal is a monotonically sequenced log, and an out-of-order stream
     (a corrupt or hand-spliced export) is rejected with
-    :class:`~repro.observability.journal.OutOfOrderError` rather than
+    :class:`~repro.events.journal.OutOfOrderError` rather than
     silently producing a log consumers cannot fold.
     """
     out: Dict[str, List[Dict[str, Any]]] = {"meta": [], "span": [], "event": []}

@@ -10,7 +10,7 @@ ok → firing → resolved state machine per rule, and reports transitions
 three ways at once:
 
 - ``health-firing`` / ``health-resolved`` events in the
-  :class:`~repro.observability.journal.EventJournal` (rule name in
+  :class:`~repro.events.journal.EventJournal` (rule name in
   ``task_id``), so scenario scoring and timelines see them;
 - a ``health`` farm in MonALISA (``rule.<name>`` stepping 0/1 each
   window), so the monitoring repository can chart degradation windows;
@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.observability.journal import EventJournal, EventType
+from repro.events.journal import EventJournal, EventType
 from repro.observability.telemetry import REDUCERS
 
 __all__ = [

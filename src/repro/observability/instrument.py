@@ -1,8 +1,9 @@
-"""Wiring that threads tracing, the journal, and metrics through a GAE.
+"""Wiring that threads tracing, lifecycle events, and metrics through a GAE.
 
-:class:`GAEInstrumentation` owns one :class:`Tracer`, one
-:class:`EventJournal` and one :class:`MetricsRegistry` per GAE and
-subscribes them to every layer a job touches:
+:class:`GAEInstrumentation` owns one :class:`Tracer` and one
+:class:`MetricsRegistry` per GAE, is handed the GAE's event core (whose
+journal it is the only emitter of lifecycle events into) and subscribes
+them to every layer a job touches:
 
 - ``scheduler.plan_listeners`` — a new job opens a ``job:<id>`` root
   span and one ``task:<id>`` span per task (all sharing a fresh trace
@@ -35,16 +36,17 @@ from __future__ import annotations
 import contextlib
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.events.journal import EventType
 from repro.gridsim.job import JobState
 from repro.observability.health import HealthEngine
-from repro.observability.journal import EventJournal, EventType
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.telemetry import TelemetryPipeline
 from repro.observability.tracing import Span, Tracer, new_trace_id
 from repro.store.registry import OBSERVABILITY_TELEMETRY, namespace_record
 
-if TYPE_CHECKING:  # annotation only: repro.clarens imports this package
+if TYPE_CHECKING:  # annotation only: both import chains lead back here
     from repro.clarens.middleware import CallContext
+    from repro.events.core import EventCore
 
 __all__ = ["GAEInstrumentation", "ObservabilityMiddleware"]
 
@@ -126,29 +128,27 @@ class _JobTrace:
 
 
 class GAEInstrumentation:
-    """One GAE's tracer + journal + metrics, and all their subscriptions."""
+    """One GAE's tracer + metrics over its journal, and all their subscriptions."""
 
     def __init__(
         self,
         sim,
+        eventcore: EventCore,
         *,
         span_capacity: int = 8192,
-        journal_capacity: int = 100_000,
         telemetry: bool = True,
         telemetry_window_s: float = 60.0,
         telemetry_retain: int = 256,
         health_rules=None,
     ) -> None:
         self.sim = sim
-        clock = lambda: sim.now  # noqa: E731 - tiny clock adapter
-        self.tracer = Tracer(clock, capacity=span_capacity)
-        self.journal = EventJournal(clock, capacity=journal_capacity)
+        self.tracer = Tracer(lambda: sim.now, capacity=span_capacity)
+        self.eventcore = eventcore  # the GAE's write path, ``gae.events``
+        self.journal = eventcore.journal
+        eventcore.trace_context = self.trace_context_of
         self.metrics = MetricsRegistry()
         self._tasks: Dict[str, _TaskTrace] = {}
         self._jobs: Dict[str, _JobTrace] = {}
-        #: The event-sourced consumer registry; installed by build_gae
-        #: (None for partially-wired rigs and stand-alone tests).
-        self.eventcore = None
         self.telemetry: Optional[TelemetryPipeline] = None
         self.health: Optional[HealthEngine] = None
         if telemetry:
@@ -614,11 +614,7 @@ class GAEInstrumentation:
             "jobs_traced": len(self._jobs),
             "metrics": self.metrics.snapshot(),
             "telemetry": self.telemetry_summary(),
-            "consumers": (
-                self.eventcore.snapshot()
-                if self.eventcore is not None
-                else {"enabled": False}
-            ),
+            "consumers": self.eventcore.snapshot(),
         }
 
     def telemetry_summary(self) -> Dict[str, Any]:
@@ -652,10 +648,9 @@ class GAEInstrumentation:
     # ------------------------------------------------------------------
     # persistence (checkpoint/restore)
     # ------------------------------------------------------------------
-    def save_to(self, store, *, journal_since: int = -1) -> None:
-        """Persist journal (rows past *journal_since*), spans, metric
-        values, and telemetry windows."""
-        self.journal.save_to(store, since=journal_since)
+    def save_to(self, store) -> None:
+        """Persist spans, metric values, and telemetry windows (the
+        journal is the checkpointer's to save)."""
         self.tracer.save_to(store)
         self.metrics.save_to(store)
         if self.telemetry is not None:
@@ -739,8 +734,7 @@ class GAEInstrumentation:
             self._jobs[job_id] = jt
 
     def load_from(self, store, tracking: Optional[Dict[str, Any]] = None) -> None:
-        """Restore journal, spans, metric values, and (optionally) tracking."""
-        self.journal.load_from(store)
+        """Restore spans, metric values, and (optionally) tracking."""
         spans_by_id = self.tracer.load_from(store)
         self.metrics.load_from(store)
         if self.telemetry is not None:

@@ -51,7 +51,7 @@ from typing import (
 )
 
 from repro.monalisa.timeseries import TimeSeries
-from repro.observability.journal import EventJournal, JournalEvent
+from repro.events.journal import EventJournal, JournalEvent
 from repro.observability.metrics import (
     Counter,
     Gauge,

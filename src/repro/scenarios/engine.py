@@ -63,7 +63,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import grid_from_config
 from repro.gridsim.job import reset_id_counters
-from repro.observability.journal import EventType, JournalEvent
+from repro.events.journal import EventType, JournalEvent
 from repro.scenarios.chaos import wire_chaos
 from repro.scenarios.slo import score_slos
 from repro.scenarios.spec import (

@@ -1,7 +1,7 @@
 """SLO assertions scored from the observability journal.
 
 Every metric is **simulation-domain and deterministic**: values are
-derived purely from :class:`~repro.observability.journal.JournalEvent`
+derived purely from :class:`~repro.events.journal.JournalEvent`
 times and the at-submission :class:`~repro.core.estimators.queue_time.
 RuntimeEstimateDB`, never from host wall clocks — which is what lets the
 ``SCENARIOS.json`` artifact be bit-identical across two runs with the
@@ -24,7 +24,7 @@ Metrics (see :data:`SLO_METRICS`):
 
 Doctest — score a tiny hand-built journal::
 
-    >>> from repro.observability.journal import EventJournal, EventType
+    >>> from repro.events.journal import EventJournal, EventType
     >>> journal = EventJournal(clock=lambda: 0.0)
     >>> for t, typ in [(0.0, EventType.DISPATCHED), (5.0, EventType.STARTED),
     ...                (9.0, EventType.FAILED), (11.0, EventType.RECOVERED),
@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.observability.journal import EventType, JournalEvent
+from repro.events.journal import EventType, JournalEvent
 from repro.observability.metrics import percentile
 
 __all__ = ["SLO_METRICS", "SloSpec", "score_slos"]

@@ -10,20 +10,21 @@ the system is quiescent.  Every file holds
   barrier and ``base_seq`` (below);
 - the *runtime state*: scheduler, pools, catalog, RNG streams, periodic
   phases, steering, accounting, spans, metric values, telemetry;
-- *journal rows* (``observability.journal``);
+- *journal rows* (``observability.journal``): what ``gae.events.journal``
+  retains — nothing on an ``observability=False`` build;
 - optionally the *consumer namespaces* (:data:`CONSUMER_NAMESPACES`) —
-  the materialised state of the four journal consumers, which are pure
-  folds over the journal.
+  the materialised state of the store-backed journal consumers, which
+  are pure folds over the journal.
 
 A **self-contained** file (``base_seq`` is ``None``) holds the consumer
 namespaces as of its own ``head_seq`` and every retained journal row.  A
 **continuation** (``Checkpointer.checkpoint(path, base=...)``) is cut
 against a self-contained base: it omits the consumer namespaces, records
 the base's head as ``base_seq`` and stores only the journal rows with
-``seq > base_seq``.  Restoring is the same either way — consumer state
-is loaded from whichever file holds it and the journal events past the
-seq that state is valid at are folded quietly on top; for a
-self-contained file that tail is empty.
+``seq > base_seq``, which the journal must still retain.  Restoring is
+the same either way — consumer state is loaded from whichever file holds
+it and the journal events past the seq that state is valid at are folded
+quietly on top; for a self-contained file that tail is empty.
 
 :func:`restore_gae` rebuilds the grid from its declarative spec, rewires
 a fresh GAE through :func:`repro.gae.build_gae`, and rehydrates every
@@ -106,8 +107,8 @@ class CheckpointInfo:
     time: float
     jobs: int
     tasks: int
-    #: Journal head sequence at the barrier (``None`` without observability).
-    head_seq: Optional[int] = None
+    #: Journal head sequence at the barrier.
+    head_seq: int
     #: ``head_seq`` of the base this file continues; ``None`` for a
     #: self-contained checkpoint.
     base_seq: Optional[int] = None
@@ -123,7 +124,7 @@ class Checkpointer:
         self.last_info: Optional[CheckpointInfo] = None
         # path -> head_seq of every self-contained file written so far:
         # the bases a continuation may name.
-        self._bases: Dict[str, Optional[int]] = {}
+        self._bases: Dict[str, int] = {}
 
     def checkpoint(self, path: str, *, base: Optional[str] = None) -> CheckpointInfo:
         """Write a checkpoint to the SQLite file at *path*.
@@ -143,12 +144,12 @@ class Checkpointer:
             if base_seq is None:
                 raise CheckpointError(
                     f"no base for {path!r}: {str(base)!r} is not a "
-                    "self-contained checkpoint written by this Checkpointer "
-                    "with observability on"
+                    "self-contained checkpoint written by this Checkpointer"
                 )
+            self._require_tail(base_seq)  # before the file is created
         with SqliteStore(path) as store:
             self.write_state(store, base_seq=base_seq)
-        head_seq = self._head_seq()
+        head_seq = self.gae.events.journal.head_seq
         if base is None:
             self._bases[path] = head_seq
         jobs = self.gae.scheduler.jobs()
@@ -177,17 +178,20 @@ class Checkpointer:
             label=f"gae.checkpoint:{path}",
         )
 
-    def _head_seq(self) -> Optional[int]:
-        obs = self.gae.observability
-        return obs.journal.head_seq if obs is not None else None
+    def _require_tail(self, base_seq: int) -> None:
+        journal = self.gae.events.journal
+        if not journal.covers(base_seq):
+            raise CheckpointError(
+                f"journal retention ({journal.capacity} rows, head {journal.head_seq}) "
+                f"no longer reaches base {base_seq}: checkpoint against a later base"
+            )
 
     def write_state(self, store: StateStore, *, base_seq: Optional[int] = None) -> None:
         """Write every layer's state into *store* (any backend).
 
         With *base_seq* — the journal head of a self-contained base — the
         consumer namespaces are left out and only journal rows past
-        *base_seq* are written.  That needs observability (the journal is
-        what rebuilds consumer state) and a retained window that still
+        *base_seq* are written.  That needs a retained window that still
         reaches the base; :class:`CheckpointError` otherwise.
         """
         from repro.gridsim.job import snapshot_id_counters
@@ -195,18 +199,9 @@ class Checkpointer:
         gae = self.gae
         grid = gae.grid
         obs = gae.observability
+        journal = gae.events.journal
         if base_seq is not None:
-            if obs is None:
-                raise CheckpointError(
-                    "continuing a base checkpoint requires observability"
-                )
-            retained = obs.journal.events()
-            if retained and retained[0].seq > base_seq + 1:
-                raise CheckpointError(
-                    f"journal retention starts at seq {retained[0].seq}, "
-                    f"after base {base_seq}: tail is not replayable "
-                    "(checkpoint against a more recent base)"
-                )
+            self._require_tail(base_seq)
         register_all(store)
         store.put(
             CHECKPOINT_META,
@@ -222,20 +217,21 @@ class Checkpointer:
                     obs.export_tracking() if obs is not None else None
                 ),
                 "users": gae.host.users.export_state(),
-                "head_seq": self._head_seq(),
+                "head_seq": journal.head_seq,
                 "base_seq": base_seq,
             },
         )
 
         # Consumer state, unless the base holds it; then the journal (the
-        # rows past the base) with the rest of the observability layer.
+        # rows past the base) and the observability layer.
         if base_seq is None:
             gae.history.save_to(store)
             gae.estimators.estimate_db.save_to(store)
             store.put(MONITORING_JOBS, "state", gae.monitoring.db_manager.export_state())
             gae.monalisa.save_to(store)
+        journal.save_to(store, since=-1 if base_seq is None else base_seq)
         if obs is not None:
-            obs.save_to(store, journal_since=-1 if base_seq is None else base_seq)
+            obs.save_to(store)
 
         # The gridsim substrate.  Pool snapshots sync running accruals to
         # the barrier instant themselves.
@@ -360,6 +356,8 @@ def _read(path: str) -> Tuple[MemoryStore, Dict[str, Any]]:
             f"{path!r}: checkpoint format {meta['format']} unsupported "
             f"(this build reads format {CHECKPOINT_FORMAT})"
         )
+    if meta["head_seq"] is None:  # written by a build that had no journal
+        meta["head_seq"] = -1
     return source, meta
 
 
@@ -397,15 +395,14 @@ def _restore(
     gae.estimators.estimate_db.load_from(source)
     gae.monitoring.db_manager.import_state(source.get(MONITORING_JOBS, "state"))
     gae.monalisa.load_from(source)
-    core = None
+    journal = gae.events.journal
+    journal.load_from(source, head_seq=meta["head_seq"])
     if gae.observability is not None:
         gae.observability.load_from(source, tracking=meta["observability_tracking"])
-        core = gae.observability.eventcore
-        if core is not None:
-            # Consumer state is valid at the base's head, or — in a
-            # self-contained file — at the file's own: an empty tail.
-            consumers_at = meta["head_seq"] if meta["base_seq"] is None else meta["base_seq"]
-            core.replay_tail(gae.observability.journal.events_since(consumers_at))
+    # Consumer state is valid at the base's head, or — in a
+    # self-contained file — at the file's own: an empty tail.
+    consumers_at = meta["head_seq"] if meta["base_seq"] is None else meta["base_seq"]
+    gae.events.replay_tail(journal.events_since(consumers_at))
 
     # 5. Scheduler before pools: pool ads resolve task ids against the
     # restored job entries.  Queue accounting reseeds from the restored
@@ -444,8 +441,7 @@ def _restore(
 
     # Consumers now hold barrier state; re-anchor their baselines so
     # verify()/rebuild() fold only post-restore events.
-    if core is not None:
-        core.rebaseline_all()
+    gae.events.rebaseline_all()
 
     # 7. Re-arm the periodic activities; the caller just runs.
     return gae.start()

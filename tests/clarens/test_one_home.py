@@ -231,7 +231,7 @@ assert not pulled, pulled
 def test_registry_and_tracer_pull_in_nothing_from_clarens():
     """Whichever package is imported first: no cycle, and the two leaves stay leaves."""
     firsts = ["repro.observability.metrics", "repro.clarens", "repro.observability",
-              "repro.gae", "repro"]
+              "repro.events", "repro.events.core", "repro.gae", "repro"]
     procs = [  # one fresh interpreter each, side by side
         subprocess.Popen(
             [sys.executable, "-c", _IMPORT_SPY.replace("FIRST", first)],

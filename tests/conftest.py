@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.events import EventCore, EventJournal
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder, Simulator
 from repro.gridsim.job import reset_id_counters
@@ -16,6 +17,19 @@ def _fresh_task_ids():
     reset_id_counters()
     yield
     reset_id_counters()
+
+
+def bare_core() -> EventCore:
+    """The write path as an ``observability=False`` build makes it: a
+    journal that retains nothing.  A stand-alone producer is constructed
+    with one of its ``emit_*`` methods and its store registered through
+    ``register_stores`` — the function ``build_gae`` uses."""
+    return EventCore(EventJournal(clock=lambda: 0.0, capacity=0))
+
+
+@pytest.fixture
+def events() -> EventCore:
+    return bare_core()
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.estimators.history import HistoryRecorder, HistoryRepository, TaskRecord
+from repro.core.estimators.queue_time import RuntimeEstimateDB
 from repro.gridsim.clock import Simulator
 from repro.gridsim.job import Task, TaskSpec
 from repro.gridsim.site import Site
@@ -73,11 +74,19 @@ class TestHistoryRepository:
         assert back.records()[1].owner == "z"
 
 
+@pytest.fixture
+def recorded(events):
+    """An empty repository fed by the core's ``estimators`` consumer."""
+    h = HistoryRepository()
+    events.register_stores(estimators=(RuntimeEstimateDB(), h))
+    return h
+
+
 class TestHistoryRecorder:
-    def test_records_completions(self, sim):
-        h = HistoryRepository()
+    def test_records_completions(self, sim, events, recorded):
+        h = recorded
         site = Site.simple(sim, "s")
-        HistoryRecorder(h).attach(site)
+        HistoryRecorder(events.emit_history).attach(site)
         t = Task(spec=TaskSpec(owner="alice", executable="sim"), work_seconds=50.0)
         site.pool.submit(t)
         sim.run()
@@ -87,19 +96,19 @@ class TestHistoryRecorder:
         assert record.status == "successful"
         assert record.site == "s"
 
-    def test_failures_skipped_by_default(self, sim):
-        h = HistoryRepository()
+    def test_failures_skipped_by_default(self, sim, events, recorded):
+        h = recorded
         site = Site.simple(sim, "s")
-        HistoryRecorder(h).attach(site)
+        HistoryRecorder(events.emit_history).attach(site)
         t = Task(spec=TaskSpec(), work_seconds=50.0)
         site.pool.submit(t)
         site.pool.fail_task(t.task_id)
         assert len(h) == 0
 
-    def test_failures_recorded_when_enabled(self, sim):
-        h = HistoryRepository()
+    def test_failures_recorded_when_enabled(self, sim, events, recorded):
+        h = recorded
         site = Site.simple(sim, "s")
-        HistoryRecorder(h, record_failures=True).attach(site)
+        HistoryRecorder(events.emit_history, record_failures=True).attach(site)
         t = Task(spec=TaskSpec(), work_seconds=50.0)
         site.pool.submit(t)
         sim.run_until(10.0)
@@ -108,11 +117,11 @@ class TestHistoryRecorder:
         assert record.status == "failed"
         assert record.runtime_s == pytest.approx(10.0)
 
-    def test_recorded_runtime_is_cpu_work_not_wall_time(self, sim):
+    def test_recorded_runtime_is_cpu_work_not_wall_time(self, sim, events, recorded):
         """On a loaded node the record must hold true CPU work."""
-        h = HistoryRepository()
+        h = recorded
         site = Site.simple(sim, "s", background_load=1.0)
-        HistoryRecorder(h).attach(site)
+        HistoryRecorder(events.emit_history).attach(site)
         t = Task(spec=TaskSpec(), work_seconds=50.0)
         site.pool.submit(t)
         sim.run()

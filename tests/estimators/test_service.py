@@ -29,8 +29,12 @@ def grid():
 
 
 @pytest.fixture
-def service(grid):
-    svc = EstimatorService(seeded_history(), probe=grid.probe, catalog=grid.catalog)
+def service(grid, events):
+    history = seeded_history()
+    svc = EstimatorService(
+        history, events.emit_estimate, probe=grid.probe, catalog=grid.catalog
+    )
+    events.register_stores(estimators=(svc.estimate_db, history))
     for es in grid.execution_services.values():
         svc.install_site_estimator(es)
     svc.attach_to_scheduler(grid.scheduler)

@@ -10,10 +10,16 @@ from repro.monalisa.repository import MonALISARepository
 
 
 @pytest.fixture
-def env():
+def repo(events):
+    repo = MonALISARepository(events.emit_metric)
+    events.register_stores(monalisa=repo)
+    return repo
+
+
+@pytest.fixture
+def env(repo):
     sim = Simulator()
     site = Site.simple(sim, "siteX", background_load=2.0)
-    repo = MonALISARepository()
     return sim, site, repo
 
 
@@ -101,12 +107,11 @@ class TestJobStatePublisher:
 
 class TestServiceMetricsPublisher:
     @pytest.fixture
-    def host_env(self):
+    def host_env(self, repo):
         from repro.clarens.server import ClarensHost
         from repro.monalisa.publisher import ServiceMetricsPublisher
 
         sim = Simulator()
-        repo = MonALISARepository()
         host = ClarensHost("svc-host", time_source=lambda: sim.now)
         pub = ServiceMetricsPublisher(sim, repo, host, period_s=60.0)
         return sim, repo, host, pub

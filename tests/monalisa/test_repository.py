@@ -10,8 +10,9 @@ from repro.monalisa.repository import (
 
 
 @pytest.fixture
-def repo():
-    r = MonALISARepository()
+def repo(events):
+    r = MonALISARepository(events.emit_metric)
+    events.register_stores(monalisa=r)
     r.publish("siteA", "load", 0.0, 1.5)
     r.publish("siteB", "load", 0.0, 0.2)
     r.publish("siteA", "load", 30.0, 1.8)

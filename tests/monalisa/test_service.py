@@ -8,8 +8,9 @@ from repro.monalisa.service import MonALISAQueryService
 
 
 @pytest.fixture
-def service():
-    repo = MonALISARepository()
+def service(events):
+    repo = MonALISARepository(events.emit_metric)
+    events.register_stores(monalisa=repo)
     repo.publish("siteA", "load", 0.0, 1.5)
     repo.publish("siteA", "load", 30.0, 2.0)
     repo.publish("siteB", "load", 0.0, 0.1)

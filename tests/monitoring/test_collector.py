@@ -10,10 +10,11 @@ from repro.gridsim.site import Site
 
 
 @pytest.fixture
-def env(sim):
+def env(sim, events):
     site = Site.simple(sim, "s1", background_load=0.0)
     es = ExecutionService(site)
-    db = DBManager()
+    db = DBManager(events.emit_monitoring)
+    events.register_stores(db_manager=db)
     collector = JobInformationCollector(sim, db, estimate_lookup=lambda tid: 100.0)
     collector.attach(es)
     return sim, es, db, collector
@@ -112,14 +113,15 @@ class TestLiveCollection:
         sim, es, _, collector = env
         assert collector.attached_sites() == ["s1"]
 
-    def test_estimate_lookup_failure_degrades_to_zero(self, sim):
+    def test_estimate_lookup_failure_degrades_to_zero(self, sim, events):
         site = Site.simple(sim, "s")
         es = ExecutionService(site)
 
         def broken_lookup(tid):
             raise KeyError(tid)
 
-        collector = JobInformationCollector(sim, DBManager(), estimate_lookup=broken_lookup)
+        db = DBManager(events.emit_monitoring)
+        collector = JobInformationCollector(sim, db, estimate_lookup=broken_lookup)
         collector.attach(es)
         t = make_task()
         es.submit_task(t)

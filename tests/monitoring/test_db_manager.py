@@ -5,6 +5,7 @@ import pytest
 from repro.core.monitoring.db_manager import DBManager
 from repro.core.monitoring.records import MonitoringRecord
 from repro.monalisa.repository import MonALISARepository
+from tests.conftest import bare_core
 
 
 def make_record(task_id="t1", job_id="j1", owner="alice", status="running", **kw):
@@ -19,9 +20,25 @@ def make_record(task_id="t1", job_id="j1", owner="alice", status="running", **kw
     return MonitoringRecord(task_id=task_id, job_id=job_id, owner=owner, status=status, **defaults)
 
 
+def make_db(**kwargs):
+    """A DBManager on its own tiny core."""
+    core = bare_core()
+    db = DBManager(core.emit_monitoring, **kwargs)
+    core.register_stores(db_manager=db)
+    return db
+
+
+def make_db_and_monalisa():
+    """A DBManager and the repository its updates are published to."""
+    core = bare_core()
+    db, repo = DBManager(core.emit_monitoring), MonALISARepository(core.emit_metric)
+    core.register_stores(db_manager=db, monalisa=repo)
+    return db, repo
+
+
 @pytest.fixture
 def db():
-    return DBManager()
+    return make_db()
 
 
 class TestCrud:
@@ -80,7 +97,7 @@ class TestLifecycle:
             db.update(make_record(task_id="t2"))
 
     def test_context_manager_closes(self):
-        with DBManager() as db:
+        with make_db() as db:
             db.update(make_record())
             assert len(db) == 1
         with pytest.raises(Exception):
@@ -90,7 +107,7 @@ class TestLifecycle:
         from repro.store import MemoryStore
 
         store = MemoryStore()
-        db = DBManager(store=store)
+        db = make_db(store=store)
         db.update(make_record())
         db.close()
         # The store owns the connection; it must survive the manager.
@@ -99,71 +116,30 @@ class TestLifecycle:
         store.close()
 
 
-class TestUpdateMany:
-    def test_empty_batch_is_a_noop(self, db):
-        assert db.update_many([]) == 0
-        assert len(db) == 0
-
-    def test_batched_rows_identical_to_update_loop(self):
-        records = [
-            make_record(task_id=f"t{i}", job_id=f"j{i % 3}", progress=i / 10)
-            for i in range(10)
-        ]
-        loop_db, batch_db = DBManager(), DBManager()
-        for record in records:
-            loop_db.update(record)
-        assert batch_db.update_many(records) == len(records)
-        assert batch_db.export_state() == loop_db.export_state()
-
-    def test_batched_upsert_keeps_last_write(self, db):
-        db.update_many(
-            [make_record(status="running"), make_record(status="completed")]
-        )
-        assert db.get("t1").status == "completed"
-        assert len(db) == 1
-
-    def test_batch_publishes_once_per_record_in_order(self):
-        repo = MonALISARepository()
-        db = DBManager(monalisa=repo)
-        db.update_many(
-            [
-                make_record(task_id="t1", status="running"),
-                make_record(task_id="t2", status="queued"),
-                make_record(task_id="t1", status="completed"),
-            ]
-        )
-        assert [e.state for e in repo.job_events(task_id="t1")] == [
-            "running",
-            "completed",
-        ]
-        assert [e.state for e in repo.job_events(task_id="t2")] == ["queued"]
-
-
 class TestStateRoundTrip:
     def test_export_import_round_trips_both_tables(self):
-        source = DBManager()
+        source = make_db()
         for i in range(3):
             source.update(make_record(task_id="t1", progress=i / 3, snapshot_time=10.0 * i))
         source.update(make_record(task_id="t2"))
 
-        target = DBManager()
+        target = make_db()
         target.import_state(source.export_state())
         assert target.export_state() == source.export_state()
         assert target.progress_history("t1") == source.progress_history("t1")
 
     def test_import_does_not_republish_to_monalisa(self):
-        source = DBManager()
+        source = make_db()
         source.update(make_record())
-        repo = MonALISARepository()
-        target = DBManager(monalisa=repo)
+        target, repo = make_db_and_monalisa()
         target.import_state(source.export_state())
         assert repo.job_events(task_id="t1") == []
 
     def test_history_seq_continues_after_import(self):
-        source = DBManager()
+        source = make_db()
         source.update(make_record(snapshot_time=1.0))
         source.update(make_record(snapshot_time=2.0))
-        target = DBManager()
+        target = make_db()
         target.import_state(source.export_state())
         target.update(make_record(snapshot_time=3.0))
         times = [row[0] for row in target.progress_history("t1")]
@@ -172,16 +148,16 @@ class TestStateRoundTrip:
 
 class TestMonalisaPublication:
     def test_update_publishes_job_state(self):
-        repo = MonALISARepository()
-        db = DBManager(monalisa=repo)
+        db, repo = make_db_and_monalisa()
         db.update(make_record(status="completed", progress=1.0))
         [event] = repo.job_events(task_id="t1")
         assert event.state == "completed"
         assert event.progress == 1.0
 
     def test_every_update_publishes(self):
-        repo = MonALISARepository()
-        db = DBManager(monalisa=repo)
+        db, repo = make_db_and_monalisa()
         db.update(make_record(status="running"))
+        db.update(make_record(task_id="t2", status="queued"))
         db.update(make_record(status="completed"))
         assert [e.state for e in repo.job_events(task_id="t1")] == ["running", "completed"]
+        assert [e.state for e in repo.job_events(task_id="t2")] == ["queued"]

@@ -11,10 +11,11 @@ from repro.gridsim.site import Site
 
 
 @pytest.fixture
-def env(sim):
+def env(sim, events):
     site = Site.simple(sim, "s1")
     es = ExecutionService(site)
-    db = DBManager()
+    db = DBManager(events.emit_monitoring)
+    events.register_stores(db_manager=db)
     collector = JobInformationCollector(sim, db)
     collector.attach(es)
     manager = JMManager(db, collector)

@@ -12,11 +12,12 @@ from repro.monalisa.repository import MonALISARepository
 
 
 @pytest.fixture
-def env(sim):
+def env(sim, events):
     site = Site.simple(sim, "s1", background_load=1.0)
     es = ExecutionService(site)
-    monalisa = MonALISARepository()
-    svc = JobMonitoringService(sim, monalisa=monalisa, estimate_lookup=lambda tid: 200.0)
+    monalisa = MonALISARepository(events.emit_metric)
+    svc = JobMonitoringService(sim, events.emit_monitoring, estimate_lookup=lambda tid: 200.0)
+    events.register_stores(db_manager=svc.db_manager, monalisa=monalisa)
     svc.attach(es)
     return sim, es, svc, monalisa
 
@@ -164,10 +165,15 @@ class TestContinuousMonitoring:
         assert history[-1]["progress"] == pytest.approx(1.0)
 
     def test_snapshot_running_returns_count(self, env):
-        sim, es, svc, _ = env
-        es.submit_task(make_task())
+        sim, es, svc, monalisa = env
+        assert svc.snapshot_running() == 0  # nothing running: nothing written
+        assert len(svc.db_manager) == 0
+        running = make_task()
+        es.submit_task(running)
         es.submit_task(make_task())  # queued (1 slot)
         assert svc.snapshot_running() == 1
+        assert svc.db_manager.task_ids() == [running.task_id]
+        assert [e.state for e in monalisa.job_events()] == ["running"]
 
     def test_history_empty_without_snapshots(self, env):
         sim, es, svc, _ = env

@@ -1,14 +1,20 @@
 """Unit tests for the event-sourced core (journal-first write path)."""
 
+import ast
+import functools
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 
+from repro.clarens.server import ClarensHost
 from repro.cli import checkpoint_demo_workload
-from repro.gridsim.job import reset_id_counters
-from repro.observability.eventbus import CONSUMER_NAMES
-from repro.observability.journal import EventJournal, EventType, OutOfOrderError
+from repro.events.core import CONSUMER_NAMES
+from repro.events.journal import EventJournal, EventType, OutOfOrderError
+from repro.gae import build_gae
+from repro.gridsim import GridBuilder
+from repro.gridsim.job import TaskSpec, bag_of_tasks, reset_id_counters
 from repro.store.memory import MemoryStore
 from repro.store.checkpoint import CheckpointError, Checkpointer, restore_gae
 
@@ -72,6 +78,111 @@ class TestJournalFirstWritePath:
             assert cursor["values"][""] == head
             assert lag["kind"] == "gauge"
             assert lag["values"][""] == 0.0
+
+
+class TestBareHost:
+    """``observability=False`` takes away the readers of the journal, not
+    the journal: the three store consumers are on every GAE host."""
+
+    def test_bare_gae_lists_the_store_consumers_at_the_head(self):
+        reset_id_counters()
+        grid = GridBuilder(seed=4).site("siteA", nodes=2).site("siteB", nodes=2).build()
+        gae = build_gae(grid, observability=False).start()
+        gae.scheduler.submit_job(
+            bag_of_tasks([TaskSpec(owner="u")] * 3, [60.0, 90.0, 400.0], owner="u")
+        )
+        gae.sim.run_until(200.0)
+        gae.stop()
+        client = gae.client()
+        snap = client.call("system.consumers")
+        head = gae.events.journal.head_seq
+        assert snap["enabled"] and snap["journal_head_seq"] == head > 0
+        assert [row["name"] for row in snap["consumers"]] == list(CONSUMER_NAMES[:3])
+        assert {(row["cursor"], row["lag"]) for row in snap["consumers"]} == {(head, 0)}
+        assert client.call("system.observability") == {"enabled": False}
+        # Nothing retained, so a fold past its baseline is not rebuildable
+        # — and says so, instead of passing on an empty window.
+        for report in gae.events.verify_all():
+            assert not report["covered"], report
+
+    def test_host_without_a_gae_has_no_consumers(self):
+        assert ClarensHost().dispatch("system.consumers", [], "") == {"enabled": False}
+
+
+class TestOnePath:
+    """Source-level: nothing under ``src/`` can write a store except by
+    journalling, and no producer can be built without its emit target."""
+
+    SRC = Path(__file__).resolve().parents[2] / "src"
+    FOLDS = {"apply_record", "_apply_publish", "_apply_job_state"}
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def trees():
+        src = TestOnePath.SRC
+        return [
+            (path.relative_to(src).as_posix(), ast.parse(path.read_text("utf-8")))
+            for path in sorted(src.rglob("*.py"))
+        ]
+
+    def test_fold_primitives_are_called_only_by_the_consumers(self):
+        callers = {
+            (path, node.func.attr)
+            for path, tree in self.trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in self.FOLDS
+            and not path.startswith("repro/events/")
+        }
+        # publish_job_state is _apply_job_state under its public name.
+        assert callers == {("repro/monalisa/repository.py", "_apply_job_state")}
+
+    def test_no_emit_target_is_ever_compared_with_none(self):
+        def name_of(node):
+            return getattr(node, "attr", getattr(node, "id", None))
+
+        compared = [
+            (path, node.lineno)
+            for path, tree in self.trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and name_of(node.left) in {"emit", "sink", "estimate_sink"}
+            and any(isinstance(c, ast.Constant) and c.value is None for c in node.comparators)
+        ]
+        assert compared == []
+
+    def test_the_write_path_imports_nothing_from_its_instruments(self):
+        imported = {
+            (path, getattr(node, "module", None) or alias.name)
+            for path, tree in self.trees() if path.startswith("repro/events/")
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert not {pair for pair in imported if pair[1].startswith("repro.observability")}
+        for gone in ("journal.py", "eventbus.py"):
+            assert not (self.SRC / "repro" / "observability" / gone).exists()
+
+    @pytest.mark.parametrize(
+        "module, cls, target",
+        [
+            ("core/monitoring/db_manager.py", "DBManager", "emit"),
+            ("monalisa/repository.py", "MonALISARepository", "emit"),
+            ("core/estimators/service.py", "EstimatorService", "estimate_sink"),
+            ("core/estimators/history.py", "HistoryRecorder", "sink"),
+            ("core/monitoring/service.py", "JobMonitoringService", "emit"),
+        ],
+    )
+    def test_producers_require_their_emit_target(self, module, cls, target):
+        tree = ast.parse((self.SRC / "repro" / module).read_text("utf-8"))
+        [init] = [
+            fn
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == cls
+            for fn in node.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+        ]
+        positional = [a.arg for a in init.args.args]
+        required = positional[: len(positional) - len(init.args.defaults)]
+        assert target in required, f"{cls}.__init__({target}=...) has a default"
 
 
 class TestOutOfOrderRejection:

@@ -11,7 +11,7 @@ from repro.observability.export import (
     load_export,
     validate_export_file,
 )
-from repro.observability.journal import (
+from repro.events.journal import (
     JOURNAL_SCHEMA_VERSION,
     EventJournal,
     EventType,

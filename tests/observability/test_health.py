@@ -10,7 +10,7 @@ from repro.observability.health import (
     HealthRuleError,
     default_health_rules,
 )
-from repro.observability.journal import EventJournal, EventType
+from repro.events.journal import EventJournal, EventType
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.telemetry import TelemetryPipeline
 

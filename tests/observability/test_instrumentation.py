@@ -11,7 +11,7 @@ from repro.core.steering.optimizer import SteeringPolicy
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder, Job
 from repro.gridsim.job import Task, TaskSpec, reset_id_counters
-from repro.observability.journal import EventType
+from repro.events.journal import EventType
 from repro.workloads.generators import make_prime_count_task
 
 
@@ -252,7 +252,9 @@ class TestInstrumentationBudget:
         assert spent == self.BUDGET
 
     def test_verbs_answer_the_same_bare_traced_and_fully_instrumented(self):
-        """Direct writes (no journal), journal-first, and journal + telemetry."""
+        """Bare (the same journal-first writes, but no tracer, no lifecycle
+        events and nothing retained), instrumented, and instrumented +
+        telemetry."""
         answers = []
         for build_kwargs in (
             {"observability": False},

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.observability.journal import EventJournal, EventType
+from repro.events.journal import EventJournal, EventType
 
 
 class FakeClock:
@@ -93,6 +93,50 @@ class TestQueries:
         assert len(journal) == 3
         assert [e.task_id for e in journal.events()] == ["t2", "t3", "t4"]
 
-    def test_capacity_must_be_positive(self, clock):
+    def test_capacity_must_not_be_negative(self, clock):
         with pytest.raises(ValueError):
-            EventJournal(clock, capacity=0)
+            EventJournal(clock, capacity=-1)
+
+
+class TestRetention:
+    def test_zero_capacity_sequences_and_dispatches_but_retains_nothing(self, clock):
+        journal = EventJournal(clock, capacity=0)
+        seen = []
+        journal.listeners.append(seen.append)
+        events = [journal.record(EventType.STARTED, f"t{i}") for i in range(3)]
+        assert seen == events
+        assert [e.seq for e in events] == [0, 1, 2]
+        assert journal.head_seq == 2
+        assert len(journal) == 0 and journal.events() == []
+
+    @pytest.mark.parametrize(
+        "capacity, recorded, covered, not_covered",
+        [
+            (100, 0, [-1, 5], []),           # nothing recorded: nothing to miss
+            (100, 5, [-1, 0, 4, 9], []),     # everything retained
+            (3, 5, [1, 2, 4], [-1, 0]),      # ring holds seq 2..4
+            (0, 5, [4, 7], [-1, 3]),         # retains nothing: only the head on
+        ],
+    )
+    def test_covers(self, clock, capacity, recorded, covered, not_covered):
+        journal = EventJournal(clock, capacity=capacity)
+        for i in range(recorded):
+            journal.record(EventType.STARTED, f"t{i}")
+        assert [journal.covers(seq) for seq in covered] == [True] * len(covered)
+        assert [journal.covers(seq) for seq in not_covered] == [False] * len(not_covered)
+        for seq in covered:  # what covers() promises: an unbroken tail
+            tail = [e.seq for e in journal.events_since(seq)]
+            assert tail == list(range(seq + 1, journal.head_seq + 1))
+
+    def test_restored_journal_continues_past_a_head_it_did_not_retain(self, clock):
+        from repro.store.memory import MemoryStore
+
+        source = EventJournal(clock, capacity=0)
+        for i in range(4):
+            source.record(EventType.STARTED, f"t{i}")
+        store = MemoryStore()
+        assert source.save_to(store) == 0
+        target = EventJournal(clock, capacity=0)
+        target.load_from(store, head_seq=source.head_seq)
+        assert target.head_seq == 3
+        assert target.record(EventType.STARTED, "next").seq == 4

@@ -6,7 +6,7 @@ import pytest
 
 from repro.gridsim.clock import Simulator
 from repro.observability.export import validate_export_file
-from repro.observability.journal import EventJournal, EventType
+from repro.events.journal import EventJournal, EventType
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.telemetry import (
     TELEMETRY_SCHEMA_VERSION,

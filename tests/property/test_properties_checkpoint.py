@@ -21,12 +21,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.gae
 from repro.clarens.errors import ClarensFault
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder
 from repro.gridsim.job import TaskSpec, bag_of_tasks, reset_id_counters
-from repro.observability import instrument
-from repro.observability.journal import EventJournal
+from repro.events.journal import EventJournal
 from repro.store import SqliteStore
 from repro.store.checkpoint import CheckpointError, Checkpointer, restore_gae
 from repro.store.registry import CHECKPOINT_META, register_all
@@ -58,7 +58,7 @@ def fault_schedules(draw, t_max=100.0):
     return (site, t_fail, t_recover)
 
 
-def build_workload(seed, works, fault):
+def build_workload(seed, works, fault, **build_kwargs):
     reset_id_counters()
     grid = (
         GridBuilder(seed=seed)
@@ -68,7 +68,8 @@ def build_workload(seed, works, fault):
         .file("in.dat", size_mb=50.0, at="siteA")
         .build()
     )
-    gae = build_gae(grid, monitor_snapshot_period_s=20.0).start()
+    build_kwargs.setdefault("monitor_snapshot_period_s", 20.0)
+    gae = build_gae(grid, **build_kwargs).start()
     gae.add_user("alice", "pw")
     specs = [TaskSpec(owner="alice", input_files=("in.dat",)) for _ in works]
     job = bag_of_tasks(specs, list(works), owner="alice")
@@ -152,7 +153,7 @@ def journal_capacity(ring):
     """Every GAE built inside the block — live or restored — gets a
     journal ring of *ring* events (``build_gae`` fixes it at 100 000)."""
     return mock.patch.object(
-        instrument, "EventJournal", lambda clock, capacity: EventJournal(clock, ring)
+        repro.gae, "EventJournal", lambda clock, capacity: EventJournal(clock, ring)
     )
 
 
@@ -197,6 +198,7 @@ class TestRestoredJournalProperties:
             if refused:
                 with pytest.raises(CheckpointError, match="retention"):
                     ckpt.checkpoint(delta, base=base)
+                assert not os.path.exists(delta)
             else:
                 ckpt.checkpoint(delta, base=base)
 

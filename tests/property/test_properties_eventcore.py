@@ -12,7 +12,10 @@ random fault schedules and random checkpoint barriers:
    captured at that barrier — they are one restore path and produce one
    system: equal re-checkpointed state, equal run-to-completion results;
 3. a continuation file holds exactly the journal tail past its base and
-   no consumer namespace.
+   no consumer namespace;
+4. the journal is the write path of every build: an ``observability=False``
+   GAE (no tracer, no lifecycle events, nothing retained) ends a run with
+   exactly the stores of its instrumented twin.
 """
 
 import json
@@ -22,8 +25,9 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clarens.errors import ClarensFault
+from repro.events.core import CONSUMER_NAMES
 from repro.gridsim.job import reset_id_counters
-from repro.observability.eventbus import CONSUMER_NAMES
 from repro.store import MemoryStore
 from repro.store.checkpoint import CONSUMER_NAMESPACES, Checkpointer, restore_gae
 from repro.store.registry import CHECKPOINT_META, OBSERVABILITY_JOURNAL
@@ -167,6 +171,81 @@ class TestEventCoreProperties:
             reset_id_counters()
             from_delta = observe(restore_gae(delta, base=base))
             assert from_delta == from_full
+
+
+steering_verbs = st.lists(
+    st.tuples(
+        st.sampled_from(["set_priority", "pause", "resume", "kill", "move"]),
+        st.integers(min_value=0, max_value=5),  # which task (mod the job's size)
+        st.floats(min_value=5.0, max_value=300.0, allow_nan=False),  # when
+    ),
+    max_size=6,
+)
+
+
+def run_and_dump_stores(observability, seed, works, fault, verbs, snapshot_period_s):
+    """Run the workload with the scripted verbs to completion; every
+    journal-fed store, minus what only the instrumentation (``health``
+    farm) or the wall clock (``rpc.*`` metrics) writes."""
+    gae, job = build_workload(
+        seed, works, fault,
+        observability=observability, monitor_snapshot_period_s=snapshot_period_s,
+    )
+    steering = gae.client("alice", "pw").service("steering")
+    outcomes = []
+
+    def steer(verb, task_id):
+        args = (7,) if verb == "set_priority" else ()
+        if verb == "move":
+            if fault is not None:
+                # A move whose target fails while the checkpoint image is
+                # staging raises out of the simulator (scheduler._deliver);
+                # not this suite's subject.
+                return
+            at_b = gae.grid.sites["siteB"].pool.has_task(task_id)
+            args = ("siteA" if at_b else "siteB",)
+        try:
+            outcomes.append(getattr(steering, verb)(task_id, *args))
+        except ClarensFault as exc:
+            outcomes.append(str(exc))
+
+    for verb, index, when in verbs:
+        task_id = job.tasks[index % len(job.tasks)].task_id
+        gae.sim.at(when, lambda verb=verb, task_id=task_id: steer(verb, task_id))
+    gae.sim.run_until(3_000.0)
+    gae.stop()
+    gae.sim.run()
+    return {
+        "verbs": outcomes,
+        "states": {t.task_id: t.state.value for t in job.tasks},
+        "monitoring": gae.monitoring.db_manager.export_state(),
+        "job_events": gae.monalisa.job_events(),
+        "series": {
+            key: series.samples()
+            for key, series in gae.monalisa._series.items()
+            if key[0] != "health" and not key[1].startswith("rpc.")
+        },
+        "estimates": gae.estimators.estimate_db.as_dict(),
+        "history": gae.history.records(),
+    }
+
+
+class TestOneWritePath:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        works=work_lists,
+        fault=fault_schedules(),
+        verbs=steering_verbs,
+        snapshot_period_s=st.sampled_from([None, 20.0, 30.0]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_bare_and_instrumented_builds_write_the_same_stores(
+        self, seed, works, fault, verbs, snapshot_period_s
+    ):
+        bare = run_and_dump_stores(False, seed, works, fault, verbs, snapshot_period_s)
+        full = run_and_dump_stores(True, seed, works, fault, verbs, snapshot_period_s)
+        assert bare["job_events"], "the run published nothing"
+        assert bare == full
 
 
 def observe(gae):

@@ -17,7 +17,7 @@ from repro.gae import build_gae
 from repro.gridsim import GridBuilder, Job, Task, TaskSpec
 from repro.gridsim.faults import FaultInjector
 from repro.gridsim.job import JobState
-from repro.observability.journal import EventType
+from repro.events.journal import EventType
 
 HORIZON_S = 8000.0
 

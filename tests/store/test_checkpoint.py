@@ -25,13 +25,14 @@ from repro.store.checkpoint import (
     Checkpointer,
     restore_gae,
 )
-from repro.store.registry import CHECKPOINT_META, register_all
+from repro.store.registry import CHECKPOINT_META, OBSERVABILITY_JOURNAL, register_all
+from repro.store.sqlite import read_store_file
 
 T_CHECKPOINT = 205.0  # not a multiple of any periodic (20/30/60 s)
 WORKS = [120.0, 240.0, 360.0, 480.0, 150.0, 90.0]
 
 
-def build_workload(seed=11):
+def build_workload(seed=11, **build_kwargs):
     reset_id_counters()
     grid = (
         GridBuilder(seed=seed)
@@ -41,7 +42,7 @@ def build_workload(seed=11):
         .file("in.dat", size_mb=50.0, at="siteA")
         .build()
     )
-    gae = build_gae(grid, monitor_snapshot_period_s=20.0).start()
+    gae = build_gae(grid, monitor_snapshot_period_s=20.0, **build_kwargs).start()
     gae.add_user("alice", "pw")
     specs = [TaskSpec(owner="alice", input_files=("in.dat",)) for _ in WORKS]
     job = bag_of_tasks(specs, WORKS, owner="alice")
@@ -83,8 +84,8 @@ class TestFiveStoreRoundTrip:
         from repro.core.estimators.history import HistoryRepository
         from repro.core.estimators.queue_time import RuntimeEstimateDB
         from repro.core.monitoring.db_manager import DBManager
+        from repro.events import EventCore, EventJournal
         from repro.monalisa.repository import MonALISARepository
-        from repro.observability.journal import EventJournal
         from repro.store.registry import MONITORING_JOBS
 
         def dump(obj):
@@ -108,17 +109,18 @@ class TestFiveStoreRoundTrip:
             estimates.load_from(source)
             assert dump(estimates) == dump(gae.estimators.estimate_db)
 
-            with DBManager() as db:
+            journal = EventJournal(clock=lambda: 0.0)
+            journal.load_from(source)
+            assert dump(journal) == dump(gae.events.journal)
+
+            core = EventCore(journal)
+            with DBManager(core.emit_monitoring) as db:
                 db.import_state(source.get(MONITORING_JOBS, "state"))
                 assert db.export_state() == gae.monitoring.db_manager.export_state()
 
-            monalisa = MonALISARepository()
+            monalisa = MonALISARepository(core.emit_metric)
             monalisa.load_from(source)
             assert dump(monalisa) == dump(gae.monalisa)
-
-            journal = EventJournal(clock=lambda: 0.0)
-            journal.load_from(source)
-            assert dump(journal) == dump(gae.observability.journal)
         sqlite_store.close()
 
 
@@ -231,6 +233,95 @@ class TestKillAndRestore:
         assert restored.grid.execution_services["siteB"].failed is True
         assert restored.steering.backup_recovery.export_state() == barrier
         assert run_to_completion(restored) == reference
+
+
+class TestBareBuild:
+    """``observability=False``: no tracer, no lifecycle events, nothing
+    retained — and the same journal-first write path, so the same
+    checkpoints."""
+
+    @staticmethod
+    def answers(gae, job):
+        client = gae.client("alice", "pw")
+        tasks = [t.task_id for t in job.tasks]
+        return {
+            "info": {t: client.call("jobmon.job_info", t) for t in tasks},
+            "progress": {t: client.call("jobmon.progress_history", t) for t in tasks},
+            "runtime": client.call(
+                "estimator.estimate_runtime", {"owner": "alice", "nodes": 1}
+            ),
+            "history_size": client.call("estimator.history_size"),
+            "consumers": client.call("system.consumers"),
+            "observability": client.call("system.observability"),
+        }
+
+    def test_self_contained_checkpoint_round_trips(self, tmp_path):
+        path = str(tmp_path / "bare.sqlite")
+        gae, job = build_workload(observability=False)
+        ckpt = Checkpointer(gae)
+        ckpt.checkpoint_at(T_CHECKPOINT, path)
+        captured = {}
+        gae.sim.at(T_CHECKPOINT, lambda: captured.update(self.answers(gae, job)))
+        gae.sim.run_until(T_CHECKPOINT)
+        head = ckpt.last_info.head_seq
+        assert head > 0 and len(gae.events.journal) == 0
+        assert read_store_file(path).count(OBSERVABILITY_JOURNAL) == 0
+        assert captured["observability"] == {"enabled": False}
+
+        reset_id_counters()
+        restored = restore_gae(path)
+        assert restored.observability is None
+        restored_job = restored.scheduler.jobs()[0]
+        assert self.answers(restored, restored_job) == captured
+        assert restored.events.journal.head_seq == head
+        assert set(restored.events.cursors().values()) == {head}
+
+        resumed = []
+        restored.events.journal.listeners.append(resumed.append)
+        assert run_to_completion(restored) == run_to_completion(gae)
+        assert resumed[0].seq == head + 1
+        assert self.answers(restored, restored_job) == self.answers(gae, job)
+
+    def test_journal_less_format_2_file_restores_with_a_fresh_journal(self, tmp_path):
+        """What an ``observability=False`` build wrote before every build
+        had a journal: ``head_seq`` null."""
+        path = str(tmp_path / "old.sqlite")
+        gae, job = build_workload(observability=False)
+        gae.sim.run_until(T_CHECKPOINT)
+        Checkpointer(gae).checkpoint(path)
+        with SqliteStore(path) as store:
+            meta = store.get(CHECKPOINT_META, "meta")
+            store.put(CHECKPOINT_META, "meta", dict(meta, head_seq=None))
+        reset_id_counters()
+        restored = restore_gae(path)
+        assert restored.events.journal.head_seq == -1
+        assert run_to_completion(restored) == run_to_completion(gae)
+
+    def test_continuation_is_refused_once_the_journal_has_moved_on(self, tmp_path):
+        base, delta = str(tmp_path / "base.sqlite"), str(tmp_path / "delta.sqlite")
+        gae, job = build_workload(observability=False)
+        ckpt = Checkpointer(gae)
+        gae.sim.run_until(T_CHECKPOINT)
+        base_seq = ckpt.checkpoint(base).head_seq
+
+        # Nothing journalled since the base: the empty tail is the whole tail.
+        ckpt.checkpoint(delta, base=base)
+        reset_id_counters()
+        from_delta = restore_gae(delta, base=base)
+        assert self.answers(from_delta, from_delta.scheduler.jobs()[0]) == self.answers(
+            gae, job
+        )
+        os.remove(delta)
+
+        gae.sim.run_until(T_CHECKPOINT + 60.0)
+        assert gae.events.journal.head_seq > base_seq
+        with pytest.raises(CheckpointError, match="retention"):
+            ckpt.checkpoint(delta, base=base)
+        assert os.listdir(tmp_path) == ["base.sqlite"]
+        untouched = MemoryStore()
+        with pytest.raises(CheckpointError, match="retention"):
+            ckpt.write_state(untouched, base_seq=base_seq)
+        assert untouched.namespaces() == []
 
 
 class TestCheckpointErrors:

@@ -1,41 +1,31 @@
 #!/usr/bin/env python
-"""Check that docs/ARCHITECTURE.md matches the source tree.
+"""Check that the docs match the source tree.
 
-Ten checks, all run by CI's docs job:
+All run by CI's docs job:
 
 1. every package under src/ (directory with ``__init__.py``) appears by
    dotted name in docs/ARCHITECTURE.md;
-2. the "Event taxonomy" section documents exactly the members of
-   ``repro.observability.journal.EventType`` — no missing events, no
-   stale ones;
-3. the "State-store namespaces" table lists exactly the canonical
-   namespaces of ``repro.store.registry`` — docs cannot drift from the
-   registry a checkpoint file is built on;
-4. the "Epoch taxonomy" table lists exactly the canonical epoch names
-   of ``repro.clarens.readcache.CANONICAL_EPOCHS`` — every epoch the
-   read cache can key on must be documented, and no stale names;
-5. the "Wire codecs" table lists exactly the registered codec names of
-   ``repro.clarens.codecs.codec_names()`` — a codec the framed
-   transport can negotiate must be documented, and vice versa;
-6. the generated tables in docs/SCENARIOS.md (scenario library and SLO
+2. each drift-gated table of docs/ARCHITECTURE.md (:data:`TABLES`: event
+   taxonomy, state-store namespaces, epoch taxonomy, wire codecs,
+   health-rule taxonomy, journal consumers, host instruments) names in
+   its first column exactly what the code defines (:func:`actual_names`)
+   — nothing undocumented, nothing stale;
+3. the generated tables in docs/SCENARIOS.md (scenario library and SLO
    metric vocabulary) match what ``repro.scenarios.registry`` renders
    from the committed ``scenarios/*.json`` files — run
    ``python -m repro.scenarios.registry --write`` after editing the
    library;
-7. the "Health-rule taxonomy" table lists exactly the rule kinds of
-   ``repro.observability.health.RULE_KINDS`` — every kind the health
-   engine evaluates must be documented, and no stale kinds;
-8. the "Journal consumers" table lists exactly the registered consumer
-   names of ``repro.observability.eventbus.CONSUMER_NAMES`` — every
-   replayable consumer in the event-sourced core must be documented,
-   and no stale names;
-9. every ``gae-repro <command>`` named in README.md, EXPERIMENTS.md or
-   docs/*.md is a sub-command of ``repro.cli.build_parser()`` — a
-   removed command cannot linger in prose;
-10. the "Host instruments" table lists exactly the instrument names a
-   fresh ``ClarensHost`` plus one started ``AsyncSocketServerHandle``
-   register in ``host.metrics`` — every series ``/metrics`` can show
-   for the RPC layer is documented, and no stale names.
+4. every ``gae-repro <command>`` named in README.md, DESIGN.md,
+   EXPERIMENTS.md or docs/*.md is a sub-command of
+   ``repro.cli.build_parser()`` — a removed command cannot linger in
+   prose;
+5. every back-ticked dotted ``repro.*`` name in the same pages imports
+   (module, then attributes), and
+   every back-ticked ``*.py`` / ``*.json`` / ``*.md`` path with a
+   directory in it exists (from the repo root, ``src/``, ``src/repro/``
+   or the page's own directory) — a moved module cannot linger either.
+   ``benchmarks/e2e/README.md`` is not scanned: only a ``[benchmark]`` PR
+   may edit it.
 
 Run from anywhere::
 
@@ -44,6 +34,7 @@ Run from anywhere::
 
 from __future__ import annotations
 
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -65,204 +56,80 @@ def source_packages() -> list[str]:
     return packages
 
 
-def documented_event_types(text: str) -> set[str]:
-    """Backticked tokens in the table rows of the "Event taxonomy" section."""
-    match = re.search(r"### Event taxonomy\n(.*?)(?:\n#|\Z)", text, re.DOTALL)
+#: ``### heading`` of each drift-gated table in docs/ARCHITECTURE.md ->
+#: (what a row names, the token its first column holds).
+TABLES = {
+    "Event taxonomy": ("EventType value", r"`([a-z-]+)`"),
+    "State-store namespaces": ("repro.store.registry namespace", r"`([a-z.]+)`"),
+    "Epoch taxonomy": ("CANONICAL_EPOCHS epoch", r"`([a-z:<>-]+)`"),
+    "Wire codecs": ("registered codec", r"`([a-z]+)`"),
+    "Health-rule taxonomy": ("RULE_KINDS kind", r"`([a-z_]+)`"),
+    "Journal consumers": ("CONSUMER_NAMES consumer", r"`([a-z]+)`"),
+    "Host instruments": ("host.metrics instrument", r"`(gae_[a-z_]+)`"),
+}
+
+
+def documented_tokens(text: str, heading: str, pattern: str) -> set[str]:
+    """Tokens matching *pattern* in the first cells of the table under *heading*."""
+    match = re.search(rf"### {re.escape(heading)}\n(.*?)(?:\n#|\Z)", text, re.DOTALL)
     if match is None:
         return set()
-    tokens: set[str] = set()
-    for line in match.group(1).splitlines():
-        if line.startswith("|"):
-            first_cell = line.split("|")[1]
-            tokens.update(re.findall(r"`([a-z-]+)`", first_cell))
-    tokens.discard("event")  # the table header
-    return tokens
+    return {
+        token
+        for line in match.group(1).splitlines() if line.startswith("|")
+        for token in re.findall(pattern, line.split("|")[1])
+    }
 
 
-def check_event_taxonomy(text: str) -> list[str]:
-    from repro.observability.journal import EventType
-
-    documented = documented_event_types(text)
-    actual = {member.value for member in EventType}
-    problems = []
-    for value in sorted(actual - documented):
-        problems.append(f"EventType {value!r} is not documented in the event taxonomy")
-    for value in sorted(documented - actual):
-        problems.append(f"documented event {value!r} is not an EventType member")
-    return problems
+def compare(documented: set[str], actual: set[str], noun: str) -> list[str]:
+    return [f"{noun} {name!r} is not documented" for name in sorted(actual - documented)] + [
+        f"documented {name!r} is not a {noun}" for name in sorted(documented - actual)
+    ]
 
 
-def documented_namespaces(text: str) -> set[str]:
-    """Backticked tokens in the "State-store namespaces" table rows."""
-    match = re.search(r"### State-store namespaces\n(.*?)(?:\n#|\Z)", text, re.DOTALL)
-    if match is None:
-        return set()
-    tokens: set[str] = set()
-    for line in match.group(1).splitlines():
-        if line.startswith("|"):
-            first_cell = line.split("|")[1]
-            tokens.update(re.findall(r"`([a-z.]+)`", first_cell))
-    tokens.discard("namespace")  # the table header
-    return tokens
-
-
-def check_store_namespaces(text: str) -> list[str]:
-    from repro.store.registry import namespace_names
-
-    documented = documented_namespaces(text)
-    actual = set(namespace_names())
-    problems = []
-    for name in sorted(actual - documented):
-        problems.append(
-            f"namespace {name!r} is not documented in the state-store table"
-        )
-    for name in sorted(documented - actual):
-        problems.append(
-            f"documented namespace {name!r} is not in repro.store.registry"
-        )
-    return problems
-
-
-def documented_epochs(text: str) -> set[str]:
-    """Backticked tokens in the "Epoch taxonomy" table rows."""
-    match = re.search(r"### Epoch taxonomy\n(.*?)(?:\n#|\Z)", text, re.DOTALL)
-    if match is None:
-        return set()
-    tokens: set[str] = set()
-    for line in match.group(1).splitlines():
-        if line.startswith("|"):
-            first_cell = line.split("|")[1]
-            tokens.update(re.findall(r"`([a-z:<>-]+)`", first_cell))
-    tokens.discard("epoch")  # the table header
-    return tokens
-
-
-def check_epoch_taxonomy(text: str) -> list[str]:
-    from repro.clarens.readcache import CANONICAL_EPOCHS
-
-    documented = documented_epochs(text)
-    actual = {name for name, _description in CANONICAL_EPOCHS}
-    problems = []
-    for name in sorted(actual - documented):
-        problems.append(f"epoch {name!r} is not documented in the epoch taxonomy")
-    for name in sorted(documented - actual):
-        problems.append(f"documented epoch {name!r} is not in CANONICAL_EPOCHS")
-    return problems
-
-
-def documented_codecs(text: str) -> set[str]:
-    """Backticked tokens in the "Wire codecs" table rows."""
-    match = re.search(r"### Wire codecs\n(.*?)(?:\n#|\Z)", text, re.DOTALL)
-    if match is None:
-        return set()
-    tokens: set[str] = set()
-    for line in match.group(1).splitlines():
-        if line.startswith("|"):
-            first_cell = line.split("|")[1]
-            tokens.update(re.findall(r"`([a-z]+)`", first_cell))
-    tokens.discard("codec")  # the table header
-    return tokens
-
-
-def check_wire_codecs(text: str) -> list[str]:
-    from repro.clarens.codecs import codec_names
-
-    documented = documented_codecs(text)
-    actual = set(codec_names())
-    problems = []
-    for name in sorted(actual - documented):
-        problems.append(f"codec {name!r} is not documented in the wire-codec table")
-    for name in sorted(documented - actual):
-        problems.append(f"documented codec {name!r} is not registered in repro.clarens.codecs")
-    return problems
-
-
-def documented_rule_kinds(text: str) -> set[str]:
-    """Backticked tokens in the "Health-rule taxonomy" table rows."""
-    match = re.search(r"### Health-rule taxonomy\n(.*?)(?:\n#|\Z)", text, re.DOTALL)
-    if match is None:
-        return set()
-    tokens: set[str] = set()
-    for line in match.group(1).splitlines():
-        if line.startswith("|"):
-            first_cell = line.split("|")[1]
-            tokens.update(re.findall(r"`([a-z_]+)`", first_cell))
-    tokens.discard("kind")  # the table header
-    return tokens
-
-
-def check_health_rule_taxonomy(text: str) -> list[str]:
-    from repro.observability.health import RULE_KINDS
-
-    documented = documented_rule_kinds(text)
-    actual = set(RULE_KINDS)
-    problems = []
-    for name in sorted(actual - documented):
-        problems.append(
-            f"rule kind {name!r} is not documented in the health-rule taxonomy"
-        )
-    for name in sorted(documented - actual):
-        problems.append(
-            f"documented rule kind {name!r} is not in RULE_KINDS"
-        )
-    return problems
-
-
-def documented_consumers(text: str) -> set[str]:
-    """Backticked tokens in the "Journal consumers" table rows."""
-    match = re.search(r"### Journal consumers\n(.*?)(?:\n#|\Z)", text, re.DOTALL)
-    if match is None:
-        return set()
-    tokens: set[str] = set()
-    for line in match.group(1).splitlines():
-        if line.startswith("|"):
-            first_cell = line.split("|")[1]
-            tokens.update(re.findall(r"`([a-z]+)`", first_cell))
-    tokens.discard("consumer")  # the table header
-    return tokens
-
-
-def check_journal_consumers(text: str) -> list[str]:
-    from repro.observability.eventbus import CONSUMER_NAMES
-
-    documented = documented_consumers(text)
-    actual = set(CONSUMER_NAMES)
-    problems = []
-    for name in sorted(actual - documented):
-        problems.append(
-            f"consumer {name!r} is not documented in the journal-consumers table"
-        )
-    for name in sorted(documented - actual):
-        problems.append(
-            f"documented consumer {name!r} is not in CONSUMER_NAMES"
-        )
-    return problems
-
-
-def documented_host_instruments(text: str) -> set[str]:
-    """Backticked tokens in the first cells of the "Host instruments" table."""
-    match = re.search(r"### Host instruments\n(.*?)(?:\n#|\Z)", text, re.DOTALL)
-    if match is None:
-        return set()
-    tokens: set[str] = set()
-    for line in match.group(1).splitlines():
-        if line.startswith("|"):
-            tokens.update(re.findall(r"`(gae_[a-z_]+)`", line.split("|")[1]))
-    return tokens
-
-
-def check_host_instruments(text: str) -> list[str]:
+def actual_names() -> dict[str, set[str]]:
+    """Table heading -> the names the code defines."""
     from repro.clarens import AsyncSocketServerHandle, ClarensHost
+    from repro.clarens.codecs import codec_names
+    from repro.clarens.readcache import CANONICAL_EPOCHS
+    from repro.events import CONSUMER_NAMES, EventType
+    from repro.observability.health import RULE_KINDS
+    from repro.store.registry import namespace_names
 
     host = ClarensHost("docs")
     with AsyncSocketServerHandle(host):
-        actual = set(host.metrics.names())
-    documented = documented_host_instruments(text)
+        instruments = set(host.metrics.names())
+    return {
+        "Event taxonomy": {member.value for member in EventType},
+        "State-store namespaces": set(namespace_names()),
+        "Epoch taxonomy": {name for name, _description in CANONICAL_EPOCHS},
+        "Wire codecs": set(codec_names()),
+        "Health-rule taxonomy": set(RULE_KINDS),
+        "Journal consumers": set(CONSUMER_NAMES),
+        "Host instruments": instruments,
+    }
+
+
+def doc_pages() -> list[Path]:
+    pages = [REPO_ROOT / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    return pages + sorted((REPO_ROOT / "docs").glob("*.md"))
+
+
+def check_references() -> list[str]:
+    """Back-ticked ``repro.*`` names import; back-ticked file paths exist."""
     problems = []
-    for name in sorted(actual - documented):
-        problems.append(f"instrument {name!r} is not in the host-instruments table")
-    for name in sorted(documented - actual):
-        problems.append(f"documented instrument {name!r} is not registered in host.metrics")
+    for page in doc_pages():
+        where = page.relative_to(REPO_ROOT)
+        for token in sorted(set(re.findall(r"`([^`\n]+)`", page.read_text(encoding="utf-8")))):
+            if re.fullmatch(r"repro(\.\w+)+", token):
+                try:  # the longest importable prefix, then getattr down the rest
+                    pkgutil.resolve_name(token)
+                except (ImportError, AttributeError):
+                    problems.append(f"{where} names `{token}`, which does not import")
+            elif "/" in token and re.fullmatch(r"[\w./-]+\.(py|json|md)", token):
+                roots = (REPO_ROOT, SRC_ROOT, SRC_ROOT / "repro", page.parent)
+                if not any((root / token).exists() for root in roots):
+                    problems.append(f"{where} names `{token}`, which does not exist")
     return problems
 
 
@@ -295,8 +162,7 @@ def check_cli_commands() -> list[str]:
         if isinstance(action, argparse._SubParsersAction):
             commands.update(action.choices)
     problems = []
-    pages = [REPO_ROOT / "README.md", REPO_ROOT / "EXPERIMENTS.md"]
-    for page in pages + sorted((REPO_ROOT / "docs").glob("*.md")):
+    for page in doc_pages():
         named = set(re.findall(r"gae-repro ([a-z][a-z0-9-]*)", page.read_text(encoding="utf-8")))
         for name in sorted(named - commands):
             problems.append(
@@ -312,97 +178,27 @@ def main() -> int:
         return 1
     text = ARCHITECTURE_MD.read_text(encoding="utf-8")
     packages = source_packages()
-    missing = [name for name in packages if name not in text]
-    if missing:
-        print("docs/ARCHITECTURE.md is missing these packages:", file=sys.stderr)
-        for name in missing:
-            print(f"  - {name}", file=sys.stderr)
-        print(
-            f"\n{len(missing)} of {len(packages)} packages undocumented; "
-            "add them to the package map.",
-            file=sys.stderr,
+    failures = {
+        "docs/ARCHITECTURE.md package map": [
+            f"package {name} is not mentioned" for name in packages if name not in text
+        ],
+        "docs/SCENARIOS.md": check_scenario_cookbook(),
+        "`gae-repro <command>` in the docs": check_cli_commands(),
+        "back-ticked names and paths in the docs": check_references(),
+    }
+    actual = actual_names()
+    for heading, (noun, pattern) in TABLES.items():
+        failures[f'docs/ARCHITECTURE.md "{heading}" table'] = compare(
+            documented_tokens(text, heading, pattern), actual[heading], noun
         )
-        return 1
-    taxonomy_problems = check_event_taxonomy(text)
-    if taxonomy_problems:
-        print("docs/ARCHITECTURE.md event taxonomy is out of date:", file=sys.stderr)
-        for problem in taxonomy_problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return 1
-    namespace_problems = check_store_namespaces(text)
-    if namespace_problems:
-        print(
-            "docs/ARCHITECTURE.md state-store namespace table is out of date:",
-            file=sys.stderr,
-        )
-        for problem in namespace_problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return 1
-    epoch_problems = check_epoch_taxonomy(text)
-    if epoch_problems:
-        print(
-            "docs/ARCHITECTURE.md epoch taxonomy is out of date:",
-            file=sys.stderr,
-        )
-        for problem in epoch_problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return 1
-    codec_problems = check_wire_codecs(text)
-    if codec_problems:
-        print(
-            "docs/ARCHITECTURE.md wire-codec table is out of date:",
-            file=sys.stderr,
-        )
-        for problem in codec_problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return 1
-    rule_problems = check_health_rule_taxonomy(text)
-    if rule_problems:
-        print(
-            "docs/ARCHITECTURE.md health-rule taxonomy is out of date:",
-            file=sys.stderr,
-        )
-        for problem in rule_problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return 1
-    consumer_problems = check_journal_consumers(text)
-    if consumer_problems:
-        print(
-            "docs/ARCHITECTURE.md journal-consumers table is out of date:",
-            file=sys.stderr,
-        )
-        for problem in consumer_problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return 1
-    cookbook_problems = check_scenario_cookbook()
-    if cookbook_problems:
-        print("docs/SCENARIOS.md is out of date:", file=sys.stderr)
-        for problem in cookbook_problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return 1
-    command_problems = check_cli_commands()
-    if command_problems:
-        print("the docs name commands the CLI does not have:", file=sys.stderr)
-        for problem in command_problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return 1
-    instrument_problems = check_host_instruments(text)
-    if instrument_problems:
-        print("docs/ARCHITECTURE.md host-instruments table is out of date:", file=sys.stderr)
-        for problem in instrument_problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return 1
-    print(f"docs/ARCHITECTURE.md covers all {len(packages)} packages")
-    print("docs/ARCHITECTURE.md event taxonomy matches EventType")
-    print("docs/ARCHITECTURE.md state-store namespaces match the registry")
-    print("docs/ARCHITECTURE.md epoch taxonomy matches CANONICAL_EPOCHS")
-    print("docs/ARCHITECTURE.md wire-codec table matches codec_names()")
-    print("docs/ARCHITECTURE.md health-rule taxonomy matches RULE_KINDS")
-    print("docs/ARCHITECTURE.md journal-consumers table matches CONSUMER_NAMES")
-    print("docs/SCENARIOS.md generated tables match the scenario registry")
-    print("every `gae-repro <command>` in README/docs is a CLI sub-command")
-    print("docs/ARCHITECTURE.md host-instruments table matches host.metrics")
-    return 0
+    for what, problems in failures.items():
+        if problems:
+            print(f"{what} is out of date:", file=sys.stderr)
+            for problem in problems:
+                print(f"  - {problem}", file=sys.stderr)
+        else:
+            print(f"ok: {what}")
+    return 1 if any(failures.values()) else 0
 
 
 if __name__ == "__main__":

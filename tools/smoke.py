@@ -9,6 +9,7 @@
     python tools/smoke.py bench      # the end-to-end benchmark's own checks + a quick run
     python tools/smoke.py rpc        # system.stats, system.cache and /metrics tell one story
     python tools/smoke.py trace      # demo --trace-export validates against its schema
+    python tools/smoke.py figures    # the paper's figure / ablation / validation benches
     python tools/smoke.py all        # every one above (< 60 s; run it before committing)
 
 ``restore`` is the kill-and-recover gate of the checkpoint layer, in three
@@ -32,8 +33,8 @@ phases, the middle one a *genuine* process death:
 It then round-trips ``gae-repro checkpoint`` → ``gae-repro restore`` and
 runs ``gae-repro journal replay`` (every consumer rebuilds ``identical``).
 
-Needs ``numpy`` (``bench`` also ``pytest``).  Exit status 0 on success, 1
-on any failed check.
+Needs ``numpy`` (``bench`` and ``figures`` also ``pytest`` and
+``pytest-benchmark``).  Exit status 0 on success, 1 on any failed check.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import tempfile
 import time
 import urllib.request
 from pathlib import Path
+from xml.etree import ElementTree
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
@@ -59,6 +61,7 @@ T_BASE = 155.0  # self-contained checkpoint (not a multiple of any periodic 20/3
 T_DELTA = 205.0  # continuation barrier
 T_HORIZON = 20000.0  # absolute, so every run closes identical telemetry windows
 CRASH_EXIT_CODE = 86  # distinctive, so a clean exit can't masquerade as a crash
+FIGURE_BENCHES = 48  # benchmarks/bench_*.py tests; a lost file must not pass as green
 
 
 class SmokeFailure(Exception):
@@ -369,6 +372,18 @@ def smoke_trace(tmp: Path) -> None:
     print(f"demo_trace.jsonl: {rows} rows ok")
 
 
+def smoke_figures(tmp: Path) -> None:
+    """The figure benches pin the paper's semantics (§7); nothing else runs them."""
+    files = sorted(str(path) for path in (REPO_ROOT / "benchmarks").glob("bench_*.py"))
+    report = tmp / "figures.xml"
+    run_python("-m", "pytest", *files, "-q", "--benchmark-disable",
+               "-p", "no:cacheprovider", f"--junitxml={report}", cwd=REPO_ROOT)
+    suite = ElementTree.parse(report).getroot().find("testsuite")
+    passed = int(suite.get("tests")) - int(suite.get("skipped"))  # failures exit non-zero
+    check(passed >= FIGURE_BENCHES, f"{passed} figure benches passed, not {FIGURE_BENCHES}")
+    print(f"figure benches: {passed} passed")
+
+
 SMOKES = {
     "restore": smoke_restore,
     "scenario": smoke_scenario,
@@ -376,6 +391,7 @@ SMOKES = {
     "bench": smoke_bench,
     "rpc": smoke_rpc,
     "trace": smoke_trace,
+    "figures": smoke_figures,
 }
 
 
