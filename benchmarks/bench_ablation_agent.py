@@ -1,6 +1,7 @@
 """Ablation — the adaptive steering agent (§1's learned policies).
 
-Compares three regimes on a stream of jobs landing on a loaded site:
+``repro.analysis.ablations.run_agent_ablation`` compares three regimes on
+a stream of jobs landing on a loaded site:
 
 1. **no steering** — jobs grind to completion where they land;
 2. **default policy** — the shipped SteeringPolicy;
@@ -12,99 +13,23 @@ over no steering — evidence that watching experts is enough to bootstrap
 automation, the paper's §1 thesis.
 """
 
-from dataclasses import replace
-from typing import List, Optional
-
 import pytest
 
-from repro.analysis.report import markdown_table
-from repro.core.estimators.history import HistoryRepository
+from repro.analysis.ablations import run_agent_ablation
 from repro.core.steering.agent import AdaptiveSteeringAgent
-from repro.core.steering.optimizer import SteeringPolicy
-from repro.gae import build_gae
-from repro.gridsim import GridBuilder, Job
-from repro.workloads.generators import make_prime_count_task, prime_job_history_records
-
-
-def make_gae(policy: SteeringPolicy):
-    grid = (
-        GridBuilder(seed=21)
-        .site("busy", background_load=1.5)
-        .site("idle", nodes=4, background_load=0.0)
-        .probe_noise(0.0)
-        .build()
-    )
-    history = HistoryRepository(prime_job_history_records(n=8, sigma=0.01))
-    gae = build_gae(grid, policy=policy, history=history)
-    gae.add_user("expert", "pw")
-    return gae
-
-
-def submit_pinned(gae, owner="expert"):
-    task = make_prime_count_task(owner=owner)
-    original = gae.scheduler.select_site
-    gae.scheduler.select_site = lambda t, exclude=(): "busy"
-    gae.scheduler.submit_job(Job(tasks=[task], owner=owner))
-    gae.scheduler.select_site = original
-    return task
-
-
-def mean_completion(policy: Optional[SteeringPolicy], n_jobs: int = 3) -> float:
-    """Mean completion time of *n_jobs* submitted to the busy site."""
-    gae = make_gae(policy or SteeringPolicy(auto_move=False, min_elapsed_wall_s=1e9))
-    tasks = [submit_pinned(gae) for _ in range(n_jobs)]
-    if policy is not None:
-        gae.start()
-    gae.grid.run_until(30000.0)
-    if policy is not None:
-        gae.stop()
-    ends: List[float] = []
-    for t in tasks:
-        for site in ("busy", "idle"):
-            pool = gae.grid.sites[site].pool
-            if pool.has_task(t.task_id) and pool.ad(t.task_id).state.value == "completed":
-                ends.append(pool.ad(t.task_id).end_time)
-    assert len(ends) == len(tasks), "every job must have completed somewhere"
-    return sum(ends) / len(ends)
-
-
-def learn_policy() -> SteeringPolicy:
-    """Train the agent on two manual expert moves, return its policy."""
-    timid = SteeringPolicy(auto_move=False, min_elapsed_wall_s=1e9)
-    gae = make_gae(timid)
-    agent = AdaptiveSteeringAgent(min_observations=2)
-    gae.steering.attach_agent(agent)
-    client = gae.client("expert", "pw")
-    for _ in range(2):
-        task = submit_pinned(gae)
-        gae.grid.run_until(gae.sim.now + 100.0)
-        client.service("steering").move(task.task_id, "idle")
-    return replace(agent.recommended_policy(), auto_move=True)
 
 
 class TestAgentAblation:
     def test_learned_policy_recovers_most_of_the_benefit(self):
-        default = SteeringPolicy(poll_interval_s=20.0, min_elapsed_wall_s=40.0,
-                                 slow_rate_threshold=0.8, min_improvement_factor=1.2)
-        none_mean = mean_completion(None)
-        default_mean = mean_completion(default)
-        learned = learn_policy()
-        learned_mean = mean_completion(learned)
-
-        print()
-        print(markdown_table(
-            ["regime", "mean completion (s)"],
-            [["no steering", round(none_mean, 1)],
-             ["default policy", round(default_mean, 1)],
-             [f"learned policy (thr={learned.slow_rate_threshold:.2f}, "
-              f"poll={learned.poll_interval_s:.0f}s)", round(learned_mean, 1)]],
-        ))
+        result = run_agent_ablation()
+        print("\n" + result.to_markdown())
+        none_mean = result.values["no steering"]
+        default_mean = result.values["default policy"]
+        learned_mean = result.values["learned policy"]
         assert default_mean < none_mean
         assert learned_mean < none_mean
         # The learned policy captures at least half the default's saving.
-        saving_default = none_mean - default_mean
-        saving_learned = none_mean - learned_mean
-        assert saving_learned >= 0.5 * saving_default
+        assert none_mean - learned_mean >= 0.5 * (none_mean - default_mean)
 
 
 @pytest.mark.benchmark(group="ablation-agent")

@@ -3,58 +3,28 @@
 "The job can be completed even quicker than 369 seconds if it is
 checkpoint-able and flocking is enabled between site A and Site B."
 
-Sweeps the moment of the move across the job's lifetime and compares
-restart-from-zero against checkpointed moves: the later the move, the more
+``repro.analysis.ablations.run_checkpoint_ablation`` sweeps the moment of
+the move across the job's lifetime and compares restart-from-zero against
+checkpointed moves; this bench asserts that the later the move, the more
 work a restart throws away, so checkpointing's advantage grows linearly —
-and flocking lets queued work drain to the free pool without steering at
-all.
+and that flocking lets queued work drain to the free pool without steering
+at all.
 """
 
 import pytest
 
-from repro.analysis.report import markdown_table
-from repro.gridsim import GridBuilder, Job, JobState
+from repro.analysis.ablations import run_checkpoint_ablation
 from repro.gridsim.clock import Simulator
 from repro.gridsim.condor import CondorPool
-from repro.gridsim.node import LoadProfile, Node
-from repro.workloads.generators import PRIME_JOB_FREE_CPU_SECONDS, make_prime_count_task
-
-SITE_A_LOAD = 1.5
-
-
-def run_manual_move(move_at_s: float, checkpointable: bool) -> float:
-    """Vacate at t=move_at_s from loaded A to free B; returns completion."""
-    sim = Simulator()
-    pool_a = CondorPool(
-        sim, "A", [Node(name="a0", load_profile=LoadProfile.constant(SITE_A_LOAD))]
-    )
-    pool_b = CondorPool(sim, "B", [Node(name="b0")])
-    task = make_prime_count_task(checkpointable=checkpointable)
-    pool_a.submit(task)
-    sim.run_until(move_at_s)
-    ad = pool_a.vacate(task.task_id)
-    carry = ad.accrued_work if checkpointable else 0.0
-    pool_b.submit(task, initial_work=carry)
-    sim.run()
-    return pool_b.ad(task.task_id).end_time
+from repro.gridsim.node import Node
+from repro.workloads.generators import make_prime_count_task
 
 
 class TestCheckpointAblation:
     def test_checkpoint_advantage_grows_with_move_time(self):
-        rows = []
-        advantage = []
-        for move_at in (30.0, 100.0, 200.0, 400.0):
-            plain = run_manual_move(move_at, checkpointable=False)
-            ckpt = run_manual_move(move_at, checkpointable=True)
-            rows.append([move_at, round(plain, 1), round(ckpt, 1), round(plain - ckpt, 1)])
-            advantage.append(plain - ckpt)
-        print()
-        print(
-            markdown_table(
-                ["move at (s)", "restart completion", "checkpoint completion", "saved (s)"],
-                rows,
-            )
-        )
+        result = run_checkpoint_ablation()
+        print("\n" + result.to_markdown())
+        advantage = result.values["advantage"]
         # Checkpointing never hurts and its advantage grows with accrued work.
         assert all(a >= -1e-6 for a in advantage)
         assert advantage == sorted(advantage)
@@ -62,45 +32,13 @@ class TestCheckpointAblation:
         assert advantage[1] == pytest.approx(100.0 * 0.4, rel=0.01)
 
     def test_checkpointed_move_beats_staying_even_late(self):
-        stay = PRIME_JOB_FREE_CPU_SECONDS / 0.4  # 707.5 s at site A
-        late = run_manual_move(500.0, checkpointable=True)
-        print(f"\nstay-at-A: {stay:.1f}s; late checkpointed move: {late:.1f}s")
-        assert late < stay
+        values = run_checkpoint_ablation().values
+        assert values["late_move_end"] < values["stay_end"]  # 707.5 s at site A
 
     def test_flocking_drains_queue_without_steering(self):
         """With flocking enabled, excess jobs run at the friendly pool."""
-        grid_flock = (
-            GridBuilder(seed=3)
-            .site("A", background_load=0.0)
-            .site("B", background_load=0.0)
-            .flock("A", "B")
-            .build()
-        )
-        tasks = [make_prime_count_task() for _ in range(4)]
-        for t in tasks:
-            grid_flock.execution_services["A"].submit_task(t)
-        grid_flock.run()
-        ends_flock = max(
-            (grid_flock.sites[s].pool.ad(t.task_id).end_time
-             for t in tasks for s in ("A", "B")
-             if grid_flock.sites[s].pool.has_task(t.task_id)),
-        )
-
-        grid_plain = (
-            GridBuilder(seed=3)
-            .site("A", background_load=0.0)
-            .site("B", background_load=0.0)
-            .build()
-        )
-        tasks2 = [make_prime_count_task() for _ in range(4)]
-        for t in tasks2:
-            grid_plain.execution_services["A"].submit_task(t)
-        grid_plain.run()
-        ends_plain = max(
-            grid_plain.sites["A"].pool.ad(t.task_id).end_time for t in tasks2
-        )
-        print(f"\nmakespan with flocking: {ends_flock:.1f}s; without: {ends_plain:.1f}s")
-        assert ends_flock < ends_plain
+        values = run_checkpoint_ablation().values
+        assert values["flock_makespan"] < values["plain_makespan"]
 
 
 @pytest.mark.benchmark(group="ablation-checkpoint")

@@ -2,8 +2,9 @@
 
 The paper picks history-based statistical prediction (§6.1, related work
 §8 category 3) with *mean and linear regression* over similar tasks found
-via templates.  This bench quantifies each choice on the synthetic Paragon
-workload:
+via templates.  ``repro.analysis.ablations.run_estimator_ablation``
+quantifies each choice on the synthetic Paragon workload; this bench
+asserts who wins:
 
 - estimate method: mean vs regression vs auto vs the naive baseline of
   trusting the user's requested CPU hours (what a scheduler does with no
@@ -13,66 +14,18 @@ workload:
 - history size: accuracy as the history grows from 10 to 400 jobs.
 """
 
-import statistics
-from typing import Dict, List
-
-import numpy as np
 import pytest
 
-from repro.analysis.metrics import summarize_errors
-from repro.analysis.report import markdown_table
-from repro.core.estimators.runtime import RuntimeEstimator
+from repro.analysis.ablations import run_estimator_ablation
 from repro.core.estimators.similarity import GreedyTemplateSearch
 from repro.workloads.downey import DowneyWorkloadGenerator
-
-SEEDS = (1995, 7, 21, 42, 99)
-
-
-def error_for(estimate_fn, tests) -> float:
-    actuals = [t.runtime_s for t in tests]
-    estimates = [estimate_fn(t) for t in tests]
-    return summarize_errors(actuals, estimates).mean_abs_pct
-
-
-def sweep_methods(seed: int) -> Dict[str, float]:
-    gen = DowneyWorkloadGenerator(seed=seed)
-    history, tests = gen.history_and_tests(100, 20)
-    out: Dict[str, float] = {}
-    for method in ("mean", "regression", "auto"):
-        estimator = RuntimeEstimator(history, method=method)
-        out[method] = error_for(
-            lambda t, e=estimator: e.estimate(t.to_task_spec()).value, tests
-        )
-    out["requested-hours baseline"] = error_for(
-        lambda t: t.requested_cpu_hours * 3600.0, tests
-    )
-    # No templates at all: always the global history mean.
-    global_estimator = RuntimeEstimator(history, ladder=((),), method="mean")
-    out["no templates (global mean)"] = error_for(
-        lambda t: global_estimator.estimate(t.to_task_spec()).value, tests
-    )
-    # Greedy-searched templates.
-    search = GreedyTemplateSearch()
-    result = search.search(history)
-    greedy_estimator = RuntimeEstimator(history, ladder=search.ladder_from(result))
-    out["greedy templates"] = error_for(
-        lambda t: greedy_estimator.estimate(t.to_task_spec()).value, tests
-    )
-    return out
 
 
 class TestEstimatorAblation:
     def test_method_and_template_sweep(self):
-        rows = []
-        aggregated: Dict[str, List[float]] = {}
-        for seed in SEEDS:
-            for name, err in sweep_methods(seed).items():
-                aggregated.setdefault(name, []).append(err)
-        for name, errs in aggregated.items():
-            rows.append([name, round(statistics.mean(errs), 2), round(max(errs), 2)])
-        print()
-        print(markdown_table(["estimator variant", "mean |%err|", "worst seed"], rows))
-        means = {name: statistics.mean(errs) for name, errs in aggregated.items()}
+        result = run_estimator_ablation()
+        print("\n" + result.to_markdown())
+        means = result.values["variant_means"]
         # The paper's choice (history + templates) must beat both baselines.
         assert means["auto"] < means["requested-hours baseline"]
         assert means["auto"] < means["no templates (global mean)"]
@@ -81,35 +34,8 @@ class TestEstimatorAblation:
 
     def test_history_size_sweep(self):
         """More history → (weakly) better estimates, then diminishing."""
-        sizes = [10, 25, 50, 100, 200, 400]
-        rows = []
-        by_size: Dict[int, List[float]] = {}
-        for seed in SEEDS:
-            gen = DowneyWorkloadGenerator(seed=seed)
-            records = gen.generate(max(sizes) + 200)
-            test_pool = [r for r in records[max(sizes):] if r.status == "successful"]
-            for size in sizes:
-                from repro.core.estimators.history import HistoryRepository
-
-                history = HistoryRepository(
-                    r.to_task_record() for r in records[:size]
-                )
-                seen = {r.application for r in records[:size] if r.status == "successful"}
-                tests = [t for t in test_pool if t.application in seen][:20]
-                if len(tests) < 10:
-                    continue
-                estimator = RuntimeEstimator(history)
-                by_size.setdefault(size, []).append(
-                    error_for(lambda t, e=estimator: e.estimate(t.to_task_spec()).value, tests)
-                )
-        for size in sizes:
-            if size in by_size:
-                rows.append([size, round(statistics.mean(by_size[size]), 2)])
-        print()
-        print(markdown_table(["history size", "mean |%err|"], rows))
-        small = statistics.mean(by_size[10])
-        large = statistics.mean(by_size[400])
-        assert large < small  # history helps
+        by_size = run_estimator_ablation().values["history_means"]
+        assert by_size[400] < by_size[10]  # history helps
 
 
 @pytest.mark.benchmark(group="ablation-estimator")

@@ -3,138 +3,64 @@
 §7 names the factors that "must be taken into account when deciding whether
 a job should be transferred or allowed to run to completion": how quickly
 the decision is taken, and the cost of moving (data transfer, restart).
-This bench sweeps them:
+``repro.analysis.experiments.run_steering_policy_sweeps`` sweeps them on
+the Figure 7 job; this bench asserts where each crossover falls:
 
-- poll interval × detection threshold → completion time of the Figure 7
-  job (the decision-speed claim, quantified);
+- poll interval × detection threshold → completion time (the decision-speed
+  claim, quantified);
 - site-A load level → move-vs-stay crossover (below some load, moving is
   not worth it and the optimizer must decline);
 - input-data size → the transfer-cost crossover for a data-heavy job.
 """
 
-import statistics
-from typing import Dict
+from dataclasses import replace
 
 import pytest
 
-from repro.analysis.report import markdown_table
-from repro.core.estimators.history import HistoryRepository
-from repro.core.steering.optimizer import SteeringPolicy
-from repro.gae import build_gae
-from repro.gridsim import GridBuilder, Job, JobState
-from repro.workloads.generators import (
-    PRIME_JOB_FREE_CPU_SECONDS,
-    make_prime_count_task,
-    prime_job_history_records,
-)
-
-
-def run_once(
-    load_a: float = 1.5,
-    poll_interval_s: float = 20.0,
-    slow_rate_threshold: float = 0.8,
-    input_size_mb: float = 0.0,
-    bandwidth_mbps: float = 100.0,
-    horizon: float = 6000.0,
-):
-    """Run a Figure 7-style scenario; returns (completion time, #moves)."""
-    builder = (
-        GridBuilder(seed=77)
-        .site("siteA", background_load=load_a)
-        .site("siteB", background_load=0.0)
-        .link("siteA", "siteB", capacity_mbps=bandwidth_mbps, latency_s=0.05)
-        .probe_noise(0.0)
-    )
-    if input_size_mb > 0:
-        builder = builder.file("input.dat", size_mb=input_size_mb, at="siteA")
-    grid = builder.build()
-    history = HistoryRepository(prime_job_history_records(n=10, sigma=0.01))
-    policy = SteeringPolicy(
-        poll_interval_s=poll_interval_s,
-        min_elapsed_wall_s=40.0,
-        slow_rate_threshold=slow_rate_threshold,
-        min_improvement_factor=1.2,
-    )
-    gae = build_gae(grid, policy=policy, history=history)
-
-    task = make_prime_count_task(owner="u")
-    if input_size_mb > 0:
-        from dataclasses import replace
-
-        task.spec = replace(task.spec, input_files=("input.dat",))
-    original = gae.scheduler.select_site
-    gae.scheduler.select_site = lambda t, exclude=(): "siteA"
-    gae.scheduler.submit_job(Job(tasks=[task], owner="u"))
-    gae.scheduler.select_site = original
-    gae.start()
-    gae.grid.run_until(horizon)
-    gae.stop()
-    es = gae.grid.execution_services
-    site = "siteB" if es["siteB"].pool.has_task(task.task_id) else "siteA"
-    end = es[site].pool.ad(task.task_id).end_time
-    moves = len([a for a in gae.steering.actions if a.result and a.result.ok])
-    return end, moves
+from repro.analysis.experiments import figure7_gae, run_steering_policy_sweeps, submit_pinned
+from repro.workloads.generators import PRIME_JOB_FREE_CPU_SECONDS, make_prime_count_task
 
 
 class TestPolicySweep:
-    def test_poll_interval_sweep(self):
-        rows = []
-        ends = {}
-        for poll in (10.0, 30.0, 60.0, 120.0, 240.0):
-            end, moves = run_once(poll_interval_s=poll)
-            ends[poll] = end
-            rows.append([poll, round(end, 1), moves])
-        print()
-        print(markdown_table(["poll interval (s)", "completion (s)", "moves"], rows))
-        # Monotone: slower polling never completes sooner.
-        sorted_polls = sorted(ends)
-        for a, b in zip(sorted_polls, sorted_polls[1:]):
-            assert ends[a] <= ends[b] + 1e-6
+    @pytest.fixture(scope="class")
+    def sweeps(self):
+        result = run_steering_policy_sweeps()
+        print("\n" + result.to_markdown())
+        return result.values
 
-    def test_threshold_sweep(self):
-        rows = []
-        for threshold in (0.3, 0.5, 0.8, 0.95):
-            end, moves = run_once(slow_rate_threshold=threshold)
-            rows.append([threshold, round(end, 1), moves])
-        print()
-        print(markdown_table(["slow-rate threshold", "completion (s)", "moves"], rows))
+    def test_poll_interval_sweep(self, sweeps):
+        poll = sweeps["poll"]
+        # Monotone: slower polling never completes sooner.
+        intervals = sorted(poll)
+        for a, b in zip(intervals, intervals[1:]):
+            assert poll[a][0] <= poll[b][0] + 1e-6
+
+    def test_threshold_sweep(self, sweeps):
+        threshold = sweeps["threshold"]
         # At threshold 0.3 the 0.4-rate job is *not* slow -> no move.
-        end_no_move, moves_no_move = run_once(slow_rate_threshold=0.3)
+        end_no_move, moves_no_move = threshold[0.3]
         assert moves_no_move == 0
         assert end_no_move == pytest.approx(
             PRIME_JOB_FREE_CPU_SECONDS * 2.5, rel=0.01
         )  # 283 / 0.4
 
-    def test_move_vs_stay_crossover_in_load(self):
+    def test_move_vs_stay_crossover_in_load(self, sweeps):
         """Below some site-A load, the optimizer must decline to move."""
-        rows = []
-        moved_at = {}
-        for load in (0.1, 0.3, 0.8, 1.5, 3.0):
-            end, moves = run_once(load_a=load)
-            moved_at[load] = moves > 0
-            rows.append([load, round(end, 1), moves])
-        print()
-        print(markdown_table(["site-A load", "completion (s)", "moves"], rows))
+        load = sweeps["load"]
+        moved_at = {level: moves > 0 for level, (_, moves) in load.items()}
         assert not moved_at[0.1]   # healthy rate 0.91 -> stays
         assert moved_at[3.0]       # rate 0.25 -> moves
         # Crossover is monotone: once it moves, heavier load still moves.
         loads = sorted(moved_at)
-        first_move = next((l for l in loads if moved_at[l]), None)
-        assert first_move is not None
-        for l in loads:
-            if l >= first_move:
-                assert moved_at[l]
+        first_move = next(level for level in loads if moved_at[level])
+        assert all(moved_at[level] for level in loads if level >= first_move)
 
-    def test_transfer_cost_crossover(self):
+    def test_transfer_cost_crossover(self, sweeps):
         """A data-heavy job over a thin pipe should stay put; the same job
         over a fat pipe should move (the §7 'time taken to transfer the
         data files' factor)."""
-        end_fat, moves_fat = run_once(input_size_mb=500.0, bandwidth_mbps=1000.0)
-        end_thin, moves_thin = run_once(input_size_mb=500.0, bandwidth_mbps=1.5)
-        print(
-            f"\nfat pipe: completion {end_fat:.0f}s moves={moves_fat}; "
-            f"thin pipe: completion {end_thin:.0f}s moves={moves_thin}"
-        )
+        pipe = sweeps["pipe"]
+        (_, moves_fat), (_, moves_thin) = pipe[1000.0], pipe[1.5]
         assert moves_fat >= 1
         assert moves_thin == 0
 
@@ -142,20 +68,9 @@ class TestPolicySweep:
 @pytest.mark.benchmark(group="ablation-steering")
 def test_steering_loop_pass_cost(benchmark):
     """Cost of one steering-loop pass over an active task set."""
-    grid = (
-        GridBuilder(seed=78)
-        .site("siteA", background_load=1.5)
-        .site("siteB", background_load=0.0)
-        .probe_noise(0.0)
-        .build()
-    )
-    history = HistoryRepository(prime_job_history_records(n=10, sigma=0.01))
-    gae = build_gae(grid, history=history,
-                    policy=SteeringPolicy(auto_move=False, min_elapsed_wall_s=40.0))
-    original = gae.scheduler.select_site
-    gae.scheduler.select_site = lambda t, exclude=(): "siteA"
+    gae = figure7_gae()
+    gae.steering.adopt_policy(replace(gae.steering.policy, auto_move=False))
     for _ in range(10):
-        gae.scheduler.submit_job(Job(tasks=[make_prime_count_task(owner="u")], owner="u"))
-    gae.scheduler.select_site = original
+        submit_pinned(gae, make_prime_count_task(), "siteA")
     gae.grid.run_until(100.0)
     benchmark(gae.steering.steer_once)

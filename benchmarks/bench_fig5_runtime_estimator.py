@@ -7,85 +7,42 @@ Estimator (similar-task matching + mean/linear-regression statistics).
 Paper result: the estimates track the actuals across the 20 cases, with a
 **mean error of 13.53 %**.
 
-This bench regenerates the 20-case series on the synthetic Paragon trace,
-prints the figure, and asserts the calibrated accuracy band (mean absolute
-percentage error between 5 % and 25 %, averaged over seeds).  The
-pytest-benchmark timing target is a single estimate call — the latency a
-scheduler pays per §6.1 step (b) query.
+This bench asserts the shape of ``repro.analysis.experiments.run_figure5``
+(the 20-case series on the synthetic Paragon trace) and of its across-seed
+average: the calibrated accuracy band (mean absolute percentage error
+between 5 % and 25 %, averaged over seeds).  The pytest-benchmark timing
+target is a single estimate call — the latency a scheduler pays per §6.1
+step (b) query.
 """
 
-import numpy as np
 import pytest
 
-from benchmarks.conftest import print_figure
-from repro.analysis.figures import FigureData
-from repro.analysis.metrics import summarize_errors
-from repro.core.estimators.runtime import RuntimeEstimator
-from repro.workloads.downey import DowneyWorkloadGenerator
-
-PAPER_MEAN_ERROR_PCT = 13.53
-N_HISTORY = 100
-N_TESTS = 20
-
-
-def run_figure5(seed: int = 1995):
-    """One full Figure 5 run: returns (actuals, estimates, summary)."""
-    gen = DowneyWorkloadGenerator(seed=seed)
-    history, tests = gen.history_and_tests(N_HISTORY, N_TESTS)
-    estimator = RuntimeEstimator(history)
-    actuals = [t.runtime_s for t in tests]
-    estimates = [estimator.estimate(t.to_task_spec()).value for t in tests]
-    return actuals, estimates, summarize_errors(actuals, estimates)
+from repro.analysis.experiments import figure5_estimator, run_figure5, run_figure5_seeds
 
 
 class TestFigure5:
     def test_regenerate_figure5(self):
-        actuals, estimates, summary = run_figure5()
-        cases = list(range(1, N_TESTS + 1))
-        figure = (
-            FigureData(
-                title="Figure 5: Actual & Estimated Runtimes for 20 test cases",
-                x_label="Jobs",
-                y_label="Job Runtime (seconds)",
-            )
-            .add("Actual Runtime", cases, actuals)
-            .add("Estimated Runtime", cases, estimates)
-        )
-        print_figure(
-            figure,
-            comparison_rows=[
-                ["history size", N_HISTORY, N_HISTORY],
-                ["test cases", N_TESTS, summary.n],
-                ["mean |%% error|", PAPER_MEAN_ERROR_PCT, round(summary.mean_abs_pct, 2)],
-                ["mean signed %% error", "n/a", round(summary.mean_signed_pct, 2)],
-            ],
-        )
+        result = run_figure5()
+        print("\n" + result.to_markdown())
         # Shape: estimates track actuals within the paper's accuracy band.
-        assert summary.n == N_TESTS
-        assert summary.mean_abs_pct < 30.0
-        assert summary.within_25_pct >= 0.6
+        assert result.values["n"] == 20
+        assert result.values["mean_abs_pct"] < 30.0
+        assert result.values["within_25_pct"] >= 0.6
 
     def test_accuracy_band_across_seeds(self):
         """The headline number, averaged over seeds, sits in the paper band."""
-        values = [run_figure5(seed)[2].mean_abs_pct for seed in (1995, 7, 21, 42, 99)]
-        mean = float(np.mean(values))
-        print(f"\nmean |% error| per seed: {[round(v, 1) for v in values]}; "
-              f"average {mean:.2f} (paper: {PAPER_MEAN_ERROR_PCT})")
-        assert 5.0 < mean < 25.0
+        result = run_figure5_seeds()
+        print("\n" + result.to_markdown())
+        assert 5.0 < result.values["mean"] < 25.0
 
     def test_estimates_correlate_with_actuals(self):
-        actuals, estimates, _ = run_figure5()
-        r = float(np.corrcoef(actuals, estimates)[0, 1])
-        print(f"\ncorrelation(actual, estimated) = {r:.3f}")
-        assert r > 0.9  # the figure's visual "tracking" property
+        assert run_figure5().values["correlation"] > 0.9  # the figure's visual "tracking"
 
 
 @pytest.mark.benchmark(group="fig5-estimator")
 def test_estimate_call_latency(benchmark):
     """Latency of one §6.1 estimate query (what the scheduler pays)."""
-    gen = DowneyWorkloadGenerator(seed=1995)
-    history, tests = gen.history_and_tests(N_HISTORY, N_TESTS)
-    estimator = RuntimeEstimator(history)
+    estimator, tests = figure5_estimator()
     spec = tests[0].to_task_spec()
     result = benchmark(lambda: estimator.estimate(spec).value)
     assert result > 0.0
@@ -94,5 +51,5 @@ def test_estimate_call_latency(benchmark):
 @pytest.mark.benchmark(group="fig5-estimator")
 def test_full_figure5_run_time(benchmark):
     """End-to-end cost of regenerating the whole figure."""
-    summary = benchmark(lambda: run_figure5()[2])
-    assert summary.n == N_TESTS
+    result = benchmark(run_figure5)
+    assert result.values["n"] == 20

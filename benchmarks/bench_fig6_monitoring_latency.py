@@ -9,61 +9,30 @@ at 100 concurrent clients — "the performance of the service scales well
 with increasing number of clients … as long as they do not exceed a certain
 limit."
 
-This bench hosts the real monitoring service on the stdlib threaded XML-RPC
-server (loopback HTTP) and drives genuine concurrent clients, measuring the
-mean per-request wall time.  Absolute milliseconds differ from a 2005
-Windows box; the asserted shape is (a) low flat latency at small client
-counts and (b) a clear rise by 100 clients.
+``repro.analysis.experiments.run_figure6`` hosts the real monitoring
+service on the stdlib threaded XML-RPC server (loopback HTTP) and drives
+genuine concurrent clients, measuring the mean per-request wall time.
+Absolute milliseconds differ from a 2005 Windows box; the asserted shape is
+(a) low flat latency at small client counts and (b) a clear rise by 100
+clients.
 """
 
 import statistics
-from typing import Dict
 
 import pytest
 
-from benchmarks.conftest import print_figure
-from repro.analysis.figures import FigureData
-from repro.analysis.latency import build_served_monitoring, measure_mean_latency_ms
+from repro.analysis.experiments import run_figure6
+from repro.analysis.latency import build_served_monitoring
 from repro.clarens.client import ClarensClient
 from repro.clarens.server import XmlRpcServerHandle
-from repro.clarens.transport import SocketTransport
-from repro.gae import build_gae
-from repro.gridsim import GridBuilder, Job, Task, TaskSpec
-
-CLIENT_COUNTS = [1, 2, 3, 5, 25, 50, 100]
-CALLS_PER_CLIENT = 10
-
-
-def run_figure6() -> Dict[int, float]:
-    gae, task_ids = build_served_monitoring()
-    results: Dict[int, float] = {}
-    with XmlRpcServerHandle(gae.host) as handle:
-        for n in CLIENT_COUNTS:
-            results[n] = measure_mean_latency_ms(handle.url, task_ids, n, calls_per_client=CALLS_PER_CLIENT)
-    return results
+from repro.clarens.transport import LoopbackTransport, SocketTransport
 
 
 class TestFigure6:
     def test_regenerate_figure6(self):
-        results = run_figure6()
-        figure = FigureData(
-            title="Figure 6: Response times for queries to Job Monitoring Service",
-            x_label="Number of parallel clients",
-            y_label="Response time (milliseconds)",
-        ).add("Average Response Time", list(results), list(results.values()))
-        print_figure(
-            figure,
-            comparison_rows=[
-                ["clients swept", "1,2,3,5,25,50,100", ",".join(map(str, results))],
-                ["latency @ 1 client (ms)", "~10-30", round(results[1], 2)],
-                ["latency @ 100 clients (ms)", "~60-70", round(results[100], 2)],
-                [
-                    "rise factor 100c vs 1c",
-                    "~3-6x",
-                    round(results[100] / max(results[1], 1e-9), 1),
-                ],
-            ],
-        )
+        result = run_figure6()
+        print("\n" + result.to_markdown())
+        results = result.values["latency_ms"]
         # Shape assertions:
         small = statistics.mean([results[1], results[2], results[3], results[5]])
         # (a) small client counts stay mutually close (flat region)
@@ -90,8 +59,6 @@ def test_single_request_latency(benchmark):
 @pytest.mark.benchmark(group="fig6-monitoring")
 def test_inprocess_request_latency(benchmark):
     """The same query without sockets — the transport-cost baseline."""
-    from repro.clarens.transport import LoopbackTransport
-
     gae, task_ids = build_served_monitoring()
     client = ClarensClient(LoopbackTransport(gae.host))
     client.login("alice", "pw")

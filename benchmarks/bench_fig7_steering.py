@@ -11,180 +11,67 @@ Paper result: the steered job completes at **~369 s**, far sooner than the
 copy still grinding at site A, and necessarily later than the **283 s**
 free-CPU reference (dashed line).
 
-This bench reruns the scenario in the simulator, prints both progress
-curves plus the 283 s reference, and asserts the ordering
-``283 s < steered < stay-put`` along with the "quicker decision → quicker
-completion" claim.
+This bench asserts the shape of ``repro.analysis.experiments.run_figure7``
+— the ordering ``283 s < steered < stay-put`` — along with the "quicker
+decision → quicker completion" and "even quicker if checkpoint-able" claims
+(``run_steering_policy_sweeps``).
 """
-
-from typing import List, Optional, Tuple
 
 import pytest
 
-from benchmarks.conftest import print_figure
-from repro.analysis.figures import FigureData
-from repro.core.estimators.history import HistoryRepository
-from repro.core.steering.optimizer import SteeringPolicy
-from repro.gae import build_gae
-from repro.gridsim import GridBuilder, Job, JobState
-from repro.workloads.generators import (
-    PRIME_JOB_FREE_CPU_SECONDS,
-    make_prime_count_task,
-    prime_job_history_records,
+from repro.analysis.experiments import (
+    figure7_gae,
+    run_figure7,
+    run_figure7_job,
+    run_steering_policy_sweeps,
+    submit_pinned,
 )
+from repro.workloads.generators import PRIME_JOB_FREE_CPU_SECONDS, make_prime_count_task
 
 PAPER_STEERED_COMPLETION_S = 369.0
-SITE_A_LOAD = 1.5          # progress rate 0.4 at site A
-HORIZON_S = 1200.0
-SAMPLE_EVERY_S = 10.0
-
-
-def build_scenario(poll_interval_s: float = 20.0, checkpointable: bool = False):
-    grid = (
-        GridBuilder(seed=2005)
-        .site("siteA", background_load=SITE_A_LOAD)
-        .site("siteB", background_load=0.0)
-        .link("siteA", "siteB", capacity_mbps=100.0, latency_s=0.05)
-        .probe_noise(0.0)
-        .build()
-    )
-    history = HistoryRepository(prime_job_history_records(n=10, sigma=0.01))
-    policy = SteeringPolicy(
-        poll_interval_s=poll_interval_s,
-        min_elapsed_wall_s=40.0,
-        slow_rate_threshold=0.8,
-        min_improvement_factor=1.2,
-    )
-    gae = build_gae(grid, policy=policy, history=history)
-    gae.add_user("physicist", "pw")
-    return gae
-
-
-def run_scenario(
-    gae, checkpointable: bool = False, with_shadow: bool = True
-) -> Tuple[List[Tuple[float, float]], List[Tuple[float, float]], Optional[float], Optional[float]]:
-    """Run the Figure 7 experiment.
-
-    Returns (site-A shadow progress curve, steered job progress curve,
-    steered completion time, shadow completion time).  The shadow is an
-    identical job pinned to site A "for testing purposes", as in the paper.
-    """
-    steered = make_prime_count_task(owner="physicist", checkpointable=checkpointable)
-    shadow = make_prime_count_task(owner="physicist") if with_shadow else None
-
-    original = gae.scheduler.select_site
-    gae.scheduler.select_site = lambda t, exclude=(): "siteA"
-    gae.scheduler.submit_job(Job(tasks=[steered], owner="physicist"))
-    gae.scheduler.select_site = original
-    if shadow is not None:
-        # The shadow bypasses the scheduler (and thus the steering
-        # subscriber) entirely: it just burns CPU at site A.
-        gae.grid.execution_services["siteA"].submit_task(shadow)
-
-    gae.start()
-    curve_a: List[Tuple[float, float]] = []
-    curve_steered: List[Tuple[float, float]] = []
-    es = gae.grid.execution_services
-    t = 0.0
-    while t <= HORIZON_S:
-        gae.grid.run_until(t)
-        if shadow is not None:
-            curve_a.append((t, es["siteA"].pool.status(shadow.task_id).progress * 100.0))
-        site = "siteB" if es["siteB"].pool.has_task(steered.task_id) else "siteA"
-        curve_steered.append((t, es[site].pool.status(steered.task_id).progress * 100.0))
-        t += SAMPLE_EVERY_S
-    gae.grid.run_until(4000.0)
-    gae.stop()
-
-    steered_end = (
-        es["siteB"].pool.ad(steered.task_id).end_time
-        if es["siteB"].pool.has_task(steered.task_id)
-        else es["siteA"].pool.ad(steered.task_id).end_time
-    )
-    shadow_end = es["siteA"].pool.ad(shadow.task_id).end_time if shadow is not None else None
-    return curve_a, curve_steered, steered_end, shadow_end
 
 
 class TestFigure7:
+    @pytest.fixture(scope="class")
+    def sweeps(self):
+        return run_steering_policy_sweeps()
+
     def test_regenerate_figure7(self):
-        gae = build_scenario()
-        curve_a, curve_steered, steered_end, shadow_end = run_scenario(gae)
-        figure = (
-            FigureData(
-                title="Figure 7: Job Completion at different sites",
-                x_label="Elapsed time (in seconds)",
-                y_label="Job progress (as %age)",
-            )
-            .add("Progress of the job at site A", *zip(*curve_a))
-            .add("Progress of the job at site B (steered)", *zip(*curve_steered))
-            .add(
-                "283 s free-CPU reference",
-                [0.0, PRIME_JOB_FREE_CPU_SECONDS],
-                [0.0, 100.0],
-            )
-        )
-        print_figure(
-            figure,
-            comparison_rows=[
-                ["free-CPU estimate (s)", 283, 283],
-                ["steered completion (s)", PAPER_STEERED_COMPLETION_S, round(steered_end, 1)],
-                [
-                    "stay-at-A completion (s)",
-                    "> 500 (off chart)",
-                    round(shadow_end, 1) if shadow_end else "n/a",
-                ],
-                ["move decision at (s)", "~120-170 (chart)", round(gae.steering.actions[0].time, 1)],
-            ],
-        )
+        result = run_figure7()
+        print("\n" + result.to_markdown())
+        steered_end, shadow_end = result.values["steered_end"], result.values["shadow_end"]
         # The paper's ordering: free-CPU bound < steered < stayed-at-A.
         assert PRIME_JOB_FREE_CPU_SECONDS < steered_end < shadow_end
         # And the steered completion lands in the paper's neighbourhood.
         assert steered_end < 1.6 * PAPER_STEERED_COMPLETION_S
 
-    def test_quicker_decision_quicker_completion(self):
+    def test_quicker_decision_quicker_completion(self, sweeps):
         """§7: 'The quicker the decision is taken, the better the chance
         that it will complete quicker.'"""
-        ends = {}
-        for poll in (10.0, 60.0, 150.0):
-            gae = build_scenario(poll_interval_s=poll)
-            _, _, steered_end, _ = run_scenario(gae, with_shadow=False)
-            ends[poll] = steered_end
-        print(f"\ncompletion by poll interval: { {k: round(v,1) for k, v in ends.items()} }")
-        assert ends[10.0] <= ends[60.0] <= ends[150.0]
+        poll = sweeps.values["poll"]
+        ends = [poll[interval][0] for interval in sorted(poll)]
+        assert ends == sorted(ends)
+        assert ends[0] < ends[-1]
 
-    def test_checkpointable_flocking_quicker_still(self):
+    def test_checkpointable_flocking_quicker_still(self, sweeps):
         """§7: 'The job can be completed even quicker than 369 seconds if it
         is checkpoint-able and flocking is enabled.'"""
-        plain = build_scenario()
-        _, _, plain_end, _ = run_scenario(plain, with_shadow=False)
-        ckpt = build_scenario(checkpointable=True)
-        _, _, ckpt_end, _ = run_scenario(ckpt, checkpointable=True, with_shadow=False)
-        print(f"\nplain restart: {plain_end:.1f}s; checkpointed move: {ckpt_end:.1f}s")
-        assert ckpt_end < plain_end
+        assert sweeps.values["checkpoint_end"] < sweeps.values["restart_end"]
 
 
 @pytest.mark.benchmark(group="fig7-steering")
 def test_full_scenario_run_time(benchmark):
     """Wall-clock cost of simulating the whole Figure 7 experiment."""
-
-    def run():
-        gae = build_scenario()
-        _, _, steered_end, _ = run_scenario(gae, with_shadow=False)
-        return steered_end
-
-    steered_end = benchmark(run)
-    assert steered_end > PRIME_JOB_FREE_CPU_SECONDS
+    run = benchmark(lambda: run_figure7_job(figure7_gae()))
+    assert run.steered_end > PRIME_JOB_FREE_CPU_SECONDS
 
 
 @pytest.mark.benchmark(group="fig7-steering")
 def test_optimizer_evaluate_latency(benchmark):
     """Latency of one optimizer evaluation (the steering loop's inner op)."""
-    gae = build_scenario()
-    task = make_prime_count_task(owner="physicist")
-    original = gae.scheduler.select_site
-    gae.scheduler.select_site = lambda t, exclude=(): "siteA"
-    gae.scheduler.submit_job(Job(tasks=[task], owner="physicist"))
-    gae.scheduler.select_site = original
+    gae = figure7_gae()
+    task = make_prime_count_task()
+    submit_pinned(gae, task, "siteA")
     gae.grid.run_until(100.0)
     decision = benchmark(lambda: gae.steering.optimizer.evaluate(task.task_id))
     assert decision.should_move

@@ -1,100 +1,37 @@
 """Robustness — throughput under execution-service churn.
 
-§4.2.4 exists because grid sites die; this bench quantifies what Backup &
+§4.2.4 exists because grid sites die;
+``repro.analysis.ablations.run_churn_robustness`` quantifies what Backup &
 Recovery buys.  A batch of jobs runs on a three-site grid while two sites
-churn through seeded MTBF/MTTR failure cycles:
+churn through seeded MTBF/MTTR failure cycles; this bench asserts that
 
 - with B&R's sweep running, every job completes; makespan degrades
   gracefully as churn intensifies;
 - with recovery disabled, jobs stranded on crashed sites never finish.
 """
 
-from typing import List, Optional, Tuple
-
-import numpy as np
 import pytest
 
-from repro.analysis.report import markdown_table
-from repro.core.steering.optimizer import SteeringPolicy
-from repro.gae import build_gae
-from repro.gridsim import GridBuilder, Job, JobState, Task, TaskSpec
-from repro.gridsim.faults import FaultInjector
-
-N_JOBS = 8
-WORK_S = 300.0
-
-
-def run_churn(
-    mtbf_s: Optional[float],
-    recovery: bool = True,
-    horizon: float = 60000.0,
-    seed: int = 5,
-) -> Tuple[int, float]:
-    """Returns (#completed, makespan of completed jobs)."""
-    grid = (
-        GridBuilder(seed=seed)
-        .site("a", nodes=2).site("b", nodes=2).site("c", nodes=2)
-        .probe_noise(0.0)
-        .build()
-    )
-    policy = SteeringPolicy(poll_interval_s=30.0, min_elapsed_wall_s=1e9)
-    gae = build_gae(grid, policy=policy)
-    gae.steering.backup_recovery.resubmit_failed_tasks = recovery
-
-    tasks = [
-        Task(spec=TaskSpec(owner="u", requested_cpu_hours=WORK_S / 3600.0),
-             work_seconds=WORK_S)
-        for _ in range(N_JOBS)
-    ]
-    for t in tasks:
-        gae.scheduler.submit_job(Job(tasks=[t], owner="u"))
-
-    injector = None
-    if mtbf_s is not None:
-        injector = FaultInjector(gae.sim, rng=np.random.default_rng(seed))
-        injector.add_site(gae.grid.execution_services["a"], mtbf_s=mtbf_s, mttr_s=mtbf_s / 2)
-        injector.add_site(gae.grid.execution_services["b"], mtbf_s=mtbf_s, mttr_s=mtbf_s / 2)
-        injector.start()
-
-    if recovery:
-        gae.start()
-    gae.grid.run_until(horizon)
-    if recovery:
-        gae.stop()
-
-    completed = [t for t in tasks if t.state is JobState.COMPLETED]
-    makespan = 0.0
-    for t in completed:
-        for site in gae.grid.sites.values():
-            if site.pool.has_task(t.task_id) and site.pool.ad(t.task_id).state is JobState.COMPLETED:
-                makespan = max(makespan, site.pool.ad(t.task_id).end_time)
-    return len(completed), makespan
+from repro.analysis.ablations import CHURN_JOBS, run_churn_robustness
 
 
 class TestChurnRobustness:
-    def test_makespan_degrades_gracefully_with_churn(self):
-        rows = []
-        makespans = {}
-        for label, mtbf in (("none", None), ("mild", 2000.0), ("harsh", 500.0)):
-            done, makespan = run_churn(mtbf)
-            makespans[label] = makespan
-            rows.append([label, mtbf or "-", done, round(makespan, 1)])
-        print()
-        print(markdown_table(
-            ["churn", "MTBF (s)", f"completed of {N_JOBS}", "makespan (s)"], rows,
-        ))
-        # Everything completes at every churn level (B&R running) ...
-        for label, _, done, _ in rows:
-            assert done == N_JOBS
-        # ... and churn costs time, monotonically.
-        assert makespans["none"] <= makespans["mild"] <= makespans["harsh"]
+    @pytest.fixture(scope="class")
+    def churn(self):
+        result = run_churn_robustness()
+        print("\n" + result.to_markdown())
+        return result.values
 
-    def test_without_recovery_jobs_strand(self):
+    def test_makespan_degrades_gracefully_with_churn(self, churn):
+        done = {label: churn[label][0] for label in ("none", "mild", "harsh")}
+        makespan = {label: churn[label][1] for label in ("none", "mild", "harsh")}
+        # Everything completes at every churn level (B&R running) ...
+        assert set(done.values()) == {CHURN_JOBS}
+        # ... and churn costs time, monotonically.
+        assert makespan["none"] <= makespan["mild"] <= makespan["harsh"]
+
+    def test_without_recovery_jobs_strand(self, churn):
         """The counterfactual: kill B&R resubmission and some jobs die with
         their sites."""
-        done_with, _ = run_churn(500.0, recovery=True)
-        done_without, _ = run_churn(500.0, recovery=False)
-        print(f"\ncompleted with recovery: {done_with}/{N_JOBS}; "
-              f"without: {done_without}/{N_JOBS}")
-        assert done_with == N_JOBS
-        assert done_without < N_JOBS
+        assert churn["harsh"][0] == CHURN_JOBS
+        assert churn["harsh_without_recovery"] < CHURN_JOBS

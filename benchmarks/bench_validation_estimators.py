@@ -2,143 +2,58 @@
 
 The paper evaluates the Runtime Estimator quantitatively (Figure 5) but
 only describes the Queue Time (§6.2) and Transfer Time (§6.3) estimators.
-This bench closes the gap: for each, compare *predicted* against *actual*
-over a workload the simulator then executes, so the reproduction documents
-how accurate the paper's algorithms actually are.
+``repro.analysis.ablations`` closes the gap — for each, *predicted* against
+*actual* over a workload the simulator then executes — and this bench
+asserts how accurate the paper's algorithms have to be:
 
-- Queue time: submit a Paragon-trace batch to a small pool, record §6.2
-  predictions at enqueue time, then measure the true wait of every task.
-- Transfer time: predict transfers over a noisy-probed link and compare
-  with the network model's ground truth across sizes and noise levels.
+- Queue time (``run_queue_time_validation``): a Paragon-trace batch on a
+  small pool, §6.2 predictions recorded at enqueue time against the true
+  wait of every task; the per-slot extension on a multi-slot pool.
+- Transfer time (``run_transfer_time_validation``): transfers over a
+  noisy-probed link against the network model's ground truth across sizes
+  and noise levels.
 """
 
-import statistics
-from typing import List, Tuple
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from repro.analysis.metrics import summarize_errors
-from repro.analysis.report import markdown_table
+from repro.analysis.ablations import run_queue_time_validation, run_transfer_time_validation
 from repro.core.estimators.queue_time import QueueTimeEstimator, RuntimeEstimateDB
-from repro.core.estimators.runtime import RuntimeEstimator
-from repro.core.estimators.transfer_time import TransferTimeEstimator
 from repro.gridsim.clock import Simulator
 from repro.gridsim.execution import ExecutionService
-from repro.gridsim.network import IperfProbe, Link, Network
 from repro.gridsim.site import Site
 from repro.workloads.downey import DowneyWorkloadGenerator
 
 
-def run_queue_time_validation(seed: int = 1995, n_jobs: int = 40) -> Tuple[List[float], List[float]]:
-    """Returns (actual waits, predicted waits) for queued trace jobs."""
-    sim = Simulator()
-    site = Site.simple(sim, "pool", n_nodes=1)
-    service = ExecutionService(site)
-
-    gen = DowneyWorkloadGenerator(seed=seed)
-    history, _ = gen.history_and_tests(100, 5)
-    runtime_est = RuntimeEstimator(history)
-    db = RuntimeEstimateDB()
-    qte = QueueTimeEstimator(db, fallback_runtime_s=None)
-
-    records = [r for r in gen.generate(3 * n_jobs) if r.status == "successful"][:n_jobs]
-    # Flatten to single-slot tasks: §6.2's plain sum models a single CPU
-    # draining the queue, which is exactly this validation setup.
-    from dataclasses import replace as _replace
-
-    tasks = []
-    for r in records:
-        task = r.to_task()
-        task.spec = _replace(task.spec, nodes=1)
-        tasks.append(task)
-    predicted, actual_tasks = [], []
-    for task in tasks:
-        service.submit_task(task)
-        db.record(task.task_id, runtime_est.estimate(task.spec).value)
-        predicted.append(qte.estimate(service, task.task_id))
-        actual_tasks.append(task)
-    sim.run()
-    actual = []
-    for task in actual_tasks:
-        ad = site.pool.ad(task.task_id)
-        actual.append(ad.start_time - ad.submit_time)
-    return actual, predicted
-
-
 class TestQueueTimeValidation:
     def test_predictions_track_actual_waits(self):
-        actual, predicted = run_queue_time_validation()
-        # Drop the zero-wait head-of-queue jobs (percentage error undefined).
-        pairs = [(a, p) for a, p in zip(actual, predicted) if a > 60.0]
-        assert len(pairs) >= 20
-        acts, preds = zip(*pairs)
-        summary = summarize_errors(list(acts), list(preds))
-        corr = float(np.corrcoef(acts, preds)[0, 1])
-        print(f"\nqueue-time estimator over {len(pairs)} queued jobs: "
-              f"mean |%err| = {summary.mean_abs_pct:.1f}%, correlation = {corr:.3f}")
-        print(markdown_table(
-            ["quantity", "value"],
-            [["mean |% error|", round(summary.mean_abs_pct, 1)],
-             ["median |% error|", round(summary.median_abs_pct, 1)],
-             ["correlation", round(corr, 3)]],
-        ))
+        result = run_queue_time_validation()
+        print("\n" + result.to_markdown())
+        assert result.values["n_queued"] >= 20
         # §6.2's sum-of-remaining is unbiased when runtime estimates are
         # good; demand strong tracking.
-        assert corr > 0.95
-        assert summary.mean_abs_pct < 30.0
+        assert result.values["correlation"] > 0.95
+        assert result.values["mean_abs_pct"] < 30.0
 
     def test_prediction_monotone_in_queue_depth(self):
-        actual, predicted = run_queue_time_validation(n_jobs=20)
+        predicted = run_queue_time_validation().values["predicted_20_jobs"]
         # Later submissions see (weakly) deeper queues.
         assert predicted[0] == 0.0
         assert predicted[-1] > predicted[1]
 
 
-def run_transfer_validation(noise_sigma: float, n: int = 50, seed: int = 3):
-    net = Network()
-    net.add_link(Link("src", "dst", capacity_mbps=100.0, latency_s=0.05))
-    probe = IperfProbe(net, rng=np.random.default_rng(seed), noise_sigma=noise_sigma)
-    estimator = TransferTimeEstimator(probe)
-    rng = np.random.default_rng(seed + 1)
-    actual, predicted = [], []
-    for _ in range(n):
-        size = float(rng.uniform(10.0, 2000.0))
-        predicted.append(estimator.estimate("src", "dst", size).transfer_time_s)
-        actual.append(net.transfer_time("src", "dst", size))
-    return actual, predicted
-
-
 class TestTransferTimeValidation:
     def test_accuracy_degrades_gracefully_with_probe_noise(self):
-        rows = []
-        errors = {}
-        for sigma in (0.0, 0.05, 0.2):
-            actual, predicted = run_transfer_validation(sigma)
-            summary = summarize_errors(actual, predicted)
-            errors[sigma] = summary.mean_abs_pct
-            rows.append([sigma, round(summary.mean_abs_pct, 2)])
-        print()
-        print(markdown_table(["probe noise sigma", "mean |%err|"], rows))
+        result = run_transfer_time_validation()
+        print("\n" + result.to_markdown())
+        errors = result.values["by_noise"]
         assert errors[0.0] < 1.0          # perfect probe ~ exact (latency only)
         assert errors[0.0] <= errors[0.05] <= errors[0.2]
 
     def test_smoothing_window_improves_noisy_probe(self):
-        net = Network()
-        net.add_link(Link("src", "dst", capacity_mbps=100.0, latency_s=0.0))
-
-        def mean_err(window):
-            probe = IperfProbe(net, rng=np.random.default_rng(5), noise_sigma=0.3)
-            est = TransferTimeEstimator(probe, smoothing_window=window)
-            actual, predicted = [], []
-            for _ in range(60):
-                predicted.append(est.estimate("src", "dst", 500.0).transfer_time_s)
-                actual.append(net.transfer_time("src", "dst", 500.0))
-            return summarize_errors(actual, predicted).mean_abs_pct
-
-        e1, e10 = mean_err(1), mean_err(10)
-        print(f"\nnoisy probe |%err|: window=1 -> {e1:.1f}%, window=10 -> {e10:.1f}%")
-        assert e10 < e1
+        by_window = run_transfer_time_validation().values["by_window"]
+        assert by_window[10] < by_window[1]
 
 
 @pytest.mark.benchmark(group="validation")
@@ -147,14 +62,11 @@ def test_queue_time_estimate_cost(benchmark):
     sim = Simulator()
     site = Site.simple(sim, "pool", n_nodes=1)
     service = ExecutionService(site)
-    from dataclasses import replace as _replace
-
     db = RuntimeEstimateDB()
-    gen = DowneyWorkloadGenerator(seed=1)
     tasks = []
-    for r in gen.generate(40):
+    for r in DowneyWorkloadGenerator(seed=1).generate(40):
         t = r.to_task()
-        t.spec = _replace(t.spec, nodes=1)
+        t.spec = replace(t.spec, nodes=1)
         tasks.append(t)
     for t in tasks:
         service.submit_task(t)
@@ -169,40 +81,6 @@ class TestPerSlotExtension:
     def test_per_slot_division_tracks_multi_slot_pools(self):
         """§6.2's plain sum assumes one CPU drains the queue; on an 8-slot
         pool it overestimates ~8x, and the per-slot extension repairs it."""
-        from dataclasses import replace as _replace
-
-        sim = Simulator()
-        site = Site.simple(sim, "pool", n_nodes=8)
-        service = ExecutionService(site)
-        db = RuntimeEstimateDB()
-        qte = QueueTimeEstimator(db)
-
-        gen = DowneyWorkloadGenerator(seed=9)
-        records = [r for r in gen.generate(120) if r.status == "successful"][:60]
-        tasks = []
-        plain_pred, slot_pred = [], []
-        for r in records:
-            task = r.to_task()
-            task.spec = _replace(task.spec, nodes=1)
-            service.submit_task(task)
-            db.record(task.task_id, max(1.0, r.runtime_s))  # oracle estimates
-            plain_pred.append(qte.estimate(service, task.task_id))
-            slot_pred.append(qte.estimate(service, task.task_id, per_slot=True))
-            tasks.append(task)
-        sim.run()
-
-        pairs = [
-            (site.pool.ad(t.task_id).start_time - site.pool.ad(t.task_id).submit_time,
-             p, s)
-            for t, p, s in zip(tasks, plain_pred, slot_pred)
-        ]
-        waited = [(a, p, s) for a, p, s in pairs if a > 60.0]
-        assert len(waited) >= 10
-        import numpy as _np
-
-        plain_ratio = _np.median([p / a for a, p, s in waited])
-        slot_ratio = _np.median([s / a for a, p, s in waited])
-        print(f"\n8-slot pool: plain-sum overestimates actual wait by "
-              f"{plain_ratio:.1f}x; per-slot division lands at {slot_ratio:.2f}x")
-        assert plain_ratio > 4.0          # the naive sum is way off
-        assert 0.5 < slot_ratio < 2.0     # per-slot is in the right regime
+        values = run_queue_time_validation().values
+        assert values["plain_ratio"] > 4.0          # the naive sum is way off
+        assert 0.5 < values["slot_ratio"] < 2.0     # per-slot is in the right regime

@@ -1,13 +1,11 @@
-"""Shared helpers for the benchmark harness.
+"""Shared fixture for the benchmark harness.
 
-Every ``bench_fig*`` module regenerates one figure of the paper's §7 and
-prints (run pytest with ``-s`` to see it):
+Every deterministic ``bench_*`` module asserts the *shape* of one
+experiment defined in ``repro.analysis.experiments`` (or its sibling
+``ablations``) and prints its markdown rendering — chart, paper-vs-measured
+rows, tables; run pytest with ``-s`` to see it.
 
-- the figure's data series (the same series the paper plots),
-- an ASCII rendering of the figure, and
-- a paper-vs-measured comparison row.
-
-Numbers are not expected to match the 2005 testbed; the *shape* assertions
+Numbers are not expected to match the 2005 testbed; the shape assertions
 (who wins, by roughly what factor, where the crossover falls) are enforced
 with real asserts so a regression in any service breaks the bench.
 """
@@ -24,13 +22,3 @@ def _fresh_ids():
     reset_id_counters()
     yield
     reset_id_counters()
-
-
-def print_figure(figure, comparison_rows=None):
-    """Render a reproduced figure plus its paper-vs-measured table."""
-    print()
-    print(figure.render())
-    if comparison_rows:
-        from repro.analysis.report import markdown_table
-
-        print(markdown_table(["quantity", "paper", "measured"], comparison_rows))

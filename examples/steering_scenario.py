@@ -11,78 +11,41 @@ through the job monitoring service, asks the estimators where the job would
 finish sooner, and moves it.  An identical "shadow" job is left on the slow
 site for comparison, exactly as the paper did ("the job was also allowed to
 continue running on site A for testing purposes").
+
+``repro.analysis.experiments.figure7_gae`` is the testbed (site A under
+load 1.5, a free site B, ten 283 s calibration runs as the estimator's
+history, a steering loop that looks every 20 s after a 40 s grace period);
+``run_figure7_job`` pins both jobs to site A, samples their progress every
+20 s and runs the simulation out.
 """
 
-from repro import GridBuilder, Job, SteeringPolicy, build_gae
+from repro.analysis.experiments import figure7_gae, run_figure7_job
 from repro.analysis.figures import FigureData
-from repro.core.estimators.history import HistoryRepository
-from repro.workloads.generators import (
-    PRIME_JOB_FREE_CPU_SECONDS,
-    make_prime_count_task,
-    prime_job_history_records,
-)
+from repro.workloads.generators import PRIME_JOB_FREE_CPU_SECONDS
 
 
 def main() -> None:
-    grid = (
-        GridBuilder(seed=2005)
-        .site("siteA", background_load=1.5)   # progress rate 0.4
-        .site("siteB", background_load=0.0)   # a free CPU
-        .link("siteA", "siteB", capacity_mbps=100.0, latency_s=0.05)
-        .probe_noise(0.0)
-        .build()
-    )
-    # The estimator's history: the paper calibrated the job "by running it
-    # many times on machines with negligible CPU load" — 283 s each.
-    history = HistoryRepository(prime_job_history_records(n=10, sigma=0.01))
-    policy = SteeringPolicy(
-        poll_interval_s=20.0,        # how often the steering loop looks
-        min_elapsed_wall_s=40.0,     # grace period before judging
-        slow_rate_threshold=0.8,     # below 80 % of free-CPU rate = slow
-        min_improvement_factor=1.2,  # alternative must be 20 % better
-    )
-    gae = build_gae(grid, policy=policy, history=history)
-    gae.add_user("physicist", "pw")
+    gae = figure7_gae()
+    run = run_figure7_job(gae, chart=True)
 
-    # Pin the steered job AND the shadow job to the loaded siteA.
-    steered = make_prime_count_task(owner="physicist")
-    shadow = make_prime_count_task(owner="physicist")
-    original = gae.scheduler.select_site
-    gae.scheduler.select_site = lambda t, exclude=(): "siteA"
-    gae.scheduler.submit_job(Job(tasks=[steered], owner="physicist"))
-    gae.scheduler.select_site = original
-    gae.grid.execution_services["siteA"].submit_task(shadow)  # not steered
-
-    gae.start()
-    es = gae.grid.execution_services
-    curve_a, curve_b = [], []
     print(f"{'t (s)':>6}  {'steered job':>22}  {'shadow at siteA':>16}")
-    for t in range(0, 801, 40):
-        gae.grid.run_until(float(t))
-        site = "siteB" if es["siteB"].pool.has_task(steered.task_id) else "siteA"
-        p_steer = es[site].pool.status(steered.task_id).progress * 100
-        p_shadow = es["siteA"].pool.status(shadow.task_id).progress * 100
-        curve_b.append((t, p_steer))
-        curve_a.append((t, p_shadow))
-        print(f"{t:6d}  {p_steer:15.1f}% @{site:<5}  {p_shadow:15.1f}%")
-    gae.grid.run_until(2000.0)
-    gae.stop()
+    for (t, p_steer), (_, p_shadow) in zip(run.steered_curve[:41:2], run.shadow_curve[:41:2]):
+        site = "siteB" if t >= run.decision_at else "siteA"
+        print(f"{t:6.0f}  {p_steer:15.1f}% @{site:<5}  {p_shadow:15.1f}%")
 
     move = gae.steering.actions[0]
-    steered_end = es["siteB"].pool.ad(steered.task_id).end_time
-    shadow_end = es["siteA"].pool.ad(shadow.task_id).end_time
     print(f"\nsteering decision at t={move.time:.0f}s: {move.decision.reason}")
-    print(f"steered job completed at {steered_end:.0f}s "
+    print(f"steered job completed at {run.steered_end:.0f}s "
           f"(paper: ~369 s; free-CPU bound: {PRIME_JOB_FREE_CPU_SECONDS:.0f} s)")
-    print(f"shadow at siteA completed at {shadow_end:.0f}s")
+    print(f"shadow at siteA completed at {run.shadow_end:.0f}s")
 
     figure = (
         FigureData(
             title="Figure 7 (reproduced): Job Completion at different sites",
             x_label="Elapsed time (s)", y_label="Job progress (%)",
         )
-        .add("steered job", *zip(*curve_b))
-        .add("shadow at siteA", *zip(*curve_a))
+        .add("steered job", *zip(*run.steered_curve))
+        .add("shadow at siteA", *zip(*run.shadow_curve))
     )
     print()
     print(figure.render())

@@ -18,7 +18,7 @@ import hashlib
 import hmac
 import itertools
 import secrets as _secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.clarens.errors import AuthenticationError

@@ -17,9 +17,12 @@ Installed as ``gae-repro`` (or run as ``python -m repro.cli``)::
     gae-repro scenario run [NAME ...] [--quick] [--out SCENARIOS.json]
     gae-repro scenario validate [NAME ...] [--report SCENARIOS.json]
     gae-repro health [--scenario NAME] [--quick] [--export telemetry.jsonl]
+    gae-repro report [--out FIGURES.json]
 
-Each figure command prints the same series, chart and paper-vs-measured
-summary as the corresponding ``benchmarks/bench_fig*.py`` module.
+Each figure command prints the chart and paper-vs-measured rows of one
+experiment of ``repro.analysis.experiments`` — the definition the
+corresponding ``benchmarks/bench_fig*.py`` module asserts on; ``report``
+runs every deterministic one and records them in ``FIGURES.json``.
 """
 
 from __future__ import annotations
@@ -31,41 +34,27 @@ from typing import List, Optional
 from repro.analysis.report import markdown_table
 
 
-def _print_experiment(result) -> int:
+#: figure sub-command -> (its runner in ``repro.analysis.experiments``,
+#: {runner parameter: argparse destination}).
+_FIGURE_RUNNERS = {
+    "figure5": ("run_figure5",
+                {"seed": "seed", "n_history": "history", "n_tests": "tests", "swf": "swf"}),
+    "figure6": ("run_figure6", {"client_counts": "clients", "calls_per_client": "calls"}),
+    "figure7": ("run_figure7", {"site_a_load": "load", "poll_interval_s": "poll",
+                                "checkpointable": "checkpoint"}),
+}
+
+
+def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.analysis import experiments
+
+    runner, parameters = _FIGURE_RUNNERS[args.command]
+    result = getattr(experiments, runner)(
+        **{name: getattr(args, dest) for name, dest in parameters.items()}
+    )
     print(result.figure.render())
-    print(markdown_table(["quantity", "paper", "measured"], result.comparison))
+    print(experiments.tables_markdown(result.to_dict()))
     return 0
-
-
-def _cmd_figure5(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import run_figure5
-
-    return _print_experiment(
-        run_figure5(
-            seed=args.seed, n_history=args.history, n_tests=args.tests, swf=args.swf
-        )
-    )
-
-
-def _cmd_figure7(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import run_figure7
-
-    return _print_experiment(
-        run_figure7(
-            seed=args.seed,
-            site_a_load=args.load,
-            poll_interval_s=args.poll,
-            checkpointable=args.checkpoint,
-        )
-    )
-
-
-def _cmd_figure6(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import run_figure6
-
-    return _print_experiment(
-        run_figure6(client_counts=args.clients, calls_per_client=args.calls)
-    )
 
 
 def _trace_from_export(task_id: str, path: str) -> int:
@@ -420,15 +409,14 @@ def _cmd_journal_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import write_report
+    from repro.analysis.experiments import run_experiments, write_figures
 
-    text = write_report(
-        path=args.out, include_figure6=args.with_figure6, seed=args.seed
-    )
+    results = write_figures(args.out) if args.out else run_experiments()
+    print("# GAE reproduction report\n")
+    for result in results.values():
+        print(result.to_markdown())
     if args.out:
-        print(f"wrote report to {args.out}")
-    else:
-        print(text)
+        print(f"wrote {len(results)} experiments to {args.out}")
     return 0
 
 
@@ -614,19 +602,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="run on a real SWF trace file (e.g. SDSC-Par-1995 from the "
              "Parallel Workloads Archive) instead of the synthetic workload",
     )
-    p5.set_defaults(func=_cmd_figure5)
+    p5.set_defaults(func=_cmd_figure)
 
     p7 = sub.add_parser("figure7", help="steering experiment (Figure 7)")
-    p7.add_argument("--seed", type=int, default=2005)
     p7.add_argument("--poll", type=float, default=20.0, help="steering poll interval (s)")
     p7.add_argument("--load", type=float, default=1.5, help="site A background load")
     p7.add_argument("--checkpoint", action="store_true", help="checkpointable job")
-    p7.set_defaults(func=_cmd_figure7)
+    p7.set_defaults(func=_cmd_figure)
 
     p6 = sub.add_parser("figure6", help="monitoring latency under concurrency (Figure 6)")
     p6.add_argument("--clients", type=int, nargs="+", default=[1, 2, 3, 5, 25, 50, 100])
     p6.add_argument("--calls", type=int, default=10)
-    p6.set_defaults(func=_cmd_figure6)
+    p6.set_defaults(func=_cmd_figure)
 
     pt = sub.add_parser(
         "trace",
@@ -767,11 +754,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit the health record as JSON instead of tables")
     ph.set_defaults(func=_cmd_health)
 
-    pr = sub.add_parser("report", help="regenerate the experiment report (markdown)")
-    pr.add_argument("--out", type=str, default=None, help="write to this file")
-    pr.add_argument("--seed", type=int, default=1995)
-    pr.add_argument("--with-figure6", action="store_true",
-                    help="include the (slow, hardware-dependent) latency sweep")
+    pr = sub.add_parser(
+        "report",
+        help="run every deterministic experiment: markdown to stdout, "
+             "the FIGURES.json record to --out",
+    )
+    pr.add_argument("--out", type=str, default=None, metavar="PATH",
+                    help="write the FIGURES.json record here")
     pr.set_defaults(func=_cmd_report)
 
     return parser

@@ -24,7 +24,7 @@ observations it derives a recommended :class:`SteeringPolicy`:
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.core.monitoring.records import MonitoringRecord

@@ -321,20 +321,55 @@ class SphinxScheduler:
             return
         # The input data is in flight; the task reaches the queue when the
         # last file lands.
+        self._stage(task, site_name, delay, initial_work, "input")
+
+    def _stage(
+        self, task: Task, site_name: str, delay: float, work: float, kind: str
+    ) -> None:
+        """Put *task* in flight towards *site_name*; :meth:`_arrive` lands it."""
         self.staging[task.task_id] = (site_name, self.sim.now + delay)
-        self._staging_work[task.task_id] = initial_work
-        self._emit_staging(task, site_name, delay, "input")
+        self._staging_work[task.task_id] = work
+        self._emit_staging(task, site_name, delay, kind)
+        self._schedule_arrival(task.task_id)
 
-        def deliver() -> None:
-            self.staging.pop(task.task_id, None)
-            self._staging_work.pop(task.task_id, None)
-            # The task may have been killed (or re-routed) while its data
-            # was in flight; a terminal task must not rise from the dead.
-            if task.state.is_terminal:
-                return
-            self._deliver(task, site_name, initial_work)
+    def _schedule_arrival(self, task_id: str) -> None:
+        scheduled = self.staging[task_id]
+        site_name, finish_time = scheduled
+        self.sim.at(
+            max(finish_time, self.sim.now),
+            lambda: self._arrive(task_id, scheduled),
+            label=f"arrive:{task_id}->{site_name}",
+        )
 
-        self.sim.schedule(delay, deliver, label=f"stage-in:{task.task_id}->{site_name}")
+    def _arrive(self, task_id: str, scheduled: Tuple[str, float]) -> None:
+        """Complete the delayed delivery that was *scheduled* — if it still stands.
+
+        ``staging[task_id]`` records the one delivery in flight, and
+        :meth:`resubmit_task` / :meth:`redirect_task` clear or overwrite it:
+        an arrival whose entry is gone or different was superseded.  A task
+        killed in flight stays dead; a target that is down on arrival is
+        re-routed as Backup & Recovery would, not raised out of the simulator.
+        """
+        if self.staging.get(task_id) != scheduled:
+            return
+        site_name = scheduled[0]
+        work = self._staging_work[task_id]
+        self._unstage(task_id)
+        task = self.task(task_id)
+        if task.state.is_terminal:
+            return
+        try:
+            self.service(site_name).ping()
+        except ExecutionServiceDown:
+            self.resubmit_task(task_id, exclude={site_name})
+            return
+        self._submitted.add(task_id)
+        self._deliver(task, site_name, work)
+
+    def _unstage(self, task_id: str) -> None:
+        """Forget any delivery still in flight: the caller supersedes it."""
+        self.staging.pop(task_id, None)
+        self._staging_work.pop(task_id, None)
 
     def _emit_staging(self, task: Task, site_name: str, delay: float, kind: str) -> None:
         for listener in list(self.staging_listeners):
@@ -408,6 +443,7 @@ class SphinxScheduler:
         entry = self._entry_for_task(task_id)
         task = entry.job.task(task_id)
         old_site = entry.plan.site_for(task_id)
+        self._unstage(task_id)
         if new_site is None:
             new_site = self.select_site(task, exclude={old_site})
         elif new_site not in self._services:
@@ -416,21 +452,7 @@ class SphinxScheduler:
         task.state = JobState.PENDING
         image_delay = self._image_transfer_delay(old_site, new_site, image_size_mb)
         if image_delay > 0.0:
-            self.staging[task.task_id] = (new_site, self.sim.now + image_delay)
-            self._staging_work[task.task_id] = carry_work
-            self._emit_staging(task, new_site, image_delay, "ckpt-image")
-
-            def deliver() -> None:
-                self.staging.pop(task.task_id, None)
-                self._staging_work.pop(task.task_id, None)
-                if task.state.is_terminal:
-                    return  # killed while the checkpoint image was in flight
-                self._submitted.add(task.task_id)
-                self._deliver(task, new_site, carry_work)
-
-            self.sim.schedule(
-                image_delay, deliver, label=f"ckpt-image:{task.task_id}->{new_site}"
-            )
+            self._stage(task, new_site, image_delay, carry_work, "ckpt-image")
         else:
             self._submit_to(task, new_site, initial_work=carry_work)
         self._emit_plan(entry)
@@ -461,6 +483,7 @@ class SphinxScheduler:
         entry = self._entry_for_task(task_id)
         task = entry.job.task(task_id)
         old_site = entry.plan.site_for(task_id)
+        self._unstage(task_id)
         excluded = set(exclude) | {old_site}
         try:
             new_site = self.select_site(task, exclude=excluded)
@@ -570,24 +593,6 @@ class SphinxScheduler:
         self.staging = {}
         self._staging_work = {}
         for task_id, site, finish_time, initial_work in state["staging"]:  # type: ignore[union-attr]
-            task = self.task(task_id)
             self.staging[task_id] = (site, finish_time)
             self._staging_work[task_id] = initial_work
-            self.sim.schedule(
-                max(0.0, finish_time - self.sim.now),
-                self._restored_delivery(task, site, initial_work),
-                label=f"stage-in:{task_id}->{site}",
-            )
-
-    def _restored_delivery(
-        self, task: Task, site_name: str, initial_work: float
-    ) -> Callable[[], None]:
-        def deliver() -> None:
-            self.staging.pop(task.task_id, None)
-            self._staging_work.pop(task.task_id, None)
-            if task.state.is_terminal:
-                return
-            self._submitted.add(task.task_id)
-            self._deliver(task, site_name, initial_work)
-
-        return deliver
+            self._schedule_arrival(task_id)

@@ -14,11 +14,11 @@ generated block in the cookbook after adding or editing a scenario.
 
 from __future__ import annotations
 
-import re
 import sys
 from pathlib import Path
 from typing import List, Optional, Union
 
+from repro.analysis.report import replace_block
 from repro.scenarios.slo import SLO_METRICS
 from repro.scenarios.spec import ScenarioError, ScenarioSpec
 
@@ -133,21 +133,12 @@ def slo_metric_table_markdown() -> str:
     return "\n".join(lines)
 
 
-def _replace_block(text: str, begin: str, end: str, body: str) -> str:
-    pattern = re.compile(
-        re.escape(begin) + r"\n.*?" + re.escape(end), re.DOTALL
-    )
-    if not pattern.search(text):
-        raise ScenarioError(f"cookbook is missing the {begin!r} marker block")
-    return pattern.sub(f"{begin}\n{body}\n{end}", text)
-
-
 def render_cookbook(text: str, directory: Optional[Union[str, Path]] = None) -> str:
     """*text* with both generated blocks refreshed from the registry."""
-    text = _replace_block(
+    text = replace_block(
         text, TABLE_BEGIN, TABLE_END, scenario_table_markdown(directory)
     )
-    return _replace_block(text, METRICS_BEGIN, METRICS_END, slo_metric_table_markdown())
+    return replace_block(text, METRICS_BEGIN, METRICS_END, slo_metric_table_markdown())
 
 
 def main(argv: Optional[List[str]] = None) -> int:

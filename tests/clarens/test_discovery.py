@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clarens.discovery import DiscoveryNetwork, Peer
+from repro.clarens.discovery import DiscoveryNetwork
 from repro.clarens.errors import ServiceNotFound
 from repro.clarens.server import ClarensHost
 

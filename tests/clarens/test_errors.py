@@ -1,7 +1,5 @@
 """Unit tests for the fault hierarchy and wire rehydration."""
 
-import pytest
-
 from repro.clarens.errors import (
     AuthenticationError,
     AuthorizationError,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.clarens.auth import Principal
 from repro.clarens.errors import (
     AuthenticationError,
     AuthorizationError,

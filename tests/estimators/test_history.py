@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.estimators.history import HistoryRecorder, HistoryRepository, TaskRecord
 from repro.core.estimators.queue_time import RuntimeEstimateDB
-from repro.gridsim.clock import Simulator
 from repro.gridsim.job import Task, TaskSpec
 from repro.gridsim.site import Site
 

@@ -7,7 +7,6 @@ from repro.core.estimators.queue_time import (
     QueueTimeEstimator,
     RuntimeEstimateDB,
 )
-from repro.gridsim.clock import Simulator
 from repro.gridsim.execution import ExecutionService
 from repro.gridsim.job import Task, TaskSpec
 from repro.gridsim.site import Site

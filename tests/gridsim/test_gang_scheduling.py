@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.gridsim.clock import Simulator
 from repro.gridsim.condor import CondorError, CondorPool
 from repro.gridsim.job import JobState, Task, TaskSpec
 from repro.gridsim.node import LoadProfile, Node

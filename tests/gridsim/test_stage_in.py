@@ -219,3 +219,80 @@ class TestStagingEdgeCases:
         assert not result.ok  # no pool holds it yet; honest failure
         grid.run()
         assert t.state is JobState.COMPLETED  # staging still delivered
+
+
+class TestSupersededDelivery:
+    """A move whose target fails while the checkpoint image is in flight."""
+
+    IMAGE_LANDS_AT = 100.05  # 500 MB over 100 Mbps + 0.05 s, moved at t = 60
+
+    def build(self, recovery):
+        from repro.core.steering.optimizer import SteeringPolicy
+        from repro.gae import build_gae
+
+        grid = (
+            GridBuilder(seed=1)
+            .site("siteA").site("siteB")
+            .link("siteA", "siteB", capacity_mbps=100.0, latency_s=0.05)
+            .probe_noise(0.0)
+            .build()
+        )
+        gae = build_gae(grid, policy=SteeringPolicy(auto_move=False))
+        task = Task(
+            spec=TaskSpec(owner="u", requested_cpu_hours=283.0 / 3600.0),
+            work_seconds=283.0, checkpointable=True, checkpoint_image_mb=500.0,
+        )
+        pin(grid, "siteA")
+        gae.scheduler.submit_job(Job(tasks=[task], owner="u"))
+        del grid.scheduler.select_site
+        if recovery:
+            gae.start()  # Backup & Recovery's sweep
+        grid.run_until(60.0)
+        assert gae.steering.command_processor.move(task.task_id, "siteB").ok
+        assert grid.scheduler.staging[task.task_id] == ("siteB", self.IMAGE_LANDS_AT)
+        return gae, task.task_id
+
+    def finish(self, gae, task_id, recover_at):
+        """Fail site B at t = 70 (recovering at *recover_at*) and run out."""
+        es = gae.grid.execution_services["siteB"]
+        gae.sim.at(70.0, es.fail)
+        if recover_at is not None:
+            gae.sim.at(recover_at, es.recover)
+        gae.grid.run_until(5000.0)  # nothing raised out of the simulator
+        assert gae.scheduler.task(task_id).state is JobState.COMPLETED
+        assert task_id not in gae.scheduler.staging
+        holders = [
+            name for name, site in gae.grid.sites.items()
+            if site.pool.has_task(task_id)
+            and site.pool.ad(task_id).state is JobState.COMPLETED
+        ]
+        assert holders == ["siteA"]  # completed exactly once, in one pool
+        assert gae.scheduler.site_of_task(task_id) == "siteA"
+
+    def restored(self, gae, tmp_path):
+        from repro.gridsim.job import reset_id_counters
+        from repro.store.checkpoint import Checkpointer, restore_gae
+
+        path = str(tmp_path / "in-flight.sqlite")
+        gae.grid.run_until(65.0)  # the image is still in flight
+        Checkpointer(gae).checkpoint(path)
+        reset_id_counters()
+        return restore_gae(path)
+
+    def test_target_down_on_arrival_is_rerouted(self):
+        gae, task_id = self.build(recovery=False)
+        self.finish(gae, task_id, recover_at=None)
+
+    def test_resubmission_supersedes_the_stale_delivery(self):
+        """Site B is back before the image lands, but Backup & Recovery has
+        already resubmitted the task to site A: it must not also run at B."""
+        gae, task_id = self.build(recovery=True)
+        self.finish(gae, task_id, recover_at=95.0)
+
+    def test_target_down_on_arrival_across_a_restore(self, tmp_path):
+        gae, task_id = self.build(recovery=False)
+        self.finish(self.restored(gae, tmp_path), task_id, recover_at=None)
+
+    def test_resubmission_supersedes_across_a_restore(self, tmp_path):
+        gae, task_id = self.build(recovery=True)
+        self.finish(self.restored(gae, tmp_path), task_id, recover_at=95.0)

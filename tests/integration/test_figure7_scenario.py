@@ -5,72 +5,33 @@ site A under significant CPU load; the steering service monitors it via the
 job monitoring service, detects the slow execution rate, and reschedules it
 to a free site B, where it completes far sooner than it would have at A —
 369 s total in the paper, versus the 283 s free-CPU bound.
+
+The testbed and the run are ``repro.analysis.experiments``' — the ones the
+figure bench, ``gae-repro figure7`` and ``FIGURES.json`` use.
 """
 
 import pytest
 
-from repro.core.steering.optimizer import SteeringPolicy
-from repro.gae import build_gae
-from repro.gridsim import GridBuilder, Job, JobState
-from repro.core.estimators.history import HistoryRepository
-from repro.workloads.generators import (
-    PRIME_JOB_FREE_CPU_SECONDS,
-    make_prime_count_task,
-    prime_job_history_records,
-)
+from repro.analysis.experiments import figure7_gae, run_figure7_job
+from repro.gridsim import JobState
+from repro.workloads.generators import PRIME_JOB_FREE_CPU_SECONDS
 
 SITE_A_LOAD = 1.5  # "significant CPU load" -> progress rate 0.4
 
 
-def build_figure7_gae(poll_interval=20.0, checkpointable=False, flocking=False):
-    builder = (
-        GridBuilder(seed=2005)
-        .site("siteA", background_load=SITE_A_LOAD)
-        .site("siteB", background_load=0.0)
-        .link("siteA", "siteB", capacity_mbps=100.0, latency_s=0.05)
-        .probe_noise(0.0)
-    )
-    if flocking:
-        builder = builder.flock("siteA", "siteB")
-    grid = builder.build()
-    history = HistoryRepository(prime_job_history_records(n=10, sigma=0.01))
-    policy = SteeringPolicy(
-        poll_interval_s=poll_interval,
-        min_elapsed_wall_s=40.0,
-        slow_rate_threshold=0.8,
-        min_improvement_factor=1.2,
-    )
-    gae = build_gae(grid, policy=policy, history=history)
-    gae.add_user("physicist", "pw")
-    return gae
-
-
-def run_scenario(gae, checkpointable=False):
-    task = make_prime_count_task(owner="physicist", checkpointable=checkpointable)
-    original = gae.scheduler.select_site
-    gae.scheduler.select_site = lambda t, exclude=(): "siteA"
-    gae.scheduler.submit_job(Job(tasks=[task], owner="physicist"))
-    gae.scheduler.select_site = original
-    gae.start()
-    gae.grid.run_until(3000.0)
-    gae.stop()
-    return task
-
-
 class TestFigure7:
     def test_job_is_moved_and_completes(self):
-        gae = build_figure7_gae()
-        task = run_scenario(gae)
-        assert task.state is JobState.COMPLETED
+        gae = figure7_gae()
+        run = run_figure7_job(gae)
+        assert run.task.state is JobState.COMPLETED
         moves = [a for a in gae.steering.actions if a.result and a.result.ok]
-        assert len(moves) == 1
+        assert len(moves) == run.moves == 1
         assert moves[0].decision.current_site == "siteA"
         assert moves[0].decision.target_site == "siteB"
+        assert gae.grid.execution_services["siteB"].pool.has_task(run.task.task_id)
 
     def test_steered_completion_beats_staying(self):
-        gae = build_figure7_gae()
-        task = run_scenario(gae)
-        end = gae.grid.execution_services["siteB"].pool.ad(task.task_id).end_time
+        end = run_figure7_job(figure7_gae(site_a_load=SITE_A_LOAD)).steered_end
         stay_put_time = PRIME_JOB_FREE_CPU_SECONDS * (1 + SITE_A_LOAD)  # 707.5 s
         assert end < stay_put_time
         # ... but cannot beat the free-CPU bound (paper's dashed line).
@@ -80,66 +41,38 @@ class TestFigure7:
         """Paper: moved job finished at ~369 s with a ~283 s bound.  Our
         detection fires at the first poll past the grace period, so the
         completed time is 283 + (decision time) + (restart losses)."""
-        gae = build_figure7_gae()
-        task = run_scenario(gae)
-        end = gae.grid.execution_services["siteB"].pool.ad(task.task_id).end_time
+        end = run_figure7_job(figure7_gae()).steered_end
         assert PRIME_JOB_FREE_CPU_SECONDS < end < 450.0
 
     def test_quicker_decision_quicker_completion(self):
         """Paper: 'The quicker the decision is taken, the better the chance
         that it will complete quicker.'"""
-        ends = {}
-        for poll in (10.0, 120.0):
-            gae = build_figure7_gae(poll_interval=poll)
-            task = run_scenario(gae)
-            ends[poll] = gae.grid.execution_services["siteB"].pool.ad(task.task_id).end_time
+        ends = {
+            poll: run_figure7_job(figure7_gae(poll_interval_s=poll)).steered_end
+            for poll in (10.0, 120.0)
+        }
         assert ends[10.0] < ends[120.0]
 
     def test_checkpointing_completes_even_quicker(self):
         """Paper: 'The job can be completed even quicker than 369 seconds if
         it is checkpoint-able and flocking is enabled.'"""
-        plain_gae = build_figure7_gae()
-        plain = run_scenario(plain_gae, checkpointable=False)
-        plain_end = plain_gae.grid.execution_services["siteB"].pool.ad(
-            plain.task_id
-        ).end_time
-
-        ckpt_gae = build_figure7_gae(checkpointable=True)
-        ckpt = run_scenario(ckpt_gae, checkpointable=True)
-        ckpt_end = ckpt_gae.grid.execution_services["siteB"].pool.ad(
-            ckpt.task_id
-        ).end_time
+        plain_end = run_figure7_job(figure7_gae()).steered_end
+        ckpt_end = run_figure7_job(figure7_gae(), checkpointable=True).steered_end
         assert ckpt_end < plain_end
 
     def test_progress_curves_have_paper_shape(self):
         """Site A's curve rises slowly; after the move the steered job's
         progress rises at the free-CPU rate and reaches 100 % first."""
-        gae = build_figure7_gae()
-        task = make_prime_count_task(owner="physicist")
-        original = gae.scheduler.select_site
-        gae.scheduler.select_site = lambda t, exclude=(): "siteA"
-        gae.scheduler.submit_job(Job(tasks=[task], owner="physicist"))
-        gae.scheduler.select_site = original
-        gae.start()
-
-        samples = []
-        es_a, es_b = gae.grid.execution_services["siteA"], gae.grid.execution_services["siteB"]
-        for t in range(0, 800, 20):
-            gae.grid.run_until(float(t))
-            site = "siteB" if es_b.pool.has_task(task.task_id) else "siteA"
-            es = es_b if site == "siteB" else es_a
-            try:
-                progress = es.pool.status(task.task_id).progress
-            except Exception:
-                progress = 0.0
-            samples.append((float(t), site, progress))
-        gae.stop()
-
-        a_samples = [(t, p) for t, s, p in samples if s == "siteA"]
-        b_samples = [(t, p) for t, s, p in samples if s == "siteB"]
-        assert a_samples and b_samples
-        # Slow rise at A: strictly below free-CPU reference line t/283.
-        for t, p in a_samples[1:]:
-            assert p < t / PRIME_JOB_FREE_CPU_SECONDS + 1e-9
-        # Completed at B.
-        assert b_samples[-1][1] == pytest.approx(1.0)
+        run = run_figure7_job(figure7_gae(), chart=True)
+        at_a = [(t, pct) for t, pct in run.steered_curve if t < run.decision_at]
+        at_b = [(t, pct) for t, pct in run.steered_curve if t >= run.decision_at]
+        assert at_a and at_b
+        # Slow rise at A: strictly below the free-CPU reference line t/283 —
+        # for the steered job until it moves, for the shadow throughout.
+        for t, pct in at_a[1:] + run.shadow_curve[1:]:
+            assert pct / 100.0 < t / PRIME_JOB_FREE_CPU_SECONDS + 1e-9
+        # Restarted from zero at B, completed there — before the shadow.
+        assert at_b[0][1] == 0.0
+        assert at_b[-1][1] == pytest.approx(100.0)
+        finished = next(t for t, pct in run.steered_curve if pct >= 100.0 - 1e-9)
+        assert dict(run.shadow_curve)[finished] < 100.0

@@ -5,7 +5,6 @@ import pytest
 from repro.core.steering.optimizer import SteeringPolicy
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder, Job, JobState, Task, TaskSpec
-from repro.core.estimators.history import HistoryRepository
 from repro.workloads.downey import DowneyWorkloadGenerator
 from repro.workloads.generators import physics_analysis_job
 

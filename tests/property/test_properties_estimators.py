@@ -1,7 +1,6 @@
 """Property-based tests: estimator invariants."""
 
-import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.estimators.history import HistoryRepository, TaskRecord

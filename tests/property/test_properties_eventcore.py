@@ -197,11 +197,6 @@ def run_and_dump_stores(observability, seed, works, fault, verbs, snapshot_perio
     def steer(verb, task_id):
         args = (7,) if verb == "set_priority" else ()
         if verb == "move":
-            if fault is not None:
-                # A move whose target fails while the checkpoint image is
-                # staging raises out of the simulator (scheduler._deliver);
-                # not this suite's subject.
-                return
             at_b = gae.grid.sites["siteB"].pool.has_task(task_id)
             args = ("siteA" if at_b else "siteB",)
         try:

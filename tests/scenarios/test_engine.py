@@ -131,7 +131,7 @@ class TestRegistry:
             load_scenario("no-such-scenario")
 
     def test_render_cookbook_requires_markers(self):
-        with pytest.raises(ScenarioError, match="marker"):
+        with pytest.raises(ValueError, match="marker"):
             render_cookbook("no markers here\n")
 
 

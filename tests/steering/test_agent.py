@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.steering.agent import AdaptiveSteeringAgent, MoveObservation
+from repro.core.steering.agent import AdaptiveSteeringAgent
 from repro.core.steering.optimizer import SteeringPolicy
 from repro.core.monitoring.records import MonitoringRecord
 from repro.core.estimators.history import HistoryRepository

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.steering.optimizer import SteeringPolicy
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder, Job, JobState, Task, TaskSpec
 

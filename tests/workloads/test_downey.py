@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.estimators.runtime import RuntimeEstimator
 from repro.analysis.metrics import summarize_errors
-from repro.workloads.downey import DowneyWorkloadGenerator, ParagonAccountingRecord
+from repro.workloads.downey import DowneyWorkloadGenerator
 
 
 @pytest.fixture

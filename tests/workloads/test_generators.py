@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.gridsim.job import JobState
 from repro.workloads.generators import (
     PRIME_JOB_FREE_CPU_SECONDS,
     bag_of_batch_tasks,

@@ -15,11 +15,16 @@ All run by CI's docs job:
    from the committed ``scenarios/*.json`` files — run
    ``python -m repro.scenarios.registry --write`` after editing the
    library;
-4. every ``gae-repro <command>`` named in README.md, DESIGN.md,
+4. the ``figures:<key>`` blocks of EXPERIMENTS.md — every measured number
+   of a deterministic experiment — match what
+   ``repro.analysis.experiments`` renders from the committed
+   ``FIGURES.json`` (which tier-1 pins to a re-run) — run
+   ``python -m repro.analysis.experiments --write`` after regenerating it;
+5. every ``gae-repro <command>`` named in README.md, DESIGN.md,
    EXPERIMENTS.md or docs/*.md is a sub-command of
    ``repro.cli.build_parser()`` — a removed command cannot linger in
    prose;
-5. every back-ticked dotted ``repro.*`` name in the same pages imports
+6. every back-ticked dotted ``repro.*`` name in the same pages imports
    (module, then attributes), and
    every back-ticked ``*.py`` / ``*.json`` / ``*.md`` path with a
    directory in it exists (from the repo root, ``src/``, ``src/repro/``
@@ -133,22 +138,17 @@ def check_references() -> list[str]:
     return problems
 
 
-def check_scenario_cookbook() -> list[str]:
-    from repro.scenarios.registry import render_cookbook
-    from repro.scenarios.spec import ScenarioError
-
-    if not SCENARIOS_MD.exists():
-        return [f"{SCENARIOS_MD} does not exist"]
-    text = SCENARIOS_MD.read_text(encoding="utf-8")
+def check_generated(page: Path, render) -> list[str]:
+    """*page*'s generated blocks are what ``render(text)`` makes of them today."""
+    if not page.exists():
+        return [f"{page} does not exist"]
+    text = page.read_text(encoding="utf-8")
     try:
-        rendered = render_cookbook(text)
-    except ScenarioError as exc:
+        rendered = render(text)
+    except ValueError as exc:  # a marker block is missing, or names nothing
         return [str(exc)]
     if rendered != text:
-        return [
-            "the generated tables disagree with the scenarios/ registry; "
-            "run `python -m repro.scenarios.registry --write`"
-        ]
+        return [f"the generated blocks are stale; run `python -m {render.__module__} --write`"]
     return []
 
 
@@ -173,6 +173,9 @@ def check_cli_commands() -> list[str]:
 
 
 def main() -> int:
+    from repro.analysis.experiments import render_experiments_md
+    from repro.scenarios.registry import render_cookbook
+
     if not ARCHITECTURE_MD.exists():
         print(f"error: {ARCHITECTURE_MD} does not exist", file=sys.stderr)
         return 1
@@ -182,7 +185,10 @@ def main() -> int:
         "docs/ARCHITECTURE.md package map": [
             f"package {name} is not mentioned" for name in packages if name not in text
         ],
-        "docs/SCENARIOS.md": check_scenario_cookbook(),
+        "docs/SCENARIOS.md": check_generated(SCENARIOS_MD, render_cookbook),
+        "EXPERIMENTS.md vs FIGURES.json": check_generated(
+            REPO_ROOT / "EXPERIMENTS.md", render_experiments_md
+        ),
         "`gae-repro <command>` in the docs": check_cli_commands(),
         "back-ticked names and paths in the docs": check_references(),
     }

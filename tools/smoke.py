@@ -373,7 +373,8 @@ def smoke_trace(tmp: Path) -> None:
 
 
 def smoke_figures(tmp: Path) -> None:
-    """The figure benches pin the paper's semantics (§7); nothing else runs them."""
+    """The figure benches assert the paper's shapes (§7) over ``repro.analysis.experiments``;
+    the numbers themselves are pinned by tier-1 (``FIGURES.json``), not here."""
     files = sorted(str(path) for path in (REPO_ROOT / "benchmarks").glob("bench_*.py"))
     report = tmp / "figures.xml"
     run_python("-m", "pytest", *files, "-q", "--benchmark-disable",
