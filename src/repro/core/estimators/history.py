@@ -108,7 +108,10 @@ class HistoryRepository:
 
     *records* are the initial records (appended in order).
     :meth:`matching` is served from hash buckets keyed on the queried
-    attribute tuple.
+    attribute tuple.  Records are only ever appended, so ``len()`` is the
+    repository's version: whatever was derived from it at one length
+    (:class:`~repro.core.estimators.runtime.RuntimeEstimator`'s fits)
+    holds until the length moves.
     """
 
     def __init__(self, records: Iterable[TaskRecord] = ()) -> None:

@@ -20,11 +20,11 @@ regression noisy, exactly why the paper reports both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.estimators.history import HistoryRepository, TaskRecord
+from repro.core.estimators.history import HistoryRepository
 from repro.core.estimators.similarity import (
     DEFAULT_LADDER,
     Template,
@@ -62,6 +62,19 @@ class RuntimeEstimate:
         return (max(0.0, self.value - half), self.value + half)
 
 
+class _Fit(NamedTuple):
+    """What one similar set says, before a spec's own size signal is applied."""
+
+    template: Template
+    n_similar: int
+    mean: float
+    stddev: float
+    #: (slope, intercept, clip lo, clip hi); None when regression is ill-posed.
+    line: Optional[Tuple[float, float, float, float]]
+    #: Whether a well-posed regression is the answer (method, in-sample fit).
+    prefer_regression: bool
+
+
 class RuntimeEstimator:
     """History-based runtime prediction for task specs.
 
@@ -95,6 +108,9 @@ class RuntimeEstimator:
         self.min_samples = min_samples
         self.method = method
         self.regression_feature = regression_feature
+        #: attribute-value tuple -> fit, valid for history length ``_fits_version``.
+        self._fits: Dict[tuple, Optional[_Fit]] = {}
+        self._fits_version = len(history)
 
     # ------------------------------------------------------------------
     def estimate(self, spec: TaskSpec) -> RuntimeEstimate:
@@ -103,37 +119,26 @@ class RuntimeEstimator:
         Raises :class:`EstimationError` when the history holds no
         successful records at all.
         """
-        target = dict(spec.attributes())
-        template, matches = most_specific_match(
-            self.history, target, min_samples=self.min_samples, ladder=self.ladder
-        )
-        if not matches:
+        fit = self._fit_for(spec.attributes())
+        if fit is None:
             raise EstimationError("history holds no successful task records")
-        runtimes = np.asarray([r.runtime_s for r in matches], dtype=float)
-        mean = float(runtimes.mean())
         x_new = float(getattr(spec, self.regression_feature))
-        regression = self._regress(matches, runtimes, x_new)
-
-        if self.method == "mean":
-            value, method = mean, "mean"
-        elif self.method == "regression":
-            if regression is None:
-                value, method = mean, "mean"
-            else:
-                value, method = regression, "regression"
-        else:  # auto
-            if regression is not None and self._regression_beats_mean(matches, runtimes):
-                value, method = regression, "regression"
-            else:
-                value, method = mean, "mean"
+        regression: Optional[float] = None
+        if fit.line is not None:
+            slope, intercept, lo, hi = fit.line
+            regression = float(np.clip(float(slope * x_new + intercept), lo, hi))
+        if fit.prefer_regression:  # only ever set beside a line
+            value, method = regression, "regression"
+        else:
+            value, method = fit.mean, "mean"
         return RuntimeEstimate(
             value=value,
-            mean=mean,
+            mean=fit.mean,
             regression=regression,
-            n_similar=len(matches),
-            template=template,
+            n_similar=fit.n_similar,
+            template=fit.template,
             method=method,
-            stddev=float(runtimes.std(ddof=1)) if len(matches) > 1 else 0.0,
+            stddev=fit.stddev,
         )
 
     def __call__(self, spec: TaskSpec) -> float:
@@ -146,42 +151,67 @@ class RuntimeEstimator:
         return self.estimate(spec).value
 
     # ------------------------------------------------------------------
-    def _features(self, matches: Sequence[TaskRecord]) -> np.ndarray:
-        return np.asarray(
-            [float(r.attribute(self.regression_feature)) for r in matches], dtype=float
-        )
+    def _fit_for(self, target: Dict[str, object]) -> Optional[_Fit]:
+        """The fit for *target*, computed once per history version.
 
-    def _regress(
-        self, matches: Sequence[TaskRecord], runtimes: np.ndarray, x_new: float
-    ) -> Optional[float]:
-        """Least-squares runtime-vs-feature prediction at *x_new*.
+        A fit is a pure function of the attribute values and the
+        history, and the history is append-only, so its length is its
+        version: the memo is dropped whenever that moved and otherwise
+        holds one entry per distinct attribute tuple asked about since.
+        """
+        if len(self.history) != self._fits_version:
+            self._fits.clear()
+            self._fits_version = len(self.history)
+        key = tuple(target.values())
+        try:
+            return self._fits[key]
+        except KeyError:
+            fit = self._fits[key] = self._fit(target)
+            return fit
+        except TypeError:  # unhashable attribute value: nothing to key on
+            return self._fit(target)
 
-        Returns None when regression is ill-posed: fewer than 3 points,
-        or (numerically) no spread in the feature.  Predictions are
-        clipped into [min/2, 2*max] of the observed similar runtimes —
-        a line fitted to a handful of noisy points must not extrapolate
+    def _fit(self, target: Dict[str, object]) -> Optional[_Fit]:
+        """Walk the ladder and fit the similar set (None: nothing to fit).
+
+        The regression line is None when it is ill-posed: fewer than 3
+        points, or (numerically) no spread in the feature.  Predictions
+        are clipped into [min/2, 2*max] of the observed similar runtimes
+        — a line fitted to a handful of noisy points must not extrapolate
         to a runtime regime the similar set never exhibited.
         """
-        if len(matches) < 3:
+        template, matches = most_specific_match(
+            self.history, target, min_samples=self.min_samples, ladder=self.ladder
+        )
+        if not matches:
             return None
-        x = self._features(matches)
-        if np.ptp(x) <= 1e-12 * max(1.0, float(np.abs(x).max())):
-            return None
-        slope, intercept = np.polyfit(x, runtimes, deg=1)
-        prediction = float(slope * x_new + intercept)
-        lo = float(runtimes.min()) / 2.0
-        hi = float(runtimes.max()) * 2.0
-        return float(np.clip(prediction, lo, hi))
-
-    def _regression_beats_mean(
-        self, matches: Sequence[TaskRecord], runtimes: np.ndarray
-    ) -> bool:
-        """Whether the in-sample regression residuals beat the mean's."""
-        x = self._features(matches)
-        if len(matches) < 3 or np.ptp(x) <= 1e-12 * max(1.0, float(np.abs(x).max())):
-            return False
-        slope, intercept = np.polyfit(x, runtimes, deg=1)
-        reg_sse = float(np.sum((runtimes - (slope * x + intercept)) ** 2))
-        mean_sse = float(np.sum((runtimes - runtimes.mean()) ** 2))
-        # Demand a real improvement, not a numerically marginal one.
-        return reg_sse < 0.9 * mean_sse
+        runtimes = np.asarray([r.runtime_s for r in matches], dtype=float)
+        line, prefer_regression = None, False
+        if len(matches) >= 3:
+            x = np.asarray(
+                [float(r.attribute(self.regression_feature)) for r in matches],
+                dtype=float,
+            )
+            if not np.ptp(x) <= 1e-12 * max(1.0, float(np.abs(x).max())):
+                slope, intercept = np.polyfit(x, runtimes, deg=1)
+                line = (
+                    slope,
+                    intercept,
+                    float(runtimes.min()) / 2.0,
+                    float(runtimes.max()) * 2.0,
+                )
+                reg_sse = float(np.sum((runtimes - (slope * x + intercept)) ** 2))
+                mean_sse = float(np.sum((runtimes - runtimes.mean()) ** 2))
+                # "auto" demands a real in-sample improvement over the
+                # mean, not a numerically marginal one.
+                prefer_regression = self.method == "regression" or (
+                    self.method == "auto" and reg_sse < 0.9 * mean_sse
+                )
+        return _Fit(
+            template=template,
+            n_similar=len(matches),
+            mean=float(runtimes.mean()),
+            stddev=float(runtimes.std(ddof=1)) if len(matches) > 1 else 0.0,
+            line=line,
+            prefer_regression=prefer_regression,
+        )

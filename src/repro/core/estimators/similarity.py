@@ -91,6 +91,8 @@ def most_specific_match(
     least one match is accepted — a couple of records of the *same
     application* are far better evidence than dozens of unrelated jobs —
     before finally degrading to the full successful history (global mean).
+    The answer depends only on *target*'s values and the history, which is
+    why the runtime estimator asks once per history version.
     """
     if min_samples < 1:
         raise ValueError(f"min_samples must be >= 1, got {min_samples}")

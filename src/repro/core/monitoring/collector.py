@@ -58,7 +58,8 @@ class JobInformationCollector:
         site_name = service.site.name
         if site_name in self._services:
             raise ValueError(f"already attached to site {site_name!r}")
-        self._services[site_name] = service
+        # Kept in site-name order, the order live queries walk.
+        self._services = dict(sorted([*self._services.items(), (site_name, service)]))
 
         def on_terminal(ad: CondorJobAd) -> None:
             self.db_manager.update(self._snapshot(ad, site_name))
@@ -76,7 +77,7 @@ class JobInformationCollector:
 
     def attached_sites(self) -> List[str]:
         """Names of sites being collected from, sorted."""
-        return sorted(self._services)
+        return list(self._services)
 
     # ------------------------------------------------------------------
     def _estimate_for(self, task_id: str) -> float:
@@ -104,8 +105,7 @@ class JobInformationCollector:
     def collect(self, task_id: str) -> Optional[MonitoringRecord]:
         """Live monitoring info for a task, or None when no attached,
         reachable service knows it (the JMManager fallback path, §5.3)."""
-        for site_name in sorted(self._services):
-            service = self._services[site_name]
+        for site_name, service in self._services.items():
             try:
                 if service.has_task(task_id):
                     ad = service.job_status(task_id)
@@ -117,8 +117,7 @@ class JobInformationCollector:
     def collect_running(self) -> List[MonitoringRecord]:
         """Snapshots of every currently running task across sites."""
         out: List[MonitoringRecord] = []
-        for site_name in sorted(self._services):
-            service = self._services[site_name]
+        for site_name, service in self._services.items():
             try:
                 for ad in service.running_info():
                     out.append(self._snapshot(ad, site_name))

@@ -124,6 +124,9 @@ class CondorPool:
         self.nodes = list(nodes)
         # The node list is fixed at construction, so the slot total is too.
         self._total_slots = sum(n.cpu_count for n in self.nodes)
+        # Slots the nodes hold for tasks, counted where this pool occupies
+        # and releases them; derived state — rebuilt by restore_state.
+        self._busy_slots = 0
         self._next_condor_id = 1
         self._ads: Dict[str, CondorJobAd] = {}          # task_id -> ad
         self._by_condor_id: Dict[int, CondorJobAd] = {}
@@ -186,7 +189,7 @@ class CondorPool:
         return ad.condor_id
 
     def _free_slots_total(self) -> int:
-        return sum(node.free_slots for node in self.nodes)
+        return self._total_slots - self._busy_slots
 
     def _try_dispatch(self) -> None:
         # Strict order: the head of the queue runs first.  No backfilling —
@@ -251,6 +254,7 @@ class CondorPool:
             take = min(node.free_slots, remaining)
             if take > 0:
                 node.occupy(ad.task_id, slots=take)
+                self._busy_slots += take
                 ad.allocated.append(node)
                 remaining -= take
         assert remaining == 0, "dispatch guaranteed enough free slots"
@@ -302,7 +306,7 @@ class CondorPool:
 
     def _release(self, ad: CondorJobAd) -> None:
         for node in ad.allocated:
-            node.release(ad.task_id)
+            self._busy_slots -= node.release(ad.task_id)
         ad.allocated = []
         ad.effective_profile = None
         ad._finish_handle = None
@@ -351,8 +355,12 @@ class CondorPool:
 
     def queue_position(self, task_id: str) -> int:
         """0-based position in the idle queue; -1 if not queued."""
-        for i, ad in enumerate(self._idle):
-            if ad.task_id == task_id:
+        ad = self._ads.get(task_id)
+        # An ad is in ``_idle`` iff this pool owns it and it is QUEUED.
+        if ad is None or ad.state is not JobState.QUEUED:
+            return -1
+        for i, queued in enumerate(self._idle):
+            if queued is ad:
                 return i
         return -1
 
@@ -383,7 +391,7 @@ class CondorPool:
     @property
     def busy_slots(self) -> int:
         """Slots currently running a task."""
-        return sum(len(n.running_task_ids) for n in self.nodes)
+        return self._busy_slots
 
     def current_load(self) -> float:
         """Pool load indicator published to MonALISA.
@@ -560,8 +568,10 @@ class CondorPool:
         and re-arm their analytic finish events from the remaining work;
         PAUSED ads keep their slots with the finish event disarmed, as
         a live suspend leaves them.  The idle queue must arrive in
-        dispatch order (as :meth:`snapshot_state` writes it); anything
-        else raises :class:`CondorError` rather than being re-sorted.
+        dispatch order (as :meth:`snapshot_state` writes it) and hold
+        exactly the QUEUED ads, and every recorded allocation must fit
+        its node; anything else raises :class:`CondorError` rather than
+        being repaired.
         """
         by_name = {node.name: node for node in self.nodes}
         self._next_condor_id = int(state["next_condor_id"])  # type: ignore[arg-type]
@@ -578,8 +588,14 @@ class CondorPool:
             self._by_condor_id[ad.condor_id] = ad
             if ad.state in (JobState.RUNNING, JobState.PAUSED):
                 for node_name, slots in wire["allocated"]:
-                    node = by_name[node_name]
-                    node.occupy(ad.task_id, slots=int(slots))
+                    try:
+                        node = by_name[node_name]
+                        node.occupy(ad.task_id, slots=int(slots))
+                    except (KeyError, RuntimeError) as exc:
+                        raise CondorError(
+                            f"pool {self.name}: cannot seat restored task "
+                            f"{ad.task_id} on node {node_name}: {exc}"
+                        ) from None
                     ad.allocated.append(node)
                 ad.effective_profile = LoadProfile.combine_max(
                     [n.load_profile for n in ad.allocated]
@@ -587,7 +603,25 @@ class CondorPool:
             if ad.state is JobState.RUNNING:
                 ad.last_sync = self.sim.now
                 self._arm_finish(ad)
-        idle = [self._ads[task_id] for task_id in state["idle"]]  # type: ignore[union-attr]
+        self._busy_slots = sum(len(n.running_task_ids) for n in self.nodes)
+        # queue_position answers from ad.state before it looks at the queue,
+        # so the queue must hold the QUEUED ads and nothing else.
+        idle: List[CondorJobAd] = []
+        for task_id in state["idle"]:  # type: ignore[union-attr]
+            ad = self._ads.get(task_id)
+            if ad is None or ad.state is not JobState.QUEUED:
+                raise CondorError(
+                    f"pool {self.name}: restored idle queue names task "
+                    f"{task_id}, which is not queued here"
+                )
+            idle.append(ad)
+        listed = set(state["idle"])  # type: ignore[call-overload]
+        for ad in self._ads.values():
+            if ad.state is JobState.QUEUED and ad.task_id not in listed:
+                raise CondorError(
+                    f"pool {self.name}: queued task {ad.task_id} is missing "
+                    f"from the restored idle queue"
+                )
         # submit() places new ads by bisection, so a queue restored out of
         # dispatch order would silently mis-place every later arrival.
         for ahead, ad in zip(idle, idle[1:]):

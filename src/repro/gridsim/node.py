@@ -209,11 +209,13 @@ class Node:
             raise RuntimeError(f"task {task_id} already on node {self.name}")
         self.running_task_ids.extend([task_id] * slots)
 
-    def release(self, task_id: str) -> None:
-        """Free every slot held by *task_id*."""
+    def release(self, task_id: str) -> int:
+        """Free every slot held by *task_id*; returns how many that was."""
+        held = len(self.running_task_ids)
         if task_id not in self.running_task_ids:
             raise ValueError(f"task {task_id} not on node {self.name}")
         self.running_task_ids = [t for t in self.running_task_ids if t != task_id]
+        return held - len(self.running_task_ids)
 
     def load_at(self, t: float) -> float:
         """Background load at time *t* (delegates to the profile)."""

@@ -161,7 +161,9 @@ class SphinxScheduler:
         name = service.site.name
         if name in self._services:
             raise SchedulingError(f"site {name!r} already registered")
-        self._services[name] = service
+        # Kept in name order — the order ranking visits sites in — so
+        # nothing sorts per call.
+        self._services = dict(sorted([*self._services.items(), (name, service)]))
         service.pool.on_complete.append(self._on_task_complete)
 
         def on_state_change(ad) -> None:
@@ -173,8 +175,8 @@ class SphinxScheduler:
         service.pool.on_state_change.append(on_state_change)
 
     def sites(self) -> List[str]:
-        """Registered site names."""
-        return sorted(self._services)
+        """Registered site names, sorted."""
+        return list(self._services)
 
     def service(self, site_name: str) -> ExecutionService:
         """The execution service at a site (SchedulingError if unknown)."""
@@ -215,10 +217,9 @@ class SphinxScheduler:
         """Score every reachable site for *task*; best (lowest) first."""
         excluded = set(exclude)
         ranks: List[SiteRank] = []
-        for name in sorted(self._services):
+        for name, service in self._services.items():
             if name in excluded:
                 continue
-            service = self._services[name]
             try:
                 service.ping()
             except ExecutionServiceDown:

@@ -95,3 +95,30 @@ def test_remaining_evaluations_per_queue_estimate_equal_running_ads(monkeypatch,
         estimator.estimate_for_new(service, priority=priority)
     # The queued part comes from the band totals: no queued ad is visited.
     assert tally["calls"] == BANDS * running
+
+
+def test_ladder_walks_per_estimate_follow_history_versions_not_estimates(monkeypatch):
+    history = history_of(1_000)
+    estimator = RuntimeEstimator(history)
+    tally = counting(monkeypatch, HistoryRepository, "matching")
+    specs = [
+        TaskSpec(
+            owner="alice", account="cms", partition="compute", queue="q", nodes=1,
+            task_type="batch", executable="app00007", requested_cpu_hours=1.0 + i / 100,
+        )
+        for i in range(400)
+    ]
+    values = {estimator.estimate(spec).value for spec in specs}
+    assert len(values) == len(specs)  # one fit, evaluated at each spec's own request
+    assert tally["calls"] == 1  # the full template already has BUCKET matches
+    assert len(estimator._fits) == 1
+
+    # Any append is a new version — the quiet fold of a restore included.
+    for notify in (True, False):
+        record = TaskRecord.from_spec(specs[0], runtime_s=99.0)
+        history.add(record, notify=notify)
+        before = tally["calls"]
+        assert estimator.estimate(specs[0]).n_similar == len(history) - 1_000 + BUCKET
+        assert 0 < tally["calls"] - before <= 7
+        estimator.estimate(specs[1])
+        assert tally["calls"] - before <= 7 and len(estimator._fits) == 1

@@ -457,3 +457,64 @@ class TestRestore:
         state["idle"].insert(1, state["idle"][0])
         with pytest.raises(CondorError, match=state["idle"][0]):
             make_pool(Simulator()).restore_state(state, tasks.__getitem__)
+
+    # -- the queue holds exactly the QUEUED ads; allocations must fit ----
+    def gang_pool(self, sim):
+        """Two 2-cpu nodes: a 3-slot gang spans both, a 1-slot task fills
+        the rest, a third task queues."""
+        pool = make_pool(sim, n_nodes=2, cpus=2)
+        tasks = [make_task(work=500.0, nodes=3), make_task(work=500.0), make_task()]
+        for t in tasks:
+            pool.submit(t)
+        gang = pool.ad(tasks[0].task_id)
+        assert [n.name for n in gang.allocated] == ["n0", "n1"]
+        assert pool.busy_slots == 4 and len(pool.queue_snapshot()) == 1
+        return pool, {t.task_id: t for t in tasks}, tasks
+
+    def test_gang_round_trip_recounts_busy_slots_and_frees_what_nodes_held(self, sim):
+        pool, by_id, (gang, single, queued) = self.gang_pool(sim)
+        sim.run_until(10.0)
+        restored_sim = Simulator(start=sim.now)
+        restored = make_pool(restored_sim, n_nodes=2, cpus=2)
+        restored.restore_state(pool.snapshot_state(), by_id.__getitem__)
+        assert restored.busy_slots == 4 and restored._free_slots_total() == 0
+        assert [n.free_slots for n in restored.nodes] == [0, 0]
+        assert restored.queue_position(queued.task_id) == 0
+        assert restored.queue_position(gang.task_id) == -1
+        # Killing the gang frees the three slots its nodes held: the queued
+        # task starts, and the count is again what the nodes say.
+        restored.kill(gang.task_id)
+        assert restored.ad(queued.task_id).state is JobState.RUNNING
+        assert restored.busy_slots == 2 == sum(len(n.running_task_ids) for n in restored.nodes)
+        restored_sim.run()
+        assert restored.busy_slots == 0
+
+    def refused(self, sim, corrupt):
+        pool, by_id, tasks = self.gang_pool(sim)
+        state = pool.snapshot_state()
+        offender = corrupt(state, *tasks)
+        with pytest.raises(CondorError) as err:
+            make_pool(Simulator(), n_nodes=2, cpus=2).restore_state(state, by_id.__getitem__)
+        assert "pool pool" in str(err.value) and offender in str(err.value)
+
+    def test_idle_entry_that_is_not_queued_rejected(self, sim):
+        def corrupt(state, gang, single, queued):
+            state["idle"].insert(0, single.task_id)  # a RUNNING ad, in order
+            return single.task_id
+
+        self.refused(sim, corrupt)
+
+    def test_queued_ad_missing_from_idle_rejected(self, sim):
+        def corrupt(state, gang, single, queued):
+            state["idle"].remove(queued.task_id)
+            return queued.task_id
+
+        self.refused(sim, corrupt)
+
+    def test_allocation_a_node_cannot_seat_rejected(self, sim):
+        def corrupt(state, gang, single, queued):
+            wire = next(w for w in state["ads"] if w["task_id"] == gang.task_id)
+            wire["allocated"] = [["n0", 3]]  # n0 has two cpus
+            return gang.task_id
+
+        self.refused(sim, corrupt)

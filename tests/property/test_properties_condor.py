@@ -192,6 +192,12 @@ class FlockingRig:
             return
         if op == "set_priority":
             pool.set_priority(task.task_id, value % 4)
+        elif op == "pause":  # suspend a running task / resume a suspended one
+            state = pool.ad(task.task_id).state
+            if state is JobState.RUNNING:
+                pool.pause(task.task_id)
+            elif state is JobState.PAUSED:
+                pool.resume(task.task_id)
         elif op == "kill":
             pool.kill(task.task_id)
         elif op == "move":  # the steering service's vacate-then-redirect
@@ -215,10 +221,30 @@ def assert_counts_are_a_recount(scheduler):
     assert {s: n for s, n in scheduler._committed_count.items() if n} == dict(recount)
 
 
+def assert_slot_counts_and_positions_are_a_rescan(pool, task_ids):
+    """The pool's O(1) answers against the walks they replaced.
+
+    *task_ids* is every id ever submitted anywhere — queued, running,
+    paused, terminal, flocked away to the other pool — plus an unknown one.
+    """
+    assert pool.busy_slots == sum(len(n.running_task_ids) for n in pool.nodes)
+    assert pool._free_slots_total() == sum(n.free_slots for n in pool.nodes)
+    for task_id in [*task_ids, "no-such-task"]:
+        scan = -1
+        for i, ad in enumerate(pool.queue_snapshot()):
+            if ad.task_id == task_id:
+                scan = i
+                break
+        assert pool.queue_position(task_id) == scan
+
+
 admission_ops = st.lists(
     st.tuples(
         st.sampled_from(
-            ["submit", "submit", "submit", "advance", "set_priority", "kill", "move", "fail"]
+            [
+                "submit", "submit", "submit", "advance", "set_priority",
+                "pause", "kill", "move", "fail",
+            ]
         ),
         st.integers(min_value=0, max_value=40),
         st.integers(min_value=0, max_value=9),
@@ -244,6 +270,9 @@ class TestAdmissionByBisection:
                     and pool.ad(t.task_id).state is JobState.QUEUED
                 ]
                 assert pool.queue_snapshot() == sorted(queued, key=CondorJobAd.sort_key)
+                assert_slot_counts_and_positions_are_a_rescan(
+                    pool, [t.task_id for t in subject.tasks]
+                )
             assert subject.queues() == reference.queues()
             assert subject.starts == reference.starts
             assert_counts_are_a_recount(subject.scheduler)
@@ -263,3 +292,7 @@ class TestAdmissionByBisection:
             assert [ad.task_id for ad in twin.queue_snapshot()] == [
                 ad.task_id for ad in pool.queue_snapshot()
             ]
+            assert twin.busy_slots == pool.busy_slots
+            assert_slot_counts_and_positions_are_a_rescan(
+                twin, [t.task_id for t in subject.tasks]
+            )

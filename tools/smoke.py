@@ -352,13 +352,18 @@ def smoke_health(tmp: Path) -> None:
 def smoke_bench(tmp: Path) -> None:
     run_python("-m", "pytest", "benchmarks/e2e", "-q", "-p", "no:cacheprovider",
                cwd=REPO_ROOT)
-    out = run_python("benchmarks/e2e/run.py", "--workload", "wire_pipelined",
-                     "--seed", "1", "--quick", cwd=REPO_ROOT, capture=True)
-    print(out, end="")
-    verdict = json.loads(out.strip().splitlines()[-1])
-    check(verdict["correct"] is True, f"benchmark outputs incorrect: {verdict}")
-    check(verdict["failed"] == 0, f"benchmark calls failed: {verdict}")
-    print(f"e2e quick: {verdict['attempted']} attempted, 0 failed, outputs correct")
+    # wire_pipelined's 400 jobs all run; poll_uncached leaves a queue, so its
+    # socket-vs-direct output check sees non-negative queue positions, the
+    # running_tasks scan and two set_priority writes.
+    for workload in ("wire_pipelined", "poll_uncached"):
+        out = run_python("benchmarks/e2e/run.py", "--workload", workload,
+                         "--seed", "1", "--quick", cwd=REPO_ROOT, capture=True)
+        print(out, end="")
+        verdict = json.loads(out.strip().splitlines()[-1])
+        check(verdict["correct"] is True, f"benchmark outputs incorrect: {verdict}")
+        check(verdict["failed"] == 0, f"benchmark calls failed: {verdict}")
+        print(f"e2e quick {workload}: {verdict['attempted']} attempted, 0 failed, "
+              "outputs correct")
 
 
 def smoke_trace(tmp: Path) -> None:
