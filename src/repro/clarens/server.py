@@ -143,8 +143,10 @@ class _SystemService:
         """Per-consumer cursors/lag of the event-sourced write path.
 
         Returns ``{"enabled": False}`` on a host no GAE was built on;
-        otherwise the journal head seq plus, per registered consumer,
-        its cursor, lag, folded event kinds and namespaces.
+        otherwise the journal head seq plus, per registered consumer
+        (``estimators``, ``monitoring``, ``monalisa`` — each the one fold
+        behind a store), its cursor, lag, folded event kinds and the
+        namespaces its checkpoint rows live in.
         """
         core = self._host.events
         if core is None:

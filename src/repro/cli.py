@@ -372,9 +372,10 @@ def _cmd_journal_replay(args: argparse.Namespace) -> int:
     """Rebuild consumers from the journal and compare with live state.
 
     Runs the deterministic demo workload, then folds each named
-    consumer's events back out of the journal and checks the rebuilt
-    state is bit-identical to the live fold.  Exits non-zero on any
-    divergence — the event-sourced core's invariant is broken.
+    consumer's events back out of the journal into a twin over fresh
+    stores and checks the twin's checkpoint rows are bit-identical to the
+    live consumer's.  Exits 1 on any divergence — the event-sourced
+    core's invariant is broken — and 2 on an unknown consumer name.
     """
     gae, _job = _journal_workload(args)
     core = gae.events

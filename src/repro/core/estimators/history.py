@@ -151,10 +151,10 @@ class HistoryRepository:
             for listener in self.listeners:
                 listener(record)
 
-    def extend(self, records: Iterable[TaskRecord]) -> None:
-        """Append many records."""
+    def extend(self, records: Iterable[TaskRecord], notify: bool = True) -> None:
+        """Append many records (``notify`` as for :meth:`add`)."""
         for record in records:
-            self.add(record)
+            self.add(record, notify)
 
     def records(self) -> List[TaskRecord]:
         """All records, in insertion order (copy)."""

@@ -11,8 +11,7 @@ from repro.events.journal import EventJournal, EventType, JournalEvent
 
 _CORE_EXPORTS = (
     "CONSUMER_NAMES",
-    "DERIVED_EVENT_TYPES",
-    "AccountingConsumer",
+    "CONSUMER_NAMESPACES",
     "EstimatorConsumer",
     "EventCore",
     "JournalConsumer",

@@ -175,8 +175,17 @@ class EventJournal:
         # deque.append is atomic under the GIL; readers use _snapshot().
         self._events.append(event)
         self._head_seq = event.seq
+        # The event is in the log: every listener hears it, whatever an
+        # earlier one raised, and the first exception goes to the producer.
+        failure = None
         for listener in self.listeners:
-            listener(event)
+            try:
+                listener(event)
+            except Exception as exc:
+                if failure is None:
+                    failure = exc
+        if failure is not None:
+            raise failure
         return event
 
     def _snapshot(self) -> List[JournalEvent]:

@@ -44,7 +44,7 @@ from repro.gridsim.grid import Grid
 from repro.monalisa.publisher import ServiceMetricsPublisher, SiteLoadPublisher
 from repro.monalisa.repository import MonALISARepository
 from repro.monalisa.service import MonALISAQueryService
-from repro.events.core import AccountingConsumer, EventCore
+from repro.events.core import EventCore
 from repro.events.journal import EventJournal
 from repro.observability.instrument import GAEInstrumentation
 from repro.store.base import StateStore
@@ -316,23 +316,17 @@ def build_gae(
         host.observability = instrumentation
         host.add_middleware(instrumentation.middleware())
 
-    # Consumers fold journalled state changes into their stores; the
-    # core's dispatch listener goes on the journal after the
-    # instrumentation's own.
+    # Consumers fold journalled state changes into their stores, each
+    # fold anchored at what its store holds now (e.g. an imported task
+    # history); the core's dispatch listener goes on the journal after
+    # the instrumentation's own.
     events.register_stores(
         estimators=(estimators.estimate_db, history),
         db_manager=monitoring.db_manager,
         monalisa=monalisa,
     )
     if instrumentation is not None:
-        # A shadow fold of lifecycle events only the instrumentation journals.
-        events.register(
-            AccountingConsumer(dict(grid.execution_services), estimators.estimate_db)
-        )
         events.bind_metrics(instrumentation.metrics)
-    # Anchor every fold at the pre-seeded state (e.g. an imported task
-    # history) so rebuild-from-journal stays well-defined.
-    events.rebaseline_all()
 
     return GAE(
         grid=grid,

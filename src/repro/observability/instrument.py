@@ -404,8 +404,9 @@ class GAEInstrumentation:
             if tt.flock_span is not None:
                 tt.flock_span.set_attribute("to", site)
                 tt.flock_span = None
-            # priority/elapsed ride along so the event-sourced accounting
-            # consumer can fold the queue books from the journal alone.
+            # priority/elapsed ride along so the §6.2 queue books can be
+            # folded from the journal alone (the eventcore property suite's
+            # ``fold_queue_books`` pins that against the live books).
             self._record(
                 EventType.DISPATCHED, tt, ad.task_id, site=site,
                 priority=ad.priority, elapsed=ad.elapsed_runtime(),

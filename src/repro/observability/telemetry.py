@@ -20,11 +20,11 @@ Series naming, for a window width ``w`` closing at boundary ``t``:
 - ``metric.<name>.count`` / ``.rate``   — histogram observation count/rate;
 - ``metric.<name>.p50|.p95|.p99``       — histogram percentile snapshots.
 
-Determinism contract: every derived value is produced by the pure
-functions :func:`derive_window_series` and :func:`windows_from_events`
-applied to raw samples, so aggregates recomputed offline from the raw
+Determinism contract: every derived value is a pure function of the
+raw samples, so aggregates recomputed offline from the raw
 journal/metric samples are **bit-identical** to the streaming values
-(pinned by ``tests/property/test_properties_telemetry.py``).  Windows
+(``tests/property/test_properties_telemetry.py`` holds the offline
+reference, ``derive_window_series`` and ``windows_from_events``).  Windows
 are assigned by event *time*, not callback order, so events recorded at
 the exact boundary instant land in the next window regardless of event
 queue tie-breaking.
@@ -42,7 +42,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -64,9 +63,7 @@ __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "TelemetryPipeline",
     "WindowSeries",
-    "derive_window_series",
     "reduce_values",
-    "windows_from_events",
 ]
 
 TELEMETRY_SCHEMA_VERSION = "gae-telemetry/1"
@@ -94,63 +91,6 @@ def reduce_values(values: Sequence[float], reducer: str) -> Optional[float]:
     if reducer in ("p50", "p95", "p99"):
         return percentile(sorted(values), int(reducer[1:]))
     raise ValueError(f"unknown reducer {reducer!r} (known: {', '.join(REDUCERS)})")
-
-
-def derive_window_series(
-    raw: Sequence[Tuple[float, float]], kind: str, window_s: float
-) -> List[Tuple[float, float]]:
-    """Derived per-window samples from raw boundary samples.
-
-    ``kind`` is ``"counter"`` (rate: successive deltas divided by the
-    window width, the series implicitly starting at 0 before its first
-    sample) or ``"gauge"`` (delta between successive samples).  The
-    first raw sample only seeds the previous value — the derived series
-    starts one window later, exactly like the streaming pipeline.
-    """
-    if kind not in ("counter", "gauge"):
-        raise ValueError(f"unknown derivation kind {kind!r}")
-    out: List[Tuple[float, float]] = []
-    prev: Optional[float] = None
-    for t, v in raw:
-        if prev is not None:
-            if kind == "counter":
-                out.append((t, (v - prev) / window_s))
-            else:
-                out.append((t, v - prev))
-        prev = v
-    return out
-
-
-def windows_from_events(
-    events: Iterable[JournalEvent],
-    boundaries: Sequence[float],
-    origin: float,
-) -> Dict[str, List[Tuple[float, int]]]:
-    """Recompute per-window event counts from raw journal events.
-
-    ``boundaries`` are the closed windows' end times (the pipeline's
-    series times); window ``i`` spans ``[boundaries[i-1], boundaries[i])``
-    with ``origin`` before the first.  Returns, per event-type value, the
-    count series starting at the first window in which that type appears
-    (later zero windows included) — exactly the streaming
-    ``journal.<type>.count`` series shape.
-    """
-    starts = [origin] + list(boundaries[:-1])
-    counts: Dict[str, List[int]] = {}
-    for event in events:
-        if event.time < origin:
-            continue
-        for i, (lo, hi) in enumerate(zip(starts, boundaries)):
-            if lo <= event.time < hi:
-                key = event.type.value
-                series = counts.setdefault(key, [0] * len(boundaries))
-                series[i] += 1
-                break
-    out: Dict[str, List[Tuple[float, int]]] = {}
-    for key, values in sorted(counts.items()):
-        first = next(i for i, v in enumerate(values) if v)
-        out[key] = list(zip(boundaries[first:], values[first:]))
-    return out
 
 
 class WindowSeries:
@@ -376,7 +316,7 @@ class TelemetryPipeline:
         raw.append(t, value)
         if seed_only or not prev:
             return
-        # Same arithmetic as derive_window_series, streamed one step.
+        # One step of the property suite's ``derive_window_series``.
         if kind == "counter":
             derived = (value - prev[0]) / self.window_s
         else:

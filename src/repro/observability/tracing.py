@@ -29,7 +29,7 @@ import random
 import secrets
 import threading
 from collections import deque
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["Span", "SpanContext", "Tracer", "new_trace_id", "render_span_tree"]
 
@@ -391,11 +391,3 @@ def render_span_tree(spans: List[Dict[str, Any]]) -> str:
 
     walk(None, "")
     return "\n".join(lines)
-
-
-def _iter_traces(spans: List[Span]) -> Iterator[str]:  # pragma: no cover - helper
-    seen = set()
-    for s in spans:
-        if s.trace_id not in seen:
-            seen.add(s.trace_id)
-            yield s.trace_id

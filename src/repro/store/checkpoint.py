@@ -13,8 +13,9 @@ the system is quiescent.  Every file holds
 - *journal rows* (``observability.journal``): what ``gae.events.journal``
   retains — nothing on an ``observability=False`` build;
 - optionally the *consumer namespaces* (:data:`CONSUMER_NAMESPACES`) —
-  the materialised state of the store-backed journal consumers, which
-  are pure folds over the journal.
+  the materialised state of the journal consumers, which are pure folds
+  over the journal, written and read back by each consumer's own
+  ``save`` / ``load``.
 
 A **self-contained** file (``base_seq`` is ``None``) holds the consumer
 namespaces as of its own ``head_seq`` and every retained journal row.  A
@@ -42,8 +43,8 @@ Restore ordering matters and is documented inline; the broad strokes:
 1. id counters and RNG streams first (nothing may draw before they are
    re-seeded),
 2. the grid substrate from its spec, clock started at the checkpoint time,
-3. ``build_gae`` with the saved build parameters, policy, and history,
-4. store-backed layers (estimates, monitoring rows, MonALISA, journal),
+3. ``build_gae`` with the saved build parameters and policy,
+4. store-backed layers (every journal consumer's ``load``, the journal),
    then the quiet journal-tail replay that brings consumer state to the
    barrier,
 5. scheduler entries, then pools (ads resolve task ids against the
@@ -59,17 +60,13 @@ import sqlite3
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
+from repro.events.core import CONSUMER_NAMESPACES
 from repro.store.base import StateStore, StoreError
 from repro.store.memory import MemoryStore
 from repro.store.registry import (
     ACCOUNTING_STATE,
     CHECKPOINT_GRIDSIM,
     CHECKPOINT_META,
-    ESTIMATOR_HISTORY,
-    ESTIMATOR_RUNTIME,
-    MONALISA_EVENTS,
-    MONALISA_TIMESERIES,
-    MONITORING_JOBS,
     OBSERVABILITY_JOURNAL,
     STEERING_STATE,
     register_all,
@@ -83,16 +80,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Bump when the overall checkpoint layout (not an individual namespace)
 #: changes incompatibly.
 CHECKPOINT_FORMAT = 2
-
-#: The materialised state of the journal consumers: present in a
-#: self-contained checkpoint, absent from a continuation.
-CONSUMER_NAMESPACES = (
-    ESTIMATOR_HISTORY,
-    ESTIMATOR_RUNTIME,
-    MONITORING_JOBS,
-    MONALISA_TIMESERIES,
-    MONALISA_EVENTS,
-)
 
 
 class CheckpointError(StoreError):
@@ -225,10 +212,8 @@ class Checkpointer:
         # Consumer state, unless the base holds it; then the journal (the
         # rows past the base) and the observability layer.
         if base_seq is None:
-            gae.history.save_to(store)
-            gae.estimators.estimate_db.save_to(store)
-            store.put(MONITORING_JOBS, "state", gae.monitoring.db_manager.export_state())
-            gae.monalisa.save_to(store)
+            for consumer in gae.events.consumers.values():
+                consumer.save(store)
         journal.save_to(store, since=-1 if base_seq is None else base_seq)
         if obs is not None:
             obs.save_to(store)
@@ -365,7 +350,6 @@ def _restore(
     meta: Dict[str, Any], source: StateStore, store: Optional[StateStore]
 ) -> "GAE":
     """Rebuild a GAE from *source*, which holds every namespace."""
-    from repro.core.estimators.history import HistoryRepository
     from repro.core.steering.optimizer import SteeringPolicy
     from repro.gae import build_gae
     from repro.gridsim.grid import GridBuilder
@@ -379,11 +363,9 @@ def _restore(
     grid.rngs.restore_states(source.get(CHECKPOINT_GRIDSIM, "rng"))
 
     # 3. The same wiring the original had.
-    history = HistoryRepository.load_from(source)
     gae = build_gae(
         grid,
         policy=SteeringPolicy(**meta["policy"]),
-        history=history,
         store=store,
         **meta["build_params"],
     )
@@ -392,9 +374,8 @@ def _restore(
     # journal tail is folded quietly on top, BEFORE queue accounting
     # reseeds (step 5) so the reseed sees post-tail estimates exactly as
     # the live run did.
-    gae.estimators.estimate_db.load_from(source)
-    gae.monitoring.db_manager.import_state(source.get(MONITORING_JOBS, "state"))
-    gae.monalisa.load_from(source)
+    for consumer in gae.events.consumers.values():
+        consumer.load(source)
     journal = gae.events.journal
     journal.load_from(source, head_seq=meta["head_seq"])
     if gae.observability is not None:

@@ -58,11 +58,12 @@ def traced_heap(jobs, observability):
 
 @pytest.mark.parametrize(
     "observability, budget",
-    [(False, 1_850), (True, 4_650)],
+    [(False, 1_850), (True, 4_480)],
     ids=["bare", "journal"],
 )
 def test_heap_per_live_job_stays_inside_the_budget(observability, budget):
-    # Parent of the PR that set the budget: 2 379 B bare, 5 807 B journalled.
+    # Parent of the PR that set the budget: 2 379 B bare, 5 807 B journalled;
+    # measured now 1 611.7 and 4 288.0 (the journalled one +4.5 % is the budget).
     rig(50, observability)  # one-off allocations (caches, lazy imports) land here
     small, large = traced_heap(1_000, observability), traced_heap(4_000, observability)
     per_job = (large - small) / 3_000

@@ -1,6 +1,8 @@
 """Unit tests for the event-sourced core (journal-first write path)."""
 
 import ast
+import contextlib
+import dataclasses
 import functools
 import os
 import tempfile
@@ -10,7 +12,7 @@ import pytest
 
 from repro.clarens.server import ClarensHost
 from repro.cli import checkpoint_demo_workload
-from repro.events.core import CONSUMER_NAMES
+from repro.events.core import CONSUMER_NAMES, JournalConsumer
 from repro.events.journal import EventJournal, EventType, OutOfOrderError
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder
@@ -80,6 +82,97 @@ class TestJournalFirstWritePath:
             assert lag["values"][""] == 0.0
 
 
+class Boom(RuntimeError):
+    pass
+
+
+def raising_listener(event):
+    raise Boom(f"listener choked on seq {event.seq}")
+
+
+class PoisonedConsumer(JournalConsumer):
+    """Folds every kind into nothing, and raises while ``poisoned``."""
+
+    name = "poisoned"
+    kinds = frozenset(EventType)
+    poisoned = False
+
+    def fold(self, event, notify):
+        if self.poisoned:
+            raise Boom(f"consumer choked on seq {event.seq}")
+
+    def save(self, store):
+        pass
+
+    def load(self, store):
+        pass
+
+    @contextlib.contextmanager
+    def twin(self):
+        yield PoisonedConsumer()
+
+
+class TestNobodyIsStarved:
+    """An event that is in the journal reaches every listener and every
+    consumer, whoever raised before them; the producer still hears the
+    first exception."""
+
+    @staticmethod
+    def write_through_every_producer(gae, job):
+        task_id = job.tasks[0].task_id
+        record = dataclasses.replace(
+            gae.monitoring.db_manager.get(task_id), snapshot_time=gae.sim.now, progress=0.5
+        )
+        for produce in (
+            lambda: gae.monalisa.publish("siteA", "load", gae.sim.now, 0.625),
+            lambda: gae.estimators.record_estimate(task_id, 4242.0),
+            lambda: gae.monitoring.db_manager.update(record),
+        ):
+            with pytest.raises(Boom, match="choked on seq"):
+                produce()
+        return task_id
+
+    def check_stores_kept_up(self, gae, task_id, head_before):
+        core = gae.events
+        head = core.journal.head_seq
+        assert head == head_before + 3
+        assert core.cursors() == {name: head for name in core.consumers}
+        assert gae.monalisa.latest("siteA", "load") == 0.625
+        assert gae.estimators.estimate_db.lookup(task_id) == 4242.0
+        assert gae.monitoring.db_manager.get(task_id).progress == 0.5
+        assert gae.monalisa.job_events(task_id=task_id)[-1].progress == 0.5
+        for report in core.verify_all():
+            assert report["covered"] and report["identical"], report
+
+    def test_a_raising_listener_registered_first(self):
+        gae, job = demo_at(100.0)
+        journal = gae.events.journal
+        head_before = journal.head_seq
+        heard = []
+        journal.listeners.insert(0, raising_listener)
+        journal.listeners.append(heard.append)
+        task_id = self.write_through_every_producer(gae, job)
+        journal.listeners.remove(raising_listener)
+        assert [e.seq for e in heard] == list(range(head_before + 1, journal.head_seq + 1))
+        self.check_stores_kept_up(gae, task_id, head_before)
+
+    def test_a_raising_consumer_registered_first(self):
+        gae, job = demo_at(100.0)
+        core = gae.events
+        head_before = core.journal.head_seq
+        poisoned = PoisonedConsumer()
+        poisoned.poisoned = True
+        # Registration order is dict order: put the poisoned one in front.
+        shipped = dict(core.consumers)
+        core.consumers.clear()
+        core.register(poisoned)
+        core.consumers.update(shipped)
+        assert list(core.consumers) == ["poisoned", *CONSUMER_NAMES]
+        task_id = self.write_through_every_producer(gae, job)
+        assert poisoned.events_applied == 3
+        self.check_stores_kept_up(gae, task_id, head_before)
+
+
 class TestBareHost:
     """``observability=False`` takes away the readers of the journal, not
     the journal: the three store consumers are on every GAE host."""
@@ -97,7 +190,7 @@ class TestBareHost:
         snap = client.call("system.consumers")
         head = gae.events.journal.head_seq
         assert snap["enabled"] and snap["journal_head_seq"] == head > 0
-        assert [row["name"] for row in snap["consumers"]] == list(CONSUMER_NAMES[:3])
+        assert [row["name"] for row in snap["consumers"]] == list(CONSUMER_NAMES)
         assert {(row["cursor"], row["lag"]) for row in snap["consumers"]} == {(head, 0)}
         assert client.call("system.observability") == {"enabled": False}
         # Nothing retained, so a fold past its baseline is not rebuildable
@@ -137,6 +230,75 @@ class TestOnePath:
         }
         # publish_job_state is _apply_job_state under its public name.
         assert callers == {("repro/monalisa/repository.py", "_apply_job_state")}
+
+    def test_a_consumer_states_its_fold_once(self):
+        """No class under ``repro/events/`` carries the old three-fold /
+        two-serialisation protocol, and each consumer's store-mutating
+        calls all sit in its one ``fold``."""
+        retired = {"apply", "replay", "_fold_fingerprint", "live_fingerprint",
+                   "_capture_baseline"}
+        mutators = self.FOLDS | {"record", "add"}
+        consumers = 0
+        for path, tree in self.trees():
+            if not path.startswith("repro/events/"):
+                continue
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                methods = [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+                assert not retired & {m.name for m in methods}, (path, cls.name)
+                if "JournalConsumer" not in {getattr(b, "id", None) for b in cls.bases}:
+                    continue
+                consumers += 1
+                mutating = {
+                    method.name
+                    for method in methods
+                    for node in ast.walk(method)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in mutators
+                }
+                assert mutating == {"fold"}, (cls.name, mutating)
+        assert consumers == len(CONSUMER_NAMES)
+
+    def test_only_the_queue_accounting_reads_its_books(self):
+        # (``StateStore._missing()``, a method of the store, is a call.)
+        readers = {
+            path
+            for path, tree in self.trees()
+            for called in [{id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in {"_bands", "_missing"}
+            and id(node) not in called
+        }
+        assert readers == {"repro/core/estimators/queue_time.py"}
+
+    def test_the_checkpoint_names_no_consumer_store(self):
+        """``store/checkpoint.py`` reaches consumer state only through
+        ``save`` / ``load`` in a loop over ``events.consumers``."""
+        [tree] = [t for path, t in self.trees() if path == "repro/store/checkpoint.py"]
+        named = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in {"history", "estimate_db", "db_manager", "monalisa"}
+        }
+        assert named == set()
+        loops = [
+            (ast.unparse(loop.iter), call.func.attr)
+            for loop in ast.walk(tree) if isinstance(loop, ast.For)
+            for call in ast.walk(loop)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id == getattr(loop.target, "id", None)
+            and call.func.attr in {"save", "load"}
+        ]
+        assert sorted(loops) == [
+            ("gae.events.consumers.values()", "load"),
+            ("gae.events.consumers.values()", "save"),
+        ]
 
     def test_no_emit_target_is_ever_compared_with_none(self):
         def name_of(node):

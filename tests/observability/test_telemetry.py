@@ -12,8 +12,11 @@ from repro.observability.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     TelemetryPipeline,
     WindowSeries,
-    derive_window_series,
     reduce_values,
+)
+
+from tests.property.test_properties_telemetry import (
+    derive_window_series,
     windows_from_events,
 )
 

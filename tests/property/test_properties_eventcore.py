@@ -1,6 +1,6 @@
 """Property-based tests: event-sourced core fold/replay identity.
 
-Two invariants of the journal-first write path, for random workloads,
+Invariants of the journal-first write path, for random workloads,
 random fault schedules and random checkpoint barriers:
 
 1. every registered consumer's state is a pure fold over the journal —
@@ -15,7 +15,12 @@ random fault schedules and random checkpoint barriers:
    no consumer namespace;
 4. the journal is the write path of every build: an ``observability=False``
    GAE (no tracer, no lifecycle events, nothing retained) ends a run with
-   exactly the stores of its instrumented twin.
+   exactly the stores of its instrumented twin;
+5. a consumer's fingerprint is exactly its rows of a self-contained
+   checkpoint;
+6. the journal's lifecycle events alone reconstruct the §6.2 queue-time
+   books: ``fold_queue_books`` below, the reference fold production no
+   longer runs, equals the live ``QueueAccounting`` at every barrier.
 """
 
 import json
@@ -27,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.clarens.errors import ClarensFault
 from repro.events.core import CONSUMER_NAMES
+from repro.events.journal import EventType
 from repro.gridsim.job import reset_id_counters
 from repro.store import MemoryStore
 from repro.store.checkpoint import CONSUMER_NAMESPACES, Checkpointer, restore_gae
@@ -45,6 +51,100 @@ from tests.property.test_properties_checkpoint import (
 # always has a self-contained checkpoint to build on.
 base_times = st.sampled_from([105.0, 125.0, 145.0])
 delta_times = st.sampled_from([185.0, 205.0, 265.0])
+
+
+_LEAVES_THE_QUEUE = frozenset(
+    {
+        EventType.STARTED,
+        EventType.RESUMED,
+        EventType.PAUSED,
+        EventType.MOVED,
+        EventType.KILLED,
+        EventType.FAILED,
+        EventType.COMPLETED,
+        EventType.FLOCK_FORWARDED,
+    }
+)
+
+
+def fold_queue_books(events, fallback_runtime_s):
+    """The reference fold of the per-site queue-time books (§6.2) from the
+    journal's lifecycle events alone: ``dispatched`` files a task under
+    its priority band with ``max(0, estimate - elapsed)`` (the payload
+    carries the frozen priority/elapsed), ``priority-changed`` re-files
+    it, a late ``estimate-recorded`` refreshes it, and every event that
+    takes a task out of the idle queue drops it.  Mirrors the insertion
+    order of ``QueueAccounting._upsert`` / ``_discard``.
+
+    Returns ``({site: {band: [(task, contribution), ...]}},
+    {(site, band, task) filed without an estimate})``.
+    """
+    estimates = {}  # task -> at-submission estimate
+    queued = {}  # task -> (site, band, elapsed frozen at dispatch)
+    books = {}  # site -> band -> {task: contribution}
+    missing = set()
+
+    def discard(task_id):
+        if task_id not in queued:
+            return
+        site, band, _ = queued.pop(task_id)
+        del books[site][band][task_id]
+        missing.discard((site, band, task_id))
+        if not books[site][band]:  # an emptied band vanishes
+            del books[site][band]
+
+    def upsert(site, task_id, band, elapsed):
+        discard(task_id)
+        estimated = estimates.get(task_id, fallback_runtime_s)
+        entries = books.setdefault(site, {}).setdefault(band, {})
+        if estimated is None:
+            entries[task_id] = 0.0
+            missing.add((site, band, task_id))
+        else:
+            entries[task_id] = max(0.0, estimated - elapsed)
+        queued[task_id] = (site, band, elapsed)
+
+    for event in events:
+        task_id, attrs = event.task_id, event.attributes
+        if event.type is EventType.ESTIMATE_RECORDED:
+            estimates[task_id] = float(attrs["value"])
+            if task_id in queued:
+                site, band, elapsed = queued[task_id]
+                books[site][band][task_id] = max(0.0, estimates[task_id] - elapsed)
+                missing.discard((site, band, task_id))
+        elif event.type is EventType.DISPATCHED:
+            upsert(event.site, task_id, int(attrs["priority"]), float(attrs["elapsed"]))
+        elif event.type is EventType.PRIORITY_CHANGED:
+            if task_id in queued:  # else nothing is filed to re-file
+                site, _, elapsed = queued[task_id]
+                upsert(site, task_id, int(attrs["new"]), elapsed)
+        elif event.type in _LEAVES_THE_QUEUE:
+            discard(task_id)
+    return (
+        {
+            site: {band: list(entries.items()) for band, entries in bands.items()}
+            for site, bands in books.items()
+            if bands
+        },
+        missing,
+    )
+
+
+def live_queue_books(gae):
+    """The books production keeps, in :func:`fold_queue_books`' shape."""
+    books, missing = {}, set()
+    for site, service in gae.grid.execution_services.items():
+        accounting = service.queue_accounting
+        if accounting._bands:
+            books[site] = {
+                band: list(entries.items()) for band, entries in accounting._bands.items()
+            }
+        missing |= {
+            (site, band, task_id)
+            for band, tasks in accounting._missing.items()
+            for task_id in tasks
+        }
+    return books, missing
 
 
 class TestEventCoreProperties:
@@ -68,21 +168,50 @@ class TestEventCoreProperties:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         works=work_lists,
+        t_stop=barrier_times,
+        fault=fault_schedules(),
+        observability=st.booleans(),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_a_fingerprint_is_the_consumers_checkpoint_rows(
+        self, seed, works, t_stop, fault, observability
+    ):
+        """What ``verify`` compares is exactly what a self-contained
+        checkpoint holds in the consumer's namespaces — no second
+        serialisation."""
+        gae, _ = build_workload(seed, works, fault, observability=observability)
+        gae.sim.run_until(t_stop)
+        state = MemoryStore()
+        Checkpointer(gae).write_state(state)
+        consumers = gae.events.consumers.values()
+        for consumer in consumers:
+            rows = {ns: state.items(ns) for ns in consumer.namespaces}
+            assert any(rows.values()), consumer.name
+            assert consumer.fingerprint() == rows, consumer.name
+        assert sorted(ns for c in consumers for ns in c.namespaces) == sorted(
+            CONSUMER_NAMESPACES
+        )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        works=work_lists,
         fault=fault_schedules(),
     )
     @settings(max_examples=8, deadline=None)
-    def test_shadow_queue_books_forget_finished_tasks(self, seed, works, fault):
-        """Once every task is terminal the accounting shadow holds no
-        per-task entry (``estimates`` mirrors the estimate DB and stays)."""
+    def test_lifecycle_events_alone_reconstruct_the_queue_books(self, seed, works, fault):
+        """At every barrier the §6.2 books folded from the journal equal
+        the live ``QueueAccounting`` books, entry for entry in insertion
+        order; once every task is terminal both are empty."""
         gae, job = build_workload(seed, works, fault)
-        while not all(t.state.is_terminal for t in job.tasks):
+        fallback = gae.estimators.queue_time.fallback_runtime_s
+        while True:
+            folded = fold_queue_books(gae.events.journal.events(), fallback)
+            assert folded == live_queue_books(gae), gae.sim.now
+            if all(t.state.is_terminal for t in job.tasks):
+                break
             assert gae.sim.now < 20_000.0, "workload never finished"
-            gae.sim.run_until(gae.sim.now + 200.0)
-        accounting = gae.observability.eventcore.consumers["accounting"]
-        for per_task in ("elapsed", "site_of", "band_of"):
-            assert accounting._state[per_task] == {}, per_task
-        report = accounting.verify(gae.observability.journal)
-        assert report["covered"] and report["identical"], report
+            gae.sim.run_until(gae.sim.now + 35.0)
+        assert folded == ({}, set())
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),

@@ -3,25 +3,81 @@
 The pipeline's determinism contract: every windowed aggregate it streams
 is a pure function of the raw samples, so recomputing the same windows
 offline — ``windows_from_events`` over the raw journal, and
-``derive_window_series`` over the raw metric boundary samples — must be
-**bit-identical** to the streamed series, whatever the workload or fault
-schedule did.
+``derive_window_series`` over the raw metric boundary samples, the two
+reference implementations kept here — must be **bit-identical** to the
+streamed series, whatever the workload or fault schedule did.
 """
+
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.steering.optimizer import SteeringPolicy
+from repro.events.journal import JournalEvent
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder, Job, Task, TaskSpec
 from repro.gridsim.faults import FaultInjector
-from repro.observability.telemetry import (
-    derive_window_series,
-    windows_from_events,
-)
 
 HORIZON_S = 6000.0
+
+
+def derive_window_series(
+    raw: Sequence[Tuple[float, float]], kind: str, window_s: float
+) -> List[Tuple[float, float]]:
+    """Derived per-window samples from raw boundary samples.
+
+    ``kind`` is ``"counter"`` (rate: successive deltas divided by the
+    window width, the series implicitly starting at 0 before its first
+    sample) or ``"gauge"`` (delta between successive samples).  The
+    first raw sample only seeds the previous value — the derived series
+    starts one window later, exactly like the streaming pipeline.
+    """
+    if kind not in ("counter", "gauge"):
+        raise ValueError(f"unknown derivation kind {kind!r}")
+    out: List[Tuple[float, float]] = []
+    prev: Optional[float] = None
+    for t, v in raw:
+        if prev is not None:
+            if kind == "counter":
+                out.append((t, (v - prev) / window_s))
+            else:
+                out.append((t, v - prev))
+        prev = v
+    return out
+
+
+def windows_from_events(
+    events: Iterable[JournalEvent],
+    boundaries: Sequence[float],
+    origin: float,
+) -> Dict[str, List[Tuple[float, int]]]:
+    """Recompute per-window event counts from raw journal events.
+
+    ``boundaries`` are the closed windows' end times (the pipeline's
+    series times); window ``i`` spans ``[boundaries[i-1], boundaries[i])``
+    with ``origin`` before the first.  Returns, per event-type value, the
+    count series starting at the first window in which that type appears
+    (later zero windows included) — exactly the streaming
+    ``journal.<type>.count`` series shape.
+    """
+    starts = [origin] + list(boundaries[:-1])
+    counts: Dict[str, List[int]] = {}
+    for event in events:
+        if event.time < origin:
+            continue
+        for i, (lo, hi) in enumerate(zip(starts, boundaries)):
+            if lo <= event.time < hi:
+                key = event.type.value
+                series = counts.setdefault(key, [0] * len(boundaries))
+                series[i] += 1
+                break
+    out: Dict[str, List[Tuple[float, int]]] = {}
+    for key, values in sorted(counts.items()):
+        first = next(i for i, v in enumerate(values) if v)
+        out[key] = list(zip(boundaries[first:], values[first:]))
+    return out
 
 
 def run_telemetry_gae(seed, window_s, n_tasks, with_faults):

@@ -31,7 +31,8 @@ phases, the middle one a *genuine* process death:
    to completion, and every recorded answer must equal the reference's.
 
 It then round-trips ``gae-repro checkpoint`` → ``gae-repro restore`` and
-runs ``gae-repro journal replay`` (every consumer rebuilds ``identical``).
+runs ``gae-repro journal replay`` (exit 0; the table lists exactly
+``CONSUMER_NAMES``, every verdict ``identical``).
 
 Needs ``numpy`` (``bench`` and ``figures`` also ``pytest`` and
 ``pytest-benchmark``).  Exit status 0 on success, 1 on any failed check.
@@ -219,9 +220,19 @@ def smoke_restore(tmp: Path) -> None:
     # The CLI's own round trip, and the consumers' rebuild identity.
     run_cli("checkpoint", "--out", "gae_ckpt.sqlite", cwd=tmp)
     run_cli("restore", "gae_ckpt.sqlite", cwd=tmp)
-    replay = run_cli("journal", "replay", cwd=tmp, capture=True)
+    from repro.events import CONSUMER_NAMES
+
+    replay = run_cli("journal", "replay", cwd=tmp, capture=True)  # exit status 0
     print(replay, end="")
-    check(replay.count("identical") >= 4, "journal replay: a consumer diverged")
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in replay.splitlines() if line.startswith("|")
+    ]
+    check(rows[0] == ["consumer", "cursor", "baseline", "folded", "covered", "verdict"],
+          f"journal replay: unexpected columns {rows[0]}")
+    verdicts = {row[0]: row[-1] for row in rows[2:]}
+    check(verdicts == dict.fromkeys(CONSUMER_NAMES, "identical"),
+          f"journal replay: expected every one of {CONSUMER_NAMES} identical, got {verdicts}")
 
 
 # ----------------------------------------------------------------------
