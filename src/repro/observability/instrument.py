@@ -41,7 +41,7 @@ from repro.gridsim.job import JobState
 from repro.observability.health import HealthEngine
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.telemetry import TelemetryPipeline
-from repro.observability.tracing import Span, Tracer, new_trace_id
+from repro.observability.tracing import SpanContext, Tracer, new_trace_id
 from repro.store.registry import OBSERVABILITY_TELEMETRY, namespace_record
 
 if TYPE_CHECKING:  # annotation only: both import chains lead back here
@@ -78,34 +78,36 @@ class ObservabilityMiddleware:
 
 
 class _TaskTrace:
-    """Per-task tracing state."""
+    """Per-task tracing state: span ids, never spans (the ring owns those)."""
 
     __slots__ = (
         "trace_id",
         "job_id",
-        "root",
+        "root_id",
         "root_ctx",
-        "phase",
+        "phase_id",
+        "phase_start",
         "last_state",
         "last_priority",
         "site",
         "queued_at",
-        "flock_span",
+        "flock_id",
         "published_states",
         "finished",
     )
 
-    def __init__(self, trace_id: str, job_id: str, root: Span, priority: int) -> None:
+    def __init__(self, trace_id: str, job_id: str, root_ctx: SpanContext, priority: int) -> None:
         self.trace_id = trace_id
         self.job_id = job_id
-        self.root = root
-        self.root_ctx = root.context  # immutable for task roots; cached for the hot path
-        self.phase: Optional[Span] = None
+        self.root_id = root_ctx.span_id
+        self.root_ctx = root_ctx  # the parent of every span under the task
+        self.phase_id: Optional[str] = None
+        self.phase_start = 0.0  # the open phase's, for its run time
         self.last_state: Optional[JobState] = None
         self.last_priority = priority
         self.site: Optional[str] = None
         self.queued_at: Optional[float] = None
-        self.flock_span: Optional[Span] = None
+        self.flock_id: Optional[str] = None
         #: Task states already published to MonALISA (at most one entry
         #: per :class:`JobState`, so a tuple serves as the set).
         self.published_states: Tuple[str, ...] = ()
@@ -114,11 +116,11 @@ class _TaskTrace:
 
 
 class _JobTrace:
-    __slots__ = ("trace_id", "span", "task_ids", "unfinished")
+    __slots__ = ("trace_id", "span_id", "task_ids", "unfinished")
 
-    def __init__(self, trace_id: str, span: Span, task_ids: Tuple[str, ...]) -> None:
+    def __init__(self, trace_id: str, span_id: str, task_ids: Tuple[str, ...]) -> None:
         self.trace_id = trace_id
-        self.span = span
+        self.span_id = span_id
         # The full membership, so closing the job span stays O(tasks in
         # this job), not O(all tasks).
         self.task_ids = task_ids
@@ -309,27 +311,26 @@ class GAEInstrumentation:
             attributes={"job_id": job.job_id, "tasks": len(job.tasks)},
             activate=False,
         )
-        jt = _JobTrace(trace_id, job_span, tuple(t.task_id for t in job.tasks))
-        self._jobs[job.job_id] = jt
+        task_ids = tuple(t.task_id for t in job.tasks)
+        self._jobs[job.job_id] = _JobTrace(trace_id, job_span.span_id, task_ids)
         self._jobs_planned_b.inc()
         for task in job.tasks:
-            root = self.tracer.start_span(
+            root_ctx = self.tracer.start_span(
                 f"task:{task.task_id}",
                 trace_id=trace_id,
                 parent=job_span.context,
                 attributes={"task_id": task.task_id, "owner": task.spec.owner},
                 activate=False,
-            )
-            tt = _TaskTrace(trace_id, job.job_id, root, task.priority)
-            self._tasks[task.task_id] = tt
+            ).context
+            self._tasks[task.task_id] = _TaskTrace(trace_id, job.job_id, root_ctx, task.priority)
             self._tasks_planned_b.inc()
             site = plan.site_for(task.task_id)
             self.journal.record(
                 EventType.SUBMITTED, task.task_id, job_id=job.job_id,
-                trace_id=trace_id, span_id=root.span_id,
+                trace_id=trace_id, span_id=root_ctx.span_id,
             )
             sched = self.tracer.instant(
-                "schedule", trace_id=trace_id, parent=root.context,
+                "schedule", trace_id=trace_id, parent=root_ctx,
                 attributes={"site": site},
             )
             self.journal.record(
@@ -365,22 +366,21 @@ class GAEInstrumentation:
         return names
 
     def _close_phase(self, tt: _TaskTrace, status: str = "ok") -> None:
-        if tt.phase is not None:
-            self.tracer.end_span(tt.phase, status=status)
-            tt.phase = None
+        if tt.phase_id is not None:
+            self.tracer.update(tt.phase_id, status=status)
+            tt.phase_id = None
 
-    def _open_phase(self, tt: _TaskTrace, name: str, **attributes: Any) -> Span:
-        tt.phase = self.tracer.start_span(
+    def _open_phase(self, tt: _TaskTrace, name: str, **attributes: Any) -> None:
+        phase = self.tracer.start_span(
             name, trace_id=tt.trace_id, parent=tt.root_ctx,
             attributes=attributes, activate=False,
         )
-        return tt.phase
+        tt.phase_id, tt.phase_start = phase.span_id, phase.start
 
     def _record(self, type: EventType, tt: _TaskTrace, task_id: str, site=None, **attrs) -> None:
-        span = tt.phase if tt.phase is not None else tt.root
         self.journal.record(
-            type, task_id, job_id=tt.job_id, site=site,
-            trace_id=tt.trace_id, span_id=span.span_id, **attrs,
+            type, task_id, job_id=tt.job_id, site=site, trace_id=tt.trace_id,
+            span_id=tt.phase_id if tt.phase_id is not None else tt.root_id, **attrs,
         )
 
     def _on_state(self, site: str, ad) -> None:
@@ -401,9 +401,9 @@ class GAEInstrumentation:
             self._close_phase(tt)
             self._open_phase(tt, queue_name, site=site)
             tt.queued_at = self.sim.now
-            if tt.flock_span is not None:
-                tt.flock_span.set_attribute("to", site)
-                tt.flock_span = None
+            if tt.flock_id is not None:
+                self.tracer.update(tt.flock_id, to=site)
+                tt.flock_id = None
             # priority/elapsed ride along so the §6.2 queue books can be
             # folded from the journal alone (the eventcore property suite's
             # ``fold_queue_books`` pins that against the live books).
@@ -431,26 +431,30 @@ class GAEInstrumentation:
             self._close_phase(tt)
         elif state is JobState.KILLED:
             self._record(EventType.KILLED, tt, ad.task_id, site=site)
-            self._close_phase(tt, status="killed")
-            self.tracer.end_span(tt.root, status="killed")
-            self._finish_job_task(tt, ad.task_id)
+            self._finish_task(tt, "killed")
         elif state is JobState.FAILED:
             self._record(EventType.FAILED, tt, ad.task_id, site=site)
             self._close_phase(tt, status="failed")
             # The root stays open: Backup & Recovery may resubmit.
         elif state is JobState.COMPLETED:
-            if tt.phase is not None:
-                self._run_time_by_site[site].observe(self.sim.now - tt.phase.start)
+            if tt.phase_id is not None:
+                self._run_time_by_site[site].observe(self.sim.now - tt.phase_start)
             self._record(EventType.COMPLETED, tt, ad.task_id, site=site)
-            self._close_phase(tt)
-            self.tracer.end_span(tt.root, status="ok")
-            self._finish_job_task(tt, ad.task_id)
+            self._finish_task(tt, "ok")
         tt.last_state = state
         tt.last_priority = ad.priority
         if state in (JobState.QUEUED, JobState.RUNNING, JobState.PAUSED):
             tt.site = site
 
-    def _finish_job_task(self, tt: _TaskTrace, task_id: str) -> None:
+    def _finish_task(self, tt: _TaskTrace, status: str) -> None:
+        """End the task's phase and root with ``status`` (``ok``/``killed``).
+
+        Its job's span ends with the job's last task and takes that task's
+        outcome alone, so a job with a killed task that finishes on a
+        completed one ends ``ok``.
+        """
+        self._close_phase(tt, status=status)
+        self.tracer.update(tt.root_id, status=status)
         jt = self._jobs.get(tt.job_id)
         if jt is None:
             return
@@ -458,23 +462,17 @@ class GAEInstrumentation:
             tt.finished = True
             jt.unfinished -= 1
         if not jt.unfinished:
-            status = "ok" if tt.root.status == "ok" else "error"
-            all_ok = all(
-                self._tasks[tid].root.status == "ok"
-                for tid in jt.task_ids
-                if tid in self._tasks
-            )
-            self.tracer.end_span(jt.span, status="ok" if all_ok else status)
+            self.tracer.update(jt.span_id, status="ok" if status == "ok" else "error")
 
     def _on_forwarded(self, site: str, ad) -> None:
         tt = self._tasks.get(ad.task_id)
         if tt is None:
             return
         self._close_phase(tt)
-        tt.flock_span = self.tracer.instant(
+        tt.flock_id = self.tracer.instant(
             "flock", trace_id=tt.trace_id, parent=tt.root_ctx,
             attributes={"from": site},
-        )
+        ).span_id
         self._record(EventType.FLOCK_FORWARDED, tt, ad.task_id, site=site)
         self._site_handles(site)
         self._flocks_by_site[site].inc()
@@ -503,10 +501,10 @@ class GAEInstrumentation:
         self.tracer.adopt_current_trace(tt.trace_id)
         current = self.tracer.current_span()
         if current is not None and current.trace_id == tt.trace_id:
-            if current.parent_id is None and current is not tt.root:
+            if current.parent_id is None and current.span_id != tt.root_id:
                 # An adopted RPC span: hang it under the task so the
                 # rendered tree shows rpc -> steer -> pool events.
-                current.parent_id = tt.root.span_id
+                current.parent_id = tt.root_id
             parent = current.context
         else:
             parent = tt.root_ctx
@@ -532,9 +530,7 @@ class GAEInstrumentation:
             tt = self._tasks.get(result.task_id)
             if tt is not None and tt.last_state is not JobState.KILLED:
                 self._record(EventType.KILLED, tt, result.task_id, detail=result.detail)
-                self._close_phase(tt, status="killed")
-                self.tracer.end_span(tt.root, status="killed")
-                self._finish_job_task(tt, result.task_id)
+                self._finish_task(tt, "killed")
                 tt.last_state = JobState.KILLED
 
     # ------------------------------------------------------------------
@@ -591,7 +587,7 @@ class GAEInstrumentation:
         tt = self._tasks.get(task_id)
         if tt is None:
             return (None, None)
-        return (tt.trace_id, tt.root.span_id)
+        return (tt.trace_id, tt.root_id)
 
     def render_trace(self, task_id: str) -> Optional[str]:
         """ASCII span tree for the trace the task belongs to."""
@@ -665,32 +661,28 @@ class GAEInstrumentation:
     def export_tracking(self) -> Dict[str, Any]:
         """Serializable live task/job trace-tracking state.
 
-        Spans are referenced by id; :meth:`import_tracking` re-links them
-        against the restored span store.
+        Spans are referenced by id, exactly as the live records hold them.
         """
-
-        def span_id(span: Optional[Span]) -> Optional[str]:
-            return span.span_id if span is not None else None
-
         tasks = []
         for task_id, tt in self._tasks.items():
             tasks.append([task_id, {
                 "trace_id": tt.trace_id,
                 "job_id": tt.job_id,
-                "root": tt.root.span_id,
-                "phase": span_id(tt.phase),
+                "root": tt.root_id,
+                "phase": tt.phase_id,
+                "phase_start": tt.phase_start,
                 "last_state": tt.last_state.value if tt.last_state is not None else None,
                 "last_priority": tt.last_priority,
                 "site": tt.site,
                 "queued_at": tt.queued_at,
-                "flock_span": span_id(tt.flock_span),
+                "flock_span": tt.flock_id,
                 "published_states": sorted(tt.published_states),
             }])
         jobs = []
         for job_id, jt in self._jobs.items():
             jobs.append([job_id, {
                 "trace_id": jt.trace_id,
-                "span": jt.span.span_id,
+                "span": jt.span_id,
                 "pending": sorted(
                     tid for tid in jt.task_ids if not self._tasks[tid].finished
                 ),
@@ -698,36 +690,30 @@ class GAEInstrumentation:
             }])
         return {"tasks": tasks, "jobs": jobs}
 
-    def import_tracking(self, state: Dict[str, Any], spans_by_id: Dict[str, Span]) -> None:
-        """Rebuild ``_tasks``/``_jobs`` from :meth:`export_tracking` output."""
+    def import_tracking(self, state: Dict[str, Any]) -> None:
+        """Rebuild ``_tasks``/``_jobs`` from :meth:`export_tracking` output.
 
-        def resolve(sid: Optional[str], name: str, trace_id: str) -> Optional[Span]:
-            if sid is None:
-                return None
-            span = spans_by_id.get(sid)
-            if span is None:
-                # Evicted from the bounded span store before the
-                # checkpoint: keep tracking alive with a detached stub.
-                span = Span(name, trace_id=trace_id, span_id=sid, parent_id=None, start=0.0)
-            return span
-
+        A row older than ``phase_start`` takes its phase's start from the
+        restored ring, or ``0.0`` if the ring had dropped the span.
+        """
+        ring_starts = {span.span_id: span.start for span in self.tracer.spans()}
         self._tasks = {}
         for task_id, w in state["tasks"]:
-            root = resolve(w["root"], f"task:{task_id}", w["trace_id"])
-            tt = _TaskTrace(w["trace_id"], w["job_id"], root, w["last_priority"])
-            tt.phase = resolve(w["phase"], "phase", w["trace_id"])
+            root_ctx = SpanContext(w["trace_id"], w["root"])
+            tt = _TaskTrace(w["trace_id"], w["job_id"], root_ctx, w["last_priority"])
+            tt.phase_id = w["phase"]
+            tt.phase_start = w.get("phase_start", ring_starts.get(tt.phase_id, 0.0))
             tt.last_state = (
                 JobState(w["last_state"]) if w["last_state"] is not None else None
             )
             tt.site = w["site"]
             tt.queued_at = w["queued_at"]
-            tt.flock_span = resolve(w["flock_span"], "flock", w["trace_id"])
+            tt.flock_id = w["flock_span"]
             tt.published_states = tuple(w["published_states"])
             self._tasks[task_id] = tt
         self._jobs = {}
         for job_id, w in state["jobs"]:
-            span = resolve(w["span"], f"job:{job_id}", w["trace_id"])
-            jt = _JobTrace(w["trace_id"], span, tuple(w["task_ids"]))
+            jt = _JobTrace(w["trace_id"], w["span"], tuple(w["task_ids"]))
             pending = set(w["pending"])
             for tid in jt.task_ids:
                 self._tasks[tid].finished = tid not in pending
@@ -736,7 +722,7 @@ class GAEInstrumentation:
 
     def load_from(self, store, tracking: Optional[Dict[str, Any]] = None) -> None:
         """Restore spans, metric values, and (optionally) tracking."""
-        spans_by_id = self.tracer.load_from(store)
+        self.tracer.load_from(store)
         self.metrics.load_from(store)
         if self.telemetry is not None:
             rows = dict(store.items(OBSERVABILITY_TELEMETRY))
@@ -745,4 +731,4 @@ class GAEInstrumentation:
             if self.health is not None and rows.get("health") is not None:
                 self.health.import_state(rows["health"])
         if tracking is not None:
-            self.import_tracking(tracking, spans_by_id)
+            self.import_tracking(tracking)

@@ -3,7 +3,7 @@
 :func:`new_trace_id` mints the ids every Clarens call and every job
 trace is correlated by; a :class:`Span` carries (trace_id, span_id, parent_id,
 sim-time start/end, attributes, status), and a thread-safe
-:class:`Tracer` keeps a bounded in-memory store of them plus a
+:class:`Tracer` keeps a bounded ring of them, keyed by span id, plus a
 per-thread stack of *active* spans so nested instrumentation points can
 parent themselves correctly without threading a context object through
 every call signature.
@@ -28,7 +28,7 @@ import itertools
 import random
 import secrets
 import threading
-from collections import deque
+from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["Span", "SpanContext", "Tracer", "new_trace_id", "render_span_tree"]
@@ -114,9 +114,6 @@ class Span:
             return None
         return self.end - self.start
 
-    def set_attribute(self, key: str, value: Any) -> None:
-        self.attributes[key] = value
-
     def finish(self, end: float, status: str = "ok") -> None:
         if self.end is None:
             self.end = end
@@ -145,15 +142,25 @@ class _ActiveStack(threading.local):
 
 
 class Tracer:
-    """Thread-safe bounded span store with a per-thread active-span stack."""
+    """Thread-safe ring of the newest ``capacity`` spans keyed by span id (a
+    span lives exactly as long as its slot; long-lived work holds ids and
+    reaches spans through :meth:`update`), plus a per-thread active-span stack."""
 
     def __init__(self, clock: Callable[[], float], capacity: int = 8192) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self._clock = clock
-        self._spans: deque = deque(maxlen=capacity)
+        #: span id -> span, oldest first; appends and evictions hold ``_lock``.
+        self._spans: "OrderedDict[str, Span]" = OrderedDict()
+        self._lock = threading.Lock()
         self._active = _ActiveStack()
         self.capacity = capacity
+
+    def _append(self, span: Span) -> None:
+        with self._lock:
+            self._spans[span.span_id] = span
+            if len(self._spans) > self.capacity:
+                self._spans.popitem(last=False)
 
     # -- span lifecycle ------------------------------------------------
 
@@ -189,8 +196,7 @@ class Tracer:
             start=self._clock() if start is None else start,
             attributes=attributes,
         )
-        # deque.append is atomic under the GIL; readers use _snapshot().
-        self._spans.append(span)
+        self._append(span)
         if activate:
             self._active.stack.append(span)
         return span
@@ -203,6 +209,17 @@ class Tracer:
                 stack.pop()
             if stack:
                 stack.pop()
+
+    def update(self, span_id: str, *, status: Optional[str] = None, **attributes: Any) -> None:
+        """Set ``attributes`` on the ring's span ``span_id`` and, given a
+        ``status``, end it now; a no-op once the ring has dropped the span,
+        which no reader (export, :meth:`render`, checkpoint) can see."""
+        span = self._spans.get(span_id)  # one atomic lookup under the GIL
+        if span is None:
+            return
+        span.attributes.update(attributes)
+        if status is not None:
+            span.finish(self._clock(), status)
 
     def span(
         self,
@@ -264,11 +281,8 @@ class Tracer:
         return [s for s in snapshot if s.trace_id == trace_id]
 
     def _snapshot(self) -> List[Span]:
-        while True:
-            try:
-                return list(self._spans)
-            except RuntimeError:  # a concurrent append moved the deque under us
-                continue
+        with self._lock:
+            return list(self._spans.values())
 
     def __len__(self) -> int:
         return len(self._spans)  # len() is atomic under the GIL
@@ -290,17 +304,16 @@ class Tracer:
             ((f"{i:012d}", s.to_wire()) for i, s in enumerate(self._snapshot())),
         )
 
-    def load_from(self, store: "StateStore") -> Dict[str, Span]:
+    def load_from(self, store: "StateStore") -> int:
         """Replace the span store from ``observability.tracing``.
 
-        Returns restored spans by span id so instrumentation can re-link
-        its live task/job traces.  Nothing lands on any active stack —
-        restored spans are data, not open work on this thread.
+        Returns the number of spans restored; live task/job traces re-link
+        to them by id through :meth:`update`.  Nothing lands on any active
+        stack — restored spans are data, not open work on this thread.
         """
         from repro.store.registry import OBSERVABILITY_TRACING
 
         self._spans.clear()
-        by_id: Dict[str, Span] = {}
         for _, row in store.items(OBSERVABILITY_TRACING):
             span = Span(
                 row["name"],
@@ -312,9 +325,8 @@ class Tracer:
             )
             span.end = row["end"]
             span.status = row["status"]
-            self._spans.append(span)
-            by_id[span.span_id] = span
-        return by_id
+            self._append(span)
+        return len(self._spans)
 
 
 class _SpanHandle:

@@ -5,13 +5,17 @@ job from submission through steering RPCs, Condor flocking, migration and
 MonALISA publication.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.core.steering.optimizer import SteeringPolicy
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder, Job
-from repro.gridsim.job import Task, TaskSpec, reset_id_counters
+from repro.gridsim.job import JobState, Task, TaskSpec, reset_id_counters
 from repro.events.journal import EventType
+from repro.observability import instrument
 from repro.workloads.generators import make_prime_count_task
 
 
@@ -198,6 +202,73 @@ class TestJournalAndMetricsWiring:
         gae.grid.execution_services["siteA"].recover()
         assert m.value(site="siteA") == 1.0
         gae.stop()
+
+
+class TestJobSpanOutcome:
+    """A job span ends with its last task and takes that task's outcome
+    alone — whatever its siblings did."""
+
+    @pytest.mark.parametrize("kill_last, status", [(False, "ok"), (True, "error")])
+    def test_the_last_task_to_finish_decides(self, kill_last, status):
+        gae = two_site_gae()
+        gae.start()
+        short = make_prime_count_task(owner="u", work_seconds=100.0)
+        long = make_prime_count_task(owner="u", work_seconds=2_000.0)
+        job = Job(tasks=[short, long], owner="u")
+        gae.scheduler.submit_job(job)
+        steering = gae.client("u", "pw").service("steering")
+        if kill_last:  # short completes, then long is killed
+            gae.grid.run_until(1_000.0)
+            assert short.state is JobState.COMPLETED
+            assert steering.kill(long.task_id)["ok"]
+        else:  # short is killed, then long completes
+            gae.grid.run_until(10.0)
+            assert steering.kill(short.task_id)["ok"]
+        gae.grid.run_until(10_000.0)
+        gae.stop()
+
+        obs = gae.observability
+        spans = {s.name: s for s in obs.tracer.spans(obs.trace_id_of(short.task_id))}
+        outcomes = {spans[f"task:{t.task_id}"].status for t in job.tasks}
+        assert outcomes == {"ok", "killed"}
+        assert spans[f"job:{job.job_id}"].status == status
+
+
+def test_no_trace_record_slot_holds_a_span():
+    """The ring owns the spans: the per-task and per-job records keep span
+    ids (and the task root's immutable context), never a ``Span``."""
+    tree = ast.parse(Path(instrument.__file__).read_text("utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    slots = set()
+    for name in ("_TaskTrace", "_JobTrace"):
+        [declared] = [
+            node.value for node in classes[name].body
+            if isinstance(node, ast.Assign) and node.targets[0].id == "__slots__"
+        ]
+        slots |= set(ast.literal_eval(declared))
+    assert {"root_id", "phase_id", "flock_id", "span_id"} <= slots
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert "Span" not in names | imported
+
+    def pairs(target, value):
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+            for t, v in zip(target.elts, value.elts):
+                yield from pairs(t, v)
+        else:
+            yield target, value
+
+    span_makers = {"start_span", "instant", "current_span"}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target, value in (p for t in node.targets for p in pairs(t, node.value)):
+            if isinstance(target, ast.Attribute) and target.attr in slots:
+                made = isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute)
+                assert not (made and value.func.attr in span_makers), ast.unparse(node)
 
 
 def steered_gae(live_jobs, **build_kwargs):

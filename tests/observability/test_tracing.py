@@ -104,6 +104,84 @@ class TestTracer:
         assert [s.name for s in tracer.spans("t-2")] == ["b"]
 
 
+class TestSpansById:
+    """The ring is keyed by span id: :meth:`Tracer.update` reaches exactly
+    the spans it holds, and a span it has dropped is gone."""
+
+    def test_update_ends_and_annotates_a_held_span(self, tracer, clock):
+        span = tracer.start_span("run@siteA", trace_id="t-1", activate=False)
+        clock.now = 4.0
+        tracer.update(span.span_id, to="siteB")
+        assert span.attributes == {"to": "siteB"} and span.end is None
+        tracer.update(span.span_id, status="killed")
+        assert (span.end, span.status) == (4.0, "killed")
+
+    def test_an_evicted_id_is_a_no_op(self, clock):
+        tracer = Tracer(clock, capacity=3)
+        spans = [tracer.start_span(f"s{i}", trace_id="t-1", activate=False) for i in range(5)]
+        assert [s.span_id for s in tracer.spans()] == [s.span_id for s in spans[2:]]
+        for evicted in spans[:2]:
+            tracer.update(evicted.span_id, status="error", to="siteB")
+            assert (evicted.end, evicted.status, evicted.attributes) == (None, "open", {})
+        assert [s.span_id for s in tracer.spans()] == [s.span_id for s in spans[2:]]
+        for held in spans[2:]:
+            tracer.update(held.span_id, status="ok")
+        assert all(s.status == "ok" for s in tracer.spans())
+
+    def test_load_from_keys_the_restored_ring(self, clock):
+        from repro.store import MemoryStore
+
+        source = Tracer(clock, capacity=4)
+        for i in range(6):
+            source.start_span(f"s{i}", trace_id="t-1", activate=False)
+        store = MemoryStore()
+        source.save_to(store)
+        restored = Tracer(clock, capacity=4)
+        assert restored.load_from(store) == 4
+        assert [s.to_wire() for s in restored.spans()] == [s.to_wire() for s in source.spans()]
+        clock.now = 2.0
+        for span in restored.spans():
+            restored.update(span.span_id, status="ok")
+        assert {(s.end, s.status) for s in restored.spans()} == {(2.0, "ok")}
+        # The restored spans are the restored tracer's own, not the source's.
+        assert {s.status for s in source.spans()} == {"open"}
+
+    def test_concurrent_starts_keep_the_ring_keyed(self, clock):
+        import sys
+        import threading
+
+        tracer = Tracer(clock, capacity=500)
+        started = {n: [] for n in range(4)}
+
+        def start(n):
+            for _ in range(1_000):
+                span = tracer.start_span(f"w{n}", trace_id=f"t-{n}", activate=False)
+                started[n].append(span.span_id)
+
+        workers = [threading.Thread(target=start, args=(n,)) for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert all(len(ids) == 1_000 for ids in started.values())
+        ring = tracer.spans()
+        assert len(tracer) == len(ring) == tracer.capacity
+        assert len({s.span_id for s in ring}) == tracer.capacity
+        for n, ids in started.items():
+            # Each thread's survivors are its newest spans, in order.
+            kept = [s.span_id for s in ring if s.trace_id == f"t-{n}"]
+            assert kept == ids[len(ids) - len(kept):]
+        for span in ring:
+            tracer.update(span.span_id, status="ok")
+        assert all(s.status == "ok" for s in ring)
+
+
 class TestRenderSpanTree:
     def test_empty(self):
         assert render_span_tree([]) == "(no spans)"

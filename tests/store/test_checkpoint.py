@@ -15,9 +15,9 @@ import os
 
 import pytest
 
-from repro.gae import build_gae
+from repro.gae import SteeringPolicy, build_gae
 from repro.gridsim import GridBuilder
-from repro.gridsim.job import TaskSpec, bag_of_tasks, reset_id_counters
+from repro.gridsim.job import Job, Task, TaskSpec, bag_of_tasks, reset_id_counters
 from repro.store import MemoryStore, SqliteStore
 from repro.store.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -233,6 +233,57 @@ class TestKillAndRestore:
         assert restored.grid.execution_services["siteB"].failed is True
         assert restored.steering.backup_recovery.export_state() == barrier
         assert run_to_completion(restored) == reference
+
+    def test_a_run_phase_the_span_ring_dropped_keeps_its_start(self, tmp_path):
+        """Four 500 s tasks start at t=5, then ~8 400 admission spans push
+        their ``run@`` phases out of the 8 192-span ring before the
+        checkpoint; the restored host still observes 500 s run times."""
+        reset_id_counters()
+        grid = (
+            GridBuilder(seed=5)
+            .site("siteA", nodes=2, cpus_per_node=1, background_load=0.0)
+            .site("siteB", nodes=2, cpus_per_node=1, background_load=0.0)
+            .link("siteA", "siteB", capacity_mbps=622.0, latency_s=0.05)
+            .probe_noise(0.0)
+            .build()
+        )
+        gae = build_gae(grid, policy=SteeringPolicy(auto_move=False, poll_interval_s=3_600.0))
+        gae.start()
+        gae.sim.run_until(5.0)
+        for work in [500.0] * 4 + [1.0] * 2_100:
+            task = Task(spec=TaskSpec(owner="u"), work_seconds=work)
+            gae.scheduler.submit_job(Job(tasks=[task], owner="u"))
+        path = str(tmp_path / "ckpt.sqlite")
+        Checkpointer(gae).checkpoint_at(20.0, path)
+        gae.sim.run_until(20.0)
+        ring = {s.name for s in gae.observability.tracer.spans()}
+        assert not ring & {"run@siteA", "run@siteB"}
+
+        def run_times(host):
+            host.sim.run_until(3_000.0)
+            histogram = host.observability.metrics.get("gae_task_run_seconds")
+            return {
+                site: {k: histogram.summary(site=site)[k] for k in ("count", "max", "sum")}
+                for site in ("siteA", "siteB")
+            }
+
+        live, restored = run_times(gae), run_times(restore_gae(path))
+        assert restored == live
+        assert live["siteA"]["max"] == live["siteB"]["max"] == 500.0
+
+    def test_tracking_rows_without_phase_start_take_it_from_the_restored_ring(self):
+        """``fixtures/format2_full.sqlite`` predates ``phase_start`` in the
+        tracking rows: an open phase the restored ring holds starts where
+        its span does."""
+        path = os.path.join(os.path.dirname(__file__), "fixtures", "format2_full.sqlite")
+        meta = read_store_file(path).get(CHECKPOINT_META, "meta")
+        assert not any("phase_start" in row for _, row in meta["observability_tracking"]["tasks"])
+        reset_id_counters()
+        obs = restore_gae(path).observability
+        ring = {span.span_id: span.start for span in obs.tracer.spans()}
+        starts = {tt.phase_id: tt.phase_start for tt in obs._tasks.values() if tt.phase_id}
+        assert max(starts.values()) > 0.0
+        assert starts == {phase_id: ring[phase_id] for phase_id in starts}
 
 
 class TestBareBuild:

@@ -6,7 +6,7 @@
     python tools/smoke.py restore    # hard kill, then restore both orphaned files
     python tools/smoke.py scenario   # quick chaos campaign + artifact schema
     python tools/smoke.py health     # health rules fire and resolve; telemetry export
-    python tools/smoke.py bench      # the end-to-end benchmark's own checks + a quick run
+    python tools/smoke.py bench      # the end-to-end benchmark's own checks + quick runs
     python tools/smoke.py rpc        # system.stats, system.cache and /metrics tell one story
     python tools/smoke.py trace      # demo --trace-export validates against its schema
     python tools/smoke.py figures    # the paper's figure / ablation / validation benches
@@ -365,8 +365,9 @@ def smoke_bench(tmp: Path) -> None:
                cwd=REPO_ROOT)
     # wire_pipelined's 400 jobs all run; poll_uncached leaves a queue, so its
     # socket-vs-direct output check sees non-negative queue positions, the
-    # running_tasks scan and two set_priority writes.
-    for workload in ("wire_pipelined", "poll_uncached"):
+    # running_tasks scan and two set_priority writes; steer_mixed is the one
+    # journalled, traced rig, the only one that exercises the span ring.
+    for workload in ("wire_pipelined", "poll_uncached", "steer_mixed"):
         out = run_python("benchmarks/e2e/run.py", "--workload", workload,
                          "--seed", "1", "--quick", cwd=REPO_ROOT, capture=True)
         print(out, end="")
