@@ -140,13 +140,14 @@ class _SystemService:
 
     @clarens_method(anonymous=True)
     def consumers(self) -> Dict[str, Any]:
-        """Per-consumer cursors/lag of the event-sourced write path.
+        """The consumers of the event-sourced write path.
 
         Returns ``{"enabled": False}`` on a host no GAE was built on;
         otherwise the journal head seq plus, per registered consumer
         (``estimators``, ``monitoring``, ``monalisa`` — each the one fold
-        behind a store), its cursor, lag, folded event kinds and the
-        namespaces its checkpoint rows live in.
+        behind a store), its folded event kinds and the namespaces its
+        checkpoint rows live in.  Dispatch is synchronous, so every
+        consumer has folded up to the head.
         """
         core = self._host.events
         if core is None:

@@ -390,10 +390,10 @@ def _cmd_journal_replay(args: argparse.Namespace) -> int:
     print(f"journal head seq {journal.head_seq}, "
           f"{len(journal.events())} retained event(s)")
     print(markdown_table(
-        ["consumer", "cursor", "baseline", "folded", "covered", "verdict"],
+        ["consumer", "baseline", "folded", "covered", "verdict"],
         [
             [
-                r["consumer"], r["cursor"], r["baseline_seq"],
+                r["consumer"], r["baseline_seq"],
                 r["events_applied"], "yes" if r["covered"] else "NO",
                 "identical" if r["identical"] else "DIVERGED",
             ]

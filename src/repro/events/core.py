@@ -10,8 +10,10 @@ over the sequenced log.
 Wiring (see :func:`repro.gae.build_gae`, which builds one core for every
 GAE, instrumented or not):
 
-- :class:`EventCore` owns the consumer registry and appends one dispatch
-  listener to the journal; its ``emit_*`` methods are what the producers
+- :class:`EventCore` owns the consumer registry and is the journal's one
+  sink; dispatch hands each event to one observer (the instrumentation's
+  counts) and then, synchronously, to every consumer, so no consumer can
+  lag the journal head.  Its ``emit_*`` methods are what the producers
   are constructed with (``EstimatorService``, ``HistoryRecorder``,
   ``DBManager``, ``MonALISARepository``) — a producer has no other way
   to write.  :meth:`EventCore.register_stores` registers the consumer
@@ -19,11 +21,10 @@ GAE, instrumented or not):
   alike.
 - Each :class:`JournalConsumer` states one ``fold`` of the event kinds it
   cares about into its backing store and one ``save``/``load`` pair — its
-  stores' checkpoint rows — and tracks a monotone ``cursor`` (the highest
-  journal ``seq`` it has seen).  Its fingerprint *is* those rows, so it
-  can **rebuild** its state in a twin over fresh stores from a baseline
-  plus the journal tail; :meth:`JournalConsumer.verify` checks the
-  rebuilt fingerprint is bit-identical to the live one.
+  stores' checkpoint rows.  Its fingerprint *is* those rows, so it can
+  **rebuild** its state in a twin over fresh stores from a baseline plus
+  the journal tail; :meth:`JournalConsumer.verify` checks the rebuilt
+  fingerprint is bit-identical to the live one.
 - A checkpoint (:mod:`repro.store.checkpoint`) saves and loads consumer
   state through that same pair; a continuation restores a consumer as
   *base snapshot + quiet replay of the journal tail*.
@@ -80,10 +81,6 @@ class JournalConsumer:
     :meth:`load` (the store's checkpoint rows) and :meth:`twin` (the
     same consumer over fresh stores).  Fingerprint, baseline, rebuild
     and verify are derived from those here.
-
-    The ``cursor`` advances on *every* dispatched event — not just
-    interesting ones — so ``lag = journal.head_seq - cursor`` is a
-    meaningful staleness measure for every consumer.
     """
 
     name: str = ""
@@ -91,16 +88,10 @@ class JournalConsumer:
     namespaces: Tuple[str, ...] = ()
 
     def __init__(self) -> None:
-        self._cursor = -1
         self.events_applied = 0
         self.baseline_seq = -1
         #: Set by :meth:`rebaseline`, first when the core registers us.
         self._baseline: Optional[MemoryStore] = None
-
-    @property
-    def cursor(self) -> int:
-        """Highest journal ``seq`` this consumer has observed."""
-        return self._cursor
 
     def fold(self, event: JournalEvent, notify: bool) -> None:
         """Fold one event of ``kinds`` into the store.
@@ -148,7 +139,7 @@ class JournalConsumer:
         invariant is ``fold(baseline, events_since(baseline_seq)) ==
         live state``.
         """
-        self.baseline_seq = self._cursor = journal.head_seq
+        self.baseline_seq = journal.head_seq
         self._baseline = self._saved()
 
     def rebuild(self, journal: EventJournal) -> Dict[str, Any]:
@@ -168,7 +159,6 @@ class JournalConsumer:
             "identical": self.rebuild(journal) == self.fingerprint(),
             "covered": journal.covers(self.baseline_seq),
             "baseline_seq": self.baseline_seq,
-            "cursor": self._cursor,
             "events_applied": self.events_applied,
         }
 
@@ -315,10 +305,14 @@ def _untraced(task_id: str) -> Tuple[Optional[str], Optional[str]]:
     return (None, None)
 
 
+def _unobserved(event: JournalEvent) -> None:
+    pass
+
+
 class EventCore:
     """Producer seams + consumer registry + dispatcher over one journal.
 
-    Exactly one listener is appended to the journal; events are
+    Building a core makes its dispatch the journal's sink; events are
     dispatched to consumers in registration order (deterministic — the
     ordering guarantees in each consumer's docstring depend on it).
     """
@@ -329,6 +323,10 @@ class EventCore:
         #: ``task_id -> (trace_id, span_id)`` stamped on a task's derived
         #: events; the instrumentation points it at its lifecycle traces.
         self.trace_context = _untraced
+        #: Hears every live event before any consumer folds it; the
+        #: instrumentation points it at its event counts.
+        self.observe = _unobserved
+        journal.sink = self._dispatch
 
     def register(self, consumer: JournalConsumer) -> JournalConsumer:
         if consumer.name in self.consumers:
@@ -347,22 +345,22 @@ class EventCore:
         monalisa: Optional[MonALISARepository] = None,
     ) -> "EventCore":
         """Register the consumer behind each store given, in
-        :data:`CONSUMER_NAMES` order, and start dispatching to them:
-        all three for ``build_gae``, its own for a stand-alone producer."""
+        :data:`CONSUMER_NAMES` order: all three for ``build_gae``, its own
+        for a stand-alone producer."""
         if estimators is not None:
             self.register(EstimatorConsumer(*estimators))
         if db_manager is not None:
             self.register(MonitoringConsumer(db_manager))
         if monalisa is not None:
             self.register(MonALISAConsumer(monalisa))
-        if self._dispatch not in self.journal.listeners:
-            self.journal.listeners.append(self._dispatch)
         return self
 
     def _dispatch(self, event: JournalEvent, notify: bool = True) -> None:
-        """Every consumer sees *event* — folds it if it is one of its
-        ``kinds``, and advances its cursor past it — whatever an earlier
-        one raised; the first exception then goes to the producer."""
+        """The observer hears a live *event*, then every consumer of its
+        ``kinds`` folds it whatever an earlier one raised; the first
+        exception then goes to the producer."""
+        if notify:
+            self.observe(event)
         failure = None
         for consumer in self.consumers.values():
             if event.type in consumer.kinds:
@@ -372,7 +370,6 @@ class EventCore:
                 except Exception as exc:
                     if failure is None:
                         failure = exc
-            consumer._cursor = event.seq
         if failure is not None:
             raise failure
 
@@ -428,7 +425,7 @@ class EventCore:
         """Quietly fold a journal tail into every consumer (restore path).
 
         Events must arrive in ``seq`` order; each consumer folds the
-        kinds it owns and advances its cursor past everything.
+        kinds it owns, and the observer hears none of them.
         """
         for event in events:
             self._dispatch(event, notify=False)
@@ -443,7 +440,10 @@ class EventCore:
         return [c.verify(self.journal) for c in self.consumers.values()]
 
     def cursors(self) -> Dict[str, int]:
-        return {name: c.cursor for name, c in self.consumers.items()}
+        # Dispatch is synchronous, so every consumer is at the head.  Kept
+        # only because the benchmark's traced rig reads it for
+        # ``eventcore.consumer_lag_max``.
+        return dict.fromkeys(self.consumers, self.journal.head_seq)
 
     def snapshot(self) -> Dict[str, Any]:
         """Wire-safe summary for ``system.consumers``.
@@ -453,33 +453,16 @@ class EventCore:
         (``events_applied``, ``baseline_seq``) are exposed only through
         :meth:`verify_all` and the ``journal replay`` CLI.
         """
-        head = self.journal.head_seq
         return {
             "enabled": True,
-            "journal_head_seq": head,
+            "journal_head_seq": self.journal.head_seq,
             "journal_schema": JOURNAL_SCHEMA_VERSION,
             "consumers": [
                 {
                     "name": c.name,
                     "kinds": sorted(k.value for k in c.kinds),
                     "namespaces": list(c.namespaces),
-                    "cursor": c.cursor,
-                    "lag": max(0, head - c.cursor),
                 }
                 for c in self.consumers.values()
             ],
         }
-
-    def bind_metrics(self, metrics) -> None:
-        """Register per-consumer cursor/lag gauges (fn-backed)."""
-        for name, consumer in self.consumers.items():
-            metrics.gauge(
-                f"gae_consumer_{name}_cursor",
-                f"journal seq high-water mark of the {name} consumer",
-                fn=lambda c=consumer: float(c.cursor),
-            )
-            metrics.gauge(
-                f"gae_consumer_{name}_lag",
-                f"events the {name} consumer is behind the journal head",
-                fn=lambda c=consumer: float(max(0, self.journal.head_seq - c.cursor)),
-            )

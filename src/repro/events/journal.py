@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -111,13 +112,25 @@ class JournalEvent:
         }
 
 
+def _no_sink(event: JournalEvent) -> None:
+    pass
+
+
 class EventJournal:
-    """Thread-safe, bounded, append-only event store.
+    """Thread-safe, bounded, append-only event store with one reader.
 
     ``capacity`` bounds memory like the tracer's span store (``0``:
     sequence and dispatch every event, retain none); ``seq`` is a
     monotonically increasing tie-breaker so events recorded at the same
     simulation instant keep their causal recording order.
+
+    ``sink`` is the one reader of every recorded event: the
+    :class:`~repro.events.core.EventCore` built over this journal
+    installs its dispatch there.  ``record`` allocates the ``seq``,
+    retains the event, moves the head and calls the sink under one
+    re-entrant lock (a fold may journal in turn), so retained order,
+    dispatch order and ``seq`` order are the same order whichever thread
+    records.
     """
 
     def __init__(self, clock: Callable[[], float], capacity: int = 100_000) -> None:
@@ -127,7 +140,8 @@ class EventJournal:
         self._events: deque = deque(maxlen=capacity)
         self._seq = itertools.count()
         self.capacity = capacity
-        self.listeners: List[Callable[[JournalEvent], None]] = []
+        self.sink: Callable[[JournalEvent], None] = _no_sink
+        self._lock = threading.RLock()
         self._head_seq = -1
 
     @property
@@ -161,39 +175,26 @@ class EventJournal:
         time: Optional[float] = None,
         **attributes: Any,
     ) -> JournalEvent:
-        event = JournalEvent(
-            seq=next(self._seq),
-            time=self._clock() if time is None else time,
-            type=type if type.__class__ is EventType else EventType(type),
-            task_id=task_id,
-            job_id=job_id,
-            site=site,
-            trace_id=trace_id,
-            span_id=span_id,
-            attributes=attributes if attributes else _NO_ATTRIBUTES,
-        )
-        # deque.append is atomic under the GIL; readers use _snapshot().
-        self._events.append(event)
-        self._head_seq = event.seq
-        # The event is in the log: every listener hears it, whatever an
-        # earlier one raised, and the first exception goes to the producer.
-        failure = None
-        for listener in self.listeners:
-            try:
-                listener(event)
-            except Exception as exc:
-                if failure is None:
-                    failure = exc
-        if failure is not None:
-            raise failure
+        with self._lock:
+            event = JournalEvent(
+                seq=next(self._seq),
+                time=self._clock() if time is None else time,
+                type=type if type.__class__ is EventType else EventType(type),
+                task_id=task_id,
+                job_id=job_id,
+                site=site,
+                trace_id=trace_id,
+                span_id=span_id,
+                attributes=attributes if attributes else _NO_ATTRIBUTES,
+            )
+            self._events.append(event)
+            self._head_seq = event.seq
+            self.sink(event)
         return event
 
     def _snapshot(self) -> List[JournalEvent]:
-        while True:
-            try:
-                return list(self._events)
-            except RuntimeError:  # a concurrent append moved the deque under us
-                continue
+        with self._lock:
+            return list(self._events)
 
     # -- queries -------------------------------------------------------
 
@@ -220,8 +221,8 @@ class EventJournal:
     def events_since(self, seq: int) -> List[JournalEvent]:
         """Every retained event with ``seq`` strictly greater than ``seq``.
 
-        The tail a consumer replays to catch its cursor up to the head,
-        and the rows a checkpoint cut against a base persists.
+        The tail a rebuild or restore folds on top of a snapshot to reach
+        the head, and the rows a checkpoint cut against a base persists.
         """
         return [e for e in self._snapshot() if e.seq > seq]
 
@@ -257,7 +258,7 @@ class EventJournal:
     def load_from(self, store: StateStore, *, head_seq: int = -1) -> int:
         """Replace contents from ``observability.journal``.
 
-        Events are appended directly (listeners do **not** fire — a
+        Events are appended directly (the sink does **not** hear them — a
         restore replays state, not events) and the sequence counter is
         re-seeded past the highest restored ``seq`` (or *head_seq*, the
         saving journal's head, when it had retained nothing) so new events
@@ -275,11 +276,8 @@ class EventJournal:
                     "violates monotonic order"
                 )
             last_seq = row["seq"]
-        self._events.clear()
-        max_seq = head_seq
-        for row in rows:
-            attributes = row["attributes"] or _NO_ATTRIBUTES
-            event = JournalEvent(
+        events = [
+            JournalEvent(
                 seq=row["seq"],
                 time=row["time"],
                 type=EventType(row["type"]),
@@ -288,10 +286,14 @@ class EventJournal:
                 site=row["site"],
                 trace_id=row["trace_id"],
                 span_id=row["span_id"],
-                attributes=attributes,
+                attributes=row["attributes"] or _NO_ATTRIBUTES,
             )
-            self._events.append(event)
-            max_seq = max(max_seq, event.seq)
-        self._seq = itertools.count(max_seq + 1)
-        self._head_seq = max_seq
-        return len(self._events)
+            for row in rows
+        ]
+        max_seq = max(head_seq, last_seq)
+        with self._lock:
+            self._events.clear()
+            self._events.extend(events)
+            self._seq = itertools.count(max_seq + 1)
+            self._head_seq = max_seq
+            return len(self._events)

@@ -318,15 +318,12 @@ def build_gae(
 
     # Consumers fold journalled state changes into their stores, each
     # fold anchored at what its store holds now (e.g. an imported task
-    # history); the core's dispatch listener goes on the journal after
-    # the instrumentation's own.
+    # history).
     events.register_stores(
         estimators=(estimators.estimate_db, history),
         db_manager=monitoring.db_manager,
         monalisa=monalisa,
     )
-    if instrumentation is not None:
-        events.bind_metrics(instrumentation.metrics)
 
     return GAE(
         grid=grid,

@@ -36,7 +36,7 @@ from __future__ import annotations
 import contextlib
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.events.journal import EventType
+from repro.events.journal import EventType, JournalEvent
 from repro.gridsim.job import JobState
 from repro.observability.health import HealthEngine
 from repro.observability.metrics import MetricsRegistry
@@ -157,10 +157,9 @@ class GAEInstrumentation:
             self.telemetry = TelemetryPipeline(
                 sim,
                 self.metrics,
-                self.journal,
                 window_s=telemetry_window_s,
                 retain=telemetry_retain,
-            ).attach()
+            )
             self.health = HealthEngine(self.telemetry, self.journal, rules=health_rules)
 
         m = self.metrics
@@ -200,8 +199,15 @@ class GAEInstrumentation:
         self._run_time_by_site: Dict[str, Any] = {}
         self._flocks_by_site: Dict[str, Any] = {}
         self._phase_names: Dict[str, Tuple[str, str, str]] = {}
-        events_by_type = {t: self._events_total.bind(type=t.value) for t in EventType}
-        self.journal.listeners.append(lambda event: events_by_type[event.type].inc())
+        self._events_by_type = {t: self._events_total.bind(type=t.value) for t in EventType}
+        eventcore.observe = self._on_event
+
+    def _on_event(self, event: JournalEvent) -> None:
+        """The core's observer: count every live event by type, once in
+        the metrics and once in telemetry's current window."""
+        self._events_by_type[event.type].inc()
+        if self.telemetry is not None:
+            self.telemetry.count(event)
 
     # ------------------------------------------------------------------
     # wiring

@@ -5,7 +5,9 @@ holds its current value and the journal holds raw events, so nothing can
 answer "what was the failure *rate* five minutes ago?" while a run is
 still going.  :class:`TelemetryPipeline` closes that gap: it samples
 every :class:`~repro.observability.metrics.MetricsRegistry` instrument
-and counts journal events onto **sim-clock-aligned windows**, keeping
+and counts journal events onto **sim-clock-aligned windows** (the
+instrumentation, the event core's one observer, hands it each live
+event through :meth:`TelemetryPipeline.count`), keeping
 each resulting series in a bounded ring buffer that speaks the
 :class:`repro.monalisa.TimeSeries` dialect (non-decreasing ``(time,
 value)`` samples, ``window(t0, t1)`` slices, ``as_timeseries()``).
@@ -50,7 +52,7 @@ from typing import (
 )
 
 from repro.monalisa.timeseries import TimeSeries
-from repro.events.journal import EventJournal, JournalEvent
+from repro.events.journal import JournalEvent
 from repro.observability.metrics import (
     Counter,
     Gauge,
@@ -158,8 +160,9 @@ class WindowSeries:
 class TelemetryPipeline:
     """Continuous windowed aggregation on the simulation clock.
 
-    Construction wires nothing; :meth:`attach` subscribes to the journal
-    and :meth:`start` arms the periodic boundary tick (`sim.every`,
+    Construction wires nothing; whoever observes the journal calls
+    :meth:`count` per event, and :meth:`start` arms the periodic boundary
+    tick (`sim.every`,
     aligned so boundaries stay at ``origin + k * window_s`` even across
     a checkpoint/restore).  Each tick closes one window: every registry
     instrument is sampled, journal counts are folded in, and the
@@ -171,7 +174,6 @@ class TelemetryPipeline:
         self,
         sim: Any,
         metrics: MetricsRegistry,
-        journal: EventJournal,
         *,
         window_s: float = 60.0,
         retain: int = 256,
@@ -182,7 +184,6 @@ class TelemetryPipeline:
             raise ValueError("retain must be positive")
         self.sim = sim
         self.metrics = metrics
-        self.journal = journal
         self.window_s = float(window_s)
         self.retain = int(retain)
         self.origin = float(sim.now)
@@ -195,20 +196,12 @@ class TelemetryPipeline:
         self._next_counts: Dict[str, int] = {}
         self._cumulative: Dict[str, int] = {}
         self._handle = None
-        self._listening = False
         self._seeded = False
         #: Called after each closed window with the boundary time — the
         #: scenario engine and tests hook progress off this.
         self.on_window: List[Callable[[float], None]] = []
 
     # -- wiring --------------------------------------------------------
-
-    def attach(self) -> "TelemetryPipeline":
-        """Subscribe to the journal (idempotent)."""
-        if not self._listening:
-            self.journal.listeners.append(self._on_event)
-            self._listening = True
-        return self
 
     def attach_health(self, health: Any) -> None:
         """Evaluate *health* (a HealthEngine) after every closed window."""
@@ -218,7 +211,6 @@ class TelemetryPipeline:
         """Arm the periodic window tick (idempotent while armed)."""
         if self._handle is not None and not self._handle.cancelled:
             return
-        self.attach()
         if not self._seeded:
             self._sample_metrics(self.origin, seed_only=True)
             self._seeded = True
@@ -237,7 +229,8 @@ class TelemetryPipeline:
 
     # -- streaming -----------------------------------------------------
 
-    def _on_event(self, event: JournalEvent) -> None:
+    def count(self, event: JournalEvent) -> None:
+        """Count one journal event into the window its time falls in."""
         target = (
             self._current_counts
             if event.time < self._upcoming_boundary

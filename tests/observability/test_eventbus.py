@@ -49,17 +49,23 @@ class TestJournalFirstWritePath:
         head = gae.observability.journal.head_seq
         assert head > 0
         assert core.cursors() == {name: head for name in CONSUMER_NAMES}
+        # Synchronous dispatch: every consumer folded every event of its
+        # kinds, up to the head — what a cursor could only ever repeat.
+        for consumer in core.consumers.values():
+            assert consumer.events_applied == sum(
+                e.type in consumer.kinds for e in core.journal.events()
+            )
 
-    def test_system_consumers_rpc_reports_cursors_and_lag(self):
+    def test_system_consumers_rpc_reports_the_head(self):
         gae, _ = demo_at()
         with gae.client("demo", "demo") as client:
             snap = client.call("system.consumers")
         assert snap["enabled"]
+        assert snap["journal_head_seq"] == gae.events.journal.head_seq > 0
         rows = {row["name"]: row for row in snap["consumers"]}
         assert set(rows) == set(CONSUMER_NAMES)
         for row in rows.values():
-            assert row["cursor"] == snap["journal_head_seq"]
-            assert row["lag"] == 0
+            assert set(row) == {"name", "kinds", "namespaces"}
 
     def test_snapshot_is_restore_invariant(self):
         """Process-local diagnostics stay out of the RPC snapshot."""
@@ -69,25 +75,18 @@ class TestJournalFirstWritePath:
             assert "events_applied" not in row
             assert "baseline_seq" not in row
 
-    def test_cursor_and_lag_gauges_bound(self):
+    def test_no_consumer_gauge_that_can_only_read_the_head(self):
         gae, _ = demo_at()
         metrics = gae.observability.metrics.snapshot()
-        head = float(gae.observability.journal.head_seq)
-        for name in CONSUMER_NAMES:
-            cursor = metrics[f"gae_consumer_{name}_cursor"]
-            lag = metrics[f"gae_consumer_{name}_lag"]
-            assert cursor["kind"] == "gauge"
-            assert cursor["values"][""] == head
-            assert lag["kind"] == "gauge"
-            assert lag["values"][""] == 0.0
+        assert not [name for name in metrics if name.startswith("gae_consumer_")]
+        # The journal's own size and the per-type counts are the instruments.
+        head = gae.observability.journal.head_seq
+        counted = metrics["gae_task_events_total"]["values"]
+        assert sum(counted.values()) == head + 1
 
 
 class Boom(RuntimeError):
     pass
-
-
-def raising_listener(event):
-    raise Boom(f"listener choked on seq {event.seq}")
 
 
 class PoisonedConsumer(JournalConsumer):
@@ -113,9 +112,8 @@ class PoisonedConsumer(JournalConsumer):
 
 
 class TestNobodyIsStarved:
-    """An event that is in the journal reaches every listener and every
-    consumer, whoever raised before them; the producer still hears the
-    first exception."""
+    """An event that is in the journal reaches every consumer, whoever
+    raised before them; the producer still hears the first exception."""
 
     @staticmethod
     def write_through_every_producer(gae, job):
@@ -143,18 +141,6 @@ class TestNobodyIsStarved:
         assert gae.monalisa.job_events(task_id=task_id)[-1].progress == 0.5
         for report in core.verify_all():
             assert report["covered"] and report["identical"], report
-
-    def test_a_raising_listener_registered_first(self):
-        gae, job = demo_at(100.0)
-        journal = gae.events.journal
-        head_before = journal.head_seq
-        heard = []
-        journal.listeners.insert(0, raising_listener)
-        journal.listeners.append(heard.append)
-        task_id = self.write_through_every_producer(gae, job)
-        journal.listeners.remove(raising_listener)
-        assert [e.seq for e in heard] == list(range(head_before + 1, journal.head_seq + 1))
-        self.check_stores_kept_up(gae, task_id, head_before)
 
     def test_a_raising_consumer_registered_first(self):
         gae, job = demo_at(100.0)
@@ -191,7 +177,7 @@ class TestBareHost:
         head = gae.events.journal.head_seq
         assert snap["enabled"] and snap["journal_head_seq"] == head > 0
         assert [row["name"] for row in snap["consumers"]] == list(CONSUMER_NAMES)
-        assert {(row["cursor"], row["lag"]) for row in snap["consumers"]} == {(head, 0)}
+        assert gae.events.cursors() == dict.fromkeys(CONSUMER_NAMES, head)
         assert client.call("system.observability") == {"enabled": False}
         # Nothing retained, so a fold past its baseline is not rebuildable
         # — and says so, instead of passing on an empty window.
@@ -313,6 +299,35 @@ class TestOnePath:
             and any(isinstance(c, ast.Constant) and c.value is None for c in node.comparators)
         ]
         assert compared == []
+
+    def test_the_journal_has_one_sink_and_the_core_installs_it(self):
+        """No reader list on the journal, and the only journal reader any
+        module under ``src/`` installs is the core's dispatch."""
+        assert not hasattr(EventJournal(clock=lambda: 0.0), "listeners")
+        [journal_cls] = [
+            node
+            for path, tree in self.trees() if path == "repro/events/journal.py"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "EventJournal"
+        ]
+        assert "listeners" not in {
+            node.attr for node in ast.walk(journal_cls) if isinstance(node, ast.Attribute)
+        }
+        touched = set()
+        for path, tree in self.trees():
+            for node in ast.walk(tree):
+                # journal.listeners.<anything>(...) / journal.listeners = ...
+                if (isinstance(node, ast.Attribute) and node.attr == "listeners"
+                        and "journal" in ast.unparse(node.value)):
+                    touched.add((path, ast.unparse(node)))
+                # <x>.sink = ..., anywhere but a class's own ``self.sink``
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if (isinstance(target, ast.Attribute) and target.attr == "sink"
+                                and ast.unparse(target.value) != "self"):
+                            touched.add((path, f"{ast.unparse(target)} = "
+                                               f"{ast.unparse(node.value)}"))
+        assert touched == {("repro/events/core.py", "journal.sink = self._dispatch")}
 
     def test_the_write_path_imports_nothing_from_its_instruments(self):
         imported = {

@@ -18,9 +18,8 @@ from repro.observability.telemetry import TelemetryPipeline
 def make_stack(rules=None, window_s=10.0):
     sim = Simulator()
     journal = EventJournal(lambda: sim.now)
-    pipe = TelemetryPipeline(
-        sim, MetricsRegistry(), journal, window_s=window_s
-    ).attach()
+    pipe = TelemetryPipeline(sim, MetricsRegistry(), window_s=window_s)
+    journal.sink = pipe.count
     engine = HealthEngine(pipe, journal, rules=rules)
     pipe.start()
     return sim, journal, pipe, engine

@@ -1,8 +1,12 @@
 """Unit tests for the append-only lifecycle event journal."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.events.journal import EventJournal, EventType
+from repro.store.memory import MemoryStore
 
 
 class FakeClock:
@@ -44,9 +48,9 @@ class TestRecord:
         event = journal.record(EventType.MOVED, "t1", old="a", new="b")
         assert event.attributes == {"old": "a", "new": "b"}
 
-    def test_listeners_notified(self, journal):
+    def test_the_sink_hears_every_event(self, journal):
         seen = []
-        journal.listeners.append(seen.append)
+        journal.sink = seen.append
         journal.record(EventType.KILLED, "t1")
         assert [e.type for e in seen] == [EventType.KILLED]
 
@@ -102,7 +106,7 @@ class TestRetention:
     def test_zero_capacity_sequences_and_dispatches_but_retains_nothing(self, clock):
         journal = EventJournal(clock, capacity=0)
         seen = []
-        journal.listeners.append(seen.append)
+        journal.sink = seen.append
         events = [journal.record(EventType.STARTED, f"t{i}") for i in range(3)]
         assert seen == events
         assert [e.seq for e in events] == [0, 1, 2]
@@ -129,8 +133,6 @@ class TestRetention:
             assert tail == list(range(seq + 1, journal.head_seq + 1))
 
     def test_restored_journal_continues_past_a_head_it_did_not_retain(self, clock):
-        from repro.store.memory import MemoryStore
-
         source = EventJournal(clock, capacity=0)
         for i in range(4):
             source.record(EventType.STARTED, f"t{i}")
@@ -140,3 +142,40 @@ class TestRetention:
         target.load_from(store, head_seq=source.head_seq)
         assert target.head_seq == 3
         assert target.record(EventType.STARTED, "next").seq == 4
+
+
+class TestConcurrentProducers:
+    """Producers on several threads (the aio workers journal steering
+    verbs) still get one order: ``seq`` order is retained order is the
+    order the sink hears."""
+
+    THREADS, RECORDS = 4, 20_000
+
+    def test_retained_and_sink_order_are_seq_order(self, clock):
+        journal = EventJournal(clock, capacity=self.THREADS * self.RECORDS)
+        heard = []
+        journal.sink = heard.append
+
+        def produce(n):
+            for _ in range(self.RECORDS):
+                journal.record(EventType.STARTED, f"t{n}")
+
+        threads = [threading.Thread(target=produce, args=(n,)) for n in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the VM allows
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+
+        expected = list(range(self.THREADS * self.RECORDS))
+        assert [e.seq for e in journal.events()] == expected
+        assert [e.seq for e in heard] == expected
+        assert journal.head_seq == expected[-1]
+        store = MemoryStore()
+        journal.save_to(store)
+        restored = EventJournal(clock)
+        assert restored.load_from(store) == len(expected)

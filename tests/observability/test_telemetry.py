@@ -27,9 +27,8 @@ def make_pipeline(window_s=10.0, retain=64, start=0.0):
     sim = Simulator(start=start)
     metrics = MetricsRegistry()
     journal = EventJournal(lambda: sim.now)
-    pipe = TelemetryPipeline(
-        sim, metrics, journal, window_s=window_s, retain=retain
-    ).attach()
+    pipe = TelemetryPipeline(sim, metrics, window_s=window_s, retain=retain)
+    journal.sink = pipe.count
     return sim, metrics, journal, pipe
 
 

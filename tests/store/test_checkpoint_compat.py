@@ -75,6 +75,20 @@ def test_a_parent_written_checkpoint_restores_to_the_parents_answers(build):
     assert gae.sim.now == T_CHECKPOINT
     assert (gae.observability is not None) == BUILDS[build]
     assert service_answers(gae) == expected["at_barrier"]
+    if BUILDS[build]:
+        # The file stored consumer cursor/lag gauges nothing binds any
+        # more; restore re-creates them by name, valueless, and the
+        # answers above do not depend on them.
+        stale = {
+            name: state for name, state in gae.observability.metrics.snapshot().items()
+            if name.startswith("gae_consumer_")
+        }
+        assert sorted(stale) == [
+            f"gae_consumer_{consumer}_{gauge}"
+            for consumer in ("accounting", "estimators", "monalisa", "monitoring")
+            for gauge in ("cursor", "lag")
+        ]
+        assert all(s["kind"] == "gauge" and s["values"] == {} for s in stale.values())
     run_to_completion(gae)
     assert service_answers(gae) == expected["at_completion"]
 

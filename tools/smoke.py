@@ -228,7 +228,7 @@ def smoke_restore(tmp: Path) -> None:
         [cell.strip() for cell in line.strip("|").split("|")]
         for line in replay.splitlines() if line.startswith("|")
     ]
-    check(rows[0] == ["consumer", "cursor", "baseline", "folded", "covered", "verdict"],
+    check(rows[0] == ["consumer", "baseline", "folded", "covered", "verdict"],
           f"journal replay: unexpected columns {rows[0]}")
     verdicts = {row[0]: row[-1] for row in rows[2:]}
     check(verdicts == dict.fromkeys(CONSUMER_NAMES, "identical"),
