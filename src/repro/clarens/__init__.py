@@ -24,8 +24,9 @@ This subpackage reproduces that framework in Python:
 - :mod:`repro.clarens.middleware` — the call pipeline every dispatch flows
   through (recorder → auth → ACL → read cache → user middlewares → invoke);
 - :mod:`repro.clarens.telemetry` — the ``system.stats`` and worker-pool
-  views over the host's metrics registry (``host.metrics``), plus the
-  bounded trace ring behind ``system.recent_calls``;
+  views over the host's metrics registry (``host.metrics``); each call's
+  record is its ``rpc:`` span on ``host.tracer``, read back by
+  ``system.recent_calls``;
 - :mod:`repro.clarens.client` — proxy objects over pluggable transports;
 - :mod:`repro.clarens.transport` — loopback, XML-RPC and async framed
   transports;
@@ -63,8 +64,6 @@ from repro.clarens.api import (  # noqa: F401  (re-exported surface)
     ServiceProxy,
     ServiceRegistry,
     SocketTransport,
-    TraceLog,
-    TraceRecord,
     Transport,
     TransportClosedError,
     TransportError,
@@ -110,8 +109,6 @@ __all__ = [
     "ServiceProxy",
     "ServiceRegistry",
     "SocketTransport",
-    "TraceLog",
-    "TraceRecord",
     "Transport",
     "TransportClosedError",
     "TransportError",

@@ -175,15 +175,15 @@ class _WorkerBridge:
     ) -> bytes:
         stats = self._stats
         clk = time.perf_counter
-        method = ""
         collect: Dict[str, Any] = {}
-        decode_s = dispatch_s = encode_s = 0.0
-        outcome = "error"
+        decode_s: Optional[float] = None
+        encode_s = 0.0
+        t0 = clk()
         try:
-            t0 = clk()
             method, wire_token, params = codec.decode_request(payload)
             token, trace_id = decode_trace_token(wire_token)
             decode_s = clk() - t0
+            stats.record_stage("decode", decode_s)
             t0 = clk()
             try:
                 result = self._host.dispatch(
@@ -195,58 +195,24 @@ class _WorkerBridge:
                     collect=collect,
                 )
             finally:
-                dispatch_s = clk() - t0
+                stats.record_stage("dispatch", clk() - t0, ok=collect.get("outcome") == "ok")
             t0 = clk()
             body = codec.encode_response(result)
             encode_s = clk() - t0
-            outcome = "ok"
-        except ClarensFault as exc:
-            body = codec.encode_fault(exc.code, exc.message)
-            outcome = "fault"
-        except Exception as exc:  # encode failure etc.: never drop a reply
-            body = codec.encode_fault(500, f"{type(exc).__name__}: {exc}")
-        stats.record_stage("decode", decode_s)
-        if dispatch_s:
-            stats.record_stage("dispatch", dispatch_s, ok=outcome == "ok")
-        if encode_s:
             stats.record_stage("encode", encode_s)
-        self._annotate(method, label, collect, decode_s, dispatch_s, encode_s, outcome)
+        except Exception as exc:  # a fault, or an encode failure: never drop a reply
+            if decode_s is None:  # the frame never decoded
+                stats.record_stage("decode", clk() - t0, ok=False)
+            if isinstance(exc, ClarensFault):
+                body = codec.encode_fault(exc.code, exc.message)
+            else:
+                body = codec.encode_fault(500, f"{type(exc).__name__}: {exc}")
+        if collect.get("span_id"):
+            # The stage timings ride on the call's own span.
+            self._host.tracer.update(
+                collect["span_id"], decode_ms=decode_s * 1000.0, encode_ms=encode_s * 1000.0
+            )
         return encode_frame(REPLY, request_id, body)
-
-    def _annotate(
-        self,
-        method: str,
-        label: str,
-        collect: Dict[str, Any],
-        decode_s: float,
-        dispatch_s: float,
-        encode_s: float,
-        outcome: str,
-    ) -> None:
-        """One ``aio.call`` instant span per dispatched call.
-
-        Wall-clock stage costs (decode → dispatch → encode on the worker
-        thread) ride as attributes on the *call's* trace, so a traced
-        read shows where its time went server-side — including whether
-        the reply was ``served_from`` the cache instead of executed.
-        """
-        obs = self._host.observability
-        trace_id = collect.get("trace_id")
-        if obs is None or not trace_id:
-            return
-        obs.tracer.instant(
-            f"aio:{method}" if method else "aio:<undecodable>",
-            trace_id=trace_id,
-            attributes={
-                "transport": label,
-                "decode_ms": decode_s * 1000.0,
-                "dispatch_ms": dispatch_s * 1000.0,
-                "encode_ms": encode_s * 1000.0,
-                "served_from": collect.get("served_from", "execute"),
-                "outcome": collect.get("outcome", outcome),
-            },
-            status="ok" if outcome == "ok" else "error",
-        )
 
 
 class AsyncSocketServerHandle:

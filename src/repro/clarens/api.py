@@ -45,7 +45,7 @@ from repro.clarens.middleware import CallContext, Middleware
 from repro.clarens.registry import ServiceRegistry, clarens_method
 from repro.clarens.serialization import MulticallResult, from_wire, to_wire
 from repro.clarens.server import ClarensHost, XmlRpcServerHandle
-from repro.clarens.telemetry import CallStats, TraceLog, TraceRecord, new_trace_id
+from repro.clarens.telemetry import CallStats
 from repro.clarens.transport import (
     AsyncSocketTransport,
     LoopbackTransport,
@@ -53,6 +53,7 @@ from repro.clarens.transport import (
     Transport,
     parse_framed_address,
 )
+from repro.observability.tracing import new_trace_id
 
 __all__ = [
     "ANONYMOUS",
@@ -83,8 +84,6 @@ __all__ = [
     "ServiceProxy",
     "ServiceRegistry",
     "SocketTransport",
-    "TraceLog",
-    "TraceRecord",
     "Transport",
     "TransportClosedError",
     "TransportError",

@@ -35,13 +35,13 @@ from repro.clarens.errors import ClarensFault, fault_from_code
 from repro.clarens.readcache import canonical_args
 from repro.clarens.serialization import MulticallResult
 from repro.clarens.server import ClarensHost
-from repro.clarens.telemetry import new_trace_id
 from repro.clarens.transport import (
     AsyncSocketTransport,
     LoopbackTransport,
     SocketTransport,
     Transport,
 )
+from repro.observability.tracing import new_trace_id
 
 
 def resolve_transport(

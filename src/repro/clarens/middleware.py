@@ -8,7 +8,7 @@ the context, short-circuit by raising (or returning without calling
 
 The built-in chain, outermost first::
 
-    RecorderMiddleware    # times the call once: TraceRecord + host.metrics
+    RecorderMiddleware    # times the call once: its rpc: span + host.metrics
     AuthenticationMiddleware   # token -> Principal (skipped when pre-set)
     AclMiddleware         # anonymous/ACL enforcement
     ReadCacheMiddleware   # epoch-keyed read cache (repro.clarens.readcache)
@@ -30,7 +30,6 @@ from repro.clarens.errors import (
     AuthorizationError,
     ClarensFault,
 )
-from repro.clarens.telemetry import CallStats, TraceLog, TraceRecord
 
 #: A middleware: receives the call context and the next handler in the chain.
 Middleware = Callable[["CallContext", Callable[["CallContext"], Any]], Any]
@@ -56,7 +55,7 @@ class CallContext:
         "transport",
         "principal",
         "entry",
-        "started",
+        "span_id",
         "duration_ms",
         "outcome",
         "served_from",
@@ -73,7 +72,6 @@ class CallContext:
         trace_id: str = "",
         transport: str = "inproc",
         principal: Optional[Principal] = None,
-        started: float = 0.0,
     ) -> None:
         self.method_path = method_path
         self.params = params
@@ -85,7 +83,8 @@ class CallContext:
         self.principal = principal
         #: Resolved MethodEntry, cached by the ACL middleware.
         self.entry: Any = None
-        self.started = started
+        #: The call's ``rpc:`` span on the host tracer, set by the recorder.
+        self.span_id = ""
         self.duration_ms = 0.0
         self.outcome = ""          # "" while in flight; "ok"/"fault"/"error" after
         #: "execute" normally; "cache" when ReadCacheMiddleware answered,
@@ -168,28 +167,36 @@ class AclMiddleware:
 
 
 class RecorderMiddleware:
-    """Times each call once and records it: trace ring and call metrics.
+    """Times each call once and records it: its span and the call metrics.
 
-    Outermost, so its one timing pair covers the whole pipeline and its
-    record reflects the final outcome after every other middleware: it
-    stamps ``ctx.duration_ms`` / ``ctx.outcome``, appends the
-    :class:`TraceRecord` and counts the call in :class:`CallStats`.
+    Outermost, so every call gets its record — cache hits and calls the
+    auth or ACL stage rejects too — and the record reflects the final
+    outcome after every other middleware.  It opens the call's
+    ``rpc:<method>`` span on ``host.tracer`` (read per call: an
+    instrumented build swaps in its own), stamps ``ctx.duration_ms`` /
+    ``ctx.outcome``, finishes the span with them and counts the call in
+    ``host.stats``.  ``system.recent_calls`` reads those spans back.
     """
 
-    def __init__(self, stats: CallStats, log: TraceLog, registry: Any) -> None:
-        self.stats = stats
-        self.log = log
-        self._registry = registry
+    def __init__(self, host: Any) -> None:
+        self._host = host
 
     def _method_label(self, ctx: CallContext) -> str:
         if ctx.entry is None:  # failed before the ACL stage resolved it
             try:
-                self._registry.resolve(ctx.method_path)
+                self._host.registry.resolve(ctx.method_path)
             except ClarensFault:
                 return UNKNOWN_METHOD
         return ctx.method_path
 
     def __call__(self, ctx: CallContext, call_next: Callable[[CallContext], Any]) -> Any:
+        tracer = self._host.tracer
+        span = tracer.start_span(
+            f"rpc:{ctx.method_path}",
+            trace_id=ctx.trace_id,
+            attributes={"method": ctx.method_path, "transport": ctx.transport},
+        )
+        ctx.span_id = span.span_id
         t0 = time.perf_counter()
         try:
             result = call_next(ctx)
@@ -208,19 +215,17 @@ class RecorderMiddleware:
         finally:
             ctx.duration_ms = (time.perf_counter() - t0) * 1000.0
             principal = ctx.principal
-            self.log.append(TraceRecord(
-                trace_id=ctx.trace_id,
-                method=ctx.method_path,
-                transport=ctx.transport,
-                principal=principal.user if principal is not None else "",
-                started=ctx.started,
-                duration_ms=ctx.duration_ms,
-                outcome=ctx.outcome,
-                code=ctx.fault_code,
-                error=ctx.fault_message,
-                served_from=ctx.served_from,
-            ))
-            self.stats.record(
+            fields = span.attributes
+            fields["principal"] = principal.user if principal is not None else ""
+            fields["duration_ms"] = ctx.duration_ms
+            fields["outcome"] = ctx.outcome
+            if ctx.served_from != "execute":
+                fields["served_from"] = ctx.served_from
+            if ctx.outcome != "ok":
+                fields["code"] = ctx.fault_code
+                fields["error"] = ctx.fault_message
+            tracer.end_span(span, status="ok" if ctx.outcome == "ok" else "error")
+            self._host.stats.record(
                 self._method_label(ctx),
                 ctx.outcome,
                 ctx.duration_ms,

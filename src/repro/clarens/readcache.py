@@ -37,9 +37,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.observability.metrics import MetricsRegistry
+if TYPE_CHECKING:  # annotation only: importing the package here closes an import cycle
+    from repro.observability.metrics import MetricsRegistry
 
 __all__ = [
     "CANONICAL_EPOCHS",

@@ -9,8 +9,9 @@ it flows through an explicit **middleware pipeline**
     recorder → authentication → ACL → read cache → [user middlewares] → invoke
 
 so every hosted service inherits per-method latency metrics
-(``system.stats``), a queryable trace ring (``system.recent_calls``) and
-trace-id propagation for free.  ``host.add_middleware()`` extends the
+(``system.stats``), one ``rpc:`` span per call on the host's tracer
+(``host.tracer``, read back by ``system.recent_calls``) and trace-id
+propagation for free.  ``host.add_middleware()`` extends the
 chain.  Every count and latency the RPC layer keeps lives once, in the
 host's own ``MetricsRegistry`` (``host.metrics``); ``system.stats``,
 ``system.cache`` and the webui ``/metrics`` page are views over it.
@@ -55,13 +56,45 @@ from repro.clarens.serialization import (
     decode_trace_token,
     to_wire,
 )
-from repro.clarens.telemetry import CallStats, TraceLog, WorkerPoolStats, new_trace_id
+from repro.clarens.telemetry import CallStats, WorkerPoolStats
 from repro.observability.metrics import MetricsRegistry
+from repro.observability.tracing import Span, Tracer, new_trace_id
 
 __all__ = [
     "ClarensHost",
     "XmlRpcServerHandle",
 ]
+
+#: Spans a host's own tracer keeps: its recent-calls ring.  An
+#: instrumented build replaces the tracer with its larger job-trace ring.
+TRACE_CAPACITY = 256
+#: Attributes the async front end adds to a call's span, listed with it.
+_STAGE_FIELDS = ("decode_ms", "encode_ms")
+
+
+def _call_row(span: Span) -> Optional[Dict[str, Any]]:
+    """A finished ``rpc:`` span as its ``system.recent_calls`` row, or
+    ``None`` for any other span and for a restored one without the
+    recorder's fields."""
+    if span.end is None or not span.name.startswith("rpc:"):
+        return None
+    fields = span.attributes
+    if "outcome" not in fields:
+        return None
+    row = {
+        "trace_id": fields.get("adopted_from", span.trace_id),
+        "method": fields["method"],
+        "transport": fields["transport"],
+        "principal": fields["principal"],
+        "started": span.start,
+        "duration_ms": fields["duration_ms"],
+        "outcome": fields["outcome"],
+        "code": fields.get("code", 0),
+        "error": fields.get("error", ""),
+        "served_from": fields.get("served_from", "execute"),
+    }
+    row.update((key, fields[key]) for key in _STAGE_FIELDS if key in fields)
+    return row
 
 
 class _SystemService:
@@ -182,18 +215,24 @@ class _SystemService:
 
     @clarens_method(anonymous=True)
     def recent_calls(self, limit: int = 50, trace_id: str = "") -> List[Dict[str, Any]]:
-        """The newest finished calls from the host's trace ring buffer.
+        """The newest *limit* finished calls: the ``rpc:`` spans of the host tracer.
 
-        Each record carries ``trace_id``, ``method``, ``transport``,
-        ``principal``, ``started``, ``duration_ms``, ``outcome``,
-        ``served_from`` (``execute`` / ``cache`` / ``coalesced``) and (for
-        failures) ``code``/``error``.  Filter to one trace with
-        *trace_id*; records arrive oldest-first.
+        Each row carries ``trace_id`` (the call's own id, also when the
+        span was re-homed onto a job trace), ``method`` (the path as
+        sent), ``transport``, ``principal``, ``started``,
+        ``duration_ms``, ``outcome``, ``served_from`` (``execute`` /
+        ``cache``) and ``code``/``error`` (``0``/``""`` unless it
+        failed); calls served over the async socket add ``decode_ms`` /
+        ``encode_ms``.  Filter to one call id with *trace_id*; rows
+        arrive oldest start first, so a multicall precedes its sub-calls.
         """
-        records = self._host.traces.snapshot(
-            limit=int(limit), trace_id=trace_id or None
-        )
-        return [r.to_wire() for r in records]
+        rows = []
+        for span in self._host.tracer.spans():
+            row = _call_row(span)
+            if row is not None and (not trace_id or row["trace_id"] == trace_id):
+                rows.append(row)
+        limit = int(limit)
+        return rows[len(rows) - min(limit, len(rows)):] if limit >= 0 else rows
 
     @clarens_method(anonymous=True, pass_context=True)
     def multicall(self, ctx: CallContext, calls: List[Dict[str, Any]]) -> List[MulticallResult]:
@@ -294,7 +333,6 @@ class ClarensHost:
         users: Optional[UserDatabase] = None,
         acl: Optional[AccessControlList] = None,
         session_lifetime_s: float = 3600.0,
-        trace_capacity: int = 256,
         read_cache_capacity: int = 4096,
         read_cache_enabled: bool = True,
     ) -> None:
@@ -310,7 +348,10 @@ class ClarensHost:
         #: ``read_cache`` and ``worker_pools`` are views over it.
         self.metrics = MetricsRegistry()
         self.stats = CallStats(self.metrics)
-        self.traces = TraceLog(capacity=trace_capacity)
+        #: Where every call's ``rpc:`` span lives (on the host clock).
+        #: ``build_gae`` with observability installs the instrumentation's
+        #: tracer here, so a steering call joins its job's trace.
+        self.tracer = Tracer(time_source, capacity=TRACE_CAPACITY)
         #: Epoch counters every mutating subsystem bumps (``wire_epochs``).
         self.epochs = EpochRegistry()
         #: The epoch-keyed result cache behind ``ReadCacheMiddleware``,
@@ -342,7 +383,7 @@ class ClarensHost:
     # ------------------------------------------------------------------
     def _build_pipeline(self) -> Callable[[CallContext], Any]:
         chain: List[Middleware] = [
-            RecorderMiddleware(self.stats, self.traces, self.registry),
+            RecorderMiddleware(self),
             AuthenticationMiddleware(self.auth),
             AclMiddleware(self.registry, self.acl),
             ReadCacheMiddleware(self.read_cache),
@@ -412,10 +453,10 @@ class ClarensHost:
         exception inside the method surfaces as :class:`RemoteFault`
         carrying the original message.
 
-        *collect*, when given, receives ``trace_id``, ``outcome`` and
-        ``served_from`` from the finished context (filled even when the
-        call faults) — how the async front end annotates its stage spans
-        without re-parsing the reply.
+        *collect*, when given, receives ``trace_id``, ``outcome``,
+        ``served_from`` and ``span_id`` (the call's ``rpc:`` span) from the
+        finished context, filled even when the call faults — how the async
+        front end adds its stage timings to the call's span.
         """
         ctx = CallContext(
             method_path=method_path,
@@ -423,7 +464,6 @@ class ClarensHost:
             token=token,
             trace_id=trace_id or new_trace_id(),
             transport=transport,
-            started=self.time_source(),
         )
         try:
             return self._pipeline(ctx)
@@ -432,6 +472,7 @@ class ClarensHost:
                 collect["trace_id"] = ctx.trace_id
                 collect["outcome"] = ctx.outcome
                 collect["served_from"] = ctx.served_from
+                collect["span_id"] = ctx.span_id
 
     def invoke_as(
         self, principal: Principal, method_path: str, params: Sequence[Any]
@@ -447,7 +488,6 @@ class ClarensHost:
             params=list(params),
             trace_id=new_trace_id(),
             principal=principal,
-            started=self.time_source(),
         )
         return self._pipeline(ctx)
 
@@ -467,7 +507,6 @@ class ClarensHost:
             trace_id=parent.trace_id,
             transport=parent.transport,
             principal=parent.principal,
-            started=self.time_source(),
         )
         return self._pipeline(ctx)
 

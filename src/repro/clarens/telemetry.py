@@ -1,22 +1,18 @@
-"""What the call pipeline remembers: metric views and the trace ring.
+"""The RPC layer's metric views.
 
 Every count and latency of the RPC layer lives once, in ``ClarensHost.metrics``
 (wall-clock, process-local, never checkpointed).  :class:`CallStats` and
 :class:`WorkerPoolStats` write and read its ``gae_rpc_*`` / ``gae_aio_worker_*``
 instruments and hold no numbers of their own, so ``system.stats`` and
-``/metrics`` cannot disagree.  :class:`TraceRecord` / :class:`TraceLog` are the
-bounded ring behind ``system.recent_calls``.
+``/metrics`` cannot disagree.  The per-call record is not kept here: it is
+the call's ``rpc:`` span on ``ClarensHost.tracer``.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import new_trace_id  # noqa: F401  (shared with job traces)
 
 
 def _timing_ms(summary: Dict[str, float]) -> Dict[str, float]:
@@ -145,56 +141,3 @@ class WorkerPoolStats:
                 stages[stage] = {"count": int(summary["count"]), "faults": int(faults.value())}
                 stages[stage].update(_timing_ms(summary))
         return snap
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One finished call as kept in the trace ring buffer."""
-
-    trace_id: str
-    method: str
-    transport: str
-    principal: str
-    started: float          # host time_source timestamp (sim or wall clock)
-    duration_ms: float
-    outcome: str            # "ok" | "fault" | "error"
-    code: int = 0           # fault code when outcome != "ok"
-    error: str = ""
-    served_from: str = "execute"  # "execute" | "cache" | "coalesced"
-
-    def to_wire(self) -> Dict[str, Any]:
-        return asdict(self)
-
-
-class TraceLog:
-    """Bounded, thread-safe ring buffer of :class:`TraceRecord`."""
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError("trace capacity must be positive")
-        self.capacity = capacity
-        self._records: deque = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-
-    def append(self, record: TraceRecord) -> None:
-        with self._lock:
-            self._records.append(record)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def snapshot(
-        self, limit: Optional[int] = None, trace_id: Optional[str] = None
-    ) -> List[TraceRecord]:
-        """Records in chronological order, optionally filtered/limited.
-
-        *limit* keeps the **newest** N records after filtering.
-        """
-        with self._lock:
-            records = list(self._records)
-        if trace_id is not None:
-            records = [r for r in records if r.trace_id == trace_id]
-        if limit is not None and limit >= 0:
-            records = records[len(records) - min(limit, len(records)):]
-        return records

@@ -61,6 +61,7 @@ from repro.clarens.framing import (
 from repro.clarens.framing import ERROR as ERROR_FRAME
 from repro.clarens.serialization import encode_trace_token, from_wire, to_wire
 from repro.clarens.server import ClarensHost
+from repro.observability.tracing import new_trace_id
 
 
 class Transport(abc.ABC):
@@ -354,8 +355,6 @@ class AsyncSocketTransport(Transport):
         limit = self._pipeline_window if window is None else max(1, window)
         tracer = self.tracer
         if tracer is not None and not trace_id:
-            from repro.clarens.telemetry import new_trace_id
-
             trace_id = new_trace_id()
         wire_token = encode_trace_token(token, trace_id)
         codec = self.codec

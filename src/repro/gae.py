@@ -185,11 +185,15 @@ def build_gae(
         When true (the default) the end-to-end tracing/journal/metrics
         layer is attached: per-job traces through scheduler, pools,
         steering and MonALISA, lifecycle events in the journal, the
-        unified metrics registry, the ``system.observability`` Clarens
-        method, and an ``rpc:*`` span per dispatched call — and the
-        journal retains its rows, which only this layer reads back.
-        ``False`` means no tracer, no lifecycle events and nothing
-        retained; state is written through the journal either way.
+        unified metrics registry and the ``system.observability`` Clarens
+        method — and the journal retains its rows, which only this layer
+        reads back.  Its sim-clock tracer becomes the host's
+        (``host.tracer``), so every call's ``rpc:*`` span lands in the
+        job-trace ring (8 192 spans, checkpointed; ``system.recent_calls``
+        of a restored host lists the calls that ring held) and a steering
+        call joins its job's trace.  ``False`` means no job tracer (the
+        host keeps its own 256-span call ring), no lifecycle events and
+        nothing retained; state is written through the journal either way.
     telemetry:
         When true (and observability is on) the streaming telemetry
         pipeline samples every metric and journal rate onto sim-aligned
@@ -314,7 +318,7 @@ def build_gae(
             monalisa=monalisa,
         )
         host.observability = instrumentation
-        host.add_middleware(instrumentation.middleware())
+        host.tracer = instrumentation.tracer
 
     # Consumers fold journalled state changes into their stores, each
     # fold anchored at what its store holds now (e.g. an imported task

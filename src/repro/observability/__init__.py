@@ -15,9 +15,9 @@ correlated trace:
 - :mod:`repro.observability.instrument` — ``GAEInstrumentation``, the
   wiring that subscribes all of the above to a built GAE and journals
   the typed lifecycle events into the GAE's :mod:`repro.events` journal
-  (the write path, which exists with or without this package), plus
-  the ``ObservabilityMiddleware`` that joins Clarens call trace ids
-  with job traces;
+  (the write path, which exists with or without this package); its
+  tracer is the Clarens host's too (``host.tracer``), so the host's
+  ``rpc:`` call spans join the job traces;
 - :mod:`repro.observability.export` — JSONL export of spans + journal
   events, validated against ``docs/schemas/trace_export.schema.json``.
 """
@@ -28,7 +28,7 @@ from repro.observability.export import (
     load_export,
     validate_export_file,
 )
-from repro.observability.instrument import GAEInstrumentation, ObservabilityMiddleware
+from repro.observability.instrument import GAEInstrumentation
 from repro.observability.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.observability.tracing import Span, SpanContext, Tracer, render_span_tree
 
@@ -39,7 +39,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ObservabilityMiddleware",
     "Span",
     "SpanContext",
     "Tracer",

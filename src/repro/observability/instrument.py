@@ -26,9 +26,10 @@ them to every layer a job touches:
 - execution services — ``fail``/``recover`` drive the
   ``gae_execution_service_up`` gauge.
 
-:class:`ObservabilityMiddleware` is the Clarens end of the same story:
-installed via ``host.add_middleware``, it opens an ``rpc:<method>`` span
-per dispatched call under the call's wire trace id.
+The Clarens end of the same story needs no middleware of its own:
+``build_gae`` installs this tracer as the host's (``host.tracer``), so the
+host's recorder opens each call's ``rpc:<method>`` span here, under the
+call's wire trace id, where a steering verb can adopt it.
 """
 
 from __future__ import annotations
@@ -44,37 +45,10 @@ from repro.observability.telemetry import TelemetryPipeline
 from repro.observability.tracing import SpanContext, Tracer, new_trace_id
 from repro.store.registry import OBSERVABILITY_TELEMETRY, namespace_record
 
-if TYPE_CHECKING:  # annotation only: both import chains lead back here
-    from repro.clarens.middleware import CallContext
+if TYPE_CHECKING:  # annotation only: the import chain leads back here
     from repro.events.core import EventCore
 
-__all__ = ["GAEInstrumentation", "ObservabilityMiddleware"]
-
-
-class ObservabilityMiddleware:
-    """Clarens middleware: one ``rpc:<method>`` span per dispatched call.
-
-    The span lives under the *call's* trace id (client-propagated or
-    minted by ``ClarensHost.dispatch``); multicall sub-calls nest
-    because the parent RPC span is still active on the thread.
-    """
-
-    def __init__(self, tracer: Tracer) -> None:
-        self.tracer = tracer
-
-    def __call__(self, ctx: CallContext, call_next) -> Any:
-        span = self.tracer.start_span(
-            f"rpc:{ctx.method_path}",
-            trace_id=ctx.trace_id,
-            attributes={"method": ctx.method_path, "transport": ctx.transport},
-        )
-        try:
-            result = call_next(ctx)
-        except BaseException:
-            self.tracer.end_span(span, status="error")
-            raise
-        self.tracer.end_span(span, status="ok")
-        return result
+__all__ = ["GAEInstrumentation"]
 
 
 class _TaskTrace:
@@ -137,14 +111,13 @@ class GAEInstrumentation:
         sim,
         eventcore: EventCore,
         *,
-        span_capacity: int = 8192,
         telemetry: bool = True,
         telemetry_window_s: float = 60.0,
         telemetry_retain: int = 256,
         health_rules=None,
     ) -> None:
         self.sim = sim
-        self.tracer = Tracer(lambda: sim.now, capacity=span_capacity)
+        self.tracer = Tracer(lambda: sim.now)
         self.eventcore = eventcore  # the GAE's write path, ``gae.events``
         self.journal = eventcore.journal
         eventcore.trace_context = self.trace_context_of
@@ -299,10 +272,6 @@ class GAEInstrumentation:
                 fn=lambda: float(len(accounting.quotas.ledger)),
             )
         return self
-
-    def middleware(self) -> ObservabilityMiddleware:
-        """The Clarens middleware that feeds this instrumentation's tracer."""
-        return ObservabilityMiddleware(self.tracer)
 
     # ------------------------------------------------------------------
     # scheduler hooks

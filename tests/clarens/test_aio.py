@@ -1,17 +1,29 @@
 """Integration tests for the asyncio framed server + AsyncSocketTransport."""
 
+import socket
 import threading
 
 import pytest
 
 from repro.clarens.aio import AsyncSocketServerHandle
 from repro.clarens.client import ClarensClient
+from repro.clarens.codecs import get_codec
 from repro.clarens.errors import (
     AuthenticationError,
+    ClarensFault,
     ProtocolError,
     RemoteFault,
     TransportClosedError,
     TransportError,
+)
+from repro.clarens.framing import (
+    CALL,
+    HELLO,
+    REPLY,
+    WELCOME,
+    encode_frame,
+    encode_hello,
+    read_frame_from,
 )
 from repro.clarens.server import ClarensHost
 from repro.clarens.transport import AsyncSocketTransport
@@ -33,6 +45,10 @@ def host():
     h.acl.allow("echo.*", groups=("g",))
     h.register("echo", Echo())
     return h
+
+
+def _recent_calls(host, trace_id):
+    return host.dispatch("system.recent_calls", [50, trace_id])
 
 
 @pytest.fixture
@@ -211,6 +227,39 @@ class TestTelemetry:
             client.close()
 
 
+class TestMalformedFrames:
+    def test_an_undecodable_call_is_a_faulted_decode(self, server):
+        """Regression: a CALL frame that does not decode was recorded as a
+        successful 0 ms decode, so the decode fault counter never moved."""
+        codec = get_codec("json")
+        with socket.create_connection(server.address, timeout=10.0) as sock:
+
+            def read_exact(n):
+                data = b""
+                while len(data) < n:
+                    chunk = sock.recv(n - len(data))
+                    assert chunk, "the server hung up"
+                    data += chunk
+                return data
+
+            def call(request_id, payload):
+                sock.sendall(encode_frame(CALL, request_id, payload))
+                frame_type, answered, body = read_frame_from(read_exact)
+                assert (frame_type, answered) == (REPLY, request_id)
+                return codec.decode_response(body)
+
+            sock.sendall(encode_frame(HELLO, 0, encode_hello(("json",))))
+            assert read_frame_from(read_exact)[0] == WELCOME
+            with pytest.raises(ClarensFault):
+                call(1, b"\xff\xfenot json")
+            # The connection still serves the next call.
+            assert call(2, codec.encode_request("system.ping", "", [])) == "pong"
+        pool = server.pool_stats.snapshot()
+        assert pool["stages"]["decode"]["count"] == 2
+        assert pool["stages"]["decode"]["faults"] == 1
+        assert pool["submitted"] == pool["completed"] == 2
+
+
 class Gated:
     """A slow/fast method pair: ``slow`` blocks until ``fast`` has run.
 
@@ -238,9 +287,9 @@ class TestTraceIdPropagation:
         with AsyncSocketTransport(server.address, codec=codec) as t:
             token = t.call("system.login", ["u", "p"])
             t.call("echo.echo", ["x"], token, trace_id=f"trace-{codec}")
-        records = host.traces.snapshot(trace_id=f"trace-{codec}")
-        assert [r.method for r in records] == ["echo.echo"]
-        assert records[0].transport == f"async+{codec}"
+        records = _recent_calls(host, f"trace-{codec}")
+        assert [r["method"] for r in records] == ["echo.echo"]
+        assert records[0]["transport"] == f"async+{codec}"
 
     def test_pipelined_batch_shares_one_trace(self, server, host, codec):
         with AsyncSocketTransport(server.address, codec=codec) as t:
@@ -250,9 +299,9 @@ class TestTraceIdPropagation:
                 calls, token=token, trace_id=f"batch-{codec}"
             )
         assert outcomes == [(True, i) for i in range(20)]
-        records = host.traces.snapshot(trace_id=f"batch-{codec}")
+        records = _recent_calls(host, f"batch-{codec}")
         assert len(records) == 20
-        assert {r.method for r in records} == {"echo.echo"}
+        assert {r["method"] for r in records} == {"echo.echo"}
 
     def test_out_of_order_completion_preserves_order_and_trace(
         self, host, codec
@@ -269,8 +318,8 @@ class TestTraceIdPropagation:
                 )
         # Results come back in issue order even though 'fast' finished first.
         assert outcomes == [(True, "s"), (True, "f")]
-        records = host.traces.snapshot(trace_id=f"ooo-{codec}")
-        assert sorted(r.method for r in records) == ["gated.fast", "gated.slow"]
+        records = _recent_calls(host, f"ooo-{codec}")
+        assert sorted(r["method"] for r in records) == ["gated.fast", "gated.slow"]
 
 
 class TestClientSpans:
@@ -299,8 +348,8 @@ class TestClientSpans:
         # A batch trace id was minted and shared; the host saw the same id.
         trace_ids = {s.trace_id for s in spans}
         assert len(trace_ids) == 1
-        records = host.traces.snapshot(trace_id=trace_ids.pop())
-        assert sum(r.method == "echo.echo" for r in records) == 5
+        records = _recent_calls(host, trace_ids.pop())
+        assert sum(r["method"] == "echo.echo" for r in records) == 5
 
     def test_out_of_order_spans_end_as_replies_arrive(self, host):
         gated = Gated()

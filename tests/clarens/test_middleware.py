@@ -63,9 +63,13 @@ class TestBuildPipeline:
 
 def _recorded(terminal):
     """A bare host's recorder around *terminal*, and that host."""
-    host = ClarensHost("h")
-    recorder = RecorderMiddleware(host.stats, host.traces, host.registry)
-    return build_pipeline([recorder], terminal), host
+    host = ClarensHost("h", time_source=lambda: 12.5)
+    return build_pipeline([RecorderMiddleware(host)], terminal), host
+
+
+def _recent(host):
+    """The recorded calls, as ``system.recent_calls`` lists them."""
+    return host.dispatch("system.recent_calls", [])
 
 
 def _boom(fault):
@@ -98,9 +102,9 @@ class TestMetricsMiddleware:
         handler, host = _recorded(lambda ctx: "ok")
         ctx = CallContext("system.ping", [])
         handler(ctx)
-        (record,) = host.traces.snapshot()
+        (record,) = _recent(host)
         summary = host.metrics.get("gae_rpc_latency_ms").summary(method="system.ping")
-        assert ctx.duration_ms == record.duration_ms == summary["sum"]
+        assert ctx.duration_ms == record["duration_ms"] == summary["sum"]
 
     def test_unresolvable_path_is_counted_under_one_label(self):
         handler, host = _recorded(_boom(RemoteFault("no")))
@@ -108,31 +112,36 @@ class TestMetricsMiddleware:
             with pytest.raises(RemoteFault):
                 handler(CallContext(f"nope.m{i}", []))
         assert host.stats.snapshot()["per_method"] == {UNKNOWN_METHOD: 3}
-        assert [r.method for r in host.traces.snapshot()] == ["nope.m0", "nope.m1", "nope.m2"]
+        assert [r["method"] for r in _recent(host)] == ["nope.m0", "nope.m1", "nope.m2"]
 
 
 class TestTracingMiddleware:
-    """The recorder's trace-ring half (``TracingMiddleware`` before the merge)."""
+    """The recorder's span half (``TracingMiddleware`` before the merge)."""
 
     def test_stamps_duration_and_records(self):
         handler, host = _recorded(lambda ctx: "ok")
-        ctx = CallContext("system.ping", [], trace_id="t-1", started=12.5)
+        ctx = CallContext("system.ping", [], trace_id="t-1")
         handler(ctx)
         assert ctx.outcome == "ok"
         assert ctx.duration_ms >= 0.0
-        (record,) = host.traces.snapshot()
-        assert record.trace_id == "t-1"
-        assert record.started == 12.5
-        assert record.outcome == "ok"
+        (record,) = _recent(host)
+        assert record["trace_id"] == "t-1"
+        assert record["started"] == 12.5  # the host clock
+        assert record["outcome"] == "ok"
+        span = host.tracer.spans("t-1")[0]
+        assert span.span_id == ctx.span_id and span.name == "rpc:system.ping"
+        assert span.status == "ok"
+        assert "served_from" not in span.attributes and "code" not in span.attributes
 
     def test_fault_recorded_with_code(self):
         handler, host = _recorded(_boom(AuthorizationError("denied")))
         with pytest.raises(AuthorizationError):
             handler(CallContext("system.ping", [], trace_id="t-2"))
-        (record,) = host.traces.snapshot()
-        assert record.outcome == "fault"
-        assert record.code == 403
-        assert "denied" in record.error
+        (record,) = _recent(host)
+        assert record["outcome"] == "fault"
+        assert record["code"] == 403
+        assert "denied" in record["error"]
+        assert host.tracer.spans("t-2")[0].status == "error"
 
 
 class TestHostIntegration:

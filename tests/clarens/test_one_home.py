@@ -2,14 +2,16 @@
 
 ``system.stats`` (``host.stats``), ``system.cache`` (``host.read_cache``)
 and a server handle's ``pool_stats`` hold no numbers of their own — each
-is a view over ``host.metrics``.  The property below drives a random
-interleaving of executed, cached, coalesced, faulting and unknown-method
-calls over loopback and over the async socket, and checks the three views
-against the registry, against each other and against what the test itself
-sent — again with a second server handle on the same host, and again on
-the host ``restore_gae`` builds from a checkpoint (where the parent's two
-copies of the cache counts disagreed).  The other tests pin the structure
-that makes the disagreement unrepresentable.
+is a view over ``host.metrics`` — and ``system.recent_calls`` holds no
+records of its own: it is a view over the ``rpc:`` spans of
+``host.tracer``.  The property below drives a random interleaving of
+executed, cached, coalesced, faulting and unknown-method calls over
+loopback and over the async socket, and checks the four views against the
+registry, against each other and against what the test itself sent —
+again with a second server handle on the same host, and again on the host
+``restore_gae`` builds from a checkpoint (where the parent's two copies of
+the cache counts disagreed).  The other tests pin the structure that makes
+the disagreement unrepresentable.
 """
 
 import ast
@@ -69,9 +71,16 @@ class _Driver:
         self.calls = self.faults = self.bogus = 0
         self.executed = Counter()  # method -> calls that got past the read cache
         self.frames = Counter()  # pool label -> frames that pool answered
+        self.unknown = Counter()  # unresolvable path -> calls sent to it
+        # A restored host lists the calls its checkpointed ring held: skip them.
+        self.restored_rows = len(self._recent())
         self.host.add_middleware(self._spy)
         self.loop = LoopbackTransport(self.host)
         self.token = self._call(self.loop, "", "system.login", ["u", "p"])
+
+    def _recent(self):
+        """``system.recent_calls`` read in place, so the read is not a call."""
+        return self.host.registry.resolve("system.recent_calls").func(-1)
 
     def _spy(self, ctx, call_next):
         self.executed[ctx.method_path] += 1
@@ -108,6 +117,7 @@ class _Driver:
                     self._call(*via, STATUS, ["no-such-task"], fault=True)
                 else:
                     self.bogus += 1
+                    self.unknown[f"nope.m{args[1]}"] += 1
                     self._call(*via, f"nope.m{args[1]}", [], fault=True)
         finally:
             sock.close()
@@ -162,6 +172,28 @@ class _Driver:
             assert counts["coalesced"] == served.get("coalesced", 0)
             assert counts["misses"] + counts["invalidations"] == executed.get(method, 0)
         assert set(stats["served"]) <= set(cache["per_method"])
+
+        # system.recent_calls == one row per pipeline pass, by label ==
+        # the registry without the coalesced sub-calls (which make none).
+        rows = self._recent()[self.restored_rows:]
+        passes = Counter(
+            (row["method"] if row["method"] in registered else UNKNOWN_METHOD,
+             row["transport"], row["served_from"], row["outcome"])
+            for row in rows
+        )
+        assert passes == Counter({
+            (labels["method"], labels["transport"], labels["served_from"], labels["outcome"]):
+            int(value)
+            for labels, value in series if labels["served_from"] != "coalesced"
+        })
+        assert len(rows) == self.calls - summed(served_from="coalesced")
+        assert Counter(r["method"] for r in rows if r["method"] not in registered) == (
+            self.unknown
+        )
+        # Every frame's span, and no sub-call's, carries the stage timings.
+        assert sum("decode_ms" in r and "encode_ms" in r for r in rows) == sum(
+            self.frames.values()
+        )
 
         # Each serving pool answered exactly the frames sent to it.
         assert sorted(host.worker_pools) == sorted(h.pool_stats.pool for h in handles)
@@ -277,3 +309,41 @@ def test_prometheus_text_is_formatted_in_one_module():
     assert writers == {"metrics.py"}
     webui = (SRC / "repro" / "webui.py").read_text(encoding="utf-8")
     assert "gae_rpc_" not in webui and "gae_aio_" not in webui
+
+
+def test_one_trace_store():
+    """Every call record is an ``rpc:`` span, opened by the recorder: no
+    Clarens class keeps a ring of call records, and the async front end
+    adds its stage timings to that span instead of a span of its own."""
+    clarens = SRC / "repro" / "clarens"
+    kept = [  # ``self.<name> = deque(...)``: a local work queue is not kept
+        (path.name, node.name) for path, node in _class_defs()
+        if isinstance(node, ast.ClassDef) and clarens in path.parents
+        for assign in ast.walk(node)
+        if isinstance(assign, (ast.Assign, ast.AnnAssign))
+        and isinstance(getattr(assign, "target", None) or assign.targets[0], ast.Attribute)
+        and isinstance(assign.value, ast.Call)
+        and getattr(assign.value.func, "id", getattr(assign.value.func, "attr", "")) == "deque"
+    ]
+    assert not kept
+
+    def literal(node):
+        """The leading text of a string or f-string argument."""
+        if isinstance(node, ast.JoinedStr) and node.values:
+            node = node.values[0]
+        return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+    opened = [
+        (path.name, literal(call.args[0]).split(":")[0])
+        for path in sorted(SRC.rglob("*.py"))
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(call, ast.Call) and call.args
+        and getattr(call.func, "attr", "") in ("start_span", "instant", "span")
+        and literal(call.args[0]).startswith(("rpc:", "aio:"))
+    ]
+    assert opened == [("middleware.py", "rpc")]
+    aio = ast.parse((clarens / "aio.py").read_text(encoding="utf-8"))
+    assert not [
+        call for call in ast.walk(aio)
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", "") == "instant"
+    ]

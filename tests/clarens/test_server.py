@@ -10,7 +10,7 @@ from repro.clarens.errors import (
     ServiceNotFound,
 )
 from repro.clarens.registry import clarens_method
-from repro.clarens.server import ClarensHost
+from repro.clarens.server import TRACE_CAPACITY, ClarensHost
 
 
 class Calculator:
@@ -184,6 +184,42 @@ class TestRecentCalls:
         records = host.dispatch("system.recent_calls", [50, "t-123"], "")
         assert [r["trace_id"] for r in records] == ["t-123"]
 
+    def test_limit_keeps_the_newest(self, host):
+        for i in range(5):
+            host.dispatch("system.ping", [], "", trace_id=f"t-{i}")
+        records = host.dispatch("system.recent_calls", [2], "")
+        assert [r["trace_id"] for r in records] == ["t-3", "t-4"]
+        assert len(host.dispatch("system.recent_calls", [-1], "")) == 6  # + the read above
+
+    def test_rows_are_plain_wire_dicts(self, host):
+        host.dispatch("system.ping", [], "")
+        (row,) = host.dispatch("system.recent_calls", [1], "")
+        assert set(row) == {
+            "trace_id", "method", "transport", "principal", "started",
+            "duration_ms", "outcome", "code", "error", "served_from",
+        }
+        assert (row["code"], row["error"], row["served_from"]) == (0, "", "execute")
+
+    def test_spans_without_the_recorders_fields_are_not_listed(self, host):
+        """An ``rpc:`` span as a format-2 checkpoint restores it (opened by a
+        middleware that recorded only the method and transport)."""
+        host.tracer.instant(
+            "rpc:calc.add", trace_id="old", attributes={"method": "calc.add", "transport": "inproc"}
+        )
+        host.dispatch("system.ping", [], "", trace_id="new")
+        records = host.dispatch("system.recent_calls", [-1], "")
+        assert [r["trace_id"] for r in records] == ["new"]
+
+    def test_the_ring_is_the_host_tracer(self, host):
+        """A host's own tracer keeps its newest calls as finished ``rpc:``
+        spans; the reading call is still open, so it is not listed."""
+        for i in range(TRACE_CAPACITY + 10):
+            host.dispatch("system.ping", [], "")
+        assert len(host.tracer) == host.tracer.capacity == TRACE_CAPACITY
+        records = host.dispatch("system.recent_calls", [-1], "")
+        assert len(records) == TRACE_CAPACITY - 1
+        assert {s.name for s in host.tracer.spans()} == {"rpc:system.ping", "rpc:system.recent_calls"}
+
 
 class TestConcurrentDispatch:
     def test_16_threads_no_lost_stat_updates(self, host):
@@ -246,7 +282,8 @@ class TestUnknownMethodLabel:
         assert stats["per_method"] == {"system.ping": 2, UNKNOWN_METHOD: 2000}
         assert set(stats["latency_ms"]) == {"system.ping", UNKNOWN_METHOD}
         # The bounded ring still shows the path as the caller sent it.
-        assert host.traces.snapshot()[-2].method == "system.m999"
+        newest = host.dispatch("system.recent_calls", [2])
+        assert [r["method"] for r in newest] == ["system.m999", "system.stats"]
 
 
 class TestMiddlewareHook:
@@ -363,7 +400,10 @@ class TestMulticall:
         )
         assert [r["trace_id"] for r in results] == ["batch-7", "batch-7"]
         records = host.dispatch("system.recent_calls", [50, "batch-7"], "")
-        assert {r["method"] for r in records} >= {"calc.add", "system.ping"}
+        # Start order: the batch is listed before the sub-calls it ran.
+        assert [r["method"] for r in records] == ["system.multicall", "calc.add", "system.ping"]
+        batch, *subcalls = host.tracer.spans("batch-7")
+        assert all(s.parent_id == batch.span_id for s in subcalls)
 
     def test_multicall_over_real_xmlrpc(self, host):
         from repro.clarens.client import ClarensClient

@@ -1,17 +1,13 @@
-"""Unit tests for the telemetry sinks: stats view, percentiles, trace ring."""
+"""Unit tests for the telemetry sinks: trace ids, percentiles, the stats view."""
 
 import sys
 import threading
 
 import pytest
 
-from repro.clarens.telemetry import (
-    CallStats,
-    TraceLog,
-    TraceRecord,
-    new_trace_id,
-)
+from repro.clarens.telemetry import CallStats
 from repro.observability.metrics import MetricsRegistry, percentile
+from repro.observability.tracing import new_trace_id
 
 
 class TestTraceIds:
@@ -128,45 +124,3 @@ class TestCallStats:
         assert metrics.get("gae_rpc_calls_total").total() == n_threads * per_thread
         assert metrics.get("gae_rpc_latency_ms").total_count() == n_threads * per_thread
 
-
-def _record(i, trace="t"):
-    return TraceRecord(
-        trace_id=trace, method=f"m.{i}", transport="inproc", principal="u",
-        started=float(i), duration_ms=1.0, outcome="ok",
-    )
-
-
-class TestTraceLog:
-    def test_capacity_bounds_the_ring(self):
-        log = TraceLog(capacity=4)
-        for i in range(10):
-            log.append(_record(i))
-        records = log.snapshot()
-        assert len(log) == 4
-        assert [r.method for r in records] == ["m.6", "m.7", "m.8", "m.9"]
-
-    def test_limit_keeps_newest(self):
-        log = TraceLog()
-        for i in range(5):
-            log.append(_record(i))
-        assert [r.method for r in log.snapshot(limit=2)] == ["m.3", "m.4"]
-
-    def test_filter_by_trace_id(self):
-        log = TraceLog()
-        log.append(_record(0, trace="a"))
-        log.append(_record(1, trace="b"))
-        log.append(_record(2, trace="a"))
-        assert [r.method for r in log.snapshot(trace_id="a")] == ["m.0", "m.2"]
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            TraceLog(capacity=0)
-
-    def test_record_to_wire_is_a_plain_dict(self):
-        wire = _record(1).to_wire()
-        assert wire["method"] == "m.1"
-        assert wire["outcome"] == "ok"
-        assert set(wire) == {
-            "trace_id", "method", "transport", "principal", "started",
-            "duration_ms", "outcome", "code", "error", "served_from",
-        }

@@ -129,18 +129,18 @@ class TestTracePropagation:
     def test_inprocess_trace_reaches_the_host(self, host):
         t = LoopbackTransport(host)
         t.call("system.ping", [], trace_id="trace-local")
-        records = host.traces.snapshot(trace_id="trace-local")
-        assert [r.method for r in records] == ["system.ping"]
-        assert records[0].transport == "inproc"
+        records = host.dispatch("system.recent_calls", [50, "trace-local"])
+        assert [r["method"] for r in records] == ["system.ping"]
+        assert records[0]["transport"] == "inproc"
 
     def test_xmlrpc_trace_travels_the_wire(self, host, xmlrpc_server):
         t = SocketTransport(xmlrpc_server.url)
         token = t.call("system.login", ["u", "p"])
         t.call("echo.echo", ["traced"], token, trace_id="trace-wire")
-        records = host.traces.snapshot(trace_id="trace-wire")
-        assert [r.method for r in records] == ["echo.echo"]
-        assert records[0].transport == "xmlrpc"
-        assert records[0].principal == "u"
+        records = host.dispatch("system.recent_calls", [50, "trace-wire"])
+        assert [r["method"] for r in records] == ["echo.echo"]
+        assert records[0]["transport"] == "xmlrpc"
+        assert records[0]["principal"] == "u"
 
     def test_wire_token_still_authenticates_with_trace_attached(self, xmlrpc_server):
         t = SocketTransport(xmlrpc_server.url)

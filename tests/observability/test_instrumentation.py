@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.clarens.aio import AsyncSocketServerHandle
+from repro.clarens.errors import AuthorizationError
+from repro.clarens.transport import AsyncSocketTransport
 from repro.core.steering.optimizer import SteeringPolicy
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder, Job
@@ -94,6 +97,78 @@ class TestSteeredMoveKeepsTrace:
         root = next(s for s in spans if s.name == f"task:{task.task_id}")
         assert rpc.parent_id == root.span_id
         assert steer.parent_id == rpc.span_id
+
+
+@pytest.mark.parametrize("codec", ["json", "xmlrpc"])
+class TestServedCallSpans:
+    """An instrumented host served over the framed socket: each call is one
+    ``rpc:`` span in the job-trace ring, carrying the worker's stage
+    timings — also a cached read and a denied call, which the middleware
+    that opened ``rpc:`` spans before the recorder did never saw."""
+
+    @pytest.fixture
+    def served(self, codec):
+        gae = two_site_gae()
+        gae.add_user("guest", "pw", groups=("visitors",))  # no ACL rule names them
+        gae.start()
+        task = make_prime_count_task(owner="u")
+        submit_to(gae, task, "siteA")
+        gae.grid.run_until(30.0)
+        with AsyncSocketServerHandle(gae.host) as handle:
+            with AsyncSocketTransport(handle.address, codec=codec) as wire:
+                yield gae, task, wire
+        gae.stop()
+
+    @staticmethod
+    def call_spans(gae, wire_id):
+        """The finished ``rpc:`` spans of the call sent with *wire_id*."""
+        return [
+            s for s in gae.observability.tracer.spans()
+            if s.name.startswith("rpc:") and s.end is not None
+            and s.attributes.get("adopted_from", s.trace_id) == wire_id
+        ]
+
+    def test_a_read_is_one_span_with_its_stage_timings(self, served, codec):
+        gae, task, wire = served
+        token = wire.call("system.login", ["u", "pw"])
+        ring = len(gae.observability.tracer)
+        wire.call("jobmon.job_status", [task.task_id], token, trace_id=f"read-{codec}")
+        assert len(gae.observability.tracer) == ring + 1
+        (span,) = self.call_spans(gae, f"read-{codec}")
+        assert span.name == "rpc:jobmon.job_status" and span.status == "ok"
+        fields = span.attributes
+        assert fields["transport"] == f"async+{codec}" and fields["outcome"] == "ok"
+        assert fields["decode_ms"] >= 0.0 and fields["encode_ms"] >= 0.0
+        assert "served_from" not in fields  # executed
+
+    def test_a_cached_read_and_a_denied_call_each_leave_one_span(self, served, codec):
+        gae, task, wire = served
+        token = wire.call("system.login", ["u", "pw"])
+        for wire_id in (f"miss-{codec}", f"hit-{codec}"):
+            wire.call("jobmon.job_status", [task.task_id], token, trace_id=wire_id)
+        (hit,) = self.call_spans(gae, f"hit-{codec}")
+        assert hit.attributes["served_from"] == "cache"
+        guest = wire.call("system.login", ["guest", "pw"])
+        with pytest.raises(AuthorizationError):
+            wire.call("jobmon.job_status", [task.task_id], guest, trace_id=f"denied-{codec}")
+        (denied,) = self.call_spans(gae, f"denied-{codec}")
+        assert denied.status == "error"
+        assert (denied.attributes["outcome"], denied.attributes["code"]) == ("fault", 403)
+
+    def test_a_steering_call_joins_its_job_trace(self, served, codec):
+        gae, task, wire = served
+        obs = gae.observability
+        token = wire.call("system.login", ["u", "pw"])
+        wire_id = f"steer-{codec}"
+        assert wire.call("steering.pause", [task.task_id], token, trace_id=wire_id)["ok"]
+        (span,) = self.call_spans(gae, wire_id)
+        root = next(s for s in obs.tracer.spans() if s.name == f"task:{task.task_id}")
+        assert span.trace_id == obs.trace_id_of(task.task_id) != wire_id
+        assert span.attributes["adopted_from"] == wire_id
+        assert span.parent_id == root.span_id
+        (row,) = wire.call("system.recent_calls", [50, wire_id])
+        assert (row["trace_id"], row["method"]) == (wire_id, "steering.pause")
+        assert "decode_ms" in row and "encode_ms" in row
 
 
 class TestFlockTracing:

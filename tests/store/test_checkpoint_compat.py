@@ -75,6 +75,10 @@ def test_a_parent_written_checkpoint_restores_to_the_parents_answers(build):
     assert gae.sim.now == T_CHECKPOINT
     assert (gae.observability is not None) == BUILDS[build]
     assert service_answers(gae) == expected["at_barrier"]
+    # The restored host answers ``system.recent_calls``: the calls served since.
+    client = gae.client()
+    served = gae.host.stats.snapshot()["calls"]
+    assert len(client.call("system.recent_calls", -1)) == served
     if BUILDS[build]:
         # The file stored consumer cursor/lag gauges nothing binds any
         # more; restore re-creates them by name, valueless, and the

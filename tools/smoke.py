@@ -7,7 +7,7 @@
     python tools/smoke.py scenario   # quick chaos campaign + artifact schema
     python tools/smoke.py health     # health rules fire and resolve; telemetry export
     python tools/smoke.py bench      # the end-to-end benchmark's own checks + quick runs
-    python tools/smoke.py rpc        # system.stats, system.cache and /metrics tell one story
+    python tools/smoke.py rpc        # system.stats, system.cache, /metrics and recent_calls agree
     python tools/smoke.py trace      # demo --trace-export validates against its schema
     python tools/smoke.py figures    # the paper's figure / ablation / validation benches
     python tools/smoke.py all        # every one above (< 60 s; run it before committing)
@@ -271,16 +271,18 @@ def smoke_rpc(tmp: Path) -> None:
             client.call("jobmon.job_status", task)
             client.call("jobmon.job_status", task)  # the cached repeat
             client.batch([("jobmon.job_status", other)] * 3)  # two coalesce
+            codes = {}  # method path -> the fault code its call answered
             for bad in (("jobmon.job_status", "no-such-task"), ("nope.nothing",)):
                 try:
                     client.call(*bad)
-                except ClarensFault:
-                    pass
+                except ClarensFault as exc:
+                    codes[bad[0]] = exc.code
                 else:
                     raise SmokeFailure(f"{bad[0]} did not fault")
             stats = client.call("system.stats")
             cache = client.call("system.cache")
             text, series = scrape(ui.url + "metrics")
+            recent = client.call("system.recent_calls", -1)
 
         def total(name: str, **labels: str) -> int:
             return int(sum(
@@ -317,8 +319,27 @@ def smoke_rpc(tmp: Path) -> None:
               # one frame per call but the multicall's one executed sub-call
               == total("gae_rpc_calls_total", transport="async+json") - 1,
               f"pool {label}: completed {pool['completed']} disagrees with /metrics")
-        print(f"system.stats, system.cache and /metrics agree: {stats['calls']} calls, "
-              f"{stats['faults']} faults, pool {label} completed {pool['completed']}")
+        # The fourth surface lists every pipeline pass up to system.cache
+        # (a coalesced sub-call makes none) by the path as sent.
+        check(len(recent) == stats["calls"] + 2 - served["coalesced"],
+              f"recent_calls: {len(recent)} rows for {stats['calls']} + 2 calls")
+        sources = [r["served_from"] for r in recent if r["method"] == status]
+        check(sorted(sources) == ["cache"] * served["cache"]
+              + ["execute"] * stats["latency_ms"][status]["count"],
+              f"recent_calls: {status} served from {sources}")
+        check("<unknown>" not in {r["method"] for r in recent},
+              "recent_calls lists a label, not the path as sent")
+        faults = {r["method"]: r["code"] for r in recent if r["outcome"] == "fault"}
+        check(faults == codes, f"recent_calls faults {faults}, the calls answered {codes}")
+        batch = {r["trace_id"] for r in recent if r["method"] == "system.multicall"}
+        frames = [r for r in recent if r["transport"] == "async+json"
+                  and (r["trace_id"] not in batch or r["method"] == "system.multicall")]
+        check(len(frames) == pool["completed"] + 2  # + system.stats, system.cache
+              and all("decode_ms" in r and "encode_ms" in r for r in frames),
+              "recent_calls: an async+json frame's row lacks its stage timings")
+        print(f"system.stats, system.cache, /metrics and system.recent_calls agree: "
+              f"{stats['calls']} calls, {stats['faults']} faults, "
+              f"pool {label} completed {pool['completed']}")
 
         handle.shutdown()
         text, _ = scrape(ui.url + "metrics")
