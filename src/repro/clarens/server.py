@@ -191,8 +191,8 @@ class _SystemService:
     def health(self) -> Dict[str, Any]:
         """Live state of the declarative health-rule engine.
 
-        Returns ``{"enabled": False}`` on hosts without instrumentation
-        or with telemetry disabled; otherwise the firing count, per-rule
+        Returns ``{"enabled": False}`` on hosts without instrumentation;
+        otherwise the firing count, per-rule
         state machines (``ok``/``firing`` with streaks and observed
         values), and each rule's firing/resolved transition history.
         """

@@ -12,7 +12,7 @@ GAE, instrumented or not):
 
 - :class:`EventCore` owns the consumer registry and is the journal's one
   sink; dispatch hands each event to one observer (the instrumentation's
-  counts) and then, synchronously, to every consumer, so no consumer can
+  telemetry count) and then, synchronously, to every consumer, so no consumer can
   lag the journal head.  Its ``emit_*`` methods are what the producers
   are constructed with (``EstimatorService``, ``HistoryRecorder``,
   ``DBManager``, ``MonALISARepository``) — a producer has no other way
@@ -324,7 +324,7 @@ class EventCore:
         #: events; the instrumentation points it at its lifecycle traces.
         self.trace_context = _untraced
         #: Hears every live event before any consumer folds it; the
-        #: instrumentation points it at its event counts.
+        #: instrumentation points it at its telemetry's per-window count.
         self.observe = _unobserved
         journal.sink = self._dispatch
 

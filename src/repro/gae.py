@@ -145,19 +145,21 @@ def build_gae(
     policy: Optional[SteeringPolicy] = None,
     history: Optional[HistoryRepository] = None,
     load_publish_period_s: float = 30.0,
-    record_history: bool = True,
     host_name: str = "jclarens",
     monitor_snapshot_period_s: Optional[float] = None,
-    service_metrics_period_s: float = 60.0,
-    transfer_cache_ttl_s: Optional[float] = 300.0,
     observability: bool = True,
-    telemetry: bool = True,
     telemetry_window_s: float = 60.0,
     health_rules=None,
     store: Optional[StateStore] = None,
     read_cache: bool = True,
 ) -> GAE:
     """Wire the full GAE over an assembled grid.
+
+    Completed tasks always feed the history live, the service metrics
+    publish to MonALISA every 60 simulated seconds, and iperf bandwidth
+    probes are memoized for 300 simulated seconds (the network-weather
+    period, so cached bandwidths go stale no slower than the links they
+    describe).
 
     Parameters
     ----------
@@ -168,25 +170,23 @@ def build_gae(
     history:
         Pre-seeded task history for the runtime estimator (e.g. a Downey
         workload's completed jobs); empty when omitted.
-    record_history:
-        When true, completed tasks keep feeding the history live.
     store:
         The :class:`~repro.store.base.StateStore` threaded through every
         persistent layer (an in-memory store when omitted).  The
         monitoring DB's relational tables live on this store's SQL
         connection, and a :class:`~repro.store.checkpoint.Checkpointer`
         snapshots the whole system through the same namespace registry.
-    transfer_cache_ttl_s:
-        Memoize iperf bandwidth probes for this many simulated seconds
-        (matches the default network-weather period, so cached bandwidths
-        go stale no slower than the links they describe).  ``None`` probes
-        on every transfer estimate.
     observability:
         When true (the default) the end-to-end tracing/journal/metrics
         layer is attached: per-job traces through scheduler, pools,
         steering and MonALISA, lifecycle events in the journal, the
         unified metrics registry and the ``system.observability`` Clarens
-        method — and the journal retains its rows, which only this layer
+        method, the streaming telemetry pipeline (every metric and
+        journal rate on sim-aligned windows) and the declarative
+        health-rule engine evaluated on each closed window
+        (``system.health``, ``health-*`` journal events, MonALISA
+        ``health`` farm; the window tick arms with :meth:`GAE.start`) —
+        and the journal retains its rows, which only this layer
         reads back.  Its sim-clock tracer becomes the host's
         (``host.tracer``), so every call's ``rpc:*`` span lands in the
         job-trace ring (8 192 spans, checkpointed; ``system.recent_calls``
@@ -194,13 +194,6 @@ def build_gae(
         call joins its job's trace.  ``False`` means no job tracer (the
         host keeps its own 256-span call ring), no lifecycle events and
         nothing retained; state is written through the journal either way.
-    telemetry:
-        When true (and observability is on) the streaming telemetry
-        pipeline samples every metric and journal rate onto sim-aligned
-        windows and the declarative health-rule engine evaluates on each
-        closed window (``system.health``, ``health_*`` journal events,
-        MonALISA ``health`` farm).  The window tick arms with
-        :meth:`GAE.start`.
     telemetry_window_s:
         Width (simulated s) of one aggregation window.
     health_rules:
@@ -227,7 +220,7 @@ def build_gae(
 
     estimators = EstimatorService(
         history, events.emit_estimate, probe=grid.probe, catalog=grid.catalog,
-        transfer_cache_ttl_s=transfer_cache_ttl_s, clock=lambda: sim.now,
+        transfer_cache_ttl_s=300.0, clock=lambda: sim.now,
     )
     for name in sorted(grid.execution_services):
         estimators.install_site_estimator(grid.execution_services[name])
@@ -260,10 +253,9 @@ def build_gae(
     for name in sorted(grid.sites):
         steering.attach_site(grid.sites[name])
 
-    if record_history:
-        recorder = HistoryRecorder(events.emit_history)
-        for name in sorted(grid.sites):
-            recorder.attach(grid.sites[name])
+    recorder = HistoryRecorder(events.emit_history)
+    for name in sorted(grid.sites):
+        recorder.attach(grid.sites[name])
 
     load_publisher = SiteLoadPublisher(
         sim, monalisa, [grid.sites[n] for n in sorted(grid.sites)],
@@ -290,7 +282,7 @@ def build_gae(
             monalisa=monalisa,
         )
     service_metrics_publisher = ServiceMetricsPublisher(
-        sim, monalisa, host, period_s=service_metrics_period_s
+        sim, monalisa, host, period_s=60.0
     )
     host.register("estimator", estimators, description="runtime/queue/transfer estimates (§6)")
     host.register("jobmon", monitoring, description="job monitoring information (§5)")
@@ -304,18 +296,15 @@ def build_gae(
     instrumentation: Optional[GAEInstrumentation] = None
     if observability:
         instrumentation = GAEInstrumentation(
-            sim,
-            events,
-            telemetry=telemetry,
-            telemetry_window_s=telemetry_window_s,
-            health_rules=health_rules,
-        ).attach(
             grid,
+            events,
             steering=steering,
             monitoring=monitoring,
             accounting=accounting,
             estimators=estimators,
             monalisa=monalisa,
+            telemetry_window_s=telemetry_window_s,
+            health_rules=health_rules,
         )
         host.observability = instrumentation
         host.tracer = instrumentation.tracer
@@ -348,13 +337,9 @@ def build_gae(
         # and history are checkpointed separately (they evolve at runtime).
         build_params={
             "load_publish_period_s": load_publish_period_s,
-            "record_history": record_history,
             "host_name": host_name,
             "monitor_snapshot_period_s": monitor_snapshot_period_s,
-            "service_metrics_period_s": service_metrics_period_s,
-            "transfer_cache_ttl_s": transfer_cache_ttl_s,
             "observability": observability,
-            "telemetry": telemetry,
             "telemetry_window_s": telemetry_window_s,
             "read_cache": read_cache,
         },

@@ -167,9 +167,9 @@ class HealthRule:
         try:
             return cls(**kwargs)
         except HealthRuleError as exc:
-            # __post_init__ validated with the default "rule" prefix;
-            # re-qualify with the caller's path.
-            raise HealthRuleError(str(exc).replace("rule.", f"{path}.", 1)) from None
+            # __post_init__ validated under the default path "rule", which
+            # every message starts with; put the caller's path there.
+            raise HealthRuleError(path + str(exc)[len("rule"):]) from None
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical JSON-safe dict (``from_dict`` round-trips exactly)."""
@@ -292,15 +292,17 @@ class _RuleState:
 
 
 class HealthEngine:
-    """Evaluates a rule set against the telemetry windows on every tick."""
+    """Evaluates a rule set against the telemetry windows on every tick,
+    journalling each transition and publishing every rule's state to
+    MonALISA (anything with ``publish(farm, metric, time, value)``)."""
 
     def __init__(
         self,
         telemetry: Any,
-        journal: Optional[EventJournal] = None,
+        journal: EventJournal,
+        monalisa: Any,
         *,
         rules: Optional[Sequence[Union[HealthRule, Dict[str, Any]]]] = None,
-        monalisa: Optional[Any] = None,
     ) -> None:
         self.telemetry = telemetry
         self.journal = journal
@@ -319,9 +321,6 @@ class HealthEngine:
             rule.name: _RuleState() for rule in self.rules
         }
         telemetry.attach_health(self)
-
-    def attach_monalisa(self, monalisa: Any) -> None:
-        self.monalisa = monalisa
 
     # -- evaluation ----------------------------------------------------
 
@@ -342,11 +341,10 @@ class HealthEngine:
                 self._transition(rule, state, "firing", t_end)
             elif state.state == "firing" and state.ok_streak >= rule.clear_windows:
                 self._transition(rule, state, "resolved", t_end)
-            if self.monalisa is not None:
-                self.monalisa.publish(
-                    "health", f"rule.{rule.name}", t_end,
-                    1.0 if state.state == "firing" else 0.0,
-                )
+            self.monalisa.publish(
+                "health", f"rule.{rule.name}", t_end,
+                1.0 if state.state == "firing" else 0.0,
+            )
 
     def _transition(
         self, rule: HealthRule, state: _RuleState, to: str, t_end: float
@@ -356,17 +354,16 @@ class HealthEngine:
         state.transitions.append(
             {"to": to, "time_s": t_end, "value": state.value}
         )
-        if self.journal is not None:
-            self.journal.record(
-                EventType.HEALTH_FIRING if to == "firing"
-                else EventType.HEALTH_RESOLVED,
-                rule.name,
-                time=t_end,
-                rule_kind=rule.kind,
-                severity=rule.severity,
-                value=state.value,
-                threshold=rule.threshold,
-            )
+        self.journal.record(
+            EventType.HEALTH_FIRING if to == "firing"
+            else EventType.HEALTH_RESOLVED,
+            rule.name,
+            time=t_end,
+            rule_kind=rule.kind,
+            severity=rule.severity,
+            value=state.value,
+            threshold=rule.threshold,
+        )
 
     # -- queries -------------------------------------------------------
 

@@ -1,9 +1,11 @@
 """Wiring that threads tracing, lifecycle events, and metrics through a GAE.
 
-:class:`GAEInstrumentation` owns one :class:`Tracer` and one
-:class:`MetricsRegistry` per GAE, is handed the GAE's event core (whose
-journal it is the only emitter of lifecycle events into) and subscribes
-them to every layer a job touches:
+:class:`GAEInstrumentation` owns one :class:`Tracer`, one
+:class:`MetricsRegistry`, one :class:`TelemetryPipeline` and one
+:class:`HealthEngine` per GAE.  It is built once, over the assembled grid,
+the GAE's event core (whose journal it is the only emitter of lifecycle
+events into, and whose one observer is telemetry's per-window event count)
+and the five services, and subscribes to every layer a job touches:
 
 - ``scheduler.plan_listeners`` — a new job opens a ``job:<id>`` root
   span and one ``task:<id>`` span per task (all sharing a fresh trace
@@ -37,7 +39,7 @@ from __future__ import annotations
 import contextlib
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.events.journal import EventType, JournalEvent
+from repro.events.journal import EventType
 from repro.gridsim.job import JobState
 from repro.observability.health import HealthEngine
 from repro.observability.metrics import MetricsRegistry
@@ -104,19 +106,24 @@ class _JobTrace:
 
 
 class GAEInstrumentation:
-    """One GAE's tracer + metrics over its journal, and all their subscriptions."""
+    """One assembled GAE's tracer, metrics, telemetry and health engine over
+    its journal, subscribed to every observable seam of the grid and the
+    five services at construction."""
 
     def __init__(
         self,
-        sim,
+        grid,
         eventcore: EventCore,
         *,
-        telemetry: bool = True,
+        steering,
+        monitoring,
+        accounting,
+        estimators,
+        monalisa,
         telemetry_window_s: float = 60.0,
-        telemetry_retain: int = 256,
         health_rules=None,
     ) -> None:
-        self.sim = sim
+        sim = self.sim = grid.sim
         self.tracer = Tracer(lambda: sim.now)
         self.eventcore = eventcore  # the GAE's write path, ``gae.events``
         self.journal = eventcore.journal
@@ -124,21 +131,12 @@ class GAEInstrumentation:
         self.metrics = MetricsRegistry()
         self._tasks: Dict[str, _TaskTrace] = {}
         self._jobs: Dict[str, _JobTrace] = {}
-        self.telemetry: Optional[TelemetryPipeline] = None
-        self.health: Optional[HealthEngine] = None
-        if telemetry:
-            self.telemetry = TelemetryPipeline(
-                sim,
-                self.metrics,
-                window_s=telemetry_window_s,
-                retain=telemetry_retain,
-            )
-            self.health = HealthEngine(self.telemetry, self.journal, rules=health_rules)
+        self.telemetry = TelemetryPipeline(sim, self.metrics, window_s=telemetry_window_s)
+        self.health = HealthEngine(self.telemetry, self.journal, monalisa, rules=health_rules)
 
         m = self.metrics
         self._jobs_planned = m.counter("gae_scheduler_jobs_planned_total", "jobs planned")
         self._tasks_planned = m.counter("gae_scheduler_tasks_planned_total", "tasks planned")
-        self._events_total = m.counter("gae_task_events_total", "journal events by type")
         self._commands_total = m.counter(
             "gae_steering_commands_total", "steering verbs by command and outcome"
         )
@@ -172,33 +170,10 @@ class GAEInstrumentation:
         self._run_time_by_site: Dict[str, Any] = {}
         self._flocks_by_site: Dict[str, Any] = {}
         self._phase_names: Dict[str, Tuple[str, str, str]] = {}
-        self._events_by_type = {t: self._events_total.bind(type=t.value) for t in EventType}
-        eventcore.observe = self._on_event
+        # The core's observer: each live event is counted once, into
+        # telemetry's window for its event time.
+        eventcore.observe = self.telemetry.count
 
-    def _on_event(self, event: JournalEvent) -> None:
-        """The core's observer: count every live event by type, once in
-        the metrics and once in telemetry's current window."""
-        self._events_by_type[event.type].inc()
-        if self.telemetry is not None:
-            self.telemetry.count(event)
-
-    # ------------------------------------------------------------------
-    # wiring
-    # ------------------------------------------------------------------
-    def attach(
-        self,
-        grid,
-        steering=None,
-        monitoring=None,
-        accounting=None,
-        estimators=None,
-        monalisa=None,
-    ) -> "GAEInstrumentation":
-        """Subscribe to every observable seam of an assembled GAE.
-
-        ``grid`` is required; the services are optional so partial rigs
-        (scheduler-only tests, bare grids) can still be instrumented.
-        """
         scheduler = grid.scheduler
         scheduler.plan_listeners.append(self._on_plan)
         scheduler.staging_listeners.append(self._on_staging)
@@ -223,55 +198,44 @@ class GAEInstrumentation:
                 lambda svc, up: self._service_up.set(1.0 if up else 0.0, site=svc.site.name)
             )
 
-        if steering is not None:
-            processor = steering.command_processor
-            processor.span_factory = self.command_span
-            processor.listeners.append(self._on_command)
-            recovery = steering.backup_recovery
-            recovery.notification_listeners.append(self._on_recovery_note)
-            recovery.salvage_listeners.append(
-                lambda task_id, files: self._on_output_retrieved(task_id, "salvage", len(files))
+        processor = steering.command_processor
+        processor.span_factory = self.command_span
+        processor.listeners.append(self._on_command)
+        recovery = steering.backup_recovery
+        recovery.notification_listeners.append(self._on_recovery_note)
+        recovery.salvage_listeners.append(
+            lambda task_id, files: self._on_output_retrieved(task_id, "salvage", len(files))
+        )
+        recovery.archive_listeners.append(
+            lambda task_id, state: self._on_output_retrieved(
+                task_id, "archive", len(state.get("output_files", []) or [])
             )
-            recovery.archive_listeners.append(
-                lambda task_id, state: self._on_output_retrieved(
-                    task_id, "archive", len(state.get("output_files", []) or [])
-                )
+        )
+        monalisa.subscribe_job_states(self._on_monalisa_publish)
+        m.gauge(
+            "gae_estimator_history_records",
+            "task-history rows feeding the runtime estimator",
+            fn=lambda: float(estimators.history_size()),
+        )
+        # The iperf bandwidth memo's counters, observable like everything
+        # else (one fn-backed gauge per event kind).
+        transfer = estimators.transfer
+        for kind in ("hits", "misses", "expirations", "evictions"):
+            m.gauge(
+                f"gae_transfer_probe_cache_{kind}",
+                f"iperf bandwidth-memo {kind}",
+                fn=lambda _kind=kind: float(getattr(transfer.cache_stats, _kind)),
             )
-        if monalisa is not None:
-            monalisa.subscribe_job_states(self._on_monalisa_publish)
-            if self.health is not None:
-                self.health.attach_monalisa(monalisa)
-        if estimators is not None:
-            self.metrics.gauge(
-                "gae_estimator_history_records",
-                "task-history rows feeding the runtime estimator",
-                fn=lambda: float(estimators.history_size()),
-            )
-            transfer = getattr(estimators, "transfer", None)
-            if transfer is not None:
-                # The iperf bandwidth memo's counters, observable like
-                # everything else (one fn-backed gauge per event kind).
-                for kind in ("hits", "misses", "expirations", "evictions"):
-                    self.metrics.gauge(
-                        f"gae_transfer_probe_cache_{kind}",
-                        f"iperf bandwidth-memo {kind}",
-                        fn=lambda _kind=kind: float(
-                            getattr(transfer.cache_stats, _kind)
-                        ),
-                    )
-        if monitoring is not None:
-            self.metrics.gauge(
-                "gae_monitoring_records",
-                "monitoring DB rows (one per observed task)",
-                fn=lambda: float(len(monitoring.db_manager)),
-            )
-        if accounting is not None:
-            self.metrics.gauge(
-                "gae_accounting_ledger_entries",
-                "quota ledger entries (reservations committed or released)",
-                fn=lambda: float(len(accounting.quotas.ledger)),
-            )
-        return self
+        m.gauge(
+            "gae_monitoring_records",
+            "monitoring DB rows (one per observed task)",
+            fn=lambda: float(len(monitoring.db_manager)),
+        )
+        m.gauge(
+            "gae_accounting_ledger_entries",
+            "quota ledger entries (reservations committed or released)",
+            fn=lambda: float(len(accounting.quotas.ledger)),
+        )
 
     # ------------------------------------------------------------------
     # scheduler hooks
@@ -591,31 +555,25 @@ class GAEInstrumentation:
 
     def telemetry_summary(self) -> Dict[str, Any]:
         """Small wire-safe summary of the windowed pipeline (never the data)."""
-        if self.telemetry is None:
-            return {"enabled": False}
         return {
             "enabled": True,
             "window_s": self.telemetry.window_s,
             "windows_closed": self.telemetry.windows_closed,
             "series": len(self.telemetry.names()),
-            "health_rules": len(self.health.rules) if self.health is not None else 0,
-            "health_firing": self.health.firing() if self.health is not None else [],
+            "health_rules": len(self.health.rules),
+            "health_firing": self.health.firing(),
         }
 
     def health_snapshot(self) -> Dict[str, Any]:
         """Wire-safe health state for ``system.health`` / CLI / webui."""
-        if self.health is None:
-            return {"enabled": False}
         return self.health.snapshot()
 
     def start_telemetry(self) -> None:
-        """Arm the window tick (no-op when telemetry is disabled)."""
-        if self.telemetry is not None:
-            self.telemetry.start()
+        """Arm the window tick."""
+        self.telemetry.start()
 
     def stop_telemetry(self) -> None:
-        if self.telemetry is not None:
-            self.telemetry.stop()
+        self.telemetry.stop()
 
     # ------------------------------------------------------------------
     # persistence (checkpoint/restore)
@@ -625,13 +583,12 @@ class GAEInstrumentation:
         journal is the checkpointer's to save)."""
         self.tracer.save_to(store)
         self.metrics.save_to(store)
-        if self.telemetry is not None:
-            store.register_namespace(namespace_record(OBSERVABILITY_TELEMETRY))
-            store.clear(OBSERVABILITY_TELEMETRY)
-            rows = [("pipeline", self.telemetry.export_state())]
-            if self.health is not None:
-                rows.append(("health", self.health.export_state()))
-            store.put_many(OBSERVABILITY_TELEMETRY, rows)
+        store.register_namespace(namespace_record(OBSERVABILITY_TELEMETRY))
+        store.clear(OBSERVABILITY_TELEMETRY)
+        store.put_many(OBSERVABILITY_TELEMETRY, [
+            ("pipeline", self.telemetry.export_state()),
+            ("health", self.health.export_state()),
+        ])
 
     def export_tracking(self) -> Dict[str, Any]:
         """Serializable live task/job trace-tracking state.
@@ -696,14 +653,12 @@ class GAEInstrumentation:
             self._jobs[job_id] = jt
 
     def load_from(self, store, tracking: Optional[Dict[str, Any]] = None) -> None:
-        """Restore spans, metric values, and (optionally) tracking."""
+        """Restore spans, metric values, telemetry windows, health state
+        and (optionally) tracking."""
         self.tracer.load_from(store)
         self.metrics.load_from(store)
-        if self.telemetry is not None:
-            rows = dict(store.items(OBSERVABILITY_TELEMETRY))
-            if "pipeline" in rows:
-                self.telemetry.import_state(rows["pipeline"])
-            if self.health is not None and rows.get("health") is not None:
-                self.health.import_state(rows["health"])
+        rows = dict(store.items(OBSERVABILITY_TELEMETRY))
+        self.telemetry.import_state(rows["pipeline"])
+        self.health.import_state(rows["health"])
         if tracking is not None:
             self.import_tracking(tracking)

@@ -8,9 +8,8 @@ every :class:`~repro.observability.metrics.MetricsRegistry` instrument
 and counts journal events onto **sim-clock-aligned windows** (the
 instrumentation, the event core's one observer, hands it each live
 event through :meth:`TelemetryPipeline.count`), keeping
-each resulting series in a bounded ring buffer that speaks the
-:class:`repro.monalisa.TimeSeries` dialect (non-decreasing ``(time,
-value)`` samples, ``window(t0, t1)`` slices, ``as_timeseries()``).
+each resulting series in a bounded ring buffer of non-decreasing
+``(time, value)`` samples.
 
 Series naming, for a window width ``w`` closing at boundary ``t``:
 
@@ -40,18 +39,8 @@ via the same minimal JSON-Schema checker
 from __future__ import annotations
 
 from collections import deque
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.monalisa.timeseries import TimeSeries
 from repro.events.journal import JournalEvent
 from repro.observability.metrics import (
     Counter,
@@ -96,13 +85,8 @@ def reduce_values(values: Sequence[float], reducer: str) -> Optional[float]:
 
 
 class WindowSeries:
-    """Bounded ring of per-window ``(time, value)`` samples.
-
-    The storage dialect matches :class:`repro.monalisa.TimeSeries`:
-    times are non-decreasing, ``window(t0, t1)`` returns the inclusive
-    slice, and ``as_timeseries()`` lifts the ring into a real
-    ``TimeSeries`` for anything that wants the numpy-backed queries.
-    """
+    """Bounded ring of per-window ``(time, value)`` samples, times
+    non-decreasing."""
 
     __slots__ = ("name", "source", "window_s", "_times", "_values")
 
@@ -129,11 +113,6 @@ class WindowSeries:
         self._times.append(float(time))
         self._values.append(float(value))
 
-    def latest(self) -> Tuple[float, float]:
-        if not self._times:
-            raise ValueError(f"series {self.name!r} is empty")
-        return self._times[-1], self._values[-1]
-
     def samples(self) -> List[Tuple[float, float]]:
         return list(zip(self._times, self._values))
 
@@ -141,20 +120,9 @@ class WindowSeries:
         out = list(self._values)
         return out if last_n is None else out[-last_n:]
 
-    def window(self, t0: float, t1: float) -> List[Tuple[float, float]]:
-        """Samples with ``t0 <= time <= t1`` (TimeSeries.window dialect)."""
-        if t1 < t0:
-            raise ValueError(f"t1 < t0 ({t1} < {t0})")
-        return [
-            (t, v) for t, v in zip(self._times, self._values) if t0 <= t <= t1
-        ]
-
     def reduce(self, reducer: str, last_n: Optional[int] = None) -> Optional[float]:
         """Apply a :data:`REDUCERS` member over the last *last_n* windows."""
         return reduce_values(self.values(last_n), reducer)
-
-    def as_timeseries(self) -> TimeSeries:
-        return TimeSeries.from_samples(self.samples())
 
 
 class TelemetryPipeline:
@@ -166,8 +134,9 @@ class TelemetryPipeline:
     aligned so boundaries stay at ``origin + k * window_s`` even across
     a checkpoint/restore).  Each tick closes one window: every registry
     instrument is sampled, journal counts are folded in, and the
-    attached :class:`~repro.observability.health.HealthEngine` (if any)
-    is evaluated against the fresh windows.
+    :class:`~repro.observability.health.HealthEngine` (which attaches
+    itself when it is constructed over the pipeline) is evaluated against
+    the fresh windows.
     """
 
     def __init__(
@@ -188,7 +157,7 @@ class TelemetryPipeline:
         self.retain = int(retain)
         self.origin = float(sim.now)
         self.windows_closed = 0
-        self.health: Optional[Any] = None  # HealthEngine, set by attach_health
+        self.health: Any = None  # the HealthEngine, set by attach_health
         self._series: Dict[str, WindowSeries] = {}
         self._boundaries: deque = deque(maxlen=retain)
         self._upcoming_boundary = self.origin + self.window_s
@@ -197,9 +166,6 @@ class TelemetryPipeline:
         self._cumulative: Dict[str, int] = {}
         self._handle = None
         self._seeded = False
-        #: Called after each closed window with the boundary time — the
-        #: scenario engine and tests hook progress off this.
-        self.on_window: List[Callable[[float], None]] = []
 
     # -- wiring --------------------------------------------------------
 
@@ -263,11 +229,7 @@ class TelemetryPipeline:
 
         self._sample_metrics(t_end)
         self.windows_closed += 1
-
-        if self.health is not None:
-            self.health.evaluate(t_end)
-        for hook in self.on_window:
-            hook(t_end)
+        self.health.evaluate(t_end)
 
     def _sample_metrics(self, t: float, seed_only: bool = False) -> None:
         for name in self.metrics.names():
@@ -348,16 +310,8 @@ class TelemetryPipeline:
             return None
         return series.reduce(reducer, last_n)
 
-    def to_dict(
-        self,
-        *,
-        names: Optional[Sequence[str]] = None,
-        last_n: Optional[int] = None,
-    ) -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
         """Wire-safe snapshot: meta plus per-series samples."""
-        selected = self.names() if names is None else [
-            n for n in names if n in self._series
-        ]
         return {
             "schema": TELEMETRY_SCHEMA_VERSION,
             "window_s": self.window_s,
@@ -367,16 +321,9 @@ class TelemetryPipeline:
             "series": {
                 name: {
                     "source": self._series[name].source,
-                    "samples": [
-                        [t, v]
-                        for t, v in (
-                            self._series[name].samples()[-last_n:]
-                            if last_n is not None
-                            else self._series[name].samples()
-                        )
-                    ],
+                    "samples": [[t, v] for t, v in self._series[name].samples()],
                 }
-                for name in selected
+                for name in self.names()
             },
         }
 

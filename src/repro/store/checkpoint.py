@@ -56,6 +56,7 @@ Restore ordering matters and is documented inline; the broad strokes:
 
 from __future__ import annotations
 
+import inspect
 import sqlite3
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
@@ -80,6 +81,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Bump when the overall checkpoint layout (not an individual namespace)
 #: changes incompatibly.
 CHECKPOINT_FORMAT = 2
+
+#: ``build_gae`` keywords an older checkpoint may still record, each with
+#: the constant the build now wires in its place.  A file recording that
+#: value restores; any other value is a build this one cannot reproduce.
+RETIRED_BUILD_PARAMS: Dict[str, Any] = {
+    "telemetry": True,
+    "record_history": True,
+    "service_metrics_period_s": 60.0,
+    "transfer_cache_ttl_s": 300.0,
+}
 
 
 class CheckpointError(StoreError):
@@ -283,9 +294,11 @@ def restore_gae(
     resumes the workload.
 
     Raises :class:`CheckpointError` for a file that is missing, not a
-    readable checkpoint or of another format, a continuation given no
-    base (or a self-contained file given one), and a base that is itself
-    a continuation or whose head is not the one *path* was cut against.
+    readable checkpoint or of another format, build parameters this
+    ``build_gae`` cannot reproduce (:data:`RETIRED_BUILD_PARAMS`), a
+    continuation given no base (or a self-contained file given one), and a
+    base that is itself a continuation or whose head is not the one *path*
+    was cut against.
     """
     path = str(path)
     source, meta = _read(path)
@@ -343,7 +356,31 @@ def _read(path: str) -> Tuple[MemoryStore, Dict[str, Any]]:
         )
     if meta["head_seq"] is None:  # written by a build that had no journal
         meta["head_seq"] = -1
+    meta["build_params"] = _build_params(path, meta["build_params"])
     return source, meta
+
+
+def _build_params(path: str, recorded: Dict[str, Any]) -> Dict[str, Any]:
+    """The recorded ``build_params`` as keywords this ``build_gae`` takes:
+    retired keys holding their constant dropped, anything else refused."""
+    from repro.gae import build_gae
+
+    params = dict(recorded)
+    for key, constant in RETIRED_BUILD_PARAMS.items():
+        if key in params and params.pop(key) != constant:
+            raise CheckpointError(
+                f"{path!r}: build_params {key}={recorded[key]!r} cannot be "
+                f"rebuilt (this build always wires {constant!r})"
+            )
+    # restore passes the grid, policy and store itself.
+    taken = set(inspect.signature(build_gae).parameters) - {"grid", "policy", "store"}
+    unknown = sorted(set(params) - taken)
+    if unknown:
+        raise CheckpointError(
+            f"{path!r}: build_params names {', '.join(unknown)}, "
+            "which build_gae does not take"
+        )
+    return params
 
 
 def _restore(

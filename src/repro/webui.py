@@ -215,7 +215,7 @@ class _GAEStatusHandler(BaseHTTPRequestHandler):
 
     def _send_health(self) -> None:
         obs = self.gae.observability
-        if obs is None or obs.health is None:
+        if obs is None:
             self._send_json({"error": "health-disabled", "status": 503}, code=503)
             return
         snap = obs.health_snapshot()

@@ -79,10 +79,16 @@ class TestJournalFirstWritePath:
         gae, _ = demo_at()
         metrics = gae.observability.metrics.snapshot()
         assert not [name for name in metrics if name.startswith("gae_consumer_")]
-        # The journal's own size and the per-type counts are the instruments.
+        # The journal's own size and telemetry's per-type counts are the
+        # instruments: every event is counted once, in a closed window, the
+        # open one, or the next.
         head = gae.observability.journal.head_seq
-        counted = metrics["gae_task_events_total"]["values"]
-        assert sum(counted.values()) == head + 1
+        state = gae.observability.telemetry.export_state()
+        counted = sum(
+            sum(state[part].values())
+            for part in ("cumulative", "current_counts", "next_counts")
+        )
+        assert counted == head + 1
 
 
 class Boom(RuntimeError):

@@ -13,14 +13,25 @@ from repro.observability.health import (
 from repro.events.journal import EventJournal, EventType
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.telemetry import TelemetryPipeline
+from repro.scenarios.spec import ScenarioError, ScenarioSpec
 
 
-def make_stack(rules=None, window_s=10.0):
+class StubMonalisa:
+    """Records what the engine publishes."""
+
+    def __init__(self):
+        self.published = []
+
+    def publish(self, farm, series, t, value):
+        self.published.append((farm, series, t, value))
+
+
+def make_stack(rules=None, window_s=10.0, monalisa=None):
     sim = Simulator()
     journal = EventJournal(lambda: sim.now)
     pipe = TelemetryPipeline(sim, MetricsRegistry(), window_s=window_s)
     journal.sink = pipe.count
-    engine = HealthEngine(pipe, journal, rules=rules)
+    engine = HealthEngine(pipe, journal, monalisa or StubMonalisa(), rules=rules)
     pipe.start()
     return sim, journal, pipe, engine
 
@@ -66,6 +77,32 @@ class TestRuleValidation:
         with pytest.raises(HealthRuleError, match="unknown keys"):
             HealthRule.from_dict({"name": "x", "kind": "threshold",
                                   "series": "s", "metric": "nope"})
+
+    @pytest.mark.parametrize("data, message", [
+        ({"name": "r", "kind": "burn_rate"},
+         "health_rules[0]: burn_rate needs good_series and bad_series"),
+        ({"name": "r", "kind": "threshold"},
+         "health_rules[0].series: required for kind 'threshold'"),
+        ({"name": "r", "kind": "threshold", "series": "s", "windows": 0},
+         "health_rules[0].windows: must be >= 1"),
+        ({"kind": "threshold", "series": "s"}, "health_rules[0].name: required"),
+    ])
+    def test_every_message_names_the_callers_path(self, data, message):
+        with pytest.raises(HealthRuleError) as raised:
+            HealthRule.from_dict(data, "health_rules[0]")
+        assert str(raised.value) == message
+
+    def test_a_scenario_rule_error_names_its_index(self):
+        scenario = {
+            "name": "s", "description": "a scenario",
+            "grid": {"sites": [{"name": "siteA", "nodes": 1}]},
+            "health_rules": [{"name": "r", "kind": "burn_rate"}],
+        }
+        with pytest.raises(ScenarioError) as raised:
+            ScenarioSpec.from_dict(scenario)
+        assert str(raised.value) == (
+            "scenario.health_rules[0]: burn_rate needs good_series and bad_series"
+        )
 
     def test_duplicate_rule_names_rejected(self):
         with pytest.raises(HealthRuleError, match="duplicate"):
@@ -157,17 +194,11 @@ class TestSideEffects:
         assert firing[0].attributes["rule_kind"] == "threshold"
 
     def test_monalisa_published_each_window(self):
-        published = []
-
-        class StubMonalisa:
-            def publish(self, farm, series, t, value):
-                published.append((farm, series, t, value))
-
-        sim, journal, pipe, engine = make_stack(rules=[fail_rule()])
-        engine.attach_monalisa(StubMonalisa())
+        monalisa = StubMonalisa()
+        sim, journal, pipe, engine = make_stack(rules=[fail_rule()], monalisa=monalisa)
         sim.at(5.0, lambda: journal.record(EventType.FAILED, "t1"))
         sim.run_until(20.0)
-        assert published == [
+        assert monalisa.published == [
             ("health", "rule.fails", 10.0, 1.0),
             ("health", "rule.fails", 20.0, 0.0),
         ]

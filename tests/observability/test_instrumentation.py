@@ -6,6 +6,7 @@ MonALISA publication.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -238,7 +239,7 @@ class TestJournalAndMetricsWiring:
         gae, _ = completed
         m = gae.observability.metrics
         assert m.get("gae_scheduler_jobs_planned_total").total() == 1.0
-        assert m.get("gae_task_events_total").value(type="completed") == 1.0
+        assert gae.observability.telemetry.value("journal.completed.total") == 1.0
         assert m.get("gae_task_run_seconds").summary(site="siteA")["count"] == 1.0
         assert m.get("gae_monalisa_job_state_publish_total").total() > 0
         assert m.get("gae_execution_service_up").value(site="siteA") == 1.0
@@ -259,7 +260,10 @@ class TestJournalAndMetricsWiring:
         assert snap["enabled"] is True
         assert snap["tasks_traced"] == 1
         assert snap["spans"] > 0
-        assert "gae_task_events_total" in snap["metrics"]
+        assert "gae_scheduler_tasks_planned_total" in snap["metrics"]
+        # Events are counted once, by type, in telemetry's journal series.
+        assert "gae_task_events_total" not in snap["metrics"]
+        assert snap["telemetry"]["enabled"] is True
 
     def test_disabled_gae_reports_disabled(self):
         grid = GridBuilder(seed=5).site("s").probe_noise(0.0).build()
@@ -346,6 +350,47 @@ def test_no_trace_record_slot_holds_a_span():
                 assert not (made and value.func.attr in span_makers), ast.unparse(node)
 
 
+def test_the_instrumentation_has_one_shape():
+    """Built whole, in one call: no late ``attach``, no part that may be
+    missing, one event count, and no ``build_gae`` switch that leaves a
+    part out."""
+    tree = ast.parse(Path(instrument.__file__).read_text("utf-8"))
+    [cls] = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "GAEInstrumentation"
+    ]
+    methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    assert "attach" not in methods
+
+    def is_self_attr(node, names):
+        return (
+            isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+        )
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Constant) and o.value is None for o in operands):
+                assert not any(
+                    is_self_attr(o, {"telemetry", "health"}) for o in operands
+                ), ast.unparse(node)
+
+    observers = [
+        ast.unparse(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Attribute) and target.attr == "observe"
+    ]
+    assert observers == ["self.telemetry.count"]
+
+    assert list(inspect.signature(build_gae).parameters) == [
+        "grid", "policy", "history", "load_publish_period_s", "host_name",
+        "monitor_snapshot_period_s", "observability", "telemetry_window_s",
+        "health_rules", "store", "read_cache",
+    ]
+
+
 def steered_gae(live_jobs, **build_kwargs):
     """A started two-site GAE holding *live_jobs* single-task jobs, plus the
     three steering verbs (as callables returning their results) aimed at a
@@ -399,16 +444,12 @@ class TestInstrumentationBudget:
 
     def test_verbs_answer_the_same_bare_traced_and_fully_instrumented(self):
         """Bare (the same journal-first writes, but no tracer, no lifecycle
-        events and nothing retained), instrumented, and instrumented +
-        telemetry."""
+        events and nothing retained) and instrumented (tracer, telemetry
+        and health engine)."""
         answers = []
-        for build_kwargs in (
-            {"observability": False},
-            {"observability": True, "telemetry": False},
-            {"observability": True, "telemetry": True},
-        ):
-            gae, verbs = steered_gae(50, **build_kwargs)
+        for observability in (False, True):
+            gae, verbs = steered_gae(50, observability=observability)
             answers.append({name: verb() for name, verb in verbs.items()})
             gae.stop()
-        assert answers[0] == answers[1] == answers[2]
+        assert answers[0] == answers[1]
         assert all(r["ok"] for results in answers[0].values() for r in results)

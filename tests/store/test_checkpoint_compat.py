@@ -16,13 +16,22 @@ commit's ``src`` on the path, from the repository root::
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.clarens.errors import ClarensFault
 from repro.gridsim.job import reset_id_counters
-from repro.store.checkpoint import CHECKPOINT_FORMAT, Checkpointer, restore_gae
+from repro.store.checkpoint import (
+    CHECKPOINT_FORMAT,
+    RETIRED_BUILD_PARAMS,
+    CheckpointError,
+    Checkpointer,
+    restore_gae,
+)
+from repro.store.registry import CHECKPOINT_META
+from repro.store.sqlite import SqliteStore, read_store_file
 
 from tests.store.test_checkpoint import T_CHECKPOINT, build_workload, run_to_completion
 
@@ -80,21 +89,52 @@ def test_a_parent_written_checkpoint_restores_to_the_parents_answers(build):
     served = gae.host.stats.snapshot()["calls"]
     assert len(client.call("system.recent_calls", -1)) == served
     if BUILDS[build]:
-        # The file stored consumer cursor/lag gauges nothing binds any
-        # more; restore re-creates them by name, valueless, and the
-        # answers above do not depend on them.
+        # The file stored instruments nothing binds any more: consumer
+        # cursor/lag gauges and the per-type event counter (telemetry's
+        # journal series count events now).  Restore re-creates them by
+        # name — the gauges valueless, the counter with its stored counts
+        # — and the answers above and below do not depend on them.
         stale = {
             name: state for name, state in gae.observability.metrics.snapshot().items()
-            if name.startswith("gae_consumer_")
+            if name.startswith("gae_consumer_") or name == "gae_task_events_total"
         }
         assert sorted(stale) == [
             f"gae_consumer_{consumer}_{gauge}"
             for consumer in ("accounting", "estimators", "monalisa", "monitoring")
             for gauge in ("cursor", "lag")
-        ]
+        ] + ["gae_task_events_total"]
+        counted = stale.pop("gae_task_events_total")
+        assert counted["kind"] == "counter"
+        assert sum(counted["values"].values()) == gae.events.journal.head_seq + 1
         assert all(s["kind"] == "gauge" and s["values"] == {} for s in stale.values())
     run_to_completion(gae)
     assert service_answers(gae) == expected["at_completion"]
+
+
+def test_the_fixtures_record_every_retired_build_param_at_its_constant():
+    """What the restores above rebuild: each retired key, at the constant
+    ``build_gae`` now wires in its place."""
+    for build in BUILDS:
+        meta = read_store_file(str(FIXTURES / f"format2_{build}.sqlite")).get(
+            CHECKPOINT_META, "meta"
+        )
+        recorded = meta["build_params"]
+        assert {key: recorded[key] for key in RETIRED_BUILD_PARAMS} == RETIRED_BUILD_PARAMS
+
+
+@pytest.mark.parametrize("edit", [{"bogus": 1}, {"telemetry": False}])
+def test_build_params_this_build_cannot_reproduce_are_refused(tmp_path, edit):
+    """An unknown key, or a retired one holding another value than its
+    constant, is a ``CheckpointError`` naming the key."""
+    path = tmp_path / "edited.sqlite"
+    shutil.copyfile(FIXTURES / "format2_full.sqlite", path)
+    with SqliteStore(str(path)) as store:
+        meta = store.get(CHECKPOINT_META, "meta")
+        meta["build_params"].update(edit)
+        store.put(CHECKPOINT_META, "meta", meta)
+    [key] = edit
+    with pytest.raises(CheckpointError, match=f"build_params (names )?{key}"):
+        restore_gae(str(path))
 
 
 if __name__ == "__main__":

@@ -16,13 +16,6 @@ class TestBuildOptions:
         gae = build_gae(small_grid(), host_name="my-clarens")
         assert gae.host.name == "my-clarens"
 
-    def test_record_history_off(self):
-        gae = build_gae(small_grid(), record_history=False)
-        t = Task(spec=TaskSpec(owner="u"), work_seconds=10.0)
-        gae.scheduler.submit_job(Job(tasks=[t], owner="u"))
-        gae.grid.run_until(100.0)
-        assert len(gae.history) == 0
-
     def test_record_history_on_by_default(self):
         gae = build_gae(small_grid())
         t = Task(spec=TaskSpec(owner="u"), work_seconds=10.0)

@@ -180,7 +180,7 @@ class TestMetricsPage:
         gae, ui, *_ = served
         _, body, _ = fetch(ui.url + "metrics")
         assert "gae_scheduler_jobs_planned_total" in body
-        assert "gae_task_events_total" in body
+        assert "gae_scheduler_tasks_planned_total" in body
         assert 'gae_execution_service_up{site="siteA"}' in body
 
 

@@ -372,6 +372,14 @@ def smoke_health(tmp: Path) -> None:
         REPO_ROOT / "docs" / "schemas" / "telemetry_export.schema.json",
     )
     print(f"telemetry.jsonl: {rows} rows ok")
+    series = {
+        row["name"]
+        for row in map(json.loads, (tmp / "telemetry.jsonl").read_text("utf-8").splitlines())
+        if row["kind"] == "series"
+    }
+    check("journal.completed.count" in series, "no journal.completed.count series exported")
+    counted_twice = sorted(s for s in series if s.startswith("metric.gae_task_events_total."))
+    check(not counted_twice, f"events counted twice, as {counted_twice}")
     transitions = snapshot["health"]["transitions"]
     fired = {t["rule"] for t in transitions if t["to"] == "firing"}
     resolved = {t["rule"] for t in transitions if t["to"] == "resolved"}
