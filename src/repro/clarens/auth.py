@@ -18,7 +18,7 @@ import hashlib
 import hmac
 import itertools
 import secrets as _secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.clarens.errors import AuthenticationError
@@ -49,6 +49,11 @@ class _UserRecord:
     password_hash: str
     salt: str
     groups: FrozenSet[str]
+    #: The user's one Principal, shared by every call made as them.
+    principal: Principal = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.principal = Principal(user=self.name, groups=self.groups)
 
 
 def _hash_password(password: str, salt: str) -> str:
@@ -82,14 +87,14 @@ class UserDatabase:
             record.password_hash, _hash_password(password, record.salt)
         ):
             raise AuthenticationError(f"bad credentials for user {name!r}")
-        return Principal(user=name, groups=record.groups)
+        return record.principal
 
     def principal(self, name: str) -> Principal:
         """The Principal for a known user (AuthenticationError if unknown)."""
         record = self._users.get(name)
         if record is None:
             raise AuthenticationError(f"unknown user {name!r}")
-        return Principal(user=name, groups=record.groups)
+        return record.principal
 
     def users(self) -> Tuple[str, ...]:
         """All user names, sorted."""

@@ -81,7 +81,8 @@ class CallContext:
         #: Resolved by auth middleware (None until then, unless pre-set by
         #: ``invoke_as`` / multicall sub-dispatch).
         self.principal = principal
-        #: Resolved MethodEntry, cached by the ACL middleware.
+        #: Resolved MethodEntry, cached by the recorder (None for an
+        #: unknown path, which the ACL stage then refuses).
         self.entry: Any = None
         #: The call's ``rpc:`` span on the host tracer, set by the recorder.
         self.span_id = ""
@@ -176,25 +177,34 @@ class RecorderMiddleware:
     instrumented build swaps in its own), stamps ``ctx.duration_ms`` /
     ``ctx.outcome``, finishes the span with them and counts the call in
     ``host.stats``.  ``system.recent_calls`` reads those spans back.
+
+    A registered method's span takes its name and ``method`` from the
+    resolved :class:`~repro.clarens.registry.MethodEntry` and its
+    ``principal`` from the user's own :class:`Principal`, so a retained
+    span holds no copy of a string the host already keeps.  An unknown
+    path is recorded as sent, in strings of its own call only.
     """
 
     def __init__(self, host: Any) -> None:
         self._host = host
 
-    def _method_label(self, ctx: CallContext) -> str:
-        if ctx.entry is None:  # failed before the ACL stage resolved it
-            try:
-                self._host.registry.resolve(ctx.method_path)
-            except ClarensFault:
-                return UNKNOWN_METHOD
-        return ctx.method_path
-
     def __call__(self, ctx: CallContext, call_next: Callable[[CallContext], Any]) -> Any:
+        entry = ctx.entry
+        if entry is None:
+            try:
+                entry = ctx.entry = self._host.registry.resolve(ctx.method_path)
+            except ClarensFault:  # raised again by the ACL stage, after auth
+                pass
+        if entry is not None:
+            name, method = entry.span_name, entry.path
+        else:
+            method = ctx.method_path
+            name = f"rpc:{method}"
         tracer = self._host.tracer
         span = tracer.start_span(
-            f"rpc:{ctx.method_path}",
+            name,
             trace_id=ctx.trace_id,
-            attributes={"method": ctx.method_path, "transport": ctx.transport},
+            attributes={"method": method, "transport": ctx.transport},
         )
         ctx.span_id = span.span_id
         t0 = time.perf_counter()
@@ -226,7 +236,7 @@ class RecorderMiddleware:
                 fields["error"] = ctx.fault_message
             tracer.end_span(span, status="ok" if ctx.outcome == "ok" else "error")
             self._host.stats.record(
-                self._method_label(ctx),
+                method if entry is not None else UNKNOWN_METHOD,
                 ctx.outcome,
                 ctx.duration_ms,
                 served_from=ctx.served_from,

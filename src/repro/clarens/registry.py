@@ -76,12 +76,20 @@ class MethodEntry:
 
     name: str
     func: Callable[..., Any]
+    #: The dotted ``service.method`` path it is served under.
+    path: str
     doc: str = ""
     anonymous: bool = False
     pass_principal: bool = False
     pass_context: bool = False
     #: ReadPolicy when the method is a cacheable read, else None.
     cache: Optional[Any] = None
+    #: Its calls' ``rpc:`` span name, built once here: every served call
+    #: of the method shares this string and ``path`` instead of copies.
+    span_name: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.span_name = f"rpc:{self.path}"
 
     def signature(self) -> str:
         """Human-readable call signature for introspection."""
@@ -160,6 +168,7 @@ class ServiceRegistry:
             entry.methods[method_name] = MethodEntry(
                 name=method_name,
                 func=func,
+                path=f"{name}.{method_name}",
                 doc=inspect.getdoc(func) or "",
                 anonymous=bool(meta.get("anonymous", False)),
                 pass_principal=bool(meta.get("pass_principal", False)),

@@ -350,7 +350,7 @@ def _cmd_journal_tail(args: argparse.Namespace) -> int:
             return 1
     from repro.events.journal import JOURNAL_SCHEMA_VERSION
 
-    tail = events[-args.n:]
+    tail = events[max(len(events) - args.n, 0):]
     print(f"{len(tail)} of {len(events)} event(s) from {source} "
           f"(journal schema {JOURNAL_SCHEMA_VERSION}, "
           f"head seq {journal.head_seq})")
@@ -586,6 +586,14 @@ def _cmd_scenario_validate(args: argparse.Namespace) -> int:
     return status
 
 
+def _count(text: str) -> int:
+    """An argparse ``type``: a count, so a negative one is refused (exit 2)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``gae-repro`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -680,8 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pjt.add_argument("task_id", type=str, nargs="?", default=None,
                      help="only this task's events")
-    pjt.add_argument("--n", type=int, default=20,
-                     help="how many trailing events to show")
+    pjt.add_argument("--n", type=_count, default=20,
+                     help="how many trailing events to show (0: none)")
     pjt.add_argument("--checkpoint", type=str, default=None, metavar="PATH",
                      help="read the journal from this checkpoint file instead "
                           "of running the demo workload")

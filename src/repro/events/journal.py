@@ -18,9 +18,9 @@ import enum
 import itertools
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.store.base import StateStore
 from repro.store.registry import OBSERVABILITY_JOURNAL, namespace_record
@@ -79,24 +79,67 @@ class EventType(str, enum.Enum):
     HISTORY_RECORDED = "history-recorded"
 
 
-#: Shared empty mapping for the (very common) attribute-less event, so a
-#: journal at capacity does not hold one throwaway dict per row.
-_NO_ATTRIBUTES: Dict[str, Any] = MappingProxyType({})  # type: ignore[assignment]
+#: One ``keys`` tuple per payload shape, shared by every row of that shape.
+#: The shapes are the producers' keyword sets (and those of the rows a
+#: checkpoint restores), a few dozen at most.  An interning table: what it
+#: holds changes no row's value, only which of two equal tuples a row keeps.
+_KEYSETS: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class JournalEvent:
-    """One immutable journal row."""
+    """One immutable journal row.
+
+    The payload is a ``values`` tuple over a ``keys`` tuple that every row
+    of the same shape shares, not a dict per row; ``attributes`` reads it
+    back as a mapping in the recorded key order.
+    """
 
     seq: int
     time: float
     type: EventType
     task_id: str
-    job_id: Optional[str] = None
-    site: Optional[str] = None
-    trace_id: Optional[str] = None
-    span_id: Optional[str] = None
-    attributes: Dict[str, Any] = field(default_factory=dict)
+    job_id: Optional[str]
+    site: Optional[str]
+    trace_id: Optional[str]
+    span_id: Optional[str]
+    keys: Tuple[str, ...]
+    values: Tuple[Any, ...]
+
+    def __init__(
+        self,
+        seq: int,
+        time: float,
+        type: EventType,
+        task_id: str,
+        job_id: Optional[str] = None,
+        site: Optional[str] = None,
+        trace_id: Optional[str] = None,
+        span_id: Optional[str] = None,
+        attributes: Optional[Mapping[str, Any]] = None,
+    ) -> None:
+        if attributes:
+            keys = tuple(attributes)
+            keys = _KEYSETS.setdefault(keys, keys)
+            values = tuple(attributes.values())
+        else:
+            keys = values = ()
+        put = object.__setattr__
+        put(self, "seq", seq)
+        put(self, "time", time)
+        put(self, "type", type)
+        put(self, "task_id", task_id)
+        put(self, "job_id", job_id)
+        put(self, "site", site)
+        put(self, "trace_id", trace_id)
+        put(self, "span_id", span_id)
+        put(self, "keys", keys)
+        put(self, "values", values)
+
+    @property
+    def attributes(self) -> Mapping[str, Any]:
+        """The payload as a read-only mapping, keys in recorded order."""
+        return MappingProxyType(dict(zip(self.keys, self.values)))
 
     def to_wire(self) -> Dict[str, Any]:
         return {
@@ -108,7 +151,7 @@ class JournalEvent:
             "site": self.site,
             "trace_id": self.trace_id,
             "span_id": self.span_id,
-            "attributes": dict(self.attributes),
+            "attributes": dict(zip(self.keys, self.values)),
         }
 
 
@@ -185,7 +228,7 @@ class EventJournal:
                 site=site,
                 trace_id=trace_id,
                 span_id=span_id,
-                attributes=attributes if attributes else _NO_ATTRIBUTES,
+                attributes=attributes,
             )
             self._events.append(event)
             self._head_seq = event.seq
@@ -205,13 +248,17 @@ class EventJournal:
         task_id: Optional[str] = None,
         limit: Optional[int] = None,
     ) -> List[JournalEvent]:
+        """The retained events, oldest first; *limit* keeps the newest that
+        many (``0``: none; a negative limit is a ``ValueError``)."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must not be negative, got {limit}")
         snapshot = self._snapshot()
         if type is not None:
             snapshot = [e for e in snapshot if e.type is EventType(type)]
         if task_id is not None:
             snapshot = [e for e in snapshot if e.task_id == task_id]
         if limit is not None:
-            snapshot = snapshot[-limit:]
+            snapshot = snapshot[max(len(snapshot) - limit, 0):]
         return snapshot
 
     def timeline(self, task_id: str) -> List[JournalEvent]:
@@ -286,7 +333,7 @@ class EventJournal:
                 site=row["site"],
                 trace_id=row["trace_id"],
                 span_id=row["span_id"],
-                attributes=row["attributes"] or _NO_ATTRIBUTES,
+                attributes=row["attributes"],
             )
             for row in rows
         ]

@@ -60,7 +60,6 @@ class _TaskTrace:
         "trace_id",
         "job_id",
         "root_id",
-        "root_ctx",
         "phase_id",
         "phase_start",
         "last_state",
@@ -72,11 +71,10 @@ class _TaskTrace:
         "finished",
     )
 
-    def __init__(self, trace_id: str, job_id: str, root_ctx: SpanContext, priority: int) -> None:
+    def __init__(self, trace_id: str, job_id: str, root_id: str, priority: int) -> None:
         self.trace_id = trace_id
         self.job_id = job_id
-        self.root_id = root_ctx.span_id
-        self.root_ctx = root_ctx  # the parent of every span under the task
+        self.root_id = root_id
         self.phase_id: Optional[str] = None
         self.phase_start = 0.0  # the open phase's, for its run time
         self.last_state: Optional[JobState] = None
@@ -89,6 +87,11 @@ class _TaskTrace:
         self.published_states: Tuple[str, ...] = ()
         #: Whether this task still counts towards its job's ``unfinished``.
         self.finished = False
+
+    def root(self) -> SpanContext:
+        """The task root's context, the parent of every span under the task
+        (built when a span opens, not kept: the ids are already here)."""
+        return SpanContext(self.trace_id, self.root_id)
 
 
 class _JobTrace:
@@ -254,22 +257,24 @@ class GAEInstrumentation:
         self._jobs[job.job_id] = _JobTrace(trace_id, job_span.span_id, task_ids)
         self._jobs_planned_b.inc()
         for task in job.tasks:
-            root_ctx = self.tracer.start_span(
+            root = self.tracer.start_span(
                 f"task:{task.task_id}",
                 trace_id=trace_id,
                 parent=job_span.context,
                 attributes={"task_id": task.task_id, "owner": task.spec.owner},
                 activate=False,
             ).context
-            self._tasks[task.task_id] = _TaskTrace(trace_id, job.job_id, root_ctx, task.priority)
+            self._tasks[task.task_id] = _TaskTrace(
+                trace_id, job.job_id, root.span_id, task.priority
+            )
             self._tasks_planned_b.inc()
             site = plan.site_for(task.task_id)
             self.journal.record(
                 EventType.SUBMITTED, task.task_id, job_id=job.job_id,
-                trace_id=trace_id, span_id=root_ctx.span_id,
+                trace_id=trace_id, span_id=root.span_id,
             )
             sched = self.tracer.instant(
-                "schedule", trace_id=trace_id, parent=root_ctx,
+                "schedule", trace_id=trace_id, parent=root,
                 attributes={"site": site},
             )
             self.journal.record(
@@ -284,7 +289,7 @@ class GAEInstrumentation:
         self.tracer.instant(
             f"stage-in:{kind}",
             trace_id=tt.trace_id,
-            parent=tt.root_ctx,
+            parent=tt.root(),
             attributes={"site": site, "kind": kind, "delay_s": delay},
             end=self.sim.now + delay,
         )
@@ -311,7 +316,7 @@ class GAEInstrumentation:
 
     def _open_phase(self, tt: _TaskTrace, name: str, **attributes: Any) -> None:
         phase = self.tracer.start_span(
-            name, trace_id=tt.trace_id, parent=tt.root_ctx,
+            name, trace_id=tt.trace_id, parent=tt.root(),
             attributes=attributes, activate=False,
         )
         tt.phase_id, tt.phase_start = phase.span_id, phase.start
@@ -409,7 +414,7 @@ class GAEInstrumentation:
             return
         self._close_phase(tt)
         tt.flock_id = self.tracer.instant(
-            "flock", trace_id=tt.trace_id, parent=tt.root_ctx,
+            "flock", trace_id=tt.trace_id, parent=tt.root(),
             attributes={"from": site},
         ).span_id
         self._record(EventType.FLOCK_FORWARDED, tt, ad.task_id, site=site)
@@ -446,7 +451,7 @@ class GAEInstrumentation:
                 current.parent_id = tt.root_id
             parent = current.context
         else:
-            parent = tt.root_ctx
+            parent = tt.root()
         with self.tracer.span(
             f"steer:{command}",
             trace_id=tt.trace_id,
@@ -506,7 +511,7 @@ class GAEInstrumentation:
         self.tracer.instant(
             "monalisa:publish",
             trace_id=tt.trace_id,
-            parent=tt.root_ctx,
+            parent=tt.root(),
             attributes={"farm": event.site, "state": event.state},
         )
 
@@ -631,8 +636,7 @@ class GAEInstrumentation:
         ring_starts = {span.span_id: span.start for span in self.tracer.spans()}
         self._tasks = {}
         for task_id, w in state["tasks"]:
-            root_ctx = SpanContext(w["trace_id"], w["root"])
-            tt = _TaskTrace(w["trace_id"], w["job_id"], root_ctx, w["last_priority"])
+            tt = _TaskTrace(w["trace_id"], w["job_id"], w["root"], w["last_priority"])
             tt.phase_id = w["phase"]
             tt.phase_start = w.get("phase_start", ring_starts.get(tt.phase_id, 0.0))
             tt.last_state = (

@@ -1,8 +1,12 @@
 """Unit tests for the call pipeline: CallContext, composition, built-ins."""
 
+import contextlib
+
 import pytest
 
-from repro.clarens.errors import AuthorizationError, RemoteFault
+from repro.clarens.acl import AccessControlList
+from repro.clarens.aio import AsyncSocketServerHandle
+from repro.clarens.errors import AuthorizationError, ClarensFault, RemoteFault
 from repro.clarens.middleware import (
     UNKNOWN_METHOD,
     CallContext,
@@ -10,6 +14,7 @@ from repro.clarens.middleware import (
     build_pipeline,
 )
 from repro.clarens.server import ClarensHost
+from repro.clarens.transport import AsyncSocketTransport, LoopbackTransport
 
 
 class TestCallContext:
@@ -167,6 +172,63 @@ class TestHostIntegration:
 
         host.add_middleware(spy)
         host.dispatch("system.ping", [], "")
-        # ACL middleware runs before user middlewares and caches the entry.
+        # The recorder resolves the entry before user middlewares run.
         assert entries[0] is not None
         assert entries[0].name == "ping"
+
+
+class _Echo:
+    def echo(self, value):
+        return value
+
+
+@contextlib.contextmanager
+def _served(via):
+    """A host with user ``alice`` and a ``svc.echo`` method, and a ``call``
+    that reaches it over *via* (loopback, or framed ``json``) as alice."""
+    host = ClarensHost("h", acl=AccessControlList(default_allow=True))
+    host.users.add_user("alice", "pw")
+    host.register("svc", _Echo())
+    with contextlib.ExitStack() as stack:
+        if via == "loopback":
+            transport = LoopbackTransport(host)
+        else:
+            handle = stack.enter_context(AsyncSocketServerHandle(host))
+            transport = AsyncSocketTransport(handle.address, codec="json")
+            stack.callback(transport.close)
+        token = transport.call("system.login", ["alice", "pw"])
+        yield host, lambda method, *params: transport.call(method, list(params), token=token)
+
+
+def _spans(host, name):
+    return [s for s in host.tracer.spans() if s.name == name]
+
+
+@pytest.mark.parametrize("via", ["loopback", "json"])
+class TestSharedStrings:
+    """A retained call span holds no copy of a string the host already
+    keeps, and no string a client sent is kept anywhere but its own span."""
+
+    def test_two_calls_of_one_method_by_one_user_share_their_strings(self, via):
+        with _served(via) as (host, call):
+            assert call("svc.echo", 1) == 1 and call("svc.echo", 2) == 2
+        first, second = _spans(host, "rpc:svc.echo")
+        entry = host.registry.resolve("svc.echo")
+        assert first.name is second.name is entry.span_name
+        assert first.attributes["method"] is second.attributes["method"] is entry.path
+        assert first.attributes["principal"] == "alice"
+        assert first.attributes["principal"] is second.attributes["principal"]
+        assert first.attributes["principal"] is host.users.principal("alice").user
+
+    def test_an_unknown_path_is_recorded_as_sent_and_cached_nowhere(self, via):
+        with _served(via) as (host, call):
+            for _ in range(2):
+                with pytest.raises(ClarensFault):
+                    call("nope.method", 1)
+        first, second = _spans(host, "rpc:nope.method")
+        assert first.attributes["method"] == second.attributes["method"] == "nope.method"
+        assert first.name is not second.name  # built per call, never memoised
+        if via == "json":  # each frame decodes a string of its own: none is interned
+            assert first.attributes["method"] is not second.attributes["method"]
+        assert host.stats.snapshot()["per_method"][UNKNOWN_METHOD] == 2
+        assert not host.registry.has("nope")

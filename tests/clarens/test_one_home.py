@@ -328,20 +328,29 @@ def test_one_trace_store():
     assert not kept
 
     def literal(node):
-        """The leading text of a string or f-string argument."""
-        if isinstance(node, ast.JoinedStr) and node.values:
-            node = node.values[0]
-        return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+        """The leading text of an f-string."""
+        head = node.values[0] if node.values else None
+        return head.value if isinstance(head, ast.Constant) and isinstance(head.value, str) else ""
 
-    opened = [
-        (path.name, literal(call.args[0]).split(":")[0])
+    # A call span's name is built in two places only: once per method at
+    # registration (``MethodEntry.span_name``) and, for an unknown path,
+    # per call by the recorder.  The recorder opens the one server-side
+    # span (its name is a variable); the client opens its own ``client:``.
+    named = [
+        (path.name, literal(node).split(":")[0])
         for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.JoinedStr) and literal(node).startswith(("rpc:", "aio:"))
+    ]
+    assert named == [("middleware.py", "rpc"), ("registry.py", "rpc")]
+    opened = [
+        (path.name, literal(call.args[0]) if isinstance(call.args[0], ast.JoinedStr) else None)
+        for path in sorted(clarens.glob("*.py"))
         for call in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(call, ast.Call) and call.args
         and getattr(call.func, "attr", "") in ("start_span", "instant", "span")
-        and literal(call.args[0]).startswith(("rpc:", "aio:"))
     ]
-    assert opened == [("middleware.py", "rpc")]
+    assert opened == [("middleware.py", None), ("transport.py", "client:")]
     aio = ast.parse((clarens / "aio.py").read_text(encoding="utf-8"))
     assert not [
         call for call in ast.walk(aio)

@@ -73,6 +73,19 @@ class TestQueries:
         for i in range(5):
             journal.record(EventType.STARTED, f"t{i}")
         assert [e.task_id for e in journal.events(limit=2)] == ["t3", "t4"]
+        assert len(journal.events(limit=50)) == 5
+
+    def test_a_zero_limit_returns_no_events(self, journal):
+        for i in range(5):
+            journal.record(EventType.STARTED, f"t{i}")
+        assert journal.events(limit=0) == []
+        assert journal.events(task_id="t1", limit=0) == []
+
+    def test_a_negative_limit_is_refused(self, journal):
+        for i in range(5):
+            journal.record(EventType.STARTED, f"t{i}")
+        with pytest.raises(ValueError, match="must not be negative"):
+            journal.events(limit=-3)
 
     def test_timeline_sorted_by_time_then_seq(self, journal, clock):
         clock.now = 10.0

@@ -1,5 +1,7 @@
 """Unit tests for the gae-repro command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -138,3 +140,34 @@ class TestStatsCommand:
         args = build_parser().parse_args(["stats"])
         assert args.calls == 5
         assert args.seed == 7
+
+
+class TestJournalTail:
+    """``journal tail --n N`` prints the newest N rows: 0 is none, and a
+    negative count is refused rather than read as "all but the first"."""
+
+    FIXTURE = str(Path(__file__).parent / "store" / "fixtures" / "format2_full.sqlite")
+    ROWS = 104  # the fixture's journal rows, seq 0..103
+
+    def tail(self, capsys, n):
+        assert main(["journal", "tail", "--checkpoint", self.FIXTURE, "--n", str(n)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return lines[0], [int(line.split("|")[1]) for line in lines[3:] if line.startswith("|")]
+
+    def test_zero_prints_the_header_and_no_rows(self, capsys):
+        header, seqs = self.tail(capsys, 0)
+        assert header.startswith(f"0 of {self.ROWS} event(s)")
+        assert seqs == []
+
+    @pytest.mark.parametrize("n", [1, 3, 104, 500])
+    def test_n_prints_the_newest_n(self, capsys, n):
+        header, seqs = self.tail(capsys, n)
+        shown = min(n, self.ROWS)
+        assert header.startswith(f"{shown} of {self.ROWS} event(s)")
+        assert seqs == list(range(self.ROWS - shown, self.ROWS))
+
+    def test_a_negative_count_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["journal", "tail", "--checkpoint", self.FIXTURE, "--n", "-3"])
+        assert exc.value.code == 2
+        assert "must not be negative" in capsys.readouterr().err

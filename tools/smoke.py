@@ -32,7 +32,10 @@ phases, the middle one a *genuine* process death:
 
 It then round-trips ``gae-repro checkpoint`` → ``gae-repro restore`` and
 runs ``gae-repro journal replay`` (exit 0; the table lists exactly
-``CONSUMER_NAMES``, every verdict ``identical``).
+``CONSUMER_NAMES``, every verdict ``identical``).  Last, the format-2
+fixture ``tests/store/fixtures/format2_full.sqlite`` goes through
+``gae-repro restore --inspect`` and ``gae-repro journal tail --checkpoint``:
+every stored row is listed, with the attributes its raw JSON holds.
 
 Needs ``numpy`` (``bench`` and ``figures`` also ``pytest`` and
 ``pytest-benchmark``).  Exit status 0 on success, 1 on any failed check.
@@ -41,9 +44,11 @@ Needs ``numpy`` (``bench`` and ``figures`` also ``pytest`` and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -233,6 +238,37 @@ def smoke_restore(tmp: Path) -> None:
     verdicts = {row[0]: row[-1] for row in rows[2:]}
     check(verdicts == dict.fromkeys(CONSUMER_NAMES, "identical"),
           f"journal replay: expected every one of {CONSUMER_NAMES} identical, got {verdicts}")
+    smoke_format2_rows(tmp)
+
+
+def smoke_format2_rows(tmp: Path) -> None:
+    """A format-2 fixture, written when every journal row held a dict,
+    restores and tails through today's row form: every row, every
+    attribute, as rendered here from the file's raw JSON."""
+    fixture = REPO_ROOT / "tests" / "store" / "fixtures" / "format2_full.sqlite"
+    run_cli("restore", "--inspect", str(fixture), cwd=tmp)
+    uri = f"file:{fixture}?mode=ro&immutable=1"
+    with contextlib.closing(sqlite3.connect(uri, uri=True)) as conn:
+        stored = [
+            json.loads(raw) for (raw,) in conn.execute(
+                "SELECT value FROM gae_store WHERE namespace = 'observability.journal' "
+                "ORDER BY key"
+            )
+        ]
+    tail = run_cli("journal", "tail", "--checkpoint", str(fixture), "--n", str(len(stored)),
+                   cwd=tmp, capture=True)
+    shown = [line[2:-2].split(" | ", 5) for line in tail.splitlines()[3:] if line.startswith("| ")]
+    check([int(cells[0]) for cells in shown] == [row["seq"] for row in stored],
+          f"journal tail of {fixture.name}: {len(shown)} rows, the file holds {len(stored)}")
+    expected = [
+        ", ".join(f"{k}={v}" for k, v in sorted(row["attributes"].items())) or "-"
+        for row in stored
+    ]
+    for cells, want in zip(shown, expected):
+        check(cells[5] == want, f"journal tail of {fixture.name}, seq {cells[0]}: "
+                                f"attributes {cells[5]!r}, the file holds {want!r}")
+    print(f"{fixture.name}: all {len(stored)} format-2 journal rows restore and tail "
+          "with their stored attributes")
 
 
 # ----------------------------------------------------------------------
