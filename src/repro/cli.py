@@ -329,9 +329,9 @@ def _cmd_journal_tail(args: argparse.Namespace) -> int:
         journal = EventJournal(clock=lambda: 0.0)
         try:
             journal.load_from(read_store_file(args.checkpoint))
-        except Exception as exc:  # unreadable file or missing namespace
-            print(f"error: cannot read journal from {args.checkpoint!r}: {exc}",
-                  file=sys.stderr)
+        except Exception as exc:  # unreadable file, missing namespace, broken seq run
+            print(f"error: cannot read journal from {args.checkpoint!r}: "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
         source = args.checkpoint
     else:
@@ -339,19 +339,20 @@ def _cmd_journal_tail(args: argparse.Namespace) -> int:
         journal = gae.events.journal
         source = f"demo workload at t={gae.sim.now:.0f}s"
 
-    events = journal.events()
     if args.task_id:
-        events = [e for e in events if e.task_id == args.task_id]
+        events = journal.events(task_id=args.task_id)
         if not events:
-            known = sorted({e.task_id for e in journal.events() if e.task_id})
+            known = sorted(task for task in journal.task_ids() if task)
             hint = f" (journal has: {', '.join(known[:12])})" if known else ""
             print(f"error: no events for task {args.task_id!r}{hint}",
                   file=sys.stderr)
             return 1
+        total, tail = len(events), events[max(len(events) - args.n, 0):]
+    else:
+        total, tail = len(journal), journal.events(limit=args.n)
     from repro.events.journal import JOURNAL_SCHEMA_VERSION
 
-    tail = events[max(len(events) - args.n, 0):]
-    print(f"{len(tail)} of {len(events)} event(s) from {source} "
+    print(f"{len(tail)} of {total} event(s) from {source} "
           f"(journal schema {JOURNAL_SCHEMA_VERSION}, "
           f"head seq {journal.head_seq})")
     print(markdown_table(
@@ -388,7 +389,7 @@ def _cmd_journal_replay(args: argparse.Namespace) -> int:
     journal = core.journal
     reports = [core.consumers[name].verify(journal) for name in names]
     print(f"journal head seq {journal.head_seq}, "
-          f"{len(journal.events())} retained event(s)")
+          f"{len(journal)} retained event(s)")
     print(markdown_table(
         ["consumer", "baseline", "folded", "covered", "verdict"],
         [

@@ -14,6 +14,7 @@ import tracemalloc
 import pytest
 
 from repro.clarens.transport import LoopbackTransport
+from repro.events.journal import EventJournal, EventType, JournalEvent
 from repro.gae import SteeringPolicy, build_gae
 from repro.gridsim import GridBuilder
 from repro.gridsim.job import Job, JobState, Task, TaskSpec
@@ -60,7 +61,7 @@ def traced_heap(jobs, observability):
 
 @pytest.mark.parametrize(
     "observability, window, budget",
-    [(False, (1_000, 4_000), 1_850), (True, (3_000, 6_000), 3_235)],
+    [(False, (1_000, 4_000), 1_850), (True, (3_000, 6_000), 2_925)],
     ids=["bare", "journal"],
 )
 def test_heap_per_live_job_stays_inside_the_budget(observability, window, budget):
@@ -69,7 +70,8 @@ def test_heap_per_live_job_stays_inside_the_budget(observability, window, budget
     # four spans at admission, so it fills at 2 048 jobs): 4 367.4 while
     # the trace records held their spans, 3 407.8 since they hold ids,
     # 3 095.8 since a journal row keeps its payload as a values tuple and
-    # a task record no root ``SpanContext`` (+4.5 % is the budget).
+    # a task record no root ``SpanContext``, 2 798.5 since the ring keeps
+    # columns, not row objects (+4.5 % is the budget).
     rig(50, observability)  # one-off allocations (caches, lazy imports) land here
     small, large = (traced_heap(jobs, observability) for jobs in window)
     per_job = (large - small) / (window[1] - window[0])
@@ -125,6 +127,32 @@ def test_a_full_ring_of_served_calls_holds_each_span_inside_the_budget():
         tracemalloc.stop()
     assert len(gae.host.tracer) == ring == 8_192
     assert per_span <= 542, per_span
+
+
+def test_a_full_journal_ring_keeps_columns_not_rows():
+    """What one retained lifecycle row costs once the ring is full: its
+    nine column slots (72 B) and their share of the deques' blocks, and
+    no ``JournalEvent`` — a reader builds rows on demand.  147.9 B/row
+    while the ring held a row object and a ``seq`` int each, 74.5 since
+    (budget 80)."""
+    rows = 20_000
+    marker = "full-ring-task"
+    gc.collect()
+    tracemalloc.start()  # before the ring exists, so its deque blocks count
+    try:
+        journal = EventJournal(lambda: 5.0, capacity=rows)
+        for _ in range(rows):
+            journal.record(
+                EventType.STARTED, marker, job_id="job-1", site="siteA",
+                trace_id="trace-1", span_id="span-1",
+            )
+        gc.collect()
+        per_row = tracemalloc.get_traced_memory()[0] / rows
+    finally:
+        tracemalloc.stop()
+    alive = sum(isinstance(o, JournalEvent) and o.task_id == marker for o in gc.get_objects())
+    assert len(journal) == rows and alive == 0
+    assert per_row <= 80, per_row
 
 
 class _CountingSet(set):

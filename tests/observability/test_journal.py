@@ -5,8 +5,9 @@ import threading
 
 import pytest
 
-from repro.events.journal import EventJournal, EventType
+from repro.events.journal import EventJournal, EventType, OutOfOrderError
 from repro.store.memory import MemoryStore
+from repro.store.registry import OBSERVABILITY_JOURNAL
 
 
 class FakeClock:
@@ -157,6 +158,53 @@ class TestRetention:
         assert target.record(EventType.STARTED, "next").seq == 4
 
 
+class TestLoadRefusesABrokenRun:
+    """The ring keeps no ``seq``: row *i* is ``head - len + 1 + i``.  A
+    stored stream with a hole would load as rows with the wrong seqs (and
+    ``covers`` would promise a tail ``events_since`` cannot give), so it is
+    refused, naming the first break, and the journal is left untouched."""
+
+    @staticmethod
+    def saved(recorded):
+        source = EventJournal(lambda: 0.0)
+        for i in range(recorded):
+            source.record(EventType.STARTED, f"t{i}")
+        store = MemoryStore()
+        source.save_to(store)
+        return store
+
+    @staticmethod
+    def untouched(journal):
+        return journal.head_seq == 0 and [e.task_id for e in journal.events()] == ["kept"]
+
+    def test_a_missing_seq_is_refused(self):
+        store = self.saved(7)
+        for seq in (2, 3, 4):
+            store.delete(OBSERVABILITY_JOURNAL, f"{seq:012d}")  # rows 0, 1, 5, 6
+        journal = EventJournal(lambda: 0.0)
+        journal.record(EventType.SUBMITTED, "kept")
+        with pytest.raises(OutOfOrderError, match=r"seq 5 after 1 skips seq 2\.\.4"):
+            journal.load_from(store, head_seq=6)
+        assert self.untouched(journal)
+
+    def test_rows_that_stop_short_of_the_head_are_refused(self):
+        store = self.saved(3)
+        journal = EventJournal(lambda: 0.0)
+        journal.record(EventType.SUBMITTED, "kept")
+        with pytest.raises(OutOfOrderError, match=r"stop at seq 2, short of the head 5"):
+            journal.load_from(store, head_seq=5)
+        assert self.untouched(journal)
+
+    def test_an_unbroken_run_loads_from_wherever_the_ring_started(self):
+        store = self.saved(6)
+        for seq in (0, 1):
+            store.delete(OBSERVABILITY_JOURNAL, f"{seq:012d}")  # a ring that had wrapped
+        journal = EventJournal(lambda: 0.0, capacity=3)
+        assert journal.load_from(store, head_seq=5) == 3
+        assert [e.seq for e in journal.events()] == [3, 4, 5]
+        assert journal.covers(2) and not journal.covers(1)
+
+
 class TestConcurrentProducers:
     """Producers on several threads (the aio workers journal steering
     verbs) still get one order: ``seq`` order is retained order is the
@@ -192,3 +240,49 @@ class TestConcurrentProducers:
         journal.save_to(store)
         restored = EventJournal(clock)
         assert restored.load_from(store) == len(expected)
+
+    def test_readers_never_see_a_torn_row_or_a_broken_run(self, clock):
+        """The ring keeps one column per field and no ``seq``: a reader racing
+        the producers must still get whole rows (each one's fields from one
+        ``record``) in an unbroken run of seqs, across wrap-around."""
+        journal = EventJournal(clock, capacity=500)
+        done = threading.Event()
+        torn = []
+
+        def produce(n):
+            for i in range(self.RECORDS // 2):
+                journal.record(EventType.STARTED, f"t{n}", site=f"s{n}", job_id=f"t{n}", i=i)
+
+        def read():
+            try:
+                while not done.is_set():
+                    for rows in (
+                        journal.events(limit=64), journal.events_since(journal.head_seq - 64)
+                    ):
+                        seqs = [e.seq for e in rows]
+                        if seqs and seqs != list(range(seqs[0], seqs[0] + len(seqs))):
+                            torn.append(seqs)
+                        torn.extend(
+                            e for e in rows
+                            if (e.site, e.job_id) != (f"s{e.task_id[1:]}", e.task_id)
+                        )
+            except Exception as exc:  # a reader that dies must fail the test
+                torn.append(exc)
+
+        producers = [threading.Thread(target=produce, args=(n,)) for n in range(self.THREADS)]
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader.start()
+            for thread in producers:
+                thread.start()
+            for thread in producers:
+                thread.join(timeout=120)
+            done.set()
+            reader.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive() and not any(t.is_alive() for t in producers)
+        assert torn == []
+        assert journal.head_seq == self.THREADS * (self.RECORDS // 2) - 1 and len(journal) == 500

@@ -35,7 +35,11 @@ runs ``gae-repro journal replay`` (exit 0; the table lists exactly
 ``CONSUMER_NAMES``, every verdict ``identical``).  Last, the format-2
 fixture ``tests/store/fixtures/format2_full.sqlite`` goes through
 ``gae-repro restore --inspect`` and ``gae-repro journal tail --checkpoint``:
-every stored row is listed, with the attributes its raw JSON holds.
+every stored row is listed, with the attributes its raw JSON holds.  Its
+rows, loaded into a 40-row journal ring that then wraps again while
+recording, go save → load → save byte-identical; and a copy of it with
+one journal row deleted is refused (``journal tail`` exits 1 naming
+``OutOfOrderError``).
 
 Needs ``numpy`` (``bench`` and ``figures`` also ``pytest`` and
 ``pytest-benchmark``).  Exit status 0 on success, 1 on any failed check.
@@ -79,17 +83,22 @@ def check(condition: bool, message: str) -> None:
         raise SmokeFailure(message)
 
 
-def run_python(*argv: str, cwd: Path, capture: bool = False, expect: int = 0) -> str:
-    """Run ``python argv...`` with ``src/`` importable; check its exit status."""
+def run_python(
+    *argv: str, cwd: Path, capture: bool = False, expect: int = 0, stderr: bool = False
+) -> str:
+    """Run ``python argv...`` with ``src/`` importable; check its exit status.
+
+    Returns its stdout with *capture*, its stderr with *stderr*."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_ROOT) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, *argv], cwd=cwd, env=env, timeout=600, text=True,
         stdout=subprocess.PIPE if capture else None,
+        stderr=subprocess.PIPE if stderr else None,
     )
     check(proc.returncode == expect,
           f"`python {' '.join(argv)}` exited {proc.returncode}, expected {expect}")
-    return proc.stdout if capture else ""
+    return proc.stderr if stderr else proc.stdout if capture else ""
 
 
 def run_cli(*args: str, cwd: Path, capture: bool = False) -> str:
@@ -247,14 +256,7 @@ def smoke_format2_rows(tmp: Path) -> None:
     attribute, as rendered here from the file's raw JSON."""
     fixture = REPO_ROOT / "tests" / "store" / "fixtures" / "format2_full.sqlite"
     run_cli("restore", "--inspect", str(fixture), cwd=tmp)
-    uri = f"file:{fixture}?mode=ro&immutable=1"
-    with contextlib.closing(sqlite3.connect(uri, uri=True)) as conn:
-        stored = [
-            json.loads(raw) for (raw,) in conn.execute(
-                "SELECT value FROM gae_store WHERE namespace = 'observability.journal' "
-                "ORDER BY key"
-            )
-        ]
+    stored = [json.loads(raw) for _, raw in journal_rows(fixture)]
     tail = run_cli("journal", "tail", "--checkpoint", str(fixture), "--n", str(len(stored)),
                    cwd=tmp, capture=True)
     shown = [line[2:-2].split(" | ", 5) for line in tail.splitlines()[3:] if line.startswith("| ")]
@@ -269,6 +271,65 @@ def smoke_format2_rows(tmp: Path) -> None:
                                 f"attributes {cells[5]!r}, the file holds {want!r}")
     print(f"{fixture.name}: all {len(stored)} format-2 journal rows restore and tail "
           "with their stored attributes")
+    smoke_journal_ring(tmp, fixture)
+
+
+def journal_rows(path: Path) -> list:
+    """``(key, raw JSON)`` of every journal row in the store file at *path*."""
+    with contextlib.closing(
+        sqlite3.connect(f"file:{path}?mode=ro&immutable=1", uri=True)
+    ) as conn:
+        return conn.execute(
+            "SELECT key, value FROM gae_store WHERE namespace = 'observability.journal' "
+            "ORDER BY key"
+        ).fetchall()
+
+
+def smoke_journal_ring(tmp: Path, fixture: Path) -> None:
+    """The column ring survives a store file byte for byte once it has
+    wrapped, and a store with a hole in its ``seq`` run is refused."""
+    from repro.events.journal import EventJournal, EventType
+    from repro.store.sqlite import SqliteStore, read_store_file
+
+    capacity, extra = 40, 30
+    journal = EventJournal(lambda: 2_000.0, capacity=capacity)
+    journal.load_from(read_store_file(str(fixture)))  # 104 rows into 40 slots
+    for i in range(extra):  # and round the ring again while recording
+        journal.record(EventType.MOVED, f"ring-{i % 3}", site="siteA", old="siteA", new="siteB")
+    saved = []
+    for name in ("ring_a.sqlite", "ring_b.sqlite"):
+        store = SqliteStore(str(tmp / name))
+        journal.save_to(store)
+        store.close()
+        saved.append(journal_rows(tmp / name))
+        head = journal.head_seq
+        journal = EventJournal(lambda: 0.0, capacity=capacity)
+        journal.load_from(read_store_file(str(tmp / name)), head_seq=head)
+    first, second = saved
+    check(first == second, "a wrapped journal ring: save -> load -> save changed the rows")
+    seqs = [int(key) for key, _ in first]
+    check(seqs == list(range(head - capacity + 1, head + 1)),
+          f"a wrapped journal ring saved seqs {seqs[:1]}..{seqs[-1:]}, "
+          f"expected the newest {capacity} up to {head}")
+    from_fixture = dict(journal_rows(fixture))
+    check(all(from_fixture[key] == raw for key, raw in first if key in from_fixture),
+          f"a wrapped journal ring re-serialised a row of {fixture.name} differently")
+    print(f"journal ring of {capacity} after {head + 1} rows: save -> load -> save "
+          f"byte-identical (seq {seqs[0]}..{seqs[-1]})")
+
+    holed = tmp / "holed.sqlite"
+    holed.write_bytes(fixture.read_bytes())
+    with contextlib.closing(sqlite3.connect(holed)) as conn:
+        conn.execute(
+            "DELETE FROM gae_store WHERE namespace = 'observability.journal' AND key = ?",
+            (f"{50:012d}",),
+        )
+        conn.commit()
+    err = run_python("-m", "repro.cli", "journal", "tail", "--checkpoint", str(holed),
+                     cwd=tmp, expect=1, stderr=True)
+    check("OutOfOrderError" in err,
+          f"journal tail of a store missing seq 50 did not name OutOfOrderError: {err!r}")
+    print("journal tail of a store missing seq 50: exit 1, " + err.strip().split(": ", 2)[-1])
 
 
 # ----------------------------------------------------------------------
