@@ -41,7 +41,7 @@ from repro.core.monitoring.service import JobMonitoringService
 from repro.core.steering.optimizer import SteeringPolicy
 from repro.core.steering.service import SteeringService
 from repro.gridsim.grid import Grid
-from repro.monalisa.publisher import ServiceMetricsPublisher, SiteLoadPublisher
+from repro.monalisa.publisher import SiteLoadPublisher
 from repro.monalisa.repository import MonALISARepository
 from repro.monalisa.service import MonALISAQueryService
 from repro.events.core import EventCore
@@ -64,7 +64,6 @@ class GAE:
     accounting: QuotaAccountingService
     steering: SteeringService
     load_publisher: SiteLoadPublisher
-    service_metrics_publisher: ServiceMetricsPublisher
     #: The write path: the journal, what producers emit into, the consumers.
     events: EventCore
     #: End-to-end tracing/lifecycle events/metrics over ``events.journal``;
@@ -108,7 +107,6 @@ class GAE:
         before running the simulator."""
         self.steering.start()
         self.load_publisher.start()
-        self.service_metrics_publisher.start()
         if self.observability is not None:
             self.observability.start_telemetry()
         if self.monitor_snapshot_period_s is not None:
@@ -119,7 +117,6 @@ class GAE:
         """Cancel every periodic activity so the simulator can drain."""
         self.steering.stop()
         self.load_publisher.stop()
-        self.service_metrics_publisher.stop()
         if self.observability is not None:
             self.observability.stop_telemetry()
         self.monitoring.stop_periodic_snapshots()
@@ -155,8 +152,7 @@ def build_gae(
 ) -> GAE:
     """Wire the full GAE over an assembled grid.
 
-    Completed tasks always feed the history live, the service metrics
-    publish to MonALISA every 60 simulated seconds, and iperf bandwidth
+    Completed tasks always feed the history live, and iperf bandwidth
     probes are memoized for 300 simulated seconds (the network-weather
     period, so cached bandwidths go stale no slower than the links they
     describe).
@@ -184,14 +180,16 @@ def build_gae(
         method, the streaming telemetry pipeline (every metric and
         journal rate on sim-aligned windows) and the declarative
         health-rule engine evaluated on each closed window
-        (``system.health``, ``health-*`` journal events, MonALISA
-        ``health`` farm; the window tick arms with :meth:`GAE.start`) —
+        (``system.health``, ``health-*`` journal events; the window tick
+        arms with :meth:`GAE.start`) —
         and the journal retains its rows, which only this layer
         reads back.  Its sim-clock tracer becomes the host's
         (``host.tracer``), so every call's ``rpc:*`` span lands in the
         job-trace ring (8 192 spans, checkpointed; ``system.recent_calls``
         of a restored host lists the calls that ring held) and a steering
-        call joins its job's trace.  ``False`` means no job tracer (the
+        call joins its job's trace.  That tracer mints its ids from
+        counters prefixed by the grid seed, so a seed's ids are the same
+        every run.  ``False`` means no job tracer (the
         host keeps its own 256-span call ring), no lifecycle events and
         nothing retained; state is written through the journal either way.
     telemetry_window_s:
@@ -281,9 +279,6 @@ def build_gae(
             quotas=accounting.quotas,
             monalisa=monalisa,
         )
-    service_metrics_publisher = ServiceMetricsPublisher(
-        sim, monalisa, host, period_s=60.0
-    )
     host.register("estimator", estimators, description="runtime/queue/transfer estimates (§6)")
     host.register("jobmon", monitoring, description="job monitoring information (§5)")
     host.register("steering", steering, description="job steering and control (§4)")
@@ -328,7 +323,6 @@ def build_gae(
         accounting=accounting,
         steering=steering,
         load_publisher=load_publisher,
-        service_metrics_publisher=service_metrics_publisher,
         events=events,
         observability=instrumentation,
         monitor_snapshot_period_s=monitor_snapshot_period_s,

@@ -12,11 +12,7 @@ samples each site's pool load into the repository under the simulator's
 clock.
 """
 
-from repro.monalisa.publisher import (
-    JobStatePublisher,
-    ServiceMetricsPublisher,
-    SiteLoadPublisher,
-)
+from repro.monalisa.publisher import JobStatePublisher, SiteLoadPublisher
 from repro.monalisa.repository import MetricUpdate, MonALISARepository
 from repro.monalisa.service import MonALISAQueryService
 from repro.monalisa.timeseries import TimeSeries
@@ -26,7 +22,6 @@ __all__ = [
     "MetricUpdate",
     "MonALISAQueryService",
     "MonALISARepository",
-    "ServiceMetricsPublisher",
     "SiteLoadPublisher",
     "TimeSeries",
 ]

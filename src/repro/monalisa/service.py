@@ -42,38 +42,10 @@ class MonALISAQueryService:
 
     @clarens_method(cache=_READS)
     def grid_weather(self) -> Dict[str, float]:
-        """Latest load for every site that publishes one — 'Grid weather'.
-
-        Farms that only publish service telemetry (e.g. a Clarens host's
-        ``rpc.*`` series) are excluded; query those via
-        :meth:`service_health`.
-        """
+        """Latest load for every farm that publishes one — 'Grid weather'."""
         return {farm: self.repository.site_load(farm, default=0.0)
                 for farm in self.repository.farms()
                 if self.repository.has_series(farm, "load")}
-
-    @clarens_method(cache=_READS)
-    def service_health(self, host: str = "") -> Dict[str, Dict[str, float]]:
-        """Latest RPC telemetry published for Clarens hosts.
-
-        Returns ``{host: {metric: value}}`` where metrics are the
-        ``rpc.*`` series a
-        :class:`~repro.monalisa.publisher.ServiceMetricsPublisher` feeds
-        (host-wide ``rpc.calls``/``rpc.faults`` plus per-method latency
-        summaries).  Restrict to one host with *host*; hosts that never
-        published service metrics are absent.
-        """
-        farms = [host] if host else self.repository.farms()
-        out: Dict[str, Dict[str, float]] = {}
-        for farm in farms:
-            rpc = {
-                metric: self.repository.latest(farm, metric)
-                for metric in self.repository.metrics_of(farm)
-                if metric.startswith("rpc.")
-            }
-            if rpc:
-                out[farm] = rpc
-        return out
 
     @clarens_method(cache=_READS)
     def latest(self, farm: str, metric: str) -> float:

@@ -7,13 +7,11 @@ over the :class:`~repro.observability.telemetry.TelemetryPipeline`
 windows; the :class:`HealthEngine` evaluates every rule each time a
 window closes (i.e. on simulation clock ticks), runs a small
 ok → firing → resolved state machine per rule, and reports transitions
-three ways at once:
+two ways:
 
 - ``health-firing`` / ``health-resolved`` events in the
   :class:`~repro.events.journal.EventJournal` (rule name in
   ``task_id``), so scenario scoring and timelines see them;
-- a ``health`` farm in MonALISA (``rule.<name>`` stepping 0/1 each
-  window), so the monitoring repository can chart degradation windows;
 - the live :meth:`HealthEngine.snapshot` behind the ``system.health``
   Clarens RPC, ``gae-repro health``, and the webui ``/health`` page.
 
@@ -293,20 +291,17 @@ class _RuleState:
 
 class HealthEngine:
     """Evaluates a rule set against the telemetry windows on every tick,
-    journalling each transition and publishing every rule's state to
-    MonALISA (anything with ``publish(farm, metric, time, value)``)."""
+    journalling each transition."""
 
     def __init__(
         self,
         telemetry: Any,
         journal: EventJournal,
-        monalisa: Any,
         *,
         rules: Optional[Sequence[Union[HealthRule, Dict[str, Any]]]] = None,
     ) -> None:
         self.telemetry = telemetry
         self.journal = journal
-        self.monalisa = monalisa
         self.rules: Tuple[HealthRule, ...] = tuple(
             rule if isinstance(rule, HealthRule)
             else HealthRule.from_dict(rule, f"rules[{i}]")
@@ -341,10 +336,6 @@ class HealthEngine:
                 self._transition(rule, state, "firing", t_end)
             elif state.state == "firing" and state.ok_streak >= rule.clear_windows:
                 self._transition(rule, state, "resolved", t_end)
-            self.monalisa.publish(
-                "health", f"rule.{rule.name}", t_end,
-                1.0 if state.state == "firing" else 0.0,
-            )
 
     def _transition(
         self, rule: HealthRule, state: _RuleState, to: str, t_end: float

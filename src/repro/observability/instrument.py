@@ -44,7 +44,7 @@ from repro.gridsim.job import JobState
 from repro.observability.health import HealthEngine
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.telemetry import TelemetryPipeline
-from repro.observability.tracing import SpanContext, Tracer, new_trace_id
+from repro.observability.tracing import SpanContext, Tracer, seeded_id_prefix
 from repro.store.registry import OBSERVABILITY_TELEMETRY, namespace_record
 
 if TYPE_CHECKING:  # annotation only: the import chain leads back here
@@ -127,7 +127,7 @@ class GAEInstrumentation:
         health_rules=None,
     ) -> None:
         sim = self.sim = grid.sim
-        self.tracer = Tracer(lambda: sim.now)
+        self.tracer = Tracer(lambda: sim.now, id_prefix=seeded_id_prefix(grid.rngs.seed))
         self.eventcore = eventcore  # the GAE's write path, ``gae.events``
         self.journal = eventcore.journal
         eventcore.trace_context = self.trace_context_of
@@ -135,7 +135,7 @@ class GAEInstrumentation:
         self._tasks: Dict[str, _TaskTrace] = {}
         self._jobs: Dict[str, _JobTrace] = {}
         self.telemetry = TelemetryPipeline(sim, self.metrics, window_s=telemetry_window_s)
-        self.health = HealthEngine(self.telemetry, self.journal, monalisa, rules=health_rules)
+        self.health = HealthEngine(self.telemetry, self.journal, rules=health_rules)
 
         m = self.metrics
         self._jobs_planned = m.counter("gae_scheduler_jobs_planned_total", "jobs planned")
@@ -246,7 +246,7 @@ class GAEInstrumentation:
     def _on_plan(self, plan, job) -> None:
         if job.job_id in self._jobs:
             return  # re-plan after a move/resubmit: the trace already exists
-        trace_id = new_trace_id()
+        trace_id = self.tracer.new_trace_id()
         job_span = self.tracer.start_span(
             f"job:{job.job_id}",
             trace_id=trace_id,
@@ -596,7 +596,8 @@ class GAEInstrumentation:
         ])
 
     def export_tracking(self) -> Dict[str, Any]:
-        """Serializable live task/job trace-tracking state.
+        """Serializable live task/job trace-tracking state and the tracer's
+        id counters.
 
         Spans are referenced by id, exactly as the live records hold them.
         """
@@ -625,14 +626,17 @@ class GAEInstrumentation:
                 ),
                 "task_ids": sorted(jt.task_ids),
             }])
-        return {"tasks": tasks, "jobs": jobs}
+        return {"tasks": tasks, "jobs": jobs, "id_counters": list(self.tracer.id_counters)}
 
     def import_tracking(self, state: Dict[str, Any]) -> None:
         """Rebuild ``_tasks``/``_jobs`` from :meth:`export_tracking` output.
 
         A row older than ``phase_start`` takes its phase's start from the
-        restored ring, or ``0.0`` if the ring had dropped the span.
+        restored ring, or ``0.0`` if the ring had dropped the span.  A
+        state that records no ``id_counters`` restarts them at 1: its ids
+        carry random prefixes, which no seeded id equals.
         """
+        self.tracer.id_counters = list(state.get("id_counters", (1, 1)))
         ring_starts = {span.span_id: span.start for span in self.tracer.spans()}
         self._tasks = {}
         for task_id, w in state["tasks"]:

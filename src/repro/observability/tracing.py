@@ -18,6 +18,15 @@ which job it concerns; once the steering command processor resolves the
 task, it re-homes the open span stack onto the job's trace so the RPC,
 the steering verb, and the resulting pool events share one trace.
 
+Ids: :func:`new_trace_id` / :func:`new_span_id` carry a random
+per-process prefix (eight / six hex digits) and a process counter; a
+client mints its calls' trace ids so, and so does a tracer given no
+``id_prefix`` (a bare ``ClarensHost``'s).  A tracer given one counts its
+own: an instrumented GAE passes :func:`seeded_id_prefix` of the grid seed
+(``g`` and five hex digits: never a random prefix, never longer) and
+checkpoints the counters, so two runs of one seed mint the same ids,
+restored or not.
+
 At import time this module needs only the standard library, so
 ``repro.clarens`` can take its trace ids from here without an import cycle.
 """
@@ -28,10 +37,13 @@ import itertools
 import random
 import secrets
 import threading
+import zlib
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["Span", "SpanContext", "Tracer", "new_trace_id", "render_span_tree"]
+__all__ = [
+    "Span", "SpanContext", "Tracer", "new_trace_id", "render_span_tree", "seeded_id_prefix",
+]
 
 # A random per-process prefix plus a counter: unique enough to correlate
 # calls across hosts, and ~10x cheaper than uuid4 on the hot path.
@@ -51,6 +63,13 @@ _SPAN_COUNTER = itertools.count(1)
 def new_span_id() -> str:
     """Process-unique span id, same flavour as ``new_trace_id``."""
     return f"{_SPAN_PREFIX}-s{next(_SPAN_COUNTER):x}"
+
+
+def seeded_id_prefix(seed: int) -> str:
+    """The ``id_prefix`` of a tracer whose run *seed* fixes: ``g`` and five
+    hex digits of its CRC-32 (``g`` is no hex digit, so no random prefix
+    is ever equal to it)."""
+    return f"g{zlib.crc32(str(seed).encode()) & 0xFFFFF:05x}"
 
 
 class SpanContext(Tuple[str, str, Optional[str]]):
@@ -144,9 +163,15 @@ class _ActiveStack(threading.local):
 class Tracer:
     """Thread-safe ring of the newest ``capacity`` spans keyed by span id (a
     span lives exactly as long as its slot; long-lived work holds ids and
-    reaches spans through :meth:`update`), plus a per-thread active-span stack."""
+    reaches spans through :meth:`update`), plus a per-thread active-span stack.
 
-    def __init__(self, clock: Callable[[], float], capacity: int = 8192) -> None:
+    With an ``id_prefix`` the tracer mints its trace and span ids from its
+    own two counters (:attr:`id_counters`); without one, from the module's
+    random-prefixed ones."""
+
+    def __init__(
+        self, clock: Callable[[], float], capacity: int = 8192, id_prefix: Optional[str] = None
+    ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self._clock = clock
@@ -155,6 +180,28 @@ class Tracer:
         self._lock = threading.Lock()
         self._active = _ActiveStack()
         self.capacity = capacity
+        self._id_prefix = id_prefix
+        #: The next [trace, span] counter values of a prefixed tracer; a
+        #: checkpoint saves them.  Minting holds ``_lock``.
+        self.id_counters: List[int] = [1, 1]
+
+    def _count(self, which: int) -> int:
+        with self._lock:
+            n = self.id_counters[which]
+            self.id_counters[which] = n + 1
+        return n
+
+    def new_trace_id(self) -> str:
+        """A fresh trace id: ``<id_prefix>-<counter>``, or
+        :func:`new_trace_id`'s without a prefix."""
+        if self._id_prefix is None:
+            return new_trace_id()
+        return f"{self._id_prefix}-{self._count(0):x}"
+
+    def _new_span_id(self) -> str:
+        if self._id_prefix is None:
+            return new_span_id()
+        return f"{self._id_prefix}-s{self._count(1):x}"
 
     def _append(self, span: Span) -> None:
         with self._lock:
@@ -179,19 +226,19 @@ class Tracer:
         Parentage, in priority order: explicit ``parent`` context, else
         the current thread's active span *if it belongs to the same
         trace*, else root.  ``trace_id`` defaults to the parent's, or a
-        fresh ``new_trace_id()`` for a brand-new trace.
+        fresh :meth:`new_trace_id` for a brand-new trace.
         """
         if parent is None:
             current = self.current_span()
             if current is not None and (trace_id is None or current.trace_id == trace_id):
                 parent = current.context
         if trace_id is None:
-            trace_id = parent.trace_id if parent is not None else new_trace_id()
+            trace_id = parent.trace_id if parent is not None else self.new_trace_id()
         parent_id = parent.span_id if parent is not None and parent.trace_id == trace_id else None
         span = Span(
             name,
             trace_id=trace_id,
-            span_id=new_span_id(),
+            span_id=self._new_span_id(),
             parent_id=parent_id,
             start=self._clock() if start is None else start,
             attributes=attributes,

@@ -92,6 +92,10 @@ RETIRED_BUILD_PARAMS: Dict[str, Any] = {
     "transfer_cache_ttl_s": 300.0,
 }
 
+#: Periodic phases an older checkpoint's ``publishers`` record may still
+#: hold for an activity this build no longer runs; read and dropped.
+RETIRED_PHASES = ("service_metrics",)
+
 
 class CheckpointError(StoreError):
     """Raised for unreadable, incomplete, or incompatible checkpoints."""
@@ -255,19 +259,13 @@ class Checkpointer:
             },
         )
         # Periodic-activity phases: a restore re-joins every original
-        # cadence, so a resumed run fires publishers, the steering poll,
-        # the B&R sweep, and monitoring snapshots at the same instants
-        # the uninterrupted run would have.
+        # cadence, so a resumed run fires the load publisher, the steering
+        # poll, the B&R sweep, and monitoring snapshots at the same
+        # instants the uninterrupted run would have.
         store.put(
             CHECKPOINT_GRIDSIM,
             "publishers",
-            {
-                "site_load": gae.load_publisher.next_fire_time,
-                "service_metrics": gae.service_metrics_publisher.next_fire_time,
-                "steering_loop": gae.steering.next_fire_time,
-                "backup_recovery": gae.steering.backup_recovery.next_fire_time,
-                "monitor_snapshots": gae.monitoring.next_fire_time,
-            },
+            {name: activity.next_fire_time for name, activity in _periodic(gae).items()},
         )
 
         # Steering and accounting.
@@ -296,7 +294,9 @@ def restore_gae(
     Raises :class:`CheckpointError` for a file that is missing, not a
     readable checkpoint or of another format, build parameters this
     ``build_gae`` cannot reproduce (:data:`RETIRED_BUILD_PARAMS`), a
-    continuation given no base (or a self-contained file given one), and a
+    ``publishers`` record that lacks a periodic phase or names one this
+    build does not run (:data:`RETIRED_PHASES` aside), a continuation
+    given no base (or a self-contained file given one), and a
     base that is itself a continuation or whose head is not the one *path*
     was cut against.
     """
@@ -335,7 +335,7 @@ def restore_gae(
                 merged.clear(ns.name)
             merged.put_many(ns.name, source.items(ns.name))
         source = merged
-    return _restore(meta, source, store)
+    return _restore(path, meta, source, store)
 
 
 def _read(path: str) -> Tuple[MemoryStore, Dict[str, Any]]:
@@ -383,10 +383,39 @@ def _build_params(path: str, recorded: Dict[str, Any]) -> Dict[str, Any]:
     return params
 
 
+def _periodic(gae: "GAE") -> Dict[str, Any]:
+    """Each periodic activity by its ``publishers`` phase name; each has a
+    ``next_fire_time`` to save and a ``resume_at`` to restore it into."""
+    return {
+        "site_load": gae.load_publisher,
+        "steering_loop": gae.steering,
+        "backup_recovery": gae.steering.backup_recovery,
+        "monitor_snapshots": gae.monitoring,
+    }
+
+
+def _phases(path: str, recorded: Dict[str, Any], activities: Dict[str, Any]) -> Dict[str, Any]:
+    """The recorded ``publishers`` phases, retired ones dropped: one per
+    activity in *activities*, or a :class:`CheckpointError` naming the odd key."""
+    phases = {name: at for name, at in recorded.items() if name not in RETIRED_PHASES}
+    missing = sorted(set(activities) - set(phases))
+    if missing:
+        raise CheckpointError(
+            f"{path!r}: the publishers record lacks {', '.join(missing)}"
+        )
+    unknown = sorted(set(phases) - set(activities))
+    if unknown:
+        raise CheckpointError(
+            f"{path!r}: the publishers record names {', '.join(unknown)}, "
+            "which this build does not run"
+        )
+    return phases
+
+
 def _restore(
-    meta: Dict[str, Any], source: StateStore, store: Optional[StateStore]
+    path: str, meta: Dict[str, Any], source: StateStore, store: Optional[StateStore]
 ) -> "GAE":
-    """Rebuild a GAE from *source*, which holds every namespace."""
+    """Rebuild *path*'s GAE from *source*, which holds every namespace."""
     from repro.core.steering.optimizer import SteeringPolicy
     from repro.gae import build_gae
     from repro.gridsim.grid import GridBuilder
@@ -450,12 +479,10 @@ def _restore(
     )
     gae.accounting.quotas.import_state(source.get(ACCOUNTING_STATE, "quotas"))
     gae.host.users.import_state(meta["users"])
-    phases = source.get(CHECKPOINT_GRIDSIM, "publishers")
-    gae.load_publisher.resume_at = phases["site_load"]
-    gae.service_metrics_publisher.resume_at = phases["service_metrics"]
-    gae.steering.resume_at = phases["steering_loop"]
-    gae.steering.backup_recovery.resume_at = phases["backup_recovery"]
-    gae.monitoring.resume_at = phases["monitor_snapshots"]
+    activities = _periodic(gae)
+    phases = _phases(path, source.get(CHECKPOINT_GRIDSIM, "publishers", default={}), activities)
+    for name, activity in activities.items():
+        activity.resume_at = phases[name]
 
     # Consumers now hold barrier state; re-anchor their baselines so
     # verify()/rebuild() fold only post-restore events.

@@ -103,77 +103,3 @@ class TestJobStatePublisher:
         final = repo.job_events(task_id=t.task_id)[-1]
         assert final.progress == pytest.approx(1.0)
         assert final.site == "siteX"
-
-
-class TestServiceMetricsPublisher:
-    @pytest.fixture
-    def host_env(self, repo):
-        from repro.clarens.server import ClarensHost
-        from repro.monalisa.publisher import ServiceMetricsPublisher
-
-        sim = Simulator()
-        host = ClarensHost("svc-host", time_source=lambda: sim.now)
-        pub = ServiceMetricsPublisher(sim, repo, host, period_s=60.0)
-        return sim, repo, host, pub
-
-    def test_publishes_counts_and_latency_series(self, host_env):
-        sim, repo, host, pub = host_env
-        for _ in range(4):
-            host.dispatch("system.ping", [], "")
-        pub.publish_now()
-        assert repo.latest("svc-host", "rpc.calls") == 4.0
-        assert repo.latest("svc-host", "rpc.faults") == 0.0
-        assert repo.latest("svc-host", "rpc.system.ping.calls") == 4.0
-        assert repo.latest("svc-host", "rpc.system.ping.p95_ms") >= 0.0
-
-    def test_periodic_sampling_under_the_sim_clock(self, host_env):
-        sim, repo, host, pub = host_env
-        host.dispatch("system.ping", [], "")
-        pub.start()
-        sim.run_until(125.0)
-        pub.stop()
-        times, _ = repo.series("svc-host", "rpc.calls").as_arrays()
-        assert list(times) == [0.0, 60.0, 120.0]
-
-    def test_rejects_bad_period(self, host_env):
-        from repro.monalisa.publisher import ServiceMetricsPublisher
-
-        sim, repo, host, _ = host_env
-        with pytest.raises(ValueError):
-            ServiceMetricsPublisher(sim, repo, host, period_s=0.0)
-
-    def test_idempotent_lifecycle_and_stop_guard(self, host_env):
-        sim, repo, host, pub = host_env
-        host.dispatch("system.ping", [], "")
-        assert pub.start() is pub.start()  # double start is a no-op
-        sim.run_until(65.0)
-        pub.stop()
-        pub.stop()  # idempotent
-        pub.publish_now()  # guarded after stop
-        times, _ = repo.series("svc-host", "rpc.calls").as_arrays()
-        assert list(times) == [0.0, 60.0]
-
-    def test_context_manager(self, host_env):
-        sim, repo, host, pub = host_env
-        host.dispatch("system.ping", [], "")
-        with pub as entered:
-            assert entered is pub
-            sim.run_until(65.0)
-        sim.run_until(300.0)
-        times, _ = repo.series("svc-host", "rpc.calls").as_arrays()
-        assert list(times) == [0.0, 60.0]
-
-    def test_service_health_query_reports_it(self, host_env):
-        from repro.monalisa.service import MonALISAQueryService
-
-        sim, repo, host, pub = host_env
-        host.dispatch("system.ping", [], "")
-        pub.publish_now()
-        repo.publish("siteA", "load", 0.0, 1.5)
-        service = MonALISAQueryService(repo)
-        health = service.service_health()
-        assert "svc-host" in health
-        assert "siteA" not in health  # sites are weather, not service health
-        assert health["svc-host"]["rpc.calls"] == 1.0
-        # ... and the host farm stays out of the load-only weather map.
-        assert set(service.grid_weather()) == {"siteA"}

@@ -36,6 +36,11 @@ class TestQueries:
     def test_grid_weather_snapshot(self, service):
         assert service.grid_weather() == {"siteA": 2.0, "siteB": 0.1}
 
+    def test_a_farm_without_a_load_series_is_no_weather(self, service):
+        service.repository.publish("probe", "cpu_temp", 0.0, 40.0)
+        assert "probe" in service.farms()
+        assert set(service.grid_weather()) == {"siteA", "siteB"}
+
     def test_latest(self, service):
         assert service.latest("siteA", "cpu_temp") == 60.0
         with pytest.raises(KeyError):
@@ -68,4 +73,9 @@ class TestHosting:
         client = gae.client("alice", "pw")
         weather = client.service("monalisa").grid_weather()
         assert set(weather) == {"siteA", "siteB"}
+        # Grid queries only: the host's own call statistics are system.stats'.
+        assert sorted(gae.host.registry.service("monalisa").methods) == [
+            "farms", "grid_weather", "job_events", "latest", "metrics_of",
+            "series_window", "site_load",
+        ]
         assert weather["siteA"] > weather["siteB"]

@@ -16,22 +16,12 @@ from repro.observability.telemetry import TelemetryPipeline
 from repro.scenarios.spec import ScenarioError, ScenarioSpec
 
 
-class StubMonalisa:
-    """Records what the engine publishes."""
-
-    def __init__(self):
-        self.published = []
-
-    def publish(self, farm, series, t, value):
-        self.published.append((farm, series, t, value))
-
-
-def make_stack(rules=None, window_s=10.0, monalisa=None):
+def make_stack(rules=None, window_s=10.0):
     sim = Simulator()
     journal = EventJournal(lambda: sim.now)
     pipe = TelemetryPipeline(sim, MetricsRegistry(), window_s=window_s)
     journal.sink = pipe.count
-    engine = HealthEngine(pipe, journal, monalisa or StubMonalisa(), rules=rules)
+    engine = HealthEngine(pipe, journal, rules=rules)
     pipe.start()
     return sim, journal, pipe, engine
 
@@ -192,16 +182,6 @@ class TestSideEffects:
         assert [(e.task_id, e.time) for e in resolved] == [("fails", 20.0)]
         assert firing[0].attributes["severity"] == "warning"
         assert firing[0].attributes["rule_kind"] == "threshold"
-
-    def test_monalisa_published_each_window(self):
-        monalisa = StubMonalisa()
-        sim, journal, pipe, engine = make_stack(rules=[fail_rule()], monalisa=monalisa)
-        sim.at(5.0, lambda: journal.record(EventType.FAILED, "t1"))
-        sim.run_until(20.0)
-        assert monalisa.published == [
-            ("health", "rule.fails", 10.0, 1.0),
-            ("health", "rule.fails", 20.0, 0.0),
-        ]
 
     def test_snapshot_shape(self):
         sim, _, _, engine = make_stack()

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.gridsim.clock import Simulator
-from repro.monalisa.repository import MonALISARepository
 from repro.observability.export import validate_export_file
 from repro.events.journal import EventJournal, EventType
 from repro.observability.health import HealthEngine
@@ -32,7 +31,7 @@ def make_pipeline(window_s=10.0, retain=64, start=0.0):
     metrics = MetricsRegistry()
     journal = EventJournal(lambda: sim.now)
     pipe = TelemetryPipeline(sim, metrics, window_s=window_s, retain=retain)
-    HealthEngine(pipe, journal, MonALISARepository(lambda *sample: None), rules=())
+    HealthEngine(pipe, journal, rules=())
     journal.sink = pipe.count
     return sim, metrics, journal, pipe
 

@@ -1,8 +1,16 @@
 """Unit tests for spans, the tracer, and the ASCII tree renderer."""
 
+import re
+
 import pytest
 
-from repro.observability.tracing import Span, Tracer, render_span_tree
+from repro.observability.tracing import (
+    Span,
+    Tracer,
+    new_trace_id,
+    render_span_tree,
+    seeded_id_prefix,
+)
 
 
 class FakeClock:
@@ -147,10 +155,16 @@ class TestSpansById:
         assert {s.status for s in source.spans()} == {"open"}
 
     def test_concurrent_starts_keep_the_ring_keyed(self, clock):
+        self.start_concurrently(Tracer(clock, capacity=500))
+
+    def test_concurrent_starts_keep_a_prefixed_ring_keyed(self, clock):
+        self.start_concurrently(Tracer(clock, capacity=500, id_prefix="g00001"))
+
+    @staticmethod
+    def start_concurrently(tracer):
         import sys
         import threading
 
-        tracer = Tracer(clock, capacity=500)
         started = {n: [] for n in range(4)}
 
         def start(n):
@@ -180,6 +194,40 @@ class TestSpansById:
         for span in ring:
             tracer.update(span.span_id, status="ok")
         assert all(s.status == "ok" for s in ring)
+
+
+class TestSeededIds:
+    """A tracer given an ``id_prefix`` counts its own ids; one given none
+    keeps the module's random-prefixed ones."""
+
+    def test_a_prefixed_tracer_counts_its_own_ids(self, clock):
+        tracer = Tracer(clock, id_prefix="gabcde")
+        first = tracer.start_span("a")
+        second = tracer.start_span("b")  # a child: same trace, no new id
+        third = tracer.start_span("c", trace_id=tracer.new_trace_id(), activate=False)
+        assert [(s.trace_id, s.span_id) for s in (first, second, third)] == [
+            ("gabcde-1", "gabcde-s1"), ("gabcde-1", "gabcde-s2"), ("gabcde-2", "gabcde-s3"),
+        ]
+        assert tracer.id_counters == [3, 4]
+        tracer.id_counters = [0x20, 0x30]  # as a restore sets them
+        assert tracer.start_span("d", activate=False).span_id == "gabcde-s30"
+        assert tracer.new_trace_id() == "gabcde-20"
+
+    def test_a_bare_tracer_keeps_random_prefixed_ids(self, tracer):
+        span = tracer.start_span("a")
+        assert re.fullmatch(r"[0-9a-f]{8}-[0-9a-f]+", span.trace_id)
+        assert re.fullmatch(r"[0-9a-f]{6}-s[0-9a-f]+", span.span_id)
+        assert re.fullmatch(r"[0-9a-f]{8}-[0-9a-f]+", tracer.new_trace_id())
+        assert tracer.id_counters == [1, 1]
+
+    def test_a_seeded_prefix_is_never_a_random_one_and_never_longer(self):
+        prefixes = [seeded_id_prefix(seed) for seed in range(1_000)]
+        assert prefixes == [seeded_id_prefix(seed) for seed in range(1_000)]
+        assert len(set(prefixes)) == 1_000
+        for prefix in prefixes:
+            assert re.fullmatch(r"g[0-9a-f]{5}", prefix)
+        random_prefix = new_trace_id().split("-")[0]
+        assert len(f"{prefixes[0]}-1") < len(f"{random_prefix}-1")
 
 
 class TestRenderSpanTree:

@@ -314,8 +314,7 @@ steering_verbs = st.lists(
 
 def run_and_dump_stores(observability, seed, works, fault, verbs, snapshot_period_s):
     """Run the workload with the scripted verbs to completion; every
-    journal-fed store, minus what only the instrumentation (``health``
-    farm) or the wall clock (``rpc.*`` metrics) writes."""
+    journal-fed store, every MonALISA series included."""
     gae, job = build_workload(
         seed, works, fault,
         observability=observability, monitor_snapshot_period_s=snapshot_period_s,
@@ -344,11 +343,7 @@ def run_and_dump_stores(observability, seed, works, fault, verbs, snapshot_perio
         "states": {t.task_id: t.state.value for t in job.tasks},
         "monitoring": gae.monitoring.db_manager.export_state(),
         "job_events": gae.monalisa.job_events(),
-        "series": {
-            key: series.samples()
-            for key, series in gae.monalisa._series.items()
-            if key[0] != "health" and not key[1].startswith("rpc.")
-        },
+        "series": {key: series.samples() for key, series in gae.monalisa._series.items()},
         "estimates": gae.estimators.estimate_db.as_dict(),
         "history": gae.history.records(),
     }

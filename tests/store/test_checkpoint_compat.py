@@ -26,11 +26,12 @@ from repro.gridsim.job import reset_id_counters
 from repro.store.checkpoint import (
     CHECKPOINT_FORMAT,
     RETIRED_BUILD_PARAMS,
+    RETIRED_PHASES,
     CheckpointError,
     Checkpointer,
     restore_gae,
 )
-from repro.store.registry import CHECKPOINT_META
+from repro.store.registry import CHECKPOINT_GRIDSIM, CHECKPOINT_META
 from repro.store.sqlite import SqliteStore, read_store_file
 
 from tests.store.test_checkpoint import T_CHECKPOINT, build_workload, run_to_completion
@@ -113,13 +114,14 @@ def test_a_parent_written_checkpoint_restores_to_the_parents_answers(build):
 
 def test_the_fixtures_record_every_retired_build_param_at_its_constant():
     """What the restores above rebuild: each retired key, at the constant
-    ``build_gae`` now wires in its place."""
+    ``build_gae`` now wires in its place; and what they read and drop: the
+    phase of each periodic activity the build no longer runs."""
     for build in BUILDS:
-        meta = read_store_file(str(FIXTURES / f"format2_{build}.sqlite")).get(
-            CHECKPOINT_META, "meta"
-        )
-        recorded = meta["build_params"]
+        stored = read_store_file(str(FIXTURES / f"format2_{build}.sqlite"))
+        recorded = stored.get(CHECKPOINT_META, "meta")["build_params"]
         assert {key: recorded[key] for key in RETIRED_BUILD_PARAMS} == RETIRED_BUILD_PARAMS
+        phases = stored.get(CHECKPOINT_GRIDSIM, "publishers")
+        assert set(RETIRED_PHASES) <= set(phases)
 
 
 @pytest.mark.parametrize("edit", [{"bogus": 1}, {"telemetry": False}])
@@ -135,6 +137,29 @@ def test_build_params_this_build_cannot_reproduce_are_refused(tmp_path, edit):
     [key] = edit
     with pytest.raises(CheckpointError, match=f"build_params (names )?{key}"):
         restore_gae(str(path))
+
+
+@pytest.mark.parametrize("edit, refusal", [
+    ("drop site_load", "the publishers record lacks site_load"),
+    ("add bogus", "the publishers record names bogus, which this build does not run"),
+])
+def test_a_publishers_record_this_build_cannot_resume_is_refused(tmp_path, edit, refusal):
+    """A periodic phase the record lacks, or one the build does not run
+    (retired ones aside), is a ``CheckpointError`` naming the file and the
+    key — not a bare ``KeyError``, nor a silent restore."""
+    path = tmp_path / "edited.sqlite"
+    shutil.copyfile(FIXTURES / "format2_full.sqlite", path)
+    verb, key = edit.split()
+    with SqliteStore(str(path)) as store:
+        phases = store.get(CHECKPOINT_GRIDSIM, "publishers")
+        if verb == "drop":
+            del phases[key]
+        else:
+            phases[key] = 30.0
+        store.put(CHECKPOINT_GRIDSIM, "publishers", phases)
+    with pytest.raises(CheckpointError) as raised:
+        restore_gae(str(path))
+    assert str(raised.value) == f"{str(path)!r}: {refusal}"
 
 
 if __name__ == "__main__":

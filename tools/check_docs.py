@@ -28,7 +28,11 @@ All run by CI's docs job:
    (module, then attributes), and
    every back-ticked ``*.py`` / ``*.json`` / ``*.md`` path with a
    directory in it exists (from the repo root, ``src/``, ``src/repro/``
-   or the page's own directory) — a moved module cannot linger either.
+   or the page's own directory) — a moved module cannot linger either;
+   and every back-ticked ``<service>.<name>`` (a call's arguments may
+   follow), where ``<service>`` is a service a ``build_gae`` host
+   registers, is one of its RPC methods or a state-store namespace — a
+   deleted method cannot linger either.
    ``benchmarks/e2e/README.md`` is not scanned: only a ``[benchmark]`` PR
    may edit it.
 
@@ -120,8 +124,23 @@ def doc_pages() -> list[Path]:
     return pages + sorted((REPO_ROOT / "docs").glob("*.md"))
 
 
+def rpc_names() -> tuple[set[str], set[str]]:
+    """The services a ``build_gae`` host registers, and every
+    ``service.method`` and state-store namespace under their names."""
+    from repro.gae import build_gae
+    from repro.gridsim import GridBuilder
+    from repro.store.registry import namespace_names
+
+    registry = build_gae(GridBuilder(seed=1).site("docs").build()).host.registry
+    services = set(registry.names())
+    methods = {entry.path for name in services for entry in registry.service(name).methods.values()}
+    return services, methods | set(namespace_names())
+
+
 def check_references() -> list[str]:
-    """Back-ticked ``repro.*`` names import; back-ticked file paths exist."""
+    """Back-ticked ``repro.*`` names import; back-ticked file paths exist;
+    back-ticked ``service.method``s are served."""
+    services, served = rpc_names()
     problems = []
     for page in doc_pages():
         where = page.relative_to(REPO_ROOT)
@@ -131,6 +150,12 @@ def check_references() -> list[str]:
                     pkgutil.resolve_name(token)
                 except (ImportError, AttributeError):
                     problems.append(f"{where} names `{token}`, which does not import")
+            elif (call := re.fullmatch(r"([a-z]+)\.(\w+)(\(.*\))?", token)) and (
+                call.group(1) in services and f"{call.group(1)}.{call.group(2)}" not in served
+            ):
+                problems.append(
+                    f"{where} names `{token}`, which is no RPC method or namespace"
+                )
             elif "/" in token and re.fullmatch(r"[\w./-]+\.(py|json|md)", token):
                 roots = (REPO_ROOT, SRC_ROOT, SRC_ROOT / "repro", page.parent)
                 if not any((root / token).exists() for root in roots):

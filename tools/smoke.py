@@ -28,7 +28,9 @@ phases, the middle one a *genuine* process death:
    survives but the two files;
 3. **restore** — the parent rehydrates *both orphaned files*,
    ``restore_gae(base)`` and ``restore_gae(delta, base=base)``, runs each
-   to completion, and every recorded answer must equal the reference's.
+   to completion, and every recorded answer must equal the reference's,
+   as must every journal row written after the file's barrier (trace and
+   span ids included: an instrumented build mints them from its seed).
 
 It then round-trips ``gae-repro checkpoint`` → ``gae-repro restore`` and
 runs ``gae-repro journal replay`` (exit 0; the table lists exactly
@@ -145,7 +147,10 @@ def run_victim(base: str, delta: str) -> None:
 
 
 def final_answers(gae) -> dict:
-    """Run to completion; the answers every phase must agree on."""
+    """Run to completion; the answers every phase must agree on, and the
+    journal rows written after *gae*'s barrier (a restored run's checkpoint
+    head, the reference's start)."""
+    barrier = gae.events.journal.head_seq
     gae.sim.run_until(T_HORIZON)
     gae.stop()
     gae.sim.run()
@@ -157,11 +162,21 @@ def final_answers(gae) -> dict:
     with gae.client("demo", "demo") as client:
         status = {t: client.call("jobmon.job_status", t) for t in sorted(states)}
         observability = client.call("system.observability")
-    return {"states": states, "status": status, "observability": observability}
+    journal = {
+        event.seq: json.dumps(event.to_wire(), sort_keys=True)
+        for event in gae.events.journal.events_since(barrier)
+    }
+    return {"states": states, "status": status, "observability": observability,
+            "barrier": barrier, "journal": journal}
 
 
 def check_same_answers(label: str, reference: dict, candidate: dict) -> None:
-    for key in ("states", "status", "observability"):
+    """*candidate* answers as *reference* does, and its journal rows after
+    its barrier are the reference's rows byte for byte, ids included."""
+    reference = dict(reference, journal={
+        seq: row for seq, row in reference["journal"].items() if seq > candidate["barrier"]
+    })
+    for key in ("states", "status", "observability", "journal"):
         if reference[key] == candidate[key]:
             continue
         lines = [f"{label} diverged from the uninterrupted run in {key!r}"]
@@ -170,7 +185,7 @@ def check_same_answers(label: str, reference: dict, candidate: dict) -> None:
                 a, b = reference[key].get(item), candidate[key].get(item)
                 if a != b:
                     lines.append(f"  {item}: reference={a!r} {label}={b!r}")
-        raise SmokeFailure("\n".join(lines))
+        raise SmokeFailure("\n".join(lines[:11]))  # the first ten differences
 
 
 def payload(path: str) -> dict:
@@ -229,7 +244,9 @@ def smoke_restore(tmp: Path) -> None:
     check_same_answers("restore(base)", reference, from_base)
     check_same_answers("restore(continuation, base)", reference, from_delta)
     print(f"restored from t={T_BASE:.0f}s base and from t={T_DELTA:.0f}s "
-          "continuation: answers bit-identical to the uninterrupted run")
+          f"continuation: answers and the {len(from_base['journal'])} / "
+          f"{len(from_delta['journal'])} journal rows after each barrier "
+          "bit-identical to the uninterrupted run")
 
     # The CLI's own round trip, and the consumers' rebuild identity.
     run_cli("checkpoint", "--out", "gae_ckpt.sqlite", cwd=tmp)
