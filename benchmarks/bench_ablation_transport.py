@@ -17,12 +17,13 @@ import pytest
 from repro.clarens.aio import AsyncSocketServerHandle
 from repro.clarens.client import ClarensClient
 from repro.clarens.serialization import to_wire
-from repro.clarens.server import ClarensHost, XmlRpcServerHandle
+from repro.clarens.server import ClarensHost
 from repro.clarens.transport import (
     AsyncSocketTransport,
     LoopbackTransport,
     SocketTransport,
 )
+from repro.clarens.xmlrpc_server import XmlRpcServerHandle
 
 
 class EchoService:

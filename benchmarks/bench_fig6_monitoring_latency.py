@@ -24,7 +24,7 @@ import pytest
 from repro.analysis.experiments import run_figure6
 from repro.analysis.latency import build_served_monitoring
 from repro.clarens.client import ClarensClient
-from repro.clarens.server import XmlRpcServerHandle
+from repro.clarens.xmlrpc_server import XmlRpcServerHandle
 from repro.clarens.transport import LoopbackTransport, SocketTransport
 
 

@@ -27,112 +27,79 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured comparison.
 """
 
-from repro.accounting import CostModel, QuotaAccountingService, QuotaManager
-from repro.analysis import (
-    FigureData,
-    mean_absolute_percentage_error,
-    mean_percentage_error,
-    percentage_error,
-    summarize_errors,
-)
-from repro.clarens import (
-    AsyncSocketServerHandle,
-    AsyncSocketTransport,
-    ClarensClient,
-    ClarensHost,
-    LoopbackTransport,
-    SocketTransport,
-    XmlRpcServerHandle,
-)
-from repro.core import (
-    EstimatorService,
-    HistoryRepository,
-    JobMonitoringService,
-    QueueTimeEstimator,
-    RuntimeEstimator,
-    SteeringPolicy,
-    SteeringService,
-    TaskRecord,
-    TransferTimeEstimator,
-)
-from repro.config import grid_from_config
-from repro.core.steering import AdaptiveSteeringAgent
-from repro.gae import GAE, build_gae
-from repro.gridsim.faults import FaultInjector, OutageScheduler
-from repro.scenarios import ScenarioSpec, load_scenario, run_campaign, run_scenario
-from repro.webui import GAEWebUI
-from repro.gridsim import (
-    ConcreteJobPlan,
-    GridBuilder,
-    Job,
-    JobState,
-    LoadProfile,
-    Simulator,
-    SphinxScheduler,
-    Task,
-    TaskSpec,
-)
-from repro.monalisa import MonALISARepository
-from repro.workloads import (
-    DowneyWorkloadGenerator,
-    ParagonAccountingRecord,
-    count_primes,
-    make_prime_count_task,
-    physics_analysis_job,
-)
+import importlib
+from typing import Any, Dict, List
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "AdaptiveSteeringAgent",
-    "AsyncSocketServerHandle",
-    "AsyncSocketTransport",
-    "FaultInjector",
-    "GAE",
-    "GAEWebUI",
-    "OutageScheduler",
-    "ScenarioSpec",
-    "ClarensClient",
-    "ClarensHost",
-    "ConcreteJobPlan",
-    "CostModel",
-    "DowneyWorkloadGenerator",
-    "EstimatorService",
-    "FigureData",
-    "GridBuilder",
-    "HistoryRepository",
-    "Job",
-    "JobMonitoringService",
-    "JobState",
-    "LoadProfile",
-    "LoopbackTransport",
-    "MonALISARepository",
-    "ParagonAccountingRecord",
-    "QueueTimeEstimator",
-    "QuotaAccountingService",
-    "QuotaManager",
-    "RuntimeEstimator",
-    "Simulator",
-    "SocketTransport",
-    "SphinxScheduler",
-    "SteeringPolicy",
-    "SteeringService",
-    "Task",
-    "TaskRecord",
-    "TaskSpec",
-    "TransferTimeEstimator",
-    "XmlRpcServerHandle",
-    "build_gae",
-    "count_primes",
-    "grid_from_config",
-    "load_scenario",
-    "make_prime_count_task",
-    "mean_absolute_percentage_error",
-    "mean_percentage_error",
-    "percentage_error",
-    "physics_analysis_job",
-    "run_campaign",
-    "run_scenario",
-    "summarize_errors",
-    "__version__",
-]
+#: Every public name and the module it is taken from: the one source of
+#: the package surface.  A name's module is imported on first access, so
+#: a process that serves a host loads neither the scenario engine, the
+#: analysis code, the web UI nor the workload generators.
+_EXPORTS: Dict[str, str] = {
+    "AdaptiveSteeringAgent": "repro.core.steering",
+    "AsyncSocketServerHandle": "repro.clarens",
+    "AsyncSocketTransport": "repro.clarens",
+    "FaultInjector": "repro.gridsim.faults",
+    "GAE": "repro.gae",
+    "GAEWebUI": "repro.webui",
+    "OutageScheduler": "repro.gridsim.faults",
+    "ScenarioSpec": "repro.scenarios",
+    "ClarensClient": "repro.clarens",
+    "ClarensHost": "repro.clarens",
+    "ConcreteJobPlan": "repro.gridsim",
+    "CostModel": "repro.accounting",
+    "DowneyWorkloadGenerator": "repro.workloads",
+    "EstimatorService": "repro.core",
+    "FigureData": "repro.analysis",
+    "GridBuilder": "repro.gridsim",
+    "HistoryRepository": "repro.core",
+    "Job": "repro.gridsim",
+    "JobMonitoringService": "repro.core",
+    "JobState": "repro.gridsim",
+    "LoadProfile": "repro.gridsim",
+    "LoopbackTransport": "repro.clarens",
+    "MonALISARepository": "repro.monalisa",
+    "ParagonAccountingRecord": "repro.workloads",
+    "QueueTimeEstimator": "repro.core",
+    "QuotaAccountingService": "repro.accounting",
+    "QuotaManager": "repro.accounting",
+    "RuntimeEstimator": "repro.core",
+    "Simulator": "repro.gridsim",
+    "SocketTransport": "repro.clarens",
+    "SphinxScheduler": "repro.gridsim",
+    "SteeringPolicy": "repro.core",
+    "SteeringService": "repro.core",
+    "Task": "repro.gridsim",
+    "TaskRecord": "repro.core",
+    "TaskSpec": "repro.gridsim",
+    "TransferTimeEstimator": "repro.core",
+    "XmlRpcServerHandle": "repro.clarens",
+    "build_gae": "repro.gae",
+    "count_primes": "repro.workloads",
+    "grid_from_config": "repro.config",
+    "load_scenario": "repro.scenarios",
+    "make_prime_count_task": "repro.workloads",
+    "mean_absolute_percentage_error": "repro.analysis",
+    "mean_percentage_error": "repro.analysis",
+    "percentage_error": "repro.analysis",
+    "physics_analysis_job": "repro.workloads",
+    "run_campaign": "repro.scenarios",
+    "run_scenario": "repro.scenarios",
+    "summarize_errors": "repro.analysis",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *__all__})

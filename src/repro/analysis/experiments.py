@@ -32,7 +32,7 @@ from repro.analysis.figures import FigureData
 from repro.analysis.latency import build_served_monitoring, measure_mean_latency_ms
 from repro.analysis.metrics import summarize_errors
 from repro.analysis.report import markdown_table, replace_block
-from repro.clarens.server import XmlRpcServerHandle
+from repro.clarens.xmlrpc_server import XmlRpcServerHandle
 from repro.core.estimators.history import HistoryRepository
 from repro.core.estimators.runtime import RuntimeEstimator
 from repro.core.steering.optimizer import SteeringPolicy

@@ -25,7 +25,7 @@ def build_served_monitoring(seed: int = 6, n_jobs: int = 8) -> Tuple[GAE, List[s
 
     Returns the GAE and the ids of the running tasks clients will query.
     The caller mounts ``gae.host`` on an
-    :class:`~repro.clarens.server.XmlRpcServerHandle`.
+    :class:`~repro.clarens.xmlrpc_server.XmlRpcServerHandle`.
     """
     grid = (
         GridBuilder(seed=seed)

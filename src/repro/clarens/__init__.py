@@ -12,9 +12,10 @@ This subpackage reproduces that framework in Python:
 - :mod:`repro.clarens.registry` — service/method registration;
 - :mod:`repro.clarens.auth` — login → HMAC-signed session tokens;
 - :mod:`repro.clarens.acl` — per-service/method access control;
-- :mod:`repro.clarens.server` — the :class:`ClarensHost` dispatcher, plus a
-  real threaded XML-RPC HTTP server (stdlib ``xmlrpc``) used by the
-  Figure 6 latency benchmark;
+- :mod:`repro.clarens.server` — the :class:`ClarensHost` dispatcher;
+- :mod:`repro.clarens.xmlrpc_server` — a real threaded XML-RPC HTTP server
+  (stdlib ``xmlrpc``) used by the Figure 6 latency benchmark, imported on
+  first access to :class:`XmlRpcServerHandle`;
 - :mod:`repro.clarens.aio` — the asyncio framed-protocol server:
   persistent connections, request pipelining, codec negotiation;
 - :mod:`repro.clarens.framing` — the length-prefixed frame format and
@@ -35,6 +36,9 @@ This subpackage reproduces that framework in Python:
 - :mod:`repro.clarens.serialization` — wire-safe marshalling helpers.
 """
 
+from typing import Any
+
+from repro.clarens import api
 from repro.clarens.api import (  # noqa: F401  (re-exported surface)
     ANONYMOUS,
     AccessControlList,
@@ -68,7 +72,6 @@ from repro.clarens.api import (  # noqa: F401  (re-exported surface)
     TransportClosedError,
     TransportError,
     UserDatabase,
-    XmlRpcServerHandle,
     clarens_method,
     codec_names,
     from_wire,
@@ -124,3 +127,10 @@ __all__ = [
     "resolve_transport",
     "to_wire",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    # ``XmlRpcServerHandle``: resolved, on first use, by the api module.
+    if name in __all__:
+        return getattr(api, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,7 +2,7 @@
 
 :class:`AsyncSocketServerHandle` is the high-concurrency replacement for
 the thread-per-connection XML-RPC server
-(:class:`~repro.clarens.server.XmlRpcServerHandle`).  One asyncio event
+(:class:`~repro.clarens.xmlrpc_server.XmlRpcServerHandle`).  One asyncio event
 loop (running in a background thread, like the threaded handle it
 replaces) owns every connection: persistent framed sockets
 (:mod:`repro.clarens.framing`), per-connection codec negotiation
@@ -40,7 +40,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.clarens.codecs import Codec, codec_names, get_codec, negotiate
+from repro.clarens.codecs import Codec, codec_names, get_codec, negotiate, require_codec
 from repro.clarens.errors import ClarensFault, ProtocolError, TransportError
 from repro.clarens.framing import (
     CALL,
@@ -254,7 +254,7 @@ class AsyncSocketServerHandle:
         self._workers = workers
         self.codecs: Tuple[str, ...] = tuple(codecs or codec_names())
         for name in self.codecs:
-            get_codec(name)  # fail fast on unknown names
+            require_codec(name)  # fail fast; the codec loads on first negotiation
         self._max_inflight = max_inflight
         self._dispatch_batch = dispatch_batch
         #: The view of this server's worker-pool series in ``host.metrics``

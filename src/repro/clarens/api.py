@@ -8,8 +8,9 @@ The surface groups into:
 
 - **hosting** — :class:`ClarensHost` plus the two server front ends:
   :class:`XmlRpcServerHandle` (threaded HTTP/XML-RPC, one thread per
-  connection) and :class:`AsyncSocketServerHandle` (asyncio framed
-  protocol: persistent connections, pipelining, codec negotiation);
+  connection; it and the stdlib HTTP stack load on first access) and
+  :class:`AsyncSocketServerHandle` (asyncio framed protocol: persistent
+  connections, pipelining, codec negotiation);
 - **clients** — :class:`ClarensClient` / :class:`ServiceProxy` over a
   :class:`Transport`: :class:`LoopbackTransport` (in-process),
   :class:`SocketTransport` (XML-RPC over HTTP) and
@@ -22,6 +23,8 @@ The surface groups into:
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 from repro.clarens.acl import AccessControlList, AclRule
 from repro.clarens.aio import AsyncSocketServerHandle
@@ -44,7 +47,7 @@ from repro.clarens.errors import (
 from repro.clarens.middleware import CallContext, Middleware
 from repro.clarens.registry import ServiceRegistry, clarens_method
 from repro.clarens.serialization import MulticallResult, from_wire, to_wire
-from repro.clarens.server import ClarensHost, XmlRpcServerHandle
+from repro.clarens.server import ClarensHost
 from repro.clarens.telemetry import CallStats
 from repro.clarens.transport import (
     AsyncSocketTransport,
@@ -99,3 +102,13 @@ __all__ = [
     "resolve_transport",
     "to_wire",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    # The HTTP/XML-RPC front end is imported on first use only: a host
+    # served over the framed socket never loads the stdlib HTTP stack.
+    if name == "XmlRpcServerHandle":
+        from repro.clarens.xmlrpc_server import XmlRpcServerHandle
+
+        return XmlRpcServerHandle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

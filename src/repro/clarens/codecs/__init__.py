@@ -31,7 +31,8 @@ HTTP transport — and responses as either a result value or a
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, List, Sequence, Tuple, Type
+import importlib
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.clarens.errors import ProtocolError
 
@@ -76,27 +77,20 @@ class Codec(abc.ABC):
         """Decode a response; raises the typed fault for fault bodies."""
 
 
-def _registry() -> Dict[str, Codec]:
-    # Imported lazily so ``repro.clarens.codecs`` has no import cycle
-    # with the serialization module the codec implementations use.
-    from repro.clarens.codecs.json import CompactJsonCodec
-    from repro.clarens.codecs.xmlrpc import XmlRpcCodec
-
-    out: Dict[str, Codec] = {}
-    for cls in (CompactJsonCodec, XmlRpcCodec):  # type: Type[Codec]
-        codec = cls()
-        out[codec.name] = codec
-    return out
-
+#: Every codec by name, preferred (compact) first, as ``(module, class)``.
+#: A codec's module is imported when the codec is first asked for, so a
+#: host that only ever speaks ``json`` never loads the ``xmlrpc`` stack.
+_REGISTRY: Dict[str, Tuple[str, str]] = {
+    "json": ("repro.clarens.codecs.json", "CompactJsonCodec"),
+    "xmlrpc": ("repro.clarens.codecs.xmlrpc", "XmlRpcCodec"),
+}
 
 _CODECS: Dict[str, Codec] = {}
 
 
 def codec_names() -> List[str]:
     """Names of every registered codec, preferred (compact) first."""
-    if not _CODECS:
-        _CODECS.update(_registry())
-    return list(_CODECS)
+    return list(_REGISTRY)
 
 
 def get_codec(name: str) -> Codec:
@@ -105,14 +99,20 @@ def get_codec(name: str) -> Codec:
     Raises :class:`~repro.clarens.errors.ProtocolError` for unknown
     names, the same failure an impossible negotiation surfaces.
     """
-    if not _CODECS:
-        _CODECS.update(_registry())
-    try:
-        return _CODECS[name]
-    except KeyError:
+    codec = _CODECS.get(name)
+    if codec is None:
+        require_codec(name)
+        module, cls = _REGISTRY[name]
+        codec = _CODECS.setdefault(name, getattr(importlib.import_module(module), cls)())
+    return codec
+
+
+def require_codec(name: str) -> None:
+    """Refuse *name* unless a codec is registered under it (imports nothing)."""
+    if name not in _REGISTRY:
         raise ProtocolError(
-            f"unknown codec {name!r} (have: {', '.join(_CODECS)})"
-        ) from None
+            f"unknown codec {name!r} (have: {', '.join(_REGISTRY)})"
+        )
 
 
 def negotiate(preferences: Sequence[str], supported: Sequence[str]) -> str:
@@ -136,4 +136,5 @@ __all__ = [
     "codec_names",
     "get_codec",
     "negotiate",
+    "require_codec",
 ]

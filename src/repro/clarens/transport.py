@@ -35,7 +35,6 @@ import abc
 import functools
 import socket
 import threading
-import xmlrpc.client
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.clarens.codecs import Codec, codec_names, get_codec
@@ -167,6 +166,8 @@ class SocketTransport(Transport):
     """
 
     def __init__(self, url: str, timeout_s: float = 30.0) -> None:
+        import xmlrpc.client  # the HTTP stack loads with its first client
+
         self.url = url
         transport = xmlrpc.client.Transport()
         # Plumb a socket timeout through the stdlib transport.
@@ -187,6 +188,8 @@ class SocketTransport(Transport):
         token: str = "",
         trace_id: str = "",
     ) -> Any:
+        import xmlrpc.client
+
         if self.closed:
             raise TransportClosedError("transport is closed")
         wire_params = [to_wire(p) for p in params]

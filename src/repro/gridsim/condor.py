@@ -28,8 +28,8 @@ time-stepping error in any figure.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.gridsim.clock import Simulator
 from repro.gridsim.events import EventHandle
@@ -61,13 +61,14 @@ class CondorJobAd:
     end_time: Optional[float] = None
     accrued_work: float = 0.0
     last_sync: Optional[float] = None
-    #: Nodes holding this task's slots (several for a gang task).
-    allocated: List[Node] = field(default_factory=list)
+    #: Nodes holding this task's slots (several for a gang task); the
+    #: shared empty tuple while the task holds none.
+    allocated: Tuple[Node, ...] = ()
     #: Pointwise-max load profile across the allocated nodes.
     effective_profile: Optional[LoadProfile] = None
     input_io_mb: float = 0.0
     output_io_mb: float = 0.0
-    local_output_files: List[str] = field(default_factory=list)
+    local_output_files: Tuple[str, ...] = ()
     _finish_handle: Optional[EventHandle] = None
 
     @property
@@ -248,6 +249,7 @@ class CondorPool:
     def _start(self, ad: CondorJobAd) -> None:
         # Greedy slot allocation across nodes; a gang task may span several.
         remaining = ad.slots_needed
+        allocated = []
         for node in self.nodes:
             if remaining == 0:
                 break
@@ -255,9 +257,10 @@ class CondorPool:
             if take > 0:
                 node.occupy(ad.task_id, slots=take)
                 self._busy_slots += take
-                ad.allocated.append(node)
+                allocated.append(node)
                 remaining -= take
         assert remaining == 0, "dispatch guaranteed enough free slots"
+        ad.allocated = tuple(allocated)
         ad.effective_profile = LoadProfile.combine_max(
             [n.load_profile for n in ad.allocated]
         )
@@ -297,7 +300,7 @@ class CondorPool:
         ad.task.state = JobState.COMPLETED
         ad.end_time = self.sim.now
         ad.output_io_mb = sum(1.0 for _ in ad.task.spec.output_files)  # 1 MB/file default
-        ad.local_output_files = list(ad.task.spec.output_files)
+        ad.local_output_files = ad.task.spec.output_files
         self._release(ad)
         for cb in list(self.on_complete):
             cb(ad)
@@ -307,7 +310,7 @@ class CondorPool:
     def _release(self, ad: CondorJobAd) -> None:
         for node in ad.allocated:
             self._busy_slots -= node.release(ad.task_id)
-        ad.allocated = []
+        ad.allocated = ()
         ad.effective_profile = None
         ad._finish_handle = None
 
@@ -539,7 +542,7 @@ class CondorPool:
             last_sync=data["last_sync"],  # type: ignore[assignment]
             input_io_mb=data["input_io_mb"],  # type: ignore[assignment]
             output_io_mb=data["output_io_mb"],  # type: ignore[assignment]
-            local_output_files=list(data["local_output_files"]),  # type: ignore[arg-type]
+            local_output_files=tuple(data["local_output_files"]),  # type: ignore[arg-type]
         )
 
     def snapshot_state(self) -> Dict[str, object]:
@@ -587,6 +590,7 @@ class CondorPool:
             self._ads[ad.task_id] = ad
             self._by_condor_id[ad.condor_id] = ad
             if ad.state in (JobState.RUNNING, JobState.PAUSED):
+                allocated = []
                 for node_name, slots in wire["allocated"]:
                     try:
                         node = by_name[node_name]
@@ -596,7 +600,8 @@ class CondorPool:
                             f"pool {self.name}: cannot seat restored task "
                             f"{ad.task_id} on node {node_name}: {exc}"
                         ) from None
-                    ad.allocated.append(node)
+                    allocated.append(node)
+                ad.allocated = tuple(allocated)
                 ad.effective_profile = LoadProfile.combine_max(
                     [n.load_profile for n in ad.allocated]
                 )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 class JobState(enum.Enum):
@@ -96,6 +96,41 @@ def restore_id_counters(task_next: int, job_next: int) -> None:
     _job_counter.next_value = int(job_next)
 
 
+class FrozenMapping(Mapping[str, Any]):
+    """A read-only mapping, hashable by value, that pickles and copies.
+
+    ``TaskSpec.environment`` is one, so a frozen spec really is frozen
+    and hashable; :data:`EMPTY_MAPPING` is the one value every spec
+    without an environment and every job without dependencies shares.
+    """
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: Any = ()) -> None:
+        self._items = dict(items)
+
+    def __getitem__(self, key: str) -> Any:
+        return self._items[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._items.items()))
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (FrozenMapping, (self._items,))
+
+    def __repr__(self) -> str:
+        return f"FrozenMapping({self._items!r})"
+
+
+EMPTY_MAPPING = FrozenMapping()
+
+
 @dataclass(frozen=True, slots=True)
 class TaskSpec:
     """The externally visible description of a task.
@@ -117,7 +152,7 @@ class TaskSpec:
     input_files: Tuple[str, ...] = ()
     output_files: Tuple[str, ...] = ()
     priority: int = 0
-    environment: Mapping[str, str] = field(default_factory=dict)
+    environment: Mapping[str, str] = EMPTY_MAPPING
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -128,8 +163,11 @@ class TaskSpec:
             )
         if self.task_type not in ("batch", "interactive"):
             raise ValueError(f"unknown task_type {self.task_type!r}")
-        # Freeze the environment mapping so the spec is hashable-by-value.
-        object.__setattr__(self, "environment", dict(self.environment))
+        # Freeze the environment so the spec is hashable by value; every
+        # spec without one shares the one empty mapping.
+        env = self.environment
+        if not env or not isinstance(env, FrozenMapping):
+            object.__setattr__(self, "environment", FrozenMapping(env) if env else EMPTY_MAPPING)
 
     def attributes(self) -> Dict[str, object]:
         """The attribute dictionary similarity templates match on."""
@@ -191,18 +229,21 @@ class Job:
     """A DAG of tasks submitted as one unit.
 
     ``dependencies`` maps a task id to the ids of tasks that must complete
-    first.  A job with no edges is an embarrassingly parallel bag of tasks.
+    first.  A job with no edges is an embarrassingly parallel bag of tasks
+    and shares :data:`EMPTY_MAPPING` as its dependencies.
     """
 
     tasks: List[Task]
     owner: str = "anonymous"
     job_id: str = field(default_factory=_next_job_id)
-    dependencies: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    dependencies: Mapping[str, Tuple[str, ...]] = EMPTY_MAPPING
     description: str = ""
 
     def __post_init__(self) -> None:
         if not self.tasks:
             raise ValueError("a job must contain at least one task")
+        if not self.dependencies:
+            self.dependencies = EMPTY_MAPPING
         ids = [t.task_id for t in self.tasks]
         if len(set(ids)) != len(ids):
             raise DependencyError("duplicate task ids inside one job")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.latency import build_served_monitoring, measure_mean_latency_ms
-from repro.clarens.server import XmlRpcServerHandle
+from repro.clarens.xmlrpc_server import XmlRpcServerHandle
 
 
 class TestBuildServedMonitoring:

@@ -255,6 +255,7 @@ def spy(name, globals=None, locals=None, fromlist=(), level=0):
     return real(name, globals, locals, fromlist, level)
 builtins.__import__ = spy
 import FIRST
+import repro.observability.metrics, repro.observability.tracing  # first import, if FIRST was not
 assert all(name in sys.modules for name in watched), "not imported"
 assert not pulled, pulled
 """

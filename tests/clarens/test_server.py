@@ -407,8 +407,8 @@ class TestMulticall:
 
     def test_multicall_over_real_xmlrpc(self, host):
         from repro.clarens.client import ClarensClient
-        from repro.clarens.server import XmlRpcServerHandle
         from repro.clarens.transport import SocketTransport
+        from repro.clarens.xmlrpc_server import XmlRpcServerHandle
 
         with XmlRpcServerHandle(host) as handle:
             client = ClarensClient(SocketTransport(handle.url))

@@ -11,8 +11,9 @@ from repro.clarens.errors import (
     SerializationError,
     TransportError,
 )
-from repro.clarens.server import ClarensHost, XmlRpcServerHandle
+from repro.clarens.server import ClarensHost
 from repro.clarens.transport import LoopbackTransport, SocketTransport
+from repro.clarens.xmlrpc_server import XmlRpcServerHandle
 
 
 class Echo:

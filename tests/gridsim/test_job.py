@@ -1,5 +1,9 @@
 """Unit tests for tasks, jobs, DAGs and concrete job plans."""
 
+import copy
+import json
+import pickle
+
 import pytest
 
 from repro.gridsim.job import (
@@ -11,7 +15,10 @@ from repro.gridsim.job import (
     TaskBinding,
     TaskSpec,
     bag_of_tasks,
+    job_to_wire,
     sequential_job,
+    spec_from_wire,
+    spec_to_wire,
 )
 
 
@@ -50,6 +57,39 @@ class TestTaskSpec:
         updated = spec.with_priority(9)
         assert updated.priority == 9
         assert spec.priority == 0
+
+    def test_a_frozen_spec_is_hashable_consistently_with_equality(self):
+        env = {"B": "2", "A": "1"}
+        spec = TaskSpec(owner="u", environment=env)
+        twin = TaskSpec(owner="u", environment=dict(reversed(env.items())))
+        assert spec == twin and hash(spec) == hash(twin)
+        assert hash(TaskSpec()) == hash(TaskSpec(environment={}))
+        assert len({spec, twin, TaskSpec(), TaskSpec()}) == 2
+        assert spec != TaskSpec(owner="u", environment={"A": "1"})
+
+    def test_the_environment_is_read_only(self):
+        env = {"A": "1"}
+        spec = TaskSpec(environment=env)
+        with pytest.raises(TypeError):
+            spec.environment["X"] = "y"  # type: ignore[index]
+        env["X"] = "y"  # the caller's dict is not the spec's
+        assert dict(spec.environment) == {"A": "1"}
+        assert TaskSpec().environment == {} and TaskSpec() == TaskSpec(environment={})
+
+    def test_pickle_and_deepcopy_keep_the_spec(self):
+        spec = TaskSpec(owner="u", environment={"A": "1"}, input_files=("in.dat",))
+        job = Job(tasks=[Task(spec=spec, work_seconds=10.0)], owner="u")
+        for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert copied == spec and hash(copied) == hash(spec)
+        for copied in (pickle.loads(pickle.dumps(job)), copy.deepcopy(job)):
+            assert job_to_wire(copied) == job_to_wire(job)
+
+    def test_the_wire_form_is_a_plain_dict(self):
+        spec = TaskSpec(environment={"A": "1"})
+        wire = spec_to_wire(spec)
+        assert type(wire["environment"]) is dict
+        assert json.dumps(wire["environment"]) == '{"A": "1"}'
+        assert spec_from_wire(wire) == spec
 
 
 class TestTask:

@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro.clarens.client import ClarensClient
-from repro.clarens.server import XmlRpcServerHandle
+from repro.clarens.xmlrpc_server import XmlRpcServerHandle
 from repro.clarens.transport import SocketTransport
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder, Job, Task, TaskSpec
