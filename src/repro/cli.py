@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.report import markdown_table
@@ -424,15 +425,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _resolve_scenarios(names: List[str], seed: Optional[int]):
     """Load scenarios by registry name or path, with optional seed override."""
+    from dataclasses import replace
+
     from repro.scenarios.registry import load_all, load_scenario
-    from repro.scenarios.spec import ScenarioSpec
 
     specs = [load_scenario(name) for name in names] if names else load_all()
     if seed is not None:
-        specs = [
-            ScenarioSpec.from_dict({**spec.to_dict(), "seed": seed})
-            for spec in specs
-        ]
+        specs = [replace(spec, seed=seed) for spec in specs]
     return specs
 
 
@@ -562,29 +561,28 @@ def _cmd_scenario_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_validate(args: argparse.Namespace) -> int:
-    """Validate scenario files and/or a SCENARIOS.json report schema."""
-    from repro.scenarios.engine import ScenarioReportError, validate_scenarios_file
-    from repro.scenarios.spec import ScenarioError
+    """Check scenario files, and a SCENARIOS.json report by re-running it."""
+    import json
 
-    status = 0
-    if args.report:
-        try:
-            validate_scenarios_file(args.report)
-            print(f"{args.report}: schema ok")
-        except ScenarioReportError as exc:
-            print(f"{args.report}: INVALID — {exc}", file=sys.stderr)
-            status = 1
-    if args.names or not args.report:
-        try:
-            specs = _resolve_scenarios(args.names, seed=None)
-        except (ScenarioError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        for spec in specs:
-            slos = len(spec.slos)
-            print(f"{spec.name}: ok ({spec.workload.shape} workload, "
-                  f"{len(spec.chaos)} chaos action(s), {slos} SLO(s))")
-    return status
+    from repro.scenarios.engine import check_scenarios_report
+
+    try:
+        specs = _resolve_scenarios(args.names, seed=None) if args.names or not args.report else []
+    except ValueError as exc:  # a ScenarioError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    for spec in specs:
+        print(f"{spec.name}: ok ({spec.workload.shape} workload, "
+              f"{len(spec.chaos)} chaos action(s), {len(spec.slos)} SLO(s))")
+    if not args.report:
+        return 0
+    try:
+        check_scenarios_report(json.loads(Path(args.report).read_text(encoding="utf-8")), specs)
+    except (OSError, ValueError) as exc:  # unreadable, not JSON, or a ScenarioReportError
+        print(f"{args.report}: INVALID — {exc}", file=sys.stderr)
+        return 1
+    print(f"{args.report}: ok, a re-run emits it")
+    return 0
 
 
 def _count(text: str) -> int:
@@ -593,6 +591,15 @@ def _count(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
     return value
+
+
+def _output(path: str) -> str:
+    """An argparse ``type``: a file a run writes at its end, refused up front (exit 2)."""
+    target = Path(path)
+    if path != "-" and (target.is_dir() or not target.parent.is_dir()):
+        reason = "it is a directory" if target.is_dir() else f"no directory {target.parent}"
+        raise argparse.ArgumentTypeError(f"cannot write {path}: {reason}")
+    return path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -729,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="apply each scenario's quick overrides (CI-sized run)")
     psr.add_argument("--seed", type=int, default=None,
                      help="override every scenario's seed")
-    psr.add_argument("--out", type=str, default="SCENARIOS.json",
+    psr.add_argument("--out", type=_output, default="SCENARIOS.json",
                      help="report path ('-' to skip writing)")
     psr.set_defaults(func=_cmd_scenario_run)
 
@@ -738,12 +745,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     psv = ssub.add_parser(
         "validate",
-        help="validate scenario files and/or a SCENARIOS.json report schema",
+        help="check scenario files, and a SCENARIOS.json report by re-running it",
     )
     psv.add_argument("names", type=str, nargs="*",
-                     help="scenario names or JSON file paths; default: all registered")
+                     help="scenario names or JSON file paths; default: the library")
     psv.add_argument("--report", type=str, default=None, metavar="PATH",
-                     help="also validate an existing SCENARIOS.json against its schema")
+                     help="also check that a re-run of its scenarios emits this report")
     psv.set_defaults(func=_cmd_scenario_validate)
 
     ph = sub.add_parser(
@@ -757,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="apply the scenario's quick overrides (CI-sized run)")
     ph.add_argument("--seed", type=int, default=None,
                     help="override the scenario's seed")
-    ph.add_argument("--export", type=str, default=None, metavar="PATH",
+    ph.add_argument("--export", type=_output, default=None, metavar="PATH",
                     help="write the windowed telemetry as JSONL "
                          "(docs/schemas/telemetry_export.schema.json)")
     ph.add_argument("--json", action="store_true",
@@ -769,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every deterministic experiment: markdown to stdout, "
              "the FIGURES.json record to --out",
     )
-    pr.add_argument("--out", type=str, default=None, metavar="PATH",
+    pr.add_argument("--out", type=_output, default=None, metavar="PATH",
                     help="write the FIGURES.json record here")
     pr.set_defaults(func=_cmd_report)
 

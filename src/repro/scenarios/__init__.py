@@ -11,7 +11,8 @@ motivates steering with — a first-class, repeatable evaluation layer:
   weather), and SLO assertions (:mod:`repro.scenarios.slo`);
 - the **engine** (:mod:`repro.scenarios.engine`) runs the scenario on a
   fully wired GAE and scores every SLO from the observability journal,
-  writing the schema-validated ``SCENARIOS.json`` trajectory artifact;
+  writing the ``SCENARIOS.json`` trajectory artifact, which is checked by
+  re-running the scenarios it names;
 - the **registry** (:mod:`repro.scenarios.registry`) discovers the named
   scenario library under ``scenarios/`` and generates the operator
   cookbook table in ``docs/SCENARIOS.md`` (drift-gated by
@@ -23,10 +24,9 @@ scenario with the same seed produce bit-identical artifacts.
 
 from repro.scenarios.engine import (
     ScenarioReportError,
+    check_scenarios_report,
     run_campaign,
     run_scenario,
-    validate_scenarios_file,
-    validate_scenarios_report,
 )
 from repro.scenarios.registry import (
     load_scenario,
@@ -49,12 +49,11 @@ __all__ = [
     "ScenarioSpec",
     "SloSpec",
     "WorkloadShape",
+    "check_scenarios_report",
     "load_scenario",
     "run_campaign",
     "run_scenario",
     "scenario_names",
     "scenario_table_markdown",
     "score_slos",
-    "validate_scenarios_file",
-    "validate_scenarios_report",
 ]

@@ -4,7 +4,8 @@
 observability, schedules the workload's submissions and the chaos windows
 on the simulation clock, runs to the horizon, and scores every SLO from
 the journal.  :func:`run_campaign` does that for a list of scenarios and
-assembles the schema-validated trajectory artifact.
+assembles the trajectory artifact; :func:`check_scenarios_report` checks
+a report by re-running what it names and comparing.
 
 Determinism contract: everything in the artifact is derived from
 simulation time, seeded RNG streams, and static spec fields — no wall
@@ -58,13 +59,15 @@ from __future__ import annotations
 
 import json
 import platform
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.config import grid_from_config
 from repro.gridsim.job import reset_id_counters
 from repro.events.journal import EventType, JournalEvent
 from repro.scenarios.chaos import wire_chaos
+from repro.scenarios.registry import load_scenario, scenario_names
 from repro.scenarios.slo import score_slos
 from repro.scenarios.spec import (
     ScenarioSpec,
@@ -76,10 +79,9 @@ from repro.scenarios.workload import build_submissions
 __all__ = [
     "SCENARIOS_SCHEMA_VERSION",
     "ScenarioReportError",
+    "check_scenarios_report",
     "run_campaign",
     "run_scenario",
-    "validate_scenarios_file",
-    "validate_scenarios_report",
     "write_scenarios_report",
 ]
 
@@ -104,7 +106,7 @@ _TELEMETRY_WINDOWS = 24
 
 
 class ScenarioReportError(ValueError):
-    """Raised when a ``SCENARIOS.json`` report violates its schema."""
+    """Raised when a ``SCENARIOS.json`` report is not what a re-run of it emits."""
 
 
 def _phase_bounds(spec: ScenarioSpec) -> List[Tuple[str, float, float]]:
@@ -290,7 +292,7 @@ def run_campaign(
         verdict = "PASS" if entry["passed"] else "FAIL"
         echo(f"scenario {spec.name}: {verdict} ({len(entry['slos'])} SLOs)")
         entries.append(entry)
-    report = {
+    return {
         "schema_version": SCENARIOS_SCHEMA_VERSION,
         "generated_by": "gae-repro scenario run",
         "quick": bool(quick),
@@ -298,13 +300,10 @@ def run_campaign(
         "scenarios": entries,
         "passed": all(e["passed"] for e in entries),
     }
-    validate_scenarios_report(report)
-    return report
 
 
 def write_scenarios_report(report: Dict[str, object], path: Union[str, Path]) -> Path:
-    """Validate and write the report (stable key order, trailing newline)."""
-    validate_scenarios_report(report)
+    """Write the report (stable key order, trailing newline)."""
     out = Path(path)
     out.write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -312,191 +311,53 @@ def write_scenarios_report(report: Dict[str, object], path: Union[str, Path]) ->
     return out
 
 
-# ----------------------------------------------------------------------
-# report validation
-# ----------------------------------------------------------------------
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ScenarioReportError(message)
+def check_scenarios_report(report: object, specs: Sequence[ScenarioSpec] = ()) -> None:
+    """Require ``report`` to be what a re-run of the scenarios it names emits.
 
-
-def validate_scenarios_report(report: Dict[str, object]) -> None:
-    """Validate a ``SCENARIOS.json`` report against the v2 schema."""
-    _require(isinstance(report, dict), "report must be a JSON object")
-    for key, kind in (
-        ("schema_version", int), ("generated_by", str), ("quick", bool),
-        ("python", str), ("scenarios", list), ("passed", bool),
-    ):
-        _require(key in report, f"missing top-level key {key!r}")
-        _require(isinstance(report[key], kind),
-                 f"top-level {key!r} must be {kind.__name__}")
-    _require(report["schema_version"] == SCENARIOS_SCHEMA_VERSION,
-             f"schema_version must be {SCENARIOS_SCHEMA_VERSION}")
-    scenarios = report["scenarios"]
-    _require(len(scenarios) >= 1, "report must contain at least one scenario")
+    Entries re-run at their ``seed`` and the report's ``quick``, from the
+    spec of that name in ``specs`` or else the library.  Every value but
+    ``python`` must match, type included; else :class:`ScenarioReportError`
+    names the first scenario and key that differ.
+    """
+    scenarios = report.get("scenarios") if isinstance(report, dict) else None
+    if not isinstance(scenarios, list) or not scenarios:
+        raise ScenarioReportError("report must be an object with a non-empty 'scenarios' list")
     for i, entry in enumerate(scenarios):
-        _validate_entry(entry, f"scenarios[{i}]")
-    _require(
-        report["passed"] == all(e["passed"] for e in scenarios),
-        "top-level passed must equal the conjunction of scenario verdicts",
-    )
-
-
-def _validate_entry(entry: object, path: str) -> None:
-    _require(isinstance(entry, dict), f"{path} must be an object")
-    for key, kind in (
-        ("name", str), ("seed", int), ("horizon_s", (int, float)),
-        ("quick", bool), ("tags", list), ("workload", dict), ("chaos", list),
-        ("fault_events", int), ("phases", list), ("telemetry", dict),
-        ("health", dict), ("slos", list), ("passed", bool),
-    ):
-        _require(key in entry, f"{path} missing key {key!r}")
-        _require(isinstance(entry[key], kind), f"{path}.{key} has the wrong type")
-    _require(entry["name"] != "", f"{path}.name must be non-empty")
-    _require(entry["horizon_s"] > 0, f"{path}.horizon_s must be positive")
-    workload = entry["workload"]
-    for key in ("shape", "owners", "jobs", "tasks", "tasks_completed"):
-        _require(key in workload, f"{path}.workload missing {key!r}")
-    _require(workload["tasks"] >= 1, f"{path}.workload.tasks must be >= 1")
-    _require(
-        0 <= workload["tasks_completed"] <= workload["tasks"],
-        f"{path}.workload.tasks_completed out of range",
-    )
-    phases = entry["phases"]
-    _require(len(phases) >= 1, f"{path}.phases must be non-empty")
-    previous_end = 0.0
-    for j, phase in enumerate(phases):
-        ppath = f"{path}.phases[{j}]"
-        _require(isinstance(phase, dict), f"{ppath} must be an object")
-        for key in ("name", "start_s", "end_s", "events"):
-            _require(key in phase, f"{ppath} missing {key!r}")
-        _require(phase["start_s"] == previous_end,
-                 f"{ppath} must start where the previous phase ended")
-        _require(phase["end_s"] > phase["start_s"],
-                 f"{ppath} must have a positive span")
-        previous_end = phase["end_s"]
-        events = phase["events"]
-        for event_type in _PHASE_EVENT_TYPES:
-            _require(
-                isinstance(events.get(event_type.value), int),
-                f"{ppath}.events missing count for {event_type.value!r}",
-            )
-    _require(previous_end == entry["horizon_s"],
-             f"{path}.phases must cover exactly [0, horizon_s]")
-    _validate_telemetry(entry["telemetry"], [p["name"] for p in phases],
-                        f"{path}.telemetry")
-    _validate_health(entry["health"], f"{path}.health")
-    slos = entry["slos"]
-    for j, verdict in enumerate(slos):
-        vpath = f"{path}.slos[{j}]"
-        _require(isinstance(verdict, dict), f"{vpath} must be an object")
-        for key, kind in (
-            ("slo", str), ("metric", str), ("op", str),
-            ("threshold", (int, float)), ("value", (int, float)),
-            ("samples", int), ("passed", bool),
-        ):
-            _require(key in verdict, f"{vpath} missing {key!r}")
-            _require(isinstance(verdict[key], kind), f"{vpath}.{key} has the wrong type")
-        _require(verdict["op"] in ("<=", ">="), f"{vpath}.op must be <= or >=")
-    _require(
-        entry["passed"] == all(v["passed"] for v in slos),
-        f"{path}.passed must equal the conjunction of its SLO verdicts",
-    )
-
-
-def _validate_telemetry(
-    block: object, phase_names: List[object], path: str
-) -> None:
-    _require(isinstance(block, dict), f"{path} must be an object")
-    for key in ("window_s", "windows_closed", "phases"):
-        _require(key in block, f"{path} missing key {key!r}")
-    _require(
-        isinstance(block["window_s"], (int, float))
-        and not isinstance(block["window_s"], bool)
-        and block["window_s"] > 0,
-        f"{path}.window_s must be a positive number",
-    )
-    _require(
-        isinstance(block["windows_closed"], int)
-        and not isinstance(block["windows_closed"], bool)
-        and block["windows_closed"] >= 0,
-        f"{path}.windows_closed must be a non-negative integer",
-    )
-    telemetry_phases = block["phases"]
-    _require(isinstance(telemetry_phases, list), f"{path}.phases must be a list")
-    _require(
-        [p.get("name") if isinstance(p, dict) else None for p in telemetry_phases]
-        == phase_names,
-        f"{path}.phases must mirror the entry's phase names, in order",
-    )
-    for j, phase in enumerate(telemetry_phases):
-        ppath = f"{path}.phases[{j}]"
-        series = phase.get("series")
-        _require(isinstance(series, dict), f"{ppath}.series must be an object")
-        for name, samples in series.items():
-            spath = f"{ppath}.series[{name!r}]"
-            _require(
-                isinstance(name, str) and name.startswith("journal."),
-                f"{spath}: only journal-derived series belong in the artifact",
-            )
-            _require(
-                isinstance(samples, list) and len(samples) >= 1,
-                f"{spath} must be a non-empty list",
-            )
-            previous = None
-            for sample in samples:
-                _require(
-                    isinstance(sample, list) and len(sample) == 2
-                    and all(
-                        isinstance(x, (int, float)) and not isinstance(x, bool)
-                        for x in sample
-                    ),
-                    f"{spath} samples must be [time_s, value] pairs",
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ScenarioReportError(f"scenarios[{i}] has no string 'name'")
+    given = {spec.name: spec for spec in specs}
+    reruns = [_spec_for(entry, given) for entry in scenarios]
+    fresh = json.loads(json.dumps(run_campaign(reruns, quick=report.get("quick") is True)))
+    fresh["python"] = report.get("python", fresh["python"])
+    pairs = [("", {**report, "scenarios": None}, {**fresh, "scenarios": None})]
+    pairs += [(f"scenario {old['name']!r}: ", old, new)
+              for old, new in zip(scenarios, fresh["scenarios"])]
+    for prefix, old, new in pairs:
+        old, new = dict(_leaves(old)), dict(_leaves(new))
+        for path in [*new, *(path for path in old if path not in new)]:
+            if old.get(path) != new.get(path):
+                raise ScenarioReportError(
+                    f"{prefix}{path}: the report has {old.get(path, 'nothing')}, "
+                    f"a re-run gives {new.get(path, 'nothing')}"
                 )
-                _require(
-                    previous is None or sample[0] > previous,
-                    f"{spath} sample times must be strictly increasing",
-                )
-                previous = sample[0]
 
 
-def _validate_health(block: object, path: str) -> None:
-    _require(isinstance(block, dict), f"{path} must be an object")
-    for key in ("rules", "transitions"):
-        _require(key in block, f"{path} missing key {key!r}")
-        _require(isinstance(block[key], list), f"{path}.{key} must be a list")
-    names = set()
-    for j, rule in enumerate(block["rules"]):
-        rpath = f"{path}.rules[{j}]"
-        _require(isinstance(rule, dict), f"{rpath} must be an object")
-        for key in ("name", "kind", "severity", "state"):
-            _require(isinstance(rule.get(key), str), f"{rpath}.{key} must be a string")
-        _require(rule["state"] in ("ok", "firing"),
-                 f"{rpath}.state must be 'ok' or 'firing'")
-        names.add(rule["name"])
-    previous_time = None
-    for j, transition in enumerate(block["transitions"]):
-        tpath = f"{path}.transitions[{j}]"
-        _require(isinstance(transition, dict), f"{tpath} must be an object")
-        _require(transition.get("rule") in names,
-                 f"{tpath}.rule must name a declared rule")
-        _require(transition.get("to") in ("firing", "resolved"),
-                 f"{tpath}.to must be 'firing' or 'resolved'")
-        time_s = transition.get("time_s")
-        _require(
-            isinstance(time_s, (int, float)) and not isinstance(time_s, bool),
-            f"{tpath}.time_s must be a number",
-        )
-        _require(previous_time is None or time_s >= previous_time,
-                 f"{tpath}.time_s must be non-decreasing")
-        previous_time = time_s
+def _spec_for(entry: Dict[str, object], given: Dict[str, ScenarioSpec]) -> ScenarioSpec:
+    """The spec an entry names, at the seed it records if that seed can run."""
+    name = entry["name"]
+    if name not in given and name not in scenario_names():
+        raise ScenarioReportError(f"scenario {name!r}: unknown scenario; give its spec file")
+    spec = given.get(name) or load_scenario(name)
+    seed = entry.get("seed")
+    if type(seed) is int and seed >= 0:
+        spec = replace(spec, seed=seed)
+    return spec
 
 
-def validate_scenarios_file(path: Union[str, Path]) -> Dict[str, object]:
-    """Load and validate a ``SCENARIOS.json`` file; returns the report."""
-    try:
-        report = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioReportError(f"cannot read report {path}: {exc}") from exc
-    validate_scenarios_report(report)
-    return report
+def _leaves(value: object, path: str = "") -> Iterator[Tuple[str, str]]:
+    """``(path, JSON text)`` of every scalar and empty container in ``value``."""
+    if isinstance(value, (dict, list)) and value:
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _leaves(item, f"{path}[{key!r}]")
+    else:
+        yield path, json.dumps(value)

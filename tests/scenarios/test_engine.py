@@ -1,5 +1,6 @@
-"""Engine runs, artifact schema validation, registry, and CLI wiring."""
+"""Engine runs, the artifact check by re-run, registry, and CLI wiring."""
 
+import copy
 import json
 
 import pytest
@@ -7,13 +8,14 @@ import pytest
 from repro.cli import main
 from repro.scenarios.engine import (
     ScenarioReportError,
+    check_scenarios_report,
     run_campaign,
     run_scenario,
-    validate_scenarios_report,
     write_scenarios_report,
 )
 from repro.scenarios.registry import (
     default_scenario_dir,
+    load_all,
     load_scenario,
     render_cookbook,
     scenario_names,
@@ -46,6 +48,34 @@ def tiny_spec(**overrides):
     return ScenarioSpec.from_dict(data)
 
 
+def assert_report_invariants(report):
+    """What the engine must keep true of every report it emits: phases tile
+    ``[0, horizon_s]``, each verdict is the conjunction of the ones below it,
+    telemetry sample times strictly increase, and health transitions name a
+    declared rule in time order."""
+    for entry in report["scenarios"]:
+        name, phases = entry["name"], entry["phases"]
+        assert phases[0]["start_s"] == 0.0, name
+        for before, after in zip(phases, phases[1:]):
+            assert before["end_s"] == after["start_s"], name
+        assert all(p["end_s"] > p["start_s"] for p in phases), name
+        assert phases[-1]["end_s"] == entry["horizon_s"], name
+        assert entry["passed"] == all(v["passed"] for v in entry["slos"]), name
+        telemetry = entry["telemetry"]["phases"]
+        assert [p["name"] for p in telemetry] == [p["name"] for p in phases], name
+        for phase in telemetry:
+            for series, samples in phase["series"].items():
+                assert series.startswith("journal.") and samples, (name, series)
+                times = [t for t, _ in samples]
+                assert times == sorted(set(times)), (name, series)
+        rules = {rule["name"] for rule in entry["health"]["rules"]}
+        transitions = entry["health"]["transitions"]
+        assert {t["rule"] for t in transitions} <= rules, name
+        times = [t["time_s"] for t in transitions]
+        assert times == sorted(times), name
+    assert report["passed"] == all(e["passed"] for e in report["scenarios"])
+
+
 class TestRunScenario:
     def test_benign_run_single_baseline_phase(self):
         entry = run_scenario(tiny_spec())
@@ -76,38 +106,78 @@ class TestRunScenario:
         two = run_campaign([tiny_spec()])
         assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
 
+    @pytest.mark.parametrize("seed", [1, 17, 2005])
+    def test_report_invariants_hold_across_seeds(self, seed):
+        spec = tiny_spec(
+            name="tiny-outage", seed=seed,
+            chaos=[{"kind": "outage", "site": "siteA",
+                    "start_s": 300.0, "duration_s": 200.0}],
+        )
+        report = run_campaign([spec])
+        assert len(report["scenarios"][0]["phases"]) == 3
+        assert_report_invariants(report)
+
+
+def _set(path, value):
+    """A mutation that sets ``report[path[0]]...[path[-1]] = value``."""
+    def mutate(report):
+        target = report
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return report
+    return mutate
+
+
+def _delete_python(report):
+    del report["python"]
+    return report
+
+
+#: (mutation of a tiny-spec report, what the refusal must name)
+REJECTED = {
+    "wrong-schema-version": (_set(["schema_version"], 99), "['schema_version']"),
+    "gapped-phases": (_set(["scenarios", 0, "phases", 0, "start_s"], 5.0),
+                      "'tiny': ['phases'][0]['start_s']"),
+    "dishonest-passed": (_set(["scenarios", 0, "passed"], False), "'tiny': ['passed']"),
+    "missing-python": (_delete_python, "['python']: the report has nothing"),
+    "tasks-not-a-number": (_set(["scenarios", 0, "workload", "tasks"], "a"),
+                           "'tiny': ['workload']['tasks']"),
+    "events-a-list": (_set(["scenarios", 0, "phases", 0, "events"], []),
+                      "'tiny': ['phases'][0]['events']"),
+    "slo-value-nan": (_set(["scenarios", 0, "slos", 0, "value"], float("nan")),
+                      "'tiny': ['slos'][0]['value']"),
+    "slo-value-changed": (_set(["scenarios", 0, "slos", 0, "value"], 0.5),
+                          "'tiny': ['slos'][0]['value']"),
+    "unknown-scenario": (_set(["scenarios", 0, "name"], "no-such-scenario"),
+                         "'no-such-scenario': unknown scenario"),
+    "not-an-object": (lambda report: [report], "must be an object"),
+    "no-scenarios-list": (_set(["scenarios"], {}), "non-empty 'scenarios' list"),
+    "entry-without-name": (_set(["scenarios", 0, "name"], 7), "scenarios[0]"),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_report():
+    return run_campaign([tiny_spec()])
+
 
 class TestReportValidation:
-    def test_round_trip_through_file(self, tmp_path):
-        report = run_campaign([tiny_spec()])
-        path = write_scenarios_report(report, tmp_path / "SCENARIOS.json")
+    def test_round_trip_through_file(self, tmp_path, tiny_report):
+        path = write_scenarios_report(tiny_report, tmp_path / "SCENARIOS.json")
         text = path.read_text()
         assert text.endswith("\n")
-        validate_scenarios_report(json.loads(text))
+        check_scenarios_report(json.loads(text), [tiny_spec()])
 
-    def test_rejects_wrong_schema_version(self):
-        report = run_campaign([tiny_spec()])
-        report["schema_version"] = 99
-        with pytest.raises(ScenarioReportError, match="schema_version"):
-            validate_scenarios_report(report)
-
-    def test_rejects_gapped_phases(self):
-        report = run_campaign([tiny_spec()])
-        report["scenarios"][0]["phases"][0]["start_s"] = 5.0
-        with pytest.raises(ScenarioReportError, match="previous phase"):
-            validate_scenarios_report(report)
-
-    def test_rejects_dishonest_verdict(self):
-        report = run_campaign([tiny_spec()])
-        report["scenarios"][0]["passed"] = False
-        with pytest.raises(ScenarioReportError, match="conjunction"):
-            validate_scenarios_report(report)
-
-    def test_rejects_missing_top_level_key(self):
-        report = run_campaign([tiny_spec()])
-        del report["python"]
-        with pytest.raises(ScenarioReportError, match="python"):
-            validate_scenarios_report(report)
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejects(self, case, tiny_report):
+        mutate, names = REJECTED[case]
+        report = mutate(copy.deepcopy(tiny_report))
+        with pytest.raises(ScenarioReportError) as info:
+            check_scenarios_report(report, [tiny_spec()])
+        message = str(info.value)
+        assert names in message
+        assert "\n" not in message
 
 
 class TestRegistry:
@@ -148,21 +218,20 @@ class TestCli:
         assert report["quick"] is True
         assert report["scenarios"][0]["name"] == "tiny"
 
-    def test_committed_artifact_is_what_the_code_emits(self, tmp_path):
-        """``SCENARIOS.json`` at the repo root equals a re-run, not just its schema."""
-        out = tmp_path / "SCENARIOS.json"
-        assert main(["scenario", "run", "--out", str(out)]) == 0
-        fresh = json.loads(out.read_text())
+    def test_committed_artifact_is_what_the_code_emits(self):
+        """``SCENARIOS.json`` at the repo root is ``scenario run``'s: the whole
+        library, full-size, at the library's seeds, and a re-run emits it."""
         committed = json.loads(
             (default_scenario_dir().parent / "SCENARIOS.json").read_text()
         )
-        for report in (fresh, committed):
-            del report["python"]
-        fresh_entries, committed_entries = fresh.pop("scenarios"), committed.pop("scenarios")
-        assert fresh == committed
-        assert [e["name"] for e in fresh_entries] == [e["name"] for e in committed_entries]
-        for new, old in zip(fresh_entries, committed_entries):
-            assert new == old, new["name"]  # per entry, so a failure names the scenario
+        assert committed["quick"] is False
+        assert [(e["name"], e["seed"]) for e in committed["scenarios"]] == [
+            (spec.name, spec.seed) for spec in load_all()
+        ]
+        assert [e["name"] for e in committed["scenarios"] if not e["passed"]] == []
+        assert committed["passed"] is True
+        assert_report_invariants(committed)
+        check_scenarios_report(committed)
 
     def test_run_unknown_scenario_is_usage_error(self, capsys):
         code = main(["scenario", "run", "no-such-scenario", "--out", "-"])
@@ -177,10 +246,35 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count(": ok") >= 6
 
-    def test_validate_report_schema(self, tmp_path, capsys):
-        report = run_campaign([tiny_spec()])
-        path = write_scenarios_report(report, tmp_path / "SCENARIOS.json")
-        assert main(["scenario", "validate", "--report", str(path)]) == 0
-        assert "schema ok" in capsys.readouterr().out
+    def test_validate_report_schema(self, tmp_path, capsys, tiny_report):
+        spec_path = tmp_path / "tiny.json"
+        spec_path.write_text(json.dumps(tiny_spec().to_dict()))
+        path = write_scenarios_report(tiny_report, tmp_path / "SCENARIOS.json")
+        validate = ["scenario", "validate", "--report", str(path)]
+        assert main([*validate, str(spec_path)]) == 0
+        assert "a re-run emits it" in capsys.readouterr().out
+        assert main(validate) == 1  # "tiny" is not in the library
+        assert "'tiny': unknown scenario" in capsys.readouterr().err
+        changed = copy.deepcopy(tiny_report)
+        changed["scenarios"][0]["slos"][0]["value"] = 0.5
+        write_scenarios_report(changed, path)
+        assert main([*validate, str(spec_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'tiny': ['slos'][0]['value']" in err
         path.write_text("{}")
-        assert main(["scenario", "validate", "--report", str(path)]) == 1
+        assert main(validate) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "run", "benign-baseline", "--quick", "--out"],
+        ["health", "--quick", "--export"],
+        ["report", "--out"],
+    ], ids=["scenario-run", "health", "report"])
+    def test_output_into_missing_directory_is_refused_up_front(self, argv, tmp_path, capsys):
+        target = tmp_path / "missing" / "artifact.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(target)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert err.endswith(f"error: argument {argv[-1]}: cannot write {target}: "
+                            f"no directory {target.parent}\n")
+        assert out == ""  # refused before any run

@@ -472,6 +472,14 @@ def smoke_scenario(tmp: Path) -> None:
             "--quick", "--out", "SCENARIOS.json", cwd=tmp)
     run_cli("scenario", "validate", cwd=tmp)
     run_cli("scenario", "validate", "--report", "SCENARIOS.json", cwd=tmp)
+    report = json.loads((tmp / "SCENARIOS.json").read_text("utf-8"))
+    report["scenarios"][0]["slos"][0]["value"] += 1.0
+    (tmp / "CHANGED.json").write_text(json.dumps(report), "utf-8")
+    refusal = run_python("-m", "repro.cli", "scenario", "validate", "--report",
+                         "CHANGED.json", cwd=tmp, expect=1, stderr=True)
+    named = f"{report['scenarios'][0]['name']!r}: ['slos'][0]['value']"
+    check(named in refusal, f"the refusal of a changed SLO value names no {named}: {refusal}")
+    print(f"CHANGED.json refused: {refusal.strip()}")
 
 
 def smoke_health(tmp: Path) -> None:
