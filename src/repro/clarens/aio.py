@@ -207,11 +207,12 @@ class _WorkerBridge:
                 body = codec.encode_fault(exc.code, exc.message)
             else:
                 body = codec.encode_fault(500, f"{type(exc).__name__}: {exc}")
-        if collect.get("span_id"):
-            # The stage timings ride on the call's own span.
-            self._host.tracer.update(
-                collect["span_id"], decode_ms=decode_s * 1000.0, encode_ms=encode_s * 1000.0
-            )
+        finish = collect.get("finish")
+        if finish is not None:  # the stage timings go in with the write that ends the span
+            tracer, span, status, fields = finish
+            fields["decode_ms"] = decode_s * 1000.0
+            fields["encode_ms"] = encode_s * 1000.0
+            tracer.end_span(span, status, attributes=fields)
         return encode_frame(REPLY, request_id, body)
 
 

@@ -55,7 +55,8 @@ class CallContext:
         "transport",
         "principal",
         "entry",
-        "span_id",
+        "span",
+        "collect",
         "duration_ms",
         "outcome",
         "served_from",
@@ -85,7 +86,10 @@ class CallContext:
         #: unknown path, which the ACL stage then refuses).
         self.entry: Any = None
         #: The call's ``rpc:`` span on the host tracer, set by the recorder.
-        self.span_id = ""
+        self.span: Any = None
+        #: The front end's dict for what it needs after the pipeline
+        #: returns (``ClarensHost.dispatch(collect=)``); None when nobody asks.
+        self.collect: Optional[Dict[str, Any]] = None
         self.duration_ms = 0.0
         self.outcome = ""          # "" while in flight; "ok"/"fault"/"error" after
         #: "execute" normally; "cache" when ReadCacheMiddleware answered,
@@ -95,6 +99,11 @@ class CallContext:
         self.fault_message = ""
         #: Scratch space for user middlewares (created lazily).
         self.metadata: Optional[Dict[str, Any]] = None
+
+    @property
+    def span_id(self) -> str:
+        """The id of the call's ``rpc:`` span, ``""`` before the recorder opens it."""
+        return self.span.span_id if self.span is not None else ""
 
     def meta(self) -> Dict[str, Any]:
         """The metadata dict, created on first use."""
@@ -175,8 +184,11 @@ class RecorderMiddleware:
     outcome after every other middleware.  It opens the call's
     ``rpc:<method>`` span on ``host.tracer`` (read per call: an
     instrumented build swaps in its own), stamps ``ctx.duration_ms`` /
-    ``ctx.outcome``, finishes the span with them and counts the call in
-    ``host.stats``.  ``system.recent_calls`` reads those spans back.
+    ``ctx.outcome``, finishes the span with them in one write and counts
+    the call in ``host.stats``.  ``system.recent_calls`` reads those spans
+    back.  A front end that collects (``ctx.collect``) gets the finishing
+    write instead, as ``collect["finish"] = (tracer, span, status,
+    fields)``: it adds its stage timings to ``fields`` and ends the span.
 
     A registered method's span takes its name and ``method`` from the
     resolved :class:`~repro.clarens.registry.MethodEntry` and its
@@ -206,7 +218,7 @@ class RecorderMiddleware:
             trace_id=ctx.trace_id,
             attributes={"method": method, "transport": ctx.transport},
         )
-        ctx.span_id = span.span_id
+        ctx.span = span
         t0 = time.perf_counter()
         try:
             result = call_next(ctx)
@@ -225,16 +237,22 @@ class RecorderMiddleware:
         finally:
             ctx.duration_ms = (time.perf_counter() - t0) * 1000.0
             principal = ctx.principal
-            fields = span.attributes
-            fields["principal"] = principal.user if principal is not None else ""
-            fields["duration_ms"] = ctx.duration_ms
-            fields["outcome"] = ctx.outcome
+            fields = {
+                "principal": principal.user if principal is not None else "",
+                "duration_ms": ctx.duration_ms,
+                "outcome": ctx.outcome,
+            }
             if ctx.served_from != "execute":
                 fields["served_from"] = ctx.served_from
             if ctx.outcome != "ok":
                 fields["code"] = ctx.fault_code
                 fields["error"] = ctx.fault_message
-            tracer.end_span(span, status="ok" if ctx.outcome == "ok" else "error")
+            status = "ok" if ctx.outcome == "ok" else "error"
+            if ctx.collect is None:
+                tracer.end_span(span, status, attributes=fields)
+            else:
+                tracer.deactivate(span)
+                ctx.collect["finish"] = (tracer, span, status, fields)
             self._host.stats.record(
                 method if entry is not None else UNKNOWN_METHOD,
                 ctx.outcome,

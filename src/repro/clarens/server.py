@@ -214,7 +214,7 @@ class _SystemService:
         arrive oldest start first, so a multicall precedes its sub-calls.
         """
         rows = []
-        for span in self._host.tracer.spans():
+        for span in self._host.tracer.spans(name_prefix="rpc:"):
             row = _call_row(span)
             if row is not None and (not trace_id or row["trace_id"] == trace_id):
                 rows.append(row)
@@ -440,10 +440,9 @@ class ClarensHost:
         exception inside the method surfaces as :class:`RemoteFault`
         carrying the original message.
 
-        *collect*, when given, receives ``trace_id``, ``outcome``,
-        ``served_from`` and ``span_id`` (the call's ``rpc:`` span) from the
-        finished context, filled even when the call faults — how the async
-        front end adds its stage timings to the call's span.
+        *collect*, when given, receives the call's ``outcome`` (also when
+        it faults) and the recorder's ``finish``: the async front end adds
+        its stage timings to the call's span in the write that ends it.
         """
         ctx = CallContext(
             method_path=method_path,
@@ -452,14 +451,12 @@ class ClarensHost:
             trace_id=trace_id or new_trace_id(),
             transport=transport,
         )
+        ctx.collect = collect
         try:
             return self._pipeline(ctx)
         finally:
             if collect is not None:
-                collect["trace_id"] = ctx.trace_id
                 collect["outcome"] = ctx.outcome
-                collect["served_from"] = ctx.served_from
-                collect["span_id"] = ctx.span_id
 
     def invoke_as(
         self, principal: Principal, method_path: str, params: Sequence[Any]

@@ -23,6 +23,7 @@ from operator import eq, is_
 from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.payload import payload
 from repro.store.base import StateStore
 from repro.store.registry import OBSERVABILITY_JOURNAL, namespace_record
 
@@ -80,26 +81,10 @@ class EventType(str, enum.Enum):
     HISTORY_RECORDED = "history-recorded"
 
 
-#: One ``keys`` tuple per payload shape, shared by every row of that shape.
-#: The shapes are the producers' keyword sets (and those of the rows a
-#: checkpoint restores), a few dozen at most.  An interning table: what it
-#: holds changes no row's value, only which of two equal tuples a row keeps.
-_KEYSETS: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-
 #: A row's fields after ``seq``, in :class:`JournalEvent` order: the
 #: columns the journal's ring keeps.
 _COLUMNS = ("time", "type", "task_id", "job_id", "site", "trace_id", "span_id", "keys", "values")
 _TYPE, _TASK = _COLUMNS.index("type"), _COLUMNS.index("task_id")
-
-
-def _payload(
-    attributes: Optional[Mapping[str, Any]],
-) -> Tuple[Tuple[str, ...], Tuple[Any, ...]]:
-    """``(keys, values)`` of a payload, the keys tuple interned."""
-    if not attributes:
-        return (), ()
-    keys = tuple(attributes)
-    return _KEYSETS.setdefault(keys, keys), tuple(attributes.values())
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -136,7 +121,7 @@ class JournalEvent:
         span_id: Optional[str] = None,
         attributes: Optional[Mapping[str, Any]] = None,
     ) -> None:
-        keys, values = _payload(attributes)
+        keys, values = payload(attributes)
         _fill(self, seq, time, type, task_id, job_id, site, trace_id, span_id, keys, values)
 
     @property
@@ -262,7 +247,7 @@ class EventJournal:
     ) -> JournalEvent:
         if type.__class__ is not EventType:
             type = EventType(type)
-        keys, values = _payload(attributes)
+        keys, values = payload(attributes)
         with self._lock:
             seq = self._head_seq + 1
             if time is None:
@@ -401,7 +386,7 @@ class EventJournal:
             (
                 row["time"], EventType(row["type"]), row["task_id"], row["job_id"],
                 row["site"], row["trace_id"], row["span_id"],
-                *_payload(row["attributes"]),
+                *payload(row["attributes"]),
             )
             for row in rows
         ]

@@ -95,7 +95,7 @@ class _TaskTrace:
 
 
 class _JobTrace:
-    __slots__ = ("trace_id", "span_id", "task_ids", "unfinished")
+    __slots__ = ("trace_id", "span_id", "task_ids", "unfinished", "all_ok")
 
     def __init__(self, trace_id: str, span_id: str, task_ids: Tuple[str, ...]) -> None:
         self.trace_id = trace_id
@@ -106,6 +106,8 @@ class _JobTrace:
         #: How many of ``task_ids`` have a :class:`_TaskTrace` that is not
         #: yet ``finished``; which ones is read off the task records.
         self.unfinished = len(task_ids)
+        #: Whether every task that has finished so far ended ``ok``.
+        self.all_ok = True
 
 
 class GAEInstrumentation:
@@ -393,20 +395,22 @@ class GAEInstrumentation:
     def _finish_task(self, tt: _TaskTrace, status: str) -> None:
         """End the task's phase and root with ``status`` (``ok``/``killed``).
 
-        Its job's span ends with the job's last task and takes that task's
-        outcome alone, so a job with a killed task that finishes on a
-        completed one ends ``ok``.
+        Its job's span ends with the job's last task: ``ok`` only if every
+        one of its tasks ended ``ok``, so a job with a killed task ends
+        ``error`` whichever task finishes last.
         """
         self._close_phase(tt, status=status)
         self.tracer.update(tt.root_id, status=status)
         jt = self._jobs.get(tt.job_id)
         if jt is None:
             return
+        if status != "ok":
+            jt.all_ok = False
         if not tt.finished:
             tt.finished = True
             jt.unfinished -= 1
         if not jt.unfinished:
-            self.tracer.update(jt.span_id, status="ok" if status == "ok" else "error")
+            self.tracer.update(jt.span_id, status="ok" if jt.all_ok else "error")
 
     def _on_forwarded(self, site: str, ad) -> None:
         tt = self._tasks.get(ad.task_id)
@@ -448,7 +452,7 @@ class GAEInstrumentation:
             if current.parent_id is None and current.span_id != tt.root_id:
                 # An adopted RPC span: hang it under the task so the
                 # rendered tree shows rpc -> steer -> pool events.
-                current.parent_id = tt.root_id
+                self.tracer.set_parent(current, tt.root_id)
             parent = current.context
         else:
             parent = tt.root()
@@ -625,6 +629,7 @@ class GAEInstrumentation:
                     tid for tid in jt.task_ids if not self._tasks[tid].finished
                 ),
                 "task_ids": sorted(jt.task_ids),
+                "all_ok": jt.all_ok,
             }])
         return {"tasks": tasks, "jobs": jobs, "id_counters": list(self.tracer.id_counters)}
 
@@ -634,7 +639,8 @@ class GAEInstrumentation:
         A row older than ``phase_start`` takes its phase's start from the
         restored ring, or ``0.0`` if the ring had dropped the span.  A
         state that records no ``id_counters`` restarts them at 1: its ids
-        carry random prefixes, which no seeded id equals.
+        carry random prefixes, which no seeded id equals.  A job row
+        without ``all_ok`` restores as every task ended ``ok`` so far.
         """
         self.tracer.id_counters = list(state.get("id_counters", (1, 1)))
         ring_starts = {span.span_id: span.start for span in self.tracer.spans()}
@@ -658,6 +664,7 @@ class GAEInstrumentation:
             for tid in jt.task_ids:
                 self._tasks[tid].finished = tid not in pending
             jt.unfinished = len(pending)
+            jt.all_ok = w.get("all_ok", True)
             self._jobs[job_id] = jt
 
     def load_from(self, store, tracking: Optional[Dict[str, Any]] = None) -> None:

@@ -1,12 +1,13 @@
 """Trace ids, spans and a simulation-clock-aware tracer.
 
 :func:`new_trace_id` mints the ids every Clarens call and every job
-trace is correlated by; a :class:`Span` carries (trace_id, span_id, parent_id,
-sim-time start/end, attributes, status), and a thread-safe
-:class:`Tracer` keeps a bounded ring of them, keyed by span id, plus a
-per-thread stack of *active* spans so nested instrumentation points can
-parent themselves correctly without threading a context object through
-every call signature.
+trace is correlated by.  A thread-safe :class:`Tracer` keeps a bounded
+ring of spans — (trace_id, span_id, parent_id, sim-time start/end,
+attributes, status) — as columns, one deque per field, plus a per-thread
+stack of *active* spans so nested instrumentation points can parent
+themselves correctly without threading a context object through every
+call signature.  Opening a span returns a :class:`SpanRef`, the handle
+its writes go through; reading the ring builds :class:`Span` copies.
 
 Timestamps come from an injected ``clock`` callable — in the GAE this is
 ``sim.clock`` (simulation seconds), so span durations line up with the
@@ -18,17 +19,18 @@ which job it concerns; once the steering command processor resolves the
 task, it re-homes the open span stack onto the job's trace so the RPC,
 the steering verb, and the resulting pool events share one trace.
 
-Ids: :func:`new_trace_id` / :func:`new_span_id` carry a random
+Ids: trace / span ids minted without an ``id_prefix`` carry a random
 per-process prefix (eight / six hex digits) and a process counter; a
-client mints its calls' trace ids so, and so does a tracer given no
-``id_prefix`` (a bare ``ClarensHost``'s).  A tracer given one counts its
-own: an instrumented GAE passes :func:`seeded_id_prefix` of the grid seed
-(``g`` and five hex digits: never a random prefix, never longer) and
-checkpoints the counters, so two runs of one seed mint the same ids,
-restored or not.
+client mints its calls' trace ids so (:func:`new_trace_id`), and so
+does a tracer given no ``id_prefix`` (a bare ``ClarensHost``'s).  A
+tracer given one counts its own: an instrumented GAE passes
+:func:`seeded_id_prefix` of the grid seed (``g`` and five hex digits:
+never a random prefix, never longer) and checkpoints the counters, so
+two runs of one seed mint the same ids, restored or not.
 
-At import time this module needs only the standard library, so
-``repro.clarens`` can take its trace ids from here without an import cycle.
+At import time this module needs only the standard library and
+:mod:`repro.payload`, so ``repro.clarens`` can take its trace ids from
+here without an import cycle.
 """
 
 from __future__ import annotations
@@ -38,11 +40,16 @@ import random
 import secrets
 import threading
 import zlib
-from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from itertools import compress, repeat, starmap
+from operator import eq
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+
+from repro.payload import payload, updated
 
 __all__ = [
-    "Span", "SpanContext", "Tracer", "new_trace_id", "render_span_tree", "seeded_id_prefix",
+    "Span", "SpanContext", "SpanRef", "Tracer", "new_trace_id", "render_span_tree",
+    "seeded_id_prefix",
 ]
 
 # A random per-process prefix plus a counter: unique enough to correlate
@@ -56,13 +63,10 @@ def new_trace_id() -> str:
     return f"{_TRACE_PREFIX}-{next(_TRACE_COUNTER):x}"
 
 
+#: A bare tracer's span ids: ``<_SPAN_PREFIX>-s<counter>``, the counter
+#: shared by every bare tracer of the process.
 _SPAN_PREFIX = f"{random.getrandbits(24):06x}"
 _SPAN_COUNTER = itertools.count(1)
-
-
-def new_span_id() -> str:
-    """Process-unique span id, same flavour as ``new_trace_id``."""
-    return f"{_SPAN_PREFIX}-s{next(_SPAN_COUNTER):x}"
 
 
 def seeded_id_prefix(seed: int) -> str:
@@ -97,10 +101,11 @@ class SpanContext(Tuple[str, str, Optional[str]]):
 
 
 class Span:
-    """One timed operation within a trace.
+    """One timed operation within a trace, as a reader sees it.
 
-    ``trace_id`` is deliberately mutable: :meth:`Tracer.adopt_current_trace`
-    re-homes open RPC spans onto a job trace once the target task is known.
+    The tracer keeps no ``Span``: :meth:`Tracer.spans` builds one per
+    retained slot each time it is asked, so a ``Span`` is a copy — writing
+    to it changes nothing in the ring.
     """
 
     __slots__ = ("name", "trace_id", "span_id", "parent_id", "start", "end", "status", "attributes")
@@ -124,19 +129,10 @@ class Span:
         self.attributes: Dict[str, Any] = dict(attributes) if attributes else {}
 
     @property
-    def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id, self.parent_id)
-
-    @property
     def duration_s(self) -> Optional[float]:
         if self.end is None:
             return None
         return self.end - self.start
-
-    def finish(self, end: float, status: str = "ok") -> None:
-        if self.end is None:
-            self.end = end
-            self.status = status
 
     def to_wire(self) -> Dict[str, Any]:
         """JSON-safe dict, the shape used by the JSONL export."""
@@ -155,15 +151,60 @@ class Span:
         return f"Span({self.name!r}, trace={self.trace_id}, span={self.span_id}, status={self.status})"
 
 
+class SpanRef:
+    """What :meth:`Tracer.start_span` and :meth:`Tracer.instant` return: a
+    span's ids, its start and its place in the ring — the handle the
+    span's writes go through, not the span (read that with
+    :meth:`Tracer.spans`).  The id is rendered when asked for."""
+
+    __slots__ = ("_tracer", "trace_id", "_number", "parent_id", "start", "_position")
+
+    def __init__(
+        self, tracer: "Tracer", trace_id: str, number: Union[int, str],
+        parent_id: Optional[str], start: float, position: int,
+    ) -> None:
+        self._tracer = tracer
+        self.trace_id = trace_id
+        self._number = number
+        self.parent_id = parent_id
+        self.start = start
+        self._position = position
+
+    @property
+    def span_id(self) -> str:
+        return self._tracer._render(self._number)
+
+    @property
+    def context(self) -> SpanContext:
+        return SpanContext(self.trace_id, self.span_id, self.parent_id)
+
+
 class _ActiveStack(threading.local):
     def __init__(self) -> None:
-        self.stack: List[Span] = []
+        self.stack: List[SpanRef] = []
+
+
+#: A span's fields, in :class:`Span` order: the columns the tracer's ring
+#: keeps (``span_id`` holds the id's counter value, see :class:`Tracer`).
+_COLUMNS = ("name", "trace_id", "span_id", "parent_id", "start", "end", "status", "keys", "values")
+_TRACE, _PARENT, _END, _STATUS, _KEYS, _VALUES = (
+    _COLUMNS.index(field) for field in ("trace_id", "parent_id", "end", "status", "keys", "values")
+)
 
 
 class Tracer:
-    """Thread-safe ring of the newest ``capacity`` spans keyed by span id (a
-    span lives exactly as long as its slot; long-lived work holds ids and
-    reaches spans through :meth:`update`), plus a per-thread active-span stack.
+    """Thread-safe ring of the newest ``capacity`` spans, plus a per-thread
+    active-span stack.
+
+    The ring keeps no :class:`Span` objects: one ``deque(maxlen=capacity)``
+    per field (``_COLUMNS``), the attributes as a ``values`` tuple over an
+    interned ``keys`` tuple (:func:`repro.payload.payload`).  A span id is
+    kept as its counter value and rendered ``<prefix>-s<hex>`` when read;
+    the one id kept as a string is a restored one that is not this
+    tracer's (a random-prefixed format-2 row).  A span lives exactly as
+    long as its slot: long-lived work holds ids and writes through
+    :meth:`update`, live calls through the :class:`SpanRef` they opened,
+    and a reader (:meth:`spans`) builds fresh ``Span``\\ s from the columns.
 
     With an ``id_prefix`` the tracer mints its trace and span ids from its
     own two counters (:attr:`id_counters`); without one, from the module's
@@ -175,52 +216,150 @@ class Tracer:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self._clock = clock
-        #: span id -> span, oldest first; appends and evictions hold ``_lock``.
-        self._spans: "OrderedDict[str, Span]" = OrderedDict()
+        #: The ring, one column per field; every access holds ``_lock``.
+        self._columns: Tuple[deque, ...] = tuple(deque(maxlen=capacity) for _ in _COLUMNS)
+        self._appends = tuple(column.append for column in self._columns)
+        #: Spans appended so far (restored ones too): ring slot *i* holds
+        #: the span appended ``_appended - len(self) + i``-th.
+        self._appended = 0
         self._lock = threading.Lock()
         self._active = _ActiveStack()
         self.capacity = capacity
         self._id_prefix = id_prefix
+        self._span_head = f"{_SPAN_PREFIX if id_prefix is None else id_prefix}-s"
         #: The next [trace, span] counter values of a prefixed tracer; a
         #: checkpoint saves them.  Minting holds ``_lock``.
         self.id_counters: List[int] = [1, 1]
-
-    def _count(self, which: int) -> int:
-        with self._lock:
-            n = self.id_counters[which]
-            self.id_counters[which] = n + 1
-        return n
 
     def new_trace_id(self) -> str:
         """A fresh trace id: ``<id_prefix>-<counter>``, or
         :func:`new_trace_id`'s without a prefix."""
         if self._id_prefix is None:
             return new_trace_id()
-        return f"{self._id_prefix}-{self._count(0):x}"
-
-    def _new_span_id(self) -> str:
-        if self._id_prefix is None:
-            return new_span_id()
-        return f"{self._id_prefix}-s{self._count(1):x}"
-
-    def _append(self, span: Span) -> None:
         with self._lock:
-            self._spans[span.span_id] = span
-            if len(self._spans) > self.capacity:
-                self._spans.popitem(last=False)
+            n = self.id_counters[0]
+            self.id_counters[0] = n + 1
+        return f"{self._id_prefix}-{n:x}"
+
+    # -- ids and slots --------------------------------------------------
+
+    def _render(self, number: Union[int, str]) -> str:
+        return number if number.__class__ is str else f"{self._span_head}{number:x}"
+
+    def _number(self, span_id: str) -> Union[int, str]:
+        """What the ``span_id`` column keeps for *span_id*: the counter
+        value of an id this tracer renders, else the id itself."""
+        head = self._span_head
+        if span_id.startswith(head):
+            digits = span_id[len(head):]
+            try:
+                number = int(digits, 16)
+            except ValueError:
+                return span_id
+            if f"{number:x}" == digits:  # the one spelling _render gives
+                return number
+        return span_id
+
+    def _slot_at(self, position: int) -> int:
+        """The ring slot of the *position*-th appended span, negative once
+        dropped.  Holds ``_lock``."""
+        return position - self._appended + len(self._columns[0])
+
+    def _slot_of(self, span_id: str) -> int:
+        """The ring slot of *span_id*, ``-1`` if the ring does not hold it.
+        Holds ``_lock``.
+
+        A prefixed tracer's counter values run on by one from slot to slot
+        (it mints and appends in one step), so the slot is the distance
+        back from the newest; a bare tracer shares the process counter with
+        every other bare tracer, and a restored string id has no number,
+        so those are looked for."""
+        ids = self._columns[2]
+        number = self._number(span_id)
+        if ids and number.__class__ is int and ids[-1].__class__ is int:
+            slot = len(ids) - 1 - (ids[-1] - number)
+            if 0 <= slot < len(ids) and ids[slot] == number:
+                return slot
+            if self._id_prefix is not None:
+                return -1
+        try:
+            return ids.index(number)
+        except ValueError:
+            return -1
+
+    def _write(
+        self, slot: int, attributes: Optional[Dict[str, Any]], status: Optional[str],
+        end: Optional[float],
+    ) -> None:
+        """Set *attributes* on *slot* and, given a *status*, finish it (the
+        first finish wins).  Holds ``_lock``."""
+        columns = self._columns
+        if attributes:
+            columns[_KEYS][slot], columns[_VALUES][slot] = updated(
+                columns[_KEYS][slot], columns[_VALUES][slot], attributes
+            )
+        if status is not None and columns[_END][slot] is None:
+            columns[_END][slot] = self._clock() if end is None else end
+            columns[_STATUS][slot] = status
 
     # -- span lifecycle ------------------------------------------------
+
+    def _open(
+        self,
+        name: str,
+        trace_id: Optional[str],
+        parent: Optional[Union[SpanContext, SpanRef]],
+        attributes: Optional[Dict[str, Any]],
+        start: float,
+        end: Optional[float],
+        status: str,
+        activate: bool,
+    ) -> SpanRef:
+        """Append one span (and push it on this thread's active stack if
+        *activate*); parentage as :meth:`start_span` describes."""
+        stack = self._active.stack
+        if parent is None and stack:
+            current = stack[-1]
+            if trace_id is None or current.trace_id == trace_id:
+                parent = current
+        if trace_id is None:
+            trace_id = parent.trace_id if parent is not None else self.new_trace_id()
+        parent_id = parent.span_id if parent is not None and parent.trace_id == trace_id else None
+        keys, values = payload(attributes)
+        with self._lock:
+            if self._id_prefix is None:
+                number = next(_SPAN_COUNTER)
+            else:
+                number = self.id_counters[1]
+                self.id_counters[1] = number + 1
+            (push_name, push_trace, push_id, push_parent, push_start, push_end,
+             push_status, push_keys, push_values) = self._appends
+            push_name(name)
+            push_trace(trace_id)
+            push_id(number)
+            push_parent(parent_id)
+            push_start(start)
+            push_end(end)
+            push_status(status)
+            push_keys(keys)
+            push_values(values)
+            position = self._appended
+            self._appended = position + 1
+        span = SpanRef(self, trace_id, number, parent_id, start, position)
+        if activate:
+            stack.append(span)
+        return span
 
     def start_span(
         self,
         name: str,
         *,
         trace_id: Optional[str] = None,
-        parent: Optional[SpanContext] = None,
+        parent: Optional[Union[SpanContext, SpanRef]] = None,
         attributes: Optional[Dict[str, Any]] = None,
         start: Optional[float] = None,
         activate: bool = True,
-    ) -> Span:
+    ) -> SpanRef:
         """Open a span.
 
         Parentage, in priority order: explicit ``parent`` context, else
@@ -228,28 +367,30 @@ class Tracer:
         trace*, else root.  ``trace_id`` defaults to the parent's, or a
         fresh :meth:`new_trace_id` for a brand-new trace.
         """
-        if parent is None:
-            current = self.current_span()
-            if current is not None and (trace_id is None or current.trace_id == trace_id):
-                parent = current.context
-        if trace_id is None:
-            trace_id = parent.trace_id if parent is not None else self.new_trace_id()
-        parent_id = parent.span_id if parent is not None and parent.trace_id == trace_id else None
-        span = Span(
-            name,
-            trace_id=trace_id,
-            span_id=self._new_span_id(),
-            parent_id=parent_id,
-            start=self._clock() if start is None else start,
-            attributes=attributes,
+        return self._open(
+            name, trace_id, parent, attributes,
+            self._clock() if start is None else start, None, "open", activate,
         )
-        self._append(span)
-        if activate:
-            self._active.stack.append(span)
-        return span
 
-    def end_span(self, span: Span, status: str = "ok", end: Optional[float] = None) -> None:
-        span.finish(self._clock() if end is None else end, status)
+    def end_span(
+        self,
+        span: SpanRef,
+        status: str = "ok",
+        end: Optional[float] = None,
+        attributes: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Finish *span* with *status*, adding *attributes*, in one write to
+        its slot (a no-op once the ring has dropped it), and take it off
+        this thread's active stack."""
+        self.deactivate(span)
+        with self._lock:
+            slot = self._slot_at(span._position)
+            if slot >= 0:
+                self._write(slot, attributes, status, end)
+
+    def deactivate(self, span: SpanRef) -> None:
+        """Take *span*, and anything opened above it, off this thread's
+        active stack without finishing it."""
         stack = self._active.stack
         if span in stack:
             while stack and stack[-1] is not span:
@@ -261,12 +402,18 @@ class Tracer:
         """Set ``attributes`` on the ring's span ``span_id`` and, given a
         ``status``, end it now; a no-op once the ring has dropped the span,
         which no reader (export, :meth:`render`, checkpoint) can see."""
-        span = self._spans.get(span_id)  # one atomic lookup under the GIL
-        if span is None:
-            return
-        span.attributes.update(attributes)
-        if status is not None:
-            span.finish(self._clock(), status)
+        with self._lock:
+            slot = self._slot_of(span_id)
+            if slot >= 0:
+                self._write(slot, attributes, status, None)
+
+    def set_parent(self, span: SpanRef, parent_id: str) -> None:
+        """Hang the open *span* under *parent_id*."""
+        span.parent_id = parent_id
+        with self._lock:
+            slot = self._slot_at(span._position)
+            if slot >= 0:
+                self._columns[_PARENT][slot] = parent_id
 
     def span(
         self,
@@ -290,17 +437,18 @@ class Tracer:
         start: Optional[float] = None,
         end: Optional[float] = None,
         status: str = "ok",
-    ) -> Span:
+    ) -> SpanRef:
         """Record an already-finished (possibly zero-length) span."""
-        span = self.start_span(
-            name, trace_id=trace_id, parent=parent, attributes=attributes, start=start, activate=False
+        if start is None:
+            start = self._clock()
+        return self._open(
+            name, trace_id, parent, attributes, start, start if end is None else end, status,
+            False,
         )
-        span.finish(span.start if end is None else end, status)
-        return span
 
     # -- ambient context -----------------------------------------------
 
-    def current_span(self) -> Optional[Span]:
+    def current_span(self) -> Optional[SpanRef]:
         stack = self._active.stack
         return stack[-1] if stack else None
 
@@ -311,28 +459,49 @@ class Tracer:
         outermost first) so callers can record the join in attributes.
         """
         replaced: List[str] = []
-        for span in self._active.stack:
-            if span.trace_id != trace_id:
-                if span.trace_id not in replaced:
-                    replaced.append(span.trace_id)
-                span.attributes.setdefault("adopted_from", span.trace_id)
+        columns = self._columns
+        with self._lock:
+            for span in self._active.stack:
+                old = span.trace_id
+                if old == trace_id:
+                    continue
+                if old not in replaced:
+                    replaced.append(old)
                 span.trace_id = trace_id
+                slot = self._slot_at(span._position)
+                if slot >= 0:
+                    columns[_TRACE][slot] = trace_id
+                    if "adopted_from" not in columns[_KEYS][slot]:
+                        self._write(slot, {"adopted_from": old}, None, None)
         return replaced
 
     # -- queries -------------------------------------------------------
 
-    def spans(self, trace_id: Optional[str] = None) -> List[Span]:
-        snapshot = self._snapshot()
-        if trace_id is None:
-            return snapshot
-        return [s for s in snapshot if s.trace_id == trace_id]
-
-    def _snapshot(self) -> List[Span]:
+    def spans(self, trace_id: Optional[str] = None, *, name_prefix: str = "") -> List[Span]:
+        """Every retained span, oldest first, or those of ``trace_id`` /
+        whose name starts with ``name_prefix``; each a fresh ``Span``."""
         with self._lock:
-            return list(self._spans.values())
+            columns = [tuple(column) for column in self._columns]
+        rows: Iterable[Tuple[Any, ...]] = zip(*columns)
+        if trace_id is not None:
+            rows = compress(rows, map(eq, columns[_TRACE], repeat(trace_id)))
+        if name_prefix:
+            rows = (row for row in rows if row[0].startswith(name_prefix))
+        return list(starmap(self._span, rows))
+
+    def _span(
+        self, name: str, trace_id: str, number: Union[int, str], parent_id: Optional[str],
+        start: float, end: Optional[float], status: str,
+        keys: Tuple[str, ...], values: Tuple[Any, ...],
+    ) -> Span:
+        span = Span(name, trace_id, self._render(number), parent_id, start)
+        span.end = end
+        span.status = status
+        span.attributes = dict(zip(keys, values))
+        return span
 
     def __len__(self) -> int:
-        return len(self._spans)  # len() is atomic under the GIL
+        return len(self._columns[0])  # len() is atomic under the GIL
 
     def render(self, trace_id: str) -> str:
         """ASCII span tree for one trace (see :func:`render_span_tree`)."""
@@ -348,7 +517,7 @@ class Tracer:
         store.clear(OBSERVABILITY_TRACING)
         return store.put_many(
             OBSERVABILITY_TRACING,
-            ((f"{i:012d}", s.to_wire()) for i, s in enumerate(self._snapshot())),
+            ((f"{i:012d}", s.to_wire()) for i, s in enumerate(self.spans())),
         )
 
     def load_from(self, store: "StateStore") -> int:
@@ -356,24 +525,25 @@ class Tracer:
 
         Returns the number of spans restored; live task/job traces re-link
         to them by id through :meth:`update`.  Nothing lands on any active
-        stack — restored spans are data, not open work on this thread.
+        stack — restored spans are data, not open work on this thread —
+        and a :class:`SpanRef` opened before the restore no longer writes.
         """
         from repro.store.registry import OBSERVABILITY_TRACING
 
-        self._spans.clear()
-        for _, row in store.items(OBSERVABILITY_TRACING):
-            span = Span(
-                row["name"],
-                trace_id=row["trace_id"],
-                span_id=row["span_id"],
-                parent_id=row["parent_id"],
-                start=row["start"],
-                attributes=row["attributes"],
+        fields = [
+            (
+                row["name"], row["trace_id"], self._number(row["span_id"]), row["parent_id"],
+                row["start"], row["end"], row["status"], *payload(row["attributes"]),
             )
-            span.end = row["end"]
-            span.status = row["status"]
-            self._append(span)
-        return len(self._spans)
+            for _, row in store.items(OBSERVABILITY_TRACING)
+        ]
+        columns = list(zip(*fields)) or [()] * len(_COLUMNS)
+        with self._lock:
+            for column, values in zip(self._columns, columns):
+                column.clear()
+                column.extend(values)
+            self._appended += len(fields)
+            return len(self._columns[0])
 
 
 class _SpanHandle:
@@ -385,9 +555,9 @@ class _SpanHandle:
         self._trace_id = trace_id
         self._parent = parent
         self._attributes = attributes
-        self.span: Optional[Span] = None
+        self.span: Optional[SpanRef] = None
 
-    def __enter__(self) -> Span:
+    def __enter__(self) -> SpanRef:
         self.span = self._tracer.start_span(
             self._name, trace_id=self._trace_id, parent=self._parent, attributes=self._attributes
         )
@@ -403,8 +573,9 @@ def render_span_tree(spans: List[Dict[str, Any]]) -> str:
 
     Works on exported JSONL rows as well as live tracer output, so the
     CLI ``trace`` subcommand and the webui share one renderer.  Children
-    are ordered by start time; orphans (parent outside the slice, e.g.
-    evicted from the bounded store) are promoted to roots.
+    are ordered by start time, then by their order in *spans* (a tracer's
+    and an export's are creation order); orphans (parent outside the
+    slice, e.g. evicted from the bounded store) are promoted to roots.
     """
     if not spans:
         return "(no spans)"
@@ -416,7 +587,7 @@ def render_span_tree(spans: List[Dict[str, Any]]) -> str:
             parent = None
         children.setdefault(parent, []).append(s)
     for kids in children.values():
-        kids.sort(key=lambda s: (s["start"], s["span_id"]))
+        kids.sort(key=lambda s: s["start"])  # stable: ties keep creation order
 
     lines: List[str] = []
 

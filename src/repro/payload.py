@@ -1,0 +1,45 @@
+"""Attribute payloads as a ``values`` tuple over a shared ``keys`` tuple.
+
+The journal's rows and the tracer's spans both keep their attributes so,
+not as a dict each: every payload of one shape shares one interned keys
+tuple.  :func:`payload` makes one from a mapping, :func:`updated` writes
+more attributes into one (how a span's slot takes its later fields).
+This module needs only the standard library, so both can import it
+without a cycle.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, Mapping, Optional, Tuple
+
+__all__ = ["payload", "updated"]
+
+#: One ``keys`` tuple per payload shape, shared by every row of that shape.
+#: The shapes are the producers' keyword sets (and those of the rows a
+#: checkpoint restores), a few dozen at most.  An interning table: what it
+#: holds changes no row's value, only which of two equal tuples a row keeps.
+_KEYSETS: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
+
+def payload(
+    attributes: Optional[Mapping[str, Any]],
+) -> Tuple[Tuple[str, ...], Tuple[Any, ...]]:
+    """``(keys, values)`` of a payload, the keys tuple interned."""
+    if not attributes:
+        return (), ()
+    keys = tuple(attributes)
+    return _KEYSETS.setdefault(keys, keys), tuple(attributes.values())
+
+
+def updated(
+    keys: Tuple[str, ...], values: Tuple[Any, ...], attributes: Mapping[str, Any],
+) -> Tuple[Tuple[str, ...], Tuple[Any, ...]]:
+    """``(keys, values)`` of that payload updated with *attributes*, as a
+    dict would be: a key it has keeps its place and takes the new value,
+    a new key goes at the end."""
+    if attributes.keys().isdisjoint(keys):  # the common case: only new keys
+        keys += tuple(attributes)
+        return _KEYSETS.setdefault(keys, keys), values + tuple(attributes.values())
+    merged = dict(zip(keys, values))
+    merged.update(attributes)
+    return payload(merged)

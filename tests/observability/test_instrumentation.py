@@ -7,6 +7,7 @@ MonALISA publication.
 
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,25 @@ class TestServedCallSpans:
         assert fields["transport"] == f"async+{codec}" and fields["outcome"] == "ok"
         assert fields["decode_ms"] >= 0.0 and fields["encode_ms"] >= 0.0
         assert "served_from" not in fields  # executed
+
+    def test_a_framed_call_writes_its_span_once(self, served, codec, monkeypatch):
+        """The stage timings go in with the write that ends the call's span:
+        one slot write per call, and no ``Tracer.update`` from the front end."""
+        gae, task, wire = served
+        tracer = gae.observability.tracer
+        token = wire.call("system.login", ["u", "pw"])
+        writes = Counter()
+        for name in ("_write", "update", "end_span"):
+            def counted(*args, _name=name, _method=getattr(tracer, name), **kwargs):
+                writes[_name] += 1
+                return _method(*args, **kwargs)
+            monkeypatch.setattr(tracer, name, counted)
+        for n in range(3):
+            wire.call("jobmon.job_status", [task.task_id], token, trace_id=f"once-{codec}-{n}")
+        assert writes == {"_write": 3, "end_span": 3}
+        for n in range(3):
+            (span,) = self.call_spans(gae, f"once-{codec}-{n}")
+            assert {"decode_ms", "encode_ms"} <= span.attributes.keys()
 
     def test_a_cached_read_and_a_denied_call_each_leave_one_span(self, served, codec):
         gae, task, wire = served
@@ -284,11 +304,19 @@ class TestJournalAndMetricsWiring:
 
 
 class TestJobSpanOutcome:
-    """A job span ends with its last task and takes that task's outcome
-    alone — whatever its siblings did."""
+    """A job span ends with its last task, ``ok`` only if every one of its
+    tasks ended ``ok`` — a killed sibling fails it whichever task is last."""
 
-    @pytest.mark.parametrize("kill_last, status", [(False, "ok"), (True, "error")])
-    def test_the_last_task_to_finish_decides(self, kill_last, status):
+    @pytest.mark.parametrize(
+        "kill, outcomes, status",
+        [
+            (None, {"ok"}, "ok"),
+            ("first", {"ok", "killed"}, "error"),  # short is killed, then long completes
+            ("last", {"ok", "killed"}, "error"),   # short completes, then long is killed
+        ],
+        ids=["all-ok", "killed-first", "killed-last"],
+    )
+    def test_a_job_span_is_ok_only_if_every_task_is(self, kill, outcomes, status):
         gae = two_site_gae()
         gae.start()
         short = make_prime_count_task(owner="u", work_seconds=100.0)
@@ -296,21 +324,46 @@ class TestJobSpanOutcome:
         job = Job(tasks=[short, long], owner="u")
         gae.scheduler.submit_job(job)
         steering = gae.client("u", "pw").service("steering")
-        if kill_last:  # short completes, then long is killed
+        if kill == "last":
             gae.grid.run_until(1_000.0)
             assert short.state is JobState.COMPLETED
             assert steering.kill(long.task_id)["ok"]
-        else:  # short is killed, then long completes
+        elif kill == "first":
             gae.grid.run_until(10.0)
             assert steering.kill(short.task_id)["ok"]
         gae.grid.run_until(10_000.0)
         gae.stop()
+        if kill == "first":
+            assert long.state is JobState.COMPLETED
 
         obs = gae.observability
         spans = {s.name: s for s in obs.tracer.spans(obs.trace_id_of(short.task_id))}
-        outcomes = {spans[f"task:{t.task_id}"].status for t in job.tasks}
-        assert outcomes == {"ok", "killed"}
+        assert {spans[f"task:{t.task_id}"].status for t in job.tasks} == outcomes
         assert spans[f"job:{job.job_id}"].status == status
+
+    def test_a_restored_job_remembers_a_killed_task(self, tmp_path):
+        """The flag rides in the checkpoint's job row: a task killed before
+        the checkpoint still fails the job its sibling finishes after it."""
+        from repro.store.checkpoint import Checkpointer, restore_gae
+
+        gae = two_site_gae()
+        gae.start()
+        short = make_prime_count_task(owner="u", work_seconds=100.0)
+        long = make_prime_count_task(owner="u", work_seconds=2_000.0)
+        job = Job(tasks=[short, long], owner="u")
+        gae.scheduler.submit_job(job)
+        gae.grid.run_until(10.0)
+        assert gae.client("u", "pw").service("steering").kill(short.task_id)["ok"]
+        gae.grid.run_until(20.0)
+        path = tmp_path / "gae.sqlite"
+        Checkpointer(gae).checkpoint(path)
+        gae.stop()
+        restored = restore_gae(path)
+        restored.grid.run_until(10_000.0)
+        obs = restored.observability
+        spans = {s.name: s for s in obs.tracer.spans(obs.trace_id_of(long.task_id))}
+        assert spans[f"task:{long.task_id}"].status == "ok"
+        assert spans[f"job:{job.job_id}"].status == "error"
 
 
 def test_no_trace_record_slot_holds_a_span():

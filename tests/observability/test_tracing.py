@@ -32,10 +32,13 @@ def tracer(clock):
 
 
 class TestSpan:
-    def test_finish_is_idempotent(self):
-        span = Span("s", trace_id="t-1", span_id="s-1", parent_id=None, start=1.0)
-        span.finish(5.0, "ok")
-        span.finish(9.0, "error")  # second finish must not overwrite
+    def test_finish_is_idempotent(self, tracer, clock):
+        clock.now = 1.0
+        ref = tracer.start_span("s", trace_id="t-1", activate=False)
+        tracer.end_span(ref, "ok", end=5.0)
+        tracer.end_span(ref, "error", end=9.0)  # second finish must not overwrite
+        tracer.update(ref.span_id, status="killed")
+        (span,) = tracer.spans()
         assert span.end == 5.0
         assert span.status == "ok"
         assert span.duration_s == 4.0
@@ -56,6 +59,7 @@ class TestTracer:
         span = tracer.start_span("a")
         clock.now = 42.0
         tracer.end_span(span)
+        (span,) = tracer.spans()
         assert span.start == 0.0
         assert span.end == 42.0
         assert span.status == "ok"
@@ -92,7 +96,8 @@ class TestTracer:
 
     def test_instant_is_finished_and_not_activated(self, tracer, clock):
         clock.now = 7.0
-        span = tracer.instant("flash", trace_id="t-1")
+        tracer.instant("flash", trace_id="t-1")
+        (span,) = tracer.spans()
         assert span.end == span.start == 7.0
         assert tracer.current_span() is None
 
@@ -101,7 +106,8 @@ class TestTracer:
         replaced = tracer.adopt_current_trace("job-trace-9")
         assert replaced == ["call-1"]
         assert span.trace_id == "job-trace-9"
-        assert span.attributes["adopted_from"] == "call-1"
+        (held,) = tracer.spans("job-trace-9")
+        assert held.attributes["adopted_from"] == "call-1"
         # Adopting again is a no-op.
         assert tracer.adopt_current_trace("job-trace-9") == []
         tracer.end_span(span)
@@ -113,25 +119,28 @@ class TestTracer:
 
 
 class TestSpansById:
-    """The ring is keyed by span id: :meth:`Tracer.update` reaches exactly
+    """The ring is reached by span id: :meth:`Tracer.update` reaches exactly
     the spans it holds, and a span it has dropped is gone."""
 
     def test_update_ends_and_annotates_a_held_span(self, tracer, clock):
-        span = tracer.start_span("run@siteA", trace_id="t-1", activate=False)
+        span_id = tracer.start_span("run@siteA", trace_id="t-1", activate=False).span_id
         clock.now = 4.0
-        tracer.update(span.span_id, to="siteB")
+        tracer.update(span_id, to="siteB")
+        (span,) = tracer.spans()
         assert span.attributes == {"to": "siteB"} and span.end is None
-        tracer.update(span.span_id, status="killed")
-        assert (span.end, span.status) == (4.0, "killed")
+        tracer.update(span_id, status="killed")
+        (span,) = tracer.spans()
+        assert (span.span_id, span.end, span.status) == (span_id, 4.0, "killed")
 
     def test_an_evicted_id_is_a_no_op(self, clock):
         tracer = Tracer(clock, capacity=3)
         spans = [tracer.start_span(f"s{i}", trace_id="t-1", activate=False) for i in range(5)]
         assert [s.span_id for s in tracer.spans()] == [s.span_id for s in spans[2:]]
+        held = [s.to_wire() for s in tracer.spans()]
         for evicted in spans[:2]:
             tracer.update(evicted.span_id, status="error", to="siteB")
-            assert (evicted.end, evicted.status, evicted.attributes) == (None, "open", {})
-        assert [s.span_id for s in tracer.spans()] == [s.span_id for s in spans[2:]]
+        assert [s.to_wire() for s in tracer.spans()] == held
+        assert {(s["end"], s["status"], len(s["attributes"])) for s in held} == {(None, "open", 0)}
         for held in spans[2:]:
             tracer.update(held.span_id, status="ok")
         assert all(s.status == "ok" for s in tracer.spans())
@@ -193,7 +202,7 @@ class TestSpansById:
             assert kept == ids[len(ids) - len(kept):]
         for span in ring:
             tracer.update(span.span_id, status="ok")
-        assert all(s.status == "ok" for s in ring)
+        assert all(s.status == "ok" for s in tracer.spans())
 
 
 class TestSeededIds:
@@ -256,6 +265,18 @@ class TestRenderSpanTree:
         }]
         text = render_span_tree(spans)
         assert text == "child  [t=3.0s .. open] open"
+
+    def test_siblings_that_start_together_keep_creation_order(self, clock):
+        """Ties on start keep the order the spans were made in — not their
+        ids' string order, in which ``…-s10`` sorts before ``…-s2``."""
+        tracer = Tracer(clock, id_prefix="g00001")
+        root = tracer.start_span("root", trace_id="t-1", activate=False)
+        for i in range(20):
+            tracer.instant(f"child{i:02d}", trace_id="t-1", parent=root.context)
+        lines = tracer.render("t-1").splitlines()[1:]
+        assert [line.lstrip("|`- ").split()[0] for line in lines] == [
+            f"child{i:02d}" for i in range(20)
+        ]
 
     def test_children_sorted_by_start(self, tracer, clock):
         root = tracer.start_span("root", trace_id="t-1", activate=False)

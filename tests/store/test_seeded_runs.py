@@ -197,7 +197,8 @@ def test_a_restored_format2_file_mints_no_id_its_ring_holds():
     loaded = tracer.spans()
     held = {span.span_id for span in loaded}
     run_out(gae)
-    minted = [span for span in tracer.spans() if not any(span is s for s in loaded)]
+    assert len(tracer) < tracer.capacity  # nothing dropped: the ring is loaded + minted
+    minted = tracer.spans()[len(loaded):]
     assert len(minted) > 10
     assert not {span.span_id for span in minted} & held
     prefix = seeded_id_prefix(gae.grid.rngs.seed)

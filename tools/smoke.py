@@ -8,7 +8,6 @@
     python tools/smoke.py health     # health rules fire and resolve; telemetry export
     python tools/smoke.py bench      # the end-to-end benchmark's own checks + quick runs
     python tools/smoke.py rpc        # system.stats, system.cache, /metrics and recent_calls agree
-    python tools/smoke.py trace      # demo --trace-export validates against its schema
     python tools/smoke.py figures    # the paper's figure / ablation / validation benches
     python tools/smoke.py all        # every one above (< 60 s; run it before committing)
 
@@ -465,7 +464,7 @@ def smoke_rpc(tmp: Path) -> None:
 
 
 # ----------------------------------------------------------------------
-# scenario / health / bench / trace
+# scenario / health / bench
 # ----------------------------------------------------------------------
 def smoke_scenario(tmp: Path) -> None:
     run_cli("scenario", "run", "benign-baseline", "site-outage-recovery",
@@ -529,17 +528,6 @@ def smoke_bench(tmp: Path) -> None:
               "outputs correct")
 
 
-def smoke_trace(tmp: Path) -> None:
-    from repro.observability.export import validate_export_file
-
-    run_cli("demo", "--trace-export", "demo_trace.jsonl", cwd=tmp)
-    rows = validate_export_file(
-        tmp / "demo_trace.jsonl",
-        REPO_ROOT / "docs" / "schemas" / "trace_export.schema.json",
-    )
-    print(f"demo_trace.jsonl: {rows} rows ok")
-
-
 def smoke_figures(tmp: Path) -> None:
     """The figure benches assert the paper's shapes (§7) over ``repro.analysis.experiments``;
     the numbers themselves are pinned by tier-1 (``FIGURES.json``), not here."""
@@ -559,7 +547,6 @@ SMOKES = {
     "health": smoke_health,
     "bench": smoke_bench,
     "rpc": smoke_rpc,
-    "trace": smoke_trace,
     "figures": smoke_figures,
 }
 
