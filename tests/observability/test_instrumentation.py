@@ -307,16 +307,15 @@ class TestJobSpanOutcome:
     """A job span ends with its last task, ``ok`` only if every one of its
     tasks ended ``ok`` — a killed sibling fails it whichever task is last."""
 
-    @pytest.mark.parametrize(
-        "kill, outcomes, status",
-        [
-            (None, {"ok"}, "ok"),
-            ("first", {"ok", "killed"}, "error"),  # short is killed, then long completes
-            ("last", {"ok", "killed"}, "error"),   # short completes, then long is killed
-        ],
-        ids=["all-ok", "killed-first", "killed-last"],
-    )
-    def test_a_job_span_is_ok_only_if_every_task_is(self, kill, outcomes, status):
+    @staticmethod
+    def _run_two_task_job(kill_last):
+        """Run a short and a long task as one job; kill one of them.
+
+        ``kill_last=None`` kills neither; ``False`` kills the short task
+        before the long one completes; ``True`` kills the long task after
+        the short one completes.  Returns the job, its tasks and the trace's
+        spans by name.
+        """
         gae = two_site_gae()
         gae.start()
         short = make_prime_count_task(owner="u", work_seconds=100.0)
@@ -324,22 +323,37 @@ class TestJobSpanOutcome:
         job = Job(tasks=[short, long], owner="u")
         gae.scheduler.submit_job(job)
         steering = gae.client("u", "pw").service("steering")
-        if kill == "last":
+        if kill_last:  # short completes, then long is killed
             gae.grid.run_until(1_000.0)
             assert short.state is JobState.COMPLETED
             assert steering.kill(long.task_id)["ok"]
-        elif kill == "first":
+        elif kill_last is not None:  # short is killed, then long completes
             gae.grid.run_until(10.0)
             assert steering.kill(short.task_id)["ok"]
         gae.grid.run_until(10_000.0)
         gae.stop()
-        if kill == "first":
-            assert long.state is JobState.COMPLETED
-
         obs = gae.observability
         spans = {s.name: s for s in obs.tracer.spans(obs.trace_id_of(short.task_id))}
-        assert {spans[f"task:{t.task_id}"].status for t in job.tasks} == outcomes
-        assert spans[f"job:{job.job_id}"].status == status
+        return job, short, long, spans
+
+    @pytest.mark.parametrize("kill_last", [False, True])
+    def test_the_last_task_to_finish_decides(self, kill_last):
+        """The last task to finish ends the job span; its killed sibling,
+        first or last, makes the job ``error``."""
+        job, short, long, spans = self._run_two_task_job(kill_last)
+        if not kill_last:
+            assert long.state is JobState.COMPLETED
+        tasks = {t.task_id: spans[f"task:{t.task_id}"] for t in job.tasks}
+        assert {s.status for s in tasks.values()} == {"ok", "killed"}
+        assert tasks[short.task_id].end < tasks[long.task_id].end
+        job_span = spans[f"job:{job.job_id}"]
+        assert job_span.end == tasks[long.task_id].end
+        assert job_span.status == "error"
+
+    def test_a_job_span_is_ok_only_if_every_task_is(self):
+        job, _, _, spans = self._run_two_task_job(None)
+        assert {spans[f"task:{t.task_id}"].status for t in job.tasks} == {"ok"}
+        assert spans[f"job:{job.job_id}"].status == "ok"
 
     def test_a_restored_job_remembers_a_killed_task(self, tmp_path):
         """The flag rides in the checkpoint's job row: a task killed before
