@@ -175,7 +175,7 @@ class _WorkerBridge:
     ) -> bytes:
         stats = self._stats
         clk = time.perf_counter
-        collect: Dict[str, Any] = {}
+        collect: Dict[str, Any] = {"finish": None}  # this worker ends the span
         decode_s: Optional[float] = None
         encode_s = 0.0
         t0 = clk()

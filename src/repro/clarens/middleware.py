@@ -88,7 +88,8 @@ class CallContext:
         #: The call's ``rpc:`` span on the host tracer, set by the recorder.
         self.span: Any = None
         #: The front end's dict for what it needs after the pipeline
-        #: returns (``ClarensHost.dispatch(collect=)``); None when nobody asks.
+        #: returns (``ClarensHost.dispatch(collect=)``); None when nobody
+        #: asks.  A ``finish`` key in it takes the span's finishing write.
         self.collect: Optional[Dict[str, Any]] = None
         self.duration_ms = 0.0
         self.outcome = ""          # "" while in flight; "ok"/"fault"/"error" after
@@ -186,9 +187,10 @@ class RecorderMiddleware:
     instrumented build swaps in its own), stamps ``ctx.duration_ms`` /
     ``ctx.outcome``, finishes the span with them in one write and counts
     the call in ``host.stats``.  ``system.recent_calls`` reads those spans
-    back.  A front end that collects (``ctx.collect``) gets the finishing
-    write instead, as ``collect["finish"] = (tracer, span, status,
-    fields)``: it adds its stage timings to ``fields`` and ends the span.
+    back.  A front end whose ``ctx.collect`` holds a ``finish`` key gets
+    the finishing write instead, as ``collect["finish"] = (tracer, span,
+    status, fields)``: it adds its stage timings to ``fields`` and ends
+    the span.
 
     A registered method's span takes its name and ``method`` from the
     resolved :class:`~repro.clarens.registry.MethodEntry` and its
@@ -248,11 +250,12 @@ class RecorderMiddleware:
                 fields["code"] = ctx.fault_code
                 fields["error"] = ctx.fault_message
             status = "ok" if ctx.outcome == "ok" else "error"
-            if ctx.collect is None:
+            collect = ctx.collect
+            if collect is None or "finish" not in collect:
                 tracer.end_span(span, status, attributes=fields)
             else:
                 tracer.deactivate(span)
-                ctx.collect["finish"] = (tracer, span, status, fields)
+                collect["finish"] = (tracer, span, status, fields)
             self._host.stats.record(
                 method if entry is not None else UNKNOWN_METHOD,
                 ctx.outcome,

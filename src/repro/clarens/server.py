@@ -440,9 +440,12 @@ class ClarensHost:
         exception inside the method surfaces as :class:`RemoteFault`
         carrying the original message.
 
-        *collect*, when given, receives the call's ``outcome`` (also when
-        it faults) and the recorder's ``finish``: the async front end adds
-        its stage timings to the call's span in the write that ends it.
+        *collect*, when given, receives ``trace_id``, ``outcome``,
+        ``served_from`` and ``span_id`` (the call's ``rpc:`` span) from the
+        finished context, filled even when the call faults.  A *collect*
+        that already holds a ``finish`` key also takes over the span's
+        finishing write (see :class:`RecorderMiddleware`): how the async
+        front end adds its stage timings in the write that ends the span.
         """
         ctx = CallContext(
             method_path=method_path,
@@ -456,7 +459,10 @@ class ClarensHost:
             return self._pipeline(ctx)
         finally:
             if collect is not None:
+                collect["trace_id"] = ctx.trace_id
                 collect["outcome"] = ctx.outcome
+                collect["served_from"] = ctx.served_from
+                collect["span_id"] = ctx.span_id
 
     def invoke_as(
         self, principal: Principal, method_path: str, params: Sequence[Any]

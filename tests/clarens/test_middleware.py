@@ -176,6 +176,25 @@ class TestHostIntegration:
         assert entries[0] is not None
         assert entries[0].name == "ping"
 
+    def test_collect_reports_the_call_and_leaves_its_span_ended(self):
+        """A plain ``collect`` dict gets the finished call's fields; the
+        span's finishing write stays with the recorder (only a ``finish``
+        key hands it over), so the ``rpc:`` span is ended on return."""
+        host = ClarensHost("h")
+        for method, outcome, status in (("system.ping", "ok", "ok"),
+                                        ("nope.method", "fault", "error")):
+            collect = {}
+            with contextlib.suppress(ClarensFault):
+                host.dispatch(method, [], "", trace_id=f"t-{outcome}", collect=collect)
+            assert "finish" not in collect
+            assert (collect["trace_id"], collect["outcome"]) == (f"t-{outcome}", outcome)
+            assert collect["served_from"] == "execute"
+            (span,) = _spans(host, f"rpc:{method}")
+            assert span.span_id == collect["span_id"]
+            assert span.end is not None and span.status == status
+            assert span.attributes["outcome"] == outcome
+        assert not host.tracer._active.stack
+
 
 class _Echo:
     def echo(self, value):

@@ -102,18 +102,22 @@ def test_a_live_job_holds_no_empty_container_of_its_own():
 
 def test_the_span_ring_owns_every_span():
     """A span lives exactly as long as its ring slot: 4 000 admitted jobs
-    open ~16 000 spans and the process keeps at most the ring's worth."""
+    open ~16 000 spans, the process keeps no ``Span`` and no handle
+    (``SpanRef``) beyond the active stack, and no trace record holds one."""
     gae = rig(4_000, observability=True)
     obs = gae.observability
     tracer = obs.tracer
     traces = {record.trace_id for record in obs._jobs.values()}
     records = [*obs._tasks.values(), *obs._jobs.values()]
     gc.collect()
-    alive = sum(isinstance(o, Span) and o.trace_id in traces for o in gc.get_objects())
+    objects = gc.get_objects()
+    alive = sum(isinstance(o, Span) and o.trace_id in traces for o in objects)
+    refs = sum(isinstance(o, SpanRef) and o._tracer is tracer for o in objects)
     assert len(tracer) == tracer.capacity
-    assert alive <= tracer.capacity + len(tracer._active.stack), alive
+    assert alive == 0, alive  # the ring keeps columns: a Span exists only while read
+    assert refs <= len(tracer._active.stack), refs
     assert not any(
-        isinstance(getattr(record, slot), Span)
+        isinstance(getattr(record, slot), (Span, SpanRef))
         for record in records for slot in type(record).__slots__
     )
 
