@@ -16,8 +16,9 @@ This subpackage reproduces that framework in Python:
 - :mod:`repro.clarens.xmlrpc_server` — a real threaded XML-RPC HTTP server
   (stdlib ``xmlrpc``) used by the Figure 6 latency benchmark, imported on
   first access to :class:`XmlRpcServerHandle`;
-- :mod:`repro.clarens.aio` — the asyncio framed-protocol server:
-  persistent connections, request pipelining, codec negotiation;
+- :mod:`repro.clarens.aio` — the framed-protocol server, one
+  ``selectors`` thread: persistent connections, request pipelining,
+  codec negotiation;
 - :mod:`repro.clarens.framing` — the length-prefixed frame format and
   HELLO/WELCOME handshake spoken by the async server;
 - :mod:`repro.clarens.codecs` — negotiable wire codecs (XML-RPC bodies

@@ -9,8 +9,8 @@ The surface groups into:
 - **hosting** — :class:`ClarensHost` plus the two server front ends:
   :class:`XmlRpcServerHandle` (threaded HTTP/XML-RPC, one thread per
   connection; it and the stdlib HTTP stack load on first access) and
-  :class:`AsyncSocketServerHandle` (asyncio framed protocol: persistent
-  connections, pipelining, codec negotiation);
+  :class:`AsyncSocketServerHandle` (framed protocol on one serving
+  thread: persistent connections, pipelining, codec negotiation);
 - **clients** — :class:`ClarensClient` / :class:`ServiceProxy` over a
   :class:`Transport`: :class:`LoopbackTransport` (in-process),
   :class:`SocketTransport` (XML-RPC over HTTP) and

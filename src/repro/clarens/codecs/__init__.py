@@ -40,9 +40,9 @@ from repro.clarens.errors import ProtocolError
 class Codec(abc.ABC):
     """One wire encoding of Clarens calls and responses.
 
-    Implementations must be stateless and thread-safe: the async server
-    encodes responses from worker-pool threads while the event loop
-    decodes requests, all through one shared instance.
+    Implementations must be stateless and thread-safe: the framed
+    server's thread and any number of client threads encode and decode
+    through one shared instance.
     """
 
     #: Registry/negotiation name (``"json"``, ``"xmlrpc"``).

@@ -30,20 +30,20 @@ Frame types:
   a normal REPLY in the connection's codec.
 - ``GOODBYE`` — an orderly half-close; the peer stops reading afterwards.
 
-The sync helpers (:func:`read_frame_from`) serve the client's blocking
-socket; the server reads frames with :func:`read_frame_async` on asyncio
-streams.  Both enforce :data:`MAX_FRAME_BYTES` so a corrupt length prefix
-cannot make either side allocate gigabytes.
+The client reads frames off its blocking socket with
+:func:`read_frame_from`; the server cuts them out of each connection's
+input buffer with :func:`decode_header`.  Both enforce
+:data:`MAX_FRAME_BYTES` so a corrupt length prefix cannot make either
+side allocate gigabytes.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import struct
 from typing import Any, Callable, Dict, Tuple
 
-from repro.clarens.errors import ProtocolError, TransportError
+from repro.clarens.errors import ProtocolError
 
 #: Protocol version spoken (and required) by both ends of the handshake.
 PROTOCOL_VERSION = 1
@@ -59,6 +59,9 @@ ERROR = 5
 GOODBYE = 6
 
 _HEADER = struct.Struct(">IBQ")  # length, type, request id
+
+#: Bytes of a frame header: :func:`decode_header` takes exactly this many.
+HEADER_BYTES = _HEADER.size
 
 
 def encode_frame(frame_type: int, request_id: int, payload: bytes) -> bytes:
@@ -89,30 +92,9 @@ def read_frame_from(
     :class:`~repro.clarens.errors.TransportError` itself).
     """
     payload_len, frame_type, request_id = decode_header(
-        read_exact(_HEADER.size)
+        read_exact(HEADER_BYTES)
     )
     payload = read_exact(payload_len) if payload_len else b""
-    return frame_type, request_id, payload
-
-
-async def read_frame_async(
-    reader: asyncio.StreamReader,
-) -> Tuple[int, int, bytes]:
-    """Read one frame from an asyncio stream (server side).
-
-    Raises :class:`~repro.clarens.errors.TransportError` on EOF
-    mid-frame and :class:`~repro.clarens.errors.ProtocolError` on a bad
-    header — an EOF *between* frames surfaces as ``IncompleteReadError``
-    with nothing read, which callers treat as a normal disconnect.
-    """
-    header = await reader.readexactly(_HEADER.size)
-    payload_len, frame_type, request_id = decode_header(header)
-    try:
-        payload = (
-            await reader.readexactly(payload_len) if payload_len else b""
-        )
-    except asyncio.IncompleteReadError as exc:
-        raise TransportError("connection closed mid-frame") from exc
     return frame_type, request_id, payload
 
 
@@ -178,7 +160,7 @@ def _handshake_body(payload: bytes, kind: str) -> Dict[str, Any]:
         raise ProtocolError(f"malformed {kind} payload: {exc}") from exc
     if not isinstance(body, dict):
         raise ProtocolError(f"{kind} payload must be a JSON object")
-    if int(body.get("v", 0)) != PROTOCOL_VERSION:
+    if body.get("v", 0) != PROTOCOL_VERSION:  # not int(): "v" is the peer's input
         raise ProtocolError(
             f"{kind} speaks protocol version {body.get('v')!r}; "
             f"this end requires {PROTOCOL_VERSION}"
@@ -190,6 +172,7 @@ __all__ = [
     "CALL",
     "ERROR",
     "GOODBYE",
+    "HEADER_BYTES",
     "HELLO",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
@@ -203,6 +186,5 @@ __all__ = [
     "encode_frame",
     "encode_hello",
     "encode_welcome",
-    "read_frame_async",
     "read_frame_from",
 ]

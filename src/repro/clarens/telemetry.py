@@ -78,8 +78,10 @@ class CallStats:
         }
 
 
-#: Stages of the async server's worker bridge, in call order: all timed on
-#: the worker thread but ``reply_flush`` (event loop, one sample per batch).
+#: Stages of a framed call, in call order, all timed on the server's one
+#: thread: ``queue_wait`` runs from "frame parsed" to "its execution
+#: starts" (the calls before it in its turn), and ``reply_flush`` is the
+#: turn's one ``send`` (one sample per batch; a turn is a batch).
 WORKER_STAGES = ("queue_wait", "decode", "dispatch", "encode", "reply_flush")
 _POOL_SCALARS = (  # per pool: snapshot key, instrument kind, name suffix, help
     ("submitted", "counter", "submitted_total", "requests queued"),
@@ -92,8 +94,15 @@ _POOL_SCALARS = (  # per pool: snapshot key, instrument kind, name suffix, help
 
 
 class WorkerPoolStats:
-    """One serving aio worker pool's queue depth and stage timings: a view
-    whose every number is a ``gae_aio_worker_*`` series labelled ``pool``."""
+    """One serving framed server's queue depth and stage timings: a view
+    whose every number is a ``gae_aio_worker_*`` series labelled ``pool``.
+
+    The series keep their worker-pool names, so ``system.stats``,
+    ``/metrics`` and the benchmark read them unchanged.  A call is
+    submitted when its frame is parsed and completed when its reply is
+    framed; a *batch* is one connection's turn (at most ``max_inflight``
+    calls, one ``send``), and the queue is the parsed calls of that turn
+    not yet started."""
 
     def __init__(self, metrics: MetricsRegistry, pool: str) -> None:
         self.pool = pool  # the label: async:<port>
@@ -109,12 +118,12 @@ class WorkerPoolStats:
         }
 
     def on_submit(self) -> None:
-        """A request entered the worker queue (loop side)."""
+        """A parsed CALL frame waits for its turn's execution."""
         self._scalars["submitted"].inc()
         self._scalars["max_queue_depth"].set_max(self._scalars["queue_depth"].inc())
 
     def on_start(self, queue_wait_s: float) -> None:
-        """A worker picked the request up after *queue_wait_s* seconds."""
+        """The call's execution starts, *queue_wait_s* seconds after its parse."""
         self._scalars["queue_depth"].dec()
         self._stages["queue_wait"][0].observe(queue_wait_s * 1000.0)
 
@@ -126,7 +135,7 @@ class WorkerPoolStats:
             faults.inc()
 
     def on_batch(self, size: int) -> None:
-        """A worker answered the *size* requests of one queue drain."""
+        """One turn answered *size* calls."""
         self._scalars["batches"].inc()
         self._scalars["max_batch"].set_max(size)
         self._scalars["completed"].inc(size)

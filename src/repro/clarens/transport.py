@@ -240,7 +240,7 @@ def parse_framed_address(
 
 
 class AsyncSocketTransport(Transport):
-    """Persistent framed connection to the asyncio Clarens server.
+    """Persistent framed connection to the framed Clarens server.
 
     Connects, negotiates a codec (HELLO/WELCOME, see
     :mod:`repro.clarens.framing`) and then multiplexes calls over the one
@@ -265,8 +265,10 @@ class AsyncSocketTransport(Transport):
     timeout_s:
         Socket timeout for connect and for each blocking read.
     pipeline_window:
-        Default maximum calls in flight for :meth:`call_pipelined`.
-        Keep at or below the server's per-connection ``max_inflight``.
+        Default maximum calls in flight for :meth:`call_pipelined`.  The
+        server runs at most its ``max_inflight`` (default 256) of one
+        connection's frames per turn; a window at or below that is
+        answered in one turn.
     tracer:
         A :class:`~repro.observability.tracing.Tracer` (or compatible).
         When given, every call gets a client-side ``client:<method>``
@@ -353,7 +355,9 @@ class AsyncSocketTransport(Transport):
         Encodes and sends up to *window* calls before reading the first
         reply, then keeps the window full as replies drain — one
         connection, many overlapping requests, no reply-ordering
-        assumption.
+        assumption.  A failed exchange (send, receive, an ERROR frame or
+        a reply for an unknown id) closes the transport: later calls raise
+        :class:`~repro.clarens.errors.TransportClosedError`.
         """
         limit = self._pipeline_window if window is None else max(1, window)
         tracer = self.tracer
@@ -406,9 +410,9 @@ class AsyncSocketTransport(Transport):
                     frame_type, request_id, payload = read_frame_from(
                         self._read_exact
                     )
-                    if frame_type == ERROR_FRAME:
-                        code, message = decode_error(payload)
-                        raise fault_from_code(code, message)
+                    if frame_type == ERROR_FRAME:  # the server ends the connection
+                        self.close()
+                        raise fault_from_code(*decode_error(payload))
                     if frame_type != REPLY:
                         raise ProtocolError(
                             f"expected REPLY, got frame type {frame_type}"
@@ -430,6 +434,11 @@ class AsyncSocketTransport(Transport):
                     if span is not None:
                         ok = results[slot] is not None and results[slot][0]
                         tracer.end_span(span, status="ok" if ok else "error")
+        except (TransportError, ProtocolError):
+            # The stream is out of step (a reply may still be on its way):
+            # no later call on this connection could trust what it reads.
+            self.close()
+            raise
         finally:
             # A transport failure mid-batch leaves spans open; close them
             # as errors so the trace shows which calls never completed.

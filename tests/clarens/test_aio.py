@@ -1,7 +1,9 @@
-"""Integration tests for the asyncio framed server + AsyncSocketTransport."""
+"""Integration tests for the framed server + AsyncSocketTransport."""
 
+import contextlib
 import socket
 import threading
+import time
 
 import pytest
 
@@ -18,13 +20,18 @@ from repro.clarens.errors import (
 )
 from repro.clarens.framing import (
     CALL,
+    ERROR,
     HELLO,
     REPLY,
     WELCOME,
+    decode_hello,
+    encode_error,
     encode_frame,
     encode_hello,
+    encode_welcome,
     read_frame_from,
 )
+from repro.clarens.serialization import decode_trace_token
 from repro.clarens.server import ClarensHost
 from repro.clarens.transport import AsyncSocketTransport
 
@@ -51,9 +58,81 @@ def _recent_calls(host, trace_id):
     return host.dispatch("system.recent_calls", [50, trace_id])
 
 
+def _reader(sock):
+    """A ``read_exact`` over a blocking socket, for ``read_frame_from``."""
+
+    def read_exact(n):
+        data = b""
+        while len(data) < n:
+            chunk = sock.recv(n - len(data))
+            assert chunk, "the peer hung up"
+            data += chunk
+        return data
+
+    return read_exact
+
+
+def _handshake(sock):
+    sock.sendall(encode_frame(HELLO, 0, encode_hello(("json",))))
+    assert read_frame_from(_reader(sock))[0] == WELCOME
+
+
+@contextlib.contextmanager
+def scripted_peer(script):
+    """A one-connection framed server: accepts, answers the HELLO with a
+    WELCOME for the client's first codec, then runs ``script(sock, codec)``.
+    Yields its address."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    failures = []
+
+    def serve():
+        try:
+            sock, _ = listener.accept()
+            with sock:
+                read_exact = _reader(sock)
+                frame_type, hello_id, payload = read_frame_from(read_exact)
+                assert frame_type == HELLO
+                codec = get_codec(decode_hello(payload)[1][0])
+                sock.sendall(encode_frame(WELCOME, hello_id, encode_welcome(codec.name, "peer")))
+                script(sock, codec)
+        except Exception as exc:  # surfaced by the test, not lost in the thread
+            failures.append(exc)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        thread.join(timeout=10.0)
+        listener.close()
+    assert not thread.is_alive() and not failures, failures
+
+
+@contextlib.contextmanager
+def reversing_peer():
+    """A scripted peer that answers a pipelined pair of calls in reverse
+    order, 20 ms apart, each with its first parameter.  Yields its address
+    and the ``(method, token, trace_id)`` of each call it read."""
+    seen = []
+
+    def script(sock, codec):
+        read_exact = _reader(sock)
+        calls = [read_frame_from(read_exact) for _ in range(2)]
+        for frame_type, request_id, payload in reversed(calls):
+            assert frame_type == CALL
+            method, wire_token, params = codec.decode_request(payload)
+            seen.append((method, *decode_trace_token(wire_token)))
+            sock.sendall(encode_frame(REPLY, request_id, codec.encode_response(params[0])))
+            time.sleep(0.02)
+        seen.reverse()
+
+    with scripted_peer(script) as address:
+        yield address, seen
+
+
 @pytest.fixture
 def server(host):
-    with AsyncSocketServerHandle(host, workers=2) as handle:
+    with AsyncSocketServerHandle(host) as handle:
         yield handle
 
 
@@ -206,6 +285,134 @@ class TestLifecycle:
                 t.call("system.ping", [])
 
 
+class Sleepy:
+    """Methods that hold the serving thread, logging each call's tag."""
+
+    def __init__(self):
+        self.log = []
+
+    def nap(self, tag, seconds):
+        time.sleep(seconds)
+        self.log.append(tag)
+        return tag
+
+
+class TestFailedExchangeClosesTransport:
+    """Regression: a framed client stayed open after a failed exchange, so
+    the next call read the reply meant for the one that failed."""
+
+    def test_a_receive_timeout_closes_the_transport(self, host):
+        host.acl.allow("sleepy.*", groups=("g",))
+        host.register("sleepy", Sleepy())
+        with AsyncSocketServerHandle(host) as handle:
+            with AsyncSocketTransport(handle.address, timeout_s=0.1) as t:
+                token = t.call("system.login", ["u", "p"])
+                with pytest.raises(TransportError, match="timed out"):
+                    t.call("sleepy.nap", ["late", 0.4], token)
+                assert t.closed
+                time.sleep(0.4)  # the late reply is on the wire by now
+                with pytest.raises(TransportClosedError):
+                    t.call("system.ping", [])
+
+    def test_a_reply_for_an_unknown_id_closes_the_transport(self):
+        def script(sock, codec):
+            read_frame_from(_reader(sock))
+            sock.sendall(encode_frame(REPLY, 99, codec.encode_response("stray")))
+
+        with scripted_peer(script) as address:
+            with AsyncSocketTransport(address, codec="json") as t:
+                with pytest.raises(ProtocolError, match="unknown request id 99"):
+                    t.call("system.ping", [])
+                assert t.closed
+                with pytest.raises(TransportClosedError):
+                    t.call("system.ping", [])
+
+    def test_an_error_frame_closes_the_transport(self):
+        def script(sock, codec):
+            read_frame_from(_reader(sock))
+            sock.sendall(encode_frame(ERROR, 0, encode_error(500, "server trouble")))
+
+        with scripted_peer(script) as address:
+            with AsyncSocketTransport(address, codec="json") as t:
+                with pytest.raises(ClarensFault, match="server trouble"):
+                    t.call("system.ping", [])
+                assert t.closed
+                with pytest.raises(TransportClosedError):
+                    t.call("system.ping", [])
+
+
+class TestOneServingThread:
+    """One thread serves every connection: bounded buffers, fair turns."""
+
+    def test_a_client_that_does_not_read_holds_at_most_one_turn(self, host):
+        """10 000 pipelined calls from a client that reads nothing: the
+        server stops serving it once a send comes up short, so the reply
+        bytes it holds stay within one turn; every reply arrives, in order,
+        once the client reads."""
+        codec = get_codec("json")
+        value = "x" * 1000
+        total, max_inflight = 10_000, 64
+        with AsyncSocketServerHandle(host, max_inflight=max_inflight) as handle:
+            token = host.dispatch("system.login", ["u", "p"])
+            request = codec.encode_request("echo.echo", token, [value])
+            reply = encode_frame(REPLY, 1, codec.encode_response(value))
+            calls = b"".join(encode_frame(CALL, i, request) for i in range(1, total + 1))
+            sock = socket.socket()
+            # A fixed receive buffer (no autotuning) keeps what the kernels
+            # can absorb well below the 10 MB of replies.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+            sock.settimeout(30.0)
+            sock.connect(handle.address)
+            with sock:
+                _handshake(sock)
+                sender = threading.Thread(target=sock.sendall, args=(calls,), daemon=True)
+                sender.start()
+                held, stalled_at = 0, None
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    held = max([held, *(len(c.out) for c in list(handle._conns))])
+                    submitted = handle.pool_stats.snapshot()["submitted"]
+                    if submitted == stalled_at:
+                        break  # no turn ran in the last 50 ms
+                    stalled_at = submitted
+                    time.sleep(0.05)
+                assert stalled_at is not None and stalled_at < total
+                assert held <= max_inflight * len(reply)
+                read_exact = _reader(sock)
+                for request_id in range(1, total + 1):
+                    frame_type, answered, body = read_frame_from(read_exact)
+                    assert (frame_type, answered) == (REPLY, request_id)
+                    assert codec.decode_response(body) == value
+                sender.join(timeout=10.0)
+                assert not sender.is_alive()
+            pool = handle.pool_stats.snapshot()
+            assert pool["submitted"] == pool["completed"] == total
+            assert pool["max_batch"] <= max_inflight
+
+    def test_connections_take_turns(self, host):
+        """A pipelined burst cannot starve another connection: with
+        ``max_inflight=4`` a call sent after the burst's first reply is
+        answered before the burst's last one."""
+        sleepy = Sleepy()
+        host.acl.allow("sleepy.*", groups=("g",))
+        host.register("sleepy", sleepy)
+        codec = get_codec("json")
+        with AsyncSocketServerHandle(host, max_inflight=4) as handle:
+            token = host.dispatch("system.login", ["u", "p"])
+            with socket.create_connection(handle.address, timeout=10.0) as a, \
+                    AsyncSocketTransport(handle.address, codec="json") as b:
+                _handshake(a)
+                read_a = _reader(a)
+                burst = codec.encode_request("sleepy.nap", token, ["a", 0.002])
+                a.sendall(b"".join(encode_frame(CALL, i, burst) for i in range(64)))
+                assert read_frame_from(read_a)[:2] == (REPLY, 0)
+                assert b.call("sleepy.nap", ["b", 0.0], token) == "b"
+                for request_id in range(1, 64):
+                    assert read_frame_from(read_a)[:2] == (REPLY, request_id)
+        # B ran while A still had calls to run.
+        assert sleepy.log.count("a") == 64 and sleepy.log[-1] == "a"
+
+
 class TestTelemetry:
     def test_per_transport_label(self, server, host):
         with AsyncSocketTransport(server.address, codec="json") as t:
@@ -233,14 +440,7 @@ class TestMalformedFrames:
         successful 0 ms decode, so the decode fault counter never moved."""
         codec = get_codec("json")
         with socket.create_connection(server.address, timeout=10.0) as sock:
-
-            def read_exact(n):
-                data = b""
-                while len(data) < n:
-                    chunk = sock.recv(n - len(data))
-                    assert chunk, "the server hung up"
-                    data += chunk
-                return data
+            read_exact = _reader(sock)
 
             def call(request_id, payload):
                 sock.sendall(encode_frame(CALL, request_id, payload))
@@ -248,8 +448,7 @@ class TestMalformedFrames:
                 assert (frame_type, answered) == (REPLY, request_id)
                 return codec.decode_response(body)
 
-            sock.sendall(encode_frame(HELLO, 0, encode_hello(("json",))))
-            assert read_frame_from(read_exact)[0] == WELCOME
+            _handshake(sock)
             with pytest.raises(ClarensFault):
                 call(1, b"\xff\xfenot json")
             # The connection still serves the next call.
@@ -258,25 +457,6 @@ class TestMalformedFrames:
         assert pool["stages"]["decode"]["count"] == 2
         assert pool["stages"]["decode"]["faults"] == 1
         assert pool["submitted"] == pool["completed"] == 2
-
-
-class Gated:
-    """A slow/fast method pair: ``slow`` blocks until ``fast`` has run.
-
-    With two workers a pipelined [slow, fast] batch completes out of
-    issue order, exercising the reply-reordering path.
-    """
-
-    def __init__(self):
-        self.gate = threading.Event()
-
-    def slow(self, value):
-        assert self.gate.wait(timeout=10.0), "fast call never arrived"
-        return value
-
-    def fast(self, value):
-        self.gate.set()
-        return value
 
 
 @pytest.mark.parametrize("codec", ["json", "xmlrpc"])
@@ -303,23 +483,19 @@ class TestTraceIdPropagation:
         assert len(records) == 20
         assert {r["method"] for r in records} == {"echo.echo"}
 
-    def test_out_of_order_completion_preserves_order_and_trace(
-        self, host, codec
-    ):
-        gated = Gated()
-        host.acl.allow("gated.*", groups=("g",))
-        host.register("gated", gated)
-        with AsyncSocketServerHandle(host, workers=2, dispatch_batch=1) as handle:
-            with AsyncSocketTransport(handle.address, codec=codec) as t:
-                token = t.call("system.login", ["u", "p"])
+    def test_out_of_order_completion_preserves_order_and_trace(self, codec):
+        with reversing_peer() as (address, seen):
+            with AsyncSocketTransport(address, codec=codec) as t:
                 outcomes = t.call_pipelined(
                     [("gated.slow", ["s"]), ("gated.fast", ["f"])],
-                    token=token, trace_id=f"ooo-{codec}",
+                    token="tok", trace_id=f"ooo-{codec}",
                 )
-        # Results come back in issue order even though 'fast' finished first.
+        # Results come back in issue order even though 'fast' was answered first.
         assert outcomes == [(True, "s"), (True, "f")]
-        records = _recent_calls(host, f"ooo-{codec}")
-        assert sorted(r["method"] for r in records) == ["gated.fast", "gated.slow"]
+        assert seen == [
+            ("gated.slow", "tok", f"ooo-{codec}"),
+            ("gated.fast", "tok", f"ooo-{codec}"),
+        ]
 
 
 class TestClientSpans:
@@ -351,27 +527,18 @@ class TestClientSpans:
         records = _recent_calls(host, trace_ids.pop())
         assert sum(r["method"] == "echo.echo" for r in records) == 5
 
-    def test_out_of_order_spans_end_as_replies_arrive(self, host):
-        gated = Gated()
-        host.acl.allow("gated.*", groups=("g",))
-        host.register("gated", gated)
+    def test_out_of_order_spans_end_as_replies_arrive(self):
         tracer = self._tracer()
-        with AsyncSocketServerHandle(host, workers=2, dispatch_batch=1) as handle:
-            with AsyncSocketTransport(
-                handle.address, codec="json", tracer=tracer
-            ) as t:
-                token = t.call("system.login", ["u", "p"])
-                t.call_pipelined(
-                    [("gated.slow", ["s"]), ("gated.fast", ["f"])],
-                    token=token,
-                )
+        with reversing_peer() as (address, _):
+            with AsyncSocketTransport(address, codec="json", tracer=tracer) as t:
+                t.call_pipelined([("gated.slow", ["s"]), ("gated.fast", ["f"])])
         by_name = {
             s.name: s for s in tracer.spans() if s.name.startswith("client:gated")
         }
         slow, fast = by_name["client:gated.slow"], by_name["client:gated.fast"]
         assert slow.status == fast.status == "ok"
         # 'fast' was issued second but its reply (and span end) came first.
-        assert fast.end <= slow.end
+        assert fast.end < slow.end
 
     def test_explicit_trace_id_not_overridden(self, server):
         tracer = self._tracer()

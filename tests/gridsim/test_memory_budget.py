@@ -271,10 +271,12 @@ print(sorted(m for m in UNSERVED if m in sys.modules))
 
 #: What a framed-socket host never uses: the third-party graph/science
 #: stacks, the HTTP/XML-RPC front end and its stdlib (``pydoc`` comes with
-#: ``xmlrpc.server``), and the packages around the served services.
+#: ``xmlrpc.server``), an event-loop framework (the framed server is one
+#: ``selectors`` thread), and the packages around the served services.
 UNSERVED = (
     "networkx", "scipy",
     "xmlrpc", "http.client", "http.server", "email", "socketserver", "pydoc",
+    "asyncio", "ssl", "concurrent.futures",
     "repro.scenarios", "repro.analysis", "repro.webui", "repro.workloads", "repro.cli",
 )
 
@@ -282,8 +284,8 @@ UNSERVED = (
 def test_serving_process_imports_neither_networkx_nor_scipy():
     """Routing a stage-in, serving a framed ``json`` socket and journalling
     a job need numpy and the standard library only (networkx alone was
-    12.6 MB), and load nothing of the other front end or of the scenario,
-    analysis, web UI, workload or CLI packages."""
+    12.6 MB), and load nothing of the other front end, of asyncio, or of
+    the scenario, analysis, web UI, workload or CLI packages."""
     out = subprocess.run(
         [sys.executable, "-c", f"UNSERVED = {UNSERVED!r}\n{SERVE_ONE_JOB}"],
         capture_output=True, text=True, timeout=120, check=False,

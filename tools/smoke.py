@@ -6,7 +6,7 @@
     python tools/smoke.py restore    # hard kill, then restore both orphaned files
     python tools/smoke.py scenario   # quick chaos campaign + artifact schema
     python tools/smoke.py health     # health rules fire and resolve; telemetry export
-    python tools/smoke.py bench      # the end-to-end benchmark's own checks + quick runs
+    python tools/smoke.py bench      # the end-to-end benchmark's own checks + quick and traced runs
     python tools/smoke.py rpc        # system.stats, system.cache, /metrics and recent_calls agree
     python tools/smoke.py figures    # the paper's figure / ablation / validation benches
     python tools/smoke.py all        # every one above (< 60 s; run it before committing)
@@ -517,14 +517,18 @@ def smoke_bench(tmp: Path) -> None:
     # socket-vs-direct output check sees non-negative queue positions, the
     # running_tasks scan and two set_priority writes; steer_mixed is the one
     # journalled, traced rig, the only one that exercises the span ring.
-    for workload in ("wire_pipelined", "poll_uncached", "steer_mixed"):
-        out = run_python("benchmarks/e2e/run.py", "--workload", workload,
+    # The two --traced runs are the one path that reads the server's
+    # stage series (queue_wait / dispatch / reply_flush).
+    runs = [("--workload", w) for w in ("wire_pipelined", "poll_uncached", "steer_mixed")]
+    runs += [("--traced", w) for w in ("steer_mixed", "wire_pipelined")]
+    for mode, workload in runs:
+        out = run_python("benchmarks/e2e/run.py", mode, workload,
                          "--seed", "1", "--quick", cwd=REPO_ROOT, capture=True)
         print(out, end="")
         verdict = json.loads(out.strip().splitlines()[-1])
         check(verdict["correct"] is True, f"benchmark outputs incorrect: {verdict}")
         check(verdict["failed"] == 0, f"benchmark calls failed: {verdict}")
-        print(f"e2e quick {workload}: {verdict['attempted']} attempted, 0 failed, "
+        print(f"e2e quick {mode} {workload}: {verdict['attempted']} attempted, 0 failed, "
               "outputs correct")
 
 
