@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import sys
 from typing import Any, Dict, Optional, Tuple
-
-import numpy as np
 
 from repro.clarens.errors import SerializationError
 
@@ -44,17 +43,18 @@ def to_wire(value: Any) -> Any:
         return value
     if isinstance(value, enum.Enum):
         return to_wire(value.value)
-    if isinstance(value, (np.integer,)):
-        value = int(value)
-    if isinstance(value, (np.floating,)):
-        value = float(value)
+    # No numpy value can exist before numpy is loaded, so a host whose
+    # services never compute with it never imports it for this check.
+    numpy = sys.modules.get("numpy")
+    if numpy is not None and isinstance(value, numpy.generic):
+        value = value.item()  # bool_, integer, floating → bool, int, float
     if isinstance(value, int):
         if _XMLRPC_INT_MIN <= value <= _XMLRPC_INT_MAX:
             return value
         return float(value)
     if isinstance(value, float):
         return value
-    if isinstance(value, np.ndarray):
+    if numpy is not None and isinstance(value, numpy.ndarray):
         return [to_wire(v) for v in value.tolist()]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         out: Dict[str, Any] = {"_type": type(value).__name__}

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.estimators.history import HistoryRepository
 from repro.core.estimators.similarity import (
     DEFAULT_LADDER,
@@ -125,6 +123,8 @@ class RuntimeEstimator:
         x_new = float(getattr(spec, self.regression_feature))
         regression: Optional[float] = None
         if fit.line is not None:
+            import numpy as np
+
             slope, intercept, lo, hi = fit.line
             regression = float(np.clip(float(slope * x_new + intercept), lo, hi))
         if fit.prefer_regression:  # only ever set beside a line
@@ -185,6 +185,8 @@ class RuntimeEstimator:
         )
         if not matches:
             return None
+        import numpy as np
+
         runtimes = np.asarray([r.runtime_s for r in matches], dtype=float)
         line, prefer_regression = None, False
         if len(matches) >= 3:

@@ -51,11 +51,12 @@ accepted rather than averaging over unrelated jobs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.estimators.history import HistoryRepository, TaskRecord
+
+if TYPE_CHECKING:  # annotation only: numpy loads with the first template search
+    import numpy as np
 
 #: Every attribute a template may constrain, most-identifying first.
 ALL_TEMPLATE_ATTRIBUTES: Tuple[str, ...] = (
@@ -119,6 +120,8 @@ def _loo_mean_error(runtimes: np.ndarray) -> float:
     absolute relative errors.  This is the objective the greedy template
     search minimises.
     """
+    import numpy as np
+
     n = len(runtimes)
     if n < 2:
         return float("inf")
@@ -160,6 +163,8 @@ class GreedyTemplateSearch:
 
     def _score(self, history: HistoryRepository, template: Template) -> float:
         """Mean LOO error of the mean predictor across template partitions."""
+        import numpy as np
+
         groups: Dict[Tuple, List[float]] = {}
         for r in history.successful():
             key = tuple(r.attribute(a) for a in template)

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # annotation only: numpy loads with the first draw or mean
+    import numpy as np
 
 
 class NetworkError(RuntimeError):
@@ -180,6 +181,13 @@ class Network:
         link.utilization = utilization
 
 
+def _default_rng() -> np.random.Generator:
+    """The fixed-seed generator a probe or weather model built without one uses."""
+    import numpy as np
+
+    return np.random.default_rng(0)
+
+
 @dataclass
 class ProbeResult:
     """One iperf-style measurement."""
@@ -209,7 +217,7 @@ class IperfProbe:
         if noise_sigma < 0:
             raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
         self.network = network
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng if rng is not None else _default_rng()
         self.noise_sigma = noise_sigma
         self.probe_duration_s = probe_duration_s
         self.history: List[ProbeResult] = []
@@ -244,6 +252,8 @@ class IperfProbe:
         while len(relevant) < window:
             relevant.append(self.measure(src, dst))
         recent = relevant[-window:]
+        import numpy as np
+
         return float(np.mean([r.measured_mbps for r in recent]))
 
 
@@ -273,7 +283,7 @@ class NetworkWeather:
             raise ValueError("mean_utilization must be in [0, 1)")
         self.sim = sim
         self.network = network
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng if rng is not None else _default_rng()
         self.period_s = period_s
         self.mean_utilization = mean_utilization
         self.volatility = volatility

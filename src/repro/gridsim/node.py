@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # annotation only: numpy loads with the first random walk
+    import numpy as np
 
 
 class LoadProfile:
@@ -96,6 +97,8 @@ class LoadProfile:
         """
         if horizon <= 0 or step <= 0:
             raise ValueError("horizon and step must be positive")
+        import numpy as np
+
         times = np.arange(0.0, horizon, step)
         load = max(0.0, mean_load)
         pairs: List[Tuple[float, float]] = []

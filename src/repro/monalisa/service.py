@@ -56,9 +56,9 @@ class MonALISAQueryService:
     def series_window(
         self, farm: str, metric: str, t0: float, t1: float
     ) -> Dict[str, List[float]]:
-        """Samples of one metric within [t0, t1] as parallel arrays."""
+        """Samples of one metric within [t0, t1] as parallel lists."""
         times, values = self.repository.series(farm, metric).window(t0, t1)
-        return {"times": [float(t) for t in times], "values": [float(v) for v in values]}
+        return {"times": times, "values": values}
 
     @clarens_method(cache=_READS)
     def job_events(

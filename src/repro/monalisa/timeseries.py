@@ -9,9 +9,11 @@ binary search.
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Sequence, Tuple
+import math
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # annotation only: numpy loads with the first mean or array copy
+    import numpy as np
 
 
 class TimeSeries:
@@ -55,16 +57,20 @@ class TimeSeries:
     # ------------------------------------------------------------------
     # window queries
     # ------------------------------------------------------------------
-    def window(self, t0: float, t1: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Samples with ``t0 <= time <= t1`` as (times, values) arrays."""
+    def window(self, t0: float, t1: float) -> Tuple[List[float], List[float]]:
+        """Samples with ``t0 <= time <= t1`` as (times, values) lists (copies).
+
+        ``-inf`` / ``inf`` leave that end open.  A NaN bound is a
+        ValueError: it compares false with every sample, so it would select
+        the whole series.
+        """
+        if math.isnan(t0) or math.isnan(t1):
+            raise ValueError(f"window bound is NaN ({t0}, {t1})")
         if t1 < t0:
             raise ValueError(f"t1 < t0 ({t1} < {t0})")
         lo = bisect.bisect_left(self._times, t0)
         hi = bisect.bisect_right(self._times, t1)
-        return (
-            np.asarray(self._times[lo:hi], dtype=float),
-            np.asarray(self._values[lo:hi], dtype=float),
-        )
+        return self._times[lo:hi], self._values[lo:hi]
 
     def mean(self, t0: Optional[float] = None, t1: Optional[float] = None) -> float:
         """Mean value over a window (whole series by default)."""
@@ -76,6 +82,8 @@ class TimeSeries:
             _, values = self.window(t0, t1)
         if len(values) == 0:
             raise ValueError("window contains no samples")
+        import numpy as np
+
         return float(np.mean(values))
 
     def max(self) -> float:
@@ -86,6 +94,8 @@ class TimeSeries:
 
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The full series as (times, values) numpy arrays (copies)."""
+        import numpy as np
+
         return (
             np.asarray(self._times, dtype=float),
             np.asarray(self._values, dtype=float),

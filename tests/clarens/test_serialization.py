@@ -35,6 +35,11 @@ class TestToWire:
         assert isinstance(to_wire(np.int64(5)), int)
         assert to_wire(np.float64(2.5)) == 2.5
 
+    def test_numpy_booleans_lowered(self):
+        for value in (np.bool_(True), np.bool_(False)):
+            assert to_wire(value) is bool(value)
+        assert to_wire({"ok": np.bool_(True), "n": [np.uint8(7)]}) == {"ok": True, "n": [7]}
+
     def test_numpy_array_lowered_to_lists(self):
         assert to_wire(np.array([[1, 2], [3, 4]])) == [[1, 2], [3, 4]]
 

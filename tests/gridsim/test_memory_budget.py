@@ -7,6 +7,7 @@ budget" says where the bytes sit.
 """
 
 import gc
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +20,7 @@ from repro.gae import SteeringPolicy, build_gae
 from repro.gridsim import GridBuilder
 from repro.gridsim.job import EMPTY_MAPPING, Job, JobState, Task, TaskSpec
 from repro.observability.tracing import Span, SpanRef
+from tests.property.test_properties_rng import EagerStreams
 
 QUIET = SteeringPolicy(auto_move=False, poll_interval_s=3_600.0)
 
@@ -285,7 +287,10 @@ def test_serving_process_imports_neither_networkx_nor_scipy():
     """Routing a stage-in, serving a framed ``json`` socket and journalling
     a job need numpy and the standard library only (networkx alone was
     12.6 MB), and load nothing of the other front end, of asyncio, or of
-    the scenario, analysis, web UI, workload or CLI packages."""
+    the scenario, analysis, web UI, workload or CLI packages.  numpy is
+    loaded here by the stage-in's noisy iperf probe, whose first draw seeds
+    the ``iperf`` stream; a host that serves no draw and no fit never loads
+    it (``test_a_framed_host_loads_numpy_with_its_first_fit``)."""
     out = subprocess.run(
         [sys.executable, "-c", f"UNSERVED = {UNSERVED!r}\n{SERVE_ONE_JOB}"],
         capture_output=True, text=True, timeout=120, check=False,
@@ -310,3 +315,144 @@ def test_every_package_name_resolves_in_a_fresh_interpreter():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "True"
+
+
+SERVE_POLLS = """
+import json, sys
+from repro.clarens.aio import AsyncSocketServerHandle
+from repro.clarens.client import ClarensClient
+from repro.events.journal import EventType
+from repro.gae import SteeringPolicy, build_gae
+from repro.gridsim import GridBuilder
+from repro.gridsim.job import Job, Task, TaskSpec
+
+grid = (
+    GridBuilder(seed=5)
+    .site("siteA", nodes=8, cpus_per_node=4).site("siteB", nodes=8, cpus_per_node=4)
+    .link("siteA", "siteB", capacity_mbps=622.0, latency_s=0.05).probe_noise(0.0).build()
+)
+gae = build_gae(grid, policy=SteeringPolicy(auto_move=False, poll_interval_s=3_600.0))
+gae.add_user("u", "p")
+gae.start()
+tasks = []
+for i in range(300):
+    work = 150.0 + 0.1 * i
+    spec = TaskSpec(owner="u", priority=i % 5, requested_cpu_hours=work / 3_000.0)
+    tasks.append(Task(spec=spec, work_seconds=work))
+    gae.scheduler.submit_job(Job(tasks=[tasks[-1]], owner="u"))
+grid.run_until(100.0)
+history = lambda: len(gae.events.journal.events(type=EventType.HISTORY_RECORDED))
+report = {"history_at_settle": history()}
+with AsyncSocketServerHandle(gae.host) as handle, ClarensClient(handle.url, codec="json") as client:
+    client.login("u", "p")
+    queued = next(t.task_id for t in reversed(tasks) if t.state.value == "queued")
+    for tid in (tasks[0].task_id, queued):
+        for method in ("job_status", "progress", "queue_position", "job_info"):
+            client.call("jobmon." + method, tid)
+    client.call("monalisa.grid_weather")
+    client.call("monalisa.site_load", "siteA")
+    client.call("monalisa.series_window", "siteA", "load", 0.0, 100.0)
+    client.call("estimator.history_size")
+    client.batch([("jobmon.job_status", queued), ("jobmon.progress", queued)])
+    client.call("jobmon.owner_tasks", "u")
+    client.call("jobmon.running_tasks")
+    client.call("steering.set_priority", queued, 4)
+    report["served"] = sorted(sys.modules)
+    t = 100.0
+    while history() < 3:
+        t += 1.0
+        grid.run_until(t)
+    report["numpy_before_fit"] = "numpy" in sys.modules
+    report["estimate"] = client.call("estimator.estimate_runtime", {"_type": "TaskSpec", "owner": "u"})
+    report["numpy_after_fit"] = "numpy" in sys.modules
+
+from repro.store.checkpoint import Checkpointer
+from repro.store.registry import CHECKPOINT_GRIDSIM
+from repro.store.sqlite import read_store_file
+
+Checkpointer(gae).checkpoint(sys.argv[1])
+report["rng_record"] = read_store_file(sys.argv[1]).get(CHECKPOINT_GRIDSIM, "rng")
+print(json.dumps(report))
+"""
+
+#: Imports one layer at a time in a fresh interpreter and prints the
+#: resident set after each: the modules of the serving set (argv[1], a
+#: JSON list) split into standard library and ``repro``, then numpy, then
+#: ``numpy.random``.
+LAYERS = """
+import os, sys  # loaded by start-up already
+
+def rss_mb():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+interpreter = (len(sys.modules), rss_mb())
+import importlib, json
+
+def load(names):
+    for name in names:
+        try:
+            importlib.import_module(name)
+        except Exception:
+            pass  # a private or platform module that only loads as a dependency
+
+served = json.loads(sys.argv[1])
+layers = [
+    ("standard library", [m for m in served if m.split(".")[0] in sys.stdlib_module_names]),
+    ("repro", [m for m in served if m.split(".")[0] == "repro"]),
+    ("numpy", ["numpy"]),
+    ("numpy.random", ["numpy.random"]),
+]
+print(json.dumps(["interpreter", *interpreter]))
+for layer, names in layers:
+    if layer == "numpy":
+        assert "numpy" not in sys.modules, "the serving set imported numpy"
+    load(names)
+    print(json.dumps([layer, len(sys.modules), rss_mb()]))
+"""
+
+
+def test_a_framed_host_loads_numpy_with_its_first_fit(tmp_path):
+    """A two-site host with a noiseless probe serves the §5 poll mix, a
+    series read, a ``system.multicall`` and a ``set_priority`` over a
+    framed ``json`` socket without importing numpy (~12 MB over the
+    serving set, ~2.4 MB more for ``numpy.random``).  The first runtime estimate over a
+    non-empty history loads it and answers what the eagerly importing
+    host answered, and a checkpoint seeds the never-drawn ``iperf``
+    stream into the record the eager streams wrote.  Run with ``-s`` to
+    print the resident set after each layer of the serving set loads."""
+    out = subprocess.run(
+        [sys.executable, "-c", SERVE_POLLS, str(tmp_path / "polls.sqlite")],
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report["history_at_settle"] == 0
+    assert "numpy" not in report["served"]
+    assert report["numpy_before_fit"] is False
+    assert report["numpy_after_fit"] is True
+    # Eleven tasks of 150.0–151.0 s have finished by t = 151 s; the line
+    # through them, clipped at twice the longest, is preferred.  A host
+    # that imported numpy at start-up gave the same answer.
+    assert report["estimate"] == {
+        "value": 302.0, "mean": 150.5, "regression": 302.0, "n_similar": 11,
+        "template": ["executable", "owner", "account", "queue", "partition", "task_type", "nodes"],
+        "method": "regression",
+    }
+    eager = EagerStreams(seed=5)
+    eager.stream("iperf")
+    assert report["rng_record"] == eager.export_states()
+
+    layers = subprocess.run(
+        [sys.executable, "-c", LAYERS, json.dumps(report["served"])],
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert layers.returncode == 0, layers.stderr
+    readings = [json.loads(line) for line in layers.stdout.splitlines()]
+    assert [layer for layer, _, _ in readings] == [
+        "interpreter", "standard library", "repro", "numpy", "numpy.random",
+    ]
+    previous = 0.0
+    for layer, modules, mb in readings:
+        print(f"footprint  {layer:<16} {modules:>4} modules  {mb:6.2f} MB  (+{mb - previous:5.2f})")
+        previous = mb

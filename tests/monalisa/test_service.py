@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.clarens.aio import AsyncSocketServerHandle
+from repro.clarens.client import ClarensClient
+from repro.clarens.errors import RemoteFault
 from repro.clarens.server import ClarensHost
 from repro.monalisa.repository import JobStateEvent, MonALISARepository
 from repro.monalisa.service import MonALISAQueryService
@@ -51,6 +54,11 @@ class TestQueries:
         assert out["times"] == [0.0, 30.0]
         assert out["values"] == [1.5, 2.0]
 
+    def test_series_window_is_plain_floats(self, service):
+        out = service.series_window("siteA", "load", float("-inf"), float("inf"))
+        assert out == {"times": [0.0, 30.0], "values": [1.5, 2.0]}
+        assert {type(v) for values in out.values() for v in values} == {float}
+
     def test_job_events_filters(self, service):
         assert len(service.job_events()) == 1
         assert service.job_events(task_id="t1")[0]["state"] == "running"
@@ -66,6 +74,20 @@ class TestHosting:
         token = host.dispatch("system.login", ["u", "p"])
         weather = host.dispatch("monalisa.grid_weather", [], token)
         assert weather["siteA"] == 2.0
+
+    def test_a_nan_window_bound_is_a_typed_fault_over_json(self, gae):
+        """The json codec decodes ``NaN``, so a client can send one; the
+        host answers a fault instead of the whole series."""
+        gae.add_user("alice", "pw")
+        gae.load_publisher.publish_now()
+        with AsyncSocketServerHandle(gae.host) as handle:
+            with ClarensClient(handle.url, codec="json") as client:
+                client.login("alice", "pw")
+                ok = client.call("monalisa.series_window", "siteA", "load", 0.0, 1e9)
+                assert len(ok["times"]) == 1
+                for t0, t1 in ((float("nan"), 3.0), (1.0, float("nan"))):
+                    with pytest.raises(RemoteFault, match="NaN"):
+                        client.call("monalisa.series_window", "siteA", "load", t0, t1)
 
     def test_gae_hosts_it(self, gae):
         gae.add_user("alice", "pw")

@@ -59,6 +59,23 @@ class TestWindowQueries:
         times, values = series.window(11.0, 19.0)
         assert len(times) == 0
 
+    @pytest.mark.parametrize(
+        "t0, t1", [(float("nan"), 3.0), (1.0, float("nan")), (float("nan"), float("nan"))]
+    )
+    def test_a_nan_bound_raises(self, series, t0, t1):
+        # NaN compares false with every sample: it would select them all.
+        with pytest.raises(ValueError, match="NaN"):
+            series.window(t0, t1)
+        with pytest.raises(ValueError, match="NaN"):
+            series.mean(t0, t1)
+
+    def test_infinite_bounds_leave_the_window_open(self, series):
+        times, _ = series.window(float("-inf"), 10.0)
+        assert list(times) == [0.0, 10.0]
+        times, _ = series.window(15.0, float("inf"))
+        assert list(times) == [20.0, 30.0]
+        assert series.window(float("-inf"), float("inf"))[0] == list(series.as_arrays()[0])
+
     def test_window_backwards_raises(self, series):
         with pytest.raises(ValueError):
             series.window(20.0, 10.0)
