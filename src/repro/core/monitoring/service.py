@@ -76,10 +76,6 @@ class JobMonitoringService:
         )
         self.manager = JMManager(self.db_manager, self.collector)
         self.executable = JMExecutable(self.manager)
-        self._snapshot_handle = None
-        #: Set by a checkpoint restore to the next snapshot's original fire
-        #: time so the periodic cadence survives a restart phase-faithfully.
-        self.resume_at: Optional[float] = None
 
     def attach(self, service: ExecutionService) -> None:
         """Start monitoring a site's execution service."""
@@ -96,33 +92,17 @@ class JobMonitoringService:
         return len(records)
 
     def start_periodic_snapshots(self, period_s: float = 30.0) -> None:
-        """Snapshot running tasks every *period_s* simulated seconds.
+        """Snapshot running tasks every *period_s* simulated seconds, as
+        the simulator's ``monitor_snapshots`` cadence (raises if armed).
 
         Fills the DB's append-only history — the raw data behind
         progress-vs-time charts like Figure 7.
         """
-        if self._snapshot_handle is not None:
-            raise RuntimeError("periodic snapshots already started")
-        self._snapshot_handle = self.sim.every(
-            period_s,
-            self.snapshot_running,
-            label="jobmon.snapshots",
-            first_at=self.resume_at,
-        )
-        self.resume_at = None
-
-    @property
-    def next_fire_time(self) -> Optional[float]:
-        """Fire time of the pending snapshot (``None`` when not running)."""
-        if self._snapshot_handle is None:
-            return None
-        return self._snapshot_handle.next_time
+        self.sim.every(period_s, self.snapshot_running, name="monitor_snapshots")
 
     def stop_periodic_snapshots(self) -> None:
         """Cancel the periodic snapshotting."""
-        if self._snapshot_handle is not None:
-            self._snapshot_handle.cancel()
-            self._snapshot_handle = None
+        self.sim.cancel("monitor_snapshots")
 
     # ------------------------------------------------------------------
     # internal (in-process) accessors used by the steering service

@@ -22,10 +22,10 @@ archive the execution state for download).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Set
 
 from repro.core.steering.subscriber import Subscriber
-from repro.gridsim.clock import PeriodicHandle, Simulator
+from repro.gridsim.clock import Simulator
 from repro.gridsim.condor import CondorJobAd
 from repro.gridsim.execution import ExecutionService, ExecutionServiceDown
 from repro.gridsim.job import JobState
@@ -75,10 +75,6 @@ class BackupRecovery:
         #: Sites confirmed down by the ping sweep.
         self.failed_sites: Set[str] = set()
         self._resubmitted: Set[tuple] = set()  # (task_id, failed_site) pairs
-        self._handle: Optional[PeriodicHandle] = None
-        #: Set by a checkpoint restore to the next sweep's original fire
-        #: time so the ping cadence survives a restart phase-faithfully.
-        self.resume_at: Optional[float] = None
         self.notification_listeners: List[Callable[[ClientNotification], None]] = []
         #: Called as (task_id, files) after local files are salvaged from a
         #: failed task, and as (task_id, state) after a completed task's
@@ -266,27 +262,11 @@ class BackupRecovery:
         }
 
     def start(self) -> "BackupRecovery":
-        """Begin the periodic ping sweep under the simulation clock."""
-        if self._handle is not None:
-            raise RuntimeError("backup & recovery already started")
-        self._handle = self.sim.every(
-            self.ping_interval_s,
-            self.check_services,
-            label="steering.backup_recovery",
-            first_at=self.resume_at,
-        )
-        self.resume_at = None
+        """Begin the periodic ping sweep under the simulation clock, as the
+        simulator's ``backup_recovery`` cadence (raises if armed)."""
+        self.sim.every(self.ping_interval_s, self.check_services, name="backup_recovery")
         return self
-
-    @property
-    def next_fire_time(self) -> Optional[float]:
-        """Fire time of the pending sweep (``None`` when not running)."""
-        if self._handle is None:
-            return None
-        return self._handle.next_time
 
     def stop(self) -> None:
         """Cancel the periodic sweep."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        self.sim.cancel("backup_recovery")

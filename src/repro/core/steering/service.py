@@ -29,7 +29,7 @@ from repro.core.steering.commands import CommandProcessor, CommandResult
 from repro.core.steering.optimizer import MoveDecision, Optimizer, SteeringPolicy
 from repro.core.steering.session_manager import OPTIMIZER_PRINCIPAL, SessionManager
 from repro.core.steering.subscriber import Subscriber
-from repro.gridsim.clock import PeriodicHandle, Simulator
+from repro.gridsim.clock import Simulator
 from repro.gridsim.execution import ExecutionService
 from repro.gridsim.job import JobState
 from repro.gridsim.scheduler import SphinxScheduler
@@ -86,10 +86,6 @@ class SteeringService:
         #: agents that could observe and learn from the actions of
         #: advanced users"); see :meth:`attach_agent`.
         self.agent = None
-        self._loop_handle: Optional[PeriodicHandle] = None
-        #: Set by a checkpoint restore to the next poll's original fire
-        #: time so the steering cadence survives a restart phase-faithfully.
-        self.resume_at: Optional[float] = None
         # Receive every concrete job plan the scheduler emits (§4.2.1).
         scheduler.plan_listeners.append(self.subscriber.receive_plan)
 
@@ -107,7 +103,7 @@ class SteeringService:
         Takes effect immediately for decisions; if the periodic loop is
         running it is re-armed at the new poll interval.
         """
-        was_running = self._loop_handle is not None
+        was_running = self.sim.armed("steering_loop")
         if was_running:
             self.stop()
         self.policy = policy
@@ -141,31 +137,16 @@ class SteeringService:
         return taken
 
     def start(self) -> "SteeringService":
-        """Arm the steering loop and the Backup & Recovery sweep."""
-        if self._loop_handle is not None:
-            raise RuntimeError("steering service already started")
-        self._loop_handle = self.sim.every(
-            self.policy.poll_interval_s,
-            self.steer_once,
-            label="steering.loop",
-            first_at=self.resume_at,
-        )
-        self.resume_at = None
+        """Arm the steering loop and the Backup & Recovery sweep, as the
+        simulator's ``steering_loop`` and ``backup_recovery`` cadences
+        (raises if armed)."""
+        self.sim.every(self.policy.poll_interval_s, self.steer_once, name="steering_loop")
         self.backup_recovery.start()
         return self
 
-    @property
-    def next_fire_time(self) -> Optional[float]:
-        """Fire time of the pending steering poll (``None`` when stopped)."""
-        if self._loop_handle is None:
-            return None
-        return self._loop_handle.next_time
-
     def stop(self) -> None:
         """Cancel both periodic activities."""
-        if self._loop_handle is not None:
-            self._loop_handle.cancel()
-            self._loop_handle = None
+        self.sim.cancel("steering_loop")
         self.backup_recovery.stop()
 
     # ------------------------------------------------------------------

@@ -4,14 +4,17 @@
 :class:`SimClock` and exposes the three operations every other module builds
 on: ``schedule`` (relative), ``at`` (absolute) and ``run_until``/``run``.
 
-Periodic activities (monitoring polls, MonALISA publishers, backup-and-
-recovery pings) use :meth:`Simulator.every`, which re-arms itself until the
-returned :class:`PeriodicHandle` is cancelled.
+Periodic activities use :meth:`Simulator.every`, which re-arms itself until
+the returned :class:`PeriodicHandle` is cancelled.  A ``name`` registers the
+cadence with the simulator, which reports its :meth:`~Simulator.phase` for a
+checkpoint and, in a restore's :meth:`~Simulator.rejoin` block, arms it at
+the recorded phase: the one rule by which every cadence survives a restart.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Mapping, Optional
 
 from repro.gridsim.events import EventHandle, EventQueue, SimulationError, TraceEntry
 
@@ -96,6 +99,11 @@ class Simulator:
         self.trace_log: List[TraceEntry] = []
         self._running = False
         self._executed = 0
+        #: Named cadences; inside a :meth:`rejoin` block, its phases not
+        #: yet taken and the first firings it queues on exit.
+        self._cadences: Dict[str, PeriodicHandle] = {}
+        self._recorded: Dict[str, float] = {}
+        self._rejoining: Optional[List[tuple]] = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -145,6 +153,7 @@ class Simulator:
         label: str = "",
         first_delay: Optional[float] = None,
         first_at: Optional[float] = None,
+        name: Optional[str] = None,
     ) -> PeriodicHandle:
         """Run *action* every *interval* seconds until cancelled.
 
@@ -154,11 +163,22 @@ class Simulator:
         cadence its checkpoint recorded.  The action runs *before* the
         next firing is armed, so an action that cancels the handle stops
         the cycle cleanly.
+
+        A *name* (also the default *label*) registers the cadence: arming
+        a name that is armed raises :class:`SimulationError`, and a phase
+        :meth:`rejoin` recorded for the name is taken as ``first_at``.
         """
         if interval <= 0:
             raise SimulationError(f"periodic interval must be positive, got {interval!r}")
+        if name is not None:
+            if self.armed(name):
+                raise SimulationError(f"periodic {name!r} is already armed")
+            first_at = self._recorded.pop(name, first_at)
+            label = label or name
         if first_at is not None:
-            first_delay = max(first_at - self.now, 0.0)
+            first = max(first_at, self.now)
+        else:
+            first = self.now + (interval if first_delay is None else first_delay)
         handle = PeriodicHandle()
 
         def fire() -> None:
@@ -168,10 +188,48 @@ class Simulator:
             if not handle._cancelled:
                 handle._current = self.schedule(interval, fire, label)
 
-        handle._current = self.schedule(
-            interval if first_delay is None else first_delay, fire, label
-        )
+        if self._rejoining is None:
+            handle._current = self.queue.push(first, fire, label)
+        else:
+            self._rejoining.append((first, first - interval, fire, label, handle))
+        if name is not None:
+            self._cadences[name] = handle
         return handle
+
+    def armed(self, name: str) -> bool:
+        """Whether the cadence *name* is armed (and not cancelled)."""
+        handle = self._cadences.get(name)
+        return handle is not None and not handle.cancelled
+
+    def phase(self, name: str) -> Optional[float]:
+        """When the cadence *name* fires next (armed, or a phase the
+        :meth:`rejoin` block holds for it), else ``None``."""
+        if self.armed(name):
+            return self._cadences[name].next_time
+        return self._recorded.get(name)
+
+    def cancel(self, name: str) -> None:
+        """Cancel the cadence *name* and free the name (idempotent)."""
+        handle = self._cadences.pop(name, None)
+        if handle is not None:
+            handle.cancel()
+
+    @contextmanager
+    def rejoin(self, phases: Mapping[str, Optional[float]]) -> Iterator[None]:
+        """Inside the block each recorded phase (``None``: not armed) is
+        the ``first_at`` of its name's :meth:`every`.  The block's first
+        firings queue on exit as the original queue held them — by fire
+        time, then previous firing (when it was armed), then arming order
+        — so cadences due at one instant fire in the original's order."""
+        self._recorded = {n: at for n, at in phases.items() if at is not None}
+        self._rejoining = []
+        try:
+            yield
+        finally:
+            deferred = sorted(self._rejoining, key=lambda item: item[:2])
+            self._recorded, self._rejoining = {}, None
+            for first, _, fire, label, handle in deferred:
+                handle._current = self.queue.push(first, fire, label)
 
     # ------------------------------------------------------------------
     # execution

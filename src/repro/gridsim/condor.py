@@ -272,11 +272,13 @@ class CondorPool:
         self._arm_finish(ad)
         self._notify_state(ad)
 
-    def _arm_finish(self, ad: CondorJobAd) -> None:
-        assert ad.effective_profile is not None
-        delay = ad.effective_profile.time_to_accrue(self.sim.now, ad.remaining_work)
-        ad._finish_handle = self.sim.schedule(
-            delay, lambda: self._finish(ad), label=f"finish:{ad.task_id}@{self.name}"
+    def _arm_finish(self, ad: CondorJobAd, at: Optional[float] = None) -> None:
+        if at is None:  # the instant the remaining work accrues
+            assert ad.effective_profile is not None
+            now = self.sim.now
+            at = now + ad.effective_profile.time_to_accrue(now, ad.remaining_work)
+        ad._finish_handle = self.sim.at(
+            at, lambda: self._finish(ad), label=f"finish:{ad.task_id}@{self.name}"
         )
 
     def _sync(self, ad: CondorJobAd) -> None:
@@ -524,6 +526,8 @@ class CondorPool:
             "input_io_mb": ad.input_io_mb,
             "output_io_mb": ad.output_io_mb,
             "local_output_files": list(ad.local_output_files),
+            # Re-armed as is: recomputing it at the barrier may round apart.
+            "finish_at": None if ad._finish_handle is None else ad._finish_handle.time,
         }
 
     @staticmethod
@@ -568,7 +572,7 @@ class CondorPool:
 
         A restore replays *state*, not events: no callbacks fire and no
         dispatch pass runs.  RUNNING ads re-occupy their recorded slots
-        and re-arm their analytic finish events from the remaining work;
+        and re-arm their analytic finish events at the recorded instant;
         PAUSED ads keep their slots with the finish event disarmed, as
         a live suspend leaves them.  The idle queue must arrive in
         dispatch order (as :meth:`snapshot_state` writes it) and hold
@@ -607,7 +611,8 @@ class CondorPool:
                 )
             if ad.state is JobState.RUNNING:
                 ad.last_sync = self.sim.now
-                self._arm_finish(ad)
+                # A format-2 row written before ``finish_at`` re-derives it.
+                self._arm_finish(ad, wire.get("finish_at"))
         self._busy_slots = sum(len(n.running_task_ids) for n in self.nodes)
         # queue_position answers from ad.state before it looks at the queue,
         # so the queue must hold the QUEUED ads and nothing else.

@@ -11,9 +11,9 @@ own call statistics, whose one home is ``system.stats`` / ``host.metrics``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
-from repro.gridsim.clock import PeriodicHandle, Simulator
+from repro.gridsim.clock import Simulator
 from repro.gridsim.condor import CondorJobAd
 from repro.gridsim.site import Site
 from repro.monalisa.repository import JobStateEvent, MonALISARepository
@@ -35,13 +35,7 @@ class SiteLoadPublisher:
         self.repository = repository
         self.sites = list(sites)
         self.period_s = period_s
-        self._handle: Optional[PeriodicHandle] = None
         self._stopped = False
-        #: When set, the next :meth:`start` resumes the original cadence:
-        #: no immediate sample, first firing at this absolute sim time.
-        #: Checkpoint restore uses this so a resumed run publishes on the
-        #: same schedule (and the event journal folds identically).
-        self.resume_at: Optional[float] = None
 
     def publish_now(self) -> None:
         """Take one sample of every site immediately.
@@ -55,37 +49,27 @@ class SiteLoadPublisher:
             self.repository.publish(site.name, "load", self.sim.now, site.current_load())
 
     def start(self) -> "SiteLoadPublisher":
-        """Begin periodic publication (first sample at t=now).
+        """Begin periodic publication as the simulator's ``site_load``
+        cadence (first sample at t=now).
 
         Idempotent: calling again while running is a no-op, matching the
         client/transport lifecycle convention.  After :meth:`stop` a new
-        ``start`` re-arms the publisher.
+        ``start`` re-arms the publisher.  Re-joining a phase a checkpoint
+        recorded (:meth:`Simulator.rejoin`) takes no immediate sample:
+        the original run already took it.
         """
-        if self._handle is not None:
+        if self.sim.armed("site_load"):
             return self
         self._stopped = False
-        if self.resume_at is None:
+        if self.sim.phase("site_load") is None:
             self.publish_now()
-        self._handle = self.sim.every(
-            self.period_s,
-            self.publish_now,
-            label="monalisa.site_load",
-            first_at=self.resume_at,
-        )
-        self.resume_at = None
+        self.sim.every(self.period_s, self.publish_now, name="site_load")
         return self
-
-    @property
-    def next_fire_time(self) -> Optional[float]:
-        """Absolute sim time of the next periodic sample (``None`` if idle)."""
-        return self._handle.next_time if self._handle is not None else None
 
     def stop(self) -> None:
         """Cancel the periodic publication (idempotent)."""
         self._stopped = True
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        self.sim.cancel("site_load")
 
     def __enter__(self) -> "SiteLoadPublisher":
         return self.start()

@@ -130,9 +130,9 @@ class TelemetryPipeline:
 
     Construction wires nothing; whoever observes the journal calls
     :meth:`count` per event, and :meth:`start` arms the periodic boundary
-    tick (`sim.every`,
-    aligned so boundaries stay at ``origin + k * window_s`` even across
-    a checkpoint/restore).  Each tick closes one window: every registry
+    tick (``sim.every`` with ``first_at`` the upcoming boundary, so
+    boundaries stay at ``origin + k * window_s`` even across a
+    checkpoint/restore).  Each tick closes one window: every registry
     instrument is sampled, journal counts are folded in, and the
     :class:`~repro.observability.health.HealthEngine` (which attaches
     itself when it is constructed over the pipeline) is evaluated against
@@ -180,12 +180,9 @@ class TelemetryPipeline:
         if not self._seeded:
             self._sample_metrics(self.origin, seed_only=True)
             self._seeded = True
-        first_delay = self._upcoming_boundary - self.sim.now
-        if first_delay <= 0:  # checkpoint landed exactly on a boundary
-            first_delay = None
         self._handle = self.sim.every(
             self.window_s, self._tick, label="telemetry.window",
-            first_delay=first_delay,
+            first_at=self._upcoming_boundary,
         )
 
     def stop(self) -> None:

@@ -50,8 +50,10 @@ Restore ordering matters and is documented inline; the broad strokes:
 5. scheduler entries, then pools (ads resolve task ids against the
    restored jobs), then incremental queue accounting reseeded from the
    restored queues,
-6. steering/accounting state and the publishers' resume phases,
-7. the periodic activities re-armed via :meth:`repro.gae.GAE.start`.
+6. steering/accounting state,
+7. :meth:`repro.gae.GAE.start` inside the simulator's ``rejoin`` block
+   over the ``publishers`` phases: each named cadence and the telemetry
+   tick re-arm at their recorded phase, in the original's order.
 """
 
 from __future__ import annotations
@@ -91,6 +93,10 @@ RETIRED_BUILD_PARAMS: Dict[str, Any] = {
     "service_metrics_period_s": 60.0,
     "transfer_cache_ttl_s": 300.0,
 }
+
+#: The named simulator cadences whose phases (``None``: not armed) the
+#: ``publishers`` record holds.
+PHASES = ("site_load", "steering_loop", "backup_recovery", "monitor_snapshots")
 
 #: Periodic phases an older checkpoint's ``publishers`` record may still
 #: hold for an activity this build no longer runs; read and dropped.
@@ -259,13 +265,12 @@ class Checkpointer:
             },
         )
         # Periodic-activity phases: a restore re-joins every original
-        # cadence, so a resumed run fires the load publisher, the steering
-        # poll, the B&R sweep, and monitoring snapshots at the same
-        # instants the uninterrupted run would have.
+        # cadence, so a resumed run fires each one at the same instants
+        # the uninterrupted run would have.
         store.put(
             CHECKPOINT_GRIDSIM,
             "publishers",
-            {name: activity.next_fire_time for name, activity in _periodic(gae).items()},
+            {name: gae.sim.phase(name) for name in PHASES},
         )
 
         # Steering and accounting.
@@ -383,27 +388,16 @@ def _build_params(path: str, recorded: Dict[str, Any]) -> Dict[str, Any]:
     return params
 
 
-def _periodic(gae: "GAE") -> Dict[str, Any]:
-    """Each periodic activity by its ``publishers`` phase name; each has a
-    ``next_fire_time`` to save and a ``resume_at`` to restore it into."""
-    return {
-        "site_load": gae.load_publisher,
-        "steering_loop": gae.steering,
-        "backup_recovery": gae.steering.backup_recovery,
-        "monitor_snapshots": gae.monitoring,
-    }
-
-
-def _phases(path: str, recorded: Dict[str, Any], activities: Dict[str, Any]) -> Dict[str, Any]:
+def _phases(path: str, recorded: Dict[str, Any]) -> Dict[str, Any]:
     """The recorded ``publishers`` phases, retired ones dropped: one per
-    activity in *activities*, or a :class:`CheckpointError` naming the odd key."""
+    name in :data:`PHASES`, or a :class:`CheckpointError` naming the odd key."""
     phases = {name: at for name, at in recorded.items() if name not in RETIRED_PHASES}
-    missing = sorted(set(activities) - set(phases))
+    missing = sorted(set(PHASES) - set(phases))
     if missing:
         raise CheckpointError(
             f"{path!r}: the publishers record lacks {', '.join(missing)}"
         )
-    unknown = sorted(set(phases) - set(activities))
+    unknown = sorted(set(phases) - set(PHASES))
     if unknown:
         raise CheckpointError(
             f"{path!r}: the publishers record names {', '.join(unknown)}, "
@@ -470,7 +464,7 @@ def _restore(
     if transfer_cache is not None and gae.estimators.transfer is not None:
         gae.estimators.transfer.import_cache_state(transfer_cache)
 
-    # 6. Steering, accounting, publisher resume phases.
+    # 6. Steering and accounting.
     gae.steering.subscriber.import_state(
         source.get(STEERING_STATE, "subscriber"), gae.scheduler.job
     )
@@ -479,14 +473,13 @@ def _restore(
     )
     gae.accounting.quotas.import_state(source.get(ACCOUNTING_STATE, "quotas"))
     gae.host.users.import_state(meta["users"])
-    activities = _periodic(gae)
-    phases = _phases(path, source.get(CHECKPOINT_GRIDSIM, "publishers", default={}), activities)
-    for name, activity in activities.items():
-        activity.resume_at = phases[name]
+    phases = _phases(path, source.get(CHECKPOINT_GRIDSIM, "publishers", default={}))
 
     # Consumers now hold barrier state; re-anchor their baselines so
     # verify()/rebuild() fold only post-restore events.
     gae.events.rebaseline_all()
 
-    # 7. Re-arm the periodic activities; the caller just runs.
-    return gae.start()
+    # 7. Re-arm the periodic activities on their recorded phases; the
+    # caller just runs.
+    with gae.sim.rejoin(phases):
+        return gae.start()

@@ -175,6 +175,53 @@ class TestPeriodic:
         assert handle.cancelled
 
 
+class TestNamedCadences:
+    def test_a_name_is_armed_once_and_cancel_frees_it(self, sim):
+        fired = []
+        sim.every(10.0, lambda: fired.append(("a", sim.now)), name="poll")
+        assert sim.armed("poll") and sim.phase("poll") == 10.0
+        with pytest.raises(SimulationError, match="already armed"):
+            sim.every(5.0, lambda: None, name="poll")
+        sim.run_until(15.0)
+        assert sim.phase("poll") == 20.0
+        sim.cancel("poll")
+        sim.cancel("poll")  # idempotent
+        assert not sim.armed("poll") and sim.phase("poll") is None
+        sim.every(4.0, lambda: fired.append(("b", sim.now)), name="poll")
+        sim.run_until(25.0)
+        sim.cancel("poll")
+        assert fired == [("a", 10.0), ("b", 19.0), ("b", 23.0)]
+
+    def test_rejoin_takes_recorded_phases_as_first_at(self):
+        sim = Simulator(start=100.0)
+        fired = []
+        with sim.rejoin({"slow": 130.0, "gone": None}):
+            assert sim.phase("slow") == 130.0 and sim.phase("gone") is None
+            sim.every(60.0, lambda: fired.append(("slow", sim.now)), name="slow")
+            sim.every(60.0, lambda: fired.append(("fresh", sim.now)), name="gone")
+        assert sim.phase("slow") == 130.0 and sim.phase("gone") == 160.0
+        sim.run_until(200.0)
+        assert fired == [("slow", 130.0), ("fresh", 160.0), ("slow", 190.0)]
+
+    def test_rejoin_queues_same_instant_firings_in_the_original_order(self):
+        # Uninterrupted: a 60 s and a 30 s cadence armed in that order; at
+        # t=60 the 60 s one (armed at 0) fires before the 30 s one (armed
+        # at 30).  A restore at t=45 arms them in the opposite order.
+        def original():
+            sim, fired = Simulator(), []
+            sim.every(60.0, lambda: fired.append("window"), name="window")
+            sim.every(30.0, lambda: fired.append("poll"), name="poll")
+            sim.run_until(60.0)
+            return fired[1:]
+
+        sim, fired = Simulator(start=45.0), []
+        with sim.rejoin({"poll": 60.0, "window": 60.0}):
+            sim.every(30.0, lambda: fired.append("poll"), name="poll")
+            sim.every(60.0, lambda: fired.append("window"), name="window")
+        sim.run_until(60.0)
+        assert fired == original() == ["window", "poll"]
+
+
 class TestTrace:
     def test_trace_records_executed_events(self):
         sim = Simulator(trace=True)

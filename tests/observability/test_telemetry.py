@@ -253,6 +253,28 @@ class TestStateRoundTrip:
                 pipe_a.series(name).samples()
             ), name
 
+    def test_barrier_ahead_of_a_boundary_tick_keeps_that_window(self):
+        # A barrier scheduled before start() runs ahead of the t=20 tick:
+        # the window ending at 20 is still open when the state is taken.
+        sim_a, _, _, pipe_a = make_pipeline(window_s=10.0)
+        pipe_a.start()
+        sim_a.run_until(40.0)
+
+        sim_b, _, _, pipe_b = make_pipeline(window_s=10.0)
+        taken = []
+        sim_b.at(20.0, lambda: taken.append(pipe_b.export_state()))
+        pipe_b.start()
+        sim_b.run_until(20.0)
+        assert pipe_b.boundaries() == [10.0, 20.0]  # the tick ran after it
+        sim_c, _, _, pipe_c = make_pipeline(window_s=10.0, start=20.0)
+        pipe_c.import_state(taken[0])
+        pipe_c.start()
+        sim_c.run_until(40.0)
+
+        assert pipe_a.boundaries() == [10.0, 20.0, 30.0, 40.0]
+        assert pipe_c.boundaries() == pipe_a.boundaries()
+        assert pipe_c.windows_closed == pipe_a.windows_closed
+
 
 class TestCheckpointResume:
     def test_restored_gae_resumes_windows_without_gaps(self, tmp_path):

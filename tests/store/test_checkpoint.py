@@ -28,7 +28,7 @@ from repro.store.checkpoint import (
 from repro.store.registry import CHECKPOINT_META, OBSERVABILITY_JOURNAL, register_all
 from repro.store.sqlite import read_store_file
 
-T_CHECKPOINT = 205.0  # not a multiple of any periodic (20/30/60 s)
+T_CHECKPOINT = 205.0  # mid-workload; TestContinuationIdentity also takes barriers on ticks
 WORKS = [120.0, 240.0, 360.0, 480.0, 150.0, 90.0]
 
 
@@ -175,6 +175,36 @@ class TestBarrierIdentity:
         # Not one byte written, and no -wal/-shm side files left behind.
         assert file_digest(path) == before
         assert os.listdir(tmp_path) == ["ckpt.sqlite"]
+
+
+class TestContinuationIdentity:
+    """A restored run continues the original's journal row for row, at a
+    barrier between cadences and at barriers landing on them (240 s is a
+    multiple of the 20/30/60 s cadences).  The barrier is scheduled after
+    ``start()``, so it runs ahead of the ticks due at its instant."""
+
+    HORIZON = 900.0
+
+    @pytest.mark.parametrize("barrier", [205.0, 240.0, 250.0, 300.0])
+    def test_rows_and_windows_after_the_barrier_are_identical(self, tmp_path, barrier):
+        path = str(tmp_path / "ckpt.sqlite")
+        gae, _ = build_workload()
+        Checkpointer(gae).checkpoint_at(barrier, path)
+        gae.sim.run_until(barrier)
+        head = read_store_file(path).get(CHECKPOINT_META, "meta")["head_seq"]
+        gae.sim.run_until(self.HORIZON)
+
+        reset_id_counters()
+        restored = restore_gae(path)
+        restored.sim.run_until(self.HORIZON)
+
+        def rows(host):
+            return json.dumps([e.to_wire() for e in host.events.journal.events_since(head)])
+
+        assert rows(restored) == rows(gae)
+        original, resumed = gae.observability.telemetry, restored.observability.telemetry
+        assert resumed.boundaries() == original.boundaries()
+        assert resumed.windows_closed == original.windows_closed
 
 
 class TestKillAndRestore:

@@ -22,12 +22,16 @@ phases, the middle one a *genuine* process death:
    symmetric), plus a self-contained one at the second barrier to size the
    continuation against;
 2. **victim** — a child process runs the same workload, writes a
-   self-contained checkpoint at t=155 s and a continuation of it at
-   t=205 s, then dies via ``os._exit`` — no cleanup, no atexit, nothing
-   survives but the two files;
-3. **restore** — the parent rehydrates *both orphaned files*,
-   ``restore_gae(base)`` and ``restore_gae(delta, base=base)``, runs each
-   to completion, and every recorded answer must equal the reference's,
+   self-contained checkpoint at t=155 s, a continuation of it at t=205 s
+   and a second self-contained one at t=240 s (a multiple of every
+   20/30/60 s cadence, taken ahead of the ticks due then), then dies via
+   ``os._exit`` — no cleanup, no atexit, nothing survives but the three
+   files;
+3. **restore** — the parent rehydrates *every orphaned file*,
+   ``restore_gae(base)``, ``restore_gae(delta, base=base)`` and
+   ``restore_gae(aligned)``, runs each to completion, and every recorded
+   answer (``system.observability`` holds the telemetry's
+   ``windows_closed``) must equal the reference's,
    as must every journal row written after the file's barrier (trace and
    span ids included: an instrumented build mints them from its seed).
 
@@ -68,8 +72,9 @@ sys.path.insert(0, str(SRC_ROOT))
 
 OUTAGE_START = 60.0
 OUTAGE_DURATION = 50.0  # siteB down for [60, 110): fully before the base barrier
-T_BASE = 155.0  # self-contained checkpoint (not a multiple of any periodic 20/30/60 s)
+T_BASE = 155.0  # self-contained checkpoint
 T_DELTA = 205.0  # continuation barrier
+T_ALIGNED = 240.0  # self-contained, on a tick of every periodic (20/30/60 s)
 T_HORIZON = 20000.0  # absolute, so every run closes identical telemetry windows
 CRASH_EXIT_CODE = 86  # distinctive, so a clean exit can't masquerade as a crash
 FIGURE_BENCHES = 48  # benchmarks/bench_*.py tests; a lost file must not pass as green
@@ -123,21 +128,24 @@ def outage_workload():
     return gae, job
 
 
-def arm_checkpoints(gae, base: str, delta: str):
-    """Base at T_BASE, its continuation at T_DELTA, on the barrier clock."""
+def arm_checkpoints(gae, base: str, delta: str, aligned: str):
+    """Base at T_BASE, its continuation at T_DELTA and a self-contained
+    file at T_ALIGNED, on the barrier clock; returns the base's
+    checkpointer."""
     from repro.store.checkpoint import Checkpointer
 
     ckpt = Checkpointer(gae)
     ckpt.checkpoint_at(T_BASE, base)
     ckpt.checkpoint_at(T_DELTA, delta, base=base)
+    Checkpointer(gae).checkpoint_at(T_ALIGNED, aligned)
     return ckpt
 
 
-def run_victim(base: str, delta: str) -> None:
+def run_victim(base: str, delta: str, aligned: str) -> None:
     """Checkpoint the outage workload mid-flight, then die without cleanup."""
     gae, _ = outage_workload()
-    ckpt = arm_checkpoints(gae, base, delta)
-    gae.sim.run_until(T_DELTA)
+    ckpt = arm_checkpoints(gae, base, delta, aligned)
+    gae.sim.run_until(T_ALIGNED)
     info = ckpt.last_info
     if info is None or info.base_seq is None:
         os._exit(2)  # the continuation never fired: distinguishable failure
@@ -210,7 +218,8 @@ def smoke_restore(tmp: Path) -> None:
     # Phase 1: the uninterrupted reference run.
     ref_full = str(tmp / "ref_full.sqlite")
     gae, _ = outage_workload()
-    arm_checkpoints(gae, str(tmp / "ref_base.sqlite"), str(tmp / "ref_delta.sqlite"))
+    arm_checkpoints(gae, str(tmp / "ref_base.sqlite"), str(tmp / "ref_delta.sqlite"),
+                    str(tmp / "ref_aligned.sqlite"))
     Checkpointer(gae).checkpoint_at(T_DELTA, ref_full)
     reference = final_answers(gae)
     check(set(reference["states"].values()) == {"completed"},
@@ -218,13 +227,14 @@ def smoke_restore(tmp: Path) -> None:
     print(f"reference run: {len(reference['states'])} tasks completed "
           "through the siteB outage")
 
-    # Phase 2: the victim checkpoints (base, then continuation), then dies hard.
-    base, delta = str(tmp / "base.sqlite"), str(tmp / "delta.sqlite")
-    run_python(__file__, "victim", base, delta, cwd=tmp, expect=CRASH_EXIT_CODE)
-    for path in (base, delta):
+    # Phase 2: the victim checkpoints (base, continuation, aligned), then dies hard.
+    paths = [str(tmp / f"{name}.sqlite") for name in ("base", "delta", "aligned")]
+    base, delta, aligned = paths
+    run_python(__file__, "victim", *paths, cwd=tmp, expect=CRASH_EXIT_CODE)
+    for path in paths:
         check(os.path.exists(path), f"victim died without leaving {path}")
     print(f"victim crashed as intended (exit {CRASH_EXIT_CODE}); "
-          "base and continuation survived")
+          "base, continuation and aligned checkpoint survived")
 
     # A continuation is base + tail (tier-1 pins the layout; this prints it).
     sizes, full_sizes = payload(delta), payload(ref_full)
@@ -235,16 +245,20 @@ def smoke_restore(tmp: Path) -> None:
           f"{full_sizes[OBSERVABILITY_JOURNAL][0]}), payload {delta_bytes} B = "
           f"{100.0 * delta_bytes / full_bytes:.0f}% of {full_bytes} B")
 
-    # Phase 3: restore both orphans and finish the workload from each.
+    # Phase 3: restore every orphan and finish the workload from each.
     reset_id_counters()
     from_base = final_answers(restore_gae(base))
     reset_id_counters()
     from_delta = final_answers(restore_gae(delta, base=base))
+    reset_id_counters()
+    from_aligned = final_answers(restore_gae(aligned))
     check_same_answers("restore(base)", reference, from_base)
     check_same_answers("restore(continuation, base)", reference, from_delta)
-    print(f"restored from t={T_BASE:.0f}s base and from t={T_DELTA:.0f}s "
-          f"continuation: answers and the {len(from_base['journal'])} / "
-          f"{len(from_delta['journal'])} journal rows after each barrier "
+    check_same_answers("restore(aligned)", reference, from_aligned)
+    print(f"restored from t={T_BASE:.0f}s base, t={T_DELTA:.0f}s continuation and "
+          f"t={T_ALIGNED:.0f}s aligned checkpoint: answers and the "
+          f"{len(from_base['journal'])} / {len(from_delta['journal'])} / "
+          f"{len(from_aligned['journal'])} journal rows after each barrier "
           "bit-identical to the uninterrupted run")
 
     # The CLI's own round trip, and the consumers' rebuild identity.
