@@ -3,7 +3,7 @@
 - :mod:`repro.analysis.metrics` — the paper's percentage-error formula and
   related accuracy statistics;
 - :mod:`repro.analysis.figures` — figure data containers with ASCII chart
-  rendering and CSV export (the figure benches print the same series
+  rendering and CSV export (the figure commands print the same series
   the paper plots);
 - :mod:`repro.analysis.report` — markdown tables for EXPERIMENTS.md.
 """

@@ -2,8 +2,8 @@
 
 Each is one function returning an
 :class:`~repro.analysis.experiments.ExperimentResult`, registered in
-:func:`~repro.analysis.experiments.deterministic_experiments` and asserted
-on by the ``benchmarks/bench_*.py`` module of the same subject:
+:func:`~repro.analysis.experiments.deterministic_experiments`, whose shape
+``tests/analysis/test_experiments.py::TestPaperShapes`` asserts:
 
 - estimator design choices (§6.1): method, templates, history size;
 - checkpointing and flocking (§7's closing observation);

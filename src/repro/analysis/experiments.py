@@ -3,18 +3,19 @@
 Every experiment of §7 — and every ablation and validation the
 reproduction adds — is *defined* once, as a function here or in
 :mod:`repro.analysis.ablations` returning an :class:`ExperimentResult`.
-The benches under ``benchmarks/`` only assert the shape of these results,
-the CLI (``gae-repro figure5|figure6|figure7|report``) only prints them,
+The CLI (``gae-repro figure5|figure6|figure7|report``) only prints them,
 and ``examples/steering_scenario.py`` and the Figure 7 integration test run
 the same testbed (:func:`figure7_gae`, :func:`run_figure7_job`).
 
 The deterministic experiments (:func:`deterministic_experiments`) are
 *recorded* once: ``gae-repro report --out FIGURES.json`` writes one
-:meth:`ExperimentResult.to_dict` per experiment, a tier-1 test pins the
-committed file to a re-run, and ``python -m repro.analysis.experiments
---write`` renders it into the generated blocks of ``EXPERIMENTS.md``
-(``tools/check_docs.py`` fails when they disagree).  Figure 6 is wall-clock
-and stays out of the artifact.
+:meth:`ExperimentResult.to_dict` per experiment, tier-1
+(``tests/analysis/test_experiments.py``) pins the committed file to a re-run
+and asserts the paper's shapes on that run, and ``python -m
+repro.analysis.experiments --write`` renders it into the generated blocks of
+``EXPERIMENTS.md`` (``tools/check_docs.py`` fails when they disagree).
+Figure 6 is wall-clock: it stays out of the artifact, and ``python
+tools/smoke.py figures`` asserts its shape.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class ExperimentResult:
     comparison: List[List[object]] = field(default_factory=list)  # (quantity, paper, measured)
     notes: str = ""
     tables: List[Table] = field(default_factory=list)
-    #: The unrounded quantities the benches assert on; not part of the artifact.
+    #: The unrounded quantities the shape tests assert on; not part of the artifact.
     values: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
@@ -449,7 +450,7 @@ def run_figure6(
         title="Figure 6: Response times for queries to Job Monitoring Service",
         x_label="Number of parallel clients", y_label="Response time (ms)",
     ).add("Average Response Time", list(results), list(results.values()))
-    paper = {min(results): "~10-30", max(results): "~60-70"}
+    paper = {1: "~10-30", 100: "~60-70"}  # the paper's ends of its sweep
     return ExperimentResult(
         name="Figure 6 — monitoring latency under concurrency",
         figure=figure,

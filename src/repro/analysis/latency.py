@@ -3,8 +3,8 @@
 Builds a GAE with running jobs, serves it over the real threaded XML-RPC
 server, and measures the mean per-request wall time as N genuinely
 concurrent clients hammer the Job Monitoring Service — the §7 performance
-study of the paper.  Shared by ``benchmarks/bench_fig6_monitoring_latency``
-and the ``gae-repro figure6`` CLI command.
+study of the paper.  ``repro.analysis.experiments.run_figure6`` runs it,
+for the ``gae-repro figure6`` CLI command and the ``figures`` smoke.
 """
 
 from __future__ import annotations

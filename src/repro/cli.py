@@ -20,9 +20,8 @@ Installed as ``gae-repro`` (or run as ``python -m repro.cli``)::
     gae-repro report [--out FIGURES.json]
 
 Each figure command prints the chart and paper-vs-measured rows of one
-experiment of ``repro.analysis.experiments`` — the definition the
-corresponding ``benchmarks/bench_fig*.py`` module asserts on; ``report``
-runs every deterministic one and records them in ``FIGURES.json``.
+experiment of ``repro.analysis.experiments``; ``report`` runs every
+deterministic one and records them in ``FIGURES.json``.
 """
 
 from __future__ import annotations
@@ -593,6 +592,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """An argparse ``type``: a count of at least one, so zero is refused (exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _output(path: str) -> str:
     """An argparse ``type``: a file a run writes at its end, refused up front (exit 2)."""
     target = Path(path)
@@ -628,8 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
     p7.set_defaults(func=_cmd_figure)
 
     p6 = sub.add_parser("figure6", help="monitoring latency under concurrency (Figure 6)")
-    p6.add_argument("--clients", type=int, nargs="+", default=[1, 2, 3, 5, 25, 50, 100])
-    p6.add_argument("--calls", type=int, default=10)
+    p6.add_argument("--clients", type=_positive, nargs="+", default=[1, 2, 3, 5, 25, 50, 100])
+    p6.add_argument("--calls", type=_positive, default=10)
     p6.set_defaults(func=_cmd_figure)
 
     pt = sub.add_parser(

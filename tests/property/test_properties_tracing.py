@@ -239,6 +239,11 @@ def _span(row):
     3, "g00001", [("start", "queue@a", 0, None, None, None, False), ("reload", None, False),
                   ("end", 0, "ok", None)],
 )
+@example(  # two foreign loads never hand the tracer back a prefix it minted before
+    3, "g00001", [("reload", 3, True), ("start", "rpc:svc.m", None, None, None, None, False),
+                  ("reload", 3, True), ("reload", 3, True),
+                  ("start", "rpc:svc.m", None, None, None, None, False)],
+)
 def test_the_column_ring_answers_like_a_ring_of_spans(capacity, prefix, steps):
     clock = Clock()
     tracer = Tracer(clock, capacity=capacity, id_prefix=prefix)
@@ -315,8 +320,9 @@ def test_the_column_ring_answers_like_a_ring_of_spans(capacity, prefix, steps):
                 agree(tracer, oracle, alias, trace_ids)
                 continue
             counters = [1, 1] if foreign else list(tracer.id_counters)
-            if foreign:  # the restored ids are no longer this tracer's to render
-                prefix = "g00002" if prefix != "g00002" else "g00003"
+            if foreign:  # the restored ids are no longer this tracer's to render, and
+                # a prefix no tracer of this run had, so fresh counters mint none of them
+                prefix = f"g{int(prefix[1:], 16) + 1:05x}" if prefix else "g00002"
             tracer = Tracer(clock, capacity=capacity, id_prefix=prefix)
             oracle = RingOfSpans(clock, capacity, prefix)
             tracer.id_counters, oracle.id_counters = counters, list(counters)

@@ -23,6 +23,13 @@ class TestParser:
         assert args.poll == 10.0
         assert args.checkpoint is True
 
+    @pytest.mark.parametrize("argv", [["--calls", "0"], ["--clients", "1", "0"]])
+    def test_figure6_refuses_a_zero_count(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["figure6", *argv])
+        assert exc.value.code == 2
+        assert "must be at least 1, got 0" in capsys.readouterr().err
+
     def test_trace_defaults(self):
         args = build_parser().parse_args(["trace"])
         assert args.task_id is None

@@ -8,7 +8,7 @@
     python tools/smoke.py health     # health rules fire and resolve; telemetry export
     python tools/smoke.py bench      # the end-to-end benchmark's own checks + quick and traced runs
     python tools/smoke.py rpc        # system.stats, system.cache, /metrics and recent_calls agree
-    python tools/smoke.py figures    # the paper's figure / ablation / validation benches
+    python tools/smoke.py figures    # the wall-clock shapes: Figure 6, the transport ordering
     python tools/smoke.py all        # every one above (< 60 s; run it before committing)
 
 ``restore`` is the kill-and-recover gate of the checkpoint layer, in three
@@ -46,8 +46,8 @@ recording, go save → load → save byte-identical; and a copy of it with
 one journal row deleted is refused (``journal tail`` exits 1 naming
 ``OutOfOrderError``).
 
-Needs ``numpy`` (``bench`` and ``figures`` also ``pytest`` and
-``pytest-benchmark``).  Exit status 0 on success, 1 on any failed check.
+Needs ``numpy`` (``bench`` also ``pytest``).  Exit status 0 on success, 1 on
+any failed check.
 """
 
 from __future__ import annotations
@@ -58,13 +58,13 @@ import json
 import os
 import re
 import sqlite3
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 import urllib.request
 from pathlib import Path
-from xml.etree import ElementTree
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
@@ -77,7 +77,6 @@ T_DELTA = 205.0  # continuation barrier
 T_ALIGNED = 240.0  # self-contained, on a tick of every periodic (20/30/60 s)
 T_HORIZON = 20000.0  # absolute, so every run closes identical telemetry windows
 CRASH_EXIT_CODE = 86  # distinctive, so a clean exit can't masquerade as a crash
-FIGURE_BENCHES = 48  # benchmarks/bench_*.py tests; a lost file must not pass as green
 
 
 class SmokeFailure(Exception):
@@ -546,17 +545,71 @@ def smoke_bench(tmp: Path) -> None:
               "outputs correct")
 
 
+class EchoService:
+    def echo(self, value):
+        """Return the argument unchanged."""
+        return value
+
+
+#: A monitoring record as it crosses the wire: the transport ordering's payload.
+SAMPLE_RECORD = {
+    "task_id": "task-000001", "job_id": "job-000001", "site": "caltech",
+    "status": "running", "elapsed_time_s": 120.5, "estimated_run_time_s": 283.0,
+    "remaining_time_s": 162.5, "progress": 0.426, "queue_position": -1, "priority": 0,
+    "submission_time": 0.0, "execution_time": 1.5, "completion_time": None,
+    "cpu_time_used_s": 120.5, "input_io_mb": 10.0, "output_io_mb": 0.0,
+    "owner": "physicist",
+    "environment": {"ROOTSYS": "/opt/root", "SCRAM_ARCH": "slc3_ia32_gcc323"},
+}
+
+
+def time_it(fn, n: int = 300) -> float:
+    """Mean wall time of *n* calls of *fn*, in µs."""
+    started = time.perf_counter()
+    for _ in range(n):
+        fn()
+    return (time.perf_counter() - started) / n * 1e6
+
+
 def smoke_figures(tmp: Path) -> None:
-    """The figure benches assert the paper's shapes (§7) over ``repro.analysis.experiments``;
-    the numbers themselves are pinned by tier-1 (``FIGURES.json``), not here."""
-    files = sorted(str(path) for path in (REPO_ROOT / "benchmarks").glob("bench_*.py"))
-    report = tmp / "figures.xml"
-    run_python("-m", "pytest", *files, "-q", "--benchmark-disable",
-               "-p", "no:cacheprovider", f"--junitxml={report}", cwd=REPO_ROOT)
-    suite = ElementTree.parse(report).getroot().find("testsuite")
-    passed = int(suite.get("tests")) - int(suite.get("skipped"))  # failures exit non-zero
-    check(passed >= FIGURE_BENCHES, f"{passed} figure benches passed, not {FIGURE_BENCHES}")
-    print(f"figure benches: {passed} passed")
+    """The paper's two wall-clock shapes.  Tier-1 asserts every deterministic
+    one on its run of ``FIGURES.json`` (``test_experiments.py::TestPaperShapes``)."""
+    from repro.analysis.experiments import run_figure6
+    from repro.clarens.client import ClarensClient
+    from repro.clarens.serialization import to_wire
+    from repro.clarens.server import ClarensHost
+    from repro.clarens.transport import LoopbackTransport, SocketTransport
+    from repro.clarens.xmlrpc_server import XmlRpcServerHandle
+
+    # Figure 6 (§7): flat for a few clients, then rising by 100.
+    result = run_figure6()
+    print(result.to_markdown())
+    ms = result.values["latency_ms"]
+    small = statistics.mean(ms[n] for n in (1, 2, 3, 5))
+    for n in (1, 2, 3, 5):
+        check(ms[n] < 4.0 * small + 1.0, f"Figure 6 not flat: {n} client(s) {ms[n]:.2f} ms")
+    check(ms[100] > 1.5 * small, f"Figure 6 does not rise: {ms[100]:.2f} ms at 100 clients")
+    check(ms[100] > ms[5], f"Figure 6: 100 clients {ms[100]:.2f} ms <= 5 clients {ms[5]:.2f} ms")
+
+    # §3's price of web services: the socket costs more than dispatch, which
+    # costs more than marshalling alone.
+    host = ClarensHost("smoke")
+    host.users.add_user("u", "p", groups=("g",))
+    host.acl.allow("echo.*", groups=("g",))
+    host.register("echo", EchoService())
+    local = ClarensClient(LoopbackTransport(host))
+    local.login("u", "p")
+    t_local = time_it(lambda: local.call("echo.echo", SAMPLE_RECORD))
+    t_marshal = time_it(lambda: to_wire(SAMPLE_RECORD))
+    with XmlRpcServerHandle(host) as handle:
+        remote = ClarensClient(SocketTransport(handle.url))
+        remote.login("u", "p")
+        t_remote = time_it(lambda: remote.call("echo.echo", SAMPLE_RECORD))
+    print(f"marshal-only: {t_marshal:.1f} us; in-process call: {t_local:.1f} us; "
+          f"xmlrpc call: {t_remote:.1f} us (socket tax {t_remote / t_local:.1f}x)")
+    check(t_marshal < t_local < t_remote,
+          f"transport ordering: marshal {t_marshal:.1f}, in-process {t_local:.1f}, "
+          f"xmlrpc {t_remote:.1f} us")
 
 
 SMOKES = {
