@@ -10,18 +10,40 @@ Tokens are ``user|expiry|nonce|hmac_sha256(secret, user|expiry|nonce)``.
 Forging one requires the host secret; tampering with any field breaks the
 signature.  Time is injected (``time_source``) so the simulator's clock can
 drive expiry deterministically in tests.
+
+SHA-256 comes from the interpreter's builtin module (``_sha2`` on 3.12+,
+``_sha256`` before), as :mod:`random` takes ``_sha512``: ``hashlib``,
+``hmac`` and ``secrets`` would load OpenSSL's libcrypto, ~3.4 MB resident,
+for one HMAC per call and one salted hash per login.  The HMAC is RFC 2104
+over two SHA-256 states keyed once per host, so every token is the one
+``hmac.new(secret, payload, hashlib.sha256)`` would sign; digests are
+compared in constant time by ``_operator._compare_digest`` (what
+``hmac.compare_digest`` is), and the secret and salts come from
+``os.urandom`` (what ``secrets`` draws from).
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import itertools
-import secrets as _secrets
+from _operator import _compare_digest
 from dataclasses import dataclass, field
+from os import urandom
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.clarens.errors import AuthenticationError
+
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:  # an interpreter built without its own SHA-256
+        from hashlib import sha256
+
+#: SHA-256's block size, and the RFC 2104 inner / outer pad translations.
+_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 @dataclass(frozen=True)
@@ -57,7 +79,7 @@ class _UserRecord:
 
 
 def _hash_password(password: str, salt: str) -> str:
-    return hashlib.sha256((salt + password).encode("utf-8")).hexdigest()
+    return sha256((salt + password).encode("utf-8")).hexdigest()
 
 
 class UserDatabase:
@@ -67,12 +89,15 @@ class UserDatabase:
         self._users: Dict[str, _UserRecord] = {}
 
     def add_user(self, name: str, password: str, groups: Tuple[str, ...] = ()) -> None:
-        """Create a user; raises ValueError on duplicates or empty names."""
+        """Create a user; raises ValueError on duplicates, empty names or a
+        ``|`` (the session token's field separator) in the name."""
         if not name:
             raise ValueError("user name must be non-empty")
+        if "|" in name:
+            raise ValueError(f"user name {name!r} contains '|'")
         if name in self._users:
             raise ValueError(f"user {name!r} already exists")
-        salt = _secrets.token_hex(8)
+        salt = urandom(8).hex()
         self._users[name] = _UserRecord(
             name=name,
             password_hash=_hash_password(password, salt),
@@ -83,7 +108,7 @@ class UserDatabase:
     def verify(self, name: str, password: str) -> Principal:
         """Check credentials; returns the Principal or raises."""
         record = self._users.get(name)
-        if record is None or not hmac.compare_digest(
+        if record is None or not _compare_digest(
             record.password_hash, _hash_password(password, record.salt)
         ):
             raise AuthenticationError(f"bad credentials for user {name!r}")
@@ -157,13 +182,24 @@ class AuthService:
         self.users = users
         self.time_source = time_source
         self.session_lifetime_s = session_lifetime_s
-        self._secret = secret if secret is not None else _secrets.token_bytes(32)
+        key = secret if secret is not None else urandom(32)
+        if len(key) > _BLOCK:
+            key = sha256(key).digest()
+        key = key.ljust(_BLOCK, b"\0")
+        # The keyed halves of the HMAC, copied for every signature.
+        self._inner = sha256(key.translate(_IPAD))
+        self._outer = sha256(key.translate(_OPAD))
         self._nonce = itertools.count(1)
-        self._revoked: set = set()
+        #: Revoked token -> its expiry; dropped once the token has expired.
+        self._revoked: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     def _sign(self, payload: str) -> str:
-        return hmac.new(self._secret, payload.encode("utf-8"), hashlib.sha256).hexdigest()
+        inner = self._inner.copy()
+        inner.update(payload.encode("utf-8"))
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.hexdigest()
 
     def login(self, user: str, password: str) -> str:
         """Authenticate and return a session token."""
@@ -180,12 +216,16 @@ class AuthService:
         """
         if token == "":
             return ANONYMOUS
-        parts = token.split("|")
+        parts = token.split("|") if isinstance(token, str) else ()  # any wire value
         if len(parts) != 4:
             raise AuthenticationError("malformed session token")
         user, expiry_s, nonce, signature = parts
-        payload = f"{user}|{expiry_s}|{nonce}"
-        if not hmac.compare_digest(signature, self._sign(payload)):
+        try:
+            expected = self._sign(f"{user}|{expiry_s}|{nonce}")
+        except UnicodeEncodeError:  # a lone surrogate: nothing was signed over it
+            raise AuthenticationError("malformed session token") from None
+        # _compare_digest refuses a non-ASCII str with TypeError.
+        if not (signature.isascii() and _compare_digest(signature, expected)):
             raise AuthenticationError("session token signature invalid")
         try:
             expiry = float(expiry_s)
@@ -198,5 +238,15 @@ class AuthService:
         return self.users.principal(user)
 
     def logout(self, token: str) -> None:
-        """Revoke a token immediately."""
-        self._revoked.add(token)
+        """Revoke a token immediately, until it expires.
+
+        Only a token that validates is kept (anything else raises
+        :class:`AuthenticationError`, the empty token is a no-op), and each
+        logout drops the revocations whose tokens have expired, so at most
+        the tokens issued within one session lifetime are held.
+        """
+        if self.validate(token) is ANONYMOUS:
+            return
+        now = self.time_source()
+        self._revoked = {t: e for t, e in self._revoked.items() if e >= now}
+        self._revoked[token] = float(token.split("|")[1])

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence, Union
 
-from repro.clarens.errors import ClarensFault, fault_from_code
+from repro.clarens.errors import AuthenticationError, ClarensFault, fault_from_code
 from repro.clarens.readcache import canonical_args
 from repro.clarens.serialization import MulticallResult
 from repro.clarens.server import ClarensHost
@@ -106,10 +106,15 @@ class ClarensClient:
         return self.token
 
     def logout(self) -> None:
-        """Revoke the current session (no-op when not logged in)."""
+        """Revoke the current session (no-op when not logged in, or when
+        the session has already expired or been revoked)."""
         if self.token:
-            self.transport.call("system.logout", [self.token])
-            self.token = ""
+            try:
+                self.transport.call("system.logout", [self.token])
+            except AuthenticationError:
+                pass  # the host revokes only a live token; this one is dead
+            finally:
+                self.token = ""
 
     @property
     def logged_in(self) -> bool:
@@ -121,7 +126,7 @@ class ClarensClient:
         try:
             self.logout()
         except ClarensFault:
-            self.token = ""  # server unreachable or session already dead
+            pass  # the server is unreachable; logout() dropped the token
         finally:
             self.transport.close()
 

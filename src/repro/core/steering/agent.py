@@ -23,7 +23,6 @@ observations it derives a recommended :class:`SteeringPolicy`:
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
@@ -131,10 +130,14 @@ class AdaptiveSteeringAgent:
 
     def recommended_reaction_s(self) -> float:
         """Median wall time users waited before moving."""
-        reactions = [o.reaction_time_s for o in self.observations]
+        reactions = sorted(o.reaction_time_s for o in self.observations)
         if not reactions:
             return self.base_policy.min_elapsed_wall_s
-        return float(statistics.median(reactions))
+        # statistics.median's arithmetic, without its fractions/decimal imports.
+        mid = len(reactions) // 2
+        if len(reactions) % 2:
+            return float(reactions[mid])
+        return float((reactions[mid - 1] + reactions[mid]) / 2)
 
     def recommended_policy(self) -> SteeringPolicy:
         """The learned policy (base policy until enough observations)."""

@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import itertools
 import random
-import secrets
 import threading
 import zlib
 from collections import deque
 from itertools import compress, repeat, starmap
 from operator import eq
+from os import urandom
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.payload import payload, updated
@@ -53,8 +53,9 @@ __all__ = [
 ]
 
 # A random per-process prefix plus a counter: unique enough to correlate
-# calls across hosts, and ~10x cheaper than uuid4 on the hot path.
-_TRACE_PREFIX = secrets.token_hex(4)
+# calls across hosts, and ~10x cheaper than uuid4 on the hot path.  (The
+# bytes ``secrets.token_hex`` would draw; ``secrets`` loads OpenSSL.)
+_TRACE_PREFIX = urandom(4).hex()
 _TRACE_COUNTER = itertools.count(1)
 
 

@@ -41,6 +41,12 @@ class TestSession:
     def test_logout_without_login_is_noop(self, client):
         client.logout()
 
+    def test_logout_of_a_dead_session_drops_the_token(self, client):
+        client.login("u", "p")
+        client.transport.call("system.logout", [client.token])
+        client.logout()
+        assert not client.logged_in
+
 
 class TestCalls:
     def test_call_carries_token(self, client):

@@ -290,7 +290,10 @@ def test_serving_process_imports_neither_networkx_nor_scipy():
     the scenario, analysis, web UI, workload or CLI packages.  numpy is
     loaded here by the stage-in's noisy iperf probe, whose first draw seeds
     the ``iperf`` stream; a host that serves no draw and no fit never loads
-    it (``test_a_framed_host_loads_numpy_with_its_first_fit``)."""
+    it (``test_a_framed_host_loads_numpy_with_its_first_fit``).  For the
+    same reason ``UNSERVED`` cannot name ``hashlib`` / ``secrets``:
+    ``numpy.random`` imports ``secrets``, and with it OpenSSL, so this
+    drawing host loads them; the non-drawing host of that test does not."""
     out = subprocess.run(
         [sys.executable, "-c", f"UNSERVED = {UNSERVED!r}\n{SERVE_ONE_JOB}"],
         capture_output=True, text=True, timeout=120, check=False,
@@ -375,6 +378,13 @@ report["rng_record"] = read_store_file(sys.argv[1]).get(CHECKPOINT_GRIDSIM, "rng
 print(json.dumps(report))
 """
 
+#: What signing session tokens and one median do not need: OpenSSL's
+#: ``_hashlib`` (~3.4 MB resident) and the stdlib wrappers that load it, and
+#: ``statistics`` with the ``fractions`` / ``decimal`` it imports.
+OPENSSL_AND_STATISTICS = (
+    "_hashlib", "hashlib", "hmac", "secrets", "statistics", "fractions", "decimal",
+)
+
 #: Imports one layer at a time in a fresh interpreter and prints the
 #: resident set after each: the modules of the serving set (argv[1], a
 #: JSON list) split into standard library and ``repro``, then numpy, then
@@ -416,7 +426,8 @@ def test_a_framed_host_loads_numpy_with_its_first_fit(tmp_path):
     """A two-site host with a noiseless probe serves the §5 poll mix, a
     series read, a ``system.multicall`` and a ``set_priority`` over a
     framed ``json`` socket without importing numpy (~12 MB over the
-    serving set, ~2.4 MB more for ``numpy.random``).  The first runtime estimate over a
+    serving set, ~6 MB more for ``numpy.random``, OpenSSL included), or
+    any of ``OPENSSL_AND_STATISTICS``.  The first runtime estimate over a
     non-empty history loads it and answers what the eagerly importing
     host answered, and a checkpoint seeds the never-drawn ``iperf``
     stream into the record the eager streams wrote.  Run with ``-s`` to
@@ -429,6 +440,7 @@ def test_a_framed_host_loads_numpy_with_its_first_fit(tmp_path):
     report = json.loads(out.stdout.strip().splitlines()[-1])
     assert report["history_at_settle"] == 0
     assert "numpy" not in report["served"]
+    assert not set(report["served"]) & set(OPENSSL_AND_STATISTICS)
     assert report["numpy_before_fit"] is False
     assert report["numpy_after_fit"] is True
     # Eleven tasks of 150.0–151.0 s have finished by t = 151 s; the line

@@ -1,6 +1,9 @@
 """Unit tests for the adaptive steering agent (§1's learning agent)."""
 
+import statistics
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.steering.agent import AdaptiveSteeringAgent
 from repro.core.steering.optimizer import SteeringPolicy
@@ -67,6 +70,13 @@ class TestLearning:
         policy = agent.recommended_policy()
         assert policy.poll_interval_s == pytest.approx(40.0)   # median 80 / 2
         assert policy.min_elapsed_wall_s == pytest.approx(40.0)
+
+    @given(st.lists(st.floats(min_value=0.001, max_value=1e6), min_size=1, max_size=12))
+    def test_reaction_is_statistics_median(self, reactions):
+        agent = AdaptiveSteeringAgent()
+        for i, wall in enumerate(reactions):
+            agent.observe_manual_move(wall, make_record(task_id=f"t{i}", started_at=0.0))
+        assert agent.recommended_reaction_s() == statistics.median(reactions)
 
     def test_threshold_clamped_valid(self):
         agent = AdaptiveSteeringAgent(min_observations=1, safety_margin=10.0)

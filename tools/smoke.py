@@ -7,7 +7,8 @@
     python tools/smoke.py scenario   # quick chaos campaign + artifact schema
     python tools/smoke.py health     # health rules fire and resolve; telemetry export
     python tools/smoke.py bench      # the end-to-end benchmark's own checks + quick and traced runs
-    python tools/smoke.py rpc        # system.stats, system.cache, /metrics and recent_calls agree
+    python tools/smoke.py rpc        # system.stats, system.cache, /metrics and recent_calls agree;
+                                     # forged/non-ASCII/garbage tokens are typed faults
     python tools/smoke.py figures    # the wall-clock shapes: Figure 6, the transport ordering
     python tools/smoke.py all        # every one above (< 60 s; run it before committing)
 
@@ -474,6 +475,46 @@ def smoke_rpc(tmp: Path) -> None:
         check(label not in text, "the stopped pool is still in /metrics")
         print(f"pool {label} left system.stats and /metrics at shutdown")
     gae.stop()
+    smoke_rpc_auth()
+
+
+def smoke_rpc_auth() -> None:
+    """Forged, non-ASCII, logged-out and garbage tokens over the real framed socket, on
+    a host of their own (the counts above stay the demo's): each is a typed
+    ``AuthenticationError`` fault, and the host still answers after it."""
+    from repro.clarens.aio import AsyncSocketServerHandle
+    from repro.clarens.errors import AuthenticationError, ClarensFault
+    from repro.clarens.server import ClarensHost
+    from repro.clarens.transport import AsyncSocketTransport
+
+    host = ClarensHost("auth-smoke")
+    host.users.add_user("u", "p")
+    with AsyncSocketServerHandle(host) as handle:
+        wire = AsyncSocketTransport(handle.address, codec="json")
+
+        def refused(what: str, method: str, params: list, token: str = "") -> None:
+            try:
+                wire.call(method, params, token=token)
+            except AuthenticationError:
+                pass
+            except ClarensFault as exc:
+                raise SmokeFailure(f"{what}: {type(exc).__name__} {exc.code} {exc}")
+            else:
+                raise SmokeFailure(f"{what} was accepted")
+            check(wire.call("system.ping", []) == "pong", f"no answer after {what}")
+
+        try:
+            token = wire.call("system.login", ["u", "p"])
+            fields = token.rsplit("|", 1)[0]
+            refused("a forged token", "system.ping", [], f"{fields}|{'0' * 64}")
+            refused("a non-ASCII token", "system.ping", [], f"{fields}|\u00e9")
+            refused("a garbage system.logout", "system.logout", ["garbage"])
+            wire.call("system.logout", [token])
+            refused("a logged-out token", "system.ping", [], token)
+        finally:
+            wire.close()
+    print(f"auth over {handle.url}: a forged, a non-ASCII and a logged-out token and a "
+          f"garbage system.logout each answered AuthenticationError; the host answered after each")
 
 
 # ----------------------------------------------------------------------
