@@ -567,6 +567,8 @@ def _cmd_scenario_validate(args: argparse.Namespace) -> int:
 
     try:
         specs = _resolve_scenarios(args.names, seed=None) if args.names or not args.report else []
+        for spec in specs:
+            spec.steering_policy()  # the policy overrides are decoded here
     except ValueError as exc:  # a ScenarioError
         print(f"error: {exc}", file=sys.stderr)
         return 1

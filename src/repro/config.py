@@ -1,8 +1,10 @@
 """Declarative grid configuration.
 
 Plain-dataclass declarations of a grid — sites, links, pre-placed files,
-flocking — with strict dict parsing (unknown keys are rejected) and
-:func:`grid_from_config`, which turns a declaration into a live
+flocking — read from a dict by :func:`repro.declare.decode` (unknown keys
+and mistyped values are refused, path-qualified, as :class:`ConfigError`;
+so is a link end, file ``at`` or flocking pair naming an undeclared
+site), and :func:`grid_from_config`, which turns a declaration into a live
 :class:`~repro.gridsim.grid.Grid`.  This is the ``grid`` section of a
 scenario file; the rest of the scenario dialect (workload shapes, chaos,
 SLOs) lives in :mod:`repro.scenarios.spec`.
@@ -20,23 +22,15 @@ Example (JSON)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.declare import decode
 from repro.gridsim.grid import Grid, GridBuilder
 
 
 class ConfigError(ValueError):
-    """Raised for malformed grid configurations."""
-
-
-def _build(cls, data: Dict, context: str):
-    """Construct a config dataclass from a dict, rejecting unknown keys."""
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    return cls(**data)
+    """Raised for malformed grid configurations (path-qualified message)."""
 
 
 @dataclass(frozen=True)
@@ -83,23 +77,35 @@ class GridConfig:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "GridConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"grid: unknown keys {sorted(unknown)}")
-        return cls(
-            sites=[_build(SiteConfig, s, "site") for s in data.get("sites", [])],
-            links=[_build(LinkConfig, l, "link") for l in data.get("links", [])],
-            files=[_build(FileConfig, f, "file") for f in data.get("files", [])],
-            flocking=[list(pair) for pair in data.get("flocking", [])],
-            probe_noise=float(data.get("probe_noise", 0.0)),
-        )
+        config = decode(cls, data, "grid", ConfigError)
+        config.check_sites()
+        return config
+
+    def check_sites(self, path: str = "grid") -> None:
+        """Refuse a flocking entry that is not a pair, and a link end, file
+        ``at`` or flocking pair naming a site this grid does not declare."""
+        known = {site.name for site in self.sites}
+        refs = [
+            (f"links[{i}].{end}", getattr(link, end))
+            for i, link in enumerate(self.links) for end in ("a", "b")
+        ]
+        refs += [(f"files[{i}].at", file.at) for i, file in enumerate(self.files)]
+        for i, pair in enumerate(self.flocking):
+            if len(pair) != 2:
+                raise ConfigError(
+                    f"{path}.flocking[{i}]: expected a [src, dst] pair, got {pair!r}"
+                )
+            refs += [(f"flocking[{i}][{j}]", site) for j, site in enumerate(pair)]
+        for where, site in refs:
+            if site not in known:
+                raise ConfigError(f"{path}.{where}: unknown site {site!r}")
 
 
 def grid_from_config(config: GridConfig, seed: int = 2005) -> Grid:
     """Build a live grid from its declaration."""
     if not config.sites:
         raise ConfigError("grid has no sites")
+    config.check_sites()
     builder = GridBuilder(seed=seed).probe_noise(config.probe_noise)
     for site in config.sites:
         builder.site(
@@ -119,8 +125,6 @@ def grid_from_config(config: GridConfig, seed: int = 2005) -> Grid:
         )
     for file in config.files:
         builder.file(file.name, size_mb=file.size_mb, at=file.at)
-    for pair in config.flocking:
-        if len(pair) != 2:
-            raise ConfigError(f"flocking entries are [src, dst] pairs, got {pair!r}")
-        builder.flock(pair[0], pair[1])
+    for src, dst in config.flocking:
+        builder.flock(src, dst)
     return builder.build()

@@ -54,20 +54,10 @@ from repro.core.estimators.queue_time import QueueTimeEstimator, RuntimeEstimate
 from repro.core.estimators.runtime import EstimationError, RuntimeEstimator
 from repro.core.estimators.transfer_time import TransferTimeEstimator
 from repro.gridsim.execution import ExecutionService
-from repro.gridsim.job import Task, TaskSpec
+from repro.gridsim.job import Task, TaskSpec, spec_from_wire
 from repro.gridsim.network import IperfProbe
 from repro.gridsim.scheduler import SphinxScheduler
 from repro.gridsim.storage import ReplicaCatalog
-
-
-def spec_from_wire(data: Dict[str, object]) -> TaskSpec:
-    """Rebuild a TaskSpec from its wire struct (inverse of ``to_wire``)."""
-    fields = dict(data)
-    fields.pop("_type", None)
-    for tuple_field in ("arguments", "input_files", "output_files"):
-        if tuple_field in fields and isinstance(fields[tuple_field], list):
-            fields[tuple_field] = tuple(fields[tuple_field])  # type: ignore[arg-type]
-    return TaskSpec(**fields)  # type: ignore[arg-type]
 
 
 class EstimatorService:
@@ -208,7 +198,11 @@ class EstimatorService:
 
         run time + queue time + input-file transfer time (§4.2.2).
         """
-        task_spec = spec_from_wire(spec)
+        return self._completion(site_name, spec_from_wire(spec), priority)
+
+    def _completion(
+        self, site_name: str, task_spec: TaskSpec, priority: int
+    ) -> Dict[str, float]:
         service = self._service(site_name)
         try:
             runtime_s = self.runtime.estimate(task_spec).value
@@ -247,25 +241,6 @@ class EstimatorService:
                 self._services[name].ping()
             except Exception:
                 continue
-            out[name] = self.estimate_completion(
-                name, {"_type": "TaskSpec", **_spec_to_dict(spec)}, priority=priority
-            )
+            out[name] = self._completion(name, spec, priority)
         return out
 
-
-def _spec_to_dict(spec: TaskSpec) -> Dict[str, object]:
-    return {
-        "owner": spec.owner,
-        "account": spec.account,
-        "partition": spec.partition,
-        "queue": spec.queue,
-        "nodes": spec.nodes,
-        "task_type": spec.task_type,
-        "requested_cpu_hours": spec.requested_cpu_hours,
-        "executable": spec.executable,
-        "arguments": list(spec.arguments),
-        "input_files": list(spec.input_files),
-        "output_files": list(spec.output_files),
-        "priority": spec.priority,
-        "environment": dict(spec.environment),
-    }

@@ -49,13 +49,13 @@ class SteeringPolicy:
 
     def __post_init__(self) -> None:
         if self.preference not in ("fast", "cheap"):
-            raise ValueError(f"unknown preference {self.preference!r}")
+            raise ValueError(f"policy.preference: unknown preference {self.preference!r}")
         if self.poll_interval_s <= 0:
-            raise ValueError("poll interval must be positive")
+            raise ValueError("policy.poll_interval_s: must be positive")
         if not 0.0 < self.slow_rate_threshold <= 1.0:
-            raise ValueError("slow_rate_threshold must be in (0, 1]")
+            raise ValueError("policy.slow_rate_threshold: must be in (0, 1]")
         if self.min_improvement_factor < 1.0:
-            raise ValueError("min_improvement_factor must be >= 1")
+            raise ValueError("policy.min_improvement_factor: must be >= 1")
 
 
 @dataclass(frozen=True)

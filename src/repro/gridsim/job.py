@@ -24,6 +24,8 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.declare import decode, encode
+
 
 class JobState(enum.Enum):
     """Lifecycle of a task (and, in aggregate, of a job).
@@ -156,13 +158,13 @@ class TaskSpec:
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
-            raise ValueError(f"nodes must be >= 1, got {self.nodes}")
+            raise ValueError(f"spec.nodes: must be >= 1, got {self.nodes}")
         if self.requested_cpu_hours <= 0:
             raise ValueError(
-                f"requested_cpu_hours must be positive, got {self.requested_cpu_hours}"
+                f"spec.requested_cpu_hours: must be positive, got {self.requested_cpu_hours}"
             )
         if self.task_type not in ("batch", "interactive"):
-            raise ValueError(f"unknown task_type {self.task_type!r}")
+            raise ValueError(f"spec.task_type: unknown task_type {self.task_type!r}")
         # Freeze the environment so the spec is hashable by value; every
         # spec without one shares the one empty mapping.
         env = self.environment
@@ -410,29 +412,14 @@ def bag_of_tasks(specs: Sequence[TaskSpec], works: Sequence[float], owner: str =
 # ----------------------------------------------------------------------
 def spec_to_wire(spec: TaskSpec) -> Dict[str, object]:
     """JSON-safe dict capturing every :class:`TaskSpec` field."""
-    return {
-        "owner": spec.owner,
-        "account": spec.account,
-        "partition": spec.partition,
-        "queue": spec.queue,
-        "nodes": spec.nodes,
-        "task_type": spec.task_type,
-        "requested_cpu_hours": spec.requested_cpu_hours,
-        "executable": spec.executable,
-        "arguments": list(spec.arguments),
-        "input_files": list(spec.input_files),
-        "output_files": list(spec.output_files),
-        "priority": spec.priority,
-        "environment": dict(spec.environment),
-    }
+    return encode(spec)
 
 
 def spec_from_wire(data: Mapping[str, object]) -> TaskSpec:
-    """Inverse of :func:`spec_to_wire`."""
-    fields_ = dict(data)
-    for tuple_field in ("arguments", "input_files", "output_files"):
-        fields_[tuple_field] = tuple(fields_.get(tuple_field, ()))  # type: ignore[arg-type]
-    return TaskSpec(**fields_)  # type: ignore[arg-type]
+    """Inverse of :func:`spec_to_wire`; also reads a client's struct (with
+    or without ``to_wire``'s ``_type`` tag), refusing a bad one with a
+    ``ValueError`` naming the field."""
+    return decode(TaskSpec, data, "spec", ValueError)
 
 
 def task_to_wire(task: Task) -> Dict[str, object]:

@@ -37,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.declare import decode, encode
 from repro.events.journal import EventJournal, EventType
 from repro.observability.telemetry import REDUCERS
 
@@ -90,102 +91,42 @@ class HealthRule:
     budget: float = 0.1
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self, path: str = "rule") -> None:
         if not self.name:
-            raise HealthRuleError(f"{path}.name: required")
+            raise HealthRuleError("rule.name: required")
         if self.kind not in RULE_KINDS:
             raise HealthRuleError(
-                f"{path}.kind: unknown kind {self.kind!r} "
+                f"rule.kind: unknown kind {self.kind!r} "
                 f"(known: {', '.join(RULE_KINDS)})"
             )
         if self.op not in _OPS:
-            raise HealthRuleError(f"{path}.op: must be one of {', '.join(_OPS)}")
+            raise HealthRuleError(f"rule.op: must be one of {', '.join(_OPS)}")
         if self.reducer not in REDUCERS:
             raise HealthRuleError(
-                f"{path}.reducer: unknown reducer {self.reducer!r} "
+                f"rule.reducer: unknown reducer {self.reducer!r} "
                 f"(known: {', '.join(REDUCERS)})"
             )
         if self.severity not in _SEVERITIES:
             raise HealthRuleError(
-                f"{path}.severity: must be one of {', '.join(_SEVERITIES)}"
+                f"rule.severity: must be one of {', '.join(_SEVERITIES)}"
             )
-        if self.windows < 1:
-            raise HealthRuleError(f"{path}.windows: must be >= 1")
-        if self.for_windows < 1:
-            raise HealthRuleError(f"{path}.for_windows: must be >= 1")
-        if self.clear_windows < 1:
-            raise HealthRuleError(f"{path}.clear_windows: must be >= 1")
+        for key in ("windows", "for_windows", "clear_windows"):
+            if getattr(self, key) < 1:
+                raise HealthRuleError(f"rule.{key}: must be >= 1")
         if self.kind == "burn_rate":
             if not self.good_series or not self.bad_series:
-                raise HealthRuleError(
-                    f"{path}: burn_rate needs good_series and bad_series"
-                )
+                raise HealthRuleError("rule: burn_rate needs good_series and bad_series")
             if self.budget <= 0:
-                raise HealthRuleError(f"{path}.budget: must be positive")
+                raise HealthRuleError("rule.budget: must be positive")
         elif not self.series:
-            raise HealthRuleError(f"{path}.series: required for kind {self.kind!r}")
+            raise HealthRuleError(f"rule.series: required for kind {self.kind!r}")
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any], path: str = "rule") -> "HealthRule":
-        if not isinstance(data, dict):
-            raise HealthRuleError(
-                f"{path}: expected an object, got {type(data).__name__}"
-            )
-        known = {
-            "name", "kind", "series", "op", "threshold", "reducer", "windows",
-            "for_windows", "clear_windows", "severity", "good_series",
-            "bad_series", "budget",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise HealthRuleError(f"{path}: unknown keys {sorted(unknown)}")
-        for key in ("name", "kind", "series", "op", "reducer", "severity",
-                    "good_series", "bad_series"):
-            if key in data and not isinstance(data[key], str):
-                raise HealthRuleError(f"{path}.{key}: expected a string")
-        for key in ("threshold", "budget"):
-            if key in data and (
-                isinstance(data[key], bool)
-                or not isinstance(data[key], (int, float))
-            ):
-                raise HealthRuleError(f"{path}.{key}: expected a number")
-        for key in ("windows", "for_windows", "clear_windows"):
-            if key in data and (
-                isinstance(data[key], bool) or not isinstance(data[key], int)
-            ):
-                raise HealthRuleError(f"{path}.{key}: expected an integer")
-        kwargs = {key: data[key] for key in known if key in data}
-        kwargs.setdefault("name", "")
-        kwargs.setdefault("kind", "")
-        for key in ("threshold", "budget"):
-            if key in kwargs:
-                kwargs[key] = float(kwargs[key])
-        try:
-            return cls(**kwargs)
-        except HealthRuleError as exc:
-            # __post_init__ validated under the default path "rule", which
-            # every message starts with; put the caller's path there.
-            raise HealthRuleError(path + str(exc)[len("rule"):]) from None
+        return decode(cls, data, path, HealthRuleError)
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical JSON-safe dict (``from_dict`` round-trips exactly)."""
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "series": self.series,
-            "op": self.op,
-            "threshold": self.threshold,
-            "reducer": self.reducer,
-            "windows": self.windows,
-            "for_windows": self.for_windows,
-            "clear_windows": self.clear_windows,
-            "severity": self.severity,
-            "good_series": self.good_series,
-            "bad_series": self.bad_series,
-            "budget": self.budget,
-        }
+        return encode(self)
 
     # -- evaluation ----------------------------------------------------
 

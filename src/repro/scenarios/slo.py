@@ -43,84 +43,13 @@ Doctest — score a tiny hand-built journal::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.events.journal import EventType, JournalEvent
 from repro.observability.metrics import percentile
+from repro.scenarios.spec import SLO_METRICS, SloSpec
 
 __all__ = ["SLO_METRICS", "SloSpec", "score_slos"]
-
-#: metric name -> (one-line meaning, takes a percentile?)
-SLO_METRICS: Dict[str, Tuple[str, bool]] = {
-    "completion_ratio": ("completed tasks / submitted tasks", False),
-    "makespan_s": ("simulation time of the last completion (horizon if none)", False),
-    "queue_wait_s": ("dispatch-to-start gap per started task", True),
-    "recovery_time_s": (
-        "failure-to-recovery gap per failure (censored at the horizon)", True,
-    ),
-    "steering_reaction_s": (
-        "adversity-onset-to-corrective-verb gap (moves and recoveries)", True,
-    ),
-    "estimate_error_pct": (
-        "mean |estimate - actual| / actual * 100 over completed tasks", False,
-    ),
-    "tasks_failed_total": ("count of failure events", False),
-    "moves_total": ("count of steering move verbs", False),
-}
-
-_OPS = ("<=", ">=")
-
-
-@dataclass(frozen=True)
-class SloSpec:
-    """One assertion: ``metric [pN] <= / >= threshold``."""
-
-    metric: str
-    op: str
-    threshold: float
-    percentile: float = 95.0
-
-    @classmethod
-    def from_dict(cls, data: Dict, path: str) -> "SloSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: expected an object")
-        unknown = set(data) - {"metric", "op", "threshold", "percentile"}
-        if unknown:
-            raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-        metric = data.get("metric", "")
-        if metric not in SLO_METRICS:
-            raise ValueError(
-                f"{path}.metric: unknown metric {metric!r} "
-                f"(known: {', '.join(sorted(SLO_METRICS))})"
-            )
-        op = data.get("op", "")
-        if op not in _OPS:
-            raise ValueError(f"{path}.op: must be one of {_OPS}, got {op!r}")
-        threshold = data.get("threshold")
-        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-            raise ValueError(f"{path}.threshold: expected a number, got {threshold!r}")
-        pct = data.get("percentile", 95.0)
-        if isinstance(pct, bool) or not isinstance(pct, (int, float)):
-            raise ValueError(f"{path}.percentile: expected a number, got {pct!r}")
-        if not 0.0 < float(pct) <= 100.0:
-            raise ValueError(f"{path}.percentile: must be in (0, 100], got {pct}")
-        return cls(
-            metric=metric, op=op, threshold=float(threshold), percentile=float(pct)
-        )
-
-    def to_dict(self) -> Dict:
-        return {
-            "metric": self.metric,
-            "op": self.op,
-            "threshold": self.threshold,
-            "percentile": self.percentile,
-        }
-
-    def label(self) -> str:
-        """Human-readable assertion, e.g. ``queue_wait_s p95 <= 600``."""
-        pct = f" p{self.percentile:g}" if SLO_METRICS[self.metric][1] else ""
-        return f"{self.metric}{pct} {self.op} {self.threshold:g}"
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +157,7 @@ def compute_metric(
         samples = _recovery_times(events, horizon_s)
     elif metric == "steering_reaction_s":
         samples = _steering_reactions(events, horizon_s)
-    else:  # pragma: no cover - SloSpec.from_dict rejects unknown metrics
+    else:  # pragma: no cover - SloSpec rejects unknown metrics
         raise ValueError(f"unknown metric {metric!r}")
     if not samples:
         return (0.0, 0)

@@ -9,12 +9,16 @@ A scenario composes four declarative parts:
 - ``chaos`` — a list of :class:`ChaosAction` windows (site outages,
   flapping, link degradation, partitions, network weather — see
   :mod:`repro.scenarios.chaos`);
-- ``slos`` — :class:`repro.scenarios.slo.SloSpec` assertions scored from
-  the observability journal after the run.
+- ``slos`` — :class:`SloSpec` assertions scored from the observability
+  journal after the run (:mod:`repro.scenarios.slo`).
 
-Validation is hand-rolled (no external schema dependency), path-qualified
-and strict: unknown keys, unknown shapes/kinds/metrics, and out-of-range
-numbers all raise :class:`ScenarioError` naming the offending path.
+Every part is a frozen dataclass read and written by the one declaration
+codec, :mod:`repro.declare`, from its own fields and annotations: unknown
+keys and mistyped values are refused there, and each class's
+``__post_init__`` holds its domain rules (unknown shapes/kinds/metrics,
+out-of-range numbers, sites the grid does not declare).  Every refusal is
+a :class:`ScenarioError` whose message starts with the offending path
+from the document root, e.g. ``scenario.grid.sites[0].nodes``.
 ``ScenarioSpec.from_dict(spec.to_dict())`` is the identity — the
 round-trip the scenario property test pins.
 
@@ -40,26 +44,28 @@ Doctest — load, round-trip, and apply quick overrides::
     ...                         "workload": {"shape": "tsunami"}})  # doctest: +ELLIPSIS
     Traceback (most recent call last):
         ...
-    repro.scenarios.spec.ScenarioError: workload.shape: unknown shape 'tsunami' (known: ...)
+    repro.scenarios.spec.ScenarioError: scenario.workload.shape: unknown shape 'tsunami' (known: ...)
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
-from repro.config import ConfigError, GridConfig
+from repro.config import GridConfig
 from repro.core.steering.optimizer import SteeringPolicy
-from repro.observability.health import HealthRule, HealthRuleError
-from repro.scenarios.slo import SloSpec
+from repro.declare import decode, encode
+from repro.observability.health import HealthRule
 
 __all__ = [
     "CHAOS_KINDS",
     "ChaosAction",
+    "SLO_METRICS",
     "ScenarioError",
     "ScenarioSpec",
+    "SloSpec",
     "VoShape",
     "WORKLOAD_SHAPES",
     "WorkloadShape",
@@ -90,36 +96,6 @@ class ScenarioError(ValueError):
     """Raised for malformed scenario files (path-qualified message)."""
 
 
-def _require_keys(data: Dict, cls, path: str) -> None:
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: expected an object, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
-
-
-def _number(data: Dict, key: str, path: str, default: float) -> float:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(data: Dict, key: str, path: str, default: int) -> int:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}.{key}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _string(data: Dict, key: str, path: str, default: str) -> str:
-    value = data.get(key, default)
-    if not isinstance(value, str):
-        raise ScenarioError(f"{path}.{key}: expected a string, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class VoShape:
     """One virtual organisation in a ``multi_vo`` workload."""
@@ -129,31 +105,13 @@ class VoShape:
     priority: int = 0
     mean_seconds: float = 300.0
 
-    @classmethod
-    def from_dict(cls, data: Dict, path: str) -> "VoShape":
-        _require_keys(data, cls, path)
-        owner = _string(data, "owner", path, "")
-        if not owner:
-            raise ScenarioError(f"{path}.owner: required")
-        vo = cls(
-            owner=owner,
-            tasks=_integer(data, "tasks", path, 4),
-            priority=_integer(data, "priority", path, 0),
-            mean_seconds=_number(data, "mean_seconds", path, 300.0),
-        )
-        if vo.tasks < 1:
-            raise ScenarioError(f"{path}.tasks: must be >= 1, got {vo.tasks}")
-        if vo.mean_seconds <= 0:
-            raise ScenarioError(f"{path}.mean_seconds: must be positive")
-        return vo
-
-    def to_dict(self) -> Dict:
-        return {
-            "owner": self.owner,
-            "tasks": self.tasks,
-            "priority": self.priority,
-            "mean_seconds": self.mean_seconds,
-        }
+    def __post_init__(self) -> None:
+        if not self.owner:
+            raise ScenarioError("vo.owner: required")
+        if self.tasks < 1:
+            raise ScenarioError(f"vo.tasks: must be >= 1, got {self.tasks}")
+        if self.mean_seconds <= 0:
+            raise ScenarioError("vo.mean_seconds: must be positive")
 
 
 @dataclass(frozen=True)
@@ -176,68 +134,36 @@ class WorkloadShape:
     analysis_tasks: int = 3
     vos: Tuple[VoShape, ...] = ()
 
-    @classmethod
-    def from_dict(cls, data: Dict, path: str = "workload") -> "WorkloadShape":
-        _require_keys(data, cls, path)
-        shape = _string(data, "shape", path, "prime")
-        if shape not in WORKLOAD_SHAPES:
+    def __post_init__(self) -> None:
+        if self.shape not in WORKLOAD_SHAPES:
             raise ScenarioError(
-                f"{path}.shape: unknown shape {shape!r} "
+                f"workload.shape: unknown shape {self.shape!r} "
                 f"(known: {', '.join(WORKLOAD_SHAPES)})"
             )
-        vos_data = data.get("vos", [])
-        if not isinstance(vos_data, list):
-            raise ScenarioError(f"{path}.vos: expected a list")
-        wl = cls(
-            shape=shape,
-            owner=_string(data, "owner", path, "physicist"),
-            tasks=_integer(data, "tasks", path, 4),
-            mean_seconds=_number(data, "mean_seconds", path, 300.0),
-            interval_s=_number(data, "interval_s", path, 60.0),
-            period_s=_number(data, "period_s", path, 1200.0),
-            burst_at_s=_number(data, "burst_at_s", path, 600.0),
-            burst_tasks=_integer(data, "burst_tasks", path, 8),
-            analysis_tasks=_integer(data, "analysis_tasks", path, 3),
-            vos=tuple(
-                VoShape.from_dict(vo, f"{path}.vos[{i}]")
-                for i, vo in enumerate(vos_data)
-            ),
-        )
-        if wl.tasks < 1:
-            raise ScenarioError(f"{path}.tasks: must be >= 1, got {wl.tasks}")
-        if wl.mean_seconds <= 0:
-            raise ScenarioError(f"{path}.mean_seconds: must be positive")
-        if wl.interval_s < 0:
-            raise ScenarioError(f"{path}.interval_s: must be non-negative")
-        if wl.period_s <= 0:
-            raise ScenarioError(f"{path}.period_s: must be positive")
-        if wl.shape == "flash_crowd":
-            if wl.burst_tasks < 1:
-                raise ScenarioError(f"{path}.burst_tasks: must be >= 1")
-            if wl.burst_at_s < 0:
-                raise ScenarioError(f"{path}.burst_at_s: must be non-negative")
-        if wl.shape == "dag_campaign" and wl.analysis_tasks < 1:
-            raise ScenarioError(f"{path}.analysis_tasks: must be >= 1")
-        if wl.shape == "multi_vo":
-            if not wl.vos:
-                raise ScenarioError(f"{path}.vos: multi_vo needs at least one VO")
-        elif wl.vos:
-            raise ScenarioError(f"{path}.vos: only valid for shape 'multi_vo'")
-        return wl
+        if self.tasks < 1:
+            raise ScenarioError(f"workload.tasks: must be >= 1, got {self.tasks}")
+        if self.mean_seconds <= 0:
+            raise ScenarioError("workload.mean_seconds: must be positive")
+        if self.interval_s < 0:
+            raise ScenarioError("workload.interval_s: must be non-negative")
+        if self.period_s <= 0:
+            raise ScenarioError("workload.period_s: must be positive")
+        if self.shape == "flash_crowd":
+            if self.burst_tasks < 1:
+                raise ScenarioError("workload.burst_tasks: must be >= 1")
+            if self.burst_at_s < 0:
+                raise ScenarioError("workload.burst_at_s: must be non-negative")
+        if self.shape == "dag_campaign" and self.analysis_tasks < 1:
+            raise ScenarioError("workload.analysis_tasks: must be >= 1")
+        if self.shape == "multi_vo":
+            if not self.vos:
+                raise ScenarioError("workload.vos: multi_vo needs at least one VO")
+        elif self.vos:
+            raise ScenarioError("workload.vos: only valid for shape 'multi_vo'")
 
-    def to_dict(self) -> Dict:
-        return {
-            "shape": self.shape,
-            "owner": self.owner,
-            "tasks": self.tasks,
-            "mean_seconds": self.mean_seconds,
-            "interval_s": self.interval_s,
-            "period_s": self.period_s,
-            "burst_at_s": self.burst_at_s,
-            "burst_tasks": self.burst_tasks,
-            "analysis_tasks": self.analysis_tasks,
-            "vos": [vo.to_dict() for vo in self.vos],
-        }
+    @classmethod
+    def from_dict(cls, data: Dict, path: str = "workload") -> "WorkloadShape":
+        return decode(cls, data, path, ScenarioError)
 
     def owners(self) -> List[str]:
         """Every distinct job owner this workload will submit as."""
@@ -276,92 +202,98 @@ class ChaosAction:
     mean_utilization: float = 0.5
     volatility: float = 0.15
 
-    @classmethod
-    def from_dict(cls, data: Dict, path: str) -> "ChaosAction":
-        _require_keys(data, cls, path)
-        kind = _string(data, "kind", path, "")
-        if kind not in CHAOS_KINDS:
+    def __post_init__(self) -> None:
+        if self.kind not in CHAOS_KINDS:
             raise ScenarioError(
-                f"{path}.kind: unknown kind {kind!r} (known: {', '.join(CHAOS_KINDS)})"
+                f"chaos.kind: unknown kind {self.kind!r} (known: {', '.join(CHAOS_KINDS)})"
             )
-        sites = data.get("sites", [])
-        if not isinstance(sites, list) or not all(isinstance(s, str) for s in sites):
-            raise ScenarioError(f"{path}.sites: expected a list of site names")
-        link = data.get("link", ["", ""])
-        if not isinstance(link, (list, tuple)) or len(link) != 2 or not all(
-            isinstance(s, str) for s in link
-        ):
-            raise ScenarioError(f"{path}.link: expected a [a, b] pair of site names")
-        action = cls(
-            kind=kind,
-            site=_string(data, "site", path, ""),
-            sites=tuple(sites),
-            link=(link[0], link[1]),
-            start_s=_number(data, "start_s", path, 0.0),
-            end_s=_number(data, "end_s", path, 0.0),
-            duration_s=_number(data, "duration_s", path, 0.0),
-            period_s=_number(data, "period_s", path, 300.0),
-            duty=_number(data, "duty", path, 0.5),
-            utilization=_number(data, "utilization", path, 0.9),
-            mean_utilization=_number(data, "mean_utilization", path, 0.5),
-            volatility=_number(data, "volatility", path, 0.15),
-        )
-        action._validate(path)
-        return action
-
-    def _validate(self, path: str) -> None:
         if self.start_s < 0:
-            raise ScenarioError(f"{path}.start_s: must be non-negative")
+            raise ScenarioError("chaos.start_s: must be non-negative")
         if self.kind in ("outage", "flapping") and not self.site:
-            raise ScenarioError(f"{path}.site: required for kind {self.kind!r}")
+            raise ScenarioError(f"chaos.site: required for kind {self.kind!r}")
         if self.kind == "outage" and self.duration_s <= 0:
-            raise ScenarioError(f"{path}.duration_s: outage needs a positive duration")
-        if self.kind == "flapping":
-            if self.period_s <= 0:
-                raise ScenarioError(f"{path}.period_s: must be positive")
-            if not 0.0 < self.duty <= 1.0:
-                raise ScenarioError(f"{path}.duty: must be in (0, 1], got {self.duty}")
-            if self.end_s and self.end_s <= self.start_s:
-                raise ScenarioError(f"{path}.end_s: must be after start_s")
+            raise ScenarioError("chaos.duration_s: outage needs a positive duration")
+        if self.kind in ("flapping", "weather") and self.period_s <= 0:
+            raise ScenarioError("chaos.period_s: must be positive")
+        if self.kind == "flapping" and not 0.0 < self.duty <= 1.0:
+            raise ScenarioError(f"chaos.duty: must be in (0, 1], got {self.duty}")
         if self.kind == "degrade":
             if not self.link[0] or not self.link[1]:
-                raise ScenarioError(f"{path}.link: required for kind 'degrade'")
+                raise ScenarioError("chaos.link: required for kind 'degrade'")
             if not 0.0 <= self.utilization < 1.0:
-                raise ScenarioError(f"{path}.utilization: must be in [0, 1)")
-            if self.end_s and self.end_s <= self.start_s:
-                raise ScenarioError(f"{path}.end_s: must be after start_s")
+                raise ScenarioError("chaos.utilization: must be in [0, 1)")
         if self.kind == "partition":
             if not self.sites:
-                raise ScenarioError(f"{path}.sites: partition needs one side of the cut")
+                raise ScenarioError("chaos.sites: partition needs one side of the cut")
             if self.duration_s <= 0:
-                raise ScenarioError(
-                    f"{path}.duration_s: partition needs a positive duration"
-                )
+                raise ScenarioError("chaos.duration_s: partition needs a positive duration")
         if self.kind == "weather":
-            if self.period_s <= 0:
-                raise ScenarioError(f"{path}.period_s: must be positive")
             if not 0.0 <= self.mean_utilization < 1.0:
-                raise ScenarioError(f"{path}.mean_utilization: must be in [0, 1)")
+                raise ScenarioError("chaos.mean_utilization: must be in [0, 1)")
             if self.volatility < 0:
-                raise ScenarioError(f"{path}.volatility: must be non-negative")
-            if self.end_s and self.end_s <= self.start_s:
-                raise ScenarioError(f"{path}.end_s: must be after start_s")
+                raise ScenarioError("chaos.volatility: must be non-negative")
+        if self.kind in ("flapping", "degrade", "weather") and (
+            self.end_s and self.end_s <= self.start_s
+        ):
+            raise ScenarioError("chaos.end_s: must be after start_s")
 
-    def to_dict(self) -> Dict:
-        return {
-            "kind": self.kind,
-            "site": self.site,
-            "sites": list(self.sites),
-            "link": list(self.link),
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "duration_s": self.duration_s,
-            "period_s": self.period_s,
-            "duty": self.duty,
-            "utilization": self.utilization,
-            "mean_utilization": self.mean_utilization,
-            "volatility": self.volatility,
-        }
+    @classmethod
+    def from_dict(cls, data: Dict, path: str = "chaos") -> "ChaosAction":
+        return decode(cls, data, path, ScenarioError)
+
+
+#: metric name -> (one-line meaning, takes a percentile?)
+SLO_METRICS: Dict[str, Tuple[str, bool]] = {
+    "completion_ratio": ("completed tasks / submitted tasks", False),
+    "makespan_s": ("simulation time of the last completion (horizon if none)", False),
+    "queue_wait_s": ("dispatch-to-start gap per started task", True),
+    "recovery_time_s": (
+        "failure-to-recovery gap per failure (censored at the horizon)", True,
+    ),
+    "steering_reaction_s": (
+        "adversity-onset-to-corrective-verb gap (moves and recoveries)", True,
+    ),
+    "estimate_error_pct": (
+        "mean |estimate - actual| / actual * 100 over completed tasks", False,
+    ),
+    "tasks_failed_total": ("count of failure events", False),
+    "moves_total": ("count of steering move verbs", False),
+}
+
+_SLO_OPS = ("<=", ">=")
+
+
+@dataclass(frozen=True)
+class SloSpec:
+    """One assertion: ``metric [pN] <= / >= threshold``, scored by
+    :func:`repro.scenarios.slo.score_slos`."""
+
+    metric: str
+    op: str
+    threshold: float
+    percentile: float = 95.0
+
+    def __post_init__(self) -> None:
+        if self.metric not in SLO_METRICS:
+            raise ScenarioError(
+                f"slo.metric: unknown metric {self.metric!r} "
+                f"(known: {', '.join(sorted(SLO_METRICS))})"
+            )
+        if self.op not in _SLO_OPS:
+            raise ScenarioError(f"slo.op: must be one of {_SLO_OPS}, got {self.op!r}")
+        if not 0.0 < self.percentile <= 100.0:
+            raise ScenarioError(
+                f"slo.percentile: must be in (0, 100], got {self.percentile}"
+            )
+
+    @classmethod
+    def from_dict(cls, data: Dict, path: str = "slo") -> "SloSpec":
+        return decode(cls, data, path, ScenarioError)
+
+    def label(self) -> str:
+        """Human-readable assertion, e.g. ``queue_wait_s p95 <= 600``."""
+        pct = f" p{self.percentile:g}" if SLO_METRICS[self.metric][1] else ""
+        return f"{self.metric}{pct} {self.op} {self.threshold:g}"
 
 
 #: Keys ``quick`` overrides may set at the top level.
@@ -375,6 +307,8 @@ class ScenarioSpec:
     ``health_rules`` optionally overrides the GAE's default health-rule
     set (:func:`repro.observability.health.default_health_rules`) for
     the run — the scenario artifact then pins those rules' transitions.
+    ``policy`` holds :class:`SteeringPolicy` overrides as written; they
+    are decoded against its fields by :meth:`steering_policy`.
     """
 
     name: str
@@ -391,96 +325,42 @@ class ScenarioSpec:
     quick: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # frozen dataclass: normalise via object.__setattr__ is avoided by
-        # validating instead — constructors must hand in canonical types.
         if not self.name:
             raise ScenarioError("scenario.name: required")
+        if not self.description:
+            raise ScenarioError("scenario.description: required (the cookbook is built from it)")
         if self.horizon_s <= 0:
             raise ScenarioError("scenario.horizon_s: must be positive")
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ScenarioSpec":
-        _require_keys(data, cls, "scenario")
-        name = _string(data, "name", "scenario", "")
-        if not name:
-            raise ScenarioError("scenario.name: required")
-        description = _string(data, "description", "scenario", "")
-        if not description:
-            raise ScenarioError("scenario.description: required (the cookbook is built from it)")
-        if "grid" not in data:
-            raise ScenarioError("scenario.grid: required")
-        try:
-            grid = GridConfig.from_dict(data["grid"])
-        except ConfigError as exc:
-            raise ScenarioError(f"scenario.{exc}") from exc
-        chaos_data = data.get("chaos", [])
-        if not isinstance(chaos_data, list):
-            raise ScenarioError("scenario.chaos: expected a list")
-        slos_data = data.get("slos", [])
-        if not isinstance(slos_data, list):
-            raise ScenarioError("scenario.slos: expected a list")
-        rules_data = data.get("health_rules", [])
-        if not isinstance(rules_data, list):
-            raise ScenarioError("scenario.health_rules: expected a list")
-        try:
-            health_rules = tuple(
-                HealthRule.from_dict(r, f"health_rules[{i}]")
-                for i, r in enumerate(rules_data)
-            )
-        except HealthRuleError as exc:
-            raise ScenarioError(f"scenario.{exc}") from exc
-        tags = data.get("tags", [])
-        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-            raise ScenarioError("scenario.tags: expected a list of strings")
-        policy = data.get("policy", {})
-        if not isinstance(policy, dict):
-            raise ScenarioError("scenario.policy: expected an object")
-        quick = data.get("quick", {})
-        if not isinstance(quick, dict):
-            raise ScenarioError("scenario.quick: expected an object")
-        unknown_quick = set(quick) - set(_QUICK_KEYS)
+        unknown_quick = set(self.quick) - set(_QUICK_KEYS)
         if unknown_quick:
             raise ScenarioError(
                 f"scenario.quick: unknown keys {sorted(unknown_quick)} "
                 f"(allowed: {', '.join(_QUICK_KEYS)})"
             )
-        spec = cls(
-            name=name,
-            description=description,
-            grid=grid,
-            workload=WorkloadShape.from_dict(data.get("workload", {}), "workload"),
-            chaos=tuple(
-                ChaosAction.from_dict(c, f"chaos[{i}]")
-                for i, c in enumerate(chaos_data)
-            ),
-            slos=tuple(
-                SloSpec.from_dict(s, f"slos[{i}]") for i, s in enumerate(slos_data)
-            ),
-            health_rules=health_rules,
-            policy=dict(policy),
-            tags=tuple(tags),
-            seed=_integer(data, "seed", "scenario", 2005),
-            horizon_s=_number(data, "horizon_s", "scenario", 2000.0),
-            quick=dict(quick),
-        )
-        spec._check_sites()
-        if spec.quick:
-            spec.effective(quick=True)  # fail at load time, not run time
-        return spec
+        self._check_sites()
+        if self.quick:
+            self.effective(quick=True)  # fail at load time, not run time
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "ScenarioSpec":
+        return decode(cls, data, "scenario", ScenarioError)
 
     def _check_sites(self) -> None:
+        self.grid.check_sites("scenario.grid")
         known = {site.name for site in self.grid.sites}
         for i, action in enumerate(self.chaos):
             for site in ((action.site,) if action.site else ()) + action.sites:
                 if site not in known:
                     raise ScenarioError(
-                        f"chaos[{i}].{'site' if site == action.site else 'sites'}: "
+                        f"scenario.chaos[{i}].{'site' if site == action.site else 'sites'}: "
                         f"unknown site {site!r}"
                     )
             if action.kind == "degrade":
                 for end in action.link:
                     if end not in known:
-                        raise ScenarioError(f"chaos[{i}].link: unknown site {end!r}")
+                        raise ScenarioError(
+                            f"scenario.chaos[{i}].link: unknown site {end!r}"
+                        )
 
     @classmethod
     def from_json(cls, text_or_path: Union[str, Path]) -> "ScenarioSpec":
@@ -500,20 +380,7 @@ class ScenarioSpec:
 
     def to_dict(self) -> Dict:
         """The canonical, JSON-serialisable dict (round-trips exactly)."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "grid": _grid_to_dict(self.grid),
-            "workload": self.workload.to_dict(),
-            "chaos": [c.to_dict() for c in self.chaos],
-            "slos": [s.to_dict() for s in self.slos],
-            "health_rules": [r.to_dict() for r in self.health_rules],
-            "policy": dict(self.policy),
-            "tags": list(self.tags),
-            "seed": self.seed,
-            "horizon_s": self.horizon_s,
-            "quick": dict(self.quick),
-        }
+        return encode(self)
 
     def effective(self, quick: bool = False) -> "ScenarioSpec":
         """This spec, with its ``quick`` overrides applied when asked.
@@ -541,42 +408,7 @@ class ScenarioSpec:
 
     def steering_policy(self) -> SteeringPolicy:
         """The SteeringPolicy with this scenario's overrides applied."""
-        try:
-            return SteeringPolicy(**self.policy)  # type: ignore[arg-type]
-        except TypeError as exc:
-            raise ScenarioError(f"scenario.policy: bad options: {exc}") from exc
-
-
-def _grid_to_dict(grid: GridConfig) -> Dict:
-    """GridConfig as the canonical dict ``GridConfig.from_dict`` accepts."""
-    return {
-        "sites": [
-            {
-                "name": s.name,
-                "nodes": s.nodes,
-                "cpus_per_node": s.cpus_per_node,
-                "background_load": s.background_load,
-                "cpu_hour_rate": s.cpu_hour_rate,
-                "idle_hour_rate": s.idle_hour_rate,
-            }
-            for s in grid.sites
-        ],
-        "links": [
-            {
-                "a": link.a,
-                "b": link.b,
-                "capacity_mbps": link.capacity_mbps,
-                "latency_s": link.latency_s,
-                "utilization": link.utilization,
-            }
-            for link in grid.links
-        ],
-        "files": [
-            {"name": f.name, "size_mb": f.size_mb, "at": f.at} for f in grid.files
-        ],
-        "flocking": [list(pair) for pair in grid.flocking],
-        "probe_noise": grid.probe_noise,
-    }
+        return decode(SteeringPolicy, self.policy, "scenario.policy", ScenarioError)
 
 
 def first_chaos_start(chaos: Sequence[ChaosAction], horizon_s: float) -> float:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.estimators.history import HistoryRepository, TaskRecord
-from repro.core.estimators.service import EstimatorService, spec_from_wire, _spec_to_dict
+from repro.core.estimators.service import EstimatorService
+from repro.gridsim.job import spec_from_wire, spec_to_wire as _spec_to_dict
 from repro.gridsim import GridBuilder, Job, Task, TaskSpec
 from repro.gridsim.job import TaskSpec as Spec
 

@@ -10,6 +10,7 @@ import pytest
 import repro.core.estimators.service
 import repro.core.estimators.similarity
 import repro.core.estimators.transfer_time
+import repro.declare
 import repro.gae
 import repro.gridsim.grid
 import repro.gridsim.rng
@@ -17,6 +18,7 @@ import repro.scenarios.slo
 import repro.scenarios.spec
 
 MODULES = [
+    repro.declare,
     repro.gridsim.grid,
     repro.gridsim.rng,
     repro.gae,
