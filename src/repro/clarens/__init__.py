@@ -12,7 +12,9 @@ This subpackage reproduces that framework in Python:
 - :mod:`repro.clarens.registry` — service/method registration;
 - :mod:`repro.clarens.auth` — login → HMAC-signed session tokens;
 - :mod:`repro.clarens.acl` — per-service/method access control;
-- :mod:`repro.clarens.server` — the :class:`ClarensHost` dispatcher;
+- :mod:`repro.clarens.server` — the :class:`ClarensHost` dispatcher and
+  its one call path (:meth:`ClarensHost.call`: record → authenticate →
+  ACL → read cache → invoke, on one :class:`CallContext`);
 - :mod:`repro.clarens.xmlrpc_server` — a real threaded XML-RPC HTTP server
   (stdlib ``xmlrpc``) used by the Figure 6 latency benchmark, imported on
   first access to :class:`XmlRpcServerHandle`;
@@ -23,8 +25,6 @@ This subpackage reproduces that framework in Python:
   HELLO/WELCOME handshake spoken by the async server;
 - :mod:`repro.clarens.codecs` — negotiable wire codecs (XML-RPC bodies
   and a compact JSON encoding) for the framed transport;
-- :mod:`repro.clarens.middleware` — the call pipeline every dispatch flows
-  through (recorder → auth → ACL → read cache → user middlewares → invoke);
 - :mod:`repro.clarens.telemetry` — the ``system.stats`` and worker-pool
   views over the host's metrics registry (``host.metrics``); each call's
   record is its ``rpc:`` span on ``host.tracer``, read back by
@@ -58,7 +58,6 @@ from repro.clarens.api import (  # noqa: F401  (re-exported surface)
     DiscoveryNetwork,
     LoopbackTransport,
     MethodNotFound,
-    Middleware,
     MulticallResult,
     Peer,
     Principal,
@@ -102,7 +101,6 @@ __all__ = [
     "DiscoveryNetwork",
     "LoopbackTransport",
     "MethodNotFound",
-    "Middleware",
     "MulticallResult",
     "Peer",
     "Principal",

@@ -6,15 +6,16 @@
 hundreds of calls in flight on one connection.  One background thread
 owns every connection through a :class:`selectors.DefaultSelector`.  It
 accepts without blocking, cuts each connection's input into frames, runs
-the HELLO/WELCOME handshake and dispatches each CALL **inline** through
-the synchronous :class:`~repro.clarens.server.ClarensHost`, so the whole
-middleware pipeline (recorder → auth → ACL → read cache) is reused
-unchanged and answers are wire-identical to every other transport.
+the HELLO/WELCOME handshake and runs each CALL **inline** through the
+synchronous :meth:`ClarensHost.call <repro.clarens.server.ClarensHost.call>`,
+so the one call path (auth → ACL → read cache → invoke, recorded as one
+``rpc:`` span) is reused unchanged and answers are wire-identical to
+every other transport.
 
 Server-side call sequence, one *turn* of one connection::
 
     recv ──► cut ≤ max_inflight frames ──► per CALL: decode(codec)
-         ──► host.dispatch ──► encode(codec) ──► one send of the replies
+         ──► host.call ──► encode(codec) ──► one send of the replies
 
 Ready connections take turns round-robin.  Replies leave in issue order;
 what one ``send`` does not take stays buffered under ``EVENT_WRITE``, and
@@ -62,8 +63,9 @@ from repro.clarens.framing import (
 )
 from repro.clarens.framing import ERROR as ERROR_FRAME
 from repro.clarens.serialization import decode_trace_token
-from repro.clarens.server import ClarensHost
+from repro.clarens.server import CallContext, ClarensHost
 from repro.clarens.telemetry import WorkerPoolStats
+from repro.observability.tracing import new_trace_id
 
 #: Most bytes one ``recv`` takes: a connection's unparsed input is at most
 #: this beyond an incomplete frame.
@@ -353,10 +355,13 @@ class AsyncSocketServerHandle:
         return encode_frame(WELCOME, hello_id, encode_welcome(codec_name, self.host.name))
 
     def _execute(self, codec: Codec, label: str, request_id: int, payload: bytes) -> bytes:
-        """One CALL: decode, dispatch, encode; a failure is a fault reply."""
+        """One CALL: decode, run, encode; a failure is a fault reply.
+
+        The call's span is left open by the host and ended here, in one
+        write that adds this front end's ``decode_ms`` / ``encode_ms``."""
         stats = self.pool_stats
         clk = time.perf_counter
-        collect: Dict[str, Any] = {"finish": None}  # this front end ends the span
+        ctx: Optional[CallContext] = None
         decode_s: Optional[float] = None
         encode_s = 0.0
         t0 = clk()
@@ -366,17 +371,11 @@ class AsyncSocketServerHandle:
             decode_s = clk() - t0
             stats.record_stage("decode", decode_s)
             t0 = clk()
+            ctx = CallContext(method, list(params), token, trace_id or new_trace_id(), label)
             try:
-                result = self.host.dispatch(
-                    method,
-                    params,
-                    token=token,
-                    trace_id=trace_id or "",
-                    transport=label,
-                    collect=collect,
-                )
+                result = self.host.call(ctx, end_span=False)
             finally:
-                stats.record_stage("dispatch", clk() - t0, ok=collect.get("outcome") == "ok")
+                stats.record_stage("dispatch", clk() - t0, ok=ctx.outcome == "ok")
             t0 = clk()
             body = codec.encode_response(result)
             encode_s = clk() - t0
@@ -388,12 +387,11 @@ class AsyncSocketServerHandle:
                 body = codec.encode_fault(exc.code, exc.message)
             else:
                 body = codec.encode_fault(500, f"{type(exc).__name__}: {exc}")
-        finish = collect.get("finish")
-        if finish is not None:  # the stage timings go in with the write that ends the span
-            tracer, span, status, fields = finish
+        if ctx is not None and ctx.finish is not None:
+            status, fields = ctx.finish
             fields["decode_ms"] = decode_s * 1000.0
             fields["encode_ms"] = encode_s * 1000.0
-            tracer.end_span(span, status, attributes=fields)
+            self.host.tracer.end_span(ctx.span, status, attributes=fields)
         return encode_frame(REPLY, request_id, body)
 
 

@@ -18,7 +18,7 @@ The surface groups into:
   :func:`resolve_transport` maps endpoint strings to transports;
 - **codecs** — the negotiable wire encodings of the framed transport
   (:func:`get_codec`, :func:`codec_names`, :func:`negotiate`);
-- **framework plumbing** — registry, auth, ACL, middleware, telemetry,
+- **framework plumbing** — registry, auth, ACL, call context, telemetry,
   discovery, serialization helpers and the fault hierarchy.
 """
 
@@ -44,10 +44,9 @@ from repro.clarens.errors import (
     TransportClosedError,
     TransportError,
 )
-from repro.clarens.middleware import CallContext, Middleware
 from repro.clarens.registry import ServiceRegistry, clarens_method
 from repro.clarens.serialization import MulticallResult, from_wire, to_wire
-from repro.clarens.server import ClarensHost
+from repro.clarens.server import CallContext, ClarensHost
 from repro.clarens.telemetry import CallStats
 from repro.clarens.transport import (
     AsyncSocketTransport,
@@ -76,7 +75,6 @@ __all__ = [
     "DiscoveryNetwork",
     "LoopbackTransport",
     "MethodNotFound",
-    "Middleware",
     "MulticallResult",
     "Peer",
     "Principal",

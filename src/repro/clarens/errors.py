@@ -100,8 +100,9 @@ _CODE_MAP: Dict[int, Type[ClarensFault]] = {
 def fault_from_code(code: int, message: str) -> ClarensFault:
     """Rehydrate a wire fault into the matching exception class.
 
-    Codes without a dedicated class (e.g. from a custom middleware fault)
-    come back as a base :class:`ClarensFault` carrying the wire code.
+    Codes without a dedicated class (e.g. a service's own
+    ``ClarensFault`` subclass with ``code = 451``) come back as a base
+    :class:`ClarensFault` carrying the wire code.
     """
     cls = _CODE_MAP.get(code)
     if cls is not None:

@@ -12,9 +12,12 @@ invalidated by state-change events, not TTLs**:
   whenever its state changes (see :func:`wire_epochs`);
 - read methods declare, at registration time, which epochs their answer
   depends on (``@clarens_method(cache=ReadPolicy(depends_on=(...)))``);
-- :class:`ReadCacheMiddleware` sits in the host pipeline right after ACL
-  enforcement and serves a repeat call whose ``(method, canonical-args,
-  epoch-vector)`` key is unchanged straight from the :class:`ReadCache`.
+- the host's call path (:meth:`repro.clarens.server.ClarensHost.call`),
+  right after authentication and the ACL, serves a repeat call whose
+  ``(method, canonical-args, epoch-vector)`` key is unchanged straight
+  from the :class:`ReadCache` (the caller joins the args of a method that
+  is passed one).  Faults are never cached; a hit is recorded as
+  ``served_from="cache"``.
 
 Because a cached entry is the *post-marshalling* wire value stored under
 the exact epoch vector it was computed at, a hit is **bit-identical** to
@@ -46,7 +49,6 @@ __all__ = [
     "CANONICAL_EPOCHS",
     "EpochRegistry",
     "ReadCache",
-    "ReadCacheMiddleware",
     "ReadPolicy",
     "canonical_args",
     "wire_epochs",
@@ -224,7 +226,7 @@ _KINDS = ("hits", "misses", "invalidations", "coalesced")
 
 
 class ReadCache:
-    """The epoch-keyed result cache behind :class:`ReadCacheMiddleware`.
+    """The epoch-keyed result cache behind the host's read-policy calls.
 
     Entries live under ``(method, canonical-args)`` and remember the epoch
     vector they were computed at; a lookup whose current vector differs is
@@ -327,7 +329,7 @@ class ReadCache:
         """Serve ``compute()`` through the cache under a pseudo-method name.
 
         The webui's hot endpoints use this to share the RPC cache without
-        going through the middleware; a disabled cache just computes.
+        making an RPC call; a disabled cache just computes.
         """
         if not self.enabled:
             return compute()
@@ -368,45 +370,6 @@ class ReadCache:
             "per_method": per_method,
             "epochs": self.epochs.snapshot(),
         }
-
-
-class ReadCacheMiddleware:
-    """Serves repeat reads from the :class:`ReadCache`.
-
-    Sits right after ACL enforcement (authentication and authorization
-    always run per call) and before user middlewares and the terminal
-    invoker.  Only methods registered with a ``cache=ReadPolicy(...)``
-    participate; everything else flows through untouched.  Faults are
-    never cached.  Hits stamp ``ctx.served_from = "cache"`` so telemetry
-    keeps cached and executed latency series apart.
-    """
-
-    def __init__(self, cache: ReadCache) -> None:
-        self.cache = cache
-
-    def __call__(self, ctx: Any, call_next: Callable[[Any], Any]) -> Any:
-        cache = self.cache
-        entry = ctx.entry
-        if not cache.enabled or entry is None:
-            return call_next(ctx)
-        policy: Optional[ReadPolicy] = getattr(entry, "cache", None)
-        if policy is None or entry.pass_context:
-            return call_next(ctx)
-        args_key = canonical_args(ctx.params)
-        if args_key is None:
-            return call_next(ctx)
-        if entry.pass_principal:
-            # The answer may depend on who is asking.
-            principal = ctx.principal
-            args_key = (principal.user if principal is not None else "", args_key)
-        vector = cache.epochs.vector(policy.depends_on)
-        value = cache.lookup(ctx.method_path, args_key, vector)
-        if value is not ReadCache._MISS:
-            ctx.served_from = "cache"
-            return value
-        result = call_next(ctx)
-        cache.store(ctx.method_path, args_key, vector, result)
-        return result
 
 
 # ----------------------------------------------------------------------

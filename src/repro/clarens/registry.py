@@ -45,14 +45,15 @@ def clarens_method(
         how the steering service learns *who* is steering (§4.2.5).
     pass_context:
         When true the dispatcher injects the full in-flight
-        :class:`~repro.clarens.middleware.CallContext` instead — how
+        :class:`~repro.clarens.server.CallContext` instead — how
         ``system.multicall`` propagates one trace id over a whole batch.
         Takes precedence over ``pass_principal``.
     cache:
         A :class:`~repro.clarens.readcache.ReadPolicy` declaring the
         method read-only and naming the epochs its answer depends on.
-        Policy-bearing methods are served by ``ReadCacheMiddleware`` and
-        are eligible for multicall coalescing.  Leave ``None`` (the
+        Policy-bearing methods are served from the host's read cache
+        (:meth:`~repro.clarens.server.ClarensHost.call`) and are eligible
+        for multicall coalescing.  Leave ``None`` (the
         default) for anything that mutates state or draws randomness.
     """
 

@@ -1,20 +1,21 @@
-"""The Clarens host: dispatch pipeline and system services.
+"""The Clarens host: the one call path and the system services.
 
 :class:`ClarensHost` is the in-process core every GAE service registers
-with.  A call no longer walks a hard-coded auth → ACL → invoke sequence;
-it flows through an explicit **middleware pipeline**
-(:mod:`repro.clarens.middleware`) operating on one
-:class:`~repro.clarens.middleware.CallContext`:
+with.  Every call, whichever front end or helper it arrives through, runs
+:meth:`ClarensHost.call` on one :class:`CallContext`, which does the same
+fixed stages in the same order in one function::
 
-    recorder → authentication → ACL → read cache → [user middlewares] → invoke
+    resolve → open rpc: span → authenticate → refuse unknown path
+            → anonymous flag + ACL → read cache or invoke + to_wire
+            → finish span + count
 
 so every hosted service inherits per-method latency metrics
 (``system.stats``), one ``rpc:`` span per call on the host's tracer
 (``host.tracer``, read back by ``system.recent_calls``) and trace-id
-propagation for free.  ``host.add_middleware()`` extends the
-chain.  Every count and latency the RPC layer keeps lives once, in the
-host's own ``MetricsRegistry`` (``host.metrics``); ``system.stats``,
-``system.cache`` and the webui ``/metrics`` page are views over it.
+propagation for free.  Every count and latency the RPC layer keeps lives
+once, in the host's own ``MetricsRegistry`` (``host.metrics``);
+``system.stats``, ``system.cache`` and the webui ``/metrics`` page are
+views over it.
 
 A host is served over sockets by one of two front ends:
 :class:`~repro.clarens.aio.AsyncSocketServerHandle` (framed, pipelined) or
@@ -29,34 +30,100 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.clarens.acl import AccessControlList
 from repro.clarens.auth import AuthService, Principal, UserDatabase
-from repro.clarens.errors import ClarensFault, RemoteFault
-from repro.clarens.middleware import (
-    AclMiddleware,
-    AuthenticationMiddleware,
-    CallContext,
-    Middleware,
-    RecorderMiddleware,
-    build_pipeline,
+from repro.clarens.errors import (
+    AuthenticationError,
+    AuthorizationError,
+    ClarensFault,
+    ProtocolError,
+    RemoteFault,
 )
-from repro.clarens.readcache import (
-    EpochRegistry,
-    ReadCache,
-    ReadCacheMiddleware,
-    canonical_args,
-)
+from repro.clarens.readcache import EpochRegistry, ReadCache, canonical_args
 from repro.clarens.registry import ServiceRegistry, clarens_method
 from repro.clarens.serialization import MulticallResult, to_wire
 from repro.clarens.telemetry import CallStats, WorkerPoolStats
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Span, Tracer, new_trace_id
 
-__all__ = ["ClarensHost"]
+__all__ = ["CallContext", "ClarensHost", "UNKNOWN_METHOD"]
 
 #: Spans a host's own tracer keeps: its recent-calls ring.  An
 #: instrumented build replaces the tracer with its larger job-trace ring.
 TRACE_CAPACITY = 256
 #: Attributes the async front end adds to a call's span, listed with it.
 _STAGE_FIELDS = ("decode_ms", "encode_ms")
+#: The ``method`` label of a call whose path resolves to no registered
+#: method: callers choose the path, so it must not become a label value.
+UNKNOWN_METHOD = "<unknown>"
+
+
+class CallContext:
+    """Everything the host knows about one in-flight call.
+
+    Built by :meth:`ClarensHost.dispatch`, :meth:`~ClarensHost.invoke_as`,
+    :meth:`~ClarensHost.invoke_in_context` (``system.multicall``
+    sub-calls, which share the parent's trace id) and the framed server,
+    and run by :meth:`ClarensHost.call`, which fills in the rest.
+    """
+
+    __slots__ = (
+        "method_path",
+        "params",
+        "token",
+        "trace_id",
+        "transport",
+        "principal",
+        "entry",
+        "span",
+        "finish",
+        "duration_ms",
+        "outcome",
+        "served_from",
+        "fault_code",
+        "fault_message",
+    )
+
+    def __init__(
+        self,
+        method_path: str,
+        params: Sequence[Any],
+        token: str = "",
+        trace_id: str = "",
+        transport: str = "inproc",
+        principal: Optional[Principal] = None,
+    ) -> None:
+        self.method_path = method_path
+        self.params = params
+        self.token = token
+        self.trace_id = trace_id
+        self.transport = transport
+        #: Resolved from ``token`` by the call (None until then, unless
+        #: pre-bound by ``invoke_as`` / a multicall sub-call).
+        self.principal = principal
+        #: The resolved MethodEntry (None for an unknown path).
+        self.entry: Any = None
+        #: The call's ``rpc:`` span on the host tracer.
+        self.span: Any = None
+        #: The span's finishing ``(status, fields)`` when the call was run
+        #: with ``end_span=False``: the caller ends the span with them.
+        self.finish: Optional[Tuple[str, Dict[str, Any]]] = None
+        self.duration_ms = 0.0
+        self.outcome = ""          # "" while in flight; "ok"/"fault"/"error" after
+        #: "execute" normally; "cache" when the read cache answered,
+        #: "coalesced" when multicall deduplication did.
+        self.served_from = "execute"
+        self.fault_code = 0
+        self.fault_message = ""
+
+    @property
+    def span_id(self) -> str:
+        """The id of the call's ``rpc:`` span, ``""`` before it is opened."""
+        return self.span.span_id if self.span is not None else ""
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"CallContext({self.method_path!r}, trace={self.trace_id!r}, "
+            f"transport={self.transport!r}, outcome={self.outcome!r})"
+        )
 
 
 def _call_row(span: Span) -> Optional[Dict[str, Any]]:
@@ -228,31 +295,44 @@ class _SystemService:
         Each entry is ``{"methodName": "service.method", "params": [...]}``.
         The caller's token authenticates every sub-call; each result is a
         :class:`~repro.clarens.serialization.MulticallResult` struct so one
-        failure cannot poison the batch.  Every sub-call runs through the
-        full middleware pipeline under the batch's trace id.  Nested
-        multicalls are rejected.
+        failure cannot poison the batch.  Every sub-call runs the host's
+        whole call path (:meth:`ClarensHost.call`) under the batch's trace
+        id.  A batch that is not a list is a :class:`ProtocolError`; an
+        entry that is not a struct, whose ``params`` is not a list, or
+        that nests a multicall gets its own code-400 result.
 
         When the host's read cache is enabled, identical **read** sub-calls
         (same method + canonical args, method registered with a
         ``ReadPolicy``) are *coalesced*: the first occurrence executes, the
-        duplicates reuse its result without re-entering the pipeline.  This
+        duplicates reuse its result without running the call path again.  This
         is safe because duplicates share the batch's principal (same auth
         and ACL outcome) and only declared-read-only sub-calls separate
         them — any potentially mutating sub-call in between resets the
         dedup window, so answers stay bit-identical to an uncoalesced run.
         """
+        if not isinstance(calls, list):
+            raise ProtocolError(
+                f"system.multicall takes a list of calls, not {type(calls).__name__}"
+            )
         host = self._host
         cache = host.read_cache
         out: List[MulticallResult] = []
         seen: Dict[Any, int] = {}  # coalescing key -> index of first result
-        for call in calls:
-            method = str(call.get("methodName", ""))
-            params = list(call.get("params", []))
-            if method == "system.multicall":
+        for i, call in enumerate(calls):
+            if not isinstance(call, dict):
+                refusal = f"calls[{i}] is not a struct"
+            else:
+                method = str(call.get("methodName", ""))
+                params = call.get("params", [])
+                if not isinstance(params, list):
+                    refusal = f"calls[{i}].params is not a list"
+                elif method == "system.multicall":
+                    refusal = "nested multicall is not allowed"
+                else:
+                    refusal = ""
+            if refusal:
                 out.append(MulticallResult(
-                    ok=False, code=400,
-                    error="nested multicall is not allowed",
-                    trace_id=ctx.trace_id,
+                    ok=False, code=400, error=refusal, trace_id=ctx.trace_id,
                 ))
                 continue
             key = None
@@ -341,7 +421,7 @@ class ClarensHost:
         self.tracer = Tracer(time_source, capacity=TRACE_CAPACITY)
         #: Epoch counters every mutating subsystem bumps (``wire_epochs``).
         self.epochs = EpochRegistry()
-        #: The epoch-keyed result cache behind ``ReadCacheMiddleware``,
+        #: The epoch-keyed result cache behind read-policy calls,
         #: multicall coalescing, and the webui's memoized hot pages.
         self.read_cache = ReadCache(
             self.epochs,
@@ -359,59 +439,127 @@ class ClarensHost:
         #: server registers at start and unregisters at shutdown,
         #: ``system.stats`` merges the snapshots under ``worker_pools``.
         self.worker_pools: Dict[str, WorkerPoolStats] = {}
-        self._user_middlewares: List[Middleware] = []
-        self._pipeline = self._build_pipeline()
         self.registry.register(
             "system", _SystemService(self), description="built-in host introspection"
         )
 
     # ------------------------------------------------------------------
-    # pipeline assembly
+    # the call path
     # ------------------------------------------------------------------
-    def _build_pipeline(self) -> Callable[[CallContext], Any]:
-        chain: List[Middleware] = [
-            RecorderMiddleware(self),
-            AuthenticationMiddleware(self.auth),
-            AclMiddleware(self.registry, self.acl),
-            ReadCacheMiddleware(self.read_cache),
-            *self._user_middlewares,
-        ]
-        return build_pipeline(chain, self._invoke)
+    def call(self, ctx: CallContext, end_span: bool = True) -> Any:
+        """Run one call through the fixed stages and return its wire value.
 
-    def add_middleware(self, middleware: Middleware) -> Middleware:
-        """Append *middleware* to the pipeline (innermost position).
+        The stages are listed in the module docstring.  An unknown path is
+        refused only after authentication, so an unauthenticated caller
+        learns nothing about what is served; its span keeps the path as
+        sent and it is counted as :data:`UNKNOWN_METHOD`.  A registered
+        method's span shares its name and ``method`` strings with the
+        :class:`~repro.clarens.registry.MethodEntry`.  Raises the
+        :class:`ClarensFault` subclasses; an application exception inside
+        the method surfaces as :class:`RemoteFault`.
 
-        User middlewares run after the built-in recorder/auth/ACL/cache
-        chain — the context reaches them with the principal resolved and
-        the method entry cached — and before the terminal invoker.
-        Returns *middleware* so the call can be used as a decorator.
+        With ``end_span=False`` the span is left open and its finishing
+        ``(status, fields)`` are put on ``ctx.finish``: the framed server
+        adds its stage timings to ``fields`` and ends the span in one write.
         """
-        self._user_middlewares.append(middleware)
-        self._pipeline = self._build_pipeline()
-        return middleware
-
-    @property
-    def middlewares(self) -> Tuple[Middleware, ...]:
-        """The user middlewares currently installed, in call order."""
-        return tuple(self._user_middlewares)
-
-    def _invoke(self, ctx: CallContext) -> Any:
-        """Terminal pipeline stage: resolve, call the method, marshal."""
-        entry = ctx.entry
-        if entry is None:
-            entry = ctx.entry = self.registry.resolve(ctx.method_path)
+        registry = self.registry
         try:
-            if entry.pass_context:
-                result = entry.func(ctx, *ctx.params)
-            elif entry.pass_principal:
-                result = entry.func(ctx.principal, *ctx.params)
-            else:
-                result = entry.func(*ctx.params)
-        except ClarensFault:
+            entry = registry.resolve(ctx.method_path)
+            name = entry.span_name
+            method = label = entry.path
+        except ClarensFault:  # raised again below, after authentication
+            entry = None
+            method = ctx.method_path
+            name, label = f"rpc:{method}", UNKNOWN_METHOD
+        ctx.entry = entry
+        tracer = self.tracer
+        span = ctx.span = tracer.start_span(
+            name,
+            trace_id=ctx.trace_id,
+            attributes={"method": method, "transport": ctx.transport},
+        )
+        t0 = time.perf_counter()
+        try:
+            principal = ctx.principal
+            if principal is None:
+                principal = ctx.principal = self.auth.validate(ctx.token)
+            if entry is None:
+                entry = ctx.entry = registry.resolve(ctx.method_path)
+            if not entry.anonymous:
+                if principal.is_anonymous:
+                    raise AuthenticationError(f"{ctx.method_path} requires a session token")
+                if not self.acl.check(principal, ctx.method_path):
+                    raise AuthorizationError(
+                        f"user {principal.user!r} may not call {ctx.method_path}"
+                    )
+            # A read-policy method's answer is cached under its path, its
+            # canonical args (and the caller, when it is passed one) and
+            # the epoch vector it was computed at.  Faults are never cached.
+            cache = self.read_cache
+            args_key = None
+            if entry.cache is not None and cache.enabled and not entry.pass_context:
+                args_key = canonical_args(ctx.params)
+                if args_key is not None:
+                    if entry.pass_principal:  # the answer may depend on who asks
+                        args_key = (principal.user, args_key)
+                    vector = cache.epochs.vector(entry.cache.depends_on)
+                    result = cache.lookup(ctx.method_path, args_key, vector)
+                    if result is not ReadCache._MISS:
+                        ctx.served_from = "cache"
+                        ctx.outcome = "ok"
+                        return result
+            try:
+                if entry.pass_context:
+                    result = entry.func(ctx, *ctx.params)
+                elif entry.pass_principal:
+                    result = entry.func(principal, *ctx.params)
+                else:
+                    result = entry.func(*ctx.params)
+            except ClarensFault:
+                raise
+            except Exception as exc:
+                raise RemoteFault(f"{type(exc).__name__}: {exc}") from exc
+            result = to_wire(result)
+            if args_key is not None:
+                cache.store(ctx.method_path, args_key, vector, result)
+            ctx.outcome = "ok"
+            return result
+        except ClarensFault as exc:
+            ctx.outcome = "fault"
+            ctx.fault_code = exc.code
+            ctx.fault_message = exc.message
             raise
-        except Exception as exc:
-            raise RemoteFault(f"{type(exc).__name__}: {exc}") from exc
-        return to_wire(result)
+        except BaseException as exc:  # non-Clarens escape (shutdown etc.)
+            ctx.outcome = "error"
+            ctx.fault_code = 500
+            ctx.fault_message = str(exc)
+            raise
+        finally:
+            ctx.duration_ms = (time.perf_counter() - t0) * 1000.0
+            principal = ctx.principal
+            fields = {
+                "principal": principal.user if principal is not None else "",
+                "duration_ms": ctx.duration_ms,
+                "outcome": ctx.outcome,
+            }
+            if ctx.served_from != "execute":
+                fields["served_from"] = ctx.served_from
+            if ctx.outcome != "ok":
+                fields["code"] = ctx.fault_code
+                fields["error"] = ctx.fault_message
+            status = "ok" if ctx.outcome == "ok" else "error"
+            if end_span:
+                tracer.end_span(span, status, attributes=fields)
+            else:
+                tracer.deactivate(span)
+                ctx.finish = (status, fields)
+            self.stats.record(
+                label,
+                ctx.outcome,
+                ctx.duration_ms,
+                served_from=ctx.served_from,
+                transport=ctx.transport,
+            )
 
     # ------------------------------------------------------------------
     def register(
@@ -433,19 +581,14 @@ class ClarensHost:
         transport: str = "inproc",
         collect: Optional[Dict[str, Any]] = None,
     ) -> Any:
-        """Execute one call through the middleware pipeline.
+        """Execute one call (:meth:`call`) and return its wire value.
 
-        A fresh trace id is minted when the caller supplies none.  Raises
-        the :class:`ClarensFault` subclasses on any failure; an application
-        exception inside the method surfaces as :class:`RemoteFault`
-        carrying the original message.
+        A fresh trace id is minted when the caller supplies none.
 
         *collect*, when given, receives ``trace_id``, ``outcome``,
-        ``served_from`` and ``span_id`` (the call's ``rpc:`` span) from the
-        finished context, filled even when the call faults.  A *collect*
-        that already holds a ``finish`` key also takes over the span's
-        finishing write (see :class:`RecorderMiddleware`): how the async
-        front end adds its stage timings in the write that ends the span.
+        ``served_from`` and ``span_id`` (the call's ``rpc:`` span, ended
+        by then) from the finished context, filled even when the call
+        faults.
         """
         ctx = CallContext(
             method_path=method_path,
@@ -454,9 +597,8 @@ class ClarensHost:
             trace_id=trace_id or new_trace_id(),
             transport=transport,
         )
-        ctx.collect = collect
         try:
-            return self._pipeline(ctx)
+            return self.call(ctx)
         finally:
             if collect is not None:
                 collect["trace_id"] = ctx.trace_id
@@ -469,9 +611,9 @@ class ClarensHost:
     ) -> Any:
         """Execute a call for an already-authenticated principal.
 
-        The call still flows through the full pipeline (so it is traced
-        and counted); the authentication middleware simply skips token
-        validation because the principal is pre-bound.
+        The call still runs the whole call path (so it is traced and
+        counted); only token validation is skipped, because the principal
+        is pre-bound.
         """
         ctx = CallContext(
             method_path=method_path,
@@ -479,7 +621,7 @@ class ClarensHost:
             trace_id=new_trace_id(),
             principal=principal,
         )
-        return self._pipeline(ctx)
+        return self.call(ctx)
 
     def invoke_in_context(
         self, parent: CallContext, method_path: str, params: Sequence[Any]
@@ -487,7 +629,7 @@ class ClarensHost:
         """Execute a sub-call sharing *parent*'s trace id and principal.
 
         How ``system.multicall`` fans one authentication and one trace id
-        out over a whole batch: every sub-call runs the full pipeline, so
+        out over a whole batch: every sub-call runs the whole call path, so
         each is individually traced and counted under the shared trace.
         """
         ctx = CallContext(
@@ -498,7 +640,7 @@ class ClarensHost:
             transport=parent.transport,
             principal=parent.principal,
         )
-        return self._pipeline(ctx)
+        return self.call(ctx)
 
     def principal_of(self, token: str) -> Principal:
         """Resolve a token to its principal (ANONYMOUS for the empty token)."""

@@ -203,7 +203,7 @@ def build_gae(
         (:func:`repro.clarens.readcache.wire_epochs`), so repeat reads
         whose inputs haven't changed are served without re-execution —
         bit-identical by construction.  ``False`` disables caching *and*
-        multicall coalescing, restoring the always-execute pipeline (the
+        multicall coalescing, so every call executes its method (the
         benchmark baseline).
     """
     sim = grid.sim

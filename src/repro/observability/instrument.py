@@ -28,9 +28,9 @@ and the five services, and subscribes to every layer a job touches:
 - execution services — ``fail``/``recover`` drive the
   ``gae_execution_service_up`` gauge.
 
-The Clarens end of the same story needs no middleware of its own:
-``build_gae`` installs this tracer as the host's (``host.tracer``), so the
-host's recorder opens each call's ``rpc:<method>`` span here, under the
+The Clarens end of the same story needs no code of its own: ``build_gae``
+installs this tracer as the host's (``host.tracer``), so the host's call
+path opens each call's ``rpc:<method>`` span here, under the
 call's wire trace id, where a steering verb can adopt it.
 """
 

@@ -348,6 +348,9 @@ class ScenarioSpec:
     def _check_sites(self) -> None:
         self.grid.check_sites("scenario.grid")
         known = {site.name for site in self.grid.sites}
+        # The declared links are exactly the network's: a degrade needs
+        # one of them, and a partition must cut at least one.
+        linked = [{link.a, link.b} for link in self.grid.links]
         for i, action in enumerate(self.chaos):
             for site in ((action.site,) if action.site else ()) + action.sites:
                 if site not in known:
@@ -361,6 +364,19 @@ class ScenarioSpec:
                         raise ScenarioError(
                             f"scenario.chaos[{i}].link: unknown site {end!r}"
                         )
+                if set(action.link) not in linked:
+                    raise ScenarioError(
+                        f"scenario.chaos[{i}].link: no declared link joins "
+                        f"{action.link[0]!r} and {action.link[1]!r}"
+                    )
+            if action.kind == "partition" and not any(
+                (link.a in action.sites) != (link.b in action.sites)
+                for link in self.grid.links
+            ):
+                raise ScenarioError(
+                    f"scenario.chaos[{i}].sites: partition {sorted(action.sites)} "
+                    "cuts no declared link"
+                )
 
     @classmethod
     def from_json(cls, text_or_path: Union[str, Path]) -> "ScenarioSpec":

@@ -1,4 +1,9 @@
-"""Unit tests for the call pipeline: CallContext, composition, built-ins."""
+"""Unit tests for the host's one call path: CallContext and ClarensHost.call.
+
+Every call is recorded by the call path itself, through whichever entry
+point it arrives: one ``rpc:`` span on ``host.tracer`` and one count in
+``host.stats``.  The tests drive ``host.dispatch`` and ``host.call``.
+"""
 
 import contextlib
 
@@ -6,14 +11,17 @@ import pytest
 
 from repro.clarens.acl import AccessControlList
 from repro.clarens.aio import AsyncSocketServerHandle
-from repro.clarens.errors import AuthorizationError, ClarensFault, RemoteFault
-from repro.clarens.middleware import (
-    UNKNOWN_METHOD,
-    CallContext,
-    RecorderMiddleware,
-    build_pipeline,
+from repro.clarens.errors import (
+    AuthenticationError,
+    AuthorizationError,
+    ClarensFault,
+    MethodNotFound,
+    RemoteFault,
+    ServiceNotFound,
 )
-from repro.clarens.server import ClarensHost
+from repro.clarens.readcache import ReadPolicy
+from repro.clarens.registry import clarens_method
+from repro.clarens.server import UNKNOWN_METHOD, CallContext, ClarensHost
 from repro.clarens.transport import AsyncSocketTransport, LoopbackTransport
 
 
@@ -25,108 +33,81 @@ class TestCallContext:
         assert ctx.principal is None
         assert ctx.outcome == ""
         assert ctx.transport == "inproc"
-
-    def test_meta_created_lazily(self):
-        ctx = CallContext("svc.m", [])
-        assert ctx.metadata is None
-        ctx.meta()["k"] = "v"
-        assert ctx.metadata == {"k": "v"}
-        assert ctx.meta() is ctx.metadata
+        assert ctx.finish is None and ctx.span_id == ""
 
 
-class TestBuildPipeline:
-    def test_outermost_first_ordering(self):
-        order = []
+class _Svc:
+    """``svc.ok`` answers; ``svc.boom`` raises the fault it was given."""
 
-        def mw(tag):
-            def middleware(ctx, call_next):
-                order.append(f"{tag}:in")
-                result = call_next(ctx)
-                order.append(f"{tag}:out")
-                return result
+    def __init__(self):
+        self.fault = RemoteFault("no")
 
-            return middleware
+    @clarens_method(anonymous=True)
+    def ok(self):
+        return "ok"
 
-        handler = build_pipeline([mw("a"), mw("b")], lambda ctx: "result")
-        assert handler(CallContext("x.y", [])) == "result"
-        assert order == ["a:in", "b:in", "b:out", "a:out"]
-
-    def test_empty_chain_is_just_the_terminal(self):
-        handler = build_pipeline([], lambda ctx: 42)
-        assert handler(CallContext("x.y", [])) == 42
-
-    def test_middleware_can_short_circuit(self):
-        def gate(ctx, call_next):
-            raise AuthorizationError("closed")
-
-        invoked = []
-        handler = build_pipeline([gate], lambda ctx: invoked.append(1))
-        with pytest.raises(AuthorizationError):
-            handler(CallContext("x.y", []))
-        assert not invoked
+    @clarens_method(anonymous=True)
+    def boom(self):
+        raise self.fault
 
 
-def _recorded(terminal):
-    """A bare host's recorder around *terminal*, and that host."""
+def _recorded():
+    """A bare host on a fixed clock with an anonymous ``svc`` service."""
     host = ClarensHost("h", time_source=lambda: 12.5)
-    return build_pipeline([RecorderMiddleware(host)], terminal), host
+    service = _Svc()
+    host.register("svc", service)
+    return host, service
 
 
 def _recent(host):
-    """The recorded calls, as ``system.recent_calls`` lists them."""
-    return host.dispatch("system.recent_calls", [])
-
-
-def _boom(fault):
-    def terminal(ctx):
-        raise fault
-
-    return terminal
+    """The recorded calls, as ``system.recent_calls`` lists them (a view
+    read in place, so reading it records no call)."""
+    return host.registry.resolve("system.recent_calls").func(-1)
 
 
 class TestMetricsMiddleware:
-    """The recorder's metrics half (``MetricsMiddleware`` before the merge)."""
+    """What the call path counts in ``host.metrics``."""
 
     def test_records_latency_and_outcome(self):
-        handler, host = _recorded(lambda ctx: "ok")
-        handler(CallContext("system.ping", []))
-        summary = host.stats.snapshot()["latency_ms"]["system.ping"]
+        host, _ = _recorded()
+        host.dispatch("svc.ok", [])
+        summary = host.stats.snapshot()["latency_ms"]["svc.ok"]
         assert summary["count"] == 1
         assert summary["faults"] == 0
         assert summary["mean_ms"] >= 0.0
 
     def test_counts_faults(self):
-        handler, host = _recorded(_boom(RemoteFault("no")))
+        host, _ = _recorded()
         with pytest.raises(RemoteFault):
-            handler(CallContext("system.ping", []))
+            host.dispatch("svc.boom", [])
         snap = host.stats.snapshot()
         assert snap["faults"] == 1
-        assert snap["latency_ms"]["system.ping"]["faults"] == 1
+        assert snap["latency_ms"]["svc.boom"]["faults"] == 1
 
     def test_one_timing_feeds_context_trace_and_histogram(self):
-        handler, host = _recorded(lambda ctx: "ok")
-        ctx = CallContext("system.ping", [])
-        handler(ctx)
+        host, _ = _recorded()
+        ctx = CallContext("svc.ok", [], trace_id="t-0")
+        assert host.call(ctx) == "ok"
         (record,) = _recent(host)
-        summary = host.metrics.get("gae_rpc_latency_ms").summary(method="system.ping")
+        summary = host.metrics.get("gae_rpc_latency_ms").summary(method="svc.ok")
         assert ctx.duration_ms == record["duration_ms"] == summary["sum"]
 
     def test_unresolvable_path_is_counted_under_one_label(self):
-        handler, host = _recorded(_boom(RemoteFault("no")))
+        host, _ = _recorded()
         for i in range(3):
-            with pytest.raises(RemoteFault):
-                handler(CallContext(f"nope.m{i}", []))
+            with pytest.raises(ClarensFault):
+                host.dispatch(f"nope.m{i}", [])
         assert host.stats.snapshot()["per_method"] == {UNKNOWN_METHOD: 3}
         assert [r["method"] for r in _recent(host)] == ["nope.m0", "nope.m1", "nope.m2"]
 
 
 class TestTracingMiddleware:
-    """The recorder's span half (``TracingMiddleware`` before the merge)."""
+    """The ``rpc:`` span the call path records."""
 
     def test_stamps_duration_and_records(self):
-        handler, host = _recorded(lambda ctx: "ok")
-        ctx = CallContext("system.ping", [], trace_id="t-1")
-        handler(ctx)
+        host, _ = _recorded()
+        ctx = CallContext("svc.ok", [], trace_id="t-1")
+        host.call(ctx)
         assert ctx.outcome == "ok"
         assert ctx.duration_ms >= 0.0
         (record,) = _recent(host)
@@ -134,14 +115,15 @@ class TestTracingMiddleware:
         assert record["started"] == 12.5  # the host clock
         assert record["outcome"] == "ok"
         span = host.tracer.spans("t-1")[0]
-        assert span.span_id == ctx.span_id and span.name == "rpc:system.ping"
+        assert span.span_id == ctx.span_id and span.name == "rpc:svc.ok"
         assert span.status == "ok"
         assert "served_from" not in span.attributes and "code" not in span.attributes
 
     def test_fault_recorded_with_code(self):
-        handler, host = _recorded(_boom(AuthorizationError("denied")))
+        host, service = _recorded()
+        service.fault = AuthorizationError("denied")
         with pytest.raises(AuthorizationError):
-            handler(CallContext("system.ping", [], trace_id="t-2"))
+            host.dispatch("svc.boom", [], trace_id="t-2")
         (record,) = _recent(host)
         assert record["outcome"] == "fault"
         assert record["code"] == 403
@@ -150,43 +132,24 @@ class TestTracingMiddleware:
 
 
 class TestHostIntegration:
-    def test_default_chain_is_rebuilt_on_add_middleware(self):
-        host = ClarensHost("h")
-        calls = []
-
-        @host.add_middleware
-        def spy(ctx, call_next):
-            calls.append(ctx.trace_id)
-            return call_next(ctx)
-
-        host.dispatch("system.ping", [], "", trace_id="t-3")
-        assert calls == ["t-3"]
-
     def test_context_entry_cached_for_terminal_invoker(self):
+        """The call resolves the path once and keeps the entry on the context."""
         host = ClarensHost("h")
-        entries = []
-
-        def spy(ctx, call_next):
-            entries.append(ctx.entry)
-            return call_next(ctx)
-
-        host.add_middleware(spy)
-        host.dispatch("system.ping", [], "")
-        # The recorder resolves the entry before user middlewares run.
-        assert entries[0] is not None
-        assert entries[0].name == "ping"
+        ctx = CallContext("system.ping", [])
+        assert host.call(ctx) == "pong"
+        assert ctx.entry is host.registry.resolve("system.ping")
+        assert ctx.entry.name == "ping"
 
     def test_collect_reports_the_call_and_leaves_its_span_ended(self):
-        """A plain ``collect`` dict gets the finished call's fields; the
-        span's finishing write stays with the recorder (only a ``finish``
-        key hands it over), so the ``rpc:`` span is ended on return."""
+        """A ``collect`` dict gets the finished call's fields, and the
+        ``rpc:`` span is ended on return."""
         host = ClarensHost("h")
         for method, outcome, status in (("system.ping", "ok", "ok"),
                                         ("nope.method", "fault", "error")):
             collect = {}
             with contextlib.suppress(ClarensFault):
                 host.dispatch(method, [], "", trace_id=f"t-{outcome}", collect=collect)
-            assert "finish" not in collect
+            assert set(collect) == {"trace_id", "outcome", "served_from", "span_id"}
             assert (collect["trace_id"], collect["outcome"]) == (f"t-{outcome}", outcome)
             assert collect["served_from"] == "execute"
             (span,) = _spans(host, f"rpc:{method}")
@@ -194,6 +157,94 @@ class TestHostIntegration:
             assert span.end is not None and span.status == status
             assert span.attributes["outcome"] == outcome
         assert not host.tracer._active.stack
+
+    def test_a_span_left_open_is_handed_back_on_the_context(self):
+        """``end_span=False`` (the framed server's call) leaves the span
+        open and off the active stack, with its finishing write on
+        ``ctx.finish``; everything else is recorded as usual."""
+        host = ClarensHost("h")
+        for method, outcome, status in (("system.ping", "ok", "ok"),
+                                        ("nope.method", "fault", "error")):
+            ctx = CallContext(method, [], trace_id=f"t-{outcome}")
+            with contextlib.suppress(ClarensFault):
+                host.call(ctx, end_span=False)
+            assert not host.tracer._active.stack
+            (span,) = _spans(host, f"rpc:{method}")
+            assert span.span_id == ctx.span_id and span.end is None
+            finish_status, fields = ctx.finish
+            assert finish_status == status and fields["outcome"] == outcome
+            host.tracer.end_span(ctx.span, finish_status, attributes=fields)
+            (span,) = _spans(host, f"rpc:{method}")
+            assert span.end is not None and span.status == status
+        assert host.stats.snapshot()["per_method"] == {"system.ping": 1, UNKNOWN_METHOD: 1}
+
+
+class TestOneCallPath:
+    def test_every_entry_point_runs_the_one_call_path(self):
+        """``dispatch``, ``invoke_as``, ``invoke_in_context``, multicall
+        sub-calls and the framed server all run ``ClarensHost.call``."""
+        host = ClarensHost("h")
+        ran = []
+        call = host.call
+
+        def spy(ctx, end_span=True):
+            ran.append((ctx.method_path, end_span))
+            return call(ctx, end_span)
+
+        host.call = spy
+        host.dispatch("system.ping", [])
+        host.invoke_as(host.principal_of(""), "system.host_name", [])
+        host.invoke_in_context(CallContext("system.ping", []), "system.list_services", [])
+        host.dispatch("system.multicall", [[{"methodName": "system.ping", "params": []}]])
+        with AsyncSocketServerHandle(host) as handle:
+            with AsyncSocketTransport(handle.address, codec="json") as transport:
+                transport.call("system.host_name", [])
+        assert ran == [
+            ("system.ping", True), ("system.host_name", True),
+            ("system.list_services", True),
+            ("system.multicall", True), ("system.ping", True),
+            ("system.host_name", False),
+        ]
+
+
+class _Reads:
+    """``reads.get``: a cached read, open to group ``g`` only."""
+
+    def __init__(self):
+        self.executions = 0
+
+    @clarens_method(cache=ReadPolicy(depends_on=("scheduler",)))
+    def get(self, key):
+        self.executions += 1
+        return key
+
+
+def test_the_stages_refuse_in_order():
+    """Authentication, then the unknown path, then the anonymous flag,
+    then the ACL, then the read cache: a cached answer never skips a check."""
+    host = ClarensHost("h")
+    host.users.add_user("alice", "pw", groups=("g",))
+    host.users.add_user("eve", "pw", groups=("strangers",))
+    host.acl.allow("reads.*", groups=("g",))
+    reads = _Reads()
+    host.register("reads", reads)
+    alice = host.dispatch("system.login", ["alice", "pw"])
+    eve = host.dispatch("system.login", ["eve", "pw"])
+    assert host.dispatch("reads.get", ["k"], alice) == "k"
+    assert host.dispatch("reads.get", ["k"], alice) == "k"
+    assert reads.executions == 1
+    refusals = [
+        ("nope.get", "garbage", AuthenticationError),  # before the path is looked at
+        ("nope.get", "", ServiceNotFound),  # before the anonymous flag
+        ("reads.nope", alice, MethodNotFound),
+        ("reads.get", "", AuthenticationError),  # anonymous, even with a cached answer
+        ("reads.get", eve, AuthorizationError),  # the ACL, even with a cached answer
+    ]
+    for method, token, fault in refusals:
+        with pytest.raises(fault):
+            host.dispatch(method, ["k"], token)
+    assert reads.executions == 1
+    assert host.read_cache.snapshot()["per_method"]["reads.get"]["hits"] == 1
 
 
 class _Echo:

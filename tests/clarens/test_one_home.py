@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.clarens.aio import AsyncSocketServerHandle
 from repro.clarens.errors import ClarensFault
-from repro.clarens.middleware import UNKNOWN_METHOD
+from repro.clarens.server import UNKNOWN_METHOD
 from repro.clarens.transport import AsyncSocketTransport, LoopbackTransport
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder
@@ -72,19 +72,27 @@ class _Driver:
         self.executed = Counter()  # method -> calls that got past the read cache
         self.frames = Counter()  # pool label -> frames that pool answered
         self.unknown = Counter()  # unresolvable path -> calls sent to it
+        self._recent_calls = self.host.registry.resolve("system.recent_calls").func
         # A restored host lists the calls its checkpointed ring held: skip them.
         self.restored_rows = len(self._recent())
-        self.host.add_middleware(self._spy)
+        # Count each method's executions by wrapping its registered function.
+        registry = self.host.registry
+        for service in registry.names():
+            for entry in registry.service(service).methods.values():
+                entry.func = self._spy(entry.path, entry.func)
         self.loop = LoopbackTransport(self.host)
         self.token = self._call(self.loop, "", "system.login", ["u", "p"])
 
     def _recent(self):
         """``system.recent_calls`` read in place, so the read is not a call."""
-        return self.host.registry.resolve("system.recent_calls").func(-1)
+        return self._recent_calls(-1)
 
-    def _spy(self, ctx, call_next):
-        self.executed[ctx.method_path] += 1
-        return call_next(ctx)
+    def _spy(self, path, func):
+        def executed(*args):
+            self.executed[path] += 1
+            return func(*args)
+
+        return executed
 
     def _call(self, transport, pool, method, params, calls=1, fault=False):
         self.calls += calls
@@ -173,7 +181,7 @@ class _Driver:
             assert counts["misses"] + counts["invalidations"] == executed.get(method, 0)
         assert set(stats["served"]) <= set(cache["per_method"])
 
-        # system.recent_calls == one row per pipeline pass, by label ==
+        # system.recent_calls == one row per call-path run, by label ==
         # the registry without the coalesced sub-calls (which make none).
         rows = self._recent()[self.restored_rows:]
         passes = Counter(
@@ -313,7 +321,7 @@ def test_prometheus_text_is_formatted_in_one_module():
 
 
 def test_one_trace_store():
-    """Every call record is an ``rpc:`` span, opened by the recorder: no
+    """Every call record is an ``rpc:`` span, opened by the call path: no
     Clarens class keeps a ring of call records, and the async front end
     adds its stage timings to that span instead of a span of its own."""
     clarens = SRC / "repro" / "clarens"
@@ -335,7 +343,7 @@ def test_one_trace_store():
 
     # A call span's name is built in two places only: once per method at
     # registration (``MethodEntry.span_name``) and, for an unknown path,
-    # per call by the recorder.  The recorder opens the one server-side
+    # per call by the host's call path, which opens the one server-side
     # span (its name is a variable); the client opens its own ``client:``.
     named = [
         (path.name, literal(node).split(":")[0])
@@ -343,7 +351,7 @@ def test_one_trace_store():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.JoinedStr) and literal(node).startswith(("rpc:", "aio:"))
     ]
-    assert named == [("middleware.py", "rpc"), ("registry.py", "rpc")]
+    assert named == [("registry.py", "rpc"), ("server.py", "rpc")]
     opened = [
         (path.name, literal(call.args[0]) if isinstance(call.args[0], ast.JoinedStr) else None)
         for path in sorted(clarens.glob("*.py"))
@@ -351,7 +359,7 @@ def test_one_trace_store():
         if isinstance(call, ast.Call) and call.args
         and getattr(call.func, "attr", "") in ("start_span", "instant", "span")
     ]
-    assert opened == [("middleware.py", None), ("transport.py", "client:")]
+    assert opened == [("server.py", None), ("transport.py", "client:")]
     aio = ast.parse((clarens / "aio.py").read_text(encoding="utf-8"))
     assert not [
         call for call in ast.walk(aio)

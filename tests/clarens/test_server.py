@@ -6,6 +6,7 @@ from repro.clarens.errors import (
     AuthenticationError,
     AuthorizationError,
     MethodNotFound,
+    ProtocolError,
     RemoteFault,
     ServiceNotFound,
 )
@@ -257,7 +258,7 @@ class TestUnknownMethodLabel:
         """Regression: per-method state was keyed by the path as sent, so an
         unauthenticated client grew server memory one reservoir per path."""
         from repro.clarens.aio import AsyncSocketServerHandle
-        from repro.clarens.middleware import UNKNOWN_METHOD
+        from repro.clarens.server import UNKNOWN_METHOD
         from repro.clarens.transport import AsyncSocketTransport
 
         def labels(name):
@@ -284,46 +285,6 @@ class TestUnknownMethodLabel:
         # The bounded ring still shows the path as the caller sent it.
         newest = host.dispatch("system.recent_calls", [2])
         assert [r["method"] for r in newest] == ["system.m999", "system.stats"]
-
-
-class TestMiddlewareHook:
-    def test_add_middleware_observes_calls(self, host):
-        seen = []
-
-        def spy(ctx, call_next):
-            seen.append(ctx.method_path)
-            return call_next(ctx)
-
-        host.add_middleware(spy)
-        host.dispatch("system.ping", [], "")
-        assert seen == ["system.ping"]
-        assert host.middlewares == (spy,)
-
-    def test_user_middleware_sees_resolved_principal(self, host):
-        token = login(host)
-        principals = []
-
-        def spy(ctx, call_next):
-            principals.append(ctx.principal.user)
-            return call_next(ctx)
-
-        host.add_middleware(spy)
-        host.dispatch("calc.add", [1, 1], token)
-        assert principals == ["alice"]
-
-    def test_user_middleware_can_short_circuit(self, host):
-        from repro.clarens.errors import AuthorizationError as Denied
-
-        def deny_calc(ctx, call_next):
-            if ctx.method_path.startswith("calc."):
-                raise Denied("calc is down for maintenance")
-            return call_next(ctx)
-
-        host.add_middleware(deny_calc)
-        token = login(host)
-        with pytest.raises(Denied):
-            host.dispatch("calc.add", [1, 1], token)
-        assert host.dispatch("system.ping", [], "") == "pong"
 
 
 class TestMulticall:
@@ -420,3 +381,55 @@ class TestMulticall:
             )
             assert results[0]["result"] == 4
             assert results[1]["result"] == "test-host"
+
+
+@pytest.fixture(params=["loopback", "json"])
+def wire_call(request, host):
+    """``call(method, params)`` as alice over loopback or the framed socket."""
+    from repro.clarens.aio import AsyncSocketServerHandle
+    from repro.clarens.transport import AsyncSocketTransport, LoopbackTransport
+
+    if request.param == "loopback":
+        transport = LoopbackTransport(host)
+        token = transport.call("system.login", ["alice", "pw"])
+        yield lambda method, params: transport.call(method, params, token=token)
+        return
+    with AsyncSocketServerHandle(host) as handle:
+        with AsyncSocketTransport(handle.address, codec="json") as transport:
+            token = transport.call("system.login", ["alice", "pw"])
+            yield lambda method, params: transport.call(method, params, token=token)
+
+
+class TestMulticallInput:
+    """A multicall batch arrives from the wire as any value: each entry is
+    checked before it runs, never spread as if it were an argument list."""
+
+    def test_params_that_are_not_a_list_refuse_that_entry_only(self, wire_call):
+        results = wire_call("system.multicall", [[
+            {"methodName": "calc.add", "params": "12"},
+            {"methodName": "calc.add", "params": {"x": 1, "y": 2}},
+            {"methodName": "calc.add", "params": [1, 2]},
+        ]])
+        assert [(r["ok"], r["code"]) for r in results[:2]] == [(False, 400), (False, 400)]
+        assert results[0]["error"] == "calls[0].params is not a list"
+        assert results[1]["error"] == "calls[1].params is not a list"
+        assert results[2]["ok"] is True and results[2]["result"] == 3
+
+    def test_an_entry_that_is_not_a_struct_is_refused(self, wire_call):
+        results = wire_call("system.multicall", [[
+            7, ["calc.add", [1, 2]], {"methodName": "system.ping", "params": []},
+        ]])
+        assert [r["code"] for r in results[:2]] == [400, 400]
+        assert [r["error"] for r in results[:2]] == [
+            "calls[0] is not a struct", "calls[1] is not a struct",
+        ]
+        assert results[2]["ok"] is True and results[2]["result"] == "pong"
+
+    def test_a_missing_params_is_an_empty_list(self, wire_call):
+        (result,) = wire_call("system.multicall", [[{"methodName": "system.ping"}]])
+        assert result["ok"] is True and result["result"] == "pong"
+
+    @pytest.mark.parametrize("batch", [5, "calc.add", {"methodName": "system.ping"}])
+    def test_a_batch_that_is_not_a_list_is_a_protocol_error(self, wire_call, batch):
+        with pytest.raises(ProtocolError, match="takes a list of calls"):
+            wire_call("system.multicall", [batch])

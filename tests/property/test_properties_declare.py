@@ -88,15 +88,26 @@ def workload_shapes(draw):
 
 
 @st.composite
-def chaos_actions(draw, sites=SITES):
-    kind = draw(st.sampled_from(CHAOS_KINDS))
+def chaos_actions(draw, sites=SITES, links=None):
+    """A chaos action; given a grid's *links* (site pairs), a ``degrade``
+    names one of them and a ``partition`` cuts one, as a scenario
+    requires (with none, neither kind is drawn)."""
+    kinds = CHAOS_KINDS if links is None or links else [
+        kind for kind in CHAOS_KINDS if kind not in ("degrade", "partition")
+    ]
+    kind = draw(st.sampled_from(kinds))
     start = draw(floats(0.0, 500.0))
     site = st.sampled_from(sites)
+    pair = draw(st.sampled_from(links)) if links and kind in ("degrade", "partition") else None
+    if kind == "partition":
+        cut = (pair[0],) if pair else tuple(draw(st.lists(site, min_size=1, max_size=2)))
+    if kind == "degrade":
+        link = pair or (draw(site), draw(site))
     return ChaosAction(
         kind=kind,
         site=draw(site) if kind in ("outage", "flapping") else "",
-        sites=tuple(draw(st.lists(site, min_size=1, max_size=2))) if kind == "partition" else (),
-        link=(draw(site), draw(site)) if kind == "degrade" else ("", ""),
+        sites=cut if kind == "partition" else (),
+        link=link if kind == "degrade" else ("", ""),
         start_s=start,
         end_s=draw(st.sampled_from([0.0, start + 100.0])),
         duration_s=draw(floats(1.0, 500.0)),
@@ -141,11 +152,12 @@ steering_policies = st.builds(
 def scenario_specs(draw):
     grid = draw(grid_configs())
     declared = tuple(site.name for site in grid.sites)
+    links = [(link.a, link.b) for link in grid.links if link.a != link.b]
     policy = encode(draw(steering_policies))
     return ScenarioSpec(
         name=draw(names), description=draw(names), grid=grid,
         workload=draw(workload_shapes()),
-        chaos=tuple(draw(st.lists(chaos_actions(declared), max_size=2))),
+        chaos=tuple(draw(st.lists(chaos_actions(declared, links), max_size=2))),
         slos=tuple(draw(st.lists(slo_specs, max_size=2))),
         health_rules=tuple(draw(st.lists(health_rules(), max_size=2))),
         policy={key: policy[key] for key in draw(st.lists(st.sampled_from(sorted(policy))))},

@@ -246,6 +246,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count(": ok") >= 6
 
+    def test_validate_refuses_a_degrade_without_its_link(self, tmp_path, capsys):
+        """The library's partition scenario cut down to one link: a
+        ``degrade`` of the link it dropped fails ``validate``, not the run."""
+        data = json.loads((default_scenario_dir() / "network-partition.json").read_text())
+        data["grid"]["links"] = data["grid"]["links"][:1]
+        kept = {data["grid"]["links"][0]["a"], data["grid"]["links"][0]["b"]}
+        sites = sorted(site["name"] for site in data["grid"]["sites"])
+        dropped = next([a, b] for a in sites for b in sites if a < b and {a, b} != kept)
+        data["chaos"] = [{"kind": "degrade", "link": dropped, "start_s": 100.0}]
+        data.pop("quick", None)
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps(data))
+        assert main(["scenario", "validate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: scenario.chaos[0].link: no declared link joins "
+                       f"{dropped[0]!r} and {dropped[1]!r}\n")
+
     def test_validate_report_schema(self, tmp_path, capsys, tiny_report):
         spec_path = tmp_path / "tiny.json"
         spec_path.write_text(json.dumps(tiny_spec().to_dict()))

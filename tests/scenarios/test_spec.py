@@ -71,6 +71,36 @@ class TestParsing:
                         "start_s": 0.0, "duration_s": 1.0}]
             ))
 
+    def test_degrade_of_an_undeclared_link_rejected(self):
+        grid = {**GRID, "sites": [*GRID["sites"], {"name": "siteC"}]}
+        with pytest.raises(ScenarioError, match=(
+            r"^scenario\.chaos\[1\]\.link: no declared link joins 'siteA' and 'siteC'$"
+        )):
+            ScenarioSpec.from_dict(minimal(grid=grid, chaos=[
+                {"kind": "degrade", "link": ["siteB", "siteA"], "start_s": 0.0},
+                {"kind": "degrade", "link": ["siteA", "siteC"], "start_s": 0.0},
+            ]))
+
+    @pytest.mark.parametrize("cut", [["siteC"], ["siteA", "siteB"]])
+    def test_partition_that_cuts_no_declared_link_rejected(self, cut):
+        grid = {**GRID, "sites": [*GRID["sites"], {"name": "siteC"}]}
+        with pytest.raises(ScenarioError, match=(
+            r"^scenario\.chaos\[0\]\.sites: partition .* cuts no declared link$"
+        )):
+            ScenarioSpec.from_dict(minimal(grid=grid, chaos=[
+                {"kind": "partition", "sites": cut, "duration_s": 5.0},
+            ]))
+
+    def test_quick_chaos_is_checked_against_the_links_too(self):
+        partition = {"kind": "partition", "sites": ["siteA"], "duration_s": 5.0}
+        spec = ScenarioSpec.from_dict(minimal(chaos=[partition]))
+        assert spec.chaos[0].sites == ("siteA",)
+        with pytest.raises(ScenarioError, match="cuts no declared link"):
+            ScenarioSpec.from_dict(minimal(
+                chaos=[partition],
+                quick={"chaos": [{**partition, "sites": ["siteA", "siteB"]}]},
+            ))
+
     def test_unknown_slo_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):
             ScenarioSpec.from_dict(minimal(

@@ -32,9 +32,13 @@ All run by CI's docs job:
    and every back-ticked ``<service>.<name>`` (a call's arguments may
    follow), where ``<service>`` is a service a ``build_gae`` host
    registers, is one of its RPC methods or a state-store namespace — a
-   deleted method cannot linger either.
-   ``benchmarks/e2e/README.md`` is not scanned: only a ``[benchmark]`` PR
-   may edit it.
+   deleted method cannot linger either;
+7. every back-ticked CamelCase name in the same pages (alone, or followed
+   by ``.attr`` or ``(…)``) is a builtin, a class defined under ``src/``
+   or ``tests/``, or a name the page also writes with its module
+   (``collections.OrderedDict``) — a deleted class cannot linger either.
+``benchmarks/e2e/README.md`` is not scanned: only a ``[benchmark]`` PR
+may edit it.
 
 Run from anywhere::
 
@@ -43,6 +47,8 @@ Run from anywhere::
 
 from __future__ import annotations
 
+import ast
+import builtins
 import pkgutil
 import re
 import sys
@@ -163,6 +169,37 @@ def check_references() -> list[str]:
     return problems
 
 
+def check_class_names() -> list[str]:
+    """Back-ticked CamelCase names are builtins, classes defined under
+    ``src/`` or ``tests/``, or written with their module on the page."""
+    classes = {
+        node.name
+        for root in (SRC_ROOT, REPO_ROOT / "tests")
+        for path in root.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    }
+    problems = []
+    for page in doc_pages():
+        tokens = set(re.findall(r"`([^`\n]+)`", page.read_text(encoding="utf-8")))
+        # ``collections.OrderedDict``: the page says where the name lives.
+        qualified = {
+            name for token in tokens for name in re.findall(r"\b[a-z_][\w.]*\.([A-Z]\w*)", token)
+        }
+        for token in sorted(tokens):
+            named = re.fullmatch(r"([A-Z][a-z0-9]+[A-Z]\w*)(\.\w+)*(\(.*\))?", token)
+            if named and not (
+                named.group(1) in classes
+                or hasattr(builtins, named.group(1))
+                or named.group(1) in qualified
+            ):
+                problems.append(
+                    f"{page.relative_to(REPO_ROOT)} names `{token}`, which is no builtin "
+                    "and no class under src/ or tests/"
+                )
+    return problems
+
+
 def check_generated(page: Path, render) -> list[str]:
     """*page*'s generated blocks are what ``render(text)`` makes of them today."""
     if not page.exists():
@@ -216,6 +253,7 @@ def main() -> int:
         ),
         "`gae-repro <command>` in the docs": check_cli_commands(),
         "back-ticked names and paths in the docs": check_references(),
+        "back-ticked class names in the docs": check_class_names(),
     }
     actual = actual_names()
     for heading, (noun, pattern) in TABLES.items():
