@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -55,8 +56,14 @@ class TaskRecord:
     site: str = ""
 
     def __post_init__(self) -> None:
-        if self.runtime_s < 0:
-            raise ValueError(f"runtime must be non-negative, got {self.runtime_s}")
+        if not (self.runtime_s >= 0 and math.isfinite(self.runtime_s)):
+            raise ValueError(
+                f"record.runtime_s: must be finite and non-negative, got {self.runtime_s}"
+            )
+        if not math.isfinite(self.requested_cpu_hours):
+            raise ValueError(
+                f"record.requested_cpu_hours: must be finite, got {self.requested_cpu_hours}"
+            )
 
     def attribute(self, name: str) -> object:
         """Attribute lookup by name (template matching)."""

@@ -4,22 +4,32 @@
 compute a statistical estimate (the mean and linear regression) of their
 runtimes.  We use this as the predicted runtime."
 
-Both statistics are computed over the similar set:
+Over the similar set: the **mean** runtime, and the **linear regression**
+of runtime on requested CPU hours (the trace's user-supplied size signal)
+evaluated at the input task's request.  ``method="auto"`` (the default)
+uses the regression when it is healthy (enough samples, non-degenerate x
+spread, in-sample fit better than the mean's) and falls back to the mean
+otherwise — small similar sets make regression noisy, exactly why the
+paper reports both.  Both are closed forms over a handful of floats (the
+centred least-squares line: ``slope = Σdx·dy / Σdx²``, ``intercept = ȳ −
+slope·x̄``), and every sum is :func:`math.fsum`, correctly rounded on every
+interpreter (the builtin ``sum`` of floats is compensated from Python 3.12
+on), so one history gives one answer everywhere.  Four records, an hour
+more work each, and a five-hour query, which the line answers exactly:
 
-- **mean** — the plain average of the similar tasks' runtimes;
-- **linear regression** — least squares of runtime on requested CPU hours
-  (the trace's user-supplied size signal), evaluated at the input task's
-  request.
-
-``method="auto"`` (the default) uses the regression when it is healthy
-(enough samples, non-degenerate x spread, in-sample fit better than the
-mean's) and falls back to the mean otherwise — small similar sets make
-regression noisy, exactly why the paper reports both.
+>>> from repro.core.estimators.history import HistoryRepository, TaskRecord
+>>> history = HistoryRepository(
+...     TaskRecord.from_spec(TaskSpec(owner="alice", requested_cpu_hours=h), runtime_s=r)
+...     for h, r in [(1.0, 110.0), (2.0, 190.0), (3.0, 310.0), (4.0, 390.0)])
+>>> e = RuntimeEstimator(history).estimate(TaskSpec(owner="alice", requested_cpu_hours=5.0))
+>>> e.method, e.value, e.mean
+('regression', 490.0, 250.0)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import fsum, sqrt
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.estimators.history import HistoryRepository
@@ -86,9 +96,6 @@ class RuntimeEstimator:
         Minimum similar records before a template is accepted.
     method:
         "auto", "mean", or "regression".
-    regression_feature:
-        Record attribute regressed against (default: the user's requested
-        CPU hours).
     """
 
     def __init__(
@@ -97,7 +104,6 @@ class RuntimeEstimator:
         ladder: Sequence[Template] = DEFAULT_LADDER,
         min_samples: int = 3,
         method: str = "auto",
-        regression_feature: str = "requested_cpu_hours",
     ) -> None:
         if method not in ("auto", "mean", "regression"):
             raise ValueError(f"unknown method {method!r}")
@@ -105,7 +111,6 @@ class RuntimeEstimator:
         self.ladder = tuple(ladder)
         self.min_samples = min_samples
         self.method = method
-        self.regression_feature = regression_feature
         #: attribute-value tuple -> fit, valid for history length ``_fits_version``.
         self._fits: Dict[tuple, Optional[_Fit]] = {}
         self._fits_version = len(history)
@@ -120,13 +125,11 @@ class RuntimeEstimator:
         fit = self._fit_for(spec.attributes())
         if fit is None:
             raise EstimationError("history holds no successful task records")
-        x_new = float(getattr(spec, self.regression_feature))
+        x_new = float(spec.requested_cpu_hours)
         regression: Optional[float] = None
         if fit.line is not None:
-            import numpy as np
-
             slope, intercept, lo, hi = fit.line
-            regression = float(np.clip(float(slope * x_new + intercept), lo, hi))
+            regression = min(max(slope * x_new + intercept, lo), hi)
         if fit.prefer_regression:  # only ever set beside a line
             value, method = regression, "regression"
         else:
@@ -185,25 +188,25 @@ class RuntimeEstimator:
         )
         if not matches:
             return None
-        import numpy as np
-
-        runtimes = np.asarray([r.runtime_s for r in matches], dtype=float)
+        runtimes = [r.runtime_s for r in matches]
+        n = len(runtimes)
+        mean = fsum(runtimes) / n
+        mean_sse = fsum((y - mean) ** 2 for y in runtimes)
         line, prefer_regression = None, False
-        if len(matches) >= 3:
-            x = np.asarray(
-                [float(r.attribute(self.regression_feature)) for r in matches],
-                dtype=float,
-            )
-            if not np.ptp(x) <= 1e-12 * max(1.0, float(np.abs(x).max())):
-                slope, intercept = np.polyfit(x, runtimes, deg=1)
-                line = (
-                    slope,
-                    intercept,
-                    float(runtimes.min()) / 2.0,
-                    float(runtimes.max()) * 2.0,
+        if n >= 3:
+            x = [float(r.attribute("requested_cpu_hours")) for r in matches]
+            lo, hi = min(x), max(x)
+            if not hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
+                x_mean = fsum(x) / n
+                dx = [xi - x_mean for xi in x]
+                slope = fsum(d * (y - mean) for d, y in zip(dx, runtimes)) / fsum(
+                    d * d for d in dx
                 )
-                reg_sse = float(np.sum((runtimes - (slope * x + intercept)) ** 2))
-                mean_sse = float(np.sum((runtimes - runtimes.mean()) ** 2))
+                intercept = mean - slope * x_mean
+                line = (slope, intercept, min(runtimes) / 2.0, max(runtimes) * 2.0)
+                reg_sse = fsum(
+                    (y - (slope * xi + intercept)) ** 2 for xi, y in zip(x, runtimes)
+                )
                 # "auto" demands a real in-sample improvement over the
                 # mean, not a numerically marginal one.
                 prefer_regression = self.method == "regression" or (
@@ -211,9 +214,9 @@ class RuntimeEstimator:
                 )
         return _Fit(
             template=template,
-            n_similar=len(matches),
-            mean=float(runtimes.mean()),
-            stddev=float(runtimes.std(ddof=1)) if len(matches) > 1 else 0.0,
+            n_similar=n,
+            mean=mean,
+            stddev=sqrt(mean_sse / (n - 1)) if n > 1 else 0.0,
             line=line,
             prefer_regression=prefer_regression,
         )

@@ -51,12 +51,10 @@ accepted rather than averaging over unrelated jobs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from math import fsum, isfinite
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.estimators.history import HistoryRepository, TaskRecord
-
-if TYPE_CHECKING:  # annotation only: numpy loads with the first template search
-    import numpy as np
 
 #: Every attribute a template may constrain, most-identifying first.
 ALL_TEMPLATE_ATTRIBUTES: Tuple[str, ...] = (
@@ -113,24 +111,20 @@ def most_specific_match(
     return (), history.successful()
 
 
-def _loo_mean_error(runtimes: np.ndarray) -> float:
+def _loo_mean_error(runtimes: Sequence[float]) -> float:
     """Leave-one-out mean absolute relative error of the mean predictor.
 
     For each sample, predict it with the mean of the others; average the
-    absolute relative errors.  This is the objective the greedy template
-    search minimises.
+    absolute relative errors (a zero runtime has none).  This is the
+    objective the greedy template search minimises.
     """
-    import numpy as np
-
     n = len(runtimes)
     if n < 2:
         return float("inf")
-    total = runtimes.sum()
-    loo_means = (total - runtimes) / (n - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(runtimes - loo_means) / np.where(runtimes > 0, runtimes, np.nan)
-    rel = rel[np.isfinite(rel)]
-    return float(rel.mean()) if rel.size else float("inf")
+    total = fsum(runtimes)
+    rel = [abs(r - (total - r) / (n - 1)) / r for r in runtimes if r > 0]
+    rel = [e for e in rel if isfinite(e)]
+    return fsum(rel) / len(rel) if rel else float("inf")
 
 
 @dataclass
@@ -163,24 +157,22 @@ class GreedyTemplateSearch:
 
     def _score(self, history: HistoryRepository, template: Template) -> float:
         """Mean LOO error of the mean predictor across template partitions."""
-        import numpy as np
-
         groups: Dict[Tuple, List[float]] = {}
         for r in history.successful():
             key = tuple(r.attribute(a) for a in template)
             groups.setdefault(key, []).append(r.runtime_s)
-        errors = []
-        weights = []
+        weighted: List[float] = []
+        weight = 0
         for runtimes in groups.values():
             if len(runtimes) < self.min_samples:
                 continue
-            err = _loo_mean_error(np.asarray(runtimes, dtype=float))
-            if np.isfinite(err):
-                errors.append(err)
-                weights.append(len(runtimes))
-        if not errors:
+            err = _loo_mean_error(runtimes)
+            if isfinite(err):
+                weighted.append(err * len(runtimes))
+                weight += len(runtimes)
+        if not weight:
             return float("inf")
-        return float(np.average(errors, weights=weights))
+        return fsum(weighted) / weight
 
     def search(self, history: HistoryRepository) -> GreedySearchResult:
         """Run the greedy search over *history*."""

@@ -21,6 +21,7 @@ estimator's similarity templates match on.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -159,9 +160,10 @@ class TaskSpec:
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise ValueError(f"spec.nodes: must be >= 1, got {self.nodes}")
-        if self.requested_cpu_hours <= 0:
+        if not (self.requested_cpu_hours > 0 and math.isfinite(self.requested_cpu_hours)):
             raise ValueError(
-                f"spec.requested_cpu_hours: must be positive, got {self.requested_cpu_hours}"
+                "spec.requested_cpu_hours: must be positive and finite, "
+                f"got {self.requested_cpu_hours}"
             )
         if self.task_type not in ("batch", "interactive"):
             raise ValueError(f"spec.task_type: unknown task_type {self.task_type!r}")

@@ -2,7 +2,7 @@
 
 The repository stores one :class:`TimeSeries` per (farm, metric) pair.
 Timestamps must be non-decreasing — monitoring data arrives in clock order
-from the simulator — which lets every query run on a sorted array with
+from the simulator — which lets every query run on a sorted list with
 binary search.
 """
 
@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # annotation only: numpy loads with the first mean or array copy
-    import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 
 class TimeSeries:
@@ -82,24 +79,13 @@ class TimeSeries:
             _, values = self.window(t0, t1)
         if len(values) == 0:
             raise ValueError("window contains no samples")
-        import numpy as np
-
-        return float(np.mean(values))
+        return math.fsum(values) / len(values)
 
     def max(self) -> float:
         """Largest value seen (ValueError when empty)."""
         if not self._values:
             raise ValueError("empty time series")
         return max(self._values)
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The full series as (times, values) numpy arrays (copies)."""
-        import numpy as np
-
-        return (
-            np.asarray(self._times, dtype=float),
-            np.asarray(self._values, dtype=float),
-        )
 
     def samples(self) -> List[Tuple[float, float]]:
         """The full series as plain ``(time, value)`` pairs (copies)."""

@@ -420,7 +420,15 @@ class ScenarioSpec:
             if key in overrides:
                 data[key] = overrides.pop(key)
         data["quick"] = {}
-        return ScenarioSpec.from_dict(data)
+        try:
+            return ScenarioSpec.from_dict(data)
+        except ScenarioError as exc:
+            # The main spec passed, so a refusal under an overridden key
+            # (no field name prefixes another) is the override's.
+            message = str(exc)
+            if message.startswith(tuple(f"scenario.{key}" for key in self.quick)):
+                raise ScenarioError(message.replace("scenario.", "scenario.quick.", 1)) from None
+            raise
 
     def steering_policy(self) -> SteeringPolicy:
         """The SteeringPolicy with this scenario's overrides applied."""

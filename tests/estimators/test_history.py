@@ -6,6 +6,8 @@ from repro.core.estimators.history import HistoryRecorder, HistoryRepository, Ta
 from repro.core.estimators.queue_time import RuntimeEstimateDB
 from repro.gridsim.job import Task, TaskSpec
 from repro.gridsim.site import Site
+from repro.store.memory import MemoryStore
+from repro.store.registry import ESTIMATOR_HISTORY
 
 
 def make_record(runtime=100.0, **kw):
@@ -21,6 +23,29 @@ class TestTaskRecord:
     def test_negative_runtime_rejected(self):
         with pytest.raises(ValueError):
             make_record(runtime=-1.0)
+
+    @pytest.mark.parametrize("field, value, refusal", [
+        ("runtime_s", float("nan"), r"^record\.runtime_s: must be finite and non-negative, got nan$"),
+        ("runtime_s", float("inf"), r"^record\.runtime_s: must be finite and non-negative, got inf$"),
+        ("requested_cpu_hours", float("nan"), r"^record\.requested_cpu_hours: must be finite, got nan$"),
+        ("requested_cpu_hours", float("-inf"), r"^record\.requested_cpu_hours: must be finite, got -inf$"),
+    ])
+    def test_a_non_finite_value_is_refused(self, field, value, refusal):
+        # One NaN runtime made every estimate of its template NaN; one NaN
+        # request made the fit fail with an untyped LinAlgError.
+        with pytest.raises(ValueError, match=refusal):
+            make_record(**{"runtime" if field == "runtime_s" else field: value})
+
+    def test_a_restored_non_finite_value_is_refused_not_repaired(self):
+        store = MemoryStore()
+        HistoryRepository([make_record(), make_record(runtime=120.0)]).save_to(store)
+        (key, row), _ = store.items(ESTIMATOR_HISTORY)
+        store.put(ESTIMATOR_HISTORY, key, {**row, "requested_cpu_hours": float("nan")})
+        with pytest.raises(ValueError, match=r"^record\.requested_cpu_hours: must be finite"):
+            HistoryRepository.load_from(store)
+        text = HistoryRepository([make_record()]).to_csv().replace("100.0", "nan")
+        with pytest.raises(ValueError, match=r"^record\.runtime_s: must be finite"):
+            HistoryRepository.from_csv(text)
 
     def test_attribute_lookup(self):
         r = make_record(owner="alice")

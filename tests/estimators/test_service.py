@@ -1,10 +1,14 @@
 """Unit tests for the Estimator Service facade."""
 
+import math
+
 import pytest
 
+from repro.clarens.errors import RemoteFault
 from repro.core.estimators.history import HistoryRepository, TaskRecord
 from repro.core.estimators.service import EstimatorService
 from repro.gridsim.job import spec_from_wire, spec_to_wire as _spec_to_dict
+from repro.gae import build_gae
 from repro.gridsim import GridBuilder, Job, Task, TaskSpec
 from repro.gridsim.job import TaskSpec as Spec
 
@@ -49,7 +53,33 @@ class TestSpecWire:
         assert back == spec
 
 
+    @pytest.mark.parametrize("hours", [float("nan"), float("inf"), float("-inf"), 0.0])
+    def test_a_non_finite_or_non_positive_request_is_refused(self, hours):
+        with pytest.raises(ValueError, match=r"^spec\.requested_cpu_hours: must be positive"):
+            spec_from_wire({"owner": "u", "requested_cpu_hours": hours})
+
+
 class TestEstimateRuntime:
+    @pytest.mark.parametrize("hours", [float("nan"), float("inf")])
+    def test_a_non_finite_request_is_refused_over_rpc(self, hours):
+        # A NaN request used to pass ``<= 0`` and answer value NaN by
+        # "regression"; an infinite one answered the clip's upper bound.
+        gae = build_gae(GridBuilder(seed=1).site("a", nodes=1).build())
+        gae.add_user("u", "p")
+        gae.start()
+        for i in range(4):
+            spec = Spec(owner="u", requested_cpu_hours=1.0 + i)
+            gae.history.add(TaskRecord.from_spec(spec, runtime_s=100.0 + 10.0 * i))
+        token = gae.host.dispatch("system.login", ["u", "p"])
+        request = {"owner": "u", "requested_cpu_hours": hours}
+        with pytest.raises(RemoteFault, match=(
+            r"ValueError: spec\.requested_cpu_hours: must be positive and finite, got "
+        )):
+            gae.host.dispatch("estimator.estimate_runtime", [request], token=token)
+        request["requested_cpu_hours"] = 5.0
+        answer = gae.host.dispatch("estimator.estimate_runtime", [request], token=token)
+        assert answer["method"] == "regression" and math.isfinite(answer["value"])
+
     def test_wire_struct_in_out(self, service):
         out = service.estimate_runtime(_spec_to_dict(Spec(executable="exe")))
         assert out["value"] == pytest.approx(100.0)

@@ -6,14 +6,17 @@ they repeat exactly and cannot flake.  ``docs/ARCHITECTURE.md`` "Memory
 budget" says where the bytes sit.
 """
 
+import ast
 import gc
 import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.clarens.transport import LoopbackTransport
 from repro.events.journal import EventJournal, EventType, JournalEvent
 from repro.gae import SteeringPolicy, build_gae
@@ -289,8 +292,8 @@ def test_serving_process_imports_neither_networkx_nor_scipy():
     12.6 MB), and load nothing of the other front end, of asyncio, or of
     the scenario, analysis, web UI, workload or CLI packages.  numpy is
     loaded here by the stage-in's noisy iperf probe, whose first draw seeds
-    the ``iperf`` stream; a host that serves no draw and no fit never loads
-    it (``test_a_framed_host_loads_numpy_with_its_first_fit``).  For the
+    the ``iperf`` stream; a host that serves no draw never loads it
+    (``test_a_framed_host_loads_no_numpy_with_its_first_fit``).  For the
     same reason ``UNSERVED`` cannot name ``hashlib`` / ``secrets``:
     ``numpy.random`` imports ``secrets``, and with it OpenSSL, so this
     drawing host loads them; the non-drawing host of that test does not."""
@@ -300,6 +303,43 @@ def test_serving_process_imports_neither_networkx_nor_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+#: The packages of the served services.  The simulator (``gridsim``,
+#: ``workloads``, ``scenarios``) and ``analysis`` keep numpy for their draws.
+NUMPY_FREE = ("core", "clarens", "monalisa", "events", "store", "observability")
+
+
+def numpy_imports(path):
+    """``(line, name)`` of every import of numpy in one source file: at
+    module level, inside a function and under ``TYPE_CHECKING`` alike, and
+    ``import_module`` / ``__import__`` of a literal name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", getattr(node.func, "id", None))
+            in ("import_module", "__import__")
+        ):
+            names = [a.value for a in node.args[:1] if isinstance(a, ast.Constant)]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if str(n).split(".")[0] == "numpy"]
+    return found
+
+
+def test_no_service_package_imports_numpy():
+    """§6's estimators, the Clarens host, MonALISA, the event core, the
+    stores and the observability layer compute in the standard library, so
+    nothing a host serves can load numpy; only a draw does."""
+    src = Path(repro.__file__).parent
+    files = [path for package in NUMPY_FREE for path in sorted((src / package).rglob("*.py"))]
+    assert {path.relative_to(src).parts[0] for path in files} == set(NUMPY_FREE)
+    offenders = {str(path.relative_to(src)): numpy_imports(path) for path in files}
+    assert {path: found for path, found in offenders.items() if found} == {}
 
 
 def test_every_package_name_resolves_in_a_fresh_interpreter():
@@ -360,14 +400,13 @@ with AsyncSocketServerHandle(gae.host) as handle, ClarensClient(handle.url, code
     client.call("jobmon.owner_tasks", "u")
     client.call("jobmon.running_tasks")
     client.call("steering.set_priority", queued, 4)
-    report["served"] = sorted(sys.modules)
     t = 100.0
     while history() < 3:
         t += 1.0
         grid.run_until(t)
-    report["numpy_before_fit"] = "numpy" in sys.modules
+    report["history_at_fit"] = history()
     report["estimate"] = client.call("estimator.estimate_runtime", {"_type": "TaskSpec", "owner": "u"})
-    report["numpy_after_fit"] = "numpy" in sys.modules
+    report["served"] = sorted(sys.modules)
 
 from repro.store.checkpoint import Checkpointer
 from repro.store.registry import CHECKPOINT_GRIDSIM
@@ -422,30 +461,29 @@ for layer, names in layers:
 """
 
 
-def test_a_framed_host_loads_numpy_with_its_first_fit(tmp_path):
+def test_a_framed_host_loads_no_numpy_with_its_first_fit(tmp_path):
     """A two-site host with a noiseless probe serves the §5 poll mix, a
-    series read, a ``system.multicall`` and a ``set_priority`` over a
-    framed ``json`` socket without importing numpy (~12 MB over the
-    serving set, ~6 MB more for ``numpy.random``, OpenSSL included), or
-    any of ``OPENSSL_AND_STATISTICS``.  The first runtime estimate over a
-    non-empty history loads it and answers what the eagerly importing
-    host answered, and a checkpoint seeds the never-drawn ``iperf``
-    stream into the record the eager streams wrote.  Run with ``-s`` to
-    print the resident set after each layer of the serving set loads."""
+    series read, a ``system.multicall``, a ``set_priority`` and its first
+    runtime estimate (a fit over a non-empty history) over a framed
+    ``json`` socket without importing numpy (~12 MB over the serving set, ~6 MB more for
+    ``numpy.random``, OpenSSL included), or any of
+    ``OPENSSL_AND_STATISTICS``: the §6.1 fit is closed-form ``math.fsum``
+    arithmetic.  A checkpoint seeds the never-drawn ``iperf`` stream into
+    the record the eager streams wrote.  Run with ``-s`` to print the
+    resident set after each layer of the serving set loads."""
     out = subprocess.run(
         [sys.executable, "-c", SERVE_POLLS, str(tmp_path / "polls.sqlite")],
         capture_output=True, text=True, timeout=120, check=False,
     )
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout.strip().splitlines()[-1])
-    assert report["history_at_settle"] == 0
+    # The serving set is read after the first fit over a non-empty history.
+    assert report["history_at_settle"] == 0 and report["history_at_fit"] >= 3
     assert "numpy" not in report["served"]
     assert not set(report["served"]) & set(OPENSSL_AND_STATISTICS)
-    assert report["numpy_before_fit"] is False
-    assert report["numpy_after_fit"] is True
     # Eleven tasks of 150.0–151.0 s have finished by t = 151 s; the line
-    # through them, clipped at twice the longest, is preferred.  A host
-    # that imported numpy at start-up gave the same answer.
+    # through them, clipped at twice the longest, is preferred.  The host
+    # that fitted with numpy gave the same answer.
     assert report["estimate"] == {
         "value": 302.0, "mean": 150.5, "regression": 302.0, "n_similar": 11,
         "template": ["executable", "owner", "account", "queue", "partition", "task_type", "nodes"],

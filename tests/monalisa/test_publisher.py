@@ -7,6 +7,7 @@ from repro.gridsim.job import Task, TaskSpec
 from repro.gridsim.site import Site
 from repro.monalisa.publisher import JobStatePublisher, SiteLoadPublisher
 from repro.monalisa.repository import MonALISARepository
+from tests.monalisa.test_timeseries import as_arrays
 
 
 @pytest.fixture
@@ -34,7 +35,7 @@ class TestSiteLoadPublisher:
         pub = SiteLoadPublisher(sim, repo, [site], period_s=30.0).start()
         sim.run_until(95.0)
         pub.stop()
-        times, _ = repo.series("siteX", "load").as_arrays()
+        times, _ = as_arrays(repo.series("siteX", "load"))
         assert list(times) == [0.0, 30.0, 60.0, 90.0]
 
     def test_load_reflects_submitted_work(self, env):
@@ -59,7 +60,7 @@ class TestSiteLoadPublisher:
         assert pub.start() is pub  # no error, no second periodic schedule
         sim.run_until(35.0)
         pub.stop()
-        times, _ = repo.series("siteX", "load").as_arrays()
+        times, _ = as_arrays(repo.series("siteX", "load"))
         assert list(times) == [0.0, 30.0]  # one immediate sample, one period
 
     def test_publish_after_stop_is_noop(self, env):

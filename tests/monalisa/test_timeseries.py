@@ -6,6 +6,12 @@ import pytest
 from repro.monalisa.timeseries import TimeSeries
 
 
+def as_arrays(series):
+    """The full series as (times, values) numpy arrays (copies)."""
+    times, values = series.window(float("-inf"), float("inf"))
+    return np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+
+
 @pytest.fixture
 def series():
     ts = TimeSeries()
@@ -74,14 +80,14 @@ class TestWindowQueries:
         assert list(times) == [0.0, 10.0]
         times, _ = series.window(15.0, float("inf"))
         assert list(times) == [20.0, 30.0]
-        assert series.window(float("-inf"), float("inf"))[0] == list(series.as_arrays()[0])
+        assert series.window(float("-inf"), float("inf"))[0] == [t for t, _ in series.samples()]
 
     def test_window_backwards_raises(self, series):
         with pytest.raises(ValueError):
             series.window(20.0, 10.0)
 
     def test_mean_whole_series(self, series):
-        assert series.mean() == pytest.approx(np.mean([1.0, 2.0, 3.0, 2.5]))
+        assert series.mean() == 2.125 == np.mean([1.0, 2.0, 3.0, 2.5])
 
     def test_mean_window(self, series):
         assert series.mean(10.0, 20.0) == pytest.approx(2.5)
@@ -93,7 +99,9 @@ class TestWindowQueries:
     def test_max(self, series):
         assert series.max() == 3.0
 
-    def test_as_arrays_copies(self, series):
-        times, values = series.as_arrays()
-        times[0] = -999.0
-        assert series.as_arrays()[0][0] == 0.0
+    def test_windows_and_samples_are_copies(self, series):
+        times, values = series.window(float("-inf"), float("inf"))
+        times[0] = values[0] = -999.0
+        series.samples()[0] = (-999.0, -999.0)
+        assert series.latest() == (30.0, 2.5)
+        assert series.samples()[0] == (0.0, 1.0)

@@ -1,11 +1,12 @@
 """Property-based tests: estimator invariants."""
 
 import dataclasses
+import math
 import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.estimators.history import HistoryRepository, TaskRecord
@@ -85,26 +86,36 @@ def fit_every_time(history, task_spec, method="auto", min_samples=3):
     """The reference: the estimator as it stood before it kept its fits.
 
     Walks the ladder, fits and evaluates on every call, over whatever the
-    history holds right now — nothing is carried between calls.
+    history holds right now — nothing is carried between calls.  The
+    arithmetic is the estimator's own closed form, so the answers are
+    equal, not close; ``TestNumpyOracle`` checks that arithmetic against
+    numpy.
     """
     template, matches = most_specific_match(
         history, task_spec.attributes(), min_samples=min_samples
     )
     if not matches:
         raise EstimationError("history holds no successful task records")
-    rts = np.asarray([r.runtime_s for r in matches], dtype=float)
-    mean = float(rts.mean())
-    x = np.asarray([float(r.requested_cpu_hours) for r in matches], dtype=float)
-    well_posed = len(matches) >= 3 and not (
-        np.ptp(x) <= 1e-12 * max(1.0, float(np.abs(x).max()))
+    rts = [r.runtime_s for r in matches]
+    n = len(rts)
+    mean = math.fsum(rts) / n
+    mean_sse = math.fsum((y - mean) ** 2 for y in rts)
+    x = [float(r.requested_cpu_hours) for r in matches]
+    well_posed = n >= 3 and not (
+        max(x) - min(x) <= 1e-12 * max(1.0, max(abs(v) for v in x))
     )
     regression, beats_mean = None, False
     if well_posed:
-        slope, intercept = np.polyfit(x, rts, deg=1)
-        prediction = float(slope * float(task_spec.requested_cpu_hours) + intercept)
-        regression = float(np.clip(prediction, float(rts.min()) / 2.0, float(rts.max()) * 2.0))
-        reg_sse = float(np.sum((rts - (slope * x + intercept)) ** 2))
-        beats_mean = reg_sse < 0.9 * float(np.sum((rts - rts.mean()) ** 2))
+        x_mean = math.fsum(x) / n
+        dx = [v - x_mean for v in x]
+        slope = math.fsum(d * (y - mean) for d, y in zip(dx, rts)) / math.fsum(
+            d * d for d in dx
+        )
+        intercept = mean - slope * x_mean
+        prediction = slope * float(task_spec.requested_cpu_hours) + intercept
+        regression = min(max(prediction, min(rts) / 2.0), max(rts) * 2.0)
+        reg_sse = math.fsum((y - (slope * v + intercept)) ** 2 for v, y in zip(x, rts))
+        beats_mean = reg_sse < 0.9 * mean_sse
     use_regression = regression is not None and (
         method == "regression" or (method == "auto" and beats_mean)
     )
@@ -112,10 +123,10 @@ def fit_every_time(history, task_spec, method="auto", min_samples=3):
         value=regression if use_regression else mean,
         mean=mean,
         regression=regression,
-        n_similar=len(matches),
+        n_similar=n,
         template=template,
         method="regression" if use_regression else "mean",
-        stddev=float(rts.std(ddof=1)) if len(matches) > 1 else 0.0,
+        stddev=math.sqrt(mean_sse / (n - 1)) if n > 1 else 0.0,
     )
 
 
@@ -200,6 +211,75 @@ class TestFitMemoProperties:
         answer = restored.estimators.runtime.estimate(probe)
         assert answer == fit_every_time(restored.history, probe)
         assert answer != moved_on and answer.n_similar == 4
+
+
+# ----------------------------------------------------------------------
+# numpy as the oracle of the closed-form fit
+# ----------------------------------------------------------------------
+def numpy_fit(pairs, query_hours):
+    """mean, stddev, regression (None when ill-posed), reg_sse, mean_sse:
+    the fit as ``np.polyfit`` / ``np.clip`` / ``.std(ddof=1)`` compute it."""
+    rts = np.asarray([r for r, _ in pairs], dtype=float)
+    x = np.asarray([h for _, h in pairs], dtype=float)
+    mean = float(rts.mean())
+    stddev = float(rts.std(ddof=1)) if len(rts) > 1 else 0.0
+    mean_sse = float(np.sum((rts - rts.mean()) ** 2))
+    if len(rts) < 3 or np.ptp(x) <= 1e-12 * max(1.0, float(np.abs(x).max())):
+        return mean, stddev, None, None, mean_sse
+    slope, intercept = np.polyfit(x, rts, deg=1)
+    regression = float(
+        np.clip(float(slope * query_hours + intercept), rts.min() / 2.0, rts.max() * 2.0)
+    )
+    reg_sse = float(np.sum((rts - (slope * x + intercept)) ** 2))
+    return mean, stddev, regression, reg_sse, mean_sse
+
+
+#: One similar set: (runtime, hours) rows, and whether every row shares
+#: the first row's hours (a set with no spread, so no line).
+similar_sets = st.tuples(st.lists(st.tuples(runtimes, hours), min_size=1, max_size=30), st.booleans())
+
+
+class TestNumpyOracle:
+    @staticmethod
+    def fit(rows, flat, query_hours, method="auto"):
+        pairs = [(r, rows[0][1] if flat else h) for r, h in rows]
+        history = HistoryRepository([record(r, h) for r, h in pairs])
+        estimate = RuntimeEstimator(history, method=method).estimate(spec(h=query_hours))
+        return estimate, numpy_fit(pairs, query_hours), pairs
+
+    @given(similar_sets, hours)
+    @settings(max_examples=300)
+    def test_mean_and_stddev_agree_with_numpy(self, similar, query_hours):
+        estimate, (mean, stddev, _, _, _), _ = self.fit(*similar, query_hours)
+        assert math.isclose(estimate.mean, mean, rel_tol=1e-12)
+        # Relative to the runtimes' scale: a set of (nearly) equal runtimes
+        # has a standard deviation at numpy's rounding error of its mean.
+        assert math.isclose(estimate.stddev, stddev, rel_tol=1e-12, abs_tol=1e-12 * mean)
+
+    @given(similar_sets, hours, st.sampled_from(["auto", "regression"]))
+    @settings(max_examples=300)
+    def test_estimates_agree_with_polyfit(self, similar, query_hours, method):
+        estimate, (mean, _, regression, _, _), pairs = self.fit(*similar, query_hours, method)
+        x = [h for _, h in pairs]
+        spread = max(x) - min(x)
+        assume(spread == 0 or spread > 1e-6 * max(x))
+        assert (estimate.regression is None) == (regression is None)
+        if regression is not None:
+            assert math.isclose(estimate.regression, regression, rel_tol=1e-9)
+        if estimate.method == "mean":
+            assert math.isclose(estimate.value, mean, rel_tol=1e-12)
+
+    @given(similar_sets, hours)
+    @settings(max_examples=300)
+    def test_mean_or_regression_is_numpys_choice(self, similar, query_hours):
+        estimate, (_, _, regression, reg_sse, mean_sse), pairs = self.fit(*similar, query_hours)
+        x = [h for _, h in pairs]
+        spread = max(x) - min(x)
+        assume(spread == 0 or spread > 1e-6 * max(x))
+        if regression is not None:
+            assume(abs(reg_sse - 0.9 * mean_sse) > 1e-9 * 0.9 * mean_sse)
+        chose_regression = regression is not None and reg_sse < 0.9 * mean_sse
+        assert estimate.method == ("regression" if chose_regression else "mean")
 
 
 class TestTemplateProperties:

@@ -1,10 +1,13 @@
 """Property-based tests: time-series query invariants."""
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.monalisa.timeseries import TimeSeries
+from tests.monalisa.test_timeseries import as_arrays
 
 samples = st.lists(
     st.tuples(
@@ -27,14 +30,14 @@ class TestTimeSeriesProperties:
     @given(samples)
     def test_window_covers_everything(self, pts):
         ts = build(pts)
-        times, values = ts.as_arrays()
+        times, values = as_arrays(ts)
         wt, wv = ts.window(float(times.min()), float(times.max()))
         assert len(wt) == len(times)
 
     @given(samples, st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     def test_value_at_is_last_at_or_before(self, pts, query):
         ts = build(pts)
-        times, values = ts.as_arrays()
+        times, values = as_arrays(ts)
         eligible = [(t, v) for t, v in zip(times, values) if t <= query]
         if not eligible:
             try:
@@ -47,22 +50,29 @@ class TestTimeSeriesProperties:
     @given(samples)
     def test_mean_matches_numpy(self, pts):
         ts = build(pts)
-        _, values = ts.as_arrays()
+        _, values = as_arrays(ts)
         assert abs(ts.mean() - float(np.mean(values))) < 1e-9 * max(
             1.0, abs(float(np.mean(values)))
         )
 
     @given(samples)
+    def test_mean_is_the_exact_mean_rounded(self, pts):
+        # fsum rounds the sum once and the division once: within an ulp.
+        ts = build(pts)
+        exact = sum(Fraction(v) for _, v in pts) / len(pts)
+        assert abs(ts.mean() - float(exact)) <= 2.0**-52 * abs(float(exact))
+
+    @given(samples)
     def test_latest_is_max_time(self, pts):
         ts = build(pts)
         t, _ = ts.latest()
-        times, _ = ts.as_arrays()
+        times, _ = as_arrays(ts)
         assert t == float(times.max())
 
     @given(samples, samples)
     def test_windows_partition(self, a, b):
         ts = build(a + b)
-        times, _ = ts.as_arrays()
+        times, _ = as_arrays(ts)
         lo, hi = float(times.min()), float(times.max())
         if lo == hi:
             return  # degenerate: no strictly-after-mid window exists

@@ -1,6 +1,7 @@
 """Scenario spec parsing, validation, and quick-override semantics."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     WorkloadShape,
 )
+
+SCENARIOS = Path(__file__).resolve().parents[2] / "scenarios"
 
 GRID = {
     "sites": [{"name": "siteA", "nodes": 2}, {"name": "siteB", "nodes": 2}],
@@ -177,6 +180,37 @@ class TestQuickOverrides:
         assert [s.metric for s in eff.slos] == ["makespan_s"]
         # quick=False leaves the spec untouched
         assert spec.effective(quick=False) is spec
+
+    @pytest.mark.parametrize("quick, refusal", [
+        # The main list has one action; the refused one is the quick list's second.
+        ({"chaos": [{"kind": "outage", "site": "siteA", "duration_s": 5.0},
+                    {"kind": "outage", "site": "nowhere", "duration_s": 5.0}]},
+         r"^scenario\.quick\.chaos\[1\]\.site: unknown site 'nowhere'$"),
+        ({"chaos": [{"kind": "partition", "sites": ["siteA", "siteB"], "duration_s": 5.0}]},
+         r"^scenario\.quick\.chaos\[0\]\.sites: partition .* cuts no declared link$"),
+        ({"slos": [{"metric": "completion_ratio", "op": ">=", "threshold": 1.0},
+                   {"metric": "vibes", "op": ">=", "threshold": 1.0}]},
+         r"^scenario\.quick\.slos\[1\]\.metric: unknown metric 'vibes'"),
+        ({"workload": {"tasks": "many"}},
+         r"^scenario\.quick\.workload\.tasks: expected an integer, got 'many'$"),
+        ({"horizon_s": -5.0}, r"^scenario\.quick\.horizon_s: must be positive$"),
+    ])
+    def test_a_refusal_inside_quick_names_the_quick_path(self, quick, refusal):
+        chaos = [{"kind": "outage", "site": "siteB", "duration_s": 5.0}]
+        with pytest.raises(ScenarioError, match=refusal):
+            ScenarioSpec.from_dict(minimal(chaos=chaos, quick=quick))
+
+    def test_a_committed_scenario_names_its_quick_override(self):
+        data = json.loads((SCENARIOS / "flapping-site.json").read_text(encoding="utf-8"))
+        data["quick"]["chaos"].append({**data["quick"]["chaos"][0], "site": "nowhere"})
+        with pytest.raises(ScenarioError, match=(
+            r"^scenario\.quick\.chaos\[1\]\.site: unknown site 'nowhere'$"
+        )):
+            ScenarioSpec.from_dict(data)
+        del data["quick"]["chaos"][1]
+        data["quick"]["slos"][1]["metric"] = "vibes"
+        with pytest.raises(ScenarioError, match=r"^scenario\.quick\.slos\[1\]\.metric: "):
+            ScenarioSpec.from_dict(data)
 
     def test_quick_validated_at_load_time(self):
         with pytest.raises(ScenarioError):

@@ -7,6 +7,7 @@ import doctest
 
 import pytest
 
+import repro.core.estimators.runtime
 import repro.core.estimators.service
 import repro.core.estimators.similarity
 import repro.core.estimators.transfer_time
@@ -22,6 +23,7 @@ MODULES = [
     repro.gridsim.grid,
     repro.gridsim.rng,
     repro.gae,
+    repro.core.estimators.runtime,
     repro.core.estimators.service,
     repro.core.estimators.similarity,
     repro.core.estimators.transfer_time,
