@@ -253,7 +253,7 @@ class _SystemService:
         instrumentation = self._host.observability
         if instrumentation is None:
             return {"enabled": False}
-        return instrumentation.health_snapshot()
+        return instrumentation.health.snapshot()
 
     @clarens_method(anonymous=True)
     def cache(self) -> Dict[str, Any]:

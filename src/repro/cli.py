@@ -481,7 +481,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
     captured = {}
 
     def on_complete(gae, entry):
-        captured["snapshot"] = gae.observability.health_snapshot()
+        captured["snapshot"] = gae.observability.health.snapshot()
         if args.export:
             captured["rows"] = gae.observability.telemetry.export_jsonl(args.export)
 

@@ -125,6 +125,11 @@ class RuntimeEstimateDB:
         return len(self._estimates)
 
 
+def _remaining(estimated: float, elapsed: float) -> float:
+    """§6.2 step c; a task that has not run shares its estimate's float."""
+    return max(0.0, estimated - elapsed) if elapsed else max(0.0, estimated)
+
+
 @dataclass(frozen=True)
 class QueueTimeBreakdown:
     """A queue-time estimate plus its per-task ingredients."""
@@ -153,7 +158,8 @@ class QueueAccounting:
 
     Band totals are cached :func:`math.fsum` results, recomputed only for
     bands dirtied since the last query; :meth:`band_totals` is therefore
-    O(bands) on a quiet queue.
+    O(bands) on a quiet queue.  A task's band is found by asking each
+    band's entries (O(bands) per event), not kept per task.
     """
 
     def __init__(
@@ -165,7 +171,6 @@ class QueueAccounting:
         self.service = service
         self.estimate_db = estimate_db
         self.fallback_runtime_s = fallback_runtime_s
-        self._band_of: Dict[str, int] = {}
         self._bands: Dict[int, Dict[str, float]] = {}    # band -> task -> contribution
         self._missing: Dict[int, Set[str]] = {}          # band -> tasks w/o estimate
         self._totals: Dict[int, float] = {}
@@ -188,15 +193,21 @@ class QueueAccounting:
         self._discard(ad.task_id)
 
     def _on_estimate_recorded(self, task_id: str, value: float) -> None:
-        band = self._band_of.get(task_id)
+        band = self._band_holding(task_id)
         if band is None:
             return
         elapsed = self.service.pool.ad(task_id).elapsed_runtime()
-        self._bands[band][task_id] = max(0.0, value - elapsed)
+        self._bands[band][task_id] = _remaining(value, elapsed)
         self._missing.get(band, set()).discard(task_id)
         self._dirty.add(band)
 
     # -- bookkeeping ----------------------------------------------------
+    def _band_holding(self, task_id: str) -> Optional[int]:
+        for band, entries in self._bands.items():
+            if task_id in entries:
+                return band
+        return None
+
     def _upsert(self, ad: CondorJobAd) -> None:
         self._discard(ad.task_id)
         band = ad.priority
@@ -211,16 +222,15 @@ class QueueAccounting:
             entries[ad.task_id] = 0.0
             self._missing.setdefault(band, set()).add(ad.task_id)
         else:
-            entries[ad.task_id] = max(0.0, estimated - ad.elapsed_runtime())
-        self._band_of[ad.task_id] = band
+            entries[ad.task_id] = _remaining(estimated, ad.elapsed_runtime())
         self._dirty.add(band)
 
     def _discard(self, task_id: str) -> None:
-        band = self._band_of.pop(task_id, None)
+        band = self._band_holding(task_id)
         if band is None:
             return
         entries = self._bands[band]
-        entries.pop(task_id, None)
+        del entries[task_id]
         self._missing.get(band, set()).discard(task_id)
         self._dirty.add(band)
         if not entries:
@@ -239,7 +249,6 @@ class QueueAccounting:
         runtime is frozen while queued — so the rebuilt totals are
         bit-identical to the pre-snapshot ones.
         """
-        self._band_of.clear()
         self._bands.clear()
         self._missing.clear()
         self._totals.clear()
@@ -250,7 +259,7 @@ class QueueAccounting:
     # -- queries --------------------------------------------------------
     def queued_depth(self) -> int:
         """Number of queued tasks currently accounted."""
-        return len(self._band_of)
+        return sum(map(len, self._bands.values()))
 
     def band_totals(self, min_priority: int = 0) -> List[float]:
         """Exact remaining-runtime total of every band >= *min_priority*.
@@ -310,17 +319,6 @@ class QueueTimeEstimator:
         service.queue_accounting = acct
         return acct
 
-    def _accounting(self, service: ExecutionService) -> Optional[QueueAccounting]:
-        """The service's accounting, if compatible with this estimator."""
-        acct = getattr(service, "queue_accounting", None)
-        if (
-            isinstance(acct, QueueAccounting)
-            and acct.estimate_db is self.estimate_db
-            and acct.fallback_runtime_s == self.fallback_runtime_s
-        ):
-            return acct
-        return None
-
     def _remaining(self, ad: CondorJobAd) -> float:
         if self.estimate_db.has(ad.task_id):
             estimated = self.estimate_db.lookup(ad.task_id)
@@ -330,7 +328,7 @@ class QueueTimeEstimator:
             raise QueueEstimationError(
                 f"task {ad.task_id!r} ahead in queue has no stored estimate"
             )
-        return max(0.0, estimated - ad.elapsed_runtime())
+        return _remaining(estimated, ad.elapsed_runtime())
 
     def breakdown(
         self, service: ExecutionService, task_id: str, per_slot: bool = False
@@ -365,23 +363,14 @@ class QueueTimeEstimator:
         task exists in any queue: everything running, plus every queued
         task that would sort ahead of a new FIFO arrival at this priority.
 
-        When the service has incremental accounting (:meth:`attach`), the
-        queued part comes from the per-priority-band running sums —
-        O(bands) instead of O(queue); an un-attached service is scanned.
-        Both combine the same contributions with the same
-        correctly-rounded :func:`math.fsum`, so attaching never changes
-        the answer.
+        The queued part comes from the service's per-priority-band running
+        sums (:meth:`attach`, done here on first use): O(bands), not
+        O(queue).  They combine the scan's contributions with the same
+        correctly-rounded :func:`math.fsum`, so the answer is the scan's
+        (``test_properties_index_accounting`` keeps the scan as the oracle).
         """
         running_parts = [self._remaining(ad) for ad in service.running_info()]
-        acct = self._accounting(service)
-        if acct is not None:
-            band_totals = acct.band_totals(priority)
-        else:
-            by_band: Dict[int, List[float]] = {}
-            for ad in service.queue_info():
-                if ad.priority >= priority:
-                    by_band.setdefault(ad.priority, []).append(self._remaining(ad))
-            band_totals = [math.fsum(parts) for parts in by_band.values()]
+        band_totals = self.attach(service).band_totals(priority)
         total = math.fsum(running_parts + band_totals)
         if per_slot:
             total /= max(1, service.pool.total_slots)

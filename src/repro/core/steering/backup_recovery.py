@@ -199,9 +199,9 @@ class BackupRecovery:
 
     def _recover_site(self, site_name: str) -> None:
         """Resubmit every casualty of a failed execution service."""
-        for sub in [self.subscriber.subscription(j.job_id) for j in self.subscriber.jobs()]:
-            for task in sub.job.tasks:
-                if sub.plan.site_for(task.task_id) != site_name:
+        for job in self.subscriber.jobs():
+            for task in job.tasks:
+                if task.site != site_name:
                     continue
                 if task.state is JobState.COMPLETED:
                     continue

@@ -61,7 +61,7 @@ class SteeringService:
     ) -> None:
         self.sim = sim
         self.policy = policy if policy is not None else SteeringPolicy()
-        self.subscriber = Subscriber()
+        self.subscriber = Subscriber(scheduler.plans)
         self.session_manager = SessionManager(self.subscriber)
         self.command_processor = CommandProcessor(self.subscriber, scheduler, services)
         self.monitoring = monitoring

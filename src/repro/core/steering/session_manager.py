@@ -39,7 +39,7 @@ class SessionManager:
             job_id = self.subscriber.job_of_task(task_id)
         except KeyError:
             raise SteeringAuthError(f"unknown task {task_id!r}") from None
-        return self.subscriber.subscription(job_id).job.owner
+        return self.subscriber.job(job_id).owner
 
     def may_steer(self, principal: Principal, task_id: str) -> bool:
         """Whether *principal* may steer the task (no exception)."""
@@ -62,13 +62,13 @@ class SessionManager:
     def authorize_job(self, principal: Principal, job_id: str) -> None:
         """Job-level variant of :meth:`authorize`."""
         try:
-            sub = self.subscriber.subscription(job_id)
+            job = self.subscriber.job(job_id)
         except KeyError:
             raise SteeringAuthError(f"unknown job {job_id!r}") from None
         if principal == OPTIMIZER_PRINCIPAL:
             return
         if principal.is_anonymous or (
-            principal.user != sub.job.owner
+            principal.user != job.owner
             and not any(g in self.admin_groups for g in principal.groups)
         ):
             raise SteeringAuthError(

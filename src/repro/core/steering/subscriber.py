@@ -9,23 +9,33 @@ The subscriber is the steering service's registry of everything it is
 responsible for: jobs, their current plans, and the execution services
 those plans touch.  Updated plans (after redirects/resubmissions) replace
 earlier ones for the same job.
+
+It applies each plan to a :class:`~repro.gridsim.job.PlanTable`.  Given
+its scheduler's (the GAE wiring), it finds there the plans Sphinx already
+holds and keeps nothing of its own; built without one, it keeps a table of
+its own, which must then not share task objects with a scheduler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Set
+from typing import Callable, Dict, List, Optional, Set
 
-from repro.gridsim.job import ConcreteJobPlan, Job, Task, plan_from_wire, plan_to_wire
+from repro.gridsim.job import ConcreteJobPlan, Job, PlanTable, Task, plan_from_wire, plan_to_wire
 
 
 @dataclass(slots=True)
 class Subscription:
-    """One job under steering-service management."""
+    """One job under steering-service management, read off the plan table."""
 
     job: Job
     plan: ConcreteJobPlan
-    plan_history: List[ConcreteJobPlan] = field(default_factory=list)
+    _plans: PlanTable = field(repr=False)
+
+    @property
+    def plan_history(self) -> List[ConcreteJobPlan]:
+        """Every plan the job has had, oldest first, the current one last."""
+        return self._plans.history(self.job.job_id)
 
     @property
     def execution_sites(self) -> List[str]:
@@ -36,9 +46,8 @@ class Subscription:
 class Subscriber:
     """Receives and indexes concrete job plans."""
 
-    def __init__(self) -> None:
-        self._subscriptions: Dict[str, Subscription] = {}
-        self._task_index: Dict[str, str] = {}  # task_id -> job_id
+    def __init__(self, plans: Optional[PlanTable] = None) -> None:
+        self.plans = PlanTable() if plans is None else plans
 
     def receive_plan(self, plan: ConcreteJobPlan, job: Job) -> Subscription:
         """Accept a (possibly updated) concrete job plan from the scheduler.
@@ -46,43 +55,37 @@ class Subscriber:
         This is the callable registered on
         :attr:`SphinxScheduler.plan_listeners`.
         """
-        existing = self._subscriptions.get(job.job_id)
-        if existing is None:
-            sub = Subscription(job=job, plan=plan, plan_history=[plan])
-            self._subscriptions[job.job_id] = sub
-            for task in job.tasks:
-                self._task_index[task.task_id] = job.job_id
-        else:
-            existing.plan = plan
-            existing.plan_history.append(plan)
-            sub = existing
-        return sub
+        self.plans.apply(plan, job)
+        return Subscription(job, plan, self.plans)
 
     # ------------------------------------------------------------------
     def subscription(self, job_id: str) -> Subscription:
         """The subscription for a job (KeyError if never received)."""
-        return self._subscriptions[job_id]
+        return Subscription(self.plans.jobs[job_id], self.plans.plan(job_id), self.plans)
 
     def has_job(self, job_id: str) -> bool:
         """Whether a plan for this job was ever received."""
-        return job_id in self._subscriptions
+        return job_id in self.plans.jobs
+
+    def job(self, job_id: str) -> Job:
+        """The job object for an id (KeyError if unknown)."""
+        return self.plans.jobs[job_id]
 
     def job_of_task(self, task_id: str) -> str:
         """The job a task belongs to (KeyError if unknown)."""
-        return self._task_index[task_id]
+        return self.plans.tasks[task_id].job_id  # type: ignore[return-value]
 
     def task(self, task_id: str) -> Task:
         """The task object for an id."""
-        return self._subscriptions[self.job_of_task(task_id)].job.task(task_id)
+        return self.plans.tasks[task_id]
 
     def site_of_task(self, task_id: str) -> str:
         """The site the *current* plan binds a task to."""
-        sub = self._subscriptions[self.job_of_task(task_id)]
-        return sub.plan.site_for(task_id)
+        return self.plans.tasks[task_id].site  # type: ignore[return-value]
 
     def jobs(self) -> List[Job]:
         """All subscribed jobs, in subscription order."""
-        return [s.job for s in self._subscriptions.values()]
+        return list(self.plans.jobs.values())
 
     def active_tasks(self) -> List[Task]:
         """Tasks not yet in a settled terminal state, across all jobs.
@@ -91,8 +94,8 @@ class Subscriber:
         the steering service's responsibility.
         """
         out: List[Task] = []
-        for sub in self._subscriptions.values():
-            for task in sub.job.tasks:
+        for job in self.plans.jobs.values():
+            for task in job.tasks:
                 if not task.state.is_terminal or task.state.value == "moved":
                     out.append(task)
         return out
@@ -109,30 +112,24 @@ class Subscriber:
         """
         return [
             {
-                "job_id": sub.job.job_id,
-                "plan_history": [plan_to_wire(p) for p in sub.plan_history],
+                "job_id": job_id,
+                "plan_history": [plan_to_wire(p) for p in self.plans.history(job_id)],
             }
-            for sub in self._subscriptions.values()
+            for job_id in self.plans.jobs
         ]
 
     def import_state(
         self, state: List[Dict[str, object]], job_resolver: Callable[[str], Job]
     ) -> None:
-        """Rebuild subscriptions from :meth:`export_state` output.
+        """Rebuild subscriptions from :meth:`export_state` output, into a
+        fresh subscriber (its table empty, or its scheduler's just restored).
 
         *job_resolver* must return the restored scheduler's job objects,
         so steering and scheduling keep sharing one set of live tasks.
         """
-        self._subscriptions = {}
-        self._task_index = {}
         for wire in state:
-            job = job_resolver(wire["job_id"])  # type: ignore[arg-type]
             history = [plan_from_wire(p) for p in wire["plan_history"]]  # type: ignore[union-attr]
-            self._subscriptions[job.job_id] = Subscription(
-                job=job, plan=history[-1], plan_history=history
-            )
-            for task in job.tasks:
-                self._task_index[task.task_id] = job.job_id
+            self.plans.restore(job_resolver(wire["job_id"]), history)  # type: ignore[arg-type]
 
     def execution_sites_in_use(self) -> Set[str]:
         """Every site any current plan binds at least one task to.
@@ -140,7 +137,8 @@ class Subscriber:
         This is the set Backup & Recovery "continuously checks … for
         failure" (§4.2.4).
         """
-        sites: Set[str] = set()
-        for sub in self._subscriptions.values():
-            sites.update(sub.execution_sites)
-        return sites
+        return {
+            task.site  # type: ignore[misc]
+            for job in self.plans.jobs.values()
+            for task in job.tasks
+        }

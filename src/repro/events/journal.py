@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import compress, islice, repeat, starmap
 from operator import eq, is_
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.payload import payload
 from repro.store.base import StateStore
@@ -84,7 +84,7 @@ class EventType(str, enum.Enum):
 #: A row's fields after ``seq``, in :class:`JournalEvent` order: the
 #: columns the journal's ring keeps.
 _COLUMNS = ("time", "type", "task_id", "job_id", "site", "trace_id", "span_id", "keys", "values")
-_TYPE, _TASK = _COLUMNS.index("type"), _COLUMNS.index("task_id")
+_TYPE, _TASK, _SPAN = (_COLUMNS.index(f) for f in ("type", "task_id", "span_id"))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -205,6 +205,9 @@ class EventJournal:
     at the head (``load_from`` refuses a stream with a gap), so ring
     index *i* holds seq ``head_seq - len + 1 + i``.  Readers copy the
     column slices they need under the lock and build rows outside it.
+    The ``span_id`` column may keep a tracer's counter value, which
+    :attr:`render_span_id` (the instrumented build's ``Tracer.render_id``)
+    turns into the id every row and wire form reads.
     """
 
     def __init__(self, clock: Callable[[], float], capacity: int = 100_000) -> None:
@@ -215,6 +218,7 @@ class EventJournal:
         self._appends = tuple(column.append for column in self._columns)
         self.capacity = capacity
         self.sink: Callable[[JournalEvent], None] = _no_sink
+        self.render_span_id: Callable[[Any], Optional[str]] = lambda span_id: span_id
         self._lock = threading.RLock()
         self._head_seq = -1
 
@@ -241,7 +245,7 @@ class EventJournal:
         job_id: Optional[str] = None,
         site: Optional[str] = None,
         trace_id: Optional[str] = None,
-        span_id: Optional[str] = None,
+        span_id: Union[str, int, None] = None,
         time: Optional[float] = None,
         **attributes: Any,
     ) -> JournalEvent:
@@ -254,7 +258,7 @@ class EventJournal:
                 time = self._clock()
             event = _fill(
                 object.__new__(JournalEvent), seq, time, type, task_id, job_id, site,
-                trace_id, span_id, keys, values,
+                trace_id, self.render_span_id(span_id), keys, values,
             )
             if self.capacity:
                 (push_time, push_type, push_task, push_job, push_site, push_trace,
@@ -284,10 +288,9 @@ class EventJournal:
             if limit is not None:
                 start = max(start, retained - limit)
             start = min(start, retained)
-            return (
-                range(first + start, self._head_seq + 1),
-                [tuple(islice(column, start, None)) for column in self._columns],
-            )
+            columns = [tuple(islice(column, start, None)) for column in self._columns]
+        columns[_SPAN] = tuple(map(self.render_span_id, columns[_SPAN]))
+        return range(first + start, self._head_seq + 1), columns
 
     # -- queries -------------------------------------------------------
 

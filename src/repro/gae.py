@@ -108,7 +108,7 @@ class GAE:
         self.steering.start()
         self.load_publisher.start()
         if self.observability is not None:
-            self.observability.start_telemetry()
+            self.observability.telemetry.start()
         if self.monitor_snapshot_period_s is not None:
             self.monitoring.start_periodic_snapshots(self.monitor_snapshot_period_s)
         return self
@@ -118,7 +118,7 @@ class GAE:
         self.steering.stop()
         self.load_publisher.stop()
         if self.observability is not None:
-            self.observability.stop_telemetry()
+            self.observability.telemetry.stop()
         self.monitoring.stop_periodic_snapshots()
 
 

@@ -10,7 +10,8 @@ Terminology follows the paper:
 - a *concrete job plan* is a job plan "precisely describing the nodes where
   the job will be executed" (§4.2.1), i.e. a binding of every task to an
   execution site.  The scheduler produces it and sends it to the steering
-  service's Subscriber.
+  service's Subscriber; a :class:`PlanTable` holds the live plans, each
+  binding once, on its task (:attr:`Task.site`).
 
 Task attributes deliberately mirror the SDSC Paragon accounting-trace fields
 used in the paper's evaluation (account, login, partition, nodes, job type,
@@ -23,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.declare import decode, encode
 
@@ -208,6 +209,9 @@ class Task:
     checkpointable: bool = False
     #: Size of the checkpoint image a move must ship (0 = negligible).
     checkpoint_image_mb: float = 0.0
+    #: The site its job's current concrete plan binds it to (None until
+    #: planned); the one home of that binding (see :class:`PlanTable`).
+    site: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.work_seconds <= 0:
@@ -242,6 +246,8 @@ class Job:
     job_id: str = field(default_factory=_next_job_id)
     dependencies: Mapping[str, Tuple[str, ...]] = EMPTY_MAPPING
     description: str = ""
+    #: When its concrete plan was made (the plan's ``created_at``).
+    planned_at: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tasks:
@@ -294,20 +300,10 @@ class Job:
         """Ids of tasks that must complete before *task_id* may start."""
         return self.dependencies.get(task_id, ())
 
-    def ready_tasks(self, completed: Iterable[str]) -> List[Task]:
-        """Tasks whose parents all appear in *completed* and are PENDING."""
-        # The scheduler's set spans every job it knows; never copy a set.
-        done = completed if isinstance(completed, (set, frozenset)) else set(completed)
-        return [
-            t
-            for t in self.tasks
-            if t.state is JobState.PENDING
-            and t.task_id not in done
-            and all(p in done for p in self.parents(t.task_id))
-        ]
-
     def topological_order(self) -> List[Task]:
         """Tasks in an order compatible with the dependency DAG."""
+        if self.dependencies is EMPTY_MAPPING:  # a bag: every plan built for it reads this
+            return list(self.tasks)
         order: List[Task] = []
         done: set = set()
         remaining = {t.task_id: t for t in self.tasks}
@@ -378,15 +374,97 @@ class ConcreteJobPlan:
                 seen.append(b.site_name)
         return seen
 
-    def rebind(self, task_id: str, new_site: str) -> "ConcreteJobPlan":
-        """Return a plan with *task_id* moved to *new_site* (steering move)."""
-        if task_id not in {b.task_id for b in self.bindings}:
-            raise KeyError(task_id)
-        bindings = tuple(
-            TaskBinding(b.task_id, new_site if b.task_id == task_id else b.site_name)
-            for b in self.bindings
+
+class PlanTable:
+    """The live jobs' concrete plans, each fact kept once.
+
+    :attr:`jobs` and :attr:`tasks` find a job or a task by id.  A binding
+    is its :attr:`Task.site` and a plan's ``created_at`` its job's
+    :attr:`Job.planned_at`, so a plan is built when asked for.  A revision
+    keeps the bindings it replaced and the plan's ``created_at``, not a
+    copy of the plan: *k* revisions hold *k* bindings.
+    """
+
+    __slots__ = ("jobs", "tasks", "_children", "_revisions")
+
+    def __init__(self) -> None:
+        self.jobs: Dict[str, Job] = {}
+        self.tasks: Dict[str, Task] = {}
+        #: parent task id -> its dependent tasks, in job order (DAGs only).
+        self._children: Dict[str, Tuple[Task, ...]] = {}
+        self._revisions: Dict[str, List[Tuple[float, Tuple[TaskBinding, ...]]]] = {}
+
+    def clear(self) -> None:
+        for table in (self.jobs, self.tasks, self._children, self._revisions):
+            table.clear()
+
+    def add(self, job: Job) -> None:
+        """Hold *job* and its tasks (their bindings are the caller's)."""
+        self.jobs[job.job_id] = job
+        children: Dict[str, List[Task]] = {}
+        for task in job.tasks:
+            self.tasks[task.task_id] = task
+            for parent in job.parents(task.task_id):
+                children.setdefault(parent, []).append(task)
+        self._children.update((parent, tuple(kids)) for parent, kids in children.items())
+
+    def children(self, task_id: str) -> Tuple[Task, ...]:
+        return self._children.get(task_id, ())
+
+    def rebind(self, task: Task, site: str) -> None:
+        """Revise the plan of *task*'s job: bind *task* to *site*."""
+        job = self.jobs[task.job_id]  # type: ignore[index]
+        replaced = (TaskBinding(task.task_id, task.site),)  # type: ignore[arg-type]
+        self._revisions.setdefault(job.job_id, []).append((job.planned_at, replaced))
+        task.site = site
+
+    def apply(self, plan: ConcreteJobPlan, job: Job) -> None:
+        """Make *plan* *job*'s plan: the first binds the job, a later one
+        that moves a binding or the plan's time is a revision, and one the
+        table holds already (its scheduler's own) changes nothing."""
+        if job.job_id in self.jobs:
+            self._revise(plan, changed_only=True)
+        else:
+            self.add(job)
+            self._bind(plan)
+
+    def restore(self, job: Job, history: Sequence[ConcreteJobPlan]) -> None:
+        """Hold *job* at the last plan of *history*, the others its revisions."""
+        self.add(job)
+        self._revisions.pop(job.job_id, None)
+        self._bind(history[0])
+        for plan in history[1:]:
+            self._revise(plan)
+
+    def _bind(self, plan: ConcreteJobPlan) -> None:
+        for binding in plan.bindings:
+            self.tasks[binding.task_id].site = binding.site_name
+        self.jobs[plan.job_id].planned_at = plan.created_at
+
+    def _revise(self, plan: ConcreteJobPlan, changed_only: bool = False) -> None:
+        tasks, job = self.tasks, self.jobs[plan.job_id]
+        replaced = tuple(
+            TaskBinding(b.task_id, tasks[b.task_id].site)  # type: ignore[arg-type]
+            for b in plan.bindings if tasks[b.task_id].site != b.site_name
         )
-        return ConcreteJobPlan(job_id=self.job_id, bindings=bindings, created_at=self.created_at)
+        if replaced or plan.created_at != job.planned_at or not changed_only:
+            self._revisions.setdefault(job.job_id, []).append((job.planned_at, replaced))
+            self._bind(plan)
+
+    def plan(self, job_id: str) -> ConcreteJobPlan:
+        """*job_id*'s current plan (KeyError if unknown)."""
+        job = self.jobs[job_id]
+        bindings = tuple(TaskBinding(t.task_id, t.site) for t in job.topological_order())  # type: ignore[arg-type]
+        return ConcreteJobPlan(job_id=job_id, bindings=bindings, created_at=job.planned_at)
+
+    def history(self, job_id: str) -> List[ConcreteJobPlan]:
+        """Every plan *job_id* has had, the current one last."""
+        plans = [self.plan(job_id)]
+        for created_at, replaced in reversed(self._revisions.get(job_id, ())):
+            earlier = {b.task_id: b for b in replaced}
+            bindings = tuple(earlier.get(b.task_id, b) for b in plans[-1].bindings)
+            plans.append(ConcreteJobPlan(job_id=job_id, bindings=bindings, created_at=created_at))
+        return plans[::-1]
 
 
 def sequential_job(specs: Sequence[TaskSpec], works: Sequence[float], owner: str = "anonymous") -> Job:

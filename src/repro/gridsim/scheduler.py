@@ -26,7 +26,7 @@ the job", §4.2.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.gridsim.clock import Simulator
 from repro.gridsim.condor import CondorJobAd
@@ -35,8 +35,8 @@ from repro.gridsim.job import (
     ConcreteJobPlan,
     Job,
     JobState,
+    PlanTable,
     Task,
-    TaskBinding,
     job_from_wire,
     job_to_wire,
     plan_from_wire,
@@ -69,12 +69,6 @@ def default_ranking(estimated_runtime: float, load: float, stage_in_time: float)
     the queue-time proxy MonALISA provides in step d).
     """
     return estimated_runtime * (1.0 + load) + stage_in_time
-
-
-@dataclass(slots=True)
-class _JobEntry:
-    job: Job
-    plan: ConcreteJobPlan
 
 
 class SphinxScheduler:
@@ -133,14 +127,9 @@ class SphinxScheduler:
         #: reads a count; written only by :meth:`_commit`/:meth:`_uncommit`.
         self._committed_count: Dict[str, int] = {}
         self._services: Dict[str, ExecutionService] = {}
-        self._jobs: Dict[str, _JobEntry] = {}
-        self._task_index: Dict[str, str] = {}  # task_id -> job_id
-        #: Ids of every task handed to a site at least once, and of every
-        #: task a pool reported complete.  One set each for the whole
-        #: scheduler (task ids are unique across jobs): a set per job
-        #: costs 216 B before it holds anything.
-        self._submitted: Set[str] = set()
-        self._completed: Set[str] = set()
+        #: Jobs, tasks and plans by id; whether a task was handed to a site
+        #: or completed is its state, kept on the task.
+        self.plans = PlanTable()
         self.plan_listeners: List[Callable[[ConcreteJobPlan, Job], None]] = []
         self.completion_listeners: List[Callable[[Task, str], None]] = []
         # Called as (task, site_name) right after every pool submission —
@@ -283,39 +272,37 @@ class SphinxScheduler:
         notifies plan listeners (the steering Subscriber), and submits every
         dependency-free task immediately.
         """
-        if job.job_id in self._jobs:
+        if job.job_id in self.plans.jobs:
             raise SchedulingError(f"job {job.job_id} already submitted")
-        binding_list = []
+        job.planned_at = self.sim.now
         for t in job.topological_order():
-            site = self.select_site(t)
-            binding_list.append(TaskBinding(task_id=t.task_id, site_name=site))
+            t.site = self.select_site(t)
             # Count the binding immediately so the next task in this same
             # plan sees the site as busier (intra-plan load balancing).
-            self._commit(t.task_id, site)
-        bindings = tuple(binding_list)
-        plan = ConcreteJobPlan(job_id=job.job_id, bindings=bindings, created_at=self.sim.now)
-        entry = _JobEntry(job=job, plan=plan)
-        self._jobs[job.job_id] = entry
-        for t in job.tasks:
-            self._task_index[t.task_id] = job.job_id
-        self._emit_plan(entry)
-        self._submit_ready(entry)
+            self._commit(t.task_id, t.site)
+        self.plans.add(job)
+        plan = self._emit_plan(job.job_id)
+        self._submit_ready(job, job.tasks)
         return plan
 
-    def _emit_plan(self, entry: _JobEntry) -> None:
+    def _emit_plan(self, job_id: str) -> ConcreteJobPlan:
+        plan, job = self.plans.plan(job_id), self.plans.jobs[job_id]
         for listener in list(self.plan_listeners):
-            listener(entry.plan, entry.job)
+            listener(plan, job)
+        return plan
 
-    def _submit_ready(self, entry: _JobEntry) -> None:
-        for task in entry.job.ready_tasks(self._completed):
-            if task.task_id in self._submitted:
+    def _submit_ready(self, job: Job, candidates: Iterable[Task]) -> None:
+        """Submit the *candidates* (a job's tasks, or a completed task's
+        children) that are PENDING, not in flight, and whose parents completed."""
+        tasks = self.plans.tasks
+        for task in candidates:
+            if task.state is not JobState.PENDING or task.task_id in self.staging:
                 continue
-            site_name = entry.plan.site_for(task.task_id)
-            self._submit_to(task, site_name)
+            if all(tasks[p].state is JobState.COMPLETED for p in job.parents(task.task_id)):
+                self._submit_to(task, task.site)  # type: ignore[arg-type]
 
     def _submit_to(self, task: Task, site_name: str, initial_work: float = 0.0) -> None:
         delay = self._stage_in_delay(task, site_name)
-        self._submitted.add(task.task_id)
         self._commit(task.task_id, site_name)
         if delay <= 0.0:
             self._deliver(task, site_name, initial_work)
@@ -364,7 +351,6 @@ class SphinxScheduler:
         except ExecutionServiceDown:
             self.resubmit_task(task_id, exclude={site_name})
             return
-        self._submitted.add(task_id)
         self._deliver(task, site_name, work)
 
     def _unstage(self, task_id: str) -> None:
@@ -402,25 +388,23 @@ class SphinxScheduler:
         On arrival at an unplanned pool the binding is updated and the
         revised plan re-emitted to the plan listeners (the Subscriber).
         """
-        job_id = self._task_index.get(task_id)
-        if job_id is None:
+        task = self.plans.tasks.get(task_id)
+        if task is None:
             return  # a task submitted around the scheduler
-        entry = self._jobs[job_id]
-        if entry.plan.site_for(task_id) == site_name:
+        if task.site == site_name:
             return
-        entry.plan = entry.plan.rebind(task_id, site_name)
+        self.plans.rebind(task, site_name)
         self._commit(task_id, site_name)
-        self._emit_plan(entry)
+        self._emit_plan(task.job_id)  # type: ignore[arg-type]
 
     def _on_task_complete(self, ad: CondorJobAd) -> None:
-        job_id = self._task_index.get(ad.task_id)
-        if job_id is None:
+        task = self.plans.tasks.get(ad.task_id)
+        if task is None:
             return  # a task submitted around the scheduler
-        entry = self._jobs[job_id]
-        self._completed.add(ad.task_id)
         for listener in list(self.completion_listeners):
-            listener(ad.task, entry.plan.site_for(ad.task_id))
-        self._submit_ready(entry)
+            listener(ad.task, task.site)
+        job = self.plans.jobs[task.job_id]  # type: ignore[index]
+        self._submit_ready(job, self.plans.children(task.task_id))
 
     # ------------------------------------------------------------------
     # redirection and resubmission
@@ -441,22 +425,21 @@ class SphinxScheduler:
         old site first, charged as real simulated transfer time (§7: "the
         time taken to transfer the data files needed by the job").
         """
-        entry = self._entry_for_task(task_id)
-        task = entry.job.task(task_id)
-        old_site = entry.plan.site_for(task_id)
+        task = self.task(task_id)
+        old_site: str = task.site  # type: ignore[assignment]
         self._unstage(task_id)
         if new_site is None:
             new_site = self.select_site(task, exclude={old_site})
         elif new_site not in self._services:
             raise SchedulingError(f"unknown target site {new_site!r}")
-        entry.plan = entry.plan.rebind(task_id, new_site)
+        self.plans.rebind(task, new_site)
         task.state = JobState.PENDING
         image_delay = self._image_transfer_delay(old_site, new_site, image_size_mb)
         if image_delay > 0.0:
             self._stage(task, new_site, image_delay, carry_work, "ckpt-image")
         else:
             self._submit_to(task, new_site, initial_work=carry_work)
-        self._emit_plan(entry)
+        self._emit_plan(task.job_id)  # type: ignore[arg-type]
         return new_site
 
     def _image_transfer_delay(
@@ -481,56 +464,49 @@ class SphinxScheduler:
         Used by Backup & Recovery after an execution-service failure.  The
         failed site is excluded automatically.
         """
-        entry = self._entry_for_task(task_id)
-        task = entry.job.task(task_id)
-        old_site = entry.plan.site_for(task_id)
+        task = self.task(task_id)
         self._unstage(task_id)
-        excluded = set(exclude) | {old_site}
+        excluded = set(exclude) | {task.site}
         try:
             new_site = self.select_site(task, exclude=excluded)
         except SchedulingError:
             # Fall back to any live site, even the failed one if it recovered.
             new_site = self.select_site(task)
-        entry.plan = entry.plan.rebind(task_id, new_site)
+        self.plans.rebind(task, new_site)
         task.state = JobState.PENDING
         self._submit_to(task, new_site, initial_work=0.0)
-        self._emit_plan(entry)
+        self._emit_plan(task.job_id)  # type: ignore[arg-type]
         return new_site
 
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def _entry_for_task(self, task_id: str) -> _JobEntry:
-        job_id = self._task_index.get(task_id)
-        if job_id is None:
-            raise SchedulingError(f"unknown task {task_id!r}")
-        return self._jobs[job_id]
-
     def job(self, job_id: str) -> Job:
         """The job object for an id (SchedulingError if unknown)."""
         try:
-            return self._jobs[job_id].job
+            return self.plans.jobs[job_id]
         except KeyError:
             raise SchedulingError(f"unknown job {job_id!r}") from None
 
     def plan(self, job_id: str) -> ConcreteJobPlan:
         """The *current* concrete plan (reflects redirects/resubmits)."""
-        try:
-            return self._jobs[job_id].plan
-        except KeyError:
-            raise SchedulingError(f"unknown job {job_id!r}") from None
+        self.job(job_id)  # SchedulingError if unknown
+        return self.plans.plan(job_id)
 
     def site_of_task(self, task_id: str) -> str:
         """The site a task is currently bound to."""
-        return self._entry_for_task(task_id).plan.site_for(task_id)
+        return self.task(task_id).site  # type: ignore[return-value]
 
     def task(self, task_id: str) -> Task:
         """The task object for an id (SchedulingError if unknown)."""
-        return self._entry_for_task(task_id).job.task(task_id)
+        try:
+            return self.plans.tasks[task_id]
+        except KeyError:
+            raise SchedulingError(f"unknown task {task_id!r}") from None
 
     def jobs(self) -> List[Job]:
         """All submitted jobs."""
-        return [e.job for e in self._jobs.values()]
+        return list(self.plans.jobs.values())
 
     # ------------------------------------------------------------------
     # checkpoint/restore
@@ -540,21 +516,25 @@ class SphinxScheduler:
 
         The scheduler checkpoint is the system of record for task/job
         objects; pool snapshots reference them by id and are resolved
-        against the restored entries via :meth:`task`.
+        against the restored entries via :meth:`task`.  A job's
+        ``completed`` and ``submitted`` lists are read off its task states:
+        a task was handed to a site once it is past PENDING or in flight.
         """
-
-        def of_job(task_ids: Set[str], job: Job) -> List[str]:
-            return sorted(task_ids.intersection(t.task_id for t in job.tasks))
-
+        staging = self.staging
         return {
             "jobs": [
                 {
-                    "job": job_to_wire(entry.job),
-                    "plan": plan_to_wire(entry.plan),
-                    "completed": of_job(self._completed, entry.job),
-                    "submitted": of_job(self._submitted, entry.job),
+                    "job": job_to_wire(job),
+                    "plan": plan_to_wire(self.plans.plan(job.job_id)),
+                    "completed": sorted(
+                        t.task_id for t in job.tasks if t.state is JobState.COMPLETED
+                    ),
+                    "submitted": sorted(
+                        t.task_id for t in job.tasks
+                        if t.state is not JobState.PENDING or t.task_id in staging
+                    ),
                 }
-                for entry in self._jobs.values()
+                for job in self.plans.jobs.values()
             ],
             "commitments": [
                 [task_id, site] for task_id, site in self._commitments.items()
@@ -572,20 +552,13 @@ class SphinxScheduler:
         events (the original plan announcements and transfer spans live
         in the restored steering/observability state).  In-flight
         stage-in transfers are re-armed to land at their original finish
-        times with the work they were carrying.
+        times with the work they were carrying.  The ``completed`` and
+        ``submitted`` lists are not read: the task states say it.  The
+        table is cleared in place; the steering Subscriber reads it too.
         """
-        self._jobs = {}
-        self._task_index = {}
-        self._submitted = set()
-        self._completed = set()
+        self.plans.clear()
         for wire in state["jobs"]:  # type: ignore[union-attr]
-            job = job_from_wire(wire["job"])
-            plan = plan_from_wire(wire["plan"])
-            self._jobs[job.job_id] = _JobEntry(job=job, plan=plan)
-            self._completed.update(wire["completed"])
-            self._submitted.update(wire["submitted"])
-            for t in job.tasks:
-                self._task_index[t.task_id] = job.job_id
+            self.plans.restore(job_from_wire(wire["job"]), [plan_from_wire(wire["plan"])])
         # The per-site counts are derived state: rebuilt, never persisted.
         self._commitments = {}
         self._committed_count = {}

@@ -37,7 +37,7 @@ call's wire trace id, where a steering verb can adopt it.
 from __future__ import annotations
 
 import contextlib
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.events.journal import EventType
 from repro.gridsim.job import JobState
@@ -53,12 +53,15 @@ if TYPE_CHECKING:  # annotation only: the import chain leads back here
 __all__ = ["GAEInstrumentation"]
 
 
+_SpanNumber = Union[int, str]  # a span id as Tracer.id_number keeps it
+
+
 class _TaskTrace:
-    """Per-task tracing state: span ids, never spans (the ring owns those)."""
+    """Per-task tracing state: span ids as counter values, never spans
+    (the ring owns those) and never rendered strings."""
 
     __slots__ = (
-        "trace_id",
-        "job_id",
+        "job",
         "root_id",
         "phase_id",
         "phase_start",
@@ -71,41 +74,36 @@ class _TaskTrace:
         "finished",
     )
 
-    def __init__(self, trace_id: str, job_id: str, root_id: str, priority: int) -> None:
-        self.trace_id = trace_id
-        self.job_id = job_id
+    def __init__(self, job: "_JobTrace", root_id: _SpanNumber, priority: int) -> None:
+        self.job = job
         self.root_id = root_id
-        self.phase_id: Optional[str] = None
+        self.phase_id: Optional[_SpanNumber] = None
         self.phase_start = 0.0  # the open phase's, for its run time
         self.last_state: Optional[JobState] = None
         self.last_priority = priority
         self.site: Optional[str] = None
         self.queued_at: Optional[float] = None
-        self.flock_id: Optional[str] = None
+        self.flock_id: Optional[_SpanNumber] = None
         #: Task states already published to MonALISA (at most one entry
         #: per :class:`JobState`, so a tuple serves as the set).
         self.published_states: Tuple[str, ...] = ()
         #: Whether this task still counts towards its job's ``unfinished``.
         self.finished = False
 
-    def root(self) -> SpanContext:
-        """The task root's context, the parent of every span under the task
-        (built when a span opens, not kept: the ids are already here)."""
-        return SpanContext(self.trace_id, self.root_id)
-
 
 class _JobTrace:
-    __slots__ = ("trace_id", "span_id", "task_ids", "unfinished", "all_ok")
+    """Per-job tracing state, shared by the job's task records (there is
+    no job-keyed map: a job's record is its first task's ``job``)."""
 
-    def __init__(self, trace_id: str, span_id: str, task_ids: Tuple[str, ...]) -> None:
+    __slots__ = ("trace_id", "job_id", "span_id", "unfinished", "all_ok")
+
+    def __init__(self, trace_id: str, job_id: str, span_id: _SpanNumber, unfinished: int) -> None:
         self.trace_id = trace_id
+        self.job_id = job_id
         self.span_id = span_id
-        # The full membership, so closing the job span stays O(tasks in
-        # this job), not O(all tasks).
-        self.task_ids = task_ids
-        #: How many of ``task_ids`` have a :class:`_TaskTrace` that is not
-        #: yet ``finished``; which ones is read off the task records.
-        self.unfinished = len(task_ids)
+        #: How many of the job's tasks are not yet ``finished``; which ones
+        #: is read off their records.
+        self.unfinished = unfinished
         #: Whether every task that has finished so far ended ``ok``.
         self.all_ok = True
 
@@ -132,10 +130,10 @@ class GAEInstrumentation:
         self.tracer = Tracer(lambda: sim.now, id_prefix=seeded_id_prefix(grid.rngs.seed))
         self.eventcore = eventcore  # the GAE's write path, ``gae.events``
         self.journal = eventcore.journal
+        self.journal.render_span_id = self.tracer.render_id
         eventcore.trace_context = self.trace_context_of
         self.metrics = MetricsRegistry()
         self._tasks: Dict[str, _TaskTrace] = {}
-        self._jobs: Dict[str, _JobTrace] = {}
         self.telemetry = TelemetryPipeline(sim, self.metrics, window_s=telemetry_window_s)
         self.health = HealthEngine(self.telemetry, self.journal, rules=health_rules)
 
@@ -180,6 +178,7 @@ class GAEInstrumentation:
         eventcore.observe = self.telemetry.count
 
         scheduler = grid.scheduler
+        self._plans = scheduler.plans
         scheduler.plan_listeners.append(self._on_plan)
         scheduler.staging_listeners.append(self._on_staging)
 
@@ -246,7 +245,7 @@ class GAEInstrumentation:
     # scheduler hooks
     # ------------------------------------------------------------------
     def _on_plan(self, plan, job) -> None:
-        if job.job_id in self._jobs:
+        if job.tasks[0].task_id in self._tasks:
             return  # re-plan after a move/resubmit: the trace already exists
         trace_id = self.tracer.new_trace_id()
         job_span = self.tracer.start_span(
@@ -255,25 +254,23 @@ class GAEInstrumentation:
             attributes={"job_id": job.job_id, "tasks": len(job.tasks)},
             activate=False,
         )
-        task_ids = tuple(t.task_id for t in job.tasks)
-        self._jobs[job.job_id] = _JobTrace(trace_id, job_span.span_id, task_ids)
+        jt = _JobTrace(trace_id, job.job_id, job_span.number, len(job.tasks))
         self._jobs_planned_b.inc()
+        job_context = job_span.context
         for task in job.tasks:
             root = self.tracer.start_span(
                 f"task:{task.task_id}",
                 trace_id=trace_id,
-                parent=job_span.context,
+                parent=job_context,
                 attributes={"task_id": task.task_id, "owner": task.spec.owner},
                 activate=False,
-            ).context
-            self._tasks[task.task_id] = _TaskTrace(
-                trace_id, job.job_id, root.span_id, task.priority
             )
+            self._tasks[task.task_id] = _TaskTrace(jt, root.number, task.priority)
             self._tasks_planned_b.inc()
-            site = plan.site_for(task.task_id)
+            site = task.site
             self.journal.record(
                 EventType.SUBMITTED, task.task_id, job_id=job.job_id,
-                trace_id=trace_id, span_id=root.span_id,
+                trace_id=trace_id, span_id=root.number,
             )
             sched = self.tracer.instant(
                 "schedule", trace_id=trace_id, parent=root,
@@ -281,7 +278,7 @@ class GAEInstrumentation:
             )
             self.journal.record(
                 EventType.SCHEDULED, task.task_id, job_id=job.job_id, site=site,
-                trace_id=trace_id, span_id=sched.span_id,
+                trace_id=trace_id, span_id=sched.number,
             )
 
     def _on_staging(self, task, site: str, delay: float, kind: str) -> None:
@@ -290,8 +287,8 @@ class GAEInstrumentation:
             return
         self.tracer.instant(
             f"stage-in:{kind}",
-            trace_id=tt.trace_id,
-            parent=tt.root(),
+            trace_id=tt.job.trace_id,
+            parent=self._root(tt),
             attributes={"site": site, "kind": kind, "delay_s": delay},
             end=self.sim.now + delay,
         )
@@ -311,6 +308,11 @@ class GAEInstrumentation:
             self._flocks_by_site[site] = self._flocks_total.bind(**{"from": site})
         return names
 
+    def _root(self, tt: _TaskTrace) -> SpanContext:
+        """The task root's context, the parent of every span under the task
+        (built when a span opens, not kept: the ids are in the record)."""
+        return SpanContext(tt.job.trace_id, self.tracer.render_id(tt.root_id))  # type: ignore[arg-type]
+
     def _close_phase(self, tt: _TaskTrace, status: str = "ok") -> None:
         if tt.phase_id is not None:
             self.tracer.update(tt.phase_id, status=status)
@@ -318,14 +320,14 @@ class GAEInstrumentation:
 
     def _open_phase(self, tt: _TaskTrace, name: str, **attributes: Any) -> None:
         phase = self.tracer.start_span(
-            name, trace_id=tt.trace_id, parent=tt.root(),
+            name, trace_id=tt.job.trace_id, parent=self._root(tt),
             attributes=attributes, activate=False,
         )
-        tt.phase_id, tt.phase_start = phase.span_id, phase.start
+        tt.phase_id, tt.phase_start = phase.number, phase.start
 
     def _record(self, type: EventType, tt: _TaskTrace, task_id: str, site=None, **attrs) -> None:
         self.journal.record(
-            type, task_id, job_id=tt.job_id, site=site, trace_id=tt.trace_id,
+            type, task_id, job_id=tt.job.job_id, site=site, trace_id=tt.job.trace_id,
             span_id=tt.phase_id if tt.phase_id is not None else tt.root_id, **attrs,
         )
 
@@ -401,9 +403,7 @@ class GAEInstrumentation:
         """
         self._close_phase(tt, status=status)
         self.tracer.update(tt.root_id, status=status)
-        jt = self._jobs.get(tt.job_id)
-        if jt is None:
-            return
+        jt = tt.job
         if status != "ok":
             jt.all_ok = False
         if not tt.finished:
@@ -418,9 +418,9 @@ class GAEInstrumentation:
             return
         self._close_phase(tt)
         tt.flock_id = self.tracer.instant(
-            "flock", trace_id=tt.trace_id, parent=tt.root(),
+            "flock", trace_id=tt.job.trace_id, parent=self._root(tt),
             attributes={"from": site},
-        ).span_id
+        ).number
         self._record(EventType.FLOCK_FORWARDED, tt, ad.task_id, site=site)
         self._site_handles(site)
         self._flocks_by_site[site].inc()
@@ -446,19 +446,19 @@ class GAEInstrumentation:
             ):
                 yield
             return
-        self.tracer.adopt_current_trace(tt.trace_id)
+        self.tracer.adopt_current_trace(tt.job.trace_id)
         current = self.tracer.current_span()
-        if current is not None and current.trace_id == tt.trace_id:
-            if current.parent_id is None and current.span_id != tt.root_id:
+        if current is not None and current.trace_id == tt.job.trace_id:
+            if current.parent_id is None and current.number != tt.root_id:
                 # An adopted RPC span: hang it under the task so the
                 # rendered tree shows rpc -> steer -> pool events.
-                self.tracer.set_parent(current, tt.root_id)
+                self.tracer.set_parent(current, self.tracer.render_id(tt.root_id))  # type: ignore[arg-type]
             parent = current.context
         else:
-            parent = tt.root()
+            parent = self._root(tt)
         with self.tracer.span(
             f"steer:{command}",
-            trace_id=tt.trace_id,
+            trace_id=tt.job.trace_id,
             parent=parent,
             attributes={"command": command, "task_id": task_id},
         ):
@@ -514,8 +514,8 @@ class GAEInstrumentation:
         tt.published_states += (event.state,)
         self.tracer.instant(
             "monalisa:publish",
-            trace_id=tt.trace_id,
-            parent=tt.root(),
+            trace_id=tt.job.trace_id,
+            parent=self._root(tt),
             attributes={"farm": event.site, "state": event.state},
         )
 
@@ -524,10 +524,11 @@ class GAEInstrumentation:
     # ------------------------------------------------------------------
     def trace_id_of(self, task_id: str) -> Optional[str]:
         tt = self._tasks.get(task_id)
-        return tt.trace_id if tt is not None else None
+        return tt.job.trace_id if tt is not None else None
 
-    def trace_context_of(self, task_id: str) -> Tuple[Optional[str], Optional[str]]:
-        """(trace_id, root span_id) for a tracked task, else (None, None).
+    def trace_context_of(self, task_id: str) -> Tuple[Optional[str], Optional[_SpanNumber]]:
+        """(trace_id, root span id) for a tracked task, else (None, None);
+        the span id as the journal keeps it (:meth:`Tracer.id_number`).
 
         The event core stamps journal-schema-v2 events with this, so a
         task's derived events share its lifecycle trace.
@@ -535,7 +536,7 @@ class GAEInstrumentation:
         tt = self._tasks.get(task_id)
         if tt is None:
             return (None, None)
-        return (tt.trace_id, tt.root_id)
+        return (tt.job.trace_id, tt.root_id)
 
     def render_trace(self, task_id: str) -> Optional[str]:
         """ASCII span tree for the trace the task belongs to."""
@@ -543,9 +544,6 @@ class GAEInstrumentation:
         if trace_id is None:
             return None
         return self.tracer.render(trace_id)
-
-    def timeline_wire(self, task_id: str) -> List[Dict[str, Any]]:
-        return [e.to_wire() for e in self.journal.timeline(task_id)]
 
     def snapshot(self) -> Dict[str, Any]:
         """Wire-safe summary for the ``system.observability`` method."""
@@ -556,7 +554,7 @@ class GAEInstrumentation:
             "events": len(self.journal),
             "event_capacity": self.journal.capacity,
             "tasks_traced": len(self._tasks),
-            "jobs_traced": len(self._jobs),
+            "jobs_traced": sum(1 for _ in self._traced_jobs()),
             "metrics": self.metrics.snapshot(),
             "telemetry": self.telemetry_summary(),
             "consumers": self.eventcore.snapshot(),
@@ -573,17 +571,6 @@ class GAEInstrumentation:
             "health_firing": self.health.firing(),
         }
 
-    def health_snapshot(self) -> Dict[str, Any]:
-        """Wire-safe health state for ``system.health`` / CLI / webui."""
-        return self.health.snapshot()
-
-    def start_telemetry(self) -> None:
-        """Arm the window tick."""
-        self.telemetry.start()
-
-    def stop_telemetry(self) -> None:
-        self.telemetry.stop()
-
     # ------------------------------------------------------------------
     # persistence (checkpoint/restore)
     # ------------------------------------------------------------------
@@ -599,42 +586,49 @@ class GAEInstrumentation:
             ("health", self.health.export_state()),
         ])
 
+    def _traced_jobs(self) -> Iterator[Tuple[Any, _JobTrace]]:
+        """``(job, record)`` of every traced job, in the scheduler's order."""
+        for job in self._plans.jobs.values():
+            tt = self._tasks.get(job.tasks[0].task_id)
+            if tt is not None:
+                yield job, tt.job
+
     def export_tracking(self) -> Dict[str, Any]:
         """Serializable live task/job trace-tracking state and the tracer's
         id counters.
 
-        Spans are referenced by id, exactly as the live records hold them.
+        Spans are referenced by id, rendered from the records' numbers.
         """
+        render = self.tracer.render_id
         tasks = []
         for task_id, tt in self._tasks.items():
             tasks.append([task_id, {
-                "trace_id": tt.trace_id,
-                "job_id": tt.job_id,
-                "root": tt.root_id,
-                "phase": tt.phase_id,
+                "trace_id": tt.job.trace_id,
+                "job_id": tt.job.job_id,
+                "root": render(tt.root_id),
+                "phase": render(tt.phase_id),
                 "phase_start": tt.phase_start,
                 "last_state": tt.last_state.value if tt.last_state is not None else None,
                 "last_priority": tt.last_priority,
                 "site": tt.site,
                 "queued_at": tt.queued_at,
-                "flock_span": tt.flock_id,
+                "flock_span": render(tt.flock_id),
                 "published_states": sorted(tt.published_states),
             }])
         jobs = []
-        for job_id, jt in self._jobs.items():
-            jobs.append([job_id, {
+        for job, jt in self._traced_jobs():
+            task_ids = sorted(t.task_id for t in job.tasks)
+            jobs.append([job.job_id, {
                 "trace_id": jt.trace_id,
-                "span": jt.span_id,
-                "pending": sorted(
-                    tid for tid in jt.task_ids if not self._tasks[tid].finished
-                ),
-                "task_ids": sorted(jt.task_ids),
+                "span": render(jt.span_id),
+                "pending": [tid for tid in task_ids if not self._tasks[tid].finished],
+                "task_ids": task_ids,
                 "all_ok": jt.all_ok,
             }])
         return {"tasks": tasks, "jobs": jobs, "id_counters": list(self.tracer.id_counters)}
 
     def import_tracking(self, state: Dict[str, Any]) -> None:
-        """Rebuild ``_tasks``/``_jobs`` from :meth:`export_tracking` output.
+        """Rebuild the task and job records from :meth:`export_tracking` output.
 
         A row older than ``phase_start`` takes its phase's start from the
         restored ring, or ``0.0`` if the ring had dropped the span.  A
@@ -644,28 +638,34 @@ class GAEInstrumentation:
         """
         self.tracer.id_counters = list(state.get("id_counters", (1, 1)))
         ring_starts = {span.span_id: span.start for span in self.tracer.spans()}
+        number = self.tracer.id_number
+
+        def optional(span_id: Optional[str]) -> Optional[_SpanNumber]:
+            return None if span_id is None else number(span_id)
+
+        jobs = {}
+        for job_id, w in state["jobs"]:
+            jobs[job_id] = jt = _JobTrace(
+                w["trace_id"], job_id, number(w["span"]), len(w["pending"])
+            )
+            jt.all_ok = w.get("all_ok", True)
         self._tasks = {}
         for task_id, w in state["tasks"]:
-            tt = _TaskTrace(w["trace_id"], w["job_id"], w["root"], w["last_priority"])
-            tt.phase_id = w["phase"]
-            tt.phase_start = w.get("phase_start", ring_starts.get(tt.phase_id, 0.0))
+            tt = _TaskTrace(jobs[w["job_id"]], number(w["root"]), w["last_priority"])
+            tt.phase_id = optional(w["phase"])
+            tt.phase_start = w.get("phase_start", ring_starts.get(w["phase"], 0.0))
             tt.last_state = (
                 JobState(w["last_state"]) if w["last_state"] is not None else None
             )
             tt.site = w["site"]
             tt.queued_at = w["queued_at"]
-            tt.flock_id = w["flock_span"]
+            tt.flock_id = optional(w["flock_span"])
             tt.published_states = tuple(w["published_states"])
             self._tasks[task_id] = tt
-        self._jobs = {}
         for job_id, w in state["jobs"]:
-            jt = _JobTrace(w["trace_id"], w["span"], tuple(w["task_ids"]))
             pending = set(w["pending"])
-            for tid in jt.task_ids:
+            for tid in w["task_ids"]:
                 self._tasks[tid].finished = tid not in pending
-            jt.unfinished = len(pending)
-            jt.all_ok = w.get("all_ok", True)
-            self._jobs[job_id] = jt
 
     def load_from(self, store, tracking: Optional[Dict[str, Any]] = None) -> None:
         """Restore spans, metric values, telemetry windows, health state

@@ -156,9 +156,10 @@ class SpanRef:
     """What :meth:`Tracer.start_span` and :meth:`Tracer.instant` return: a
     span's ids, its start and its place in the ring — the handle the
     span's writes go through, not the span (read that with
-    :meth:`Tracer.spans`).  The id is rendered when asked for."""
+    :meth:`Tracer.spans`).  The id is rendered when asked for;
+    ``number`` is what the ring keeps of it (:meth:`Tracer.id_number`)."""
 
-    __slots__ = ("_tracer", "trace_id", "_number", "parent_id", "start", "_position")
+    __slots__ = ("_tracer", "trace_id", "number", "parent_id", "start", "_position")
 
     def __init__(
         self, tracer: "Tracer", trace_id: str, number: Union[int, str],
@@ -166,14 +167,14 @@ class SpanRef:
     ) -> None:
         self._tracer = tracer
         self.trace_id = trace_id
-        self._number = number
+        self.number = number
         self.parent_id = parent_id
         self.start = start
         self._position = position
 
     @property
     def span_id(self) -> str:
-        return self._tracer._render(self._number)
+        return self._tracer.render_id(self.number)  # type: ignore[return-value]
 
     @property
     def context(self) -> SpanContext:
@@ -244,12 +245,18 @@ class Tracer:
 
     # -- ids and slots --------------------------------------------------
 
-    def _render(self, number: Union[int, str]) -> str:
-        return number if number.__class__ is str else f"{self._span_head}{number:x}"
+    def render_id(self, number: Union[int, str, None]) -> Optional[str]:
+        """The span id kept as *number* (:meth:`id_number`), as a string."""
+        if number is None or number.__class__ is str:
+            return number  # type: ignore[return-value]
+        return f"{self._span_head}{number:x}"
 
-    def _number(self, span_id: str) -> Union[int, str]:
+    def id_number(self, span_id: Union[str, int]) -> Union[int, str]:
         """What the ``span_id`` column keeps for *span_id*: the counter
-        value of an id this tracer renders, else the id itself."""
+        value of an id this tracer renders, else the id itself (trace
+        records and journal rows keep it too: 28 B, not ~57 B a string)."""
+        if span_id.__class__ is int:
+            return span_id
         head = self._span_head
         if span_id.startswith(head):
             digits = span_id[len(head):]
@@ -257,7 +264,7 @@ class Tracer:
                 number = int(digits, 16)
             except ValueError:
                 return span_id
-            if f"{number:x}" == digits:  # the one spelling _render gives
+            if f"{number:x}" == digits:  # the one spelling render_id gives
                 return number
         return span_id
 
@@ -266,7 +273,7 @@ class Tracer:
         dropped.  Holds ``_lock``."""
         return position - self._appended + len(self._columns[0])
 
-    def _slot_of(self, span_id: str) -> int:
+    def _slot_of(self, span_id: Union[str, int]) -> int:
         """The ring slot of *span_id*, ``-1`` if the ring does not hold it.
         Holds ``_lock``.
 
@@ -276,7 +283,7 @@ class Tracer:
         every other bare tracer, and a restored string id has no number,
         so those are looked for."""
         ids = self._columns[2]
-        number = self._number(span_id)
+        number = self.id_number(span_id)
         if ids and number.__class__ is int and ids[-1].__class__ is int:
             slot = len(ids) - 1 - (ids[-1] - number)
             if 0 <= slot < len(ids) and ids[slot] == number:
@@ -399,8 +406,11 @@ class Tracer:
             if stack:
                 stack.pop()
 
-    def update(self, span_id: str, *, status: Optional[str] = None, **attributes: Any) -> None:
-        """Set ``attributes`` on the ring's span ``span_id`` and, given a
+    def update(
+        self, span_id: Union[str, int], *, status: Optional[str] = None, **attributes: Any
+    ) -> None:
+        """Set ``attributes`` on the ring's span ``span_id`` (or its
+        :meth:`id_number`) and, given a
         ``status``, end it now; a no-op once the ring has dropped the span,
         which no reader (export, :meth:`render`, checkpoint) can see."""
         with self._lock:
@@ -495,7 +505,7 @@ class Tracer:
         start: float, end: Optional[float], status: str,
         keys: Tuple[str, ...], values: Tuple[Any, ...],
     ) -> Span:
-        span = Span(name, trace_id, self._render(number), parent_id, start)
+        span = Span(name, trace_id, self.render_id(number), parent_id, start)  # type: ignore[arg-type]
         span.end = end
         span.status = status
         span.attributes = dict(zip(keys, values))
@@ -533,7 +543,7 @@ class Tracer:
 
         fields = [
             (
-                row["name"], row["trace_id"], self._number(row["span_id"]), row["parent_id"],
+                row["name"], row["trace_id"], self.id_number(row["span_id"]), row["parent_id"],
                 row["start"], row["end"], row["status"], *payload(row["attributes"]),
             )
             for _, row in store.items(OBSERVABILITY_TRACING)

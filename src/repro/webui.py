@@ -218,7 +218,7 @@ class _GAEStatusHandler(BaseHTTPRequestHandler):
         if obs is None:
             self._send_json({"error": "health-disabled", "status": 503}, code=503)
             return
-        snap = obs.health_snapshot()
+        snap = obs.health.snapshot()
         firing = snap["firing"]
         headline = (
             f"<p><strong>{firing} rule(s) firing</strong></p>"
@@ -324,7 +324,7 @@ class _GAEStatusHandler(BaseHTTPRequestHandler):
         if obs is None:
             self._send_json({"error": "observability-disabled", "status": 503}, code=503)
             return
-        timeline = obs.timeline_wire(task_id)
+        timeline = [e.to_wire() for e in obs.journal.timeline(task_id)]
         if not timeline:
             self._send_not_found("timeline", task_id)
             return

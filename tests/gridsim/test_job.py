@@ -11,6 +11,7 @@ from repro.gridsim.job import (
     DependencyError,
     Job,
     JobState,
+    PlanTable,
     Task,
     TaskBinding,
     TaskSpec,
@@ -162,22 +163,6 @@ class TestJob:
         with pytest.raises(KeyError):
             job.task("missing")
 
-    def test_ready_tasks_respect_dependencies(self):
-        a, b, c = make_task(), make_task(), make_task()
-        job = Job(
-            tasks=[a, b, c],
-            dependencies={b.task_id: (a.task_id,), c.task_id: (b.task_id,)},
-        )
-        assert job.ready_tasks([]) == [a]
-        assert job.ready_tasks([a.task_id]) == [b]
-        assert job.ready_tasks([a.task_id, b.task_id]) == [c]
-
-    def test_ready_tasks_skips_non_pending(self):
-        a = make_task()
-        job = Job(tasks=[a])
-        a.state = JobState.RUNNING
-        assert job.ready_tasks([]) == []
-
     def test_topological_order_valid(self):
         a, b, c, d = (make_task() for _ in range(4))
         job = Job(
@@ -240,17 +225,39 @@ class TestConcreteJobPlan:
         )
         assert plan.sites() == ["s1"]
 
-    def test_rebind_moves_one_task(self):
-        _, plan, a, b = self.make_plan()
-        new = plan.rebind(a.task_id, "siteC")
-        assert new.site_for(a.task_id) == "siteC"
-        assert new.site_for(b.task_id) == "siteB"
-        assert plan.site_for(a.task_id) == "siteA"  # original untouched
 
-    def test_rebind_unknown_raises(self):
-        _, plan, _, _ = self.make_plan()
+class TestPlanTable:
+    def make_table(self):
+        a, b, c = make_task(), make_task(), make_task()
+        job = Job(
+            tasks=[a, b, c],
+            dependencies={b.task_id: (a.task_id,), c.task_id: (a.task_id,)},
+        )
+        bindings = tuple(TaskBinding(t.task_id, "siteA") for t in job.tasks)
+        table = PlanTable()
+        table.apply(ConcreteJobPlan(job_id=job.job_id, bindings=bindings, created_at=5.0), job)
+        return table, job, a, b, c
+
+    def test_children_follow_dependencies(self):
+        table, _, a, b, c = self.make_table()
+        assert table.children(a.task_id) == (b, c)
+        assert table.children(b.task_id) == ()
+
+    def test_a_rebind_is_one_revision(self):
+        table, job, a, b, _ = self.make_table()
+        first = table.plan(job.job_id)
+        table.rebind(a, "siteC")
+        now = table.plan(job.job_id)
+        assert now.site_for(a.task_id) == "siteC" == a.site
+        assert now.site_for(b.task_id) == "siteA"
+        assert first.site_for(a.task_id) == "siteA"  # a plan is a value
+        assert table.history(job.job_id) == [first, now]
+        assert now.created_at == first.created_at == 5.0
+
+    def test_rebinding_a_task_of_an_unknown_job_raises(self):
+        table, *_ = self.make_table()
         with pytest.raises(KeyError):
-            plan.rebind("ghost", "siteC")
+            table.rebind(make_task(), "siteC")
 
 
 class TestJobFactories:
@@ -267,4 +274,4 @@ class TestJobFactories:
     def test_bag_of_tasks_has_no_dependencies(self):
         job = bag_of_tasks([TaskSpec(), TaskSpec()], [5.0, 6.0])
         assert job.dependencies == {}
-        assert len(job.ready_tasks([])) == 2
+        assert job.topological_order() == job.tasks
