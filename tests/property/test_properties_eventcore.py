@@ -314,9 +314,14 @@ steering_verbs = st.lists(
 
 def run_and_dump_stores(observability, seed, works, fault, verbs, snapshot_period_s):
     """Run the workload with the scripted verbs to completion; every
-    journal-fed store, every MonALISA series included."""
+    journal-fed store, every MonALISA series included.
+
+    The job gets one task more than ``works``, which no verb targets: a
+    task paused before its first snapshot and never resumed publishes
+    nothing, so a script pausing every steered task would otherwise
+    leave the comparison empty."""
     gae, job = build_workload(
-        seed, works, fault,
+        seed, list(works) + [50.0], fault,
         observability=observability, monitor_snapshot_period_s=snapshot_period_s,
     )
     steering = gae.client("alice", "pw").service("steering")
@@ -333,7 +338,7 @@ def run_and_dump_stores(observability, seed, works, fault, verbs, snapshot_perio
             outcomes.append(str(exc))
 
     for verb, index, when in verbs:
-        task_id = job.tasks[index % len(job.tasks)].task_id
+        task_id = job.tasks[index % len(works)].task_id
         gae.sim.at(when, lambda verb=verb, task_id=task_id: steer(verb, task_id))
     gae.sim.run_until(3_000.0)
     gae.stop()
