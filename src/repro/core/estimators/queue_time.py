@@ -48,6 +48,10 @@ class QueueEstimationError(RuntimeError):
     """Raised for unknown tasks or missing submission-time estimates."""
 
 
+class AccountingMismatchError(QueueEstimationError):
+    """A service's queue accounting reads another estimate DB or fallback."""
+
+
 class RuntimeEstimateDB:
     """The at-submission runtime-estimate store (§6.2 step c).
 
@@ -153,13 +157,15 @@ class QueueAccounting:
     - ``pool.on_state_change`` — enqueue on QUEUED (also re-files a task
       whose priority changed), drop on RUNNING / any terminal state;
     - ``pool.on_forwarded`` — drop a job that flocked to another pool;
+    - ``pool.on_reprioritised`` — take a queued job out of its old band;
     - ``estimate_db.subscribe`` — refresh a queued task's contribution
       when its at-submission estimate is recorded late.
 
     Band totals are cached :func:`math.fsum` results, recomputed only for
     bands dirtied since the last query; :meth:`band_totals` is therefore
-    O(bands) on a quiet queue.  A task's band is found by asking each
-    band's entries (O(bands) per event), not kept per task.
+    O(bands) on a quiet queue.  A task's band is not kept per task: a
+    queued task sits in the band of its ad's priority, so every event
+    finds it with one lookup.
     """
 
     def __init__(
@@ -178,6 +184,7 @@ class QueueAccounting:
         pool = service.pool
         pool.on_state_change.append(self._on_state_change)
         pool.on_forwarded.append(self._on_forwarded)
+        pool.on_reprioritised.append(self._on_reprioritised)
         estimate_db.subscribe(self._on_estimate_recorded)
         for ad in pool.queue_snapshot():
             self._upsert(ad)
@@ -187,30 +194,30 @@ class QueueAccounting:
         if ad.state is JobState.QUEUED:
             self._upsert(ad)
         else:
-            self._discard(ad.task_id)
+            self._discard(ad.task_id, ad.priority)
 
     def _on_forwarded(self, ad: CondorJobAd) -> None:
-        self._discard(ad.task_id)
+        self._discard(ad.task_id, ad.priority)
+
+    def _on_reprioritised(self, ad: CondorJobAd, previous: int) -> None:
+        self._discard(ad.task_id, previous)
 
     def _on_estimate_recorded(self, task_id: str, value: float) -> None:
-        band = self._band_holding(task_id)
-        if band is None:
+        pool = self.service.pool
+        if not pool.has_task(task_id):
             return
-        elapsed = self.service.pool.ad(task_id).elapsed_runtime()
-        self._bands[band][task_id] = _remaining(value, elapsed)
-        self._missing.get(band, set()).discard(task_id)
-        self._dirty.add(band)
+        ad = pool.ad(task_id)
+        entries = self._bands.get(ad.priority)
+        if entries is None or task_id not in entries:
+            return
+        entries[task_id] = _remaining(value, ad.elapsed_runtime())
+        self._missing.get(ad.priority, set()).discard(task_id)
+        self._dirty.add(ad.priority)
 
     # -- bookkeeping ----------------------------------------------------
-    def _band_holding(self, task_id: str) -> Optional[int]:
-        for band, entries in self._bands.items():
-            if task_id in entries:
-                return band
-        return None
-
     def _upsert(self, ad: CondorJobAd) -> None:
-        self._discard(ad.task_id)
         band = ad.priority
+        self._discard(ad.task_id, band)
         entries = self._bands.setdefault(band, {})
         if self.estimate_db.has(ad.task_id):
             estimated: Optional[float] = self.estimate_db.lookup(ad.task_id)
@@ -225,11 +232,10 @@ class QueueAccounting:
             entries[ad.task_id] = _remaining(estimated, ad.elapsed_runtime())
         self._dirty.add(band)
 
-    def _discard(self, task_id: str) -> None:
-        band = self._band_holding(task_id)
-        if band is None:
+    def _discard(self, task_id: str, band: int) -> None:
+        entries = self._bands.get(band)
+        if entries is None or task_id not in entries:
             return
-        entries = self._bands[band]
         del entries[task_id]
         self._missing.get(band, set()).discard(task_id)
         self._dirty.add(band)
@@ -304,19 +310,22 @@ class QueueTimeEstimator:
 
         Once attached, :meth:`estimate_for_new` answers from the per-band
         running sums instead of scanning the queue.  Returns the (possibly
-        pre-existing) :class:`QueueAccounting`.
+        pre-existing) :class:`QueueAccounting`; one that reads another
+        estimate DB or fallback stays in place and is refused
+        (:class:`AccountingMismatchError`).
         """
-        acct = getattr(service, "queue_accounting", None)
-        if (
-            isinstance(acct, QueueAccounting)
-            and acct.estimate_db is self.estimate_db
-            and acct.fallback_runtime_s == self.fallback_runtime_s
+        acct = service.queue_accounting
+        if acct is None:
+            acct = service.queue_accounting = QueueAccounting(
+                service, self.estimate_db, fallback_runtime_s=self.fallback_runtime_s
+            )
+        elif (
+            acct.estimate_db is not self.estimate_db
+            or acct.fallback_runtime_s != self.fallback_runtime_s
         ):
-            return acct
-        acct = QueueAccounting(
-            service, self.estimate_db, fallback_runtime_s=self.fallback_runtime_s
-        )
-        service.queue_accounting = acct
+            raise AccountingMismatchError(
+                f"service {service.name!r} keeps queue accounting for another estimator"
+            )
         return acct
 
     def _remaining(self, ad: CondorJobAd) -> float:

@@ -61,6 +61,7 @@ class SteeringService:
     ) -> None:
         self.sim = sim
         self.policy = policy if policy is not None else SteeringPolicy()
+        # Every concrete job plan the scheduler emits is in its table (§4.2.1).
         self.subscriber = Subscriber(scheduler.plans)
         self.session_manager = SessionManager(self.subscriber)
         self.command_processor = CommandProcessor(self.subscriber, scheduler, services)
@@ -86,8 +87,6 @@ class SteeringService:
         #: agents that could observe and learn from the actions of
         #: advanced users"); see :meth:`attach_agent`.
         self.agent = None
-        # Receive every concrete job plan the scheduler emits (§4.2.1).
-        scheduler.plan_listeners.append(self.subscriber.receive_plan)
 
     def attach_site(self, site: Site) -> None:
         """Wire a site into Backup & Recovery."""
@@ -248,7 +247,6 @@ class SteeringService:
         for job in self.subscriber.jobs():
             if job.owner != principal.user:
                 continue
-            sub = self.subscriber.subscription(job.job_id)
             out.append(
                 {
                     "job_id": job.job_id,
@@ -257,7 +255,7 @@ class SteeringService:
                     "completed": sum(
                         1 for t in job.tasks if t.state.value == "completed"
                     ),
-                    "sites": sub.execution_sites,
+                    "sites": list(dict.fromkeys(t.site for t in job.topological_order())),
                     "description": job.description,
                 }
             )

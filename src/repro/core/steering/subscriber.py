@@ -10,59 +10,35 @@ responsible for: jobs, their current plans, and the execution services
 those plans touch.  Updated plans (after redirects/resubmissions) replace
 earlier ones for the same job.
 
-It applies each plan to a :class:`~repro.gridsim.job.PlanTable`.  Given
-its scheduler's (the GAE wiring), it finds there the plans Sphinx already
-holds and keeps nothing of its own; built without one, it keeps a table of
-its own, which must then not share task objects with a scheduler.
+It reads a :class:`~repro.gridsim.job.PlanTable`.  The GAE's subscriber
+reads its scheduler's: Sphinx writes every plan it emits there, so the
+subscriber finds the plans Sphinx already holds and keeps nothing of its
+own.  A subscriber fed by :meth:`Subscriber.receive_plan` keeps its own
+table, which refuses a job another table has planned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Set
 
 from repro.gridsim.job import ConcreteJobPlan, Job, PlanTable, Task, plan_from_wire, plan_to_wire
-
-
-@dataclass(slots=True)
-class Subscription:
-    """One job under steering-service management, read off the plan table."""
-
-    job: Job
-    plan: ConcreteJobPlan
-    _plans: PlanTable = field(repr=False)
-
-    @property
-    def plan_history(self) -> List[ConcreteJobPlan]:
-        """Every plan the job has had, oldest first, the current one last."""
-        return self._plans.history(self.job.job_id)
-
-    @property
-    def execution_sites(self) -> List[str]:
-        """The execution services the current plan uses."""
-        return self.plan.sites()
 
 
 class Subscriber:
     """Receives and indexes concrete job plans."""
 
-    def __init__(self, plans: Optional[PlanTable] = None) -> None:
-        self.plans = PlanTable() if plans is None else plans
+    def __init__(self, plans: PlanTable) -> None:
+        self.plans = plans
 
-    def receive_plan(self, plan: ConcreteJobPlan, job: Job) -> Subscription:
-        """Accept a (possibly updated) concrete job plan from the scheduler.
+    def receive_plan(self, plan: ConcreteJobPlan, job: Job) -> None:
+        """Accept a (possibly updated) concrete job plan into a table no
+        scheduler writes; a later plan for a job is a revision of it.
 
-        This is the callable registered on
-        :attr:`SphinxScheduler.plan_listeners`.
+        A subscriber reading its scheduler's table has nothing to receive.
         """
         self.plans.apply(plan, job)
-        return Subscription(job, plan, self.plans)
 
     # ------------------------------------------------------------------
-    def subscription(self, job_id: str) -> Subscription:
-        """The subscription for a job (KeyError if never received)."""
-        return Subscription(self.plans.jobs[job_id], self.plans.plan(job_id), self.plans)
-
     def has_job(self, job_id: str) -> bool:
         """Whether a plan for this job was ever received."""
         return job_id in self.plans.jobs

@@ -142,6 +142,10 @@ class CondorPool:
         #: incremental queue accounting subscribes here to drop the job's
         #: contribution from this pool's per-priority-band sums.
         self.on_forwarded: List[Callable[[CondorJobAd], None]] = []
+        #: Fired by :meth:`set_priority` with the ad and its previous
+        #: priority, before the state-change notification — the queue
+        #: accounting re-files the job from the band it sat in.
+        self.on_reprioritised: List[Callable[[CondorJobAd, int], None]] = []
 
     # ------------------------------------------------------------------
     # submission and dispatch
@@ -497,10 +501,12 @@ class CondorPool:
         ad = self.ad(task_id)
         if ad.state.is_terminal:
             raise CondorError(f"cannot reprioritise task in state {ad.state.value}")
-        ad.priority = int(priority)
+        previous, ad.priority = ad.priority, int(priority)
         ad.task.spec = ad.task.spec.with_priority(int(priority))
         if ad in self._idle:
             self._idle.sort(key=CondorJobAd.sort_key)
+        for cb in list(self.on_reprioritised):
+            cb(ad, previous)
         self._notify_state(ad)
 
     # ------------------------------------------------------------------

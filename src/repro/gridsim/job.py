@@ -419,14 +419,16 @@ class PlanTable:
         task.site = site
 
     def apply(self, plan: ConcreteJobPlan, job: Job) -> None:
-        """Make *plan* *job*'s plan: the first binds the job, a later one
-        that moves a binding or the plan's time is a revision, and one the
-        table holds already (its scheduler's own) changes nothing."""
+        """Make *plan* *job*'s plan: the first binds the job, a later one is
+        a revision.  A job whose tasks another table has bound is refused
+        (ValueError): its bindings are that table's, and a second table
+        would see its own revisions made already."""
         if job.job_id in self.jobs:
-            self._revise(plan, changed_only=True)
+            self._revise(plan)
+        elif any(task.site is not None for task in job.tasks):
+            raise ValueError(f"job {job.job_id} is already planned in another table")
         else:
-            self.add(job)
-            self._bind(plan)
+            self.restore(job, [plan])
 
     def restore(self, job: Job, history: Sequence[ConcreteJobPlan]) -> None:
         """Hold *job* at the last plan of *history*, the others its revisions."""
@@ -441,15 +443,14 @@ class PlanTable:
             self.tasks[binding.task_id].site = binding.site_name
         self.jobs[plan.job_id].planned_at = plan.created_at
 
-    def _revise(self, plan: ConcreteJobPlan, changed_only: bool = False) -> None:
+    def _revise(self, plan: ConcreteJobPlan) -> None:
         tasks, job = self.tasks, self.jobs[plan.job_id]
         replaced = tuple(
             TaskBinding(b.task_id, tasks[b.task_id].site)  # type: ignore[arg-type]
             for b in plan.bindings if tasks[b.task_id].site != b.site_name
         )
-        if replaced or plan.created_at != job.planned_at or not changed_only:
-            self._revisions.setdefault(job.job_id, []).append((job.planned_at, replaced))
-            self._bind(plan)
+        self._revisions.setdefault(job.job_id, []).append((job.planned_at, replaced))
+        self._bind(plan)
 
     def plan(self, job_id: str) -> ConcreteJobPlan:
         """*job_id*'s current plan (KeyError if unknown)."""

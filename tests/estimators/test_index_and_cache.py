@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.estimators.history import HistoryRepository, TaskRecord
 from repro.core.estimators.queue_time import (
+    AccountingMismatchError,
     QueueEstimationError,
     QueueTimeEstimator,
     RuntimeEstimateDB,
@@ -110,6 +111,58 @@ class TestQueueAccounting:
     def test_attach_is_idempotent(self):
         _, service, _, estimator = _service_with_estimator(fallback=60.0)
         assert estimator.attach(service) is estimator.attach(service)
+
+    def test_an_accounting_for_another_estimator_stays_and_is_refused(self):
+        _, service, db, estimator = _service_with_estimator(fallback=60.0)
+        acct, listeners = service.queue_accounting, len(service.pool.on_state_change)
+        other = QueueTimeEstimator(db, fallback_runtime_s=30.0)
+        for _ in range(2):
+            with pytest.raises(AccountingMismatchError):
+                other.estimate_for_new(service)
+        assert service.queue_accounting is acct
+        assert len(service.pool.on_state_change) == listeners
+
+    def test_every_event_finds_a_task_band_in_one_lookup(self):
+        """Bands are client-chosen priorities, so there may be as many as
+        tasks: no submit, start, end, late estimate or re-prioritisation
+        walks them."""
+
+        class CountingBands(dict):
+            walks = 0
+
+            def _walk(self, method):
+                CountingBands.walks += 1
+                return method(self)
+
+            def __iter__(self):
+                return self._walk(dict.__iter__)
+
+            def items(self):
+                return self._walk(dict.items)
+
+            def values(self):
+                return self._walk(dict.values)
+
+            def keys(self):
+                return self._walk(dict.keys)
+
+        sim, service, db, estimator = _service_with_estimator(fallback=None)
+        acct = service.queue_accounting
+        acct._bands = CountingBands(acct._bands)
+        tasks = [Task(spec=TaskSpec(priority=p), work_seconds=10.0) for p in range(60)]
+        for task in tasks:
+            service.submit_task(task)
+            db.record(task.task_id, 10.0)  # lands after the submit: a late estimate
+        service.set_task_priority(tasks[5].task_id, 1000)   # a new band
+        service.set_task_priority(tasks[6].task_id, 7)      # an existing band
+        service.set_task_priority(tasks[7].task_id, 1000)
+        service.kill_task(tasks[8].task_id)
+        sim.run_until(105.0)                            # ten starts, ten ends
+        assert CountingBands.walks == 0
+        for priority in (0, 7, 30, 1000):
+            assert estimator.estimate_for_new(service, priority) == scanned_queue_estimate(
+                estimator, service, priority
+            )
 
     def test_flocked_job_leaves_the_accounting(self):
         sim = Simulator()

@@ -155,8 +155,7 @@ class TestCheckpointImageTransfer:
         from repro.core.steering.subscriber import Subscriber
 
         grid = self.make_grid()
-        subscriber = Subscriber()
-        grid.scheduler.plan_listeners.append(subscriber.receive_plan)
+        subscriber = Subscriber(grid.scheduler.plans)
         pin(grid, "from")
         t = Task(
             spec=TaskSpec(requested_cpu_hours=0.1),
@@ -172,6 +171,10 @@ class TestCheckpointImageTransfer:
         grid.run()
         new_ad = grid.sites["to"].pool.ad(t.task_id)
         assert new_ad.submit_time == pytest.approx(50.0)
+        exported = subscriber.export_state()[0]["plan_history"]
+        assert [p["bindings"] for p in exported] == [
+            [[t.task_id, "from"]], [[t.task_id, "to"]]
+        ]
 
 
 class TestStagingEdgeCases:
@@ -191,8 +194,7 @@ class TestStagingEdgeCases:
         from repro.core.steering.subscriber import Subscriber
 
         grid = make_grid()
-        subscriber = Subscriber()
-        grid.scheduler.plan_listeners.append(subscriber.receive_plan)
+        subscriber = Subscriber(grid.scheduler.plans)
         pin(grid, "compute")
         t = data_task(work=50.0)
         grid.scheduler.submit_job(Job(tasks=[t], owner="u"))
@@ -209,8 +211,7 @@ class TestStagingEdgeCases:
         from repro.core.steering.subscriber import Subscriber
 
         grid = make_grid()
-        subscriber = Subscriber()
-        grid.scheduler.plan_listeners.append(subscriber.receive_plan)
+        subscriber = Subscriber(grid.scheduler.plans)
         pin(grid, "compute")
         t = data_task(work=50.0)
         grid.scheduler.submit_job(Job(tasks=[t], owner="u"))

@@ -21,8 +21,7 @@ def env():
         es.runtime_estimator = lambda spec: spec.requested_cpu_hours * 3600.0
         scheduler.register_site(es)
         services[name] = es
-    subscriber = Subscriber()
-    scheduler.plan_listeners.append(subscriber.receive_plan)
+    subscriber = Subscriber(scheduler.plans)
     processor = CommandProcessor(subscriber, scheduler, services)
     return sim, scheduler, services, processor
 

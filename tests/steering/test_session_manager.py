@@ -9,7 +9,7 @@ from repro.core.steering.session_manager import (
     SteeringAuthError,
 )
 from repro.core.steering.subscriber import Subscriber
-from repro.gridsim.job import ConcreteJobPlan, Job, Task, TaskBinding, TaskSpec
+from repro.gridsim.job import ConcreteJobPlan, Job, PlanTable, Task, TaskBinding, TaskSpec
 
 ALICE = Principal(user="alice", groups=frozenset())
 BOB = Principal(user="bob", groups=frozenset())
@@ -18,7 +18,7 @@ ADMIN = Principal(user="root", groups=frozenset({"grid-admins"}))
 
 @pytest.fixture
 def manager():
-    sub = Subscriber()
+    sub = Subscriber(PlanTable())
     task = Task(spec=TaskSpec(owner="alice"), work_seconds=10.0)
     job = Job(tasks=[task], owner="alice")
     plan = ConcreteJobPlan(job_id=job.job_id, bindings=(TaskBinding(task.task_id, "a"),))
@@ -56,7 +56,7 @@ class TestTaskAuthorization:
             mgr.authorize(ALICE, "ghost")
 
     def test_custom_admin_groups(self):
-        sub = Subscriber()
+        sub = Subscriber(PlanTable())
         task = Task(spec=TaskSpec(owner="alice"), work_seconds=1.0)
         job = Job(tasks=[task], owner="alice")
         sub.receive_plan(

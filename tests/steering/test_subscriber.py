@@ -3,7 +3,15 @@
 import pytest
 
 from repro.core.steering.subscriber import Subscriber
-from repro.gridsim.job import ConcreteJobPlan, Job, JobState, Task, TaskBinding, TaskSpec
+from repro.gridsim.job import (
+    ConcreteJobPlan,
+    Job,
+    JobState,
+    PlanTable,
+    Task,
+    TaskBinding,
+    TaskSpec,
+)
 
 
 def make_job(n=2, owner="u"):
@@ -22,26 +30,36 @@ def make_plan(job, sites):
 
 class TestReceivePlan:
     def test_subscription_created(self):
-        sub = Subscriber()
+        sub = Subscriber(PlanTable())
         job = make_job()
         plan = make_plan(job, ["a", "b"])
-        s = sub.receive_plan(plan, job)
-        assert s.job is job
-        assert s.execution_sites == ["a", "b"]
+        assert sub.receive_plan(plan, job) is None
+        assert sub.job(job.job_id) is job
+        assert sub.plans.plan(job.job_id) == plan
+        assert [sub.site_of_task(t.task_id) for t in job.tasks] == ["a", "b"]
         assert sub.has_job(job.job_id)
 
     def test_updated_plan_replaces_and_keeps_history(self):
-        sub = Subscriber()
+        sub = Subscriber(PlanTable())
         job = make_job()
         p1 = make_plan(job, ["a"])
         p2 = make_plan(job, ["b"])
         sub.receive_plan(p1, job)
-        s = sub.receive_plan(p2, job)
-        assert s.plan is p2
-        assert s.plan_history == [p1, p2]
+        sub.receive_plan(p2, job)
+        assert sub.plans.plan(job.job_id) == p2
+        assert sub.plans.history(job.job_id) == [p1, p2]
+        assert sub.site_of_task(job.tasks[0].task_id) == "b"
+
+    def test_a_job_another_table_planned_is_refused(self):
+        """Its tasks' bindings belong to that table (a scheduler's): a
+        second table would find every later plan already applied."""
+        job = make_job()
+        Subscriber(PlanTable()).receive_plan(make_plan(job, ["a"]), job)
+        with pytest.raises(ValueError, match="another table"):
+            Subscriber(PlanTable()).receive_plan(make_plan(job, ["b"]), job)
 
     def test_task_index(self):
-        sub = Subscriber()
+        sub = Subscriber(PlanTable())
         job = make_job()
         sub.receive_plan(make_plan(job, ["a"]), job)
         t = job.tasks[0]
@@ -50,23 +68,23 @@ class TestReceivePlan:
         assert sub.site_of_task(t.task_id) == "a"
 
     def test_unknown_lookups_raise(self):
-        sub = Subscriber()
+        sub = Subscriber(PlanTable())
         with pytest.raises(KeyError):
             sub.job_of_task("ghost")
         with pytest.raises(KeyError):
-            sub.subscription("ghost")
+            sub.job("ghost")
 
 
 class TestAggregates:
     def test_jobs_listed_in_order(self):
-        sub = Subscriber()
+        sub = Subscriber(PlanTable())
         j1, j2 = make_job(), make_job()
         sub.receive_plan(make_plan(j1, ["a"]), j1)
         sub.receive_plan(make_plan(j2, ["b"]), j2)
         assert sub.jobs() == [j1, j2]
 
     def test_active_tasks_excludes_settled(self):
-        sub = Subscriber()
+        sub = Subscriber(PlanTable())
         job = make_job(n=3)
         sub.receive_plan(make_plan(job, ["a"]), job)
         job.tasks[0].state = JobState.COMPLETED
@@ -77,7 +95,7 @@ class TestAggregates:
         assert job.tasks[2] in active  # pending
 
     def test_execution_sites_in_use_unions_plans(self):
-        sub = Subscriber()
+        sub = Subscriber(PlanTable())
         j1, j2 = make_job(), make_job()
         sub.receive_plan(make_plan(j1, ["a", "b"]), j1)
         sub.receive_plan(make_plan(j2, ["c"]), j2)
