@@ -37,99 +37,22 @@ This subpackage reproduces that framework in Python:
 - :mod:`repro.clarens.serialization` — wire-safe marshalling helpers.
 """
 
-from typing import Any
+from typing import Any, List
 
 from repro.clarens import api
-from repro.clarens.api import (  # noqa: F401  (re-exported surface)
-    ANONYMOUS,
-    AccessControlList,
-    AclRule,
-    AsyncSocketServerHandle,
-    AsyncSocketTransport,
-    AuthService,
-    AuthenticationError,
-    AuthorizationError,
-    CallContext,
-    CallStats,
-    ClarensClient,
-    ClarensFault,
-    ClarensHost,
-    Codec,
-    DiscoveryNetwork,
-    LoopbackTransport,
-    MethodNotFound,
-    MulticallResult,
-    Peer,
-    Principal,
-    ProtocolError,
-    RemoteFault,
-    SerializationError,
-    ServiceNotFound,
-    ServiceProxy,
-    ServiceRegistry,
-    SocketTransport,
-    Transport,
-    TransportClosedError,
-    TransportError,
-    UserDatabase,
-    clarens_method,
-    codec_names,
-    from_wire,
-    get_codec,
-    negotiate,
-    new_trace_id,
-    parse_framed_address,
-    resolve_transport,
-    to_wire,
-)
 
-__all__ = [
-    "ANONYMOUS",
-    "AccessControlList",
-    "AclRule",
-    "AsyncSocketServerHandle",
-    "AsyncSocketTransport",
-    "AuthService",
-    "AuthenticationError",
-    "AuthorizationError",
-    "CallContext",
-    "CallStats",
-    "ClarensClient",
-    "ClarensFault",
-    "ClarensHost",
-    "Codec",
-    "DiscoveryNetwork",
-    "LoopbackTransport",
-    "MethodNotFound",
-    "MulticallResult",
-    "Peer",
-    "Principal",
-    "ProtocolError",
-    "RemoteFault",
-    "SerializationError",
-    "ServiceNotFound",
-    "ServiceProxy",
-    "ServiceRegistry",
-    "SocketTransport",
-    "Transport",
-    "TransportClosedError",
-    "TransportError",
-    "UserDatabase",
-    "XmlRpcServerHandle",
-    "clarens_method",
-    "codec_names",
-    "from_wire",
-    "get_codec",
-    "negotiate",
-    "new_trace_id",
-    "parse_framed_address",
-    "resolve_transport",
-    "to_wire",
-]
+#: The one list of public names is the api module's.
+__all__ = api.__all__
 
 
 def __getattr__(name: str) -> Any:
-    # ``XmlRpcServerHandle``: resolved, on first use, by the api module.
-    if name in __all__:
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Each name resolves through the api module on first use (there,
+    # ``XmlRpcServerHandle`` loads the HTTP stack) and is then bound here.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(api, name)
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *__all__})

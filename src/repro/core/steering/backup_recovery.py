@@ -198,12 +198,13 @@ class BackupRecovery:
         return down
 
     def _recover_site(self, site_name: str) -> None:
-        """Resubmit every casualty of a failed execution service."""
+        """Resubmit every casualty of a failed execution service; a task
+        that completed or that its owner killed is no casualty."""
         for job in self.subscriber.jobs():
             for task in job.tasks:
                 if task.site != site_name:
                     continue
-                if task.state is JobState.COMPLETED:
+                if task.state in (JobState.COMPLETED, JobState.KILLED):
                     continue
                 if (task.task_id, site_name) in self._resubmitted:
                     continue

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import enum
 import threading
-from collections import deque
 from dataclasses import dataclass
-from itertools import compress, islice, repeat, starmap
+from itertools import compress, repeat, starmap
 from operator import eq, is_
 from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.payload import payload
+from repro.ring import ColumnRing
 from repro.store.base import StateStore
 from repro.store.registry import OBSERVABILITY_JOURNAL, namespace_record
 
@@ -199,12 +199,11 @@ class EventJournal:
     dispatch order and ``seq`` order are the same order whichever thread
     records.
 
-    The ring keeps no row objects: one ``deque(maxlen=capacity)`` per
-    field after ``seq`` (``_COLUMNS``), nine pointers a row.  It keeps no
-    ``seq`` either — the retained rows are always one unbroken run ending
-    at the head (``load_from`` refuses a stream with a gap), so ring
-    index *i* holds seq ``head_seq - len + 1 + i``.  Readers copy the
-    column slices they need under the lock and build rows outside it.
+    The ring keeps no row objects: a :class:`~repro.ring.ColumnRing` of
+    the fields after ``seq`` (``_COLUMNS``), nine pointers a row.  A row's
+    ``seq`` is its ring position, so the ring keeps no ``seq`` either
+    (``load_from`` refuses a stream with a gap).  Readers copy the column
+    slices they need under the lock and build rows outside it.
     The ``span_id`` column may keep a tracer's counter value, which
     :attr:`render_span_id` (the instrumented build's ``Tracer.render_id``)
     turns into the id every row and wire form reads.
@@ -214,13 +213,11 @@ class EventJournal:
         if capacity < 0:
             raise ValueError("capacity must not be negative")
         self._clock = clock
-        self._columns: Tuple[deque, ...] = tuple(deque(maxlen=capacity) for _ in _COLUMNS)
-        self._appends = tuple(column.append for column in self._columns)
+        self._ring = ColumnRing(len(_COLUMNS), capacity)
         self.capacity = capacity
         self.sink: Callable[[JournalEvent], None] = _no_sink
         self.render_span_id: Callable[[Any], Optional[str]] = lambda span_id: span_id
         self._lock = threading.RLock()
-        self._head_seq = -1
 
     @property
     def head_seq(self) -> int:
@@ -229,13 +226,13 @@ class EventJournal:
         It does not depend on what is retained and is what checkpoints
         record as the high-water mark.
         """
-        return self._head_seq
+        return self._ring.appended - 1
 
     def covers(self, seq: int) -> bool:
         """Whether every event recorded after *seq* is still retained —
         i.e. :meth:`events_since` can bring a fold valid at *seq* to the head."""
         with self._lock:
-            return self._head_seq - seq <= len(self._columns[0])
+            return self.head_seq - seq <= len(self._ring)
 
     def record(
         self,
@@ -253,26 +250,14 @@ class EventJournal:
             type = EventType(type)
         keys, values = payload(attributes)
         with self._lock:
-            seq = self._head_seq + 1
             if time is None:
                 time = self._clock()
+            seq = self._ring.append(time, type, task_id, job_id, site, trace_id, span_id,
+                                    keys, values)
             event = _fill(
                 object.__new__(JournalEvent), seq, time, type, task_id, job_id, site,
                 trace_id, self.render_span_id(span_id), keys, values,
             )
-            if self.capacity:
-                (push_time, push_type, push_task, push_job, push_site, push_trace,
-                 push_span, push_keys, push_values) = self._appends
-                push_time(time)
-                push_type(type)
-                push_task(task_id)
-                push_job(job_id)
-                push_site(site)
-                push_trace(trace_id)
-                push_span(span_id)
-                push_keys(keys)
-                push_values(values)
-            self._head_seq = seq
             self.sink(event)
         return event
 
@@ -282,15 +267,9 @@ class EventJournal:
         """The seqs of the retained rows past *since* (the newest *limit*
         of them), and those rows' column slices, copied under the lock."""
         with self._lock:
-            retained = len(self._columns[0])
-            first = self._head_seq - retained + 1  # the seq at ring index 0
-            start = max(since + 1 - first, 0)
-            if limit is not None:
-                start = max(start, retained - limit)
-            start = min(start, retained)
-            columns = [tuple(islice(column, start, None)) for column in self._columns]
+            first, columns = self._ring.window(since, limit)
         columns[_SPAN] = tuple(map(self.render_span_id, columns[_SPAN]))
-        return range(first + start, self._head_seq + 1), columns
+        return range(first, first + len(columns[_SPAN])), columns
 
     # -- queries -------------------------------------------------------
 
@@ -334,10 +313,10 @@ class EventJournal:
     def task_ids(self) -> List[str]:
         """Every retained row's task id, once each, in first-seen order."""
         with self._lock:
-            return list(dict.fromkeys(self._columns[_TASK]))
+            return list(dict.fromkeys(self._ring.columns[_TASK]))
 
     def __len__(self) -> int:
-        return len(self._columns[0])  # len() is atomic under the GIL
+        return len(self._ring)  # len() is atomic under the GIL
 
     # -- persistence (state-store backend) ------------------------------
 
@@ -393,10 +372,6 @@ class EventJournal:
             )
             for row in rows
         ]
-        columns = list(zip(*fields)) or [()] * len(_COLUMNS)
         with self._lock:
-            for column, values in zip(self._columns, columns):
-                column.clear()
-                column.extend(values)
-            self._head_seq = max(head_seq, last_seq)
-            return len(self._columns[0])
+            self._ring.replace(fields, max(head_seq, last_seq) + 1)
+            return len(self._ring)

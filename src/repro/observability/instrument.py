@@ -37,7 +37,7 @@ call's wire trace id, where a steering verb can adopt it.
 from __future__ import annotations
 
 import contextlib
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.events.journal import EventType
 from repro.gridsim.job import JobState

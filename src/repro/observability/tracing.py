@@ -3,8 +3,8 @@
 :func:`new_trace_id` mints the ids every Clarens call and every job
 trace is correlated by.  A thread-safe :class:`Tracer` keeps a bounded
 ring of spans — (trace_id, span_id, parent_id, sim-time start/end,
-attributes, status) — as columns, one deque per field, plus a per-thread
-stack of *active* spans so nested instrumentation points can parent
+attributes, status) — as columns (:class:`repro.ring.ColumnRing`), plus a
+per-thread stack of *active* spans so nested instrumentation points can parent
 themselves correctly without threading a context object through every
 call signature.  Opening a span returns a :class:`SpanRef`, the handle
 its writes go through; reading the ring builds :class:`Span` copies.
@@ -28,9 +28,9 @@ tracer given one counts its own: an instrumented GAE passes
 never a random prefix, never longer) and checkpoints the counters, so
 two runs of one seed mint the same ids, restored or not.
 
-At import time this module needs only the standard library and
-:mod:`repro.payload`, so ``repro.clarens`` can take its trace ids from
-here without an import cycle.
+At import time this module needs only the standard library,
+:mod:`repro.payload` and :mod:`repro.ring`, so ``repro.clarens`` can take
+its trace ids from here without an import cycle.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ import itertools
 import random
 import threading
 import zlib
-from collections import deque
 from itertools import compress, repeat, starmap
 from operator import eq
 from os import urandom
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.payload import payload, updated
+from repro.ring import ColumnRing
 
 __all__ = [
     "Span", "SpanContext", "SpanRef", "Tracer", "new_trace_id", "render_span_tree",
@@ -198,8 +198,8 @@ class Tracer:
     """Thread-safe ring of the newest ``capacity`` spans, plus a per-thread
     active-span stack.
 
-    The ring keeps no :class:`Span` objects: one ``deque(maxlen=capacity)``
-    per field (``_COLUMNS``), the attributes as a ``values`` tuple over an
+    The ring keeps no :class:`Span` objects: a :class:`~repro.ring.ColumnRing`
+    of the fields (``_COLUMNS``), the attributes as a ``values`` tuple over an
     interned ``keys`` tuple (:func:`repro.payload.payload`).  A span id is
     kept as its counter value and rendered ``<prefix>-s<hex>`` when read;
     the one id kept as a string is a restored one that is not this
@@ -219,11 +219,7 @@ class Tracer:
             raise ValueError("capacity must be positive")
         self._clock = clock
         #: The ring, one column per field; every access holds ``_lock``.
-        self._columns: Tuple[deque, ...] = tuple(deque(maxlen=capacity) for _ in _COLUMNS)
-        self._appends = tuple(column.append for column in self._columns)
-        #: Spans appended so far (restored ones too): ring slot *i* holds
-        #: the span appended ``_appended - len(self) + i``-th.
-        self._appended = 0
+        self._ring = ColumnRing(len(_COLUMNS), capacity)
         self._lock = threading.Lock()
         self._active = _ActiveStack()
         self.capacity = capacity
@@ -268,11 +264,6 @@ class Tracer:
                 return number
         return span_id
 
-    def _slot_at(self, position: int) -> int:
-        """The ring slot of the *position*-th appended span, negative once
-        dropped.  Holds ``_lock``."""
-        return position - self._appended + len(self._columns[0])
-
     def _slot_of(self, span_id: Union[str, int]) -> int:
         """The ring slot of *span_id*, ``-1`` if the ring does not hold it.
         Holds ``_lock``.
@@ -282,7 +273,7 @@ class Tracer:
         back from the newest; a bare tracer shares the process counter with
         every other bare tracer, and a restored string id has no number,
         so those are looked for."""
-        ids = self._columns[2]
+        ids = self._ring.columns[2]
         number = self.id_number(span_id)
         if ids and number.__class__ is int and ids[-1].__class__ is int:
             slot = len(ids) - 1 - (ids[-1] - number)
@@ -301,7 +292,7 @@ class Tracer:
     ) -> None:
         """Set *attributes* on *slot* and, given a *status*, finish it (the
         first finish wins).  Holds ``_lock``."""
-        columns = self._columns
+        columns = self._ring.columns
         if attributes:
             columns[_KEYS][slot], columns[_VALUES][slot] = updated(
                 columns[_KEYS][slot], columns[_VALUES][slot], attributes
@@ -340,19 +331,8 @@ class Tracer:
             else:
                 number = self.id_counters[1]
                 self.id_counters[1] = number + 1
-            (push_name, push_trace, push_id, push_parent, push_start, push_end,
-             push_status, push_keys, push_values) = self._appends
-            push_name(name)
-            push_trace(trace_id)
-            push_id(number)
-            push_parent(parent_id)
-            push_start(start)
-            push_end(end)
-            push_status(status)
-            push_keys(keys)
-            push_values(values)
-            position = self._appended
-            self._appended = position + 1
+            position = self._ring.append(name, trace_id, number, parent_id, start, end,
+                                         status, keys, values)
         span = SpanRef(self, trace_id, number, parent_id, start, position)
         if activate:
             stack.append(span)
@@ -390,9 +370,11 @@ class Tracer:
         """Finish *span* with *status*, adding *attributes*, in one write to
         its slot (a no-op once the ring has dropped it), and take it off
         this thread's active stack."""
-        self.deactivate(span)
+        stack = self._active.stack
+        if span in stack:  # what deactivate does, without its frame per served call
+            del stack[stack.index(span):]
         with self._lock:
-            slot = self._slot_at(span._position)
+            slot = self._ring.slot(span._position)
             if slot >= 0:
                 self._write(slot, attributes, status, end)
 
@@ -401,10 +383,7 @@ class Tracer:
         active stack without finishing it."""
         stack = self._active.stack
         if span in stack:
-            while stack and stack[-1] is not span:
-                stack.pop()
-            if stack:
-                stack.pop()
+            del stack[stack.index(span):]
 
     def update(
         self, span_id: Union[str, int], *, status: Optional[str] = None, **attributes: Any
@@ -422,9 +401,9 @@ class Tracer:
         """Hang the open *span* under *parent_id*."""
         span.parent_id = parent_id
         with self._lock:
-            slot = self._slot_at(span._position)
+            slot = self._ring.slot(span._position)
             if slot >= 0:
-                self._columns[_PARENT][slot] = parent_id
+                self._ring.columns[_PARENT][slot] = parent_id
 
     def span(
         self,
@@ -470,7 +449,7 @@ class Tracer:
         outermost first) so callers can record the join in attributes.
         """
         replaced: List[str] = []
-        columns = self._columns
+        columns = self._ring.columns
         with self._lock:
             for span in self._active.stack:
                 old = span.trace_id
@@ -479,7 +458,7 @@ class Tracer:
                 if old not in replaced:
                     replaced.append(old)
                 span.trace_id = trace_id
-                slot = self._slot_at(span._position)
+                slot = self._ring.slot(span._position)
                 if slot >= 0:
                     columns[_TRACE][slot] = trace_id
                     if "adopted_from" not in columns[_KEYS][slot]:
@@ -492,7 +471,7 @@ class Tracer:
         """Every retained span, oldest first, or those of ``trace_id`` /
         whose name starts with ``name_prefix``; each a fresh ``Span``."""
         with self._lock:
-            columns = [tuple(column) for column in self._columns]
+            _, columns = self._ring.window()
         rows: Iterable[Tuple[Any, ...]] = zip(*columns)
         if trace_id is not None:
             rows = compress(rows, map(eq, columns[_TRACE], repeat(trace_id)))
@@ -512,7 +491,7 @@ class Tracer:
         return span
 
     def __len__(self) -> int:
-        return len(self._columns[0])  # len() is atomic under the GIL
+        return len(self._ring)  # len() is atomic under the GIL
 
     def render(self, trace_id: str) -> str:
         """ASCII span tree for one trace (see :func:`render_span_tree`)."""
@@ -548,13 +527,9 @@ class Tracer:
             )
             for _, row in store.items(OBSERVABILITY_TRACING)
         ]
-        columns = list(zip(*fields)) or [()] * len(_COLUMNS)
         with self._lock:
-            for column, values in zip(self._columns, columns):
-                column.clear()
-                column.extend(values)
-            self._appended += len(fields)
-            return len(self._columns[0])
+            self._ring.replace(fields, self._ring.appended + len(fields))
+            return len(self._ring)
 
 
 class _SpanHandle:

@@ -15,6 +15,7 @@ from repro.clarens.errors import (
     ClarensFault,
     ProtocolError,
     RemoteFault,
+    SerializationError,
     TransportClosedError,
     TransportError,
 )
@@ -43,6 +44,9 @@ class Echo:
 
     def boom(self):
         raise RuntimeError("kaput")
+
+    def noncharacter(self):
+        return "\ufffe"
 
 
 @pytest.fixture
@@ -172,6 +176,16 @@ class TestRoundTrip:
             ok, fault = outcomes[1]
             assert not ok and isinstance(fault, RemoteFault)
             assert outcomes[2] == (True, 2)
+
+
+class TestXmlForbiddenResult:
+    def test_the_reply_is_a_406_fault_the_client_decodes(self, server):
+        with AsyncSocketTransport(server.address, codec="xmlrpc") as t:
+            token = t.call("system.login", ["u", "p"])
+            with pytest.raises(SerializationError, match="U\\+FFFE") as refused:
+                t.call("echo.noncharacter", [], token)
+            assert refused.value.code == 406
+            assert t.call("echo.echo", ["still served"], token) == "still served"
 
 
 class TestNegotiation:

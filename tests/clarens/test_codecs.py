@@ -7,6 +7,7 @@ from repro.clarens.errors import (
     AuthenticationError,
     ProtocolError,
     RemoteFault,
+    SerializationError,
 )
 from repro.clarens.framing import (
     CALL,
@@ -76,6 +77,30 @@ class TestCodecRoundTrip:
         assert isinstance(codec.encode_response([1]), bytes)
         assert isinstance(codec.encode_request("a.b", "", []), bytes)
         assert isinstance(codec.encode_fault(500, "x"), bytes)
+
+
+@pytest.mark.parametrize("char, name", [("\ufffe", "U+FFFE"), ("\uffff", "U+FFFF"),
+                                        ("\x01", "U+0001")])
+class TestXmlForbiddenCharacters:
+    """XML 1.0 cannot carry these: the XML-RPC codec refuses to write them
+    into a body its own decoder would refuse, and names them in a fault."""
+
+    def test_a_request_holding_one_is_refused(self, char, name):
+        with pytest.raises(SerializationError) as refused:
+            get_codec("xmlrpc").encode_request("echo.echo", "tok", [["x", char]])
+        assert refused.value.code == 406
+        assert name in refused.value.message and char not in refused.value.message
+
+    def test_a_response_holding_one_is_refused(self, char, name):
+        with pytest.raises(SerializationError) as refused:
+            get_codec("xmlrpc").encode_response({"k": f"a{char}b"})
+        assert name in refused.value.message and char not in refused.value.message
+
+    def test_a_fault_names_it_and_decodes(self, char, name):
+        codec = get_codec("xmlrpc")
+        with pytest.raises(RemoteFault) as fault:
+            codec.decode_response(codec.encode_fault(520, f"bad {char}"))
+        assert fault.value.message == f"bad {name}"
 
 
 class TestJsonCompactness:

@@ -48,7 +48,9 @@ OWNERS = {
     "§6.2 accounting + estimates": ("core/estimators/",),
     "steering subscriber": ("core/steering/",),
     "trace records": ("observability/instrument.py",),
-    "span ring + journal rows": ("observability/tracing.py", "events/journal.py", "payload.py"),
+    "span ring + journal rows": (
+        "ring.py", "observability/tracing.py", "events/journal.py", "payload.py",
+    ),
 }
 
 #: B/job each owner may hold; any module no owner names shares ``other``.

@@ -127,7 +127,7 @@ def test_a_full_ring_of_served_calls_holds_each_span_inside_the_budget():
     assert len(gae.host.tracer) == ring == 8_192
     assert per_span <= 99, per_span
     tracer = gae.host.tracer
-    traces = set(tracer._columns[1])  # the trace-id column, read without building a Span
+    traces = set(tracer._ring.columns[1])  # the trace-id column, read without building a Span
     alive = sum(
         isinstance(o, Span) and o.trace_id in traces
         or isinstance(o, SpanRef) and o._tracer is tracer

@@ -29,15 +29,16 @@ XMLRPC = get_codec("xmlrpc")
 # payload domains
 # ----------------------------------------------------------------------
 # Strings both codecs can carry: XML 1.0 forbids most C0 control
-# characters outright, and XML parsers normalize \r away, so the
-# cross-codec domain excludes them (and lone surrogates, which neither
-# UTF-8 wire format can encode).
+# characters and the noncharacters U+FFFE / U+FFFF outright (the XML-RPC
+# codec refuses them with a 406), and XML parsers normalize \r away, so
+# the cross-codec domain excludes them (and lone surrogates, which
+# neither UTF-8 wire format can encode).
 _xml_safe_chars = st.characters(
     blacklist_categories=("Cs",),
     blacklist_characters="".join(
         chr(c) for c in range(0x20) if c not in (0x09, 0x0A)
     )
-    + "\x0d",
+    + "\x0d\ufffe\uffff",
 )
 xml_safe_text = st.text(alphabet=_xml_safe_chars, max_size=30)
 

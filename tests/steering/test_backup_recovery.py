@@ -6,7 +6,7 @@ from repro.gae import build_gae
 from repro.gridsim import GridBuilder, Job, JobState, Task, TaskSpec
 
 
-def make_gae():
+def make_gae(observability=False):
     grid = (
         GridBuilder(seed=5)
         .site("siteA", background_load=0.0)
@@ -14,7 +14,7 @@ def make_gae():
         .probe_noise(0.0)
         .build()
     )
-    return build_gae(grid)
+    return build_gae(grid, observability=observability)
 
 
 def submit_to(gae, site_name, work=100.0, outputs=("out.root",)):
@@ -122,6 +122,23 @@ class TestServiceFailureSweep:
         br.check_services()  # second sweep: site already known failed
         resubs = [n for n in br.notifications if n.kind == "resubmission"]
         assert len(resubs) == 1
+
+    def test_a_killed_task_is_no_casualty(self):
+        gae = make_gae(observability=True)  # it retains the journal rows read below
+        t = submit_to(gae, "siteA")
+        gae.sim.run_until(10.0)
+        assert t.state is JobState.RUNNING
+        assert gae.steering.command_processor.kill(t.task_id).ok
+        gae.grid.execution_services["siteA"].fail()
+        br = gae.steering.backup_recovery
+        assert br.check_services() == ["siteA"]
+        gae.sim.run_until(300.0)
+        assert t.state is JobState.KILLED
+        assert not gae.grid.execution_services["siteB"].pool.has_task(t.task_id)
+        kinds = [n.kind for n in br.notifications if n.task_id == t.task_id]
+        assert "resubmission" not in kinds
+        types = [e.type.value for e in gae.events.journal.events(task_id=t.task_id)]
+        assert types.count("dispatched") == 1 and "killed" in types
 
     def test_recovered_service_leaves_failed_set(self):
         gae = make_gae()
