@@ -11,7 +11,9 @@ XML 1.0 has no spelling for the C0 controls other than tab, LF and CR, nor
 for U+FFFE and U+FFFF.  ``dumps`` writes them all the same, into a body
 every XML parser refuses, so a call or result holding one is refused with
 :class:`~repro.clarens.errors.SerializationError` before it is sent, and a
-fault's message writes one as its ``U+XXXX`` name.
+fault's message writes one as its ``U+XXXX`` name.  A parser turns a raw
+CR into LF, so a body writes CR as the character reference ``&#13;``,
+which it keeps (``dumps`` emits a raw CR only inside string values).
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ def _named(match: re.Match) -> str:
 
 
 def _xml(body: str) -> bytes:
-    """*body* as UTF-8, refused if it holds a character XML cannot carry."""
+    """*body* as UTF-8 with CR escaped, refused if it holds a character
+    XML cannot carry."""
     bad = _NOT_XML.search(body)
     if bad is not None:
         raise SerializationError(f"XML-RPC cannot carry the character {_named(bad)}")
-    return body.encode("utf-8")
+    return body.replace("\r", "&#13;").encode("utf-8")
 
 
 class XmlRpcCodec(Codec):
@@ -69,11 +72,10 @@ class XmlRpcCodec(Codec):
 
     def encode_fault(self, code: int, message: str) -> bytes:
         """Never refuses: a character XML cannot carry is written by name."""
-        body = xmlrpc.client.dumps(
+        return _xml(xmlrpc.client.dumps(
             xmlrpc.client.Fault(code, _NOT_XML.sub(_named, message)),
             methodresponse=True, allow_none=True,
-        )
-        return body.encode("utf-8")
+        ))
 
     def decode_response(self, data: bytes) -> Any:
         try:

@@ -31,8 +31,7 @@ are treated as immutable everywhere in this codebase.
 
 The same cache also backs **request coalescing**: ``system.multicall``
 deduplicates identical read-policy sub-calls within one batch (executing
-once, answering many), and the webui's hot pages memoize their rendered
-payloads under pseudo-method names via :meth:`ReadCache.cached`.
+once, answering many).
 """
 
 from __future__ import annotations
@@ -318,31 +317,6 @@ class ReadCache:
                 evicted += 1
         if evicted:
             self._evictions.inc(evicted)
-
-    def cached(
-        self,
-        method: str,
-        params: Sequence[Any],
-        depends_on: Sequence[str],
-        compute: Callable[[], Any],
-    ) -> Any:
-        """Serve ``compute()`` through the cache under a pseudo-method name.
-
-        The webui's hot endpoints use this to share the RPC cache without
-        making an RPC call; a disabled cache just computes.
-        """
-        if not self.enabled:
-            return compute()
-        args_key = canonical_args(list(params))
-        if args_key is None:
-            return compute()
-        vector = self.epochs.vector(depends_on)
-        value = self.lookup(method, args_key, vector)
-        if value is not ReadCache._MISS:
-            return value
-        value = compute()
-        self.store(method, args_key, vector, value)
-        return value
 
     def clear(self) -> int:
         """Drop every entry; returns how many were held."""

@@ -14,8 +14,8 @@ so every hosted service inherits per-method latency metrics
 (``host.tracer``, read back by ``system.recent_calls``) and trace-id
 propagation for free.  Every count and latency the RPC layer keeps lives
 once, in the host's own ``MetricsRegistry`` (``host.metrics``);
-``system.stats``, ``system.cache`` and the webui ``/metrics`` page are
-views over it.
+``system.stats``, ``system.cache`` and its Prometheus text
+(``prometheus_lines()``) are views over it.
 
 A host is served over sockets by one of two front ends:
 :class:`~repro.clarens.aio.AsyncSocketServerHandle` (framed, pipelined) or
@@ -421,8 +421,8 @@ class ClarensHost:
         self.tracer = Tracer(time_source, capacity=TRACE_CAPACITY)
         #: Epoch counters every mutating subsystem bumps (``wire_epochs``).
         self.epochs = EpochRegistry()
-        #: The epoch-keyed result cache behind read-policy calls,
-        #: multicall coalescing, and the webui's memoized hot pages.
+        #: The epoch-keyed result cache behind read-policy calls and
+        #: multicall coalescing.
         self.read_cache = ReadCache(
             self.epochs,
             self.metrics,

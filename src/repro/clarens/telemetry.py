@@ -3,9 +3,9 @@
 Every count and latency of the RPC layer lives once, in ``ClarensHost.metrics``
 (wall-clock, process-local, never checkpointed).  :class:`CallStats` and
 :class:`WorkerPoolStats` write and read its ``gae_rpc_*`` / ``gae_aio_worker_*``
-instruments and hold no numbers of their own, so ``system.stats`` and
-``/metrics`` cannot disagree.  The per-call record is not kept here: it is
-the call's ``rpc:`` span on ``ClarensHost.tracer``.
+instruments and hold no numbers of their own, so ``system.stats`` and the
+registry's Prometheus text cannot disagree.  The per-call record is not
+kept here: it is the call's ``rpc:`` span on ``ClarensHost.tracer``.
 """
 
 from __future__ import annotations
@@ -97,9 +97,9 @@ class WorkerPoolStats:
     """One serving framed server's queue depth and stage timings: a view
     whose every number is a ``gae_aio_worker_*`` series labelled ``pool``.
 
-    The series keep their worker-pool names, so ``system.stats``,
-    ``/metrics`` and the benchmark read them unchanged.  A call is
-    submitted when its frame is parsed and completed when its reply is
+    The series keep their worker-pool names, so ``system.stats``, the
+    registry's Prometheus text and the benchmark read them unchanged.  A
+    call is submitted when its frame is parsed and completed when its reply is
     framed; a *batch* is one connection's turn (at most ``max_inflight``
     calls, one ``send``), and the queue is the parsed calls of that turn
     not yet started."""

@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import threading
 from socketserver import ThreadingMixIn
-from typing import Any, Tuple
-from xmlrpc.client import Fault
+from typing import Any, Optional, Tuple
 from xmlrpc.server import SimpleXMLRPCRequestHandler, SimpleXMLRPCServer
 
+from repro.clarens.codecs.xmlrpc import XmlRpcCodec
 from repro.clarens.errors import ClarensFault
 from repro.clarens.serialization import decode_trace_token
 from repro.clarens.server import ClarensHost
 
 __all__ = ["XmlRpcServerHandle"]
+
+_CODEC = XmlRpcCodec()
 
 
 class _Handler(SimpleXMLRPCRequestHandler):
@@ -44,27 +46,29 @@ class _ThreadedXmlRpcServer(ThreadingMixIn, SimpleXMLRPCServer):
     # Sized for the Figure 6 experiment's 100 simultaneous clients.
     request_queue_size = 256
 
+    def __init__(self, address: Tuple[str, int], host: ClarensHost) -> None:
+        super().__init__(address, requestHandler=_Handler, logRequests=False)
+        self.host = host
 
-class _WireDispatcher:
-    """Adapts ClarensHost.dispatch to the xmlrpc server's _dispatch hook."""
+    def _marshaled_dispatch(
+        self, data: bytes, dispatch_method: Any = None, path: Optional[str] = None
+    ) -> bytes:
+        """One POST body: decode, run, encode; a failure is a fault body.
 
-    def __init__(self, host: ClarensHost) -> None:
-        self._host = host
-
-    def _dispatch(self, method: str, params: Tuple[Any, ...]) -> Any:
-        if not params:
-            raise Fault(400, "missing session token parameter")
-        wire_token, args = params[0], params[1:]
-        if not isinstance(wire_token, str):
-            raise Fault(400, "session token must be a string")
-        token, trace_id = decode_trace_token(wire_token)
+        The framed server's codec (:mod:`repro.clarens.codecs.xmlrpc`)
+        marshals both ways, so a value it refuses is a typed fault here too.
+        """
         try:
-            return self._host.dispatch(
-                method, list(args), token=token,
-                trace_id=trace_id or "", transport="xmlrpc",
+            method, wire_token, params = _CODEC.decode_request(data)
+            token, trace_id = decode_trace_token(wire_token)
+            result = self.host.dispatch(
+                method, params, token=token, trace_id=trace_id or "", transport="xmlrpc"
             )
+            return _CODEC.encode_response(result)
         except ClarensFault as exc:
-            raise Fault(exc.code, exc.message) from exc
+            return _CODEC.encode_fault(exc.code, exc.message)
+        except Exception as exc:  # never drop a reply
+            return _CODEC.encode_fault(500, f"{type(exc).__name__}: {exc}")
 
 
 class XmlRpcServerHandle:
@@ -81,10 +85,7 @@ class XmlRpcServerHandle:
 
     def __init__(self, host: ClarensHost, bind: str = "127.0.0.1", port: int = 0) -> None:
         self.host = host
-        self._server = _ThreadedXmlRpcServer(
-            (bind, port), requestHandler=_Handler, allow_none=True, logRequests=False
-        )
-        self._server.register_instance(_WireDispatcher(host))
+        self._server = _ThreadedXmlRpcServer((bind, port), host)
         self._thread = threading.Thread(
             target=self._server.serve_forever, name=f"clarens-{host.name}", daemon=True
         )

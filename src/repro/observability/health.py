@@ -13,7 +13,8 @@ two ways:
   :class:`~repro.events.journal.EventJournal` (rule name in
   ``task_id``), so scenario scoring and timelines see them;
 - the live :meth:`HealthEngine.snapshot` behind the ``system.health``
-  Clarens RPC, ``gae-repro health``, and the webui ``/health`` page.
+  Clarens RPC (which the webui ``/health`` page renders) and
+  ``gae-repro health``.
 
 Rule taxonomy (pinned against docs/ARCHITECTURE.md by
 ``tools/check_docs.py``):
@@ -315,7 +316,7 @@ class HealthEngine:
         return out
 
     def snapshot(self) -> Dict[str, Any]:
-        """Wire-safe live state for ``system.health`` / CLI / webui."""
+        """Wire-safe live state for ``system.health`` and the CLI."""
         return {
             "enabled": True,
             "window_s": self.telemetry.window_s,

@@ -538,13 +538,6 @@ class GAEInstrumentation:
             return (None, None)
         return (tt.job.trace_id, tt.root_id)
 
-    def render_trace(self, task_id: str) -> Optional[str]:
-        """ASCII span tree for the trace the task belongs to."""
-        trace_id = self.trace_id_of(task_id)
-        if trace_id is None:
-            return None
-        return self.tracer.render(trace_id)
-
     def snapshot(self) -> Dict[str, Any]:
         """Wire-safe summary for the ``system.observability`` method."""
         return {

@@ -6,7 +6,7 @@ instruments from steering, monitoring, estimators, condor and accounting
 and is checkpointed state; ``ClarensHost.metrics`` holds the RPC layer's
 wall-clock counts and latencies and never is.  ``system.observability``
 exposes the first, ``system.stats`` / ``system.cache`` are views over the
-second, and the webui ``/metrics`` endpoint renders both.
+second, and ``prometheus_lines()`` renders either as Prometheus text.
 
 Naming convention: metric names are ``gae_<area>_<what>[_total]`` —
 snake_case, ``gae_`` prefix, ``_total`` suffix for monotonic counters —

@@ -558,8 +558,8 @@ def render_span_tree(spans: List[Dict[str, Any]]) -> str:
     """Render wire-format spans (``Span.to_wire`` dicts) as an ASCII tree.
 
     Works on exported JSONL rows as well as live tracer output, so the
-    CLI ``trace`` subcommand and the webui share one renderer.  Children
-    are ordered by start time, then by their order in *spans* (a tracer's
+    CLI ``trace`` subcommand and :meth:`Tracer.render` share one renderer.
+    Children are ordered by start time, then by their order in *spans* (a tracer's
     and an export's are creation order); orphans (parent outside the
     slice, e.g. evicted from the bounded store) are promoted to roots.
     """

@@ -1,13 +1,11 @@
 """Canonical registry of every GAE state-store namespace.
 
 One authoritative tuple of :class:`~repro.store.base.Namespace` records,
-used three ways:
+used two ways:
 
 - ``register_all(store)`` prepares a store to hold a full checkpoint;
 - ``tools/check_docs.py`` verifies the "State-store namespaces" table in
-  ``docs/ARCHITECTURE.md`` lists exactly these names (docs cannot drift);
-- the webui and CLI render it so operators can see what a checkpoint
-  file contains.
+  ``docs/ARCHITECTURE.md`` lists exactly these names (docs cannot drift).
 
 Bump a namespace's version here (and write a migration in the owning
 service) whenever its value shape changes incompatibly.

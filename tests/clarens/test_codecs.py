@@ -103,6 +103,18 @@ class TestXmlForbiddenCharacters:
         assert fault.value.message == f"bad {name}"
 
 
+@pytest.mark.parametrize("name", ["json", "xmlrpc"])
+def test_a_carriage_return_survives(name):
+    """XML parsers turn a raw CR into LF; the codec writes it as ``&#13;``."""
+    codec = get_codec(name)
+    assert codec.decode_response(codec.encode_response("a\rb")) == "a\rb"
+    assert codec.decode_response(codec.encode_response({"k\r": "\r\n"})) == {"k\r": "\r\n"}
+    assert codec.decode_request(codec.encode_request("a.b", "t", ["x\ry"]))[2] == ["x\ry"]
+    with pytest.raises(RemoteFault) as fault:
+        codec.decode_response(codec.encode_fault(520, "bad\rline"))
+    assert fault.value.message == "bad\rline"
+
+
 class TestJsonCompactness:
     def test_json_much_smaller_than_xmlrpc(self):
         value = [{"job_id": i, "state": "running"} for i in range(50)]

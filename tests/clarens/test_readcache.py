@@ -107,24 +107,6 @@ class TestReadCache:
         assert cache.evictions == 1
         assert len(cache) == 2
 
-    def test_cached_helper_recomputes_only_after_bump(self):
-        epochs = EpochRegistry()
-        cache = ReadCache(epochs, MetricsRegistry())
-        calls = []
-        compute = lambda: calls.append(1) or len(calls)  # noqa: E731
-        assert cache.cached("webui.jobs", (), ("scheduler",), compute) == 1
-        assert cache.cached("webui.jobs", (), ("scheduler",), compute) == 1
-        epochs.bump("scheduler")
-        assert cache.cached("webui.jobs", (), ("scheduler",), compute) == 2
-
-    def test_disabled_cache_always_computes(self):
-        cache = ReadCache(EpochRegistry(), MetricsRegistry(), enabled=False)
-        calls = []
-        compute = lambda: calls.append(1) or len(calls)  # noqa: E731
-        assert cache.cached("m", (), ("x",), compute) == 1
-        assert cache.cached("m", (), ("x",), compute) == 2
-        assert len(cache) == 0
-
     def test_clear_drops_entries(self):
         cache = ReadCache(EpochRegistry(), MetricsRegistry())
         cache.store("m", "a", (), 1)

@@ -78,6 +78,27 @@ class TestSocketTransport:
             t.call("echo.boom", [], token)
         assert "kaput" in str(exc.value)
 
+    def test_a_result_xml_cannot_carry_is_a_typed_fault(self):
+        """The HTTP front end marshals with the framed server's XML-RPC
+        codec: a result holding U+FFFE is a 406 and the connection serves
+        the next call; a CR arrives as sent."""
+
+        class Text:
+            def of(self, *codes):
+                """The string of the given code points."""
+                return "".join(map(chr, codes))
+
+        host = ClarensHost("one")
+        host.users.add_user("u", "p", groups=("g",))
+        host.acl.allow("text.*", groups=("g",))
+        host.register("text", Text())
+        with XmlRpcServerHandle(host) as handle, ClarensClient(handle.url) as client:
+            client.login("u", "p")
+            with pytest.raises(SerializationError) as refused:
+                client.call("text.of", 0xFFFE)
+            assert refused.value.code == 406 and "U+FFFE" in refused.value.message
+            assert client.call("text.of", 0x61, 0x0D, 0x62) == "a\rb"
+
     def test_unreachable_server_raises_transport_error(self):
         t = SocketTransport("http://127.0.0.1:1/RPC2", timeout_s=0.5)
         with pytest.raises(TransportError):

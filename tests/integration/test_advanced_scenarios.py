@@ -98,7 +98,7 @@ class TestWebUIDuringSteering:
         gae.grid.run_until(600.0)
         gae.stop()
 
-        with GAEWebUI(gae) as ui:
+        with GAEWebUI(gae.client("u", "pw")) as ui:
             with urllib.request.urlopen(ui.url + "jobs", timeout=10) as resp:
                 jobs_page = resp.read().decode()
             assert task.task_id in jobs_page

@@ -1,4 +1,8 @@
-"""Tests for the read-only web interface (the §4.2.4 download page)."""
+"""Tests for the read-only web interface (the §4.2.4 download page).
+
+The UI is a Clarens client: each test serves the pages of one logged-in
+principal, ``GAEWebUI(gae.client(user, password))``.
+"""
 
 import json
 import urllib.error
@@ -29,7 +33,7 @@ def served():
         gae.scheduler.submit_job(Job(tasks=[t], owner="alice"))
     gae.load_publisher.publish_now()
     gae.grid.run_until(100.0)
-    with GAEWebUI(gae) as ui:
+    with GAEWebUI(gae.client("alice", "pw")) as ui:
         yield gae, ui, done, running
 
 
@@ -43,14 +47,8 @@ class TestPages:
         gae, ui, *_ = served
         status, body, _ = fetch(ui.url)
         assert status == 200
-        assert "siteA" in body and "siteB" in body
-        assert "up" in body
-
-    def test_overview_shows_down_site(self, served):
-        gae, ui, *_ = served
-        gae.grid.execution_services["siteA"].fail(crash_pool=False)
-        _, body, _ = fetch(ui.url)
-        assert "DOWN" in body
+        assert "<td>siteA</td><td>1.00</td>" in body  # the published loads
+        assert "<td>siteB</td><td>0.50</td>" in body
 
     def test_jobs_table(self, served):
         gae, ui, done, running = served
@@ -137,7 +135,7 @@ class TestProgressChart:
         gae.start()
         gae.grid.run_until(120.0)
         gae.stop()
-        with GAEWebUI(gae) as ui:
+        with GAEWebUI(gae.client("u", "pw")) as ui:
             _, body, _ = fetch(ui.url + f"job/{t.task_id}")
         assert "Progress of" in body
         assert "progress (%)" in body
@@ -148,83 +146,77 @@ class TestProgressChart:
         assert "Progress of" not in body
 
 
-class TestMetricsPage:
-    def test_metrics_exposition(self, served):
-        gae, ui, *_ = served
-        gae.client("alice", "pw")  # at least one dispatched call to count
-        status, body, headers = fetch(ui.url + "metrics")
-        assert status == 200
-        assert headers["Content-Type"].startswith("text/plain")
-        assert "gae_rpc_calls_total" in body
-        assert (
-            'gae_rpc_calls_total{method="system.login",outcome="ok",'
-            'served_from="execute",transport="inproc"} 1'
-        ) in body
-        assert 'gae_site_load{site="siteA"}' in body
-
-    def test_metrics_include_latency_quantiles(self, served):
-        gae, ui, done, running = served
-        client = gae.client("alice", "pw")
-        for _ in range(3):
-            client.service("jobmon").job_status(running.task_id)
-        _, body, _ = fetch(ui.url + "metrics")
-        assert 'gae_rpc_latency_ms{method="jobmon.job_status",quantile="0.5"}' in body
-        assert 'quantile="0.95"' in body and 'quantile="0.99"' in body
-
-    def test_nav_links_to_metrics(self, served):
-        gae, ui, *_ = served
-        _, body, _ = fetch(ui.url)
-        assert '<a href="/metrics">metrics</a>' in body
-
-    def test_metrics_include_observability_registry(self, served):
-        gae, ui, *_ = served
-        _, body, _ = fetch(ui.url + "metrics")
-        assert "gae_scheduler_jobs_planned_total" in body
-        assert "gae_scheduler_tasks_planned_total" in body
-        assert 'gae_execution_service_up{site="siteA"}' in body
-
-
-class TestTracePages:
-    def test_trace_page_renders_span_tree(self, served):
-        gae, ui, done, _ = served
-        status, body, _ = fetch(ui.url + f"trace/{done.task_id}")
-        assert status == 200
-        assert f"task:{done.task_id}" in body
-        assert "run@" in body
-        assert gae.observability.trace_id_of(done.task_id) in body
-
-    def test_timeline_json(self, served):
-        gae, ui, done, _ = served
-        status, body, _ = fetch(ui.url + f"timeline/{done.task_id}")
-        assert status == 200
-        timeline = json.loads(body)
-        assert timeline["task_id"] == done.task_id
-        types = [e["type"] for e in timeline["events"]]
-        assert types[0] == "submitted"
-        assert "completed" in types
-        trace_ids = {e["trace_id"] for e in timeline["events"]}
-        assert trace_ids == {gae.observability.trace_id_of(done.task_id)}
-
-    def test_trace_unknown_task_404(self, served):
-        _, ui, *_ = served
-        for page in ("trace", "timeline"):
-            with pytest.raises(urllib.error.HTTPError) as exc:
-                fetch(ui.url + f"{page}/ghost")
-            assert exc.value.code == 404
-            error = json.loads(exc.value.read().decode("utf-8"))
-            assert error["error"] == "not-found"
-
-    def test_trace_disabled_503(self):
+class TestFaults:
+    def test_health_disabled_is_503(self):
         grid = GridBuilder(seed=93).site("s").probe_noise(0.0).build()
         gae = build_gae(grid, observability=False)
-        assert gae.observability is None
-        with GAEWebUI(gae) as ui:
+        gae.add_user("u", "pw")
+        with GAEWebUI(gae.client("u", "pw")) as ui:
             with pytest.raises(urllib.error.HTTPError) as exc:
-                fetch(ui.url + "trace/task-000001")
-            assert exc.value.code == 503
+                fetch(ui.url + "health")
+        assert exc.value.code == 503
+        assert json.loads(exc.value.read()) == {"error": "health-disabled", "status": 503}
 
-    def test_job_detail_links_to_trace(self, served):
-        gae, ui, done, _ = served
-        _, body, _ = fetch(ui.url + f"job/{done.task_id}")
-        assert f"/trace/{done.task_id}" in body
-        assert f"/timeline/{done.task_id}" in body
+    def test_any_other_fault_is_a_502(self, served):
+        gae, ui, *_ = served
+        ui.client.logout()  # the host now refuses the UI's session
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            fetch(ui.url + "jobs")
+        assert exc.value.code == 502
+        assert exc.value.read().decode().startswith("the host answered 401: ")
+
+
+def two_users():
+    """A GAE where alice and bob each ran one task to completion."""
+    grid = GridBuilder(seed=94).site("s", nodes=2).probe_noise(0.0).build()
+    gae = build_gae(grid)
+    tasks = {}
+    for user in ("alice", "bob"):
+        gae.add_user(user, "pw")
+        tasks[user] = Task(spec=TaskSpec(owner=user), work_seconds=30.0)
+        gae.scheduler.submit_job(Job(tasks=[tasks[user]], owner=user))
+    gae.grid.run_until(100.0)
+    return gae, tasks["alice"].task_id, tasks["bob"].task_id
+
+
+class TestPrincipals:
+    def test_a_second_user_sees_only_their_own_tasks(self):
+        gae, alices, bobs = two_users()
+        with GAEWebUI(gae.client("bob", "pw")) as ui:
+            _, jobs, _ = fetch(ui.url + "jobs")
+            _, notes, _ = fetch(ui.url + "notifications")
+            _, state, _ = fetch(ui.url + f"state/{bobs}")
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                fetch(ui.url + f"state/{alices}")
+        assert bobs in jobs and alices not in jobs
+        assert bobs in notes and alices not in notes
+        assert json.loads(state)["state"] == "completed"
+        assert exc.value.code == 404
+        assert json.loads(exc.value.read()) == {
+            "error": "not-found", "resource": "execution-state", "id": alices,
+            "status": 404,
+        }
+
+    def test_every_page_is_the_principals_own_calls(self):
+        gae, _, bobs = two_users()
+        reader = gae.client("alice", "pw")  # reads the ring; its own calls are skipped
+        pages = {
+            "": ["monalisa.grid_weather"],
+            "jobs": ["steering.my_jobs", "system.multicall", "jobmon.job_tasks"],
+            f"job/{bobs}": ["jobmon.job_info", "steering.download_execution_state",
+                            "jobmon.progress_history"],
+            f"state/{bobs}": ["steering.download_execution_state"],
+            "notifications": ["steering.notifications"],
+            "health": ["system.health"],
+            "weather": ["monalisa.grid_weather"],
+        }
+        with GAEWebUI(gae.client("bob", "pw")) as ui:
+            for page, methods in pages.items():
+                before = len(reader.call("system.recent_calls", -1))
+                fetch(ui.url + page)
+                # Skip the row of the recent_calls call that read *before*.
+                rows = reader.call("system.recent_calls", -1)[before + 1:]
+                assert [r["method"] for r in rows] == methods, page
+                assert {(r["transport"], r["principal"], r["outcome"]) for r in rows} == {
+                    ("inproc", "bob", "ok")
+                }, page

@@ -7,7 +7,8 @@
     python tools/smoke.py scenario   # quick chaos campaign + artifact schema
     python tools/smoke.py health     # health rules fire and resolve; telemetry export
     python tools/smoke.py bench      # the end-to-end benchmark's own checks + quick and traced runs
-    python tools/smoke.py rpc        # system.stats, system.cache, /metrics and recent_calls agree;
+    python tools/smoke.py rpc        # system.stats, system.cache, the metrics exposition and
+                                     # recent_calls agree; a web UI page is its principal's calls;
                                      # forged/non-ASCII/garbage tokens are typed faults
     python tools/smoke.py figures    # the wall-clock shapes: Figure 6, the transport ordering
     python tools/smoke.py all        # every one above (< 60 s; run it before committing)
@@ -368,10 +369,9 @@ def smoke_journal_ring(tmp: Path, fixture: Path) -> None:
 _SERIES = re.compile(r'^(\w+)(?:\{(.*)\})? (\S+)$')
 
 
-def scrape(url: str) -> tuple:
-    """``/metrics`` as text and as ``[(name, {label: value}, number)]``."""
-    with urllib.request.urlopen(url, timeout=10) as response:
-        text = response.read().decode("utf-8")
+def exposition(host) -> tuple:
+    """The host's metrics in Prometheus text, and as ``[(name, {label: value}, number)]``."""
+    text = "\n".join(host.metrics.prometheus_lines()) + "\n"
     series = []
     for line in text.splitlines():
         match = None if line.startswith("#") else _SERIES.match(line)
@@ -392,88 +392,101 @@ def smoke_rpc(tmp: Path) -> None:
     task, other = job.tasks[0].task_id, job.tasks[1].task_id
     handle = AsyncSocketServerHandle(gae.host).start()
     label = f"async:{handle.address[1]}"
-    with GAEWebUI(gae) as ui:
-        with ClarensClient(handle.url, codec="json") as client:
-            client.login("demo", "demo")
-            client.call("jobmon.job_status", task)
-            client.call("jobmon.job_status", task)  # the cached repeat
-            client.batch([("jobmon.job_status", other)] * 3)  # two coalesce
-            codes = {}  # method path -> the fault code its call answered
-            for bad in (("jobmon.job_status", "no-such-task"), ("nope.nothing",)):
-                try:
-                    client.call(*bad)
-                except ClarensFault as exc:
-                    codes[bad[0]] = exc.code
-                else:
-                    raise SmokeFailure(f"{bad[0]} did not fault")
-            stats = client.call("system.stats")
-            cache = client.call("system.cache")
-            text, series = scrape(ui.url + "metrics")
-            recent = client.call("system.recent_calls", -1)
+    with ClarensClient(handle.url, codec="json") as client:
+        client.login("demo", "demo")
+        client.call("jobmon.job_status", task)
+        client.call("jobmon.job_status", task)  # the cached repeat
+        client.batch([("jobmon.job_status", other)] * 3)  # two coalesce
+        codes = {}  # method path -> the fault code its call answered
+        for bad in (("jobmon.job_status", "no-such-task"), ("nope.nothing",)):
+            try:
+                client.call(*bad)
+            except ClarensFault as exc:
+                codes[bad[0]] = exc.code
+            else:
+                raise SmokeFailure(f"{bad[0]} did not fault")
+        stats = client.call("system.stats")
+        cache = client.call("system.cache")
+        text, series = exposition(gae.host)
+        recent = client.call("system.recent_calls", -1)
 
-        def total(name: str, **labels: str) -> int:
-            return int(sum(
-                value for n, have, value in series
-                if n == name and all(have.get(k) == v for k, v in labels.items())
-            ))
+    def total(name: str, **labels: str) -> int:
+        return int(sum(
+            value for n, have, value in series
+            if n == name and all(have.get(k) == v for k, v in labels.items())
+        ))
 
-        # What the driver above did, as all three surfaces must tell it.
-        # (/metrics was scraped two calls later: system.stats, system.cache.)
-        status = "jobmon.job_status"
-        check(stats["per_method"][status] == 6, f"per_method: {stats['per_method']}")
-        check(stats["per_method"]["<unknown>"] == 1 and "nope.nothing" not in text,
-              "the bogus method path became a label")
-        check(stats["faults"] == 2 == total("gae_rpc_calls_total", outcome="fault"),
-              f"faults: stats {stats['faults']}")
-        check(total("gae_rpc_calls_total") == stats["calls"] + 2,
-              f"calls: /metrics {total('gae_rpc_calls_total')}, stats {stats['calls']}")
-        for method, n in stats["per_method"].items():
-            check(total("gae_rpc_calls_total", method=method) == n,
-                  f"{method}: /metrics disagrees with system.stats ({n})")
-        for method, summary in stats["latency_ms"].items():
-            check(total("gae_rpc_latency_ms_count", method=method) == summary["count"],
-                  f"{method}: latency count disagrees")
-        served, counters = stats["served"][status], cache["per_method"][status]
-        check(served == {"cache": 1, "coalesced": 2}, f"served: {served}")
-        for kind, source in (("hits", "cache"), ("coalesced", "coalesced")):
-            check(counters[kind] == served[source]
-                  == total(f"gae_rpc_cache_{kind}_total", method=status)
-                  == total("gae_rpc_calls_total", method=status, served_from=source),
-                  f"{kind}: system.cache, system.stats and /metrics disagree")
-        pool = stats["worker_pools"][label]
-        check(pool["completed"] + 2
-              == total("gae_aio_worker_completed_total", pool=label)
-              # one frame per call but the multicall's one executed sub-call
-              == total("gae_rpc_calls_total", transport="async+json") - 1,
-              f"pool {label}: completed {pool['completed']} disagrees with /metrics")
-        # The fourth surface lists every pipeline pass up to system.cache
-        # (a coalesced sub-call makes none) by the path as sent.
-        check(len(recent) == stats["calls"] + 2 - served["coalesced"],
-              f"recent_calls: {len(recent)} rows for {stats['calls']} + 2 calls")
-        sources = [r["served_from"] for r in recent if r["method"] == status]
-        check(sorted(sources) == ["cache"] * served["cache"]
-              + ["execute"] * stats["latency_ms"][status]["count"],
-              f"recent_calls: {status} served from {sources}")
-        check("<unknown>" not in {r["method"] for r in recent},
-              "recent_calls lists a label, not the path as sent")
-        faults = {r["method"]: r["code"] for r in recent if r["outcome"] == "fault"}
-        check(faults == codes, f"recent_calls faults {faults}, the calls answered {codes}")
-        batch = {r["trace_id"] for r in recent if r["method"] == "system.multicall"}
-        frames = [r for r in recent if r["transport"] == "async+json"
-                  and (r["trace_id"] not in batch or r["method"] == "system.multicall")]
-        check(len(frames) == pool["completed"] + 2  # + system.stats, system.cache
-              and all("decode_ms" in r and "encode_ms" in r for r in frames),
-              "recent_calls: an async+json frame's row lacks its stage timings")
-        print(f"system.stats, system.cache, /metrics and system.recent_calls agree: "
-              f"{stats['calls']} calls, {stats['faults']} faults, "
-              f"pool {label} completed {pool['completed']}")
+    # What the driver above did, as all three surfaces must tell it.
+    # (the exposition was read two calls later: system.stats, system.cache.)
+    status = "jobmon.job_status"
+    check(stats["per_method"][status] == 6, f"per_method: {stats['per_method']}")
+    check(stats["per_method"]["<unknown>"] == 1 and "nope.nothing" not in text,
+          "the bogus method path became a label")
+    check(stats["faults"] == 2 == total("gae_rpc_calls_total", outcome="fault"),
+          f"faults: stats {stats['faults']}")
+    check(total("gae_rpc_calls_total") == stats["calls"] + 2,
+          f"calls: the exposition {total('gae_rpc_calls_total')}, stats {stats['calls']}")
+    for method, n in stats["per_method"].items():
+        check(total("gae_rpc_calls_total", method=method) == n,
+              f"{method}: the exposition disagrees with system.stats ({n})")
+    for method, summary in stats["latency_ms"].items():
+        check(total("gae_rpc_latency_ms_count", method=method) == summary["count"],
+              f"{method}: latency count disagrees")
+    served, counters = stats["served"][status], cache["per_method"][status]
+    check(served == {"cache": 1, "coalesced": 2}, f"served: {served}")
+    for kind, source in (("hits", "cache"), ("coalesced", "coalesced")):
+        check(counters[kind] == served[source]
+              == total(f"gae_rpc_cache_{kind}_total", method=status)
+              == total("gae_rpc_calls_total", method=status, served_from=source),
+              f"{kind}: system.cache, system.stats and the exposition disagree")
+    pool = stats["worker_pools"][label]
+    check(pool["completed"] + 2
+          == total("gae_aio_worker_completed_total", pool=label)
+          # one frame per call but the multicall's one executed sub-call
+          == total("gae_rpc_calls_total", transport="async+json") - 1,
+          f"pool {label}: completed {pool['completed']} disagrees with the exposition")
+    # The fourth surface lists every pipeline pass up to system.cache
+    # (a coalesced sub-call makes none) by the path as sent.
+    check(len(recent) == stats["calls"] + 2 - served["coalesced"],
+          f"recent_calls: {len(recent)} rows for {stats['calls']} + 2 calls")
+    sources = [r["served_from"] for r in recent if r["method"] == status]
+    check(sorted(sources) == ["cache"] * served["cache"]
+          + ["execute"] * stats["latency_ms"][status]["count"],
+          f"recent_calls: {status} served from {sources}")
+    check("<unknown>" not in {r["method"] for r in recent},
+          "recent_calls lists a label, not the path as sent")
+    faults = {r["method"]: r["code"] for r in recent if r["outcome"] == "fault"}
+    check(faults == codes, f"recent_calls faults {faults}, the calls answered {codes}")
+    batch = {r["trace_id"] for r in recent if r["method"] == "system.multicall"}
+    frames = [r for r in recent if r["transport"] == "async+json"
+              and (r["trace_id"] not in batch or r["method"] == "system.multicall")]
+    check(len(frames) == pool["completed"] + 2  # + system.stats, system.cache
+          and all("decode_ms" in r and "encode_ms" in r for r in frames),
+          "recent_calls: an async+json frame's row lacks its stage timings")
+    print(f"system.stats, system.cache, the metrics exposition and system.recent_calls agree: "
+          f"{stats['calls']} calls, {stats['faults']} faults, "
+          f"pool {label} completed {pool['completed']}")
 
-        handle.shutdown()
-        text, _ = scrape(ui.url + "metrics")
-        check("worker_pools" not in gae.host.dispatch("system.stats", []),
-              "the stopped pool is still in system.stats")
-        check(label not in text, "the stopped pool is still in /metrics")
-        print(f"pool {label} left system.stats and /metrics at shutdown")
+    handle.shutdown()
+    text, _ = exposition(gae.host)
+    check("worker_pools" not in gae.host.dispatch("system.stats", []),
+          "the stopped pool is still in system.stats")
+    check(label not in text, "the stopped pool is still in the exposition")
+    print(f"pool {label} left system.stats and the exposition at shutdown")
+
+    # A web UI page is its principal's own calls: /jobs reads each job's
+    # tasks in one batch, and every read is a row of system.recent_calls.
+    ui_client = gae.client("demo", "demo")
+    jobs = ui_client.call("steering.my_jobs")
+    before = len(ui_client.call("system.recent_calls", -1))
+    with GAEWebUI(ui_client) as ui, urllib.request.urlopen(ui.url + "jobs", timeout=10) as page:
+        check(task in page.read().decode("utf-8"), f"/jobs does not list {task}")
+    added = ui_client.call("system.recent_calls", -1)[before + 1:]
+    reads = [r for r in added if r["method"] == "jobmon.job_tasks"]
+    check(len(reads) == len(jobs) > 0
+          and all(r["transport"] == "inproc" and r["principal"] == "demo" for r in reads),
+          f"/jobs added {[(r['method'], r['transport']) for r in added]} to recent_calls")
+    print(f"/jobs read {len(reads)} job(s) as demo through system.multicall")
     gae.stop()
     smoke_rpc_auth()
 
