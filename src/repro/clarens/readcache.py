@@ -25,9 +25,10 @@ what re-executing the method would have produced: any state change that
 could alter the answer bumps a depended-on epoch, which changes the key
 and forces re-execution.  There is no staleness window.
 
-Cached wire values are shared, not copied — both transports already copy
-on receipt (``from_wire`` rebuilds every container) and marshalled results
-are treated as immutable everywhere in this codebase.
+Cached wire values are shared, not copied — a socket transport's codec
+decodes every reply into fresh containers, the in-process transport copies
+on receipt (``from_wire`` rebuilds every container), and marshalled
+results are treated as immutable everywhere in this codebase.
 
 The same cache also backs **request coalescing**: ``system.multicall``
 deduplicates identical read-policy sub-calls within one batch (executing

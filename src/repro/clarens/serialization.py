@@ -4,8 +4,8 @@ XML-RPC understands a small closed set of types: bool, int, float, str,
 bytes, ISO dates, arrays and string-keyed structs (plus nil when
 ``allow_none`` is on).  Services, however, naturally return dataclasses,
 enums, tuples and numpy scalars.  :func:`to_wire` lowers rich values into
-the wire set recursively; :func:`from_wire` is the (structural) inverse used
-on receipt.
+the wire set recursively; :func:`from_wire` is the in-process transport's
+copy on receipt.
 
 The in-process transport runs values through the same functions so that the
 two transports are observationally identical — a service that works in-sim
@@ -74,11 +74,12 @@ def to_wire(value: Any) -> Any:
 
 
 def from_wire(value: Any) -> Any:
-    """Structural identity pass over received wire values.
+    """A fresh copy of every container in a wire value.
 
-    XML-RPC already delivers plain Python types; this hook exists so both
-    transports share one decode path (and so tests can assert the
-    ``to_wire``/``from_wire`` round trip is stable).
+    The in-process transport's receive step: a host's result may be a
+    wire value the read cache shares between callers, which a caller
+    must not be able to mutate.  A socket transport needs no copy — its
+    codec decodes every reply into fresh containers.
     """
     if isinstance(value, dict):
         return {k: from_wire(v) for k, v in value.items()}

@@ -6,9 +6,9 @@ Three interchangeable implementations of one interface:
   :class:`~repro.clarens.server.ClarensHost` in the same process.  Values
   still pass through :func:`~repro.clarens.serialization.to_wire`, so a
   service that works in-process is guaranteed to work over sockets.
-- :class:`SocketTransport` — speaks real XML-RPC over HTTP using the
-  stdlib client; this is what the Figure 6 benchmark measures.  One
-  connection, one request in flight at a time.
+- :class:`SocketTransport` — speaks real XML-RPC over HTTP, marshalled by
+  the ``xmlrpc`` codec; this is what the Figure 6 benchmark measures.
+  One connection, one request in flight at a time.
 - :class:`AsyncSocketTransport` — a persistent framed connection to an
   :class:`~repro.clarens.aio.AsyncSocketServerHandle` with codec
   negotiation (:mod:`repro.clarens.codecs`) and request **pipelining**:
@@ -32,7 +32,6 @@ or corrupting the stream.
 from __future__ import annotations
 
 import abc
-import functools
 import socket
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -129,14 +128,16 @@ class Transport(abc.ABC):
 class LoopbackTransport(Transport):
     """Zero-copy-distance transport into a host in the same process.
 
-    ``strict_wire`` (default True) runs parameters and results through the
-    same marshalling as the socket transports, so serialization bugs
-    surface in fast unit tests rather than in deployment.
+    Parameters and results run through the same marshalling as the
+    socket transports (:func:`~repro.clarens.serialization.to_wire` out,
+    :func:`~repro.clarens.serialization.from_wire` back), so serialization
+    bugs surface in fast unit tests rather than in deployment.  The copy
+    ``from_wire`` makes matters here: a cached result is one wire value
+    shared by every caller (see :mod:`repro.clarens.readcache`).
     """
 
-    def __init__(self, host: ClarensHost, strict_wire: bool = True) -> None:
+    def __init__(self, host: ClarensHost) -> None:
         self.host = host
-        self.strict_wire = strict_wire
 
     def call(
         self,
@@ -147,39 +148,36 @@ class LoopbackTransport(Transport):
     ) -> Any:
         if self.closed:
             raise TransportClosedError("transport is closed")
-        if self.strict_wire:
-            wire_params: List[Any] = [to_wire(p) for p in params]
-        else:
-            wire_params = list(params)
         result = self.host.dispatch(
-            method_path, wire_params, token=token, trace_id=trace_id
+            method_path, [to_wire(p) for p in params], token=token, trace_id=trace_id
         )
-        return from_wire(result) if self.strict_wire else result
+        return from_wire(result)
 
 
 class SocketTransport(Transport):
     """Real XML-RPC over HTTP.
 
-    One transport wraps one ``ServerProxy`` and therefore one HTTP
-    connection; it is **not** thread-safe.  Concurrent clients (as in the
+    Each call is one POST on one keep-alive ``http.client`` connection
+    (HTTPS for an ``https://`` URL), its body marshalled both ways by the
+    :class:`~repro.clarens.codecs.xmlrpc.XmlRpcCodec` the servers use —
+    so a value XML cannot carry is refused with
+    :class:`~repro.clarens.errors.SerializationError` before anything is
+    sent.  It is **not** thread-safe: concurrent clients (as in the
     Figure 6 benchmark) should each own a transport.
     """
 
     def __init__(self, url: str, timeout_s: float = 30.0) -> None:
-        import xmlrpc.client  # the HTTP stack loads with its first client
+        import http.client  # the HTTP stack loads with its first client
+        from urllib.parse import urlsplit
 
         self.url = url
-        transport = xmlrpc.client.Transport()
-        # Plumb a socket timeout through the stdlib transport.
-        original_make_connection = transport.make_connection
-
-        def make_connection(host: str):  # type: ignore[no-untyped-def]
-            conn = original_make_connection(host)
-            conn.timeout = timeout_s
-            return conn
-
-        transport.make_connection = make_connection  # type: ignore[method-assign]
-        self._proxy = xmlrpc.client.ServerProxy(url, allow_none=True, transport=transport)
+        parts = urlsplit(url)
+        connection = (
+            http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        )
+        self._conn = connection(parts.hostname, parts.port, timeout=timeout_s)
+        self._path = parts.path or "/RPC2"
+        self._codec = get_codec("xmlrpc")
 
     def call(
         self,
@@ -188,29 +186,36 @@ class SocketTransport(Transport):
         token: str = "",
         trace_id: str = "",
     ) -> Any:
-        import xmlrpc.client
+        import http.client
 
         if self.closed:
             raise TransportClosedError("transport is closed")
-        wire_params = [to_wire(p) for p in params]
-        method = functools.reduce(getattr, method_path.split("."), self._proxy)
+        body = self._codec.encode_request(
+            method_path, encode_trace_token(token, trace_id), [to_wire(p) for p in params]
+        )
         try:
-            result = method(encode_trace_token(token, trace_id), *wire_params)
-        except xmlrpc.client.Fault as fault:
-            raise fault_from_code(fault.faultCode, fault.faultString) from fault
-        except (OSError, socket.timeout, xmlrpc.client.ProtocolError) as exc:
+            self._conn.request("POST", self._path, body, {"Content-Type": "text/xml"})
+            response = self._conn.getresponse()
+            data = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            self._conn.close()
             if self.closed:
                 raise TransportClosedError(
                     f"transport closed during call to {method_path}"
                 ) from exc
             raise TransportError(f"transport failure calling {method_path}: {exc}") from exc
-        return from_wire(result)
+        if response.status != 200:
+            raise TransportError(
+                f"transport failure calling {method_path}: "
+                f"HTTP {response.status} {response.reason}"
+            )
+        return self._codec.decode_response(data)
 
     def close(self) -> None:
         """Drop the HTTP connection (safe to call more than once)."""
         if not self.closed:
             self.closed = True
-            self._proxy("close")()  # type: ignore[operator]
+            self._conn.close()
 
 
 def parse_framed_address(
@@ -423,9 +428,7 @@ class AsyncSocketTransport(Transport):
                             f"reply for unknown request id {request_id}"
                         )
                     try:
-                        results[slot] = (
-                            True, from_wire(codec.decode_response(payload))
-                        )
+                        results[slot] = (True, codec.decode_response(payload))
                     except (TransportError, ProtocolError):
                         raise
                     except ClarensFault as fault:

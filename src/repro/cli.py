@@ -324,11 +324,12 @@ def _cmd_journal_tail(args: argparse.Namespace) -> int:
     """
     if args.checkpoint:
         from repro.events.journal import EventJournal
-        from repro.store.sqlite import read_store_file
+        from repro.store.base import read_store_file
 
         journal = EventJournal(clock=lambda: 0.0)
         try:
-            journal.load_from(read_store_file(args.checkpoint))
+            with read_store_file(args.checkpoint) as store:
+                journal.load_from(store)
         except Exception as exc:  # unreadable file, missing namespace, broken seq run
             print(f"error: cannot read journal from {args.checkpoint!r}: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)

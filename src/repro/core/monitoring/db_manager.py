@@ -4,24 +4,22 @@
 access to this repository is controlled by the DBManager.  The DBManager
 publishes the job monitoring information to MonALISA."
 
-Backed by SQLite (stdlib), in-memory by default, file-backed on request —
-a real queryable repository, as in the deployed system, not a dict.
+Backed by SQLite (stdlib) — a real queryable repository, as in the
+deployed system, not a dict.
 
 Both halves happen in the journal consumers (:mod:`repro.events.core`):
 :meth:`DBManager.update` emits ``monitoring-updated``, ``monitoring`` folds
 it into the tables and ``monalisa`` then performs the §5.4 publish.
 
-Since the state-store refactor the relational tables can also live
-*inside* a :class:`~repro.store.base.StateStore` (pass ``store=``): the
-schema stays SQL-queryable and every read is bit-identical to the
-stand-alone layout, but the rows share the store's file (or memory)
-lifetime, which is how a GAE checkpoint carries its monitoring answers.
+The relational tables live on a :class:`~repro.store.base.StateStore`'s
+SQL connection: the GAE's store when one is passed (``store=``), so the
+rows share its lifetime and a GAE checkpoint carries its monitoring
+answers, else a ``StateStore()`` of the manager's own.
 """
 
 from __future__ import annotations
 
 import json
-import sqlite3
 import threading
 from typing import Any, Callable, Dict, List, Optional
 
@@ -112,28 +110,23 @@ class DBManager:
 
     Writes through ``emit`` (``EventCore.emit_monitoring``).  Usable as a
     context manager; :meth:`close` is idempotent and safe against a
-    concurrent fold.  When ``store`` is given, the tables live on the
-    store's SQL connection (and the connection's lifetime belongs to the
-    store, so ``close()`` becomes a no-op for the shared connection).
+    concurrent fold.  The tables live on ``store``'s SQL connection, whose
+    lifetime belongs to the store; without one the manager opens a
+    ``StateStore()`` of its own, which :meth:`close` closes.
     """
 
     def __init__(
         self,
         emit: Callable[[MonitoringRecord], None],
-        path: str = ":memory:",
         store: Optional[StateStore] = None,
     ) -> None:
         # The threaded XML-RPC front end serves monitoring queries from
         # worker threads; one connection guarded by a lock keeps SQLite
         # happy without a connection pool.
-        self.store = store
-        if store is not None:
-            store.register_namespace(namespace_record(MONITORING_JOBS))
-            self._conn = store.sql_connection()
-            self._owns_conn = False
-        else:
-            self._conn = sqlite3.connect(path, check_same_thread=False)
-            self._owns_conn = True
+        self._own_store = StateStore() if store is None else None
+        self.store = store if store is not None else self._own_store
+        self.store.register_namespace(namespace_record(MONITORING_JOBS))
+        self._conn = self.store.sql_connection()
         self._lock = threading.Lock()
         self._closed = False
         with self._lock:
@@ -144,19 +137,18 @@ class DBManager:
         self.update_listeners: list = []
 
     def close(self) -> None:
-        """Idempotently close the underlying database connection.
+        """Idempotently close the manager's own store, if it has one.
 
         Taken under the same lock as :meth:`apply_record`, so a
         concurrent writer can never race the closing connection.  A
-        store-owned connection is left open (the store manages its
-        lifetime).
+        store passed in is left open (its owner manages its lifetime).
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            if self._owns_conn:
-                self._conn.close()
+            if self._own_store is not None:
+                self._own_store.close()
 
     def __enter__(self) -> "DBManager":
         return self

@@ -66,11 +66,10 @@ class JobMonitoringService:
         sim: Simulator,
         emit: Callable[[MonitoringRecord], None],
         estimate_lookup: Optional[Callable[[str], float]] = None,
-        db_path: str = ":memory:",
         store: Optional["StateStore"] = None,
     ) -> None:
         self.sim = sim
-        self.db_manager = DBManager(emit, path=db_path, store=store)
+        self.db_manager = DBManager(emit, store=store)
         self.collector = JobInformationCollector(
             sim, self.db_manager, estimate_lookup=estimate_lookup
         )

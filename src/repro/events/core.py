@@ -51,7 +51,6 @@ from repro.events.journal import (
     JournalEvent,
 )
 from repro.store.base import StateStore
-from repro.store.memory import MemoryStore
 from repro.store.registry import (
     ESTIMATOR_HISTORY,
     ESTIMATOR_RUNTIME,
@@ -91,7 +90,7 @@ class JournalConsumer:
         self.events_applied = 0
         self.baseline_seq = -1
         #: Set by :meth:`rebaseline`, first when the core registers us.
-        self._baseline: Optional[MemoryStore] = None
+        self._baseline: Optional[StateStore] = None
 
     def fold(self, event: JournalEvent, notify: bool) -> None:
         """Fold one event of ``kinds`` into the store.
@@ -117,9 +116,9 @@ class JournalConsumer:
         raise NotImplementedError
 
     # -- derived: fingerprint / baseline / rebuild / verify -------------
-    def _saved(self) -> MemoryStore:
+    def _saved(self) -> StateStore:
         """A scratch store holding exactly what :meth:`save` writes."""
-        scratch = MemoryStore()
+        scratch = StateStore()
         for namespace in self.namespaces:
             scratch.register_namespace(namespace_record(namespace))
         self.save(scratch)
@@ -127,8 +126,8 @@ class JournalConsumer:
 
     def fingerprint(self) -> Dict[str, Any]:
         """The consumer's checkpoint rows: a JSON-safe, bit-exact digest."""
-        saved = self._saved()
-        return {namespace: saved.items(namespace) for namespace in self.namespaces}
+        with self._saved() as saved:
+            return {namespace: saved.items(namespace) for namespace in self.namespaces}
 
     def rebaseline(self, journal: EventJournal) -> None:
         """Capture the current live state as the fold origin.
@@ -140,6 +139,8 @@ class JournalConsumer:
         live state``.
         """
         self.baseline_seq = journal.head_seq
+        if self._baseline is not None:
+            self._baseline.close()
         self._baseline = self._saved()
 
     def rebuild(self, journal: EventJournal) -> Dict[str, Any]:

@@ -49,7 +49,6 @@ from repro.events.core import EventCore
 from repro.events.journal import EventJournal
 from repro.observability.instrument import GAEInstrumentation
 from repro.store.base import StateStore
-from repro.store.memory import MemoryStore
 
 
 @dataclass
@@ -169,7 +168,7 @@ def build_gae(
         workload's completed jobs); empty when omitted.
     store:
         The :class:`~repro.store.base.StateStore` threaded through every
-        persistent layer (an in-memory store when omitted).  The
+        persistent layer (``StateStore()``, in memory, when omitted).  The
         monitoring DB's relational tables live on this store's SQL
         connection, and a :class:`~repro.store.checkpoint.Checkpointer`
         snapshots the whole system through the same namespace registry.
@@ -208,7 +207,7 @@ def build_gae(
         benchmark baseline).
     """
     sim = grid.sim
-    store = store if store is not None else MemoryStore()
+    store = store if store is not None else StateStore()
     # First, the write path every producer below is constructed with;
     # rows are retained only when the instrumentation is there to read them.
     # The journal reads the clock's property directly: one Python call a

@@ -1,10 +1,10 @@
-"""Unified pluggable state-store layer (persistence & recovery substrate).
+"""The state store (persistence & recovery substrate).
 
 Public surface:
 
-- :class:`StateStore` protocol with :class:`MemoryStore` and
-  :class:`SqliteStore` backends (same JSON value codec → bit-identical
-  reads across backends);
+- :class:`StateStore`, one SQLite database — ``StateStore()`` in memory,
+  ``StateStore(path)`` on file — and :func:`read_store_file`, which
+  loads a file into a fresh in-memory store without writing to it;
 - the canonical namespace registry (:data:`NAMESPACES`, ``register_all``);
 - GAE-wide checkpoint/restore in :mod:`repro.store.checkpoint`: one file
   format written by :class:`Checkpointer` (self-contained, or a
@@ -17,24 +17,22 @@ from repro.store.base import (
     StateStore,
     StoreError,
     UnknownNamespaceError,
+    read_store_file,
 )
-from repro.store.memory import MemoryStore
 from repro.store.registry import NAMESPACES, namespace_names, register_all
-from repro.store.sqlite import SqliteStore
 
 __all__ = [
     "CheckpointError",
     "CheckpointInfo",
     "Checkpointer",
-    "MemoryStore",
     "NAMESPACES",
     "Namespace",
     "NamespaceVersionError",
-    "SqliteStore",
     "StateStore",
     "StoreError",
     "UnknownNamespaceError",
     "namespace_names",
+    "read_store_file",
     "register_all",
     "restore_gae",
 ]

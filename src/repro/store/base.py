@@ -1,4 +1,4 @@
-"""The pluggable state-store protocol every GAE service persists through.
+"""The state store every GAE service persists through.
 
 The paper's services are explicitly stateful and recoverable: the Job
 Monitoring Service owns "a database repository" behind a DBManager
@@ -8,14 +8,16 @@ Service.  This module gives all of that state one home: a
 versioned namespaces* and an escape hatch (:meth:`StateStore.sql_connection`)
 for the one service whose public API is genuinely relational.
 
-Two backends implement the protocol (see :mod:`repro.store.memory` and
-:mod:`repro.store.sqlite`).  Both run every value through the same JSON
-codec, so a value read back from a ``SqliteStore`` is *bit-identical* to
-the same value read back from a ``MemoryStore`` — tuples become lists,
-floats round-trip exactly (``repr``-based JSON float encoding is
-lossless for IEEE doubles), dict key order is preserved.  That property
-is what lets checkpoint/restore promise bit-identical estimator and
-monitoring answers.
+A store is one SQLite database: ``StateStore()`` in memory (what
+``build_gae`` threads through a GAE, and every scratch store), or
+``StateStore(path)`` on file (a checkpoint).  The DBManager's tables sit
+on the same connection, so a GAE never holds a second copy of its
+state, and :func:`read_store_file` loads a file by copying its pages
+into a fresh in-memory store.  Every value runs through one JSON codec
+— tuples become lists, floats round-trip exactly (``repr``-based JSON
+float encoding is lossless for IEEE doubles), dict key order is
+preserved — which is what lets checkpoint/restore promise bit-identical
+estimator and monitoring answers.
 
 Namespaces are registered before use (:meth:`StateStore.register_namespace`)
 with an integer schema version; reading or writing an unregistered
@@ -26,11 +28,13 @@ the guard that future schema migrations hang off.
 
 from __future__ import annotations
 
-import abc
+import contextlib
 import json
 import sqlite3
+import threading
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Tuple
+from pathlib import Path
+from typing import Any, Dict, Iterable, List, Tuple
 
 __all__ = [
     "Namespace",
@@ -40,6 +44,7 @@ __all__ = [
     "UnknownNamespaceError",
     "decode_value",
     "encode_value",
+    "read_store_file",
 ]
 
 
@@ -91,7 +96,7 @@ class Namespace:
 
 
 def encode_value(value: Any) -> str:
-    """Canonical JSON encoding shared by every backend.
+    """The one JSON encoding of a stored value.
 
     ``sort_keys`` is deliberately off: dict insertion order is part of
     several stores' semantics (e.g. MonALISA series registration order).
@@ -106,85 +111,219 @@ def decode_value(raw: str) -> Any:
 
 _MISSING = object()
 
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS gae_store_ns (
+    name        TEXT PRIMARY KEY,
+    version     INTEGER NOT NULL,
+    description TEXT NOT NULL DEFAULT ''
+);
+CREATE TABLE IF NOT EXISTS gae_store (
+    namespace TEXT NOT NULL,
+    key       TEXT NOT NULL,
+    value     TEXT NOT NULL,
+    seq       INTEGER NOT NULL,
+    PRIMARY KEY (namespace, key)
+);
+CREATE INDEX IF NOT EXISTS idx_gae_store_ns_seq ON gae_store (namespace, seq);
+"""
 
-class StateStore(abc.ABC):
+# Upsert that keeps the row's original seq, so keys iterate in
+# first-insertion order across overwrites (dict semantics).
+_UPSERT = (
+    "INSERT INTO gae_store (namespace, key, value, seq) VALUES (?, ?, ?, ?) "
+    "ON CONFLICT (namespace, key) DO UPDATE SET value = excluded.value"
+)
+
+
+class StateStore:
     """Namespaced key/value persistence with versioned schemas.
 
-    Keys within a namespace preserve **first-insertion order** — an
-    overwrite keeps the key's original position.  This mirrors Python
-    dict semantics so in-memory and SQLite backends iterate identically.
+    One SQLite database: ``:memory:`` by default, else the file at
+    *path*.  A ``gae_store`` key/value table carries a monotonic ``seq``
+    column, so keys within a namespace iterate in **first-insertion
+    order** — an overwrite keeps the key's original position; a
+    ``gae_store_ns`` table records each namespace's schema version; and
+    :meth:`sql_connection` hands out the same connection for the
+    relational tables the monitoring DBManager creates, so a checkpoint
+    is a single ordinary SQLite file.  On file, the journal is WAL
+    (readers don't block the writer); :meth:`put_many` is one
+    ``executemany`` inside one transaction.  Thread-safe.
     """
+
+    def __init__(self, path: str = ":memory:") -> None:
+        self.path = path
+        self._lock = threading.RLock()
+        self._conn = sqlite3.connect(path, check_same_thread=False)
+        self._closed = False
+        with self._lock:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.executescript(_SCHEMA)
+            self._conn.commit()
+            self._load()
+
+    def _load(self) -> None:
+        """Read the sequence head and the namespace records back."""
+        row = self._conn.execute("SELECT COALESCE(MAX(seq), 0) FROM gae_store").fetchone()
+        self._seq = int(row[0])
+        self._namespaces: Dict[str, Namespace] = {
+            name: Namespace(name=name, version=version, description=description)
+            for name, version, description in self._conn.execute(
+                "SELECT name, version, description FROM gae_store_ns ORDER BY rowid"
+            )
+        }
 
     # -- namespace management ------------------------------------------
 
-    @abc.abstractmethod
     def register_namespace(self, namespace: Namespace) -> Namespace:
         """Idempotently register a namespace; version mismatch raises."""
+        with self._lock:
+            registered = self._namespaces.get(namespace.name)
+            if registered is not None:
+                if registered.version != namespace.version:
+                    raise NamespaceVersionError(
+                        namespace.name, registered.version, namespace.version
+                    )
+                return registered
+            self._conn.execute(
+                "INSERT INTO gae_store_ns (name, version, description) VALUES (?, ?, ?)",
+                (namespace.name, namespace.version, namespace.description),
+            )
+            self._conn.commit()
+            self._namespaces[namespace.name] = namespace
+            return namespace
 
-    @abc.abstractmethod
     def namespaces(self) -> List[Namespace]:
         """All registered namespaces, in registration order."""
+        with self._lock:
+            return list(self._namespaces.values())
 
     def namespace(self, name: str) -> Namespace:
         """One registered namespace by name."""
-        for ns in self.namespaces():
-            if ns.name == name:
-                return ns
-        raise UnknownNamespaceError(name)
+        with self._lock:
+            if name not in self._namespaces:
+                raise UnknownNamespaceError(name)
+            return self._namespaces[name]
+
+    def _check(self, namespace: str) -> None:
+        if namespace not in self._namespaces:
+            raise UnknownNamespaceError(namespace)
 
     # -- key/value ------------------------------------------------------
 
-    @abc.abstractmethod
     def put(self, namespace: str, key: str, value: Any) -> None:
         """Insert or overwrite one value."""
+        encoded = encode_value(value)
+        with self._lock:
+            self._check(namespace)
+            self._seq += 1
+            self._conn.execute(_UPSERT, (namespace, key, encoded, self._seq))
+            self._conn.commit()
 
-    @abc.abstractmethod
     def put_many(self, namespace: str, items: Iterable[Tuple[str, Any]]) -> int:
         """Batched upsert in one transaction; returns the item count."""
+        encoded = [(key, encode_value(value)) for key, value in items]
+        with self._lock:
+            self._check(namespace)
+            base = self._seq
+            rows = [
+                (namespace, key, raw, base + i + 1) for i, (key, raw) in enumerate(encoded)
+            ]
+            self._seq = base + len(rows)
+            self._conn.executemany(_UPSERT, rows)
+            self._conn.commit()
+        return len(encoded)
 
-    @abc.abstractmethod
     def get(self, namespace: str, key: str, default: Any = _MISSING) -> Any:
         """One value; *default* when the key is absent, else KeyError."""
+        with self._lock:
+            self._check(namespace)
+            row = self._conn.execute(
+                "SELECT value FROM gae_store WHERE namespace = ? AND key = ?",
+                (namespace, key),
+            ).fetchone()
+        if row is not None:
+            return decode_value(row[0])
+        if default is _MISSING:
+            raise KeyError(key)
+        return default
 
-    @abc.abstractmethod
     def keys(self, namespace: str) -> List[str]:
         """Keys in first-insertion order."""
+        with self._lock:
+            self._check(namespace)
+            return [
+                key
+                for (key,) in self._conn.execute(
+                    "SELECT key FROM gae_store WHERE namespace = ? ORDER BY seq", (namespace,)
+                )
+            ]
 
-    @abc.abstractmethod
     def items(self, namespace: str) -> List[Tuple[str, Any]]:
         """(key, value) pairs in first-insertion order."""
-
-    @abc.abstractmethod
-    def delete(self, namespace: str, key: str) -> bool:
-        """Remove one key; True when it existed."""
-
-    @abc.abstractmethod
-    def clear(self, namespace: str) -> int:
-        """Remove every key in the namespace; returns how many."""
-
-    @abc.abstractmethod
-    def count(self, namespace: str) -> int:
-        """Number of keys in the namespace."""
+        with self._lock:
+            self._check(namespace)
+            rows = self._conn.execute(
+                "SELECT key, value FROM gae_store WHERE namespace = ? ORDER BY seq",
+                (namespace,),
+            ).fetchall()
+        return [(key, decode_value(raw)) for key, raw in rows]
 
     def values(self, namespace: str) -> List[Any]:
         return [v for _, v in self.items(namespace)]
 
+    def delete(self, namespace: str, key: str) -> bool:
+        """Remove one key; True when it existed."""
+        with self._lock:
+            self._check(namespace)
+            cur = self._conn.execute(
+                "DELETE FROM gae_store WHERE namespace = ? AND key = ?", (namespace, key)
+            )
+            self._conn.commit()
+            return cur.rowcount > 0
+
+    def clear(self, namespace: str) -> int:
+        """Remove every key in the namespace; returns how many."""
+        with self._lock:
+            self._check(namespace)
+            cur = self._conn.execute(
+                "DELETE FROM gae_store WHERE namespace = ?", (namespace,)
+            )
+            self._conn.commit()
+            return cur.rowcount
+
+    def count(self, namespace: str) -> int:
+        """Number of keys in the namespace."""
+        with self._lock:
+            self._check(namespace)
+            row = self._conn.execute(
+                "SELECT COUNT(*) FROM gae_store WHERE namespace = ?", (namespace,)
+            ).fetchone()
+            return int(row[0])
+
     # -- relational escape hatch ---------------------------------------
 
-    @abc.abstractmethod
     def sql_connection(self) -> sqlite3.Connection:
-        """A SQLite connection living in the same storage as the store.
+        """The store's own SQLite connection.
 
         This is how the monitoring :class:`~repro.core.monitoring.db_manager.DBManager`
         keeps its SQL-queryable schema while sharing the store's file (or
         memory) lifetime.
         """
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("store is closed")
+            return self._conn
 
     # -- lifecycle ------------------------------------------------------
 
-    @abc.abstractmethod
     def close(self) -> None:
-        """Idempotently release resources."""
+        """Idempotently release the connection."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._conn.close()
 
     def __enter__(self) -> "StateStore":
         return self
@@ -192,25 +331,28 @@ class StateStore(abc.ABC):
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         self.close()
 
-    # -- shared helpers for backends -----------------------------------
-
-    @staticmethod
-    def _missing() -> Any:
-        return _MISSING
-
-    @staticmethod
-    def _resolve_default(key: str, default: Any) -> Any:
-        if default is _MISSING:
-            raise KeyError(key)
-        return default
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"StateStore(path={self.path!r}, namespaces={len(self._namespaces)})"
 
 
-def check_registration(
-    registered: Optional[Namespace], requested: Namespace
-) -> Optional[Namespace]:
-    """Shared register_namespace version check; returns the surviving record."""
-    if registered is None:
-        return requested
-    if registered.version != requested.version:
-        raise NamespaceVersionError(requested.name, registered.version, requested.version)
-    return registered
+def read_store_file(path: str) -> StateStore:
+    """A fresh in-memory :class:`StateStore` holding the file at *path*.
+
+    The file's pages are copied whole (``sqlite3.Connection.backup``),
+    so every table, ``seq`` and raw value string arrives as written.  The
+    file is opened read-only and immutable, so reading never creates it,
+    never writes its schema and never leaves ``-wal``/``-shm`` side files
+    next to it — what a restore needs, where ``StateStore(path)`` (which
+    opens for writing) would do all three.  A missing, truncated or
+    non-SQLite file raises :class:`sqlite3.DatabaseError`.
+    """
+    store = StateStore()
+    uri = Path(path).resolve().as_uri() + "?mode=ro&immutable=1"
+    try:
+        with contextlib.closing(sqlite3.connect(uri, uri=True)) as source, store._lock:
+            source.backup(store._conn)
+            store._load()
+    except BaseException:
+        store.close()
+        raise
+    return store

@@ -1,7 +1,7 @@
 """GAE-wide checkpoint/restore: one file format, one path each way.
 
-A checkpoint is one SQLite file (written through a
-:class:`~repro.store.sqlite.SqliteStore`) taken at a *barrier event* — a
+A checkpoint is one SQLite file (written through a file-backed
+:class:`~repro.store.base.StateStore`) taken at a *barrier event* — a
 scheduled simulation instant, so the snapshot runs between events while
 the system is quiescent.  Every file holds
 
@@ -35,7 +35,7 @@ series, Backup & Recovery failed-set, and ``system.observability``
 report are identical to the pre-snapshot system at the checkpoint
 instant, and running it to completion finishes every in-flight job.
 Restoring only reads: the checkpoint files are loaded into memory
-through :func:`~repro.store.sqlite.read_store_file` and never opened for
+through :func:`~repro.store.base.read_store_file` and never opened for
 writing.
 
 Restore ordering matters and is documented inline; the broad strokes:
@@ -58,14 +58,14 @@ Restore ordering matters and is documented inline; the broad strokes:
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import sqlite3
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.events.core import CONSUMER_NAMESPACES
-from repro.store.base import StateStore, StoreError
-from repro.store.memory import MemoryStore
+from repro.store.base import StateStore, StoreError, read_store_file
 from repro.store.registry import (
     ACCOUNTING_STATE,
     CHECKPOINT_GRIDSIM,
@@ -74,7 +74,6 @@ from repro.store.registry import (
     STEERING_STATE,
     register_all,
 )
-from repro.store.sqlite import SqliteStore, read_store_file
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gae import GAE
@@ -155,7 +154,7 @@ class Checkpointer:
                     "self-contained checkpoint written by this Checkpointer"
                 )
             self._require_tail(base_seq)  # before the file is created
-        with SqliteStore(path) as store:
+        with StateStore(path) as store:
             self.write_state(store, base_seq=base_seq)
         head_seq = self.gae.events.journal.head_seq
         if base is None:
@@ -195,7 +194,7 @@ class Checkpointer:
             )
 
     def write_state(self, store: StateStore, *, base_seq: Optional[int] = None) -> None:
-        """Write every layer's state into *store* (any backend).
+        """Write every layer's state into *store* (in memory or on file).
 
         With *base_seq* — the journal head of a self-contained base — the
         consumer namespaces are left out and only journal rows past
@@ -306,47 +305,49 @@ def restore_gae(
     was cut against.
     """
     path = str(path)
-    source, meta = _read(path)
-    base_seq = meta["base_seq"]
-    if base_seq is None and base is not None:
-        raise CheckpointError(
-            f"{path!r} is self-contained: it has no base, but {str(base)!r} was given"
-        )
-    if base_seq is not None:
-        if base is None:
+    with contextlib.ExitStack() as opened:
+        source, meta = _read(path, opened)
+        base_seq = meta["base_seq"]
+        if base_seq is None and base is not None:
             raise CheckpointError(
-                f"{path!r} continues a base checkpoint (journal head "
-                f"{base_seq}): pass that file as base="
+                f"{path!r} is self-contained: it has no base, but {str(base)!r} was given"
             )
-        base = str(base)
-        merged, base_meta = _read(base)
-        if base_meta["base_seq"] is not None:
-            raise CheckpointError(
-                f"{base!r} is itself a continuation: {path!r} must be "
-                "restored against a self-contained checkpoint"
-            )
-        if base_meta["head_seq"] != base_seq:
-            raise CheckpointError(
-                f"{path!r} was cut against journal head {base_seq} "
-                f"but {base!r} stops at {base_meta['head_seq']}"
-            )
-        # Base + continuation = the self-contained file the barrier would
-        # have written: the base's consumer state and journal rows, the
-        # continuation's rows after them, everything else the continuation's.
-        for ns in source.namespaces():
-            if ns.name in CONSUMER_NAMESPACES:
-                continue
-            if ns.name != OBSERVABILITY_JOURNAL:
-                merged.clear(ns.name)
-            merged.put_many(ns.name, source.items(ns.name))
-        source = merged
-    return _restore(path, meta, source, store)
+        if base_seq is not None:
+            if base is None:
+                raise CheckpointError(
+                    f"{path!r} continues a base checkpoint (journal head "
+                    f"{base_seq}): pass that file as base="
+                )
+            base = str(base)
+            merged, base_meta = _read(base, opened)
+            if base_meta["base_seq"] is not None:
+                raise CheckpointError(
+                    f"{base!r} is itself a continuation: {path!r} must be "
+                    "restored against a self-contained checkpoint"
+                )
+            if base_meta["head_seq"] != base_seq:
+                raise CheckpointError(
+                    f"{path!r} was cut against journal head {base_seq} "
+                    f"but {base!r} stops at {base_meta['head_seq']}"
+                )
+            # Base + continuation = the self-contained file the barrier would
+            # have written: the base's consumer state and journal rows, the
+            # continuation's rows after them, everything else the continuation's.
+            for ns in source.namespaces():
+                if ns.name in CONSUMER_NAMESPACES:
+                    continue
+                if ns.name != OBSERVABILITY_JOURNAL:
+                    merged.clear(ns.name)
+                merged.put_many(ns.name, source.items(ns.name))
+            source = merged
+        return _restore(path, meta, source, store)
 
 
-def _read(path: str) -> Tuple[MemoryStore, Dict[str, Any]]:
-    """The checkpoint file at *path*, in memory, and its validated meta."""
+def _read(path: str, opened: contextlib.ExitStack) -> Tuple[StateStore, Dict[str, Any]]:
+    """The checkpoint file at *path*, in memory (closed with *opened*), and
+    its validated meta."""
     try:
-        source = read_store_file(path)
+        source = opened.enter_context(read_store_file(path))
         meta = source.get(CHECKPOINT_META, "meta", default=None)
     except (sqlite3.DatabaseError, StoreError, ValueError) as exc:
         raise CheckpointError(

@@ -52,13 +52,6 @@ class TestLoopbackTransport:
         with pytest.raises(SerializationError):
             t.call("echo.echo", [object()], token)
 
-    def test_non_strict_passes_objects(self, host):
-        t = LoopbackTransport(host, strict_wire=False)
-        token = t.call("system.login", ["u", "p"])
-        # Without strict wire the host still marshals the *result*, so a
-        # non-wire-safe result would fail; plain values pass.
-        assert t.call("echo.echo", [5], token) == 5
-
 
 class TestSocketTransport:
     def test_round_trip_over_sockets(self, xmlrpc_server):
@@ -98,6 +91,29 @@ class TestSocketTransport:
                 client.call("text.of", 0xFFFE)
             assert refused.value.code == 406 and "U+FFFE" in refused.value.message
             assert client.call("text.of", 0x61, 0x0D, 0x62) == "a\rb"
+
+    def test_a_carriage_return_parameter_arrives_as_sent(self, xmlrpc_server):
+        t = SocketTransport(xmlrpc_server.url)
+        token = t.call("system.login", ["u", "p"])
+        assert t.call("echo.echo", ["a\rb"], token) == "a\rb"
+
+    def test_a_parameter_xml_cannot_carry_is_refused_before_sending(self, xmlrpc_server):
+        server = xmlrpc_server._server
+        bodies = []
+
+        def counting(data, *args):
+            bodies.append(data)
+            return type(server)._marshaled_dispatch(server, data, *args)
+
+        server._marshaled_dispatch = counting
+        t = SocketTransport(xmlrpc_server.url)
+        token = t.call("system.login", ["u", "p"])
+        with pytest.raises(SerializationError) as refused:
+            t.call("echo.echo", ["\ufffe"], token)
+        assert refused.value.code == 406 and "U+FFFE" in refused.value.message
+        assert len(bodies) == 1  # the login only
+        assert t.call("echo.echo", ["next"], token) == "next"
+        assert len(bodies) == 2
 
     def test_unreachable_server_raises_transport_error(self):
         t = SocketTransport("http://127.0.0.1:1/RPC2", timeout_s=0.5)

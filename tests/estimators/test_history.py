@@ -6,7 +6,7 @@ from repro.core.estimators.history import HistoryRecorder, HistoryRepository, Ta
 from repro.core.estimators.queue_time import RuntimeEstimateDB
 from repro.gridsim.job import Task, TaskSpec
 from repro.gridsim.site import Site
-from repro.store.memory import MemoryStore
+from repro.store.base import StateStore
 from repro.store.registry import ESTIMATOR_HISTORY
 
 
@@ -37,7 +37,7 @@ class TestTaskRecord:
             make_record(**{"runtime" if field == "runtime_s" else field: value})
 
     def test_a_restored_non_finite_value_is_refused_not_repaired(self):
-        store = MemoryStore()
+        store = StateStore()
         HistoryRepository([make_record(), make_record(runtime=120.0)]).save_to(store)
         (key, row), _ = store.items(ESTIMATOR_HISTORY)
         store.put(ESTIMATOR_HISTORY, key, {**row, "requested_cpu_hours": float("nan")})

@@ -401,7 +401,7 @@ with AsyncSocketServerHandle(gae.host) as handle, ClarensClient(handle.url, code
 
 from repro.store.checkpoint import Checkpointer
 from repro.store.registry import CHECKPOINT_GRIDSIM
-from repro.store.sqlite import read_store_file
+from repro.store.base import read_store_file
 
 Checkpointer(gae).checkpoint(sys.argv[1])
 report["rng_record"] = read_store_file(sys.argv[1]).get(CHECKPOINT_GRIDSIM, "rng")

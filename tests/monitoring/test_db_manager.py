@@ -104,9 +104,9 @@ class TestLifecycle:
             db.update(make_record(task_id="t2"))
 
     def test_store_backed_close_leaves_shared_connection_open(self):
-        from repro.store import MemoryStore
+        from repro.store import StateStore
 
-        store = MemoryStore()
+        store = StateStore()
         db = make_db(store=store)
         db.update(make_record())
         db.close()

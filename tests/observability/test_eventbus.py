@@ -4,7 +4,9 @@ import ast
 import contextlib
 import dataclasses
 import functools
+import gc
 import os
+import sqlite3
 import tempfile
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from repro.events.journal import EventJournal, EventType, OutOfOrderError
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder
 from repro.gridsim.job import TaskSpec, bag_of_tasks, reset_id_counters
-from repro.store.memory import MemoryStore
+from repro.store.base import StateStore
 from repro.store.checkpoint import CheckpointError, Checkpointer, restore_gae
 
 
@@ -42,6 +44,21 @@ class TestJournalFirstWritePath:
         for report in gae.observability.eventcore.verify_all():
             assert report["covered"], report
             assert report["identical"], report
+
+    def test_verify_all_leaves_no_connection_open(self):
+        # Each verify saves every consumer into scratch stores, each one
+        # SQLite database; a scratch store is closed once it is read.
+        gae, _ = demo_at()
+        core = gae.observability.eventcore
+
+        def live_connections():
+            gc.collect()
+            return sum(isinstance(o, sqlite3.Connection) for o in gc.get_objects())
+
+        before = live_connections()
+        for _ in range(100):
+            core.verify_all()
+        assert live_connections() <= before
 
     def test_cursors_track_journal_head(self):
         gae, _ = demo_at()
@@ -254,7 +271,6 @@ class TestOnePath:
         assert consumers == len(CONSUMER_NAMES)
 
     def test_only_the_queue_accounting_reads_its_books(self):
-        # (``StateStore._missing()``, a method of the store, is a call.)
         readers = {
             path
             for path, tree in self.trees()
@@ -373,7 +389,7 @@ class TestOutOfOrderRejection:
         source = EventJournal(clock=lambda: 0.0)
         source.record(EventType.SUBMITTED, "task-a")
         source.record(EventType.STARTED, "task-a")
-        store = MemoryStore()
+        store = StateStore()
         source.save_to(store)
         # Splice the rows so seq order reverses.
         from repro.store.registry import OBSERVABILITY_JOURNAL

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.events.journal import EventJournal, EventType, OutOfOrderError
-from repro.store.memory import MemoryStore
+from repro.store.base import StateStore
 from repro.store.registry import OBSERVABILITY_JOURNAL
 
 
@@ -150,7 +150,7 @@ class TestRetention:
         source = EventJournal(clock, capacity=0)
         for i in range(4):
             source.record(EventType.STARTED, f"t{i}")
-        store = MemoryStore()
+        store = StateStore()
         assert source.save_to(store) == 0
         target = EventJournal(clock, capacity=0)
         target.load_from(store, head_seq=source.head_seq)
@@ -169,7 +169,7 @@ class TestLoadRefusesABrokenRun:
         source = EventJournal(lambda: 0.0)
         for i in range(recorded):
             source.record(EventType.STARTED, f"t{i}")
-        store = MemoryStore()
+        store = StateStore()
         source.save_to(store)
         return store
 
@@ -236,7 +236,7 @@ class TestConcurrentProducers:
         assert [e.seq for e in journal.events()] == expected
         assert [e.seq for e in heard] == expected
         assert journal.head_seq == expected[-1]
-        store = MemoryStore()
+        store = StateStore()
         journal.save_to(store)
         restored = EventJournal(clock)
         assert restored.load_from(store) == len(expected)

@@ -146,12 +146,12 @@ class TestSpansById:
         assert all(s.status == "ok" for s in tracer.spans())
 
     def test_load_from_keys_the_restored_ring(self, clock):
-        from repro.store import MemoryStore
+        from repro.store import StateStore
 
         source = Tracer(clock, capacity=4)
         for i in range(6):
             source.start_span(f"s{i}", trace_id="t-1", activate=False)
-        store = MemoryStore()
+        store = StateStore()
         source.save_to(store)
         restored = Tracer(clock, capacity=4)
         assert restored.load_from(store) == 4

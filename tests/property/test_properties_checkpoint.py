@@ -27,7 +27,7 @@ from repro.gae import build_gae
 from repro.gridsim import GridBuilder
 from repro.gridsim.job import TaskSpec, bag_of_tasks, reset_id_counters
 from repro.events.journal import EventJournal
-from repro.store import SqliteStore
+from repro.store import StateStore
 from repro.store.checkpoint import CheckpointError, Checkpointer, restore_gae
 from repro.store.registry import CHECKPOINT_META, register_all
 
@@ -243,7 +243,7 @@ class TestRefusalProperties:
                 restore_gae(base, base=later)  # self-contained: no base applies
 
             old = os.path.join(tmp, "format1.sqlite")
-            with SqliteStore(old) as store:
+            with StateStore(old) as store:
                 register_all(store)
                 store.put(CHECKPOINT_META, "meta", {"format": 1, "incremental": None})
             with pytest.raises(CheckpointError, match="format1.sqlite.*format 1"):

@@ -34,10 +34,10 @@ from repro.clarens.errors import ClarensFault
 from repro.events.core import CONSUMER_NAMES
 from repro.events.journal import EventType
 from repro.gridsim.job import reset_id_counters
-from repro.store import MemoryStore
+from repro.store import StateStore
 from repro.store.checkpoint import CONSUMER_NAMESPACES, Checkpointer, restore_gae
 from repro.store.registry import CHECKPOINT_META, OBSERVABILITY_JOURNAL
-from repro.store.sqlite import read_store_file
+from repro.store.base import read_store_file
 
 from tests.property.test_properties_checkpoint import (
     answers,
@@ -181,7 +181,7 @@ class TestEventCoreProperties:
         serialisation."""
         gae, _ = build_workload(seed, works, fault, observability=observability)
         gae.sim.run_until(t_stop)
-        state = MemoryStore()
+        state = StateStore()
         Checkpointer(gae).write_state(state)
         consumers = gae.events.consumers.values()
         for consumer in consumers:
@@ -376,7 +376,7 @@ def observe(gae):
     """Everything two restores of one barrier must agree on: the state a
     re-checkpoint would write, the consumer/observability RPC answers,
     and the results of running to completion."""
-    state = MemoryStore()
+    state = StateStore()
     Checkpointer(gae).write_state(state)
     client = gae.client("alice", "pw")
     at_barrier = {

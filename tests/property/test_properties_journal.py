@@ -28,9 +28,9 @@ from hypothesis import strategies as st
 from repro.cli import checkpoint_demo_workload
 from repro.events.journal import EventJournal, EventType, JournalEvent
 from repro.store.base import encode_value
-from repro.store.memory import MemoryStore
+from repro.store.base import StateStore
 from repro.store.registry import OBSERVABILITY_JOURNAL
-from repro.store.sqlite import read_store_file
+from repro.store.base import read_store_file
 
 FIXTURES = Path(__file__).resolve().parents[1] / "store" / "fixtures"
 
@@ -66,7 +66,7 @@ def test_a_recorded_payload_reads_back_and_round_trips(recorded, data):
         assert wire == payload and list(wire) == list(payload)
         assert dict(event.attributes) == payload and list(event.attributes) == list(payload)
         assert type(event.values) is tuple and type(event.keys) is tuple
-    store = MemoryStore()
+    store = StateStore()
     journal.save_to(store)
     restored = EventJournal(lambda: 0.0)
     assert restored.load_from(store) == len(events)
@@ -164,7 +164,7 @@ def agree(journal, reference, head):
         want = sorted((e for e in rows if e.task_id == task), key=lambda e: (e.time, e.seq))
         assert encoded(journal.timeline(task)) == encoded(want)
     assert journal.task_ids() == list(dict.fromkeys(e.task_id for e in rows))
-    store = MemoryStore()
+    store = StateStore()
     assert journal.save_to(store, since=head - 2) == len([e for e in rows if e.seq > head - 2])
     assert [(key, encode_value(row)) for key, row in store.items(OBSERVABILITY_JOURNAL)] == [
         (f"{e.seq:012d}", encode_value(e.to_wire())) for e in rows if e.seq > head - 2
@@ -186,7 +186,7 @@ def test_the_column_ring_answers_like_a_ring_of_rows(capacity, steps):
             assert event.seq == head
             reference.append(event)
         else:
-            store = MemoryStore()
+            store = StateStore()
             journal.save_to(store)
             journal = EventJournal(clock, capacity=arg)
             assert journal.load_from(store, head_seq=head) == min(len(reference), arg)

@@ -27,7 +27,7 @@ from repro.clarens.server import _call_row
 from repro.observability import tracing
 from repro.observability.tracing import Span, SpanContext, Tracer, render_span_tree
 from repro.store.base import encode_value
-from repro.store.memory import MemoryStore
+from repro.store.base import StateStore
 from repro.store.registry import OBSERVABILITY_TRACING, namespace_record
 
 
@@ -218,7 +218,7 @@ def agree(tracer, oracle, alias, trace_ids):
         wires = [mapped(s) for s in oracle.spans(oracle_trace)]
         assert encoded(s.to_wire() for s in tracer.spans(trace_id)) == encoded(wires)
         assert tracer.render(trace_id) == render_span_tree(wires)
-    saved, expected = MemoryStore(), MemoryStore()
+    saved, expected = StateStore(), StateStore()
     tracer.save_to(saved)
     oracle.save_to(expected)
     assert [(key, encode_value(row)) for key, row in saved.items(OBSERVABILITY_TRACING)] == [
@@ -312,7 +312,7 @@ def test_the_column_ring_answers_like_a_ring_of_spans(capacity, prefix, steps):
             clock.now += args[0]
         elif step == "reload":
             capacity, foreign = args
-            saved, expected = MemoryStore(), MemoryStore()
+            saved, expected = StateStore(), StateStore()
             tracer.save_to(saved)
             oracle.save_to(expected)
             if capacity is None:  # a ref opened before the load writes nothing after it

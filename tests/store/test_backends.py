@@ -1,22 +1,29 @@
-"""Unit tests for the StateStore backends (MemoryStore, SqliteStore).
+"""Unit tests for the StateStore, in memory and on file.
 
-Every behavioural test runs against both backends through one fixture;
-cross-backend bit-identity has its own tests at the bottom.
+Every behavioural test runs against ``StateStore()`` and
+``StateStore(path)`` through one fixture; the identity of the two modes,
+and of a file with what :func:`read_store_file` loads from it, have
+their own tests at the bottom.
 """
 
 import json
+import math
+import os
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.store import (
-    MemoryStore,
     NAMESPACES,
     Namespace,
     NamespaceVersionError,
-    SqliteStore,
+    StateStore,
     UnknownNamespaceError,
     namespace_names,
+    read_store_file,
     register_all,
 )
 from repro.store.base import decode_value, encode_value
@@ -25,12 +32,13 @@ from repro.store.registry import namespace_record
 NS = "test.ns"
 
 
+# ``memory`` is ``StateStore()``; ``sqlite`` a store on file.
 @pytest.fixture(params=["memory", "sqlite"])
 def store(request, tmp_path):
     if request.param == "memory":
-        s = MemoryStore()
+        s = StateStore()
     else:
-        s = SqliteStore(str(tmp_path / "store.sqlite"))
+        s = StateStore(str(tmp_path / "store.sqlite"))
     s.register_namespace(Namespace(NS, 1, "test bucket"))
     yield s
     s.close()
@@ -145,7 +153,7 @@ class TestLifecycle:
         store.close()
 
     def test_context_manager_closes(self, tmp_path):
-        with SqliteStore(str(tmp_path / "cm.sqlite")) as s:
+        with StateStore(str(tmp_path / "cm.sqlite")) as s:
             s.register_namespace(Namespace(NS, 1))
             s.put(NS, "k", 1)
         with pytest.raises(RuntimeError):
@@ -153,21 +161,21 @@ class TestLifecycle:
 
     def test_sqlite_reopen_preserves_everything(self, tmp_path):
         path = str(tmp_path / "reopen.sqlite")
-        with SqliteStore(path) as s:
+        with StateStore(path) as s:
             s.register_namespace(Namespace(NS, 1, "bucket"))
             s.put(NS, "b", 2)
             s.put(NS, "a", 1)
             s.put(NS, "b", 20)  # overwrite must keep first-insertion order
-        with SqliteStore(path) as s:
+        with StateStore(path) as s:
             assert s.namespace(NS) == Namespace(NS, 1, "bucket")
             assert s.keys(NS) == ["b", "a"]
             assert s.get(NS, "b") == 20
 
     def test_sqlite_reopen_enforces_versions(self, tmp_path):
         path = str(tmp_path / "versions.sqlite")
-        with SqliteStore(path) as s:
+        with StateStore(path) as s:
             s.register_namespace(Namespace(NS, 1))
-        with SqliteStore(path) as s:
+        with StateStore(path) as s:
             with pytest.raises(NamespaceVersionError):
                 s.register_namespace(Namespace(NS, 2))
 
@@ -195,6 +203,8 @@ class TestLifecycle:
 
 
 class TestCrossBackendIdentity:
+    """``StateStore()`` and ``StateStore(path)`` read back the same."""
+
     def _fill(self, s):
         s.register_namespace(Namespace(NS, 1))
         s.put(NS, "zeta", {"b": 1, "a": [1.5, None, True]})
@@ -203,16 +213,97 @@ class TestCrossBackendIdentity:
         s.put(NS, "zeta", {"b": 2, "a": []})  # overwrite
 
     def test_reads_bit_identical(self, tmp_path):
-        memory = MemoryStore()
-        sqlite_store = SqliteStore(str(tmp_path / "x.sqlite"))
+        memory = StateStore()
+        on_file = StateStore(str(tmp_path / "x.sqlite"))
         self._fill(memory)
-        self._fill(sqlite_store)
-        assert memory.keys(NS) == sqlite_store.keys(NS)
-        assert json.dumps(memory.items(NS)) == json.dumps(sqlite_store.items(NS))
-        sqlite_store.close()
+        self._fill(on_file)
+        assert memory.keys(NS) == on_file.keys(NS)
+        assert json.dumps(memory.items(NS)) == json.dumps(on_file.items(NS))
+        on_file.close()
 
     def test_codec_is_shared(self):
         value = {"z": [1, 2.5, "s", None], "a": {"nested": True}}
         assert decode_value(encode_value(value)) == value
         # compact separators, no key sorting
         assert encode_value({"b": 1, "a": 2}) == '{"b":1,"a":2}'
+
+
+def raw_rows(store, namespace):
+    """(key, raw value string) in the store's iteration order."""
+    return store.sql_connection().execute(
+        "SELECT key, value FROM gae_store WHERE namespace = ? ORDER BY seq", (namespace,)
+    ).fetchall()
+
+
+_names = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8)
+_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**63 - 1)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([math.nan, -0.0, "é", "雪", "\u2028"])
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_ops = st.lists(
+    st.tuples(
+        st.integers(0, 3),  # namespace index (mod the namespaces drawn)
+        st.sampled_from(["put", "put", "put", "delete"]),
+        st.sampled_from(["a", "b", "c", "ключ", "d"]),  # few keys: overwrites
+        _values,
+    ),
+    max_size=25,
+)
+
+
+class TestReadStoreFile:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        namespaces=st.lists(
+            st.tuples(_names, st.integers(1, 5), st.text(max_size=12)),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda ns: ns[0],
+        ),
+        ops=_ops,
+    )
+    def test_the_copy_is_the_file(self, namespaces, ops):
+        """Namespaces in order with versions and descriptions, keys in
+        first-insertion order after overwrites, raw value strings: all as
+        written, NaN, -0.0 and non-ASCII included."""
+        records = [Namespace(*fields) for fields in namespaces]
+        model = {ns.name: {} for ns in records}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "store.sqlite")
+            with StateStore(path) as written:
+                for ns in records:
+                    written.register_namespace(ns)
+                for index, op, key, value in ops:
+                    name = records[index % len(records)].name
+                    if op == "put":
+                        written.put(name, key, value)
+                        model[name][key] = encode_value(value)
+                    else:
+                        written.delete(name, key)
+                        model[name].pop(key, None)
+            with read_store_file(path) as copy:
+                assert copy.namespaces() == records
+                for ns in records:
+                    assert raw_rows(copy, ns.name) == list(model[ns.name].items())
+                # The copy keeps appending after the file's last seq.
+                first = records[0].name
+                copy.put(first, "appended", 1)
+                assert copy.keys(first)[-1] == "appended"
+            assert os.listdir(tmp) == ["store.sqlite"]
+
+    def test_a_bad_file_is_a_database_error(self, tmp_path):
+        import sqlite3
+
+        garbage = tmp_path / "garbage.sqlite"
+        garbage.write_bytes(b"not a database" * 100)
+        for path in (garbage, tmp_path / "missing.sqlite"):
+            with pytest.raises(sqlite3.DatabaseError):
+                read_store_file(str(path))
+        assert sorted(os.listdir(tmp_path)) == ["garbage.sqlite"]

@@ -18,7 +18,7 @@ import pytest
 from repro.gae import SteeringPolicy, build_gae
 from repro.gridsim import GridBuilder
 from repro.gridsim.job import Job, Task, TaskSpec, bag_of_tasks, reset_id_counters
-from repro.store import MemoryStore, SqliteStore
+from repro.store import StateStore
 from repro.store.checkpoint import (
     CHECKPOINT_FORMAT,
     CheckpointError,
@@ -26,7 +26,7 @@ from repro.store.checkpoint import (
     restore_gae,
 )
 from repro.store.registry import CHECKPOINT_META, OBSERVABILITY_JOURNAL, register_all
-from repro.store.sqlite import read_store_file
+from repro.store.base import read_store_file
 
 T_CHECKPOINT = 205.0  # mid-workload; TestContinuationIdentity also takes barriers on ticks
 WORKS = [120.0, 240.0, 360.0, 480.0, 150.0, 90.0]
@@ -69,9 +69,9 @@ class TestFiveStoreRoundTrip:
         gae.sim.run_until(T_CHECKPOINT)
         ckpt = Checkpointer(gae)
 
-        memory = MemoryStore()
+        memory = StateStore()
         ckpt.write_state(memory)
-        with SqliteStore(str(tmp_path / "ckpt.sqlite")) as sqlite_store:
+        with StateStore(str(tmp_path / "ckpt.sqlite")) as sqlite_store:
             ckpt.write_state(sqlite_store)
             for ns in memory.namespaces():
                 assert json.dumps(memory.items(ns.name)) == json.dumps(
@@ -89,16 +89,16 @@ class TestFiveStoreRoundTrip:
         from repro.store.registry import MONITORING_JOBS
 
         def dump(obj):
-            scratch = MemoryStore()
+            scratch = StateStore()
             obj.save_to(scratch)
             return {ns.name: scratch.items(ns.name) for ns in scratch.namespaces()}
 
         gae, _ = build_workload()
         gae.sim.run_until(T_CHECKPOINT)
         ckpt = Checkpointer(gae)
-        memory = MemoryStore()
+        memory = StateStore()
         ckpt.write_state(memory)
-        sqlite_store = SqliteStore(str(tmp_path / "ckpt.sqlite"))
+        sqlite_store = StateStore(str(tmp_path / "ckpt.sqlite"))
         ckpt.write_state(sqlite_store)
 
         for source in (memory, sqlite_store):
@@ -370,7 +370,7 @@ class TestBareBuild:
         gae, job = build_workload(observability=False)
         gae.sim.run_until(T_CHECKPOINT)
         Checkpointer(gae).checkpoint(path)
-        with SqliteStore(path) as store:
+        with StateStore(path) as store:
             meta = store.get(CHECKPOINT_META, "meta")
             store.put(CHECKPOINT_META, "meta", dict(meta, head_seq=None))
         reset_id_counters()
@@ -399,7 +399,7 @@ class TestBareBuild:
         with pytest.raises(CheckpointError, match="retention"):
             ckpt.checkpoint(delta, base=base)
         assert os.listdir(tmp_path) == ["base.sqlite"]
-        untouched = MemoryStore()
+        untouched = StateStore()
         with pytest.raises(CheckpointError, match="retention"):
             ckpt.write_state(untouched, base_seq=base_seq)
         assert untouched.namespaces() == []
@@ -408,7 +408,7 @@ class TestBareBuild:
 class TestCheckpointErrors:
     def test_restore_of_non_checkpoint_raises(self, tmp_path):
         path = str(tmp_path / "empty.sqlite")
-        SqliteStore(path).close()
+        StateStore(path).close()
         with pytest.raises(CheckpointError):
             restore_gae(path)
 
@@ -453,7 +453,7 @@ class TestCheckpointErrors:
 
     def test_restore_of_future_format_raises(self, tmp_path):
         path = str(tmp_path / "future.sqlite")
-        with SqliteStore(path) as store:
+        with StateStore(path) as store:
             register_all(store)
             store.put(CHECKPOINT_META, "meta", {"format": CHECKPOINT_FORMAT + 1})
         with pytest.raises(CheckpointError, match="format"):

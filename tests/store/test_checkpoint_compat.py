@@ -32,7 +32,7 @@ from repro.store.checkpoint import (
     restore_gae,
 )
 from repro.store.registry import CHECKPOINT_GRIDSIM, CHECKPOINT_META
-from repro.store.sqlite import SqliteStore, read_store_file
+from repro.store.base import StateStore, read_store_file
 
 from tests.store.test_checkpoint import T_CHECKPOINT, build_workload, run_to_completion
 
@@ -130,7 +130,7 @@ def test_build_params_this_build_cannot_reproduce_are_refused(tmp_path, edit):
     constant, is a ``CheckpointError`` naming the key."""
     path = tmp_path / "edited.sqlite"
     shutil.copyfile(FIXTURES / "format2_full.sqlite", path)
-    with SqliteStore(str(path)) as store:
+    with StateStore(str(path)) as store:
         meta = store.get(CHECKPOINT_META, "meta")
         meta["build_params"].update(edit)
         store.put(CHECKPOINT_META, "meta", meta)
@@ -150,7 +150,7 @@ def test_a_publishers_record_this_build_cannot_resume_is_refused(tmp_path, edit,
     path = tmp_path / "edited.sqlite"
     shutil.copyfile(FIXTURES / "format2_full.sqlite", path)
     verb, key = edit.split()
-    with SqliteStore(str(path)) as store:
+    with StateStore(str(path)) as store:
         phases = store.get(CHECKPOINT_GRIDSIM, "publishers")
         if verb == "drop":
             del phases[key]

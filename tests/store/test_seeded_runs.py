@@ -25,9 +25,9 @@ from repro.cli import checkpoint_demo_workload
 from repro.clarens.errors import ClarensFault
 from repro.gridsim.job import reset_id_counters
 from repro.observability.tracing import seeded_id_prefix
+from repro.store.base import read_store_file
 from repro.store.checkpoint import Checkpointer, restore_gae
 from repro.store.registry import CHECKPOINT_META, OBSERVABILITY_TRACING
-from repro.store.sqlite import read_store_file
 
 T_STEER, T_BASE, T_DELTA, T_END = 100.0, 150.0, 205.0, 3_000.0
 FIXTURE = Path(__file__).parent / "fixtures" / "format2_full.sqlite"

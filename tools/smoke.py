@@ -198,17 +198,16 @@ def check_same_answers(label: str, reference: dict, candidate: dict) -> None:
 
 def payload(path: str) -> dict:
     """Rows and encoded-JSON bytes per namespace of a checkpoint file."""
-    from repro.store.base import encode_value
-    from repro.store.sqlite import read_store_file
+    from repro.store.base import encode_value, read_store_file
 
-    store = read_store_file(path)
-    return {
-        ns.name: (
-            store.count(ns.name),
-            sum(len(encode_value(v)) for v in store.values(ns.name)),
-        )
-        for ns in store.namespaces()
-    }
+    with read_store_file(path) as store:
+        return {
+            ns.name: (
+                store.count(ns.name),
+                sum(len(encode_value(v)) for v in store.values(ns.name)),
+            )
+            for ns in store.namespaces()
+        }
 
 
 def smoke_restore(tmp: Path) -> None:
@@ -320,22 +319,23 @@ def smoke_journal_ring(tmp: Path, fixture: Path) -> None:
     """The column ring survives a store file byte for byte once it has
     wrapped, and a store with a hole in its ``seq`` run is refused."""
     from repro.events.journal import EventJournal, EventType
-    from repro.store.sqlite import SqliteStore, read_store_file
+    from repro.store.base import StateStore, read_store_file
 
     capacity, extra = 40, 30
     journal = EventJournal(lambda: 2_000.0, capacity=capacity)
-    journal.load_from(read_store_file(str(fixture)))  # 104 rows into 40 slots
+    with read_store_file(str(fixture)) as store:
+        journal.load_from(store)  # 104 rows into 40 slots
     for i in range(extra):  # and round the ring again while recording
         journal.record(EventType.MOVED, f"ring-{i % 3}", site="siteA", old="siteA", new="siteB")
     saved = []
     for name in ("ring_a.sqlite", "ring_b.sqlite"):
-        store = SqliteStore(str(tmp / name))
-        journal.save_to(store)
-        store.close()
+        with StateStore(str(tmp / name)) as store:
+            journal.save_to(store)
         saved.append(journal_rows(tmp / name))
         head = journal.head_seq
         journal = EventJournal(lambda: 0.0, capacity=capacity)
-        journal.load_from(read_store_file(str(tmp / name)), head_seq=head)
+        with read_store_file(str(tmp / name)) as store:
+            journal.load_from(store, head_seq=head)
     first, second = saved
     check(first == second, "a wrapped journal ring: save -> load -> save changed the rows")
     seqs = [int(key) for key, _ in first]
