@@ -44,7 +44,7 @@ import socket
 import threading
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.clarens.codecs import Codec, codec_names, get_codec, negotiate, require_codec
 from repro.clarens.errors import ClarensFault, ProtocolError, TransportError
@@ -84,7 +84,9 @@ class _Connection:
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.inbuf = bytearray()
-        self.out = b""  # reply bytes one send did not take
+        #: Reply bytes one send did not take: a view of the turn's replies,
+        #: so a slow reader's sends never copy what is left.
+        self.out: Union[bytes, memoryview] = b""
         self.codec: Optional[Codec] = None  # set by the handshake
         #: Shows up as ``transport`` in trace records / ``system.stats``.
         self.label = ""
@@ -279,6 +281,7 @@ class AsyncSocketServerHandle:
             return
         conn.out = conn.out[sent:]
         if not conn.out:
+            conn.out = b""  # let the turn's replies go
             self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
             self._ready[conn] = None  # frames may have waited behind the replies
 
@@ -337,7 +340,7 @@ class AsyncSocketServerHandle:
                 return
             stats.record_stage("reply_flush", clk() - t0)
             if sent < len(data) and not conn.closing:
-                conn.out = data[sent:]
+                conn.out = memoryview(data)[sent:]
                 self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
                 return
         if conn.closing:  # one send is all a departing or faulted peer gets

@@ -114,6 +114,8 @@ class RuntimeEstimator:
         #: attribute-value tuple -> fit, valid for history length ``_fits_version``.
         self._fits: Dict[tuple, Optional[_Fit]] = {}
         self._fits_version = len(history)
+        #: The last spec asked about, the history length then, its estimate.
+        self._last: Tuple[Optional[TaskSpec], int, Optional[RuntimeEstimate]] = (None, -1, None)
 
     # ------------------------------------------------------------------
     def estimate(self, spec: TaskSpec) -> RuntimeEstimate:
@@ -122,9 +124,29 @@ class RuntimeEstimator:
         Raises :class:`EstimationError` when the history holds no
         successful records at all.
         """
+        found = self._estimate(spec)
+        if found is None:
+            raise EstimationError("history holds no successful task records")
+        return found
+
+    def value_or(self, spec: TaskSpec, fallback: float) -> float:
+        """The predicted seconds, *fallback* where :meth:`estimate` raises."""
+        found = self._estimate(spec)
+        return fallback if found is None else found.value
+
+    def _estimate(self, spec: TaskSpec) -> Optional[RuntimeEstimate]:
+        """Evaluated once per spec object and history length: each site
+        ranking a task and its at-submission record ask in turn."""
+        last_spec, length, found = self._last
+        if spec is not last_spec or length != len(self.history):
+            found = self._evaluate(spec)
+            self._last = (spec, self._fits_version, found)  # _fit_for's len(history)
+        return found
+
+    def _evaluate(self, spec: TaskSpec) -> Optional[RuntimeEstimate]:
         fit = self._fit_for(spec.attributes())
         if fit is None:
-            raise EstimationError("history holds no successful task records")
+            return None
         x_new = float(spec.requested_cpu_hours)
         regression: Optional[float] = None
         if fit.line is not None:

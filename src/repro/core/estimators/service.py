@@ -51,7 +51,7 @@ from repro.clarens.readcache import ReadPolicy
 from repro.clarens.registry import clarens_method
 from repro.core.estimators.history import HistoryRepository
 from repro.core.estimators.queue_time import QueueTimeEstimator, RuntimeEstimateDB
-from repro.core.estimators.runtime import EstimationError, RuntimeEstimator
+from repro.core.estimators.runtime import RuntimeEstimator
 from repro.core.estimators.transfer_time import TransferTimeEstimator
 from repro.gridsim.execution import ExecutionService
 from repro.gridsim.job import Task, TaskSpec, spec_from_wire
@@ -130,11 +130,10 @@ class EstimatorService:
         """
 
         def on_submission(task: Task, site_name: str) -> None:
-            try:
-                value = self.runtime.estimate(task.spec).value
-            except EstimationError:
-                value = task.spec.requested_cpu_hours * 3600.0
-            self.record_estimate(task.task_id, value)
+            spec = task.spec
+            self.record_estimate(
+                task.task_id, self.runtime.value_or(spec, spec.requested_cpu_hours * 3600.0)
+            )
 
         scheduler.submission_listeners.append(on_submission)
 
@@ -204,10 +203,7 @@ class EstimatorService:
         self, site_name: str, task_spec: TaskSpec, priority: int
     ) -> Dict[str, float]:
         service = self._service(site_name)
-        try:
-            runtime_s = self.runtime.estimate(task_spec).value
-        except EstimationError:
-            runtime_s = task_spec.requested_cpu_hours * 3600.0
+        runtime_s = self.runtime.value_or(task_spec, task_spec.requested_cpu_hours * 3600.0)
         queue_s = self.queue_time.estimate_for_new(service, priority=priority)
         transfer_s = 0.0
         if self.transfer is not None and self.catalog is not None and task_spec.input_files:

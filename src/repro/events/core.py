@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.estimators.history import HistoryRepository, TaskRecord
 from repro.core.estimators.queue_time import RuntimeEstimateDB
@@ -50,14 +50,13 @@ from repro.events.journal import (
     EventType,
     JournalEvent,
 )
-from repro.store.base import StateStore
+from repro.store.base import Namespace, StateStore, decode_value, encode_value
 from repro.store.registry import (
     ESTIMATOR_HISTORY,
     ESTIMATOR_RUNTIME,
     MONALISA_EVENTS,
     MONALISA_TIMESERIES,
     MONITORING_JOBS,
-    namespace_record,
 )
 
 __all__ = [
@@ -69,6 +68,36 @@ __all__ = [
     "MonitoringConsumer",
     "MonALISAConsumer",
 ]
+
+
+class _Rows:
+    """The rows a consumer's ``save`` writes, each value in the store's
+    codec, keys in first-insertion order: a checkpoint's rows without a
+    database.  It answers the :class:`StateStore` calls ``save`` and
+    ``load`` make."""
+
+    def __init__(self, namespaces: Tuple[str, ...]) -> None:
+        self.rows: Dict[str, Dict[str, str]] = {namespace: {} for namespace in namespaces}
+
+    def register_namespace(self, namespace: Namespace) -> None:
+        self.rows.setdefault(namespace.name, {})
+
+    def clear(self, namespace: str) -> None:
+        self.rows[namespace].clear()
+
+    def put(self, namespace: str, key: str, value: Any) -> None:
+        self.rows[namespace][key] = encode_value(value)
+
+    def put_many(self, namespace: str, items: Iterable[Tuple[str, Any]]) -> int:
+        pairs = [(key, encode_value(value)) for key, value in items]
+        self.rows[namespace].update(pairs)
+        return len(pairs)
+
+    def get(self, namespace: str, key: str) -> Any:
+        return decode_value(self.rows[namespace][key])
+
+    def items(self, namespace: str) -> List[Tuple[str, Any]]:
+        return [(key, decode_value(raw)) for key, raw in self.rows[namespace].items()]
 
 
 class JournalConsumer:
@@ -90,7 +119,7 @@ class JournalConsumer:
         self.events_applied = 0
         self.baseline_seq = -1
         #: Set by :meth:`rebaseline`, first when the core registers us.
-        self._baseline: Optional[StateStore] = None
+        self._baseline: Optional[_Rows] = None
 
     def fold(self, event: JournalEvent, notify: bool) -> None:
         """Fold one event of ``kinds`` into the store.
@@ -116,18 +145,15 @@ class JournalConsumer:
         raise NotImplementedError
 
     # -- derived: fingerprint / baseline / rebuild / verify -------------
-    def _saved(self) -> StateStore:
-        """A scratch store holding exactly what :meth:`save` writes."""
-        scratch = StateStore()
-        for namespace in self.namespaces:
-            scratch.register_namespace(namespace_record(namespace))
-        self.save(scratch)
-        return scratch
+    def _saved(self) -> _Rows:
+        saved = _Rows(self.namespaces)
+        self.save(saved)  # type: ignore[arg-type]
+        return saved
 
     def fingerprint(self) -> Dict[str, Any]:
         """The consumer's checkpoint rows: a JSON-safe, bit-exact digest."""
-        with self._saved() as saved:
-            return {namespace: saved.items(namespace) for namespace in self.namespaces}
+        saved = self._saved()
+        return {namespace: saved.items(namespace) for namespace in self.namespaces}
 
     def rebaseline(self, journal: EventJournal) -> None:
         """Capture the current live state as the fold origin.
@@ -139,14 +165,12 @@ class JournalConsumer:
         live state``.
         """
         self.baseline_seq = journal.head_seq
-        if self._baseline is not None:
-            self._baseline.close()
         self._baseline = self._saved()
 
     def rebuild(self, journal: EventJournal) -> Dict[str, Any]:
         """Fingerprint obtained by folding baseline + journal tail."""
         with self.twin() as twin:
-            twin.load(self._baseline)
+            twin.load(self._baseline)  # type: ignore[arg-type]
             for event in journal.events_since(self.baseline_seq):
                 if event.type in self.kinds:
                     twin.fold(event, False)

@@ -22,7 +22,7 @@ from operator import eq, is_
 from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.payload import payload
+from repro.payload import payload, shared
 from repro.ring import ColumnRing
 from repro.store.base import StateStore
 from repro.store.registry import OBSERVABILITY_JOURNAL, namespace_record
@@ -206,7 +206,8 @@ class EventJournal:
     slices they need under the lock and build rows outside it.
     The ``span_id`` column may keep a tracer's counter value, which
     :attr:`render_span_id` (the instrumented build's ``Tracer.render_id``)
-    turns into the id every row and wire form reads.
+    turns into the id every row and wire form reads.  Rows with alike
+    payloads share one ``values`` tuple (:func:`repro.payload.shared`).
     """
 
     def __init__(self, clock: Callable[[], float], capacity: int = 100_000) -> None:
@@ -218,6 +219,7 @@ class EventJournal:
         self.sink: Callable[[JournalEvent], None] = _no_sink
         self.render_span_id: Callable[[Any], Optional[str]] = lambda span_id: span_id
         self._lock = threading.RLock()
+        self._payloads: Dict[bytes, Tuple[Any, ...]] = {}  # the shared values tuples
 
     @property
     def head_seq(self) -> int:
@@ -250,6 +252,8 @@ class EventJournal:
             type = EventType(type)
         keys, values = payload(attributes)
         with self._lock:
+            if values:
+                values = shared(self._payloads, values, values)
             if time is None:
                 time = self._clock()
             seq = self._ring.append(time, type, task_id, job_id, site, trace_id, span_id,

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.declare import decode, encode
+from repro.payload import shared
 
 
 class JobState(enum.Enum):
@@ -188,7 +189,28 @@ class TaskSpec:
 
     def with_priority(self, priority: int) -> "TaskSpec":
         """Return a copy with a different priority (steering verb)."""
-        return replace(self, priority=priority)
+        return _shared_spec(replace(self, priority=priority))
+
+
+#: One plain :class:`TaskSpec` per distinct spec: thousands of live tasks
+#: hold a few.  A subclass's instance is kept as given.  No lock: threads
+#: that race on it can only leave a spec unshared.
+_SPECS: Dict[bytes, TaskSpec] = {}
+
+
+def _shared_spec(spec: TaskSpec) -> TaskSpec:
+    if type(spec) is not TaskSpec or type(spec.environment) is not FrozenMapping:
+        return spec
+    args, inputs, outputs, env = (
+        spec.arguments, spec.input_files, spec.output_files, spec.environment._items
+    )
+    if not type(args) is type(inputs) is type(outputs) is tuple:
+        return spec
+    return shared(_SPECS, spec, (  # the lengths first: the flat fields read one way
+        len(args), len(inputs), len(outputs), len(env), spec.owner, spec.account,
+        spec.partition, spec.queue, spec.nodes, spec.task_type, spec.requested_cpu_hours,
+        spec.executable, spec.priority, *args, *inputs, *outputs, *env, *env.values(),
+    ))
 
 
 @dataclass(slots=True)
@@ -216,6 +238,7 @@ class Task:
     def __post_init__(self) -> None:
         if self.work_seconds <= 0:
             raise ValueError(f"work_seconds must be positive, got {self.work_seconds}")
+        self.spec = _shared_spec(self.spec)  # one alike in type and sign
 
     @property
     def priority(self) -> int:

@@ -4,15 +4,17 @@ The journal's rows and the tracer's spans both keep their attributes so,
 not as a dict each: every payload of one shape shares one interned keys
 tuple.  :func:`payload` makes one from a mapping, :func:`updated` writes
 more attributes into one (how a span's slot takes its later fields).
-This module needs only the standard library, so both can import it
-without a cycle.
+:func:`shared` hands out one object per distinct value (the journal's
+payloads, the tasks' specs).  This module needs only the standard
+library, so all of them can import it without a cycle.
 """
 
 from __future__ import annotations
 
+import marshal
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-__all__ = ["payload", "updated"]
+__all__ = ["SHARED_MAX", "payload", "shared", "updated"]
 
 #: One ``keys`` tuple per payload shape, shared by every row of that shape.
 #: The shapes are the producers' keyword sets (and those of the rows a
@@ -43,3 +45,28 @@ def updated(
     merged = dict(zip(keys, values))
     merged.update(attributes)
     return payload(merged)
+
+
+#: The most values one :func:`shared` table holds: a full table that meets
+#: a new value starts over, so it follows the values a run repeats now.
+SHARED_MAX = 128
+#: Immutable types whose ``marshal`` bytes tell apart values that are
+#: equal but not alike: ``1``, ``1.0`` and ``True``; ``0.0`` and ``-0.0``.
+_ATOMS = frozenset({str, int, float, bool, type(None)})
+
+
+def shared(table: Dict[bytes, Any], value: Any, fields: Tuple[Any, ...]) -> Any:
+    """The object *table* holds for *fields* (what *value* is made of),
+    else *value*, which it then holds.  Keyed by ``marshal`` bytes (format
+    2 writes no back-references: the bytes depend on the values alone), so
+    a value only stands for one alike in type and sign; *fields* holding
+    anything but atoms keep *value* unshared."""
+    if not _ATOMS.issuperset(map(type, fields)):
+        return value
+    key = marshal.dumps(fields, 2)
+    held = table.get(key)
+    if held is None:
+        if len(table) >= SHARED_MAX:
+            table.clear()
+        held = table[key] = value
+    return held

@@ -4,10 +4,12 @@ import contextlib
 import socket
 import threading
 import time
+import tracemalloc
+import zlib
 
 import pytest
 
-from repro.clarens.aio import AsyncSocketServerHandle
+from repro.clarens.aio import AsyncSocketServerHandle, _Connection
 from repro.clarens.client import ClarensClient
 from repro.clarens.codecs import get_codec
 from repro.clarens.errors import (
@@ -34,6 +36,7 @@ from repro.clarens.framing import (
 )
 from repro.clarens.serialization import decode_trace_token
 from repro.clarens.server import ClarensHost
+from repro.clarens.telemetry import WorkerPoolStats
 from repro.clarens.transport import AsyncSocketTransport
 
 
@@ -355,8 +358,55 @@ class TestFailedExchangeClosesTransport:
                     t.call("system.ping", [])
 
 
+class _Trickle:
+    """A peer's socket that takes at most *size* bytes a send."""
+
+    def __init__(self, size):
+        self.size, self.sent, self.crc = size, 0, 0
+
+    def send(self, data):
+        taken = memoryview(data)[: self.size]
+        self.crc = zlib.crc32(taken, self.crc)
+        self.sent += len(taken)
+        return len(taken)
+
+
+class _Unwatched:
+    """A selector for a connection no thread serves: it watches nothing."""
+
+    def modify(self, sock, events, data):
+        pass
+
+
 class TestOneServingThread:
     """One thread serves every connection: bounded buffers, fair turns."""
+
+    def test_a_slow_reader_drains_a_large_reply_without_copying_it(self, host):
+        """A 4 MB turn of replies sent 64 KB at a time: what a send leaves
+        is a view of the turn's bytes, so draining them allocates far less
+        than the reply (a copy of the rest per send peaked at ~8 MB)."""
+        reply = encode_frame(REPLY, 1, b"x" * (4 * 1024 * 1024))
+        handle = AsyncSocketServerHandle(host)
+        handle.pool_stats = WorkerPoolStats(host.metrics, "async:slow-reader")
+        handle._selector = _Unwatched()
+        handle._execute = lambda codec, label, request_id, payload: reply
+        peer = _Trickle(64 * 1024)
+        conn = _Connection(peer)
+        conn.codec = get_codec("json")
+        conn.inbuf += encode_frame(CALL, 1, b"{}")
+        tracemalloc.start()
+        try:
+            handle._turn(conn)
+            sends = 1
+            while conn.out:
+                handle._drain(conn)
+                sends += 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peer.sent, peer.crc) == (len(reply), zlib.crc32(reply))
+        assert sends == -(-len(reply) // peer.size)
+        assert peak < len(reply) // 16, peak
 
     def test_a_client_that_does_not_read_holds_at_most_one_turn(self, host):
         """10 000 pipelined calls from a client that reads nothing: the

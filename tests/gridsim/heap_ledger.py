@@ -17,6 +17,7 @@ is built from.
 """
 
 import gc
+import itertools
 import os
 import sys
 import tracemalloc
@@ -30,12 +31,14 @@ QUIET = SteeringPolicy(auto_move=False, poll_interval_s=3_600.0)
 
 #: The rig sizes whose difference is measured.  Journalled, the window is
 #: one where the 8 192-span ring is full at both ends (a job opens four
-#: spans at admission, so it fills at 2 048 jobs).
-WINDOWS = {"bare": (1_000, 4_000), "journal": (3_000, 6_000)}
+#: spans at admission, so it fills at 2 048 jobs).  ``distinct`` is the
+#: journalled rig with no two tasks alike (see :func:`rig`).
+WINDOWS = {"bare": (1_000, 4_000), "journal": (3_000, 6_000), "distinct": (3_000, 6_000)}
 
 #: Bytes of traced heap per live job, all owners together; they hold on
-#: 3.10–3.13 (3.10 reads highest: 992.1 / 1 867.8; 3.11 933.1 / 1 793.4).
-BUDGETS = {"bare": 1_000, "journal": 1_900}
+#: 3.10–3.13 (3.10 reads highest: 831.8 / 1 603.8 / 2 284.6; 3.11 773.1 /
+#: 1 529.4 / 2 169.1).
+BUDGETS = {"bare": 840, "journal": 1_610, "distinct": 2_292}
 
 #: Owner -> the modules (under ``repro``) whose allocations are its;
 #: ``rig`` is this file: the jobs, tasks and specs a client would build.
@@ -59,19 +62,25 @@ OWNERS = {
 #: subscriber reads the scheduler's plan table.
 OWNER_BUDGETS = {
     "bare": {
-        "rig": 404, "scheduler + plan table": 232, "Condor pools": 264,
-        "§6.2 accounting + estimates": 110, "steering subscriber": 4,
+        "rig": 268, "scheduler + plan table": 232, "Condor pools": 264,
+        "§6.2 accounting + estimates": 86, "steering subscriber": 4,
         "trace records": 4, "span ring + journal rows": 4, "other": 4,
     },
     "journal": {
-        "rig": 404, "scheduler + plan table": 272, "Condor pools": 292,
-        "§6.2 accounting + estimates": 108, "steering subscriber": 4,
-        "trace records": 244, "span ring + journal rows": 596, "other": 4,
+        "rig": 268, "scheduler + plan table": 272, "Condor pools": 292,
+        "§6.2 accounting + estimates": 84, "steering subscriber": 4,
+        "trace records": 244, "span ring + journal rows": 488, "other": 4,
+    },
+    "distinct": {
+        "rig": 570, "scheduler + plan table": 436, "Condor pools": 292,
+        "§6.2 accounting + estimates": 190, "steering subscriber": 4,
+        "trace records": 244, "span ring + journal rows": 592, "other": 4,
     },
 }
 
 _REPRO = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _RIG = os.path.abspath(__file__)
+_STAGES = itertools.count()
 
 
 def two_site_gae(observability):
@@ -88,10 +97,22 @@ def two_site_gae(observability):
     return gae
 
 
-def rig(jobs, observability):
+def rig(jobs, observability, distinct=False):
+    """A GAE holding *jobs* live single-task jobs.  Their specs repeat
+    five values; *distinct* gives each its own input file, CPU-hour
+    request and priority, as a DAG's stages have, so no two tasks hold
+    alike specs or journal alike payloads (estimate, dispatch)."""
     gae = two_site_gae(observability)
     for i in range(jobs):
-        task = Task(spec=TaskSpec(owner="u", priority=i % 5), work_seconds=100.0 + i % 7)
+        if distinct:  # numbered across rigs: no task is alike one of an earlier rig
+            stage = next(_STAGES)
+            spec = TaskSpec(
+                owner="u", priority=stage, requested_cpu_hours=1.0 + stage / 8_192,
+                input_files=(f"stage-{stage}.root",),
+            )
+        else:
+            spec = TaskSpec(owner="u", priority=i % 5)
+        task = Task(spec=spec, work_seconds=100.0 + i % 7)
         gae.scheduler.submit_job(Job(tasks=[task], owner="u"))
     return gae
 
@@ -106,12 +127,12 @@ def owner_of(filename):
     return "other"
 
 
-def traced_heap(jobs, observability):
+def traced_heap(jobs, observability, distinct):
     """``{owner: bytes}`` still allocated by a rig of *jobs* live jobs."""
     gc.collect()
     tracemalloc.start(1)
     try:
-        gae = rig(jobs, observability)
+        gae = rig(jobs, observability, distinct)
         gc.collect()
         snapshot = tracemalloc.take_snapshot()
         assert len(gae.scheduler.jobs()) == jobs  # and the rig is alive while measured
@@ -124,11 +145,12 @@ def traced_heap(jobs, observability):
 
 
 def ledger(mode):
-    """``{owner: B/job}`` of one live job, *mode* ``bare`` or ``journal``."""
-    observability = mode == "journal"
+    """``{owner: B/job}`` of one live job, *mode* one of :data:`WINDOWS`."""
+    observability, distinct = mode != "bare", mode == "distinct"
     small, large = WINDOWS[mode]
-    rig(50, observability)  # one-off allocations (caches, lazy imports) land here
-    before, after = traced_heap(small, observability), traced_heap(large, observability)
+    rig(50, observability, distinct)  # one-off allocations (caches, lazy imports) land here
+    before = traced_heap(small, observability, distinct)
+    after = traced_heap(large, observability, distinct)
     return {owner: (after[owner] - before[owner]) / (large - small) for owner in before}
 
 

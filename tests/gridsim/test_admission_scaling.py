@@ -11,6 +11,7 @@ import math
 import pytest
 
 from repro.core.estimators.history import HistoryRepository, TaskRecord
+from repro.core.estimators.runtime import RuntimeEstimator
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder
 from repro.gridsim.clock import Simulator
@@ -102,6 +103,40 @@ def matching_calls(monkeypatch):
 
     monkeypatch.setattr(HistoryRepository, "matching", counting_matching)
     return tally
+
+
+def test_one_estimator_evaluation_per_submission(monkeypatch):
+    """Both sites rank a task with the one §6.1 estimator and the
+    at-submission estimate is recorded from it: one evaluation a task
+    (three while each caller evaluated its own), with every value and
+    fallback as before, a new history version evaluated afresh."""
+    gae = two_site_gae()
+    runtime = gae.estimators.runtime
+    evaluations = 0
+    original = runtime._fit_for
+
+    def counting_fit_for(target):
+        nonlocal evaluations
+        evaluations += 1
+        return original(target)
+
+    monkeypatch.setattr(runtime, "_fit_for", counting_fit_for)
+    jobs = [single_task_job(i) for i in range(40)]
+    for job in jobs[:20]:
+        gae.scheduler.submit_job(job)
+    for i in range(6):
+        gae.history.add(TaskRecord.from_spec(TaskSpec(owner="u"), runtime_s=100.0 + i))
+    for job in jobs[20:]:
+        gae.scheduler.submit_job(job)
+    assert evaluations == len(jobs)
+
+    specs = [job.tasks[0].spec for job in jobs]
+    recorded = [gae.estimators.estimate_db.lookup(job.tasks[0].task_id) for job in jobs]
+    fresh = RuntimeEstimator(gae.history)
+    assert recorded[:20] == [spec.requested_cpu_hours * 3600.0 for spec in specs[:20]]
+    assert recorded[20:] == [fresh.estimate(spec).value for spec in specs[20:]]
+    (rank,) = {r.estimated_runtime for r in gae.scheduler.rank_sites(jobs[0].tasks[0])}
+    assert rank == fresh.estimate(specs[0]).value != recorded[0]
 
 
 @pytest.mark.parametrize("seeded", [False, True], ids=["empty-history", "seeded-history"])

@@ -98,6 +98,32 @@ class TestTask:
         with pytest.raises(ValueError):
             Task(spec=TaskSpec(), work_seconds=0.0)
 
+    def test_tasks_of_alike_specs_hold_one(self):
+        """Live tasks hold one spec per distinct value, and a steering
+        verb's re-prioritised copy is shared the same way."""
+        first, second = (make_task(owner="shared", priority=3) for _ in range(2))
+        assert first.spec is second.spec
+        assert first.spec.with_priority(4) is second.spec.with_priority(4)
+
+    def test_a_spec_stands_only_for_one_alike_in_type(self):
+        """``2`` and ``2.0`` CPU hours make equal specs, not alike ones: a
+        task given the ``2`` spec after one given ``2.0`` keeps its own."""
+        given_float = make_task(owner="exact", requested_cpu_hours=2.0).spec
+        given_int = make_task(owner="exact", requested_cpu_hours=2).spec
+        assert given_int == given_float and given_int is not given_float
+        assert repr(given_int.requested_cpu_hours) == "2"
+        assert repr(given_float.requested_cpu_hours) == "2.0"
+
+    def test_a_spec_subclass_is_kept_as_given(self):
+        class Tagged(TaskSpec):
+            pass
+
+        specs = [Tagged(owner="tagged"), Tagged(owner="tagged")]
+        tasks = [Task(spec=spec, work_seconds=10.0) for spec in specs]
+        assert specs[0] == specs[1]
+        assert [task.spec for task in tasks] == specs
+        assert all(task.spec is spec for task, spec in zip(tasks, specs))
+
     def test_unique_ids(self):
         a, b = make_task(), make_task()
         assert a.task_id != b.task_id

@@ -29,7 +29,7 @@ from tests.gridsim.heap_ledger import breaches, ledger, render, rig, two_site_ga
 from tests.property.test_properties_rng import EagerStreams
 
 
-@pytest.mark.parametrize("mode", ["bare", "journal"])
+@pytest.mark.parametrize("mode", ["bare", "journal", "distinct"])
 def test_heap_per_live_job_stays_inside_the_budget(mode):
     """The heap ledger (``heap_ledger.py``): each owner of a live job's
     bytes, and their sum, inside its budget; ``-s`` prints the table.
@@ -45,7 +45,11 @@ def test_heap_per_live_job_stays_inside_the_budget(mode):
     values tuple and a task record no root ``SpanContext``, 2 798.5 (later
     2 794.7) since the ring keeps columns, not row objects, 2 554.7 since
     the shared empty values, 2 562.2 since a job trace carries its all-ok
-    flag, 1 793.4 since one home per fact and span ids kept as numbers."""
+    flag, 1 793.4 since one home per fact and span ids kept as numbers.
+    Since tasks share one spec per distinct spec and journal rows one
+    values tuple per distinct payload: bare 773.1, journalled 1 529.4.
+    ``distinct`` (no two tasks alike, so nothing to share) reads 2 171.6
+    without the sharing and 2 169.1 with it: the tables cost no job."""
     per_owner = ledger(mode)
     print(render(mode, per_owner))
     assert not breaches(mode, per_owner)

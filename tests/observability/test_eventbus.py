@@ -23,6 +23,11 @@ from repro.store.base import StateStore
 from repro.store.checkpoint import CheckpointError, Checkpointer, restore_gae
 
 
+def live_connections():
+    gc.collect()
+    return sum(isinstance(o, sqlite3.Connection) for o in gc.get_objects())
+
+
 def demo_at(t=300.0):
     gae, job = checkpoint_demo_workload()
     gae.sim.run_until(t)
@@ -46,19 +51,25 @@ class TestJournalFirstWritePath:
             assert report["identical"], report
 
     def test_verify_all_leaves_no_connection_open(self):
-        # Each verify saves every consumer into scratch stores, each one
-        # SQLite database; a scratch store is closed once it is read.
+        # Each verify saves every consumer's rows and folds twins (the
+        # monitoring twin over a scratch DBManager, closed once read).
         gae, _ = demo_at()
         core = gae.observability.eventcore
-
-        def live_connections():
-            gc.collect()
-            return sum(isinstance(o, sqlite3.Connection) for o in gc.get_objects())
-
         before = live_connections()
         for _ in range(100):
             core.verify_all()
         assert live_connections() <= before
+
+    @pytest.mark.parametrize("observability", [False, True])
+    def test_a_fresh_gae_holds_one_sqlite_connection(self, observability):
+        """Its state store's: a consumer's baseline is the rows its
+        ``save`` wrote, in the value codec, with no database of its own
+        (four connections while each baseline was an SQLite store)."""
+        before = live_connections()
+        gae = build_gae(GridBuilder(seed=1).site("s", nodes=1).build(),
+                        observability=observability)
+        assert live_connections() - before == 1
+        assert all(c._baseline is not None for c in gae.events.consumers.values())
 
     def test_cursors_track_journal_head(self):
         gae, _ = demo_at()

@@ -55,6 +55,22 @@ class TestRecord:
         journal.record(EventType.KILLED, "t1")
         assert [e.type for e in seen] == [EventType.KILLED]
 
+    def test_alike_payloads_share_one_values_tuple(self, journal):
+        for task_id in ("t1", "t2"):
+            journal.record(EventType.DISPATCHED, task_id, priority=3, elapsed=0.0)
+        first, second = journal.events()
+        assert first.values is second.values
+
+    def test_equal_payloads_of_other_types_or_signs_stay_apart(self, journal):
+        """``1``, ``1.0`` and ``True`` are equal, as are ``0.0`` and
+        ``-0.0``: each row still reads back the value it was given."""
+        given = [1, 1.0, True, 0.0, -0.0, 1]
+        for value in given:
+            journal.record(EventType.ESTIMATE_RECORDED, "t1", value=value)
+        read = [event.attributes["value"] for event in journal.events()]
+        assert list(map(repr, read)) == ["1", "1.0", "True", "0.0", "-0.0", "1"]
+        assert [type(value) for value in read] == [int, float, bool, float, float, int]
+
     def test_to_wire_uses_enum_value(self, journal):
         wire = journal.record(EventType.FLOCK_FORWARDED, "t1", site="a").to_wire()
         assert wire["type"] == "flock-forwarded"

@@ -117,6 +117,16 @@ class TestTracer:
         tracer.instant("b", trace_id="t-2")
         assert [s.name for s in tracer.spans("t-2")] == ["b"]
 
+    def test_a_span_keeps_the_attribute_values_it_was_given(self, tracer):
+        """Spans share no payload (the journal's rows do): equal strings a
+        client sent stay its own, each in its own span only."""
+        sent = ["".join(["nope.", "method"]) for _ in range(2)]
+        for path in sent:
+            tracer.instant("rpc", trace_id="t-1", attributes={"method": path})
+        kept = [span.attributes["method"] for span in tracer.spans()]
+        assert sent[0] is not sent[1]
+        assert kept[0] is sent[0] and kept[1] is sent[1]
+
 
 class TestSpansById:
     """The ring is reached by span id: :meth:`Tracer.update` reaches exactly
