@@ -76,8 +76,8 @@ _EXPORTS: Dict[str, str] = {
     "TransferTimeEstimator": "repro.core",
     "XmlRpcServerHandle": "repro.clarens",
     "build_gae": "repro.gae",
+    "build_grid": "repro.gridsim.grid",
     "count_primes": "repro.workloads",
-    "grid_from_config": "repro.config",
     "load_scenario": "repro.scenarios",
     "make_prime_count_task": "repro.workloads",
     "mean_absolute_percentage_error": "repro.analysis",

@@ -7,7 +7,8 @@ overrides and the §6 ``TaskSpec`` a client sends all arrive as dicts, and
 
 - a value that is not an object, a key that names no field (a ``_type``
   tag naming the class, as ``to_wire`` adds, excepted) and a missing
-  field without a default are refused;
+  field without a default (with ``defaults=False``, as a checkpoint
+  reads what it recorded: any missing field) are refused;
 - a ``str``, ``int`` or ``bool`` field takes only that type, and a bool
   never counts as a number; a ``float`` field also takes an int and
   stores ``float(value)``;
@@ -68,8 +69,14 @@ def _fields(cls: type) -> Tuple[Tuple[str, Any, bool], ...]:
     )
 
 
-def decode(cls: Type[T], data: Any, path: str, error: Type[Exception]) -> T:
-    """Build a *cls* from the dict *data*, refusing with *error* at *path*."""
+def decode(
+    cls: Type[T], data: Any, path: str, error: Type[Exception], defaults: bool = True
+) -> T:
+    """Build a *cls* from the dict *data*, refusing with *error* at *path*.
+
+    With *defaults* false a missing field is refused even where it has a
+    default, at every depth: a recorded declaration must hold each one.
+    """
     if not isinstance(data, dict):
         raise error(f"{path}: expected an object, got {type(data).__name__}")
     fields = _fields(cls)
@@ -81,8 +88,8 @@ def decode(cls: Type[T], data: Any, path: str, error: Type[Exception]) -> T:
     values = {}
     for name, annotation, required in fields:
         if name in data:
-            values[name] = _value(annotation, data[name], f"{path}.{name}", error)
-        elif required:
+            values[name] = _value(annotation, data[name], f"{path}.{name}", error, defaults)
+        elif required or not defaults:
             raise error(f"{path}.{name}: required")
     try:
         return cls(**values)
@@ -98,7 +105,9 @@ def _rooted(message: str, path: str) -> str:
     return f"{path}: {message}"
 
 
-def _value(annotation: Any, value: Any, path: str, error: Type[Exception]) -> Any:
+def _value(
+    annotation: Any, value: Any, path: str, error: Type[Exception], defaults: bool
+) -> Any:
     if annotation in _EXPECTED:
         accepted = (int, float) if annotation is float else annotation
         if not isinstance(value, accepted) or (
@@ -107,14 +116,14 @@ def _value(annotation: Any, value: Any, path: str, error: Type[Exception]) -> An
             raise error(f"{path}: expected {_EXPECTED[annotation]}, got {value!r}")
         return float(value) if annotation is float else value
     if dataclasses.is_dataclass(annotation):
-        return decode(annotation, value, path, error)
+        return decode(annotation, value, path, error, defaults)
     origin = typing.get_origin(annotation)
     args = typing.get_args(annotation)
     if origin in (dict, Mapping):
         if not isinstance(value, dict):
             raise error(f"{path}: expected an object, got {value!r}")
         return {
-            key: _value(args[1], item, f"{path}.{key}", error)
+            key: _value(args[1], item, f"{path}.{key}", error, defaults)
             for key, item in value.items()
         }
     if origin in (list, tuple):
@@ -127,7 +136,7 @@ def _value(annotation: Any, value: Any, path: str, error: Type[Exception]) -> An
         else:
             items = list(args)
         decoded = [
-            _value(item, element, f"{path}[{i}]", error)
+            _value(item, element, f"{path}[{i}]", error, defaults)
             for i, (item, element) in enumerate(zip(items, value))
         ]
         return decoded if origin is list else tuple(decoded)

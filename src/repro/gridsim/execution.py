@@ -135,17 +135,23 @@ class ExecutionService:
         self._check_up()
         return self.pool.submit(task, initial_work=initial_work)
 
-    def estimate_runtime(self, spec) -> float:
+    def estimate_runtime(self, spec, fallback: Optional[float] = None) -> float:
         """Site-local history-based runtime estimate for a task spec (§6.1).
 
         Raises RuntimeError until an estimator has been installed — the
         paper notes availability of the estimator at each site is not
         guaranteed ("this depends on the availability of the runtime
-        estimator at each of the sites").
+        estimator at each of the sites").  Given a *fallback*, an
+        estimator with a ``value_or`` form (the §6.1
+        :class:`~repro.core.estimators.runtime.RuntimeEstimator`) answers
+        it where it has no estimate, instead of raising.
         """
         self._check_up()
         if self.runtime_estimator is None:
             raise RuntimeError(f"no runtime estimator installed at {self.site.name}")
+        value_or = getattr(self.runtime_estimator, "value_or", None)
+        if fallback is not None and value_or is not None:
+            return float(value_or(spec, fallback))
         return float(self.runtime_estimator(spec))
 
     @property

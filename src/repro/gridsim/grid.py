@@ -1,8 +1,9 @@
 """A facade wiring a whole simulated grid testbed together.
 
-:class:`GridBuilder` gives examples and tests a concise way to declare a
-testbed — sites, nodes, load profiles, links, replicas, flocking — and
-:class:`Grid` exposes the assembled pieces:
+A testbed is declared once, as a :class:`repro.config.GridConfig` —
+sites, nodes, links, replicas, flocking.  :func:`build_grid` assembles a
+declaration into a :class:`Grid`, and :class:`GridBuilder` gives examples
+and tests a concise way to write one:
 
 >>> from repro.gridsim import GridBuilder
 >>> grid = (
@@ -22,17 +23,20 @@ in :mod:`repro.gae`; this module is pure substrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
+from repro.config import FileConfig, GridConfig, LinkConfig, SiteConfig
 from repro.gridsim.clock import Simulator
 from repro.gridsim.execution import ExecutionService
 from repro.gridsim.network import IperfProbe, Link, Network
-from repro.gridsim.node import LoadProfile, Node
 from repro.gridsim.rng import RngStreams
 from repro.gridsim.scheduler import SphinxScheduler
 from repro.gridsim.site import ChargeRates, Site
 from repro.gridsim.storage import GridFile, ReplicaCatalog
+
+#: Size of the replica each declared output file of a completed task becomes.
+OUTPUT_FILE_SIZE_MB = 1.0
 
 
 @dataclass
@@ -47,10 +51,10 @@ class Grid:
     execution_services: Dict[str, ExecutionService]
     scheduler: SphinxScheduler
     probe: IperfProbe
-    #: The declarative recipe this grid was built from (JSON-safe).  A
-    #: checkpoint stores it so :meth:`GridBuilder.from_spec` can rebuild
-    #: an identical testbed before state is rehydrated into it.
-    spec: Dict[str, object] = field(default_factory=dict)
+    #: The declaration this grid was built from.  A checkpoint records it
+    #: with the seed, so a restore rebuilds an identical testbed before
+    #: state is rehydrated into it.
+    config: GridConfig
 
     def site(self, name: str) -> Site:
         """Look up a site by name."""
@@ -69,76 +73,39 @@ class Grid:
         return self.sim.run()
 
 
-@dataclass
-class _SiteDecl:
-    name: str
-    nodes: int
-    cpus_per_node: int
-    background_load: float
-    load_profile: Optional[LoadProfile]
-    charge_rates: ChargeRates
-
-
 class GridBuilder:
-    """Fluent builder for :class:`Grid` testbeds."""
+    """Fluent writer of a :class:`~repro.config.GridConfig`; :meth:`build`
+    assembles it.  Each method appends one record, and a refused value
+    is the record's own :class:`~repro.config.ConfigError`."""
 
-    def __init__(self, seed: int = 2005, start_time: float = 0.0, trace: bool = False) -> None:
+    def __init__(self, seed: int = 2005) -> None:
         self._seed = seed
-        self._start = start_time
-        self._trace = trace
-        self._sites: List[_SiteDecl] = []
-        self._links: List[Link] = []
-        self._files: List[Tuple[GridFile, str]] = []
-        self._flocking: List[Tuple[str, str]] = []
+        self._sites: List[SiteConfig] = []
+        self._links: List[LinkConfig] = []
+        self._files: List[FileConfig] = []
+        self._flocking: List[List[str]] = []
+        # Not GridConfig's 0.0: every seeded output depends on each default.
         self._probe_noise = 0.05
-        self._output_file_size_mb = 1.0
 
-    def site(
-        self,
-        name: str,
-        nodes: int = 1,
-        cpus_per_node: int = 1,
-        background_load: float = 0.0,
-        load_profile: Optional[LoadProfile] = None,
-        cpu_hour_rate: float = 1.0,
-        idle_hour_rate: float = 0.1,
-    ) -> "GridBuilder":
-        """Declare a site.
-
-        ``load_profile`` (if given) overrides the constant
-        ``background_load`` and applies to every node at the site.
-        """
-        if any(d.name == name for d in self._sites):
-            raise ValueError(f"site {name!r} declared twice")
-        self._sites.append(
-            _SiteDecl(
-                name=name,
-                nodes=nodes,
-                cpus_per_node=cpus_per_node,
-                background_load=background_load,
-                load_profile=load_profile,
-                charge_rates=ChargeRates(cpu_hour=cpu_hour_rate, idle_hour=idle_hour_rate),
-            )
-        )
+    def site(self, name: str, **fields: Any) -> "GridBuilder":
+        """Declare a site; *fields* are :class:`~repro.config.SiteConfig`'s."""
+        self._sites.append(SiteConfig(name, **fields))
         return self
 
-    def link(
-        self, a: str, b: str, capacity_mbps: float, latency_s: float = 0.01, utilization: float = 0.0
-    ) -> "GridBuilder":
-        """Declare a network link between two sites."""
-        self._links.append(
-            Link(a=a, b=b, capacity_mbps=capacity_mbps, latency_s=latency_s, utilization=utilization)
-        )
+    def link(self, a: str, b: str, **fields: Any) -> "GridBuilder":
+        """Declare a network link between two sites; *fields* are
+        :class:`~repro.config.LinkConfig`'s (``capacity_mbps`` is required)."""
+        self._links.append(LinkConfig(a, b, **fields))
         return self
 
     def file(self, name: str, size_mb: float, at: str) -> "GridBuilder":
         """Publish a replica of a logical file at a site."""
-        self._files.append((GridFile(name=name, size_mb=size_mb), at))
+        self._files.append(FileConfig(name, size_mb, at))
         return self
 
     def flock(self, src: str, dst: str) -> "GridBuilder":
         """Allow idle jobs at *src* to flock to *dst*."""
-        self._flocking.append((src, dst))
+        self._flocking.append([src, dst])
         return self
 
     def probe_noise(self, sigma: float) -> "GridBuilder":
@@ -146,179 +113,76 @@ class GridBuilder:
         self._probe_noise = sigma
         return self
 
-    def output_file_size(self, size_mb: float) -> "GridBuilder":
-        """Size assumed for task output files published as replicas."""
-        if size_mb < 0:
-            raise ValueError("output file size must be non-negative")
-        self._output_file_size_mb = size_mb
-        return self
-
-    def spec(self) -> Dict[str, object]:
-        """The builder's declarations as a JSON-safe recipe.
-
-        ``GridBuilder.from_spec(builder.spec()).build()`` produces a
-        structurally identical grid — the mechanism checkpoints use to
-        rebuild the testbed before rehydrating state into it.
-        """
-        return {
-            "seed": self._seed,
-            "start_time": self._start,
-            "trace": self._trace,
-            "probe_noise": self._probe_noise,
-            "output_file_size_mb": self._output_file_size_mb,
-            "sites": [
-                {
-                    "name": decl.name,
-                    "nodes": decl.nodes,
-                    "cpus_per_node": decl.cpus_per_node,
-                    "background_load": decl.background_load,
-                    "load_profile": (
-                        None
-                        if decl.load_profile is None
-                        else [list(seg) for seg in decl.load_profile.segments()]
-                    ),
-                    "cpu_hour_rate": decl.charge_rates.cpu_hour,
-                    "idle_hour_rate": decl.charge_rates.idle_hour,
-                }
-                for decl in self._sites
-            ],
-            "links": [
-                {
-                    "a": link.a,
-                    "b": link.b,
-                    "capacity_mbps": link.capacity_mbps,
-                    "latency_s": link.latency_s,
-                    "utilization": link.utilization,
-                }
-                for link in self._links
-            ],
-            "files": [
-                {"name": file.name, "size_mb": file.size_mb, "at": at}
-                for file, at in self._files
-            ],
-            "flocking": [[src, dst] for src, dst in self._flocking],
-        }
-
-    @classmethod
-    def from_spec(
-        cls, spec: Dict[str, object], start_time: Optional[float] = None
-    ) -> "GridBuilder":
-        """Reconstruct a builder from :meth:`spec` output.
-
-        ``start_time`` overrides the recorded start — a restore passes
-        the checkpoint instant so the rebuilt simulator's clock begins
-        where the snapshot was taken.
-        """
-        builder = cls(
-            seed=spec["seed"],  # type: ignore[arg-type]
-            start_time=(
-                spec["start_time"] if start_time is None else start_time  # type: ignore[arg-type]
-            ),
-            trace=spec["trace"],  # type: ignore[arg-type]
-        )
-        builder._probe_noise = spec["probe_noise"]  # type: ignore[assignment]
-        builder._output_file_size_mb = spec["output_file_size_mb"]  # type: ignore[assignment]
-        for site in spec["sites"]:  # type: ignore[union-attr]
-            builder.site(
-                site["name"],
-                nodes=site["nodes"],
-                cpus_per_node=site["cpus_per_node"],
-                background_load=site["background_load"],
-                load_profile=(
-                    None
-                    if site["load_profile"] is None
-                    else LoadProfile(
-                        [(t, v) for t, v in site["load_profile"]]
-                    )
-                ),
-                cpu_hour_rate=site["cpu_hour_rate"],
-                idle_hour_rate=site["idle_hour_rate"],
-            )
-        for link in spec["links"]:  # type: ignore[union-attr]
-            builder.link(
-                link["a"],
-                link["b"],
-                capacity_mbps=link["capacity_mbps"],
-                latency_s=link["latency_s"],
-                utilization=link["utilization"],
-            )
-        for file in spec["files"]:  # type: ignore[union-attr]
-            builder.file(file["name"], size_mb=file["size_mb"], at=file["at"])
-        for src, dst in spec["flocking"]:  # type: ignore[union-attr]
-            builder.flock(src, dst)
-        return builder
-
     def build(self) -> Grid:
-        """Assemble the grid."""
-        if not self._sites:
-            raise ValueError("a grid needs at least one site")
-        sim = Simulator(start=self._start, trace=self._trace)
-        rngs = RngStreams(seed=self._seed)
-        network = Network()
-        for decl in self._sites:
-            network.add_site(decl.name)
-        for link in self._links:
-            network.add_link(link)
-        catalog = ReplicaCatalog(network=network)
-
-        sites: Dict[str, Site] = {}
-        services: Dict[str, ExecutionService] = {}
-        for decl in self._sites:
-            profile = (
-                decl.load_profile
-                if decl.load_profile is not None
-                else LoadProfile.constant(decl.background_load)
-            )
-            nodes = [
-                Node(
-                    name=f"{decl.name}-node{i:02d}",
-                    cpu_count=decl.cpus_per_node,
-                    load_profile=profile,
-                )
-                for i in range(decl.nodes)
-            ]
-            site = Site(sim, decl.name, nodes, charge_rates=decl.charge_rates)
-            sites[decl.name] = site
-            services[decl.name] = ExecutionService(site)
-            catalog.register(site.storage)
-
-        for file, at in self._files:
-            catalog.publish(at, file)
-        for src, dst in self._flocking:
-            sites[src].pool.enable_flocking(sites[dst].pool)
-
-        # A completed task's declared output files become replicas at the
-        # site that ran it, so downstream DAG tasks can be ranked (and
-        # charged) for staging them in.
-        def publish_outputs(site_name: str):
-            def on_complete(ad) -> None:
-                for name in ad.task.spec.output_files:
-                    try:
-                        catalog.publish(
-                            site_name,
-                            GridFile(name=name, size_mb=self._output_file_size_mb),
-                        )
-                    except Exception:
-                        pass  # storage full: outputs simply aren't replicated
-
-            return on_complete
-
-        for name, site in sites.items():
-            site.pool.on_complete.append(publish_outputs(name))
-
-        probe = IperfProbe(network, rng=rngs.stream("iperf"), noise_sigma=self._probe_noise)
-        scheduler = SphinxScheduler(sim, replica_catalog=catalog)
-        for name in sorted(services):
-            scheduler.register_site(services[name])
-
-        return Grid(
-            sim=sim,
-            rngs=rngs,
-            network=network,
-            catalog=catalog,
-            sites=sites,
-            execution_services=services,
-            scheduler=scheduler,
-            probe=probe,
-            spec=self.spec(),
+        """Assemble the grid (a :class:`~repro.config.ConfigError` for a
+        declaration the grid's rules refuse)."""
+        config = GridConfig(
+            sites=list(self._sites),
+            links=list(self._links),
+            files=list(self._files),
+            flocking=list(self._flocking),
+            probe_noise=self._probe_noise,
         )
+        return build_grid(config, seed=self._seed)
+
+
+def build_grid(config: GridConfig, seed: int = 2005, start_time: float = 0.0) -> Grid:
+    """Assemble the grid *config* declares, its clock starting at *start_time*."""
+    sim = Simulator(start=start_time)
+    rngs = RngStreams(seed=seed)
+    network = Network()
+    for decl in config.sites:
+        network.add_site(decl.name)
+    for link in config.links:
+        network.add_link(
+            Link(link.a, link.b, link.capacity_mbps, link.latency_s, link.utilization)
+        )
+    catalog = ReplicaCatalog(network=network)
+
+    sites: Dict[str, Site] = {}
+    services: Dict[str, ExecutionService] = {}
+    for decl in config.sites:
+        charge_rates = ChargeRates(cpu_hour=decl.cpu_hour_rate, idle_hour=decl.idle_hour_rate)
+        site = sites[decl.name] = Site.simple(
+            sim, decl.name, decl.nodes, decl.cpus_per_node, decl.background_load, charge_rates
+        )
+        services[decl.name] = ExecutionService(site)
+        catalog.register(site.storage)
+
+    for file in config.files:
+        catalog.publish(file.at, GridFile(name=file.name, size_mb=file.size_mb))
+    for src, dst in config.flocking:
+        sites[src].pool.enable_flocking(sites[dst].pool)
+
+    # A completed task's declared output files become replicas at the
+    # site that ran it, so downstream DAG tasks can be ranked (and
+    # charged) for staging them in.
+    def publish_outputs(site_name: str):
+        def on_complete(ad) -> None:
+            for name in ad.task.spec.output_files:
+                try:
+                    catalog.publish(site_name, GridFile(name=name, size_mb=OUTPUT_FILE_SIZE_MB))
+                except Exception:
+                    pass  # storage full: outputs simply aren't replicated
+
+        return on_complete
+
+    for name, site in sites.items():
+        site.pool.on_complete.append(publish_outputs(name))
+
+    probe = IperfProbe(network, rng=rngs.stream("iperf"), noise_sigma=config.probe_noise)
+    scheduler = SphinxScheduler(sim, replica_catalog=catalog)
+    for name in sorted(services):
+        scheduler.register_site(services[name])
+
+    return Grid(
+        sim=sim,
+        rngs=rngs,
+        network=network,
+        catalog=catalog,
+        sites=sites,
+        execution_services=services,
+        scheduler=scheduler,
+        probe=probe,
+        config=config,
+    )

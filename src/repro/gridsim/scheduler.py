@@ -222,7 +222,7 @@ class SphinxScheduler:
                 continue
             if service.has_estimator:
                 try:
-                    runtime = service.estimate_runtime(task.spec)
+                    runtime = service.estimate_runtime(task.spec, self.fallback_runtime)
                 except (RuntimeError, ValueError):
                     runtime = self.fallback_runtime
             else:

@@ -57,14 +57,12 @@ class Site:
         background_load: float = 0.0,
         charge_rates: Optional[ChargeRates] = None,
     ) -> "Site":
-        """Convenience constructor: *n_nodes* identical nodes with a
-        constant background load."""
+        """A site of *n_nodes* identical nodes sharing one constant
+        background load: how :func:`~repro.gridsim.grid.build_grid`
+        builds each declared site."""
+        profile = LoadProfile.constant(background_load)
         nodes = [
-            Node(
-                name=f"{name}-node{i:02d}",
-                cpu_count=cpus_per_node,
-                load_profile=LoadProfile.constant(background_load),
-            )
+            Node(name=f"{name}-node{i:02d}", cpu_count=cpus_per_node, load_profile=profile)
             for i in range(n_nodes)
         ]
         return cls(sim, name, nodes, charge_rates=charge_rates)

@@ -63,7 +63,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.config import grid_from_config
+from repro.gridsim.grid import build_grid
 from repro.gridsim.job import reset_id_counters
 from repro.events.journal import EventType, JournalEvent
 from repro.scenarios.chaos import wire_chaos
@@ -216,7 +216,7 @@ def run_scenario(
 
     eff = spec.effective(quick)
     reset_id_counters()
-    grid = grid_from_config(eff.grid, seed=eff.seed)
+    grid = build_grid(eff.grid, seed=eff.seed)
     gae = build_gae(
         grid,
         policy=eff.steering_policy(),

@@ -346,7 +346,6 @@ class ScenarioSpec:
         return decode(cls, data, "scenario", ScenarioError)
 
     def _check_sites(self) -> None:
-        self.grid.check_sites("scenario.grid")
         known = {site.name for site in self.grid.sites}
         # The declared links are exactly the network's: a degrade needs
         # one of them, and a partition must cut at least one.

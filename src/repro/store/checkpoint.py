@@ -5,7 +5,8 @@ A checkpoint is one SQLite file (written through a file-backed
 scheduled simulation instant, so the snapshot runs between events while
 the system is quiescent.  Every file holds
 
-- ``checkpoint.meta``: format, barrier time, grid spec, id counters,
+- ``checkpoint.meta``: format, barrier time, grid spec (the seed and the
+  encoded :class:`~repro.config.GridConfig`), id counters,
   policy, build parameters, users, the journal ``head_seq`` at the
   barrier and ``base_seq`` (below);
 - the *runtime state*: scheduler, pools, catalog, RNG streams, periodic
@@ -27,7 +28,7 @@ the same either way — consumer state is loaded from whichever file holds
 it and the journal events past the seq that state is valid at are folded
 quietly on top; for a self-contained file that tail is empty.
 
-:func:`restore_gae` rebuilds the grid from its declarative spec, rewires
+:func:`restore_gae` rebuilds the grid from its declaration, rewires
 a fresh GAE through :func:`repro.gae.build_gae`, and rehydrates every
 layer *without firing listeners*: a restore replays state, not events.
 The restored system's estimator answers, monitoring answers, MonALISA
@@ -42,7 +43,8 @@ Restore ordering matters and is documented inline; the broad strokes:
 
 1. id counters and RNG streams first (nothing may draw before they are
    re-seeded),
-2. the grid substrate from its spec, clock started at the checkpoint time,
+2. the grid substrate from its declaration, clock started at the
+   checkpoint time,
 3. ``build_gae`` with the saved build parameters and policy,
 4. store-backed layers (every journal consumer's ``load``, the journal),
    then the quiet journal-tail replay that brings consumer state to the
@@ -61,9 +63,10 @@ from __future__ import annotations
 import contextlib
 import inspect
 import sqlite3
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
+from repro.declare import decode, encode
 from repro.events.core import CONSUMER_NAMESPACES
 from repro.store.base import StateStore, StoreError, read_store_file
 from repro.store.registry import (
@@ -76,6 +79,7 @@ from repro.store.registry import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.config import GridConfig
     from repro.gae import GAE
     from repro.gridsim.events import EventHandle
 
@@ -92,6 +96,13 @@ RETIRED_BUILD_PARAMS: Dict[str, Any] = {
     "service_metrics_period_s": 60.0,
     "transfer_cache_ttl_s": 300.0,
 }
+
+#: Builder-only keys an older checkpoint's ``grid_spec`` may still record,
+#: read and dropped as :data:`RETIRED_BUILD_PARAMS` are (``load_profile``
+#: is a key of each site).  Its ``start_time`` is dropped whatever it
+#: holds: a restore has always started the clock at the barrier instead.
+RETIRED_GRID_KEYS: Dict[str, Any] = {"trace": False, "output_file_size_mb": 1.0}
+RETIRED_SITE_KEYS: Dict[str, Any] = {"load_profile": None}
 
 #: The named simulator cadences whose phases (``None``: not armed) the
 #: ``publishers`` record holds.
@@ -216,9 +227,9 @@ class Checkpointer:
             {
                 "format": CHECKPOINT_FORMAT,
                 "time": gae.sim.now,
-                "grid_spec": grid.spec,
+                "grid_spec": {"seed": grid.rngs.seed, **encode(grid.config)},
                 "id_counters": list(snapshot_id_counters()),
-                "policy": asdict(gae.steering.policy),
+                "policy": encode(gae.steering.policy),
                 "build_params": dict(gae.build_params),
                 "observability_tracking": (
                     obs.export_tracking() if obs is not None else None
@@ -296,7 +307,10 @@ def restore_gae(
     resumes the workload.
 
     Raises :class:`CheckpointError` for a file that is missing, not a
-    readable checkpoint or of another format, build parameters this
+    readable checkpoint or of another format, a grid or policy the
+    declaration codec refuses (every field recorded, none unknown; the
+    retired keys of :data:`RETIRED_GRID_KEYS` and
+    :data:`RETIRED_SITE_KEYS` at their constants), build parameters this
     ``build_gae`` cannot reproduce (:data:`RETIRED_BUILD_PARAMS`), a
     ``publishers`` record that lacks a periodic phase or names one this
     build does not run (:data:`RETIRED_PHASES` aside), a continuation
@@ -366,18 +380,28 @@ def _read(path: str, opened: contextlib.ExitStack) -> Tuple[StateStore, Dict[str
     return source, meta
 
 
+def _retire(path: str, where: str, recorded: Any, retired: Dict[str, Any]) -> Any:
+    """*recorded* without the *retired* keys holding their constant; a
+    retired key holding anything else is refused, named after *where*.
+    A value that is no dict is left for the codec to refuse."""
+    if not isinstance(recorded, dict):
+        return recorded
+    kept = dict(recorded)
+    for key, constant in retired.items():
+        if key in kept and kept.pop(key) != constant:
+            raise CheckpointError(
+                f"{path!r}: {where}{key}={recorded[key]!r} cannot be "
+                f"rebuilt (this build always wires {constant!r})"
+            )
+    return kept
+
+
 def _build_params(path: str, recorded: Dict[str, Any]) -> Dict[str, Any]:
     """The recorded ``build_params`` as keywords this ``build_gae`` takes:
     retired keys holding their constant dropped, anything else refused."""
     from repro.gae import build_gae
 
-    params = dict(recorded)
-    for key, constant in RETIRED_BUILD_PARAMS.items():
-        if key in params and params.pop(key) != constant:
-            raise CheckpointError(
-                f"{path!r}: build_params {key}={recorded[key]!r} cannot be "
-                f"rebuilt (this build always wires {constant!r})"
-            )
+    params = _retire(path, "build_params ", recorded, RETIRED_BUILD_PARAMS)
     # restore passes the grid, policy and store itself.
     taken = set(inspect.signature(build_gae).parameters) - {"grid", "policy", "store"}
     unknown = sorted(set(params) - taken)
@@ -387,6 +411,24 @@ def _build_params(path: str, recorded: Dict[str, Any]) -> Dict[str, Any]:
             "which build_gae does not take"
         )
     return params
+
+
+def _grid(path: str, recorded: Any) -> Tuple[int, "GridConfig"]:
+    """The recorded ``grid_spec`` as its seed and grid declaration, read
+    by the declaration codec after the retired builder keys are dropped."""
+    from repro.config import GridConfig
+
+    spec = _retire(path, "grid_spec.", recorded, RETIRED_GRID_KEYS)
+    seed = spec.pop("seed", None) if isinstance(spec, dict) else None
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise CheckpointError(f"{path!r}: grid_spec.seed: expected an integer, got {seed!r}")
+    spec.pop("start_time", None)
+    if isinstance(spec.get("sites"), list):
+        spec["sites"] = [
+            _retire(path, f"grid_spec.sites[{i}].", site, RETIRED_SITE_KEYS)
+            for i, site in enumerate(spec["sites"])
+        ]
+    return seed, decode(GridConfig, spec, f"{path!r}: grid_spec", CheckpointError, defaults=False)
 
 
 def _phases(path: str, recorded: Dict[str, Any]) -> Dict[str, Any]:
@@ -413,23 +455,24 @@ def _restore(
     """Rebuild *path*'s GAE from *source*, which holds every namespace."""
     from repro.core.steering.optimizer import SteeringPolicy
     from repro.gae import build_gae
-    from repro.gridsim.grid import GridBuilder
+    from repro.gridsim.grid import build_grid
     from repro.gridsim.job import restore_id_counters
+
+    # The declarations first: a refused one changes nothing.
+    seed, config = _grid(path, meta["grid_spec"])
+    policy = decode(
+        SteeringPolicy, meta["policy"], f"{path!r}: policy", CheckpointError, defaults=False
+    )
 
     # 1. Allocators and streams before anything may draw from them.
     restore_id_counters(*meta["id_counters"])
 
     # 2. The substrate, clock starting at the barrier instant.
-    grid = GridBuilder.from_spec(meta["grid_spec"], start_time=meta["time"]).build()
+    grid = build_grid(config, seed=seed, start_time=meta["time"])
     grid.rngs.restore_states(source.get(CHECKPOINT_GRIDSIM, "rng"))
 
     # 3. The same wiring the original had.
-    gae = build_gae(
-        grid,
-        policy=SteeringPolicy(**meta["policy"]),
-        store=store,
-        **meta["build_params"],
-    )
+    gae = build_gae(grid, policy=policy, store=store, **meta["build_params"])
 
     # 4. Store-backed layers: direct loads, no listener traffic.  The
     # journal tail is folded quietly on top, BEFORE queue accounting

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro.core.estimators.history import HistoryRepository, TaskRecord
-from repro.core.estimators.runtime import RuntimeEstimator
+from repro.core.estimators.runtime import EstimationError, RuntimeEstimator
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder
 from repro.gridsim.clock import Simulator
@@ -137,6 +137,30 @@ def test_one_estimator_evaluation_per_submission(monkeypatch):
     assert recorded[20:] == [fresh.estimate(spec).value for spec in specs[20:]]
     (rank,) = {r.estimated_runtime for r in gae.scheduler.rank_sites(jobs[0].tasks[0])}
     assert rank == fresh.estimate(specs[0]).value != recorded[0]
+
+
+def test_ranking_on_an_empty_history_raises_no_exception(monkeypatch):
+    """The site estimator answers the scheduler's fallback itself: no
+    ``EstimationError`` raised and caught per site (two a submission
+    while the scheduler asked for an estimate and caught the refusal)."""
+    gae = two_site_gae()
+    raised = 0
+    original = EstimationError.__init__
+
+    def counting_init(self, *args):
+        nonlocal raised
+        raised += 1
+        original(self, *args)
+
+    monkeypatch.setattr(EstimationError, "__init__", counting_init)
+    jobs = [single_task_job(i) for i in range(20)]
+    for job in jobs:
+        gae.scheduler.submit_job(job)
+    assert raised == 0
+    fallback = gae.scheduler.fallback_runtime
+    ranks = gae.scheduler.rank_sites(single_task_job(20).tasks[0])
+    assert [r.estimated_runtime for r in ranks] == [fallback, fallback]
+    assert raised == 0
 
 
 @pytest.mark.parametrize("seeded", [False, True], ids=["empty-history", "seeded-history"])

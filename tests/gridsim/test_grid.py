@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.gridsim import GridBuilder, Job, LoadProfile, Task, TaskSpec
+from repro.config import ConfigError, GridConfig, LinkConfig, SiteConfig
+from repro.gridsim import GridBuilder, Job, Task, TaskSpec
 
 
 class TestGridBuilder:
@@ -14,19 +15,41 @@ class TestGridBuilder:
         assert two_site_grid.site("siteA").nodes[0].load_at(0.0) == 1.5
         assert two_site_grid.site("siteB").nodes[0].load_at(0.0) == 0.0
 
-    def test_explicit_load_profile_wins(self):
-        profile = LoadProfile.steps([(0.0, 0.0), (100.0, 5.0)])
-        grid = GridBuilder().site("s", background_load=9.0, load_profile=profile).build()
-        assert grid.site("s").nodes[0].load_at(50.0) == 0.0
-        assert grid.site("s").nodes[0].load_at(150.0) == 5.0
-
     def test_duplicate_site_rejected(self):
-        with pytest.raises(ValueError):
-            GridBuilder().site("x").site("x")
+        with pytest.raises(ConfigError, match=r"grid.sites\[1\].name: site 'x' declared twice"):
+            GridBuilder().site("x").site("x").build()
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             GridBuilder().build()
+
+    def test_the_benchmark_rigs_builder_chain(self):
+        """``build_rig`` (``benchmarks/e2e/rig.py``) builds its grid with
+        exactly this chain; the benchmark reads the grid it yields."""
+        from benchmarks.e2e.rig import SITES
+
+        builder = GridBuilder(seed=907)
+        for site in SITES:
+            builder = builder.site(site, nodes=64, cpus_per_node=4)
+        grid = (
+            builder.link(*SITES, capacity_mbps=622.0, latency_s=0.05).probe_noise(0.0).build()
+        )
+        assert grid.config == GridConfig(
+            sites=[SiteConfig(site, nodes=64, cpus_per_node=4) for site in SITES],
+            links=[LinkConfig(*SITES, capacity_mbps=622.0, latency_s=0.05)],
+        )
+        assert grid.rngs.seed == 907
+        assert grid.scheduler.sites() == sorted(SITES)
+        for site in SITES:
+            nodes = grid.site(site).nodes
+            assert [node.name for node in nodes] == [f"{site}-node{i:02d}" for i in range(64)]
+            assert {node.cpu_count for node in nodes} == {4}
+            assert grid.site(site).pool.total_slots == 256
+            assert grid.site(site).nodes[0].load_at(0.0) == 0.0
+        link = grid.network.link_between(*SITES)
+        assert (link.capacity_mbps, link.latency_s, link.utilization) == (622.0, 0.05, 0.0)
+        probe = grid.probe.measure(*SITES)
+        assert probe.measured_mbps == probe.true_mbps == 622.0
 
     def test_links_registered(self, two_site_grid):
         assert two_site_grid.network.path_bandwidth_mbps("siteA", "siteB") == 100.0

@@ -8,8 +8,12 @@ Two contracts, for every declaration class:
    starts with the path of what was changed — never a raw ``TypeError``,
    ``KeyError`` or ``AttributeError``.  A numeric field retyped to
    ``True`` is refused too: a bool never counts as a number.
+
+And one for the grid: a grid dict that ``decode`` accepts — names and
+numbers drawn in and out of range — builds, into exactly what it declares.
 """
 
+import copy
 import typing
 from dataclasses import fields, is_dataclass
 
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 from repro.config import ConfigError, FileConfig, GridConfig, LinkConfig, SiteConfig
 from repro.core.steering.optimizer import SteeringPolicy
 from repro.declare import decode, encode
+from repro.gridsim.grid import build_grid
 from repro.gridsim.job import TaskSpec
 from repro.observability.health import RULE_KINDS, HealthRule, HealthRuleError
 from repro.observability.telemetry import REDUCERS
@@ -54,16 +59,17 @@ site_configs = st.builds(
 def grid_configs(draw):
     sites = draw(st.lists(site_configs, min_size=1, max_size=3, unique_by=lambda s: s.name))
     declared = st.sampled_from([site.name for site in sites])
+    pairs = st.lists(declared, min_size=2, max_size=2, unique=True)
     return GridConfig(
         sites=sites,
         links=draw(st.lists(st.builds(
             LinkConfig, a=declared, b=declared, capacity_mbps=floats(1.0, 1000.0),
             latency_s=floats(0.0, 1.0), utilization=floats(0.0, 0.9),
-        ), max_size=2)),
+        ), max_size=2, unique_by=lambda link: frozenset((link.a, link.b)))),
         files=draw(st.lists(st.builds(
             FileConfig, name=names, size_mb=floats(0.0, 1e4), at=declared,
         ), max_size=2)),
-        flocking=draw(st.lists(st.lists(declared, min_size=2, max_size=2), max_size=2)),
+        flocking=draw(st.lists(pairs, max_size=2)) if len(sites) > 1 else [],
         probe_noise=draw(floats(0.0, 0.5)),
     )
 
@@ -268,3 +274,58 @@ def test_a_retyped_value_is_refused_at_its_path(cls, root, family, instances, da
             decode(cls, tree, root, family)
         assert type(raised.value) is family
         assert str(raised.value).startswith(f"{path}.{name}: expected "), str(raised.value)
+
+
+@st.composite
+def grid_dicts(draw):
+    """A scenario file's grid: a valid grid's dict with up to three
+    entries added (fresh or copied) or numbers redrawn, in or out of
+    range — a site named twice, a link, file or flocking pair at an
+    undeclared site, a self-flock or a flocking entry of another length,
+    two links between one pair, a count below one, a negative or too
+    large number."""
+    tree = encode(draw(grid_configs()))
+    names = st.sampled_from([site["name"] for site in tree["sites"]] + ["siteZ"])
+    added = {
+        "sites": st.fixed_dictionaries({"name": names, "nodes": st.integers(-1, 2)}),
+        "links": st.fixed_dictionaries(
+            {"a": names, "b": names, "capacity_mbps": floats(-1.0, 100.0)}
+        ),
+        "files": st.fixed_dictionaries({"name": names, "size_mb": floats(-1.0, 10.0), "at": names}),
+        "flocking": st.lists(names, min_size=2, max_size=2) | st.lists(names, max_size=3),
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        part = draw(st.sampled_from(sorted(added) + ["probe_noise"]))
+        if part == "probe_noise":
+            tree[part] = draw(floats(-1.0, 1.0))
+        elif part == "flocking" or not tree[part] or draw(st.booleans()):
+            # A fresh entry, or a copy of one already there.
+            copied = st.sampled_from(tree[part]).map(copy.copy) if tree[part] else st.nothing()
+            tree[part].append(draw(added[part] | copied))
+        else:  # redraw one number of an entry
+            entry = draw(st.sampled_from(tree[part]))
+            key = draw(st.sampled_from([k for k, v in entry.items() if not isinstance(v, str)]))
+            numbers = st.integers(-1, 2) if isinstance(entry[key], int) else floats(-1.0, 2.0)
+            entry[key] = draw(numbers)
+    return tree
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=grid_dicts())
+def test_a_grid_decode_accepts_builds_what_it_declares(data):
+    try:
+        config = decode(GridConfig, data, "grid", ConfigError)
+    except ConfigError:
+        return
+    grid = build_grid(config, seed=1)
+    assert list(grid.sites) == [site.name for site in config.sites]
+    for site in config.sites:
+        nodes = grid.site(site.name).nodes
+        assert len(nodes) == site.nodes
+        assert {node.cpu_count for node in nodes} == {site.cpus_per_node}
+    # No link replaced another: each declared one is the network's.
+    assert len(grid.network.links()) == len(config.links)
+    for file in config.files:
+        assert file.at in grid.catalog.replicas(file.name)
+    for src, dst in config.flocking:
+        assert grid.sites[dst].pool in grid.sites[src].pool.flock_targets

@@ -22,11 +22,14 @@ from pathlib import Path
 import pytest
 
 from repro.clarens.errors import ClarensFault
+from repro.declare import encode
 from repro.gridsim.job import reset_id_counters
 from repro.store.checkpoint import (
     CHECKPOINT_FORMAT,
     RETIRED_BUILD_PARAMS,
+    RETIRED_GRID_KEYS,
     RETIRED_PHASES,
+    RETIRED_SITE_KEYS,
     CheckpointError,
     Checkpointer,
     restore_gae,
@@ -157,6 +160,68 @@ def test_a_publishers_record_this_build_cannot_resume_is_refused(tmp_path, edit,
         else:
             phases[key] = 30.0
         store.put(CHECKPOINT_GRIDSIM, "publishers", phases)
+    with pytest.raises(CheckpointError) as raised:
+        restore_gae(str(path))
+    assert str(raised.value) == f"{str(path)!r}: {refusal}"
+
+
+def test_the_fixtures_record_every_retired_grid_key_at_its_constant():
+    """What a restore reads and drops of the fixtures' grid spec: each
+    retired builder key at its constant (and a start of 0).  The rest is
+    what this build writes: the seed and the encoded ``GridConfig``."""
+    for build in BUILDS:
+        with read_store_file(str(FIXTURES / f"format2_{build}.sqlite")) as stored:
+            spec = stored.get(CHECKPOINT_META, "meta")["grid_spec"]
+        assert {key: spec.pop(key) for key in RETIRED_GRID_KEYS} == RETIRED_GRID_KEYS
+        for site in spec["sites"]:
+            assert {key: site.pop(key) for key in RETIRED_SITE_KEYS} == RETIRED_SITE_KEYS
+        assert spec.pop("start_time") == 0.0
+        reset_id_counters()
+        grid = restore_gae(str(FIXTURES / f"format2_{build}.sqlite")).grid
+        assert spec == {"seed": grid.rngs.seed, **encode(grid.config)}
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize("route, key, value, refusal", [
+    ("policy", "warp", 9, "policy: unknown keys ['warp']"),
+    ("policy", "auto_move", "yes", "policy.auto_move: expected a bool, got 'yes'"),
+    ("policy", "auto_move", DROP, "policy.auto_move: required"),
+    ("grid_spec sites 0", "nodes", DROP, "grid_spec.sites[0].nodes: required"),
+    ("grid_spec sites 1", "cpus", 4, "grid_spec.sites[1]: unknown keys ['cpus']"),
+    ("grid_spec sites 0", "nodes", 0, "grid_spec.sites[0].nodes: must be >= 1, got 0"),
+    ("grid_spec", "trace", True,
+     "grid_spec.trace=True cannot be rebuilt (this build always wires False)"),
+    ("grid_spec", "output_file_size_mb", 2.0,
+     "grid_spec.output_file_size_mb=2.0 cannot be rebuilt (this build always wires 1.0)"),
+    ("grid_spec sites 0", "load_profile", [[0.0, 1.0]],
+     "grid_spec.sites[0].load_profile=[[0.0, 1.0]] cannot be rebuilt "
+     "(this build always wires None)"),
+    ("grid_spec", "seed", DROP, "grid_spec.seed: expected an integer, got None"),
+], ids=[
+    "unknown-policy-key", "auto_move-yes", "no-auto_move", "site-without-nodes",
+    "unknown-site-key", "zero-nodes", "trace-true", "output-file-size", "load-profile",
+    "no-seed",
+])
+def test_a_grid_or_policy_the_codec_refuses_is_refused(tmp_path, route, key, value, refusal):
+    """The recorded grid and policy are read by the declaration codec:
+    an unknown, missing or mistyped field, a grid rule broken, or a
+    retired grid key holding another value than its constant is a
+    ``CheckpointError`` naming the file and the path — not a bare
+    ``TypeError`` / ``KeyError``, nor a silent restore."""
+    path = tmp_path / "edited.sqlite"
+    shutil.copyfile(FIXTURES / "format2_full.sqlite", path)
+    with StateStore(str(path)) as store:
+        meta = store.get(CHECKPOINT_META, "meta")
+        record = meta
+        for step in route.split():
+            record = record[int(step) if step.isdigit() else step]
+        if value is DROP:
+            del record[key]
+        else:
+            record[key] = value
+        store.put(CHECKPOINT_META, "meta", meta)
     with pytest.raises(CheckpointError) as raised:
         restore_gae(str(path))
     assert str(raised.value) == f"{str(path)!r}: {refusal}"

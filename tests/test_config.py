@@ -4,12 +4,8 @@ import json
 
 import pytest
 
-from repro.config import (
-    ConfigError,
-    GridConfig,
-    SiteConfig,
-    grid_from_config,
-)
+from repro.config import ConfigError, GridConfig, SiteConfig
+from repro.gridsim.grid import build_grid
 from repro.scenarios import ScenarioError, ScenarioSpec
 
 GRID = {
@@ -69,21 +65,22 @@ class TestParsing:
 
 
 class TestBuilding:
-    def test_grid_from_config(self):
-        grid = grid_from_config(GridConfig.from_dict(GRID), seed=2005)
+    def test_build_grid(self):
+        config = GridConfig.from_dict(GRID)
+        grid = build_grid(config, seed=2005)
         assert sorted(grid.sites) == ["siteA", "siteB"]
         assert grid.site("siteA").nodes[0].load_at(0.0) == 1.5
         assert grid.catalog.replicas("d.db") == {"siteB"}
         assert grid.sites["siteB"].pool in grid.sites["siteA"].pool.flock_targets
+        assert grid.config is config
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            grid_from_config(GridConfig())
+        with pytest.raises(ConfigError, match="grid.sites: a grid needs at least one site"):
+            GridConfig(sites=[])
 
     def test_bad_flocking_pair_rejected(self):
-        cfg = GridConfig(sites=[SiteConfig(name="a")], flocking=[["a"]])
         with pytest.raises(ConfigError):
-            grid_from_config(cfg)
+            GridConfig(sites=[SiteConfig(name="a")], flocking=[["a"]])
 
 
 class TestCliScenario:

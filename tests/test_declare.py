@@ -66,6 +66,47 @@ class TestGridValues:
         assert str(raised.value) == message
 
 
+def site(**fields):
+    return {"name": "a", **fields}
+
+
+class TestGridRules:
+    """A grid ``scenario validate`` accepts is a grid that builds: each
+    rule is the declaration's, refused at load with its path."""
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"sites": [site(), site()]}, "scenario.grid.sites[1].name: site 'a' declared twice"),
+        ({"sites": []}, "scenario.grid.sites: a grid needs at least one site"),
+        ({"sites": [site(nodes=0)]}, "scenario.grid.sites[0].nodes: must be >= 1, got 0"),
+        ({"sites": [site(cpus_per_node=0)]},
+         "scenario.grid.sites[0].cpus_per_node: must be >= 1, got 0"),
+        ({"sites": [site(background_load=-1)]},
+         "scenario.grid.sites[0].background_load: must be non-negative, got -1.0"),
+        ({"sites": [site(idle_hour_rate=-0.1)]},
+         "scenario.grid.sites[0].idle_hour_rate: must be non-negative, got -0.1"),
+        (dict(GRID, probe_noise=-0.1), "scenario.grid.probe_noise: must be non-negative, got -0.1"),
+        (dict(GRID, files=[{"name": "f", "size_mb": -1, "at": "a"}]),
+         "scenario.grid.files[0].size_mb: must be non-negative, got -1.0"),
+        (dict(GRID, links=[{"a": "a", "b": "b", "capacity_mbps": 0}]),
+         "scenario.grid.links[0].capacity_mbps: must be positive, got 0.0"),
+        (dict(GRID, links=[{"a": "a", "b": "b", "capacity_mbps": 1, "latency_s": -1}]),
+         "scenario.grid.links[0].latency_s: must be non-negative, got -1.0"),
+        (dict(GRID, links=[{"a": "a", "b": "b", "capacity_mbps": 1, "utilization": 1}]),
+         "scenario.grid.links[0].utilization: must be in [0, 1), got 1.0"),
+        (dict(GRID, flocking=[["a", "a"]]),
+         "scenario.grid.flocking[0]: site 'a' cannot flock to itself"),
+        (dict(GRID, links=GRID["links"] + [{"a": "b", "b": "a", "capacity_mbps": 1.0}]),
+         "scenario.grid.links[1]: a second link between 'b' and 'a'"),
+    ])
+    def test_scenario_validate_refuses_a_grid_that_would_not_build(
+        self, tmp_path, capsys, grid, message
+    ):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario(grid=grid)))
+        assert main(["scenario", "validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestSlosInAScenario:
     @pytest.mark.parametrize("slo, message", [
         ({"metric": "vibes", "op": ">=", "threshold": 1.0},

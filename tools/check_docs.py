@@ -36,7 +36,12 @@ All run by CI's docs job:
 7. every back-ticked CamelCase name in the same pages (alone, or followed
    by ``.attr`` or ``(…)``) is a builtin, a class defined under ``src/``
    or ``tests/``, or a name the page also writes with its module
-   (``collections.OrderedDict``) — a deleted class cannot linger either.
+   (``collections.OrderedDict``) — a deleted class cannot linger either;
+8. every keyword of a back-ticked call in the same pages — ``Name(…)``,
+   ``Name.method(…)`` or a fluent chain of them, where ``Name`` is a class
+   defined under ``src/`` or a function ``repro`` exports (``build_gae``,
+   ``restore_gae``) — is a parameter of what it calls, unless that takes
+   ``**kwargs`` — a removed keyword cannot linger either.
 ``benchmarks/e2e/README.md`` is not scanned: only a ``[benchmark]`` PR
 may edit it.
 
@@ -200,6 +205,98 @@ def check_class_names() -> list[str]:
     return problems
 
 
+def call_chain(token: str) -> list[tuple[str, str | None]]:
+    """``[(name, arguments or None), …]`` of a token written as a call
+    chain (``A(…).b(…)``, ``A.b(…)``); empty for any other token."""
+    chain: list[tuple[str, str | None]] = []
+    at = 0
+    while at < len(token):
+        name = re.compile(r"\.?([A-Za-z_]\w*)").match(token, at)
+        if name is None or name.group(0).startswith(".") == (at == 0):
+            return []
+        at, arguments = name.end(), None
+        if token.startswith("(", at):
+            depth = 0
+            for end in range(at, len(token)):
+                depth += {"(": 1, ")": -1}.get(token[end], 0)
+                if depth == 0:
+                    break
+            else:
+                return []
+            arguments, at = token[at + 1:end], end + 1
+        chain.append((name.group(1), arguments))
+    return chain if any(arguments is not None for _, arguments in chain) else []
+
+
+def keywords(arguments: str) -> list[str]:
+    """The keywords of a call's top-level *arguments* (string values blanked)."""
+    arguments = re.sub(r"\"[^\"]*\"|'[^']*'", "''", arguments)
+    parts, depth, start = [], 0, 0
+    for i, char in enumerate(arguments + ","):
+        depth += {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}.get(char, 0)
+        if char == "," and depth == 0:
+            parts.append(arguments[start:i])
+            start = i + 1
+    return [m.group(1) for part in parts if (m := re.match(r"\s*(\w+)\s*=(?!=)", part))]
+
+
+def check_keywords() -> list[str]:
+    """Each keyword of a back-ticked call of a class or public function
+    defined under ``src/`` is a parameter of what it calls, and each
+    method a call chain names on such a class exists."""
+    import importlib
+    import inspect
+
+    # Each class and public function at the top of a module under src/,
+    # by name; a name two modules define is nobody's.
+    defined: dict[str, list[str]] = {}
+    for path in SRC_ROOT.rglob("*.py"):
+        module = ".".join(path.relative_to(SRC_ROOT).with_suffix("").parts)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) or (
+                isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            ):
+                defined.setdefault(node.name, []).append(module.removesuffix(".__init__"))
+
+    def resolve(name: str):
+        modules = defined.get(name, [])
+        return getattr(importlib.import_module(modules[0]), name) if len(modules) == 1 else None
+
+    problems = []
+    for page in doc_pages():
+        where = page.relative_to(REPO_ROOT)
+        for token in sorted(set(re.findall(r"`([^`\n]+)`", page.read_text(encoding="utf-8")))):
+            owner = None  # the class the next ``.name`` is looked up on
+            for i, (name, arguments) in enumerate(call_chain(token)):
+                target = resolve(name) if i == 0 else getattr(owner, name, None)
+                if target is None:
+                    if owner is not None and arguments is not None:
+                        problems.append(
+                            f"{where} names `{token}`, but {owner.__name__} has no {name!r}"
+                        )
+                    break
+                if arguments is None:
+                    owner = target if inspect.isclass(target) else None
+                    continue
+                try:
+                    signature = inspect.signature(target)
+                except ValueError:  # a class whose constructor is C's (an exception)
+                    break
+                kinds = {param.name: param.kind for param in signature.parameters.values()}
+                if inspect.Parameter.VAR_KEYWORD not in kinds.values():
+                    problems += [
+                        f"{where} names `{token}`, but {name} takes no keyword {keyword!r}"
+                        for keyword in keywords(arguments)
+                        if kinds.get(keyword, inspect.Parameter.POSITIONAL_ONLY)
+                        in (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.VAR_POSITIONAL)
+                    ]
+                if inspect.isclass(target):
+                    owner = target
+                elif owner is None or str(signature.return_annotation).strip("'\"") != owner.__name__:
+                    break  # a fluent chain goes on only on the class it returns
+    return problems
+
+
 def check_generated(page: Path, render) -> list[str]:
     """*page*'s generated blocks are what ``render(text)`` makes of them today."""
     if not page.exists():
@@ -254,6 +351,7 @@ def main() -> int:
         "`gae-repro <command>` in the docs": check_cli_commands(),
         "back-ticked names and paths in the docs": check_references(),
         "back-ticked class names in the docs": check_class_names(),
+        "back-ticked call keywords in the docs": check_keywords(),
     }
     actual = actual_names()
     for heading, (noun, pattern) in TABLES.items():
