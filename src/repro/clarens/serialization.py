@@ -20,21 +20,31 @@ import sys
 from typing import Any, Dict, Optional, Tuple
 
 from repro.clarens.errors import SerializationError
+from repro.declare import field_names
 
 # XML-RPC's int is 32-bit signed; wider ints must travel as doubles or strings.
 _XMLRPC_INT_MIN = -(2**31)
 _XMLRPC_INT_MAX = 2**31 - 1
 
+#: Exact types a walk writes inline (an ``int`` too, when in range).
+_PLAIN = frozenset({str, float, bool, type(None)})
+
 
 def to_wire(value: Any) -> Any:
     """Lower *value* into XML-RPC-representable types.
 
-    - dataclasses → structs (dicts) with a ``_type`` tag,
+    - dataclasses → structs (dicts) with a ``_type`` tag, ``_``-prefixed
+      fields skipped,
     - enums → their ``value``,
     - tuples/sets → arrays,
     - numpy scalars → Python scalars, numpy arrays → nested lists,
     - dict keys are coerced to str (XML-RPC structs require string keys),
     - ints outside the 32-bit range → floats.
+
+    The tagged walk of a record's one field plan, :func:`repro.declare.field_names`
+    (:func:`repro.declare.encode` is the untagged one).  A walk writes an exact
+    ``str``, ``float``, ``bool``, ``None`` or in-range ``int`` inline; a
+    subclass (a str-valued enum, ``numpy.float64``) takes a call.
 
     Raises :class:`SerializationError` for values with no representation
     (e.g. functions, arbitrary objects).
@@ -55,22 +65,32 @@ def to_wire(value: Any) -> Any:
     if isinstance(value, float):
         return value
     if numpy is not None and isinstance(value, numpy.ndarray):
-        return [to_wire(v) for v in value.tolist()]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return to_wire(value.tolist())
+    names = field_names(type(value))
+    if names is not None:
         out: Dict[str, Any] = {"_type": type(value).__name__}
-        for f in dataclasses.fields(value):
-            if f.name.startswith("_"):
-                continue
-            out[f.name] = to_wire(getattr(value, f.name))
-        return out
-    if isinstance(value, dict):
-        return {str(k): to_wire(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value, key=repr) if isinstance(value, (set, frozenset)) else value
-        return [to_wire(v) for v in items]
-    raise SerializationError(
-        f"cannot marshal {type(value).__name__} value {value!r} onto the wire"
-    )
+        keys = [name for name in names if not name.startswith("_")]
+        items = [getattr(value, name) for name in keys]
+    elif isinstance(value, dict):
+        out, keys, items = {}, list(map(str, value)), value.values()
+    elif isinstance(value, (list, tuple)):
+        keys, items = None, value
+    elif isinstance(value, (set, frozenset)):
+        keys, items = None, sorted(value, key=repr)
+    else:
+        raise SerializationError(
+            f"cannot marshal {type(value).__name__} value {value!r} onto the wire"
+        )
+    lowered = [
+        item if (kind := type(item)) in _PLAIN
+        or (kind is int and _XMLRPC_INT_MIN <= item <= _XMLRPC_INT_MAX)
+        else to_wire(item)
+        for item in items
+    ]
+    if keys is None:
+        return lowered
+    out.update(zip(keys, lowered))
+    return out
 
 
 def from_wire(value: Any) -> Any:

@@ -26,9 +26,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
+from repro.declare import field_names
 from repro.gridsim.condor import CondorJobAd
 from repro.gridsim.job import TaskSpec
 from repro.gridsim.site import Site
@@ -99,7 +100,7 @@ class TaskRecord:
         )
 
 
-_CSV_FIELDS = [f.name for f in fields(TaskRecord)]
+_CSV_FIELDS = list(field_names(TaskRecord))
 _NUMERIC_FIELDS = {
     "nodes": int,
     "requested_cpu_hours": float,

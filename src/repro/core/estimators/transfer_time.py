@@ -44,6 +44,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.declare import encode
 from repro.gridsim.network import IperfProbe
 from repro.gridsim.storage import ReplicaCatalog
 
@@ -69,12 +70,7 @@ class BandwidthCacheStats:
     evictions: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "expirations": self.expirations,
-            "evictions": self.evictions,
-        }
+        return encode(self)
 
 
 class TransferTimeEstimator:

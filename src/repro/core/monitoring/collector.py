@@ -89,11 +89,12 @@ class JobInformationCollector:
             return 0.0
 
     def _snapshot(self, ad: CondorJobAd, site_name: str) -> MonitoringRecord:
-        service = self._services[site_name]
-        try:
-            position = service.queue_position(ad.task_id)
-        except ExecutionServiceDown:
-            position = -1
+        position = -1  # what the pool answers for any ad not queued
+        if ad.state is JobState.QUEUED:
+            try:
+                position = self._services[site_name].queue_position(ad.task_id)
+            except ExecutionServiceDown:
+                pass
         return MonitoringRecord.from_ad(
             ad,
             site=site_name,
@@ -114,12 +115,13 @@ class JobInformationCollector:
                 continue
         return None
 
-    def collect_running(self) -> List[MonitoringRecord]:
-        """Snapshots of every currently running task across sites."""
+    def collect_running(self, job_id: Optional[str] = None) -> List[MonitoringRecord]:
+        """Snapshots of every currently running task across sites; with a
+        *job_id*, of that job's only (no other task is snapshot)."""
         out: List[MonitoringRecord] = []
         for site_name, service in self._services.items():
             try:
-                for ad in service.running_info():
+                for ad in service.running_info(job_id):
                     out.append(self._snapshot(ad, site_name))
             except ExecutionServiceDown:
                 continue

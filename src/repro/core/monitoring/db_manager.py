@@ -24,6 +24,7 @@ import threading
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.monitoring.records import MonitoringRecord
+from repro.declare import encode, field_names
 from repro.store.base import StateStore
 from repro.store.registry import MONITORING_JOBS, namespace_record
 
@@ -63,13 +64,8 @@ CREATE TABLE IF NOT EXISTS monitoring_history (
 CREATE INDEX IF NOT EXISTS idx_history_task ON monitoring_history (task_id);
 """
 
-_COLUMNS = (
-    "task_id", "job_id", "site", "status", "elapsed_time_s",
-    "estimated_run_time_s", "remaining_time_s", "progress", "queue_position",
-    "priority", "submission_time", "execution_time", "completion_time",
-    "cpu_time_used_s", "input_io_mb", "output_io_mb", "owner", "environment",
-    "snapshot_time",
-)
+#: A row is a record's fields, in their order.
+_COLUMNS = field_names(MonitoringRecord)
 
 _HISTORY_COLUMNS = (
     "task_id", "snapshot_time", "status", "progress", "elapsed_time_s", "site",
@@ -77,15 +73,9 @@ _HISTORY_COLUMNS = (
 
 
 def _record_values(record: MonitoringRecord) -> tuple:
-    return (
-        record.task_id, record.job_id, record.site, record.status,
-        record.elapsed_time_s, record.estimated_run_time_s,
-        record.remaining_time_s, record.progress, record.queue_position,
-        record.priority, record.submission_time, record.execution_time,
-        record.completion_time, record.cpu_time_used_s,
-        record.input_io_mb, record.output_io_mb, record.owner,
-        json.dumps(dict(record.environment)), record.snapshot_time,
-    )
+    row = encode(record)
+    row["environment"] = json.dumps(row["environment"])
+    return tuple(row.values())
 
 
 def _history_values(record: MonitoringRecord) -> tuple:

@@ -50,9 +50,8 @@ class JMManager:
             if fresh is not None:
                 records[task_id] = fresh
         # Tasks not yet in the DB may still be live-collectable.
-        for rec in self.collector.collect_running():
-            if rec.job_id == job_id:
-                records[rec.task_id] = rec
+        for rec in self.collector.collect_running(job_id):
+            records[rec.task_id] = rec
         return [records[k] for k in sorted(records)]
 
 

@@ -53,13 +53,14 @@ class MonitoringRecord:
         known; with no estimate it reports 0 (the API returns "unknown"
         rather than inventing a number).
         """
-        remaining = max(0.0, estimated_run_time_s - ad.elapsed_runtime())
+        elapsed = ad.elapsed_runtime()
+        remaining = max(0.0, estimated_run_time_s - elapsed)
         return cls(
             task_id=ad.task_id,
             job_id=ad.task.job_id or "",
             site=site,
             status=ad.state.value,
-            elapsed_time_s=ad.elapsed_runtime(),
+            elapsed_time_s=elapsed,
             estimated_run_time_s=estimated_run_time_s,
             remaining_time_s=remaining if estimated_run_time_s > 0 else 0.0,
             progress=ad.progress,

@@ -16,6 +16,7 @@ from repro.core.monitoring.collector import JobInformationCollector
 from repro.core.monitoring.db_manager import DBManager
 from repro.core.monitoring.manager import JMExecutable, JMManager
 from repro.core.monitoring.records import MonitoringRecord
+from repro.declare import encode
 from repro.gridsim.clock import Simulator
 from repro.gridsim.execution import ExecutionService
 from repro.store.base import StateStore
@@ -32,30 +33,6 @@ class MonitoringError(RuntimeError):
 _READS = ReadPolicy(depends_on=(
     "clock", "scheduler", "pool:*", "monitoring", "estimates"
 ))
-
-
-def _record_to_wire(record: MonitoringRecord) -> Dict[str, object]:
-    return {
-        "task_id": record.task_id,
-        "job_id": record.job_id,
-        "site": record.site,
-        "status": record.status,
-        "elapsed_time_s": record.elapsed_time_s,
-        "estimated_run_time_s": record.estimated_run_time_s,
-        "remaining_time_s": record.remaining_time_s,
-        "progress": record.progress,
-        "queue_position": record.queue_position,
-        "priority": record.priority,
-        "submission_time": record.submission_time,
-        "execution_time": record.execution_time,
-        "completion_time": record.completion_time,
-        "cpu_time_used_s": record.cpu_time_used_s,
-        "input_io_mb": record.input_io_mb,
-        "output_io_mb": record.output_io_mb,
-        "owner": record.owner,
-        "environment": dict(record.environment),
-        "snapshot_time": record.snapshot_time,
-    }
 
 
 class JobMonitoringService:
@@ -119,7 +96,7 @@ class JobMonitoringService:
     @clarens_method(cache=_READS)
     def job_info(self, task_id: str) -> Dict[str, object]:
         """Every monitoring field for one task as a wire struct."""
-        return _record_to_wire(self.record_for(task_id))
+        return encode(self.record_for(task_id))
 
     @clarens_method(cache=_READS)
     def job_status(self, task_id: str) -> str:
@@ -154,17 +131,17 @@ class JobMonitoringService:
     @clarens_method(cache=_READS)
     def job_tasks(self, job_id: str) -> List[Dict[str, object]]:
         """Monitoring structs for every known task of a job."""
-        return [_record_to_wire(r) for r in self.executable.get_job_info(job_id)]
+        return [encode(r) for r in self.executable.get_job_info(job_id)]
 
     @clarens_method(cache=_READS)
     def owner_tasks(self, owner: str) -> List[Dict[str, object]]:
         """Monitoring structs for every stored task of an owner."""
-        return [_record_to_wire(r) for r in self.db_manager.for_owner(owner)]
+        return [encode(r) for r in self.db_manager.for_owner(owner)]
 
     @clarens_method(cache=_READS)
     def running_tasks(self) -> List[Dict[str, object]]:
         """Live snapshots of everything currently running."""
-        return [_record_to_wire(r) for r in self.collector.collect_running()]
+        return [encode(r) for r in self.collector.collect_running()]
 
     @clarens_method(cache=_READS)
     def progress_history(self, task_id: str) -> List[Dict[str, object]]:

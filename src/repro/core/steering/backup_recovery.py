@@ -21,10 +21,11 @@ archive the execution state for download).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Set
 
 from repro.core.steering.subscriber import Subscriber
+from repro.declare import encode
 from repro.gridsim.clock import Simulator
 from repro.gridsim.condor import CondorJobAd
 from repro.gridsim.execution import ExecutionService, ExecutionServiceDown
@@ -225,7 +226,7 @@ class BackupRecovery:
     def export_state(self) -> Dict[str, object]:
         """Every accumulated recovery artefact as JSON-safe data."""
         return {
-            "notifications": [asdict(n) for n in self.notifications],
+            "notifications": [encode(n) for n in self.notifications],
             "recovered_files": {
                 task_id: list(files)
                 for task_id, files in self.recovered_files.items()

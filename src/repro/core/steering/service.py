@@ -29,6 +29,7 @@ from repro.core.steering.commands import CommandProcessor, CommandResult
 from repro.core.steering.optimizer import MoveDecision, Optimizer, SteeringPolicy
 from repro.core.steering.session_manager import OPTIMIZER_PRINCIPAL, SessionManager
 from repro.core.steering.subscriber import Subscriber
+from repro.declare import encode
 from repro.gridsim.clock import Simulator
 from repro.gridsim.execution import ExecutionService
 from repro.gridsim.job import JobState
@@ -175,19 +176,19 @@ class SteeringService:
     def kill(self, principal: Principal, task_id: str) -> Dict[str, object]:
         """Kill a task (§4 verb)."""
         self.session_manager.authorize(principal, task_id)
-        return _result_to_wire(self.command_processor.kill(task_id))
+        return encode(self.command_processor.kill(task_id))
 
     @clarens_method(pass_principal=True)
     def pause(self, principal: Principal, task_id: str) -> Dict[str, object]:
         """Pause a task (§4 verb)."""
         self.session_manager.authorize(principal, task_id)
-        return _result_to_wire(self.command_processor.pause(task_id))
+        return encode(self.command_processor.pause(task_id))
 
     @clarens_method(pass_principal=True)
     def resume(self, principal: Principal, task_id: str) -> Dict[str, object]:
         """Resume a paused task (§4 verb)."""
         self.session_manager.authorize(principal, task_id)
-        return _result_to_wire(self.command_processor.resume(task_id))
+        return encode(self.command_processor.resume(task_id))
 
     @clarens_method(pass_principal=True)
     def set_priority(
@@ -195,7 +196,7 @@ class SteeringService:
     ) -> Dict[str, object]:
         """Change a task's priority (§4 verb)."""
         self.session_manager.authorize(principal, task_id)
-        return _result_to_wire(self.command_processor.set_priority(task_id, priority))
+        return encode(self.command_processor.set_priority(task_id, priority))
 
     @clarens_method(pass_principal=True)
     def move(
@@ -215,7 +216,7 @@ class SteeringService:
                 self.agent.observe_manual_move(self.sim.now, record)
             except Exception:
                 pass  # learning must never block a user's command
-        return _result_to_wire(
+        return encode(
             self.command_processor.move(task_id, target_site=target_site or None)
         )
 
@@ -227,18 +228,7 @@ class SteeringService:
         rescheduling decisions" (§7).
         """
         self.session_manager.authorize(principal, task_id)
-        d = self.optimizer.evaluate(task_id)
-        return {
-            "task_id": d.task_id,
-            "should_move": d.should_move,
-            "reason": d.reason,
-            "current_site": d.current_site,
-            "target_site": d.target_site,
-            "progress_rate": d.progress_rate,
-            "remaining_here_s": d.remaining_here_s,
-            "best_alternative_s": d.best_alternative_s,
-            "candidates": dict(d.candidates),
-        }
+        return encode(self.optimizer.evaluate(task_id))
 
     @clarens_method(pass_principal=True)
     def my_jobs(self, principal: Principal) -> List[Dict[str, object]]:
@@ -287,12 +277,3 @@ class SteeringService:
             return dict(self.backup_recovery.execution_states[task_id])
         except KeyError:
             raise RuntimeError(f"no execution state archived for {task_id!r}") from None
-
-
-def _result_to_wire(result: CommandResult) -> Dict[str, object]:
-    return {
-        "command": result.command,
-        "task_id": result.task_id,
-        "ok": result.ok,
-        "detail": result.detail,
-    }

@@ -11,7 +11,7 @@ overrides and the §6 ``TaskSpec`` a client sends all arrive as dicts, and
   reads what it recorded: any missing field) are refused;
 - a ``str``, ``int`` or ``bool`` field takes only that type, and a bool
   never counts as a number; a ``float`` field also takes an int and
-  stores ``float(value)``;
+  stores ``float(value)``, and refuses NaN and ±Infinity;
 - nested declarations, ``List`` / ``Tuple`` (stored as a tuple) and
   ``Dict`` / ``Mapping`` are read item by item; ``object`` takes anything.
 
@@ -21,7 +21,10 @@ for a ``TaskSpec``), its message starting with the path of what it
 refuses.  Domain rules stay in each class's ``__post_init__``, their
 messages starting with the class's own root name (``rule.kind: …``,
 ``rule: …``), which :func:`decode` swaps for the path it decodes at.
-:func:`encode` is the inverse.  This module needs only the standard
+:func:`encode` is the inverse: untagged, and every leaf (a big int, an
+enum) kept as it is.  It walks a record by :func:`field_names`, the one
+cached field plan of a class, as ``repro.clarens.serialization.to_wire``
+does for its tagged wire form.  This module needs only the standard
 library.
 
 Doctest — one round trip and one path-qualified refusal::
@@ -45,11 +48,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import typing
 from collections.abc import Mapping
-from typing import Any, Tuple, Type, TypeVar
+from typing import Any, Optional, Tuple, Type, TypeVar
 
-__all__ = ["decode", "encode"]
+__all__ = ["decode", "encode", "field_names"]
 
 T = TypeVar("T")
 
@@ -57,6 +61,19 @@ _MISSING = dataclasses.MISSING
 
 #: What a scalar field's refusal says it expected.
 _EXPECTED = {str: "a string", int: "an integer", bool: "a bool", float: "a number"}
+
+#: Exact types :func:`encode` writes inline instead of recursing into.
+_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.lru_cache(maxsize=None)
+def field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    """*cls*'s field names in declaration order (None for no dataclass): a
+    record's one field plan.  Names only, never annotations, so a record
+    annotated with ``TYPE_CHECKING``-only types lowers all the same."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,7 +131,15 @@ def _value(
             isinstance(value, bool) and annotation is not bool
         ):
             raise error(f"{path}: expected {_EXPECTED[annotation]}, got {value!r}")
-        return float(value) if annotation is float else value
+        if annotation is not float:
+            return value
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond every float
+            number = math.inf
+        if not math.isfinite(number):
+            raise error(f"{path}: expected a finite number, got {value!r}")
+        return number
     if dataclasses.is_dataclass(annotation):
         return decode(annotation, value, path, error, defaults)
     origin = typing.get_origin(annotation)
@@ -145,12 +170,11 @@ def _value(
 
 def encode(obj: Any) -> Any:
     """A declaration as the JSON-shaped dict :func:`decode` reads back."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, (list, tuple)):
-        return [encode(item) for item in obj]
-    if isinstance(obj, Mapping):
-        return {key: encode(item) for key, item in obj.items()}
-    return obj
+    names = field_names(type(obj))
+    if names is not None:
+        obj = {name: getattr(obj, name) for name in names}
+    elif isinstance(obj, (list, tuple)):
+        return [item if type(item) in _LEAVES else encode(item) for item in obj]
+    elif not isinstance(obj, (dict, Mapping)):  # a dict skips the ABC's check
+        return obj
+    return {key: item if type(item) in _LEAVES else encode(item) for key, item in obj.items()}

@@ -36,13 +36,13 @@ The consumer table in ``docs/ARCHITECTURE.md`` is drift-gated against
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.estimators.history import HistoryRepository, TaskRecord
 from repro.core.estimators.queue_time import RuntimeEstimateDB
 from repro.core.monitoring.db_manager import DBManager
 from repro.core.monitoring.records import MonitoringRecord
+from repro.declare import encode
 from repro.monalisa.repository import JobStateEvent, MonALISARepository
 from repro.events.journal import (
     JOURNAL_SCHEMA_VERSION,
@@ -414,7 +414,7 @@ class EventCore:
         attributes) — consumers rebuild the full record from both.
         """
         trace_id, span_id = self.trace_context(task_id)
-        attrs = dataclasses.asdict(record)
+        attrs = encode(record)
         attrs.pop("site")
         self.journal.record(
             EventType.HISTORY_RECORDED, task_id, site=record.site or None,
@@ -428,7 +428,7 @@ class EventCore:
         remaining record fields are the attributes.
         """
         trace_id, span_id = self.trace_context(record.task_id)
-        attrs = dataclasses.asdict(record)
+        attrs = encode(record)
         attrs.pop("task_id")
         attrs.pop("job_id")
         attrs.pop("site")

@@ -208,20 +208,18 @@ def build_gae(
     """
     sim = grid.sim
     store = store if store is not None else StateStore()
+    # Every reader of the sim clock below reads the clock's property
+    # directly: one Python call where ``lambda: sim.now`` takes three.
+    now = partial(getattr, sim.clock, "now")
     # First, the write path every producer below is constructed with;
     # rows are retained only when the instrumentation is there to read them.
-    # The journal reads the clock's property directly: one Python call a
-    # row where ``lambda: sim.now`` takes three, so the row's ring append
-    # adds no call to what a journalled row cost.
-    events = EventCore(
-        EventJournal(partial(getattr, sim.clock, "now"), capacity=100_000 if observability else 0)
-    )
+    events = EventCore(EventJournal(now, capacity=100_000 if observability else 0))
     monalisa = MonALISARepository(events.emit_metric)
     history = history if history is not None else HistoryRepository()
 
     estimators = EstimatorService(
         history, events.emit_estimate, probe=grid.probe, catalog=grid.catalog,
-        transfer_cache_ttl_s=300.0, clock=lambda: sim.now,
+        transfer_cache_ttl_s=300.0, clock=now,
     )
     for name in sorted(grid.execution_services):
         estimators.install_site_estimator(grid.execution_services[name])
@@ -233,7 +231,7 @@ def build_gae(
     monitoring = JobMonitoringService(
         sim,
         events.emit_monitoring,
-        estimate_lookup=lambda task_id: estimators.estimate_db.lookup(task_id),
+        estimate_lookup=estimators.estimate_db.lookup,
         store=store,
     )
     accounting = QuotaAccountingService()
@@ -265,7 +263,7 @@ def build_gae(
 
     host = ClarensHost(
         name=host_name,
-        time_source=lambda: sim.now,
+        time_source=now,
         acl=default_acl(),
         read_cache_enabled=read_cache,
     )

@@ -355,9 +355,13 @@ class CondorPool:
         """Idle (queued) ads in dispatch order."""
         return list(self._idle)
 
-    def running_snapshot(self) -> List[CondorJobAd]:
-        """Currently running ads (accruals synced), in condor-id order."""
-        running = [ad for ad in self._ads.values() if ad.state is JobState.RUNNING]
+    def running_snapshot(self, job_id: Optional[str] = None) -> List[CondorJobAd]:
+        """Currently running ads (accruals synced), in condor-id order;
+        with a *job_id*, only that job's."""
+        running = [
+            ad for ad in self._ads.values()
+            if ad.state is JobState.RUNNING and (job_id is None or ad.task.job_id == job_id)
+        ]
         for ad in running:
             self._sync(ad)
         return sorted(running, key=lambda a: a.condor_id)

@@ -182,10 +182,10 @@ class ExecutionService:
         self._check_up()
         return self.pool.queue_snapshot()
 
-    def running_info(self) -> List[CondorJobAd]:
-        """Running ads with synced accruals."""
+    def running_info(self, job_id: Optional[str] = None) -> List[CondorJobAd]:
+        """Running ads with synced accruals (of *job_id* only, given one)."""
         self._check_up()
-        return self.pool.running_snapshot()
+        return self.pool.running_snapshot(job_id)
 
     def queue_position(self, task_id: str) -> int:
         """0-based idle-queue position, or -1."""

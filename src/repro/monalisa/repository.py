@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.declare import encode
 from repro.monalisa.timeseries import TimeSeries
 from repro.store.base import StateStore
 from repro.store.registry import (
@@ -220,20 +221,7 @@ class MonALISARepository:
         )
         n += store.put_many(
             MONALISA_EVENTS,
-            (
-                (
-                    f"{i:08d}",
-                    {
-                        "time": e.time,
-                        "task_id": e.task_id,
-                        "job_id": e.job_id,
-                        "site": e.site,
-                        "state": e.state,
-                        "progress": e.progress,
-                    },
-                )
-                for i, e in enumerate(self._job_events)
-            ),
+            ((f"{i:08d}", encode(e)) for i, e in enumerate(self._job_events)),
         )
         return n
 

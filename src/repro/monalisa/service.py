@@ -12,6 +12,7 @@ from typing import Dict, List
 
 from repro.clarens.readcache import ReadPolicy
 from repro.clarens.registry import clarens_method
+from repro.declare import encode
 from repro.monalisa.repository import MonALISARepository
 
 #: Every answer here is a pure function of the repository, which only
@@ -68,14 +69,4 @@ class MonALISAQueryService:
         events = self.repository.job_events(
             task_id=task_id or None, job_id=job_id or None
         )
-        return [
-            {
-                "time": e.time,
-                "task_id": e.task_id,
-                "job_id": e.job_id,
-                "site": e.site,
-                "state": e.state,
-                "progress": e.progress,
-            }
-            for e in events
-        ]
+        return [encode(e) for e in events]

@@ -37,6 +37,7 @@ call's wire trace id, where a steering verb can adopt it.
 from __future__ import annotations
 
 import contextlib
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.events.journal import EventType
@@ -127,7 +128,9 @@ class GAEInstrumentation:
         health_rules=None,
     ) -> None:
         sim = self.sim = grid.sim
-        self.tracer = Tracer(lambda: sim.now, id_prefix=seeded_id_prefix(grid.rngs.seed))
+        self.tracer = Tracer(
+            partial(getattr, sim.clock, "now"), id_prefix=seeded_id_prefix(grid.rngs.seed)
+        )
         self.eventcore = eventcore  # the GAE's write path, ``gae.events``
         self.journal = eventcore.journal
         self.journal.render_span_id = self.tracer.render_id

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import fields
 from pathlib import Path
 from typing import List, Union
 
+from repro.declare import field_names
 from repro.workloads.downey import ParagonAccountingRecord
 
-_FIELDS = [f.name for f in fields(ParagonAccountingRecord)]
+_FIELDS = list(field_names(ParagonAccountingRecord))
 _FLOATS = {
     "requested_cpu_hours",
     "cpu_charge_rate",

@@ -8,6 +8,7 @@ import pytest
 
 from repro.clarens.errors import SerializationError
 from repro.clarens.serialization import check_wire_safe, from_wire, to_wire
+from repro.declare import encode
 
 
 class Color(enum.Enum):
@@ -15,11 +16,23 @@ class Color(enum.Enum):
     BLUE = "blue"
 
 
+class Level(str, enum.Enum):
+    HIGH = "high"
+
+
 @dataclass
 class Point:
     x: float
     y: float
     _secret: str = "hidden"
+
+
+@dataclass
+class Hinted:
+    """Annotated with a name only a ``TYPE_CHECKING`` block would import."""
+
+    ref: "NotImportedHere" = None  # noqa: F821
+    count: int = 2**40
 
 
 class TestToWire:
@@ -72,6 +85,20 @@ class TestToWire:
         wire = to_wire(value)
         assert wire["points"][0]["x"] == 0.0
         assert wire["tag"] == "blue"
+
+    def test_a_walk_lowers_each_item_as_the_top_level_does(self):
+        items = [None, True, 3, 2**40, 2.5, np.float64(2.5), "s", Level.HIGH, Color.RED]
+        for walked in (to_wire(items), list(to_wire(dict(enumerate(items))).values()),
+                       to_wire(Hinted(ref=items))["ref"]):
+            assert walked == [to_wire(item) for item in items]
+            assert [type(v) for v in walked] == [type(to_wire(item)) for item in items]
+
+    def test_a_record_annotated_with_an_unresolvable_name_lowers(self):
+        assert to_wire(Hinted()) == {"_type": "Hinted", "ref": None, "count": float(2**40)}
+
+    def test_encode_is_the_untagged_lowering_of_the_same_fields(self):
+        assert encode(Hinted()) == {"ref": None, "count": 2**40}
+        assert encode(Point(1.0, 2.0)) == {"x": 1.0, "y": 2.0, "_secret": "hidden"}
 
     def test_unmarshalable_raises(self):
         with pytest.raises(SerializationError):

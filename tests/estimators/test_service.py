@@ -55,7 +55,9 @@ class TestSpecWire:
 
     @pytest.mark.parametrize("hours", [float("nan"), float("inf"), float("-inf"), 0.0])
     def test_a_non_finite_or_non_positive_request_is_refused(self, hours):
-        with pytest.raises(ValueError, match=r"^spec\.requested_cpu_hours: must be positive"):
+        # The codec refuses a non-finite number before the spec's own rule.
+        refusal = f"expected a finite number, got {hours!r}" if hours else "must be positive"
+        with pytest.raises(ValueError, match=rf"^spec\.requested_cpu_hours: {refusal}"):
             spec_from_wire({"owner": "u", "requested_cpu_hours": hours})
 
 
@@ -73,7 +75,7 @@ class TestEstimateRuntime:
         token = gae.host.dispatch("system.login", ["u", "p"])
         request = {"owner": "u", "requested_cpu_hours": hours}
         with pytest.raises(RemoteFault, match=(
-            r"ValueError: spec\.requested_cpu_hours: must be positive and finite, got "
+            rf"ValueError: spec\.requested_cpu_hours: expected a finite number, got {hours!r}$"
         )):
             gae.host.dispatch("estimator.estimate_runtime", [request], token=token)
         request["requested_cpu_hours"] = 5.0

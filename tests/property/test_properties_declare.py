@@ -7,13 +7,15 @@ Two contracts, for every declaration class:
    in the tree is refused with the family's own error, and the message
    starts with the path of what was changed — never a raw ``TypeError``,
    ``KeyError`` or ``AttributeError``.  A numeric field retyped to
-   ``True`` is refused too: a bool never counts as a number.
+   ``True`` is refused too: a bool never counts as a number; so is NaN
+   or ±Infinity in a float field.
 
 And one for the grid: a grid dict that ``decode`` accepts — names and
 numbers drawn in and out of range — builds, into exactly what it declares.
 """
 
 import copy
+import math
 import typing
 from dataclasses import fields, is_dataclass
 
@@ -46,6 +48,15 @@ names = st.text("abcdefgh-_", min_size=1, max_size=8)
 
 def floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+#: What a float field must refuse even where a number is expected.
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def numbers(lo, hi):
+    """A number in or out of a field's range, NaN and ±Infinity included."""
+    return floats(lo, hi) | st.sampled_from(NON_FINITE)
 
 
 site_configs = st.builds(
@@ -200,7 +211,7 @@ DECLARATIONS = [
 IDS = [cls.__name__ for cls, _, _, _ in DECLARATIONS]
 
 #: Values of the wrong type for a field of each annotation.
-WRONG = {str: [7, None, ["x"]], int: [True, "1", 1.5], float: [True, "0.1", None],
+WRONG = {str: [7, None, ["x"]], int: [True, "1", 1.5], float: [True, "0.1", None, *NON_FINITE],
          bool: ["no", 1, None]}
 
 
@@ -289,15 +300,17 @@ def grid_dicts(draw):
     added = {
         "sites": st.fixed_dictionaries({"name": names, "nodes": st.integers(-1, 2)}),
         "links": st.fixed_dictionaries(
-            {"a": names, "b": names, "capacity_mbps": floats(-1.0, 100.0)}
+            {"a": names, "b": names, "capacity_mbps": numbers(-1.0, 100.0)}
         ),
-        "files": st.fixed_dictionaries({"name": names, "size_mb": floats(-1.0, 10.0), "at": names}),
+        "files": st.fixed_dictionaries(
+            {"name": names, "size_mb": numbers(-1.0, 10.0), "at": names}
+        ),
         "flocking": st.lists(names, min_size=2, max_size=2) | st.lists(names, max_size=3),
     }
     for _ in range(draw(st.integers(0, 3))):
         part = draw(st.sampled_from(sorted(added) + ["probe_noise"]))
         if part == "probe_noise":
-            tree[part] = draw(floats(-1.0, 1.0))
+            tree[part] = draw(numbers(-1.0, 1.0))
         elif part == "flocking" or not tree[part] or draw(st.booleans()):
             # A fresh entry, or a copy of one already there.
             copied = st.sampled_from(tree[part]).map(copy.copy) if tree[part] else st.nothing()
@@ -305,8 +318,8 @@ def grid_dicts(draw):
         else:  # redraw one number of an entry
             entry = draw(st.sampled_from(tree[part]))
             key = draw(st.sampled_from([k for k, v in entry.items() if not isinstance(v, str)]))
-            numbers = st.integers(-1, 2) if isinstance(entry[key], int) else floats(-1.0, 2.0)
-            entry[key] = draw(numbers)
+            redrawn = st.integers(-1, 2) if isinstance(entry[key], int) else numbers(-1.0, 2.0)
+            entry[key] = draw(redrawn)
     return tree
 
 

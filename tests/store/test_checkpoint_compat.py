@@ -16,6 +16,7 @@ commit's ``src`` on the path, from the repository root::
 """
 
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -188,6 +189,8 @@ DROP = object()
     ("policy", "warp", 9, "policy: unknown keys ['warp']"),
     ("policy", "auto_move", "yes", "policy.auto_move: expected a bool, got 'yes'"),
     ("policy", "auto_move", DROP, "policy.auto_move: required"),
+    ("policy", "poll_interval_s", math.inf,
+     "policy.poll_interval_s: expected a finite number, got inf"),
     ("grid_spec sites 0", "nodes", DROP, "grid_spec.sites[0].nodes: required"),
     ("grid_spec sites 1", "cpus", 4, "grid_spec.sites[1]: unknown keys ['cpus']"),
     ("grid_spec sites 0", "nodes", 0, "grid_spec.sites[0].nodes: must be >= 1, got 0"),
@@ -200,7 +203,8 @@ DROP = object()
      "(this build always wires None)"),
     ("grid_spec", "seed", DROP, "grid_spec.seed: expected an integer, got None"),
 ], ids=[
-    "unknown-policy-key", "auto_move-yes", "no-auto_move", "site-without-nodes",
+    "unknown-policy-key", "auto_move-yes", "no-auto_move", "infinite-poll-interval",
+    "site-without-nodes",
     "unknown-site-key", "zero-nodes", "trace-true", "output-file-size", "load-profile",
     "no-seed",
 ])

@@ -2,12 +2,14 @@
 overrides, SLOs inside a scenario, and a ``TaskSpec`` sent over RPC."""
 
 import json
+import math
 
 import pytest
 
 from repro.cli import main
 from repro.clarens.errors import RemoteFault
 from repro.config import ConfigError, GridConfig
+from repro.declare import decode
 from repro.gae import build_gae
 from repro.gridsim import GridBuilder
 from repro.gridsim.job import TaskSpec, spec_from_wire, spec_to_wire
@@ -97,6 +99,8 @@ class TestGridRules:
          "scenario.grid.flocking[0]: site 'a' cannot flock to itself"),
         (dict(GRID, links=GRID["links"] + [{"a": "b", "b": "a", "capacity_mbps": 1.0}]),
          "scenario.grid.links[1]: a second link between 'b' and 'a'"),
+        (dict(GRID, links=[{"a": "a", "b": "b", "capacity_mbps": math.nan}]),
+         "scenario.grid.links[0].capacity_mbps: expected a finite number, got nan"),
     ])
     def test_scenario_validate_refuses_a_grid_that_would_not_build(
         self, tmp_path, capsys, grid, message
@@ -105,6 +109,17 @@ class TestGridRules:
         path.write_text(json.dumps(scenario(grid=grid)))
         assert main(["scenario", "validate", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    def test_a_float_field_refuses_a_non_finite_number_at_its_path(self, value):
+        grid = dict(GRID, links=[{"a": "a", "b": "b", "capacity_mbps": value}])
+        with pytest.raises(ConfigError) as raised:
+            decode(GridConfig, grid, "grid", ConfigError)
+        assert str(raised.value) == (
+            f"grid.links[0].capacity_mbps: expected a finite number, got {value!r}"
+        )
 
 
 class TestSlosInAScenario:

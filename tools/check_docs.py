@@ -40,8 +40,10 @@ All run by CI's docs job:
 8. every keyword of a back-ticked call in the same pages — ``Name(…)``,
    ``Name.method(…)`` or a fluent chain of them, where ``Name`` is a class
    defined under ``src/`` or a function ``repro`` exports (``build_gae``,
-   ``restore_gae``) — is a parameter of what it calls, unless that takes
-   ``**kwargs`` — a removed keyword cannot linger either.
+   ``restore_gae``) — is a parameter of what it calls, or of the record
+   its ``**kwargs`` are passed on to (``GridBuilder.site`` →
+   ``SiteConfig``); one whose ``**kwargs`` go elsewhere is not checked —
+   a removed keyword cannot linger either.
 ``benchmarks/e2e/README.md`` is not scanned: only a ``[benchmark]`` PR
 may edit it.
 
@@ -240,6 +242,31 @@ def keywords(arguments: str) -> list[str]:
     return [m.group(1) for part in parts if (m := re.match(r"\s*(\w+)\s*=(?!=)", part))]
 
 
+def forwarded(function) -> object:
+    """The callable a function passes its ``**kwargs`` on to, whole —
+    ``SiteConfig(name, **fields)`` in its body — or None."""
+    import inspect
+    import textwrap
+
+    if not inspect.isfunction(function):
+        return None
+    try:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    except (OSError, SyntaxError):
+        return None
+    var = tree.body[0].args.kwarg
+    if var is None:
+        return None
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and any(
+            keyword.arg is None and isinstance(keyword.value, ast.Name)
+            and keyword.value.id == var.arg
+            for keyword in node.keywords
+        ):
+            return function.__globals__.get(node.func.id)
+    return None
+
+
 def check_keywords() -> list[str]:
     """Each keyword of a back-ticked call of a class or public function
     defined under ``src/`` is a parameter of what it calls, and each
@@ -283,6 +310,17 @@ def check_keywords() -> list[str]:
                 except ValueError:  # a class whose constructor is C's (an exception)
                     break
                 kinds = {param.name: param.kind for param in signature.parameters.values()}
+                if inspect.Parameter.VAR_KEYWORD in kinds.values() and (
+                    record := forwarded(target)
+                ) is not None:  # its own named parameters, and the record's
+                    kinds = {
+                        name: kind for name, kind in kinds.items()
+                        if kind is not inspect.Parameter.VAR_KEYWORD
+                    }
+                    kinds.update(
+                        (param.name, param.kind)
+                        for param in inspect.signature(record).parameters.values()
+                    )
                 if inspect.Parameter.VAR_KEYWORD not in kinds.values():
                     problems += [
                         f"{where} names `{token}`, but {name} takes no keyword {keyword!r}"
