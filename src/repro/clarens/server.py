@@ -400,7 +400,6 @@ class ClarensHost:
         users: Optional[UserDatabase] = None,
         acl: Optional[AccessControlList] = None,
         session_lifetime_s: float = 3600.0,
-        read_cache_capacity: int = 4096,
         read_cache_enabled: bool = True,
     ) -> None:
         self.name = name
@@ -423,12 +422,7 @@ class ClarensHost:
         self.epochs = EpochRegistry()
         #: The epoch-keyed result cache behind read-policy calls and
         #: multicall coalescing.
-        self.read_cache = ReadCache(
-            self.epochs,
-            self.metrics,
-            capacity=read_cache_capacity,
-            enabled=read_cache_enabled,
-        )
+        self.read_cache = ReadCache(self.epochs, self.metrics, enabled=read_cache_enabled)
         #: The GAE's :class:`~repro.observability.instrument.GAEInstrumentation`
         #: when wired (``build_gae`` sets it); ``system.observability`` reads it.
         self.observability = None

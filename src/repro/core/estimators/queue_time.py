@@ -14,9 +14,9 @@ c. elapsed runtime is subtracted from estimated runtime, giving the
 d. the sum of those remainders is the estimated queue time.
 
 :class:`RuntimeEstimateDB` is that separate at-submission database.  The
-plain sum matches the paper's single-CPU framing; ``per_slot=True`` divides
-by the pool's slot count for multi-slot sites (an extension the ablation
-bench evaluates).
+plain sum matches the paper's single-CPU framing; ``estimate(per_slot=True)``
+divides by the pool's slot count for multi-slot sites (an extension the
+ablation bench evaluates).
 
 The optimizer calls :meth:`QueueTimeEstimator.estimate_for_new` once per
 candidate site per steering decision, so that path is the hot one.  A
@@ -360,12 +360,7 @@ class QueueTimeEstimator:
         """The estimated queue wait in seconds (§6.2 step d)."""
         return self.breakdown(service, task_id, per_slot=per_slot).queue_time_s
 
-    def estimate_for_new(
-        self,
-        service: ExecutionService,
-        priority: int = 0,
-        per_slot: bool = False,
-    ) -> float:
+    def estimate_for_new(self, service: ExecutionService, priority: int = 0) -> float:
         """Queue wait a *hypothetical* new task of *priority* would see.
 
         Used by the optimizer when comparing candidate sites before the
@@ -380,7 +375,4 @@ class QueueTimeEstimator:
         """
         running_parts = [self._remaining(ad) for ad in service.running_info()]
         band_totals = self.attach(service).band_totals(priority)
-        total = math.fsum(running_parts + band_totals)
-        if per_slot:
-            total /= max(1, service.pool.total_slots)
-        return total
+        return math.fsum(running_parts + band_totals)

@@ -23,7 +23,7 @@ from repro.core.monitoring.records import MonitoringRecord
 from repro.gridsim.clock import Simulator
 from repro.gridsim.condor import CondorJobAd
 from repro.gridsim.execution import ExecutionService, ExecutionServiceDown
-from repro.gridsim.job import JobState
+from repro.gridsim.job import ACTIVE_STATES, JobState
 
 
 class JobInformationCollector:
@@ -105,15 +105,20 @@ class JobInformationCollector:
 
     def collect(self, task_id: str) -> Optional[MonitoringRecord]:
         """Live monitoring info for a task, or None when no attached,
-        reachable service knows it (the JMManager fallback path, §5.3)."""
+        reachable service knows it (the JMManager fallback path, §5.3).
+        A site holding it queued, running or paused answers before one
+        holding the terminal ad a move or a resubmission left there."""
+        ended = None
         for site_name, service in self._services.items():
             try:
                 if service.has_task(task_id):
                     ad = service.job_status(task_id)
-                    return self._snapshot(ad, site_name)
+                    if ad.state in ACTIVE_STATES:
+                        return self._snapshot(ad, site_name)
+                    ended = ended or (ad, site_name)
             except ExecutionServiceDown:
                 continue
-        return None
+        return None if ended is None else self._snapshot(*ended)
 
     def collect_running(self, job_id: Optional[str] = None) -> List[MonitoringRecord]:
         """Snapshots of every currently running task across sites; with a

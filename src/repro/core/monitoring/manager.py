@@ -4,7 +4,7 @@
 Service. … It first queries the DBManager and if the information is not
 found in its repository, the request is forwarded to the Job Information
 Collector.  The information is then sent to the Steering Service via the
-JMExecutable."
+JMExecutable."  Live tasks are collected first (:meth:`JMManager.get_info`).
 
 The split looks redundant in-process but is kept for architectural
 fidelity: the JMExecutable is the component the Steering Service holds a
@@ -18,10 +18,14 @@ from typing import List, Optional
 from repro.core.monitoring.collector import JobInformationCollector
 from repro.core.monitoring.db_manager import DBManager
 from repro.core.monitoring.records import MonitoringRecord
+from repro.gridsim.job import ACTIVE_STATES
+
+#: A record's ``status`` while its task is queued, running or paused.
+ACTIVE_STATUSES = tuple(state.value for state in ACTIVE_STATES)
 
 
 class JMManager:
-    """DB-first, collector-fallback information flow."""
+    """Live tasks from the collector, settled ones from the DB."""
 
     def __init__(self, db_manager: DBManager, collector: JobInformationCollector) -> None:
         self.db_manager = db_manager
@@ -30,17 +34,17 @@ class JMManager:
     def get_info(self, task_id: str) -> Optional[MonitoringRecord]:
         """The freshest record available for a task.
 
-        A *live* (non-terminal) task is always re-collected so the caller
-        sees current progress; the DB answers for terminal tasks and for
-        tasks the collector can no longer reach.
-        """
+        A task queued, running or paused at some site is collected there,
+        even when the DB holds the terminal row an earlier incarnation
+        left; the DB answers for terminal tasks and for tasks the
+        collector can no longer reach."""
+        collected = self.collector.collect(task_id)
+        if collected is not None and collected.status in ACTIVE_STATUSES:
+            return collected
         stored = self.db_manager.get(task_id)
-        if stored is not None and stored.is_terminal:
+        if stored is not None and (collected is None or stored.is_terminal):
             return stored
-        live = self.collector.collect(task_id)
-        if live is not None:
-            return live
-        return stored
+        return collected
 
     def get_job_info(self, job_id: str) -> List[MonitoringRecord]:
         """Freshest records for every task of a job seen so far."""

@@ -29,7 +29,7 @@ from repro.declare import encode
 from repro.gridsim.clock import Simulator
 from repro.gridsim.condor import CondorJobAd
 from repro.gridsim.execution import ExecutionService, ExecutionServiceDown
-from repro.gridsim.job import JobState
+from repro.gridsim.job import JobState, Task
 from repro.gridsim.scheduler import SchedulingError, SphinxScheduler
 from repro.gridsim.site import Site
 
@@ -85,14 +85,14 @@ class BackupRecovery:
         self.archive_listeners: List[Callable[[str, Dict[str, object]], None]] = []
 
     # ------------------------------------------------------------------
-    def _notify(self, kind: str, ad: CondorJobAd, site: str, detail: str = "") -> None:
+    def _notify(self, kind: str, task: Task, site: str, detail: str = "") -> None:
         note = ClientNotification(
             time=self.sim.now,
             kind=kind,
-            task_id=ad.task_id,
-            job_id=ad.task.job_id or "",
+            task_id=task.task_id,
+            job_id=task.job_id or "",
             site=site,
-            owner=ad.task.spec.owner,
+            owner=task.spec.owner,
             detail=detail,
         )
         self.notifications.append(note)
@@ -115,7 +115,7 @@ class BackupRecovery:
     # per-task terminal handling
     # ------------------------------------------------------------------
     def _handle_task_failure(self, ad: CondorJobAd, site_name: str) -> None:
-        self._notify("failure", ad, site_name, detail="task failed")
+        self._notify("failure", ad.task, site_name, detail="task failed")
         service = self._services.get(site_name)
         service_up = False
         if service is not None:
@@ -132,10 +132,10 @@ class BackupRecovery:
                 pass
         if (service_up and self.resubmit_failed_tasks
                 and (ad.task_id, site_name) not in self._resubmitted):
-            self._resubmit(ad, site_name, reason="task failure")
+            self._resubmit(ad.task, site_name, reason="task failure")
 
     def _handle_task_completion(self, ad: CondorJobAd, site_name: str) -> None:
-        self._notify("completion", ad, site_name, detail="task completed")
+        self._notify("completion", ad.task, site_name, detail="task completed")
         service = self._services.get(site_name)
         if service is None:
             return
@@ -149,18 +149,18 @@ class BackupRecovery:
         except ExecutionServiceDown:
             pass
 
-    def _resubmit(self, ad: CondorJobAd, failed_site: str, reason: str) -> None:
+    def _resubmit(self, task: Task, failed_site: str, reason: str) -> None:
         try:
-            new_site = self.scheduler.resubmit_task(ad.task_id, exclude={failed_site})
+            new_site = self.scheduler.resubmit_task(task.task_id, exclude={failed_site})
         except SchedulingError as exc:
             self._notify(
-                "resubmission", ad, failed_site,
+                "resubmission", task, failed_site,
                 detail=f"resubmission impossible: {exc}",
             )
             return
-        self._resubmitted.add((ad.task_id, failed_site))
+        self._resubmitted.add((task.task_id, failed_site))
         self._notify(
-            "resubmission", ad, failed_site,
+            "resubmission", task, failed_site,
             detail=f"resubmitted to {new_site} after {reason}",
         )
 
@@ -201,7 +201,7 @@ class BackupRecovery:
     def _recover_site(self, site_name: str) -> None:
         """Resubmit every casualty of a failed execution service; a task
         that completed or that its owner killed is no casualty."""
-        for job in self.subscriber.jobs():
+        for job in self.subscriber.plans.jobs.values():
             for task in job.tasks:
                 if task.site != site_name:
                     continue
@@ -209,16 +209,11 @@ class BackupRecovery:
                     continue
                 if (task.task_id, site_name) in self._resubmitted:
                     continue
-                # Build a minimal ad-like view for notification purposes.
-                fake_ad = CondorJobAd(
-                    task=task, condor_id=-1, priority=task.priority,
-                    submit_time=self.sim.now, state=task.state,
-                )
                 self._notify(
-                    "service-failure", fake_ad, site_name,
+                    "service-failure", task, site_name,
                     detail=f"execution service {site_name} unreachable",
                 )
-                self._resubmit(fake_ad, site_name, reason="execution service failure")
+                self._resubmit(task, site_name, reason="execution service failure")
 
     # ------------------------------------------------------------------
     # checkpoint/restore

@@ -5,9 +5,9 @@ the optimizer to perform job control e.g. kill, pause, resume, move job.
 Requests for job redirection are sent to the scheduler (Sphinx)."
 
 Every verb resolves the task's current execution service through the
-subscriber and delegates; *move* vacates the task locally, then hands the
-redirection to the scheduler, carrying checkpointed progress when the task
-is checkpointable.
+scheduler's plan table and delegates; *move* vacates the task locally,
+then hands the redirection to the scheduler, carrying checkpointed
+progress when the task is checkpointable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, ContextManager, Deque, Dict, List, Optional
 
-from repro.core.steering.subscriber import Subscriber
 from repro.gridsim.execution import ExecutionService, ExecutionServiceDown
 from repro.gridsim.scheduler import SphinxScheduler
 
@@ -50,11 +49,9 @@ class CommandProcessor:
 
     def __init__(
         self,
-        subscriber: Subscriber,
         scheduler: SphinxScheduler,
         services: Dict[str, ExecutionService],
     ) -> None:
-        self.subscriber = subscriber
         self.scheduler = scheduler
         self._services = services
         #: The newest :data:`COMMAND_LOG_CAPACITY` executed commands,
@@ -69,7 +66,7 @@ class CommandProcessor:
 
     def _service_for(self, task_id: str) -> ExecutionService:
         try:
-            site = self.subscriber.site_of_task(task_id)
+            site = self.scheduler.plans.tasks[task_id].site
         except KeyError:
             raise SteeringCommandError(f"unknown task {task_id!r}") from None
         try:
@@ -103,7 +100,7 @@ class CommandProcessor:
 
         def action() -> str:
             if task_id in self.scheduler.staging:
-                task = self.subscriber.task(task_id)
+                task = self.scheduler.plans.tasks[task_id]
                 from repro.gridsim.job import JobState
 
                 task.state = JobState.KILLED

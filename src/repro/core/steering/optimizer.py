@@ -26,8 +26,8 @@ from typing import Dict, Optional
 from repro.accounting.service import QuotaAccountingService
 from repro.core.estimators.service import EstimatorService
 from repro.core.monitoring.manager import JMExecutable
-from repro.core.steering.subscriber import Subscriber
 from repro.gridsim.clock import Simulator
+from repro.gridsim.job import PlanTable
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class Optimizer:
         self,
         sim: Simulator,
         policy: SteeringPolicy,
-        subscriber: Subscriber,
+        plans: PlanTable,
         monitoring: JMExecutable,
         estimators: EstimatorService,
         accounting: Optional[QuotaAccountingService] = None,
@@ -89,7 +89,7 @@ class Optimizer:
             raise ValueError("the 'cheap' preference needs an accounting service")
         self.sim = sim
         self.policy = policy
-        self.subscriber = subscriber
+        self.plans = plans
         self.monitoring = monitoring
         self.estimators = estimators
         self.accounting = accounting
@@ -126,15 +126,14 @@ class Optimizer:
             )
 
         # The task is slow.  Project how long staying put would take.
+        task = self.plans.tasks[task_id]
         estimated_total = record.estimated_run_time_s
         if estimated_total <= 0:
             # No estimate: fall back to the user's request.
-            task = self.subscriber.task(task_id)
             estimated_total = task.spec.requested_cpu_hours * 3600.0
         remaining_work = max(0.0, estimated_total - record.elapsed_time_s)
         remaining_here = remaining_work / max(rate, 1e-9)
 
-        task = self.subscriber.task(task_id)
         candidates = self._candidate_completions(
             task_id, record.site, remaining_work, estimated_total
         )
@@ -176,7 +175,7 @@ class Optimizer:
         A checkpointable task only re-runs its remaining work at the new
         site; a plain task restarts from zero.
         """
-        task = self.subscriber.task(task_id)
+        task = self.plans.tasks[task_id]
         by_site = self.estimators.completion_by_site(
             task.spec, priority=task.priority, exclude=[current_site]
         )

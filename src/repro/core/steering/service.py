@@ -64,13 +64,13 @@ class SteeringService:
         self.policy = policy if policy is not None else SteeringPolicy()
         # Every concrete job plan the scheduler emits is in its table (§4.2.1).
         self.subscriber = Subscriber(scheduler.plans)
-        self.session_manager = SessionManager(self.subscriber)
-        self.command_processor = CommandProcessor(self.subscriber, scheduler, services)
+        self.session_manager = SessionManager(scheduler.plans)
+        self.command_processor = CommandProcessor(scheduler, services)
         self.monitoring = monitoring
         self.optimizer = Optimizer(
             sim=sim,
             policy=self.policy,
-            subscriber=self.subscriber,
+            plans=scheduler.plans,
             monitoring=monitoring.executable,
             estimators=estimators,
             accounting=accounting,
@@ -234,7 +234,7 @@ class SteeringService:
     def my_jobs(self, principal: Principal) -> List[Dict[str, object]]:
         """Summaries of every subscribed job the caller owns."""
         out: List[Dict[str, object]] = []
-        for job in self.subscriber.jobs():
+        for job in self.subscriber.plans.jobs.values():
             if job.owner != principal.user:
                 continue
             out.append(

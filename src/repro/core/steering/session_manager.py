@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import FrozenSet, Tuple
 
 from repro.clarens.auth import Principal
-from repro.core.steering.subscriber import Subscriber
+from repro.gridsim.job import PlanTable
 
 
 class SteeringAuthError(RuntimeError):
@@ -28,18 +28,18 @@ class SessionManager:
 
     def __init__(
         self,
-        subscriber: Subscriber,
+        plans: PlanTable,
         admin_groups: Tuple[str, ...] = ("grid-admins",),
     ) -> None:
-        self.subscriber = subscriber
+        self.plans = plans
         self.admin_groups: FrozenSet[str] = frozenset(admin_groups)
 
     def _owner_of_task(self, task_id: str) -> str:
         try:
-            job_id = self.subscriber.job_of_task(task_id)
+            task = self.plans.tasks[task_id]
         except KeyError:
             raise SteeringAuthError(f"unknown task {task_id!r}") from None
-        return self.subscriber.job(job_id).owner
+        return self.plans.jobs[task.job_id].owner  # type: ignore[index]
 
     def may_steer(self, principal: Principal, task_id: str) -> bool:
         """Whether *principal* may steer the task (no exception)."""
@@ -62,7 +62,7 @@ class SessionManager:
     def authorize_job(self, principal: Principal, job_id: str) -> None:
         """Job-level variant of :meth:`authorize`."""
         try:
-            job = self.subscriber.job(job_id)
+            job = self.plans.jobs[job_id]
         except KeyError:
             raise SteeringAuthError(f"unknown job {job_id!r}") from None
         if principal == OPTIMIZER_PRINCIPAL:

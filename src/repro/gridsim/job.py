@@ -55,7 +55,11 @@ class JobState(enum.Enum):
     @property
     def is_active(self) -> bool:
         """True while the task occupies queue or CPU at some site."""
-        return self in (JobState.QUEUED, JobState.RUNNING, JobState.PAUSED)
+        return self in ACTIVE_STATES
+
+
+#: The states of a task that occupies queue or CPU at some site.
+ACTIVE_STATES = (JobState.QUEUED, JobState.RUNNING, JobState.PAUSED)
 
 
 class _IdCounter:
@@ -440,18 +444,6 @@ class PlanTable:
         replaced = (TaskBinding(task.task_id, task.site),)  # type: ignore[arg-type]
         self._revisions.setdefault(job.job_id, []).append((job.planned_at, replaced))
         task.site = site
-
-    def apply(self, plan: ConcreteJobPlan, job: Job) -> None:
-        """Make *plan* *job*'s plan: the first binds the job, a later one is
-        a revision.  A job whose tasks another table has bound is refused
-        (ValueError): its bindings are that table's, and a second table
-        would see its own revisions made already."""
-        if job.job_id in self.jobs:
-            self._revise(plan)
-        elif any(task.site is not None for task in job.tasks):
-            raise ValueError(f"job {job.job_id} is already planned in another table")
-        else:
-            self.restore(job, [plan])
 
     def restore(self, job: Job, history: Sequence[ConcreteJobPlan]) -> None:
         """Hold *job* at the last plan of *history*, the others its revisions."""

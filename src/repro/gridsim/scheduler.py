@@ -515,24 +515,16 @@ class SphinxScheduler:
         """JSON-safe snapshot of every job entry and in-flight transfer.
 
         The scheduler checkpoint is the system of record for task/job
-        objects; pool snapshots reference them by id and are resolved
-        against the restored entries via :meth:`task`.  A job's
-        ``completed`` and ``submitted`` lists are read off its task states:
-        a task was handed to a site once it is past PENDING or in flight.
+        objects and their plans; pool snapshots reference them by id and
+        are resolved against the restored entries via :meth:`task`.  A
+        job's ``plan_history`` is every plan it has had, the current one
+        last.
         """
-        staging = self.staging
         return {
             "jobs": [
                 {
                     "job": job_to_wire(job),
-                    "plan": plan_to_wire(self.plans.plan(job.job_id)),
-                    "completed": sorted(
-                        t.task_id for t in job.tasks if t.state is JobState.COMPLETED
-                    ),
-                    "submitted": sorted(
-                        t.task_id for t in job.tasks
-                        if t.state is not JobState.PENDING or t.task_id in staging
-                    ),
+                    "plan_history": [plan_to_wire(p) for p in self.plans.history(job.job_id)],
                 }
                 for job in self.plans.jobs.values()
             ],
@@ -550,15 +542,15 @@ class SphinxScheduler:
 
         No plan/staging listeners fire — a restore replays state, not
         events (the original plan announcements and transfer spans live
-        in the restored steering/observability state).  In-flight
-        stage-in transfers are re-armed to land at their original finish
-        times with the work they were carrying.  The ``completed`` and
-        ``submitted`` lists are not read: the task states say it.  The
-        table is cleared in place; the steering Subscriber reads it too.
+        in the restored observability state).  In-flight stage-in
+        transfers are re-armed to land at their original finish times
+        with the work they were carrying.  The table is cleared in place;
+        the steering Subscriber reads it too.
         """
         self.plans.clear()
         for wire in state["jobs"]:  # type: ignore[union-attr]
-            self.plans.restore(job_from_wire(wire["job"]), [plan_from_wire(wire["plan"])])
+            history = [plan_from_wire(p) for p in wire["plan_history"]]
+            self.plans.restore(job_from_wire(wire["job"]), history)
         # The per-site counts are derived state: rebuilt, never persisted.
         self._commitments = {}
         self._committed_count = {}

@@ -9,8 +9,9 @@ the system is quiescent.  Every file holds
   encoded :class:`~repro.config.GridConfig`), id counters,
   policy, build parameters, users, the journal ``head_seq`` at the
   barrier and ``base_seq`` (below);
-- the *runtime state*: scheduler, pools, catalog, RNG streams, periodic
-  phases, steering, accounting, spans, metric values, telemetry;
+- the *runtime state*: scheduler (jobs and their plan histories), pools,
+  catalog, RNG streams, periodic phases, Backup & Recovery, accounting,
+  spans, metric values, telemetry;
 - *journal rows* (``observability.journal``): what ``gae.events.journal``
   retains — nothing on an ``observability=False`` build;
 - optionally the *consumer namespaces* (:data:`CONSUMER_NAMESPACES`) —
@@ -49,10 +50,10 @@ Restore ordering matters and is documented inline; the broad strokes:
 4. store-backed layers (every journal consumer's ``load``, the journal),
    then the quiet journal-tail replay that brings consumer state to the
    barrier,
-5. scheduler entries, then pools (ads resolve task ids against the
-   restored jobs), then incremental queue accounting reseeded from the
-   restored queues,
-6. steering/accounting state,
+5. scheduler entries and their plan histories, then pools (ads resolve
+   task ids against the restored jobs), then incremental queue accounting
+   reseeded from the restored queues,
+6. Backup & Recovery and accounting state,
 7. :meth:`repro.gae.GAE.start` inside the simulator's ``rejoin`` block
    over the ``publishers`` phases: each named cadence and the telemetry
    tick re-arm at their recorded phase, in the original's order.
@@ -64,10 +65,12 @@ import contextlib
 import inspect
 import sqlite3
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
 
 from repro.declare import decode, encode
 from repro.events.core import CONSUMER_NAMESPACES
+from repro.gridsim.condor import CondorError
+from repro.gridsim.scheduler import SchedulingError
 from repro.store.base import StateStore, StoreError, read_store_file
 from repro.store.registry import (
     ACCOUNTING_STATE,
@@ -111,6 +114,10 @@ PHASES = ("site_load", "steering_loop", "backup_recovery", "monitor_snapshots")
 #: Periodic phases an older checkpoint's ``publishers`` record may still
 #: hold for an activity this build no longer runs; read and dropped.
 RETIRED_PHASES = ("service_metrics",)
+
+#: An older checkpoint's plan histories (its scheduler row records only each
+#: job's ``plan``): read, checked to end at that plan, and dropped.
+RETIRED_PLAN_ROW = (STEERING_STATE, "subscriber")
 
 
 class CheckpointError(StoreError):
@@ -283,8 +290,7 @@ class Checkpointer:
             {name: gae.sim.phase(name) for name in PHASES},
         )
 
-        # Steering and accounting.
-        store.put(STEERING_STATE, "subscriber", gae.steering.subscriber.export_state())
+        # Backup & Recovery and accounting.
         store.put(
             STEERING_STATE,
             "backup_recovery",
@@ -313,10 +319,12 @@ def restore_gae(
     :data:`RETIRED_SITE_KEYS` at their constants), build parameters this
     ``build_gae`` cannot reproduce (:data:`RETIRED_BUILD_PARAMS`), a
     ``publishers`` record that lacks a periodic phase or names one this
-    build does not run (:data:`RETIRED_PHASES` aside), a continuation
-    given no base (or a self-contained file given one), and a
-    base that is itself a continuation or whose head is not the one *path*
-    was cut against.
+    build does not run (:data:`RETIRED_PHASES` aside), a gridsim, steering
+    or accounting row this build cannot apply (named ``namespace/key``; a
+    :data:`RETIRED_PLAN_ROW` that disagrees with the scheduler row among
+    them), a continuation given no base (or a self-contained file given
+    one), and a base that is itself a continuation or whose head is not
+    the one *path* was cut against.
     """
     path = str(path)
     with contextlib.ExitStack() as opened:
@@ -449,6 +457,47 @@ def _phases(path: str, recorded: Dict[str, Any]) -> Dict[str, Any]:
     return phases
 
 
+@contextlib.contextmanager
+def _row(
+    path: str, source: StateStore, namespace: str, key: str, *default: Any
+) -> Iterator[Any]:
+    """*source*'s ``namespace/key`` row (or *default*), for the block that
+    applies it.  A row that is missing, or that the block cannot apply, is
+    a :class:`CheckpointError` naming *path* and the row."""
+    try:
+        yield source.get(namespace, key, *default)
+    except (
+        LookupError, TypeError, ValueError, AttributeError, CondorError, SchedulingError
+    ) as exc:
+        raise CheckpointError(
+            f"{path!r}: {namespace}/{key} cannot be restored: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _plan_histories(path: str, state: Dict[str, Any], retired: Dict[str, Any]) -> Dict[str, Any]:
+    """The scheduler row *state*, every job holding its ``plan_history``:
+    an older file's jobs record only their ``plan``, and *retired* (job id
+    -> history, off :data:`RETIRED_PLAN_ROW`) must end at it for each."""
+    if not retired:
+        return state
+    where = "/".join(RETIRED_PLAN_ROW)
+    for wire in state["jobs"]:
+        job_id = wire["job"]["job_id"]
+        history = retired.pop(job_id, None) or [None]
+        if history[-1] != wire.pop("plan"):
+            raise CheckpointError(
+                f"{path!r}: {where}: the plan history of {job_id!r} does not "
+                "end at the scheduler row's plan"
+            )
+        wire["plan_history"] = history
+    if retired:
+        raise CheckpointError(
+            f"{path!r}: {where}: names {', '.join(sorted(retired))}, "
+            "which the scheduler row does not hold"
+        )
+    return state
+
+
 def _restore(
     path: str, meta: Dict[str, Any], source: StateStore, store: Optional[StateStore]
 ) -> "GAE":
@@ -469,7 +518,8 @@ def _restore(
 
     # 2. The substrate, clock starting at the barrier instant.
     grid = build_grid(config, seed=seed, start_time=meta["time"])
-    grid.rngs.restore_states(source.get(CHECKPOINT_GRIDSIM, "rng"))
+    with _row(path, source, CHECKPOINT_GRIDSIM, "rng") as states:
+        grid.rngs.restore_states(states)
 
     # 3. The same wiring the original had.
     gae = build_gae(grid, policy=policy, store=store, **meta["build_params"])
@@ -492,32 +542,34 @@ def _restore(
     # 5. Scheduler before pools: pool ads resolve task ids against the
     # restored job entries.  Queue accounting reseeds from the restored
     # queues afterwards (its incremental sums saw none of the restores).
-    gae.scheduler.restore_state(source.get(CHECKPOINT_GRIDSIM, "scheduler"))
+    with _row(path, source, *RETIRED_PLAN_ROW, []) as retired:
+        histories = {wire["job_id"]: wire["plan_history"] for wire in retired}
+    with _row(path, source, CHECKPOINT_GRIDSIM, "scheduler") as state:
+        gae.scheduler.restore_state(_plan_histories(path, state, histories))
     for name in sorted(grid.sites):
-        grid.sites[name].pool.restore_state(
-            source.get(CHECKPOINT_GRIDSIM, f"pool:{name}"), gae.scheduler.task
-        )
+        with _row(path, source, CHECKPOINT_GRIDSIM, f"pool:{name}") as state:
+            grid.sites[name].pool.restore_state(state, gae.scheduler.task)
     for name in sorted(grid.execution_services):
         accounting = grid.execution_services[name].queue_accounting
         if accounting is not None:
             accounting.reseed()
-    for name, failed in source.get(CHECKPOINT_GRIDSIM, "services").items():
-        grid.execution_services[name].restore_availability(failed)
-    grid.catalog.restore_files(source.get(CHECKPOINT_GRIDSIM, "catalog"))
-    transfer_cache = source.get(CHECKPOINT_GRIDSIM, "transfer_cache", default=None)
-    if transfer_cache is not None and gae.estimators.transfer is not None:
-        gae.estimators.transfer.import_cache_state(transfer_cache)
+    with _row(path, source, CHECKPOINT_GRIDSIM, "services") as services:
+        for name, failed in services.items():
+            grid.execution_services[name].restore_availability(failed)
+    with _row(path, source, CHECKPOINT_GRIDSIM, "catalog") as files:
+        grid.catalog.restore_files(files)
+    with _row(path, source, CHECKPOINT_GRIDSIM, "transfer_cache", None) as cache:
+        if cache is not None and gae.estimators.transfer is not None:
+            gae.estimators.transfer.import_cache_state(cache)
 
-    # 6. Steering and accounting.
-    gae.steering.subscriber.import_state(
-        source.get(STEERING_STATE, "subscriber"), gae.scheduler.job
-    )
-    gae.steering.backup_recovery.import_state(
-        source.get(STEERING_STATE, "backup_recovery")
-    )
-    gae.accounting.quotas.import_state(source.get(ACCOUNTING_STATE, "quotas"))
+    # 6. Backup & Recovery and accounting.
+    with _row(path, source, STEERING_STATE, "backup_recovery") as state:
+        gae.steering.backup_recovery.import_state(state)
+    with _row(path, source, ACCOUNTING_STATE, "quotas") as state:
+        gae.accounting.quotas.import_state(state)
     gae.host.users.import_state(meta["users"])
-    phases = _phases(path, source.get(CHECKPOINT_GRIDSIM, "publishers", default={}))
+    with _row(path, source, CHECKPOINT_GRIDSIM, "publishers", {}) as recorded:
+        phases = _phases(path, recorded)
 
     # Consumers now hold barrier state; re-anchor their baselines so
     # verify()/rebuild() fold only post-restore events.

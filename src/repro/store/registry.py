@@ -62,8 +62,8 @@ NAMESPACES: Tuple[Namespace, ...] = (
     Namespace(OBSERVABILITY_METRICS, 1, "metrics registry instrument values"),
     Namespace(OBSERVABILITY_TELEMETRY, 1, "windowed telemetry series and health-rule state"),
     Namespace(CHECKPOINT_META, 1, "checkpoint barrier metadata, grid spec, id counters"),
-    Namespace(CHECKPOINT_GRIDSIM, 1, "scheduler, Condor pools, replica catalog, RNG streams"),
-    Namespace(STEERING_STATE, 1, "steering subscriptions and Backup & Recovery state"),
+    Namespace(CHECKPOINT_GRIDSIM, 1, "jobs + plan histories, Condor pools, catalog, RNG streams"),
+    Namespace(STEERING_STATE, 1, "Backup & Recovery state (older files: plan histories too)"),
     Namespace(ACCOUNTING_STATE, 1, "quota balances, reservations, and the charge ledger"),
 )
 

@@ -261,8 +261,25 @@ class TestPlanTable:
         )
         bindings = tuple(TaskBinding(t.task_id, "siteA") for t in job.tasks)
         table = PlanTable()
-        table.apply(ConcreteJobPlan(job_id=job.job_id, bindings=bindings, created_at=5.0), job)
+        table.restore(job, [ConcreteJobPlan(job_id=job.job_id, bindings=bindings, created_at=5.0)])
         return table, job, a, b, c
+
+    def test_a_restored_history_is_the_current_plan_and_its_revisions(self):
+        """The last plan binds the tasks, the earlier ones are its history."""
+        table, job, a, b, c = self.make_table()
+        first = table.plan(job.job_id)
+        later = ConcreteJobPlan(
+            job_id=job.job_id,
+            bindings=(TaskBinding(a.task_id, "siteB"), *first.bindings[1:]),
+            created_at=9.0,
+        )
+        fresh = PlanTable()
+        fresh.restore(job, [first, later])
+        assert fresh.jobs == {job.job_id: job}
+        assert fresh.tasks == {t.task_id: t for t in (a, b, c)}
+        assert [a.site, b.site, c.site] == ["siteB", "siteA", "siteA"]
+        assert fresh.plan(job.job_id) == later
+        assert fresh.history(job.job_id) == [first, later]
 
     def test_children_follow_dependencies(self):
         table, _, a, b, c = self.make_table()

@@ -228,7 +228,7 @@ def test_k_moves_of_an_n_task_job_hold_n_plus_k_bindings():
     """A move revises one binding, so the plan history keeps one binding
     per move, not a copy of the plan (200 moves in a 2 000-task job held
     +21.5 MB as copies); the checkpointed history is still every plan the
-    subscriber was sent, byte for byte."""
+    scheduler emitted, byte for byte."""
     tasks, moves = 500, 60
     gae = two_site_gae(observability=False)
     sent = []
@@ -242,7 +242,7 @@ def test_k_moves_of_an_n_task_job_hold_n_plus_k_bindings():
     gc.collect()
     held = sum(isinstance(o, TaskBinding) for o in gc.get_objects())
     assert held <= tasks + moves, held
-    [exported] = gae.steering.subscriber.export_state()
+    [exported] = gae.scheduler.snapshot_state()["jobs"]
     assert exported["plan_history"] == sent and len(sent) == moves + 1
 
 

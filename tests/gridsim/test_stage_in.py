@@ -152,10 +152,8 @@ class TestCheckpointImageTransfer:
     def test_command_processor_ships_the_image(self):
         """End to end through the steering move verb."""
         from repro.core.steering.commands import CommandProcessor
-        from repro.core.steering.subscriber import Subscriber
 
         grid = self.make_grid()
-        subscriber = Subscriber(grid.scheduler.plans)
         pin(grid, "from")
         t = Task(
             spec=TaskSpec(requested_cpu_hours=0.1),
@@ -165,15 +163,15 @@ class TestCheckpointImageTransfer:
         )
         grid.scheduler.submit_job(Job(tasks=[t], owner="u"))
         grid.sim.run_until(40.0)
-        processor = CommandProcessor(subscriber, grid.scheduler, grid.execution_services)
+        processor = CommandProcessor(grid.scheduler, grid.execution_services)
         result = processor.move(t.task_id, target_site="to")
         assert result.ok
         grid.run()
         new_ad = grid.sites["to"].pool.ad(t.task_id)
         assert new_ad.submit_time == pytest.approx(50.0)
-        exported = subscriber.export_state()[0]["plan_history"]
-        assert [p["bindings"] for p in exported] == [
-            [[t.task_id, "from"]], [[t.task_id, "to"]]
+        history = grid.scheduler.plans.history(t.job_id)
+        assert [[(b.task_id, b.site_name) for b in p.bindings] for p in history] == [
+            [(t.task_id, "from")], [(t.task_id, "to")]
         ]
 
 
@@ -191,14 +189,12 @@ class TestStagingEdgeCases:
 
     def test_steering_kill_works_during_staging(self):
         from repro.core.steering.commands import CommandProcessor
-        from repro.core.steering.subscriber import Subscriber
 
         grid = make_grid()
-        subscriber = Subscriber(grid.scheduler.plans)
         pin(grid, "compute")
         t = data_task(work=50.0)
         grid.scheduler.submit_job(Job(tasks=[t], owner="u"))
-        processor = CommandProcessor(subscriber, grid.scheduler, grid.execution_services)
+        processor = CommandProcessor(grid.scheduler, grid.execution_services)
         result = processor.kill(t.task_id)
         assert result.ok
         assert "staging" in result.detail
@@ -208,14 +204,12 @@ class TestStagingEdgeCases:
 
     def test_pause_during_staging_fails_cleanly(self):
         from repro.core.steering.commands import CommandProcessor
-        from repro.core.steering.subscriber import Subscriber
 
         grid = make_grid()
-        subscriber = Subscriber(grid.scheduler.plans)
         pin(grid, "compute")
         t = data_task(work=50.0)
         grid.scheduler.submit_job(Job(tasks=[t], owner="u"))
-        processor = CommandProcessor(subscriber, grid.scheduler, grid.execution_services)
+        processor = CommandProcessor(grid.scheduler, grid.execution_services)
         result = processor.pause(t.task_id)
         assert not result.ok  # no pool holds it yet; honest failure
         grid.run()

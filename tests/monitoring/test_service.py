@@ -203,3 +203,58 @@ class TestContinuousMonitoring:
         gae.stop()
         history = gae.client("u", "pw").service("jobmon").progress_history(t.task_id)
         assert len(history) >= 3
+
+
+class TestALaterIncarnation:
+    """§5 answers for the incarnation a task has now: a move or a Backup &
+    Recovery resubmission leaves a terminal ad, and a terminal row, at the
+    old site, and neither answers while the task is queued, running or
+    paused at the new one."""
+
+    @pytest.fixture
+    def gae(self):
+        from repro.gae import SteeringPolicy, build_gae
+        from repro.gridsim import GridBuilder
+
+        grid = (
+            GridBuilder(seed=1).site("siteA").site("siteB")
+            .link("siteA", "siteB", capacity_mbps=100.0, latency_s=0.0)
+            .probe_noise(0.0).build()
+        )
+        gae = build_gae(grid, policy=SteeringPolicy(auto_move=False, poll_interval_s=3_600.0))
+        gae.add_user("u", "pw")
+        gae.start()
+        yield gae
+        gae.stop()
+
+    def at_site_a(self, gae):
+        task = make_task(work=1_000.0, owner="u")
+        original = gae.scheduler.select_site
+        gae.scheduler.select_site = lambda t, exclude=(): "siteA"
+        try:
+            gae.scheduler.submit_job(Job(tasks=[task], owner="u"))
+        finally:
+            gae.scheduler.select_site = original
+        gae.grid.run_until(100.0)
+        assert task.state.value == "running" and task.site == "siteA"
+        return task
+
+    def test_a_moved_task_answers_from_its_new_site(self, gae):
+        task = self.at_site_a(gae)
+        client = gae.client("u", "pw")
+        assert client.call("steering.move", task.task_id, "siteB")["ok"]
+        gae.grid.run_until(200.0)
+        assert task.site == "siteB" and task.state.value == "running"
+        assert client.call("jobmon.job_status", task.task_id) == "running"
+        assert client.call("jobmon.job_info", task.task_id)["site"] == "siteB"
+        reason = client.call("steering.evaluate_move", task.task_id)["reason"]
+        assert "not running" not in reason, reason
+
+    def test_a_resubmitted_task_answers_from_its_new_site(self, gae):
+        task = self.at_site_a(gae)
+        gae.grid.sites["siteA"].pool.fail_task(task.task_id)
+        assert task.site == "siteB"
+        client = gae.client("u", "pw")
+        assert client.call("jobmon.job_status", task.task_id) == task.state.value
+        assert task.state.value in ("queued", "running")
+        assert client.call("jobmon.job_info", task.task_id)["site"] == "siteB"

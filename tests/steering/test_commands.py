@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.steering.commands import COMMAND_LOG_CAPACITY, CommandProcessor
-from repro.core.steering.subscriber import Subscriber
 from repro.gridsim.clock import Simulator
 from repro.gridsim.execution import ExecutionService
 from repro.gridsim.job import Job, JobState, Task, TaskSpec
@@ -21,8 +20,7 @@ def env():
         es.runtime_estimator = lambda spec: spec.requested_cpu_hours * 3600.0
         scheduler.register_site(es)
         services[name] = es
-    subscriber = Subscriber(scheduler.plans)
-    processor = CommandProcessor(subscriber, scheduler, services)
+    processor = CommandProcessor(scheduler, services)
     return sim, scheduler, services, processor
 
 

@@ -59,7 +59,7 @@ class TestPolicyValidation:
             Optimizer(
                 sim=gae.sim,
                 policy=SteeringPolicy(preference="cheap"),
-                subscriber=gae.steering.subscriber,
+                plans=gae.scheduler.plans,
                 monitoring=gae.monitoring.executable,
                 estimators=gae.estimators,
                 accounting=None,

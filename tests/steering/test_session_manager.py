@@ -8,7 +8,6 @@ from repro.core.steering.session_manager import (
     SessionManager,
     SteeringAuthError,
 )
-from repro.core.steering.subscriber import Subscriber
 from repro.gridsim.job import ConcreteJobPlan, Job, PlanTable, Task, TaskBinding, TaskSpec
 
 ALICE = Principal(user="alice", groups=frozenset())
@@ -18,12 +17,12 @@ ADMIN = Principal(user="root", groups=frozenset({"grid-admins"}))
 
 @pytest.fixture
 def manager():
-    sub = Subscriber(PlanTable())
+    plans = PlanTable()
     task = Task(spec=TaskSpec(owner="alice"), work_seconds=10.0)
     job = Job(tasks=[task], owner="alice")
     plan = ConcreteJobPlan(job_id=job.job_id, bindings=(TaskBinding(task.task_id, "a"),))
-    sub.receive_plan(plan, job)
-    return SessionManager(sub), task, job
+    plans.restore(job, [plan])
+    return SessionManager(plans), task, job
 
 
 class TestTaskAuthorization:
@@ -56,14 +55,14 @@ class TestTaskAuthorization:
             mgr.authorize(ALICE, "ghost")
 
     def test_custom_admin_groups(self):
-        sub = Subscriber(PlanTable())
+        plans = PlanTable()
         task = Task(spec=TaskSpec(owner="alice"), work_seconds=1.0)
         job = Job(tasks=[task], owner="alice")
-        sub.receive_plan(
-            ConcreteJobPlan(job_id=job.job_id, bindings=(TaskBinding(task.task_id, "a"),)),
+        plans.restore(
             job,
+            [ConcreteJobPlan(job_id=job.job_id, bindings=(TaskBinding(task.task_id, "a"),))],
         )
-        mgr = SessionManager(sub, admin_groups=("ops",))
+        mgr = SessionManager(plans, admin_groups=("ops",))
         ops = Principal(user="op1", groups=frozenset({"ops"}))
         mgr.authorize(ops, task.task_id)
         with pytest.raises(SteeringAuthError):

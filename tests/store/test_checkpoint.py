@@ -12,22 +12,41 @@ scheduled immediately after the checkpoint.
 import hashlib
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.gae import SteeringPolicy, build_gae
 from repro.gridsim import GridBuilder
-from repro.gridsim.job import Job, Task, TaskSpec, bag_of_tasks, reset_id_counters
+from repro.gridsim.job import (
+    Job,
+    PlanTable,
+    Task,
+    TaskSpec,
+    bag_of_tasks,
+    plan_to_wire,
+    reset_id_counters,
+)
 from repro.store import StateStore
 from repro.store.checkpoint import (
     CHECKPOINT_FORMAT,
+    RETIRED_PLAN_ROW,
     CheckpointError,
     Checkpointer,
     restore_gae,
 )
-from repro.store.registry import CHECKPOINT_META, OBSERVABILITY_JOURNAL, register_all
+from repro.store.registry import (
+    ACCOUNTING_STATE,
+    CHECKPOINT_GRIDSIM,
+    CHECKPOINT_META,
+    OBSERVABILITY_JOURNAL,
+    STEERING_STATE,
+    register_all,
+)
 from repro.store.base import read_store_file
 
+FORMAT2_FULL = Path(__file__).parent / "fixtures" / "format2_full.sqlite"
 T_CHECKPOINT = 205.0  # mid-workload; TestContinuationIdentity also takes barriers on ticks
 WORKS = [120.0, 240.0, 360.0, 480.0, 150.0, 90.0]
 
@@ -468,3 +487,121 @@ class TestCheckpointErrors:
         assert info.time == T_CHECKPOINT
         assert info.jobs == 1
         assert info.tasks == len(job.tasks)
+
+
+class TestPlanHistories:
+    """The scheduler's row is the one place a checkpoint keeps plans."""
+
+    def test_each_plan_is_written_once_and_restored_once(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "plans.sqlite")
+        gae, job = build_workload()
+        gae.sim.run_until(100.0)
+        moved = next(t for t in job.tasks if t.state.value == "running")
+        target = "siteB" if moved.site == "siteA" else "siteA"
+        assert gae.steering.command_processor.move(moved.task_id, target).ok
+        gae.sim.run_until(T_CHECKPOINT)
+        history = [plan_to_wire(p) for p in gae.scheduler.plans.history(job.job_id)]
+        assert len(history) == 2
+        Checkpointer(gae).checkpoint(path)
+
+        stored = read_store_file(path)
+        [row] = stored.get(CHECKPOINT_GRIDSIM, "scheduler")["jobs"]
+        assert sorted(row) == ["job", "plan_history"]
+        assert row["plan_history"] == history
+        assert RETIRED_PLAN_ROW[1] not in stored.keys(RETIRED_PLAN_ROW[0])
+        plans_written = sum(
+            json.dumps(value).count('"bindings"')
+            for ns in (CHECKPOINT_GRIDSIM, STEERING_STATE, ACCOUNTING_STATE)
+            for value in stored.values(ns)
+        )
+        assert plans_written == len(history)
+
+        restores = []
+        original = PlanTable.restore
+        monkeypatch.setattr(PlanTable, "restore", lambda table, job, plans: (
+            restores.append(job.job_id), original(table, job, plans)
+        ))
+        reset_id_counters()
+        restored = restore_gae(path)
+        assert restores == [job.job_id]
+        assert [plan_to_wire(p) for p in restored.scheduler.plans.history(job.job_id)] == history
+
+
+def edited_fixture(tmp_path, namespace, key, edit):
+    """A copy of the format-2 fixture with *edit* applied to one row."""
+    path = tmp_path / "edited.sqlite"
+    shutil.copyfile(FORMAT2_FULL, path)
+    with StateStore(str(path)) as store:
+        row = store.get(namespace, key)
+        edit(row)
+        store.put(namespace, key, row)
+    return str(path)
+
+
+def first_task(scheduler):
+    return scheduler["jobs"][0]["job"]["tasks"][0]
+
+
+def drop_bindings(plan):
+    del plan["bindings"]
+
+
+@pytest.mark.parametrize("namespace, key, edit", [
+    (CHECKPOINT_GRIDSIM, "scheduler", lambda row: row["jobs"][0]["job"].pop("owner")),
+    (CHECKPOINT_GRIDSIM, "scheduler", lambda row: first_task(row).update(state="bogus")),
+    (CHECKPOINT_GRIDSIM, "scheduler", lambda row: first_task(row).update(work_seconds="x")),
+    (CHECKPOINT_GRIDSIM, "pool:siteA", lambda row: row["ads"][0].pop("accrued_work")),
+    (CHECKPOINT_GRIDSIM, "services", lambda row: row.update(siteC=False)),
+    (STEERING_STATE, "backup_recovery", lambda row: row.pop("failed_sites")),
+    (ACCOUNTING_STATE, "quotas", lambda row: row.pop("ledger")),
+], ids=[
+    "job-without-owner", "bogus-task-state", "work-seconds-x", "ad-without-accrued-work",
+    "unknown-service", "no-failed-sites", "no-ledger",
+])
+def test_a_row_restore_cannot_apply_is_a_checkpoint_error_naming_it(
+    tmp_path, namespace, key, edit
+):
+    """Not a bare ``KeyError`` / ``ValueError`` / ``TypeError``: the
+    refusal names the file and the row."""
+    path = edited_fixture(tmp_path, namespace, key, edit)
+    with pytest.raises(CheckpointError) as raised:
+        restore_gae(path)
+    assert str(raised.value).startswith(f"{path!r}: {namespace}/{key} cannot be restored: ")
+
+
+def test_a_plan_without_bindings_is_a_checkpoint_error_naming_the_scheduler_row(tmp_path):
+    """The retired history agrees with the broken plan, so the scheduler
+    row is where the restore finds it."""
+    path = edited_fixture(
+        tmp_path, CHECKPOINT_GRIDSIM, "scheduler", lambda row: drop_bindings(row["jobs"][0]["plan"])
+    )
+    with StateStore(path) as store:
+        retired = store.get(*RETIRED_PLAN_ROW)
+        drop_bindings(retired[0]["plan_history"][-1])
+        store.put(*RETIRED_PLAN_ROW, retired)
+    with pytest.raises(CheckpointError) as raised:
+        restore_gae(path)
+    assert str(raised.value).startswith(
+        f"{path!r}: {CHECKPOINT_GRIDSIM}/scheduler cannot be restored: KeyError"
+    )
+
+
+def other_site(binding):
+    binding[1] = "siteB" if binding[1] == "siteA" else "siteA"
+
+
+@pytest.mark.parametrize("edit, refusal", [
+    (lambda rows: other_site(rows[0]["plan_history"][-1]["bindings"][0]),
+     "the plan history of 'job-000001' does not end at the scheduler row's plan"),
+    (lambda rows: rows.append(dict(rows[0], job_id="job-000009")),
+     "names job-000009, which the scheduler row does not hold"),
+], ids=["history-disagrees", "unknown-job"])
+def test_a_retired_plan_row_that_disagrees_with_the_scheduler_is_refused(
+    tmp_path, edit, refusal
+):
+    """An older file's plan histories are its retired subscriber row's;
+    each must end at the plan its scheduler row records."""
+    path = edited_fixture(tmp_path, *RETIRED_PLAN_ROW, edit)
+    with pytest.raises(CheckpointError) as raised:
+        restore_gae(path)
+    assert str(raised.value) == f"{path!r}: {'/'.join(RETIRED_PLAN_ROW)}: {refusal}"

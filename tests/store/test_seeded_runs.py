@@ -7,7 +7,19 @@ continuation restored and run out as well.  Run by this file as a script
 it prints, as JSON, every journal row's ``to_wire()`` and every consumer's
 ``fingerprint()`` of both runs, and every namespace of both checkpoint
 files as a sha256 — so two fresh interpreters can be compared byte for
-byte, with no mapping of ids to ordinals.
+byte, with no mapping of ids to ordinals::
+
+    PYTHONPATH=src python tests/store/test_seeded_runs.py SCRATCH_DIR > run.json
+
+Two such files, say one written with a parent commit's ``src`` and one
+with a change's, are compared by::
+
+    PYTHONPATH=src python tests/store/test_seeded_runs.py --compare PARENT.json CHANGE.json \
+        [--expect checkpoint.gridsim,checkpoint.steering]
+
+which prints each key that differs (the outcomes, a run's journal, a
+consumer's fingerprint, a checkpoint namespace's masked digest) and exits
+1 unless every difference is a namespace named by ``--expect``.
 
 The only values that may differ between two runs of one seed are named in
 :data:`WALL_CLOCK_OR_RANDOM`; those namespaces are compared with exactly
@@ -20,6 +32,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import List
 
 from repro.cli import checkpoint_demo_workload
 from repro.clarens.errors import ClarensFault
@@ -207,5 +220,61 @@ def test_a_restored_format2_file_mints_no_id_its_ring_holds():
     assert len(ids) == len(set(ids))
 
 
+def differing(parent: dict, change: dict) -> List[str]:
+    """Each key in which two :func:`one_run` results differ: ``outcomes``,
+    ``journal.<run>``, ``fingerprints.<run>.<consumer>`` and
+    ``namespaces.<file>.<namespace>`` (its masked digest)."""
+    keys = [] if parent["outcomes"] == change["outcomes"] else ["outcomes"]
+    for run in ("live", "restored"):
+        if parent["journal"][run] != change["journal"][run]:
+            keys.append(f"journal.{run}")
+        a, b = parent["fingerprints"][run], change["fingerprints"][run]
+        keys += [
+            f"fingerprints.{run}.{name}" for name in sorted({*a, *b}) if a.get(name) != b.get(name)
+        ]
+    for name in ("base", "delta"):
+        a, b = parent["namespaces"][name], change["namespaces"][name]
+        keys += [
+            f"namespaces.{name}.{ns}" for ns in sorted({*a, *b})
+            if (a.get(ns) or [None, None])[1] != (b.get(ns) or [None, None])[1]
+        ]
+    return keys
+
+
+def test_differing_names_each_key_that_differs():
+    run = {
+        "outcomes": [{"ok": True}],
+        "journal": {"live": ["a"], "restored": ["a"]},
+        "fingerprints": {"live": {"c": "1"}, "restored": {"c": "1"}},
+        "namespaces": {"base": {"n.x": ["r", "m"]}, "delta": {"n.x": ["r", "m"]}},
+    }
+    assert differing(run, run) == []
+    other = json.loads(json.dumps(run))
+    other["journal"]["restored"] = ["b"]
+    other["fingerprints"]["live"]["c"] = "2"
+    other["namespaces"]["base"]["n.x"] = ["raw differs", "m"]  # masked equal
+    other["namespaces"]["delta"]["n.y"] = ["r", "m"]
+    assert differing(run, other) == [
+        "fingerprints.live.c", "journal.restored", "namespaces.delta.n.y"
+    ]
+
+
+def compare(argv: List[str]) -> int:
+    """``PARENT.json CHANGE.json [--expect ns,...]``: print each differing
+    key; 1 unless every one is a namespace named by ``--expect``."""
+    expected = set(argv[argv.index("--expect") + 1].split(",")) if "--expect" in argv else set()
+    parent, change = (json.loads(Path(p).read_text("utf-8")) for p in argv[:2])
+    keys = differing(parent, change)
+    unexpected = [
+        key for key in keys
+        if not key.startswith("namespaces.") or key.split(".", 2)[2] not in expected
+    ]
+    for key in keys:
+        print(("unexpected: " if key in unexpected else "expected: ") + key)
+    return 1 if unexpected else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2:]))
     print(json.dumps(one_run(Path(sys.argv[1]))))
