@@ -34,6 +34,31 @@ def planned(*jobs_and_sites):
     return Subscriber(plans)
 
 
+class TestReceivePlan:
+    """A plan reaches the subscriber through the scheduler's table."""
+
+    def test_subscription_created(self):
+        job = make_job()
+        plan = make_plan(job, ["a", "b"])
+        sub = planned((job, ["a", "b"]))
+        assert sub.plans.jobs[job.job_id] is job
+        assert sub.plans.plan(job.job_id) == plan
+        assert [sub.plans.tasks[t.task_id].site for t in job.tasks] == ["a", "b"]
+        assert sub.execution_sites_in_use() == {"a", "b"}
+
+    def test_updated_plan_replaces_and_keeps_history(self):
+        job = make_job()
+        p1 = make_plan(job, ["a"])
+        p2 = make_plan(job, ["b"])
+        sub = planned((job, ["a"]))
+        for task in job.tasks:  # the scheduler's revision, task by task
+            sub.plans.rebind(task, "b")
+        assert sub.plans.plan(job.job_id) == p2
+        assert sub.plans.history(job.job_id) == [p1, make_plan(job, ["b", "a"]), p2]
+        assert sub.plans.tasks[job.tasks[0].task_id].site == "b"
+        assert sub.execution_sites_in_use() == {"b"}
+
+
 class TestAggregates:
     def test_active_tasks_excludes_settled(self):
         job = make_job(n=3)
